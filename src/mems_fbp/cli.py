@@ -158,6 +158,10 @@ def parse_config(path) -> ExperimentConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
+    if kind in ("steady", "continuation") and params.mode != "quasilinear":
+        fail("mode", f"{kind} solves the quasilinear equation only")
+    if kind == "continuation" and ic != "zero":
+        fail("initial_condition", "continuation starts from the flat membrane; only 'zero'")
 
     if not isinstance(cfg["eps_list"], list) or not cfg["eps_list"]:
         fail("eps_list", "must be a non-empty list")
@@ -283,7 +287,9 @@ def _run_steady(cfg: ExperimentConfig, out: Path, say) -> int:
     grid2d = Grid2D.uniform(cfg.n_x, cfg.n_eta)
     guess = _initial_state(cfg, grid)
     t0 = time.perf_counter()
-    state = steady.solve_steady(cfg.params.lam, cfg.params.eps, guess, grid2d=grid2d)
+    state = steady.solve_steady(
+        cfg.params.lam, cfg.params.eps, guess, grid2d=grid2d, floor=cfg.params.touchdown_floor
+    )
     wall = time.perf_counter() - t0
     res = steady.steady_residual(state, cfg.params.lam, cfg.params.eps, grid2d)
     _write_csv(out / "profile.csv", ["x", "u"], zip(grid.nodes, state.u))
@@ -315,7 +321,12 @@ def _run_continuation(cfg: ExperimentConfig, out: Path, say) -> int:
 
     def one(eps):
         return steady.continue_branch(
-            eps, cfg.lambda_max, cfg.dlambda0, n_x=cfg.n_x, n_eta=cfg.n_eta
+            eps,
+            cfg.lambda_max,
+            cfg.dlambda0,
+            n_x=cfg.n_x,
+            n_eta=cfg.n_eta,
+            floor=cfg.params.touchdown_floor,
         )
 
     if cfg.threads > 1 and len(eps_values) > 1:
@@ -349,6 +360,11 @@ def _run_continuation(cfg: ExperimentConfig, out: Path, say) -> int:
             "fold_estimate": branch.fold_estimate,
             "fold_interval": list(branch.fold_interval) if branch.fold_interval else None,
             "nonexistence_bound": steady.nonexistence_bound(eps),
+            "diagnostics": {
+                "rejected_steps": branch.rejected_steps,
+                "newton_iters": branch.newton_iters,
+                "jacobians": branch.jacobians,
+            },
         }
         say(f"continuation eps={eps:g}: {len(branch.points)} points, fold={branch.fold_estimate}")
     _write_json(out / "branch.json", {"kind": "continuation", "branches": meta})

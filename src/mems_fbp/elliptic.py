@@ -32,6 +32,7 @@ from .transform import (
 __all__ = [
     "PotentialField",
     "TraceProfile",
+    "apply_operator",
     "assemble_system",
     "solve_dirichlet",
     "solve_potential",
@@ -88,6 +89,20 @@ def _stencil_weights(coeffs: OperatorCoefficients):
         (1, -1): c_xe,
         (-1, 1): c_xe,
     }
+
+
+def apply_operator(coeffs: OperatorCoefficients, phi: np.ndarray) -> np.ndarray:
+    """-(mapped operator) applied to the full nodal field ``phi``.
+
+    Returns the interior-node values, shape (n_x - 1, n_eta - 1); the
+    boundary ring of ``phi`` enters through the stencil like any other
+    node, so at the potential this is A phi_int - b of ``assemble_system``.
+    """
+    nx, ne = coeffs.grid.shape
+    out = np.zeros((nx - 2, ne - 2))
+    for (di, dj), w in _stencil_weights(coeffs).items():
+        out += w * phi[1 + di : nx - 1 + di, 1 + dj : ne - 1 + dj]
+    return out
 
 
 def assemble_system(

@@ -1,4 +1,5 @@
-"""Grids, finite-difference kernels and linear solvers used by all modules.
+"""Grids, finite-difference kernels, linear solvers and the damped Newton
+loop used by all modules.
 
 Everything here is pure and operates on plain numpy arrays; grid objects
 are immutable after construction.
@@ -13,7 +14,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import MatrixRankWarning, splu
 
-from .errors import NonConvergenceError, SingularSystemError
+from .errors import (
+    DegenerateGeometryError,
+    NoSteadyStateError,
+    NonConvergenceError,
+    SingularSystemError,
+)
 
 __all__ = [
     "Grid1D",
@@ -21,7 +27,10 @@ __all__ = [
     "SparseSystem",
     "grids_match",
     "solve_tridiagonal",
+    "factorize",
+    "solve_factored",
     "solve_sparse",
+    "damped_newton",
     "d1_central",
     "d2_central",
     "fit_exponential_rate",
@@ -136,6 +145,44 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return x
 
 
+def factorize(matrix: sp.spmatrix):
+    """Sparse LU factor of ``matrix`` (a SuperLU object).
+
+    Raises SingularSystemError on a (numerically) singular matrix.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            # the stencil pattern is structurally symmetric, so the
+            # AT+A ordering roughly halves the LU fill of the default
+            return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except (RuntimeError, MatrixRankWarning) as exc:
+            raise SingularSystemError(f"singular system: {exc}") from exc
+
+
+def solve_factored(lu, system: SparseSystem) -> np.ndarray:
+    """Solve ``system`` with the factor ``lu`` of its matrix, checking the residual.
+
+    ``system.rhs`` may be a vector or a matrix of right-hand sides, one
+    per column.  Raises SingularSystemError on a non-finite solution and
+    NonConvergenceError if the residual of any column exceeds
+    ``tol * ||rhs column||_2``.
+    """
+    b = system.rhs
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError("singular system: non-finite solution")
+    residual = np.atleast_1d(np.linalg.norm(system.matrix @ x - b, axis=0))
+    bound = system.tol * np.atleast_1d(np.linalg.norm(b, axis=0))
+    k = int(np.argmax(residual - bound))
+    if residual[k] > bound[k] + 1e-300:
+        raise NonConvergenceError(
+            f"sparse solve residual {residual[k]:.3e} exceeds {bound[k]:.3e}",
+            residual=float(residual[k]),
+        )
+    return x
+
+
 def solve_sparse(system: SparseSystem) -> np.ndarray:
     """Direct sparse solve of ``system`` with a residual check.
 
@@ -143,26 +190,56 @@ def solve_sparse(system: SparseSystem) -> np.ndarray:
     (numerically) singular matrix and NonConvergenceError if the
     residual exceeds ``tol * ||rhs||_2``.
     """
-    A = system.matrix.tocsc()
-    b = system.rhs
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            # the stencil pattern is structurally symmetric, so the
-            # AT+A ordering roughly halves the LU fill of the default
-            x = splu(A, permc_spec="MMD_AT_PLUS_A").solve(b)
-        except (RuntimeError, MatrixRankWarning) as exc:
-            raise SingularSystemError(f"singular system: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("singular system: non-finite solution")
-    residual = float(np.linalg.norm(A @ x - b))
-    bound = system.tol * float(np.linalg.norm(b))
-    if residual > bound + 1e-300:
-        raise NonConvergenceError(
-            f"sparse solve residual {residual:.3e} exceeds {bound:.3e}",
-            residual=residual,
-        )
-    return x
+    return solve_factored(factorize(system.matrix), system)
+
+
+def damped_newton(residual, newton_step, u, tol, max_iter, floor, label):
+    """Damped Newton iteration for interior deflection values ``u``.
+
+    ``residual(u)`` returns the residual vector and ``newton_step(u, r)``
+    the full Newton step from ``u`` with residual ``r``.  Each step is
+    halved up to eight times until the trial point keeps min(1+u) above
+    ``floor`` and lowers the max-norm residual.  Returns the first
+    iterate with max-norm residual <= ``tol`` and the number of steps
+    taken.  Raises DegenerateGeometryError when the guess, or every
+    trial point of a line search, lies at or below the floor, and
+    NoSteadyStateError when a line search stalls or ``max_iter`` steps
+    do not reach ``tol``.  ``label`` opens every error message.
+    """
+    if float(np.min(1.0 + u)) <= floor:
+        raise DegenerateGeometryError(f"{label}: initial guess already below the touchdown floor")
+    r = residual(u)
+    for it in range(max_iter + 1):
+        rnorm = float(np.max(np.abs(r)))
+        if rnorm <= tol:
+            return u, it
+        if it == max_iter:
+            break
+        step = newton_step(u, r)
+
+        accepted = False
+        any_admissible = False
+        alpha = 1.0
+        for _ in range(9):  # full step plus up to 8 halvings
+            u_try = u + alpha * step
+            if float(np.min(1.0 + u_try)) > floor:
+                any_admissible = True
+                r_try = residual(u_try)
+                if float(np.max(np.abs(r_try))) < rnorm:
+                    u, r = u_try, r_try
+                    accepted = True
+                    break
+            alpha *= 0.5
+        if not accepted:
+            if not any_admissible:
+                raise DegenerateGeometryError(f"{label}: iterates touch down")
+            raise NoSteadyStateError(
+                f"{label}: stalled (residual {rnorm:.3e})", residual=rnorm
+            )
+    raise NoSteadyStateError(
+        f"{label}: no steady state after {max_iter} iterations (residual {rnorm:.3e})",
+        residual=rnorm,
+    )
 
 
 def _check_length(f: np.ndarray, grid: Grid1D) -> np.ndarray:

@@ -18,7 +18,7 @@ from scipy.optimize import brentq, minimize_scalar
 from .elliptic import solve_potential
 from .errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
 from .evolution import ModelParams, Trajectory, _run_loop, imex_step, step as step_eps
-from .numerics import Grid1D, Grid2D, solve_tridiagonal, trapezoid_2d
+from .numerics import Grid1D, Grid2D, damped_newton, solve_tridiagonal, trapezoid_2d
 from .transform import MembraneState
 
 __all__ = [
@@ -135,48 +135,17 @@ def steady0(
         d2 = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / h2
         return d2 - lam / (1.0 + u_int) ** 2
 
-    r = residual(u)
-    for _ in range(max_iter):
-        rnorm = float(np.max(np.abs(r)))
-        if rnorm <= tol:
-            full = np.zeros(grid.n_nodes)
-            full[1:-1] = u
-            return MembraneState(grid, full)
-        diag = -2.0 / h2 + 2.0 * lam / (1.0 + u) ** 3
-        off = np.full(u.size - 1, 1.0 / h2)
-        newton_step = solve_tridiagonal(off, diag, off, -r)
+    def newton_step(u_int, r):
+        diag = -2.0 / h2 + 2.0 * lam / (1.0 + u_int) ** 3
+        off = np.full(u_int.size - 1, 1.0 / h2)
+        return solve_tridiagonal(off, diag, off, -r)
 
-        accepted = False
-        any_admissible = False
-        alpha = 1.0
-        for _ in range(9):
-            u_try = u + alpha * newton_step
-            if float(np.min(1.0 + u_try)) > floor:
-                any_admissible = True
-                r_try = residual(u_try)
-                if float(np.max(np.abs(r_try))) < rnorm:
-                    u, r = u_try, r_try
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            if not any_admissible:
-                raise DegenerateGeometryError(
-                    f"flat-limit Newton iterates touch down at lambda={lam:g}"
-                )
-            raise NoSteadyStateError(
-                f"flat-limit Newton stalled at lambda={lam:g} (residual {rnorm:.3e})",
-                residual=rnorm,
-            )
-    rnorm = float(np.max(np.abs(r)))
-    if rnorm <= tol:
-        full = np.zeros(grid.n_nodes)
-        full[1:-1] = u
-        return MembraneState(grid, full)
-    raise NoSteadyStateError(
-        f"no flat-limit steady state at lambda={lam:g} (residual {rnorm:.3e})",
-        residual=rnorm,
+    u, _ = damped_newton(
+        residual, newton_step, u, tol, max_iter, floor, f"flat-limit Newton at lambda={lam:g}"
     )
+    full = np.zeros(grid.n_nodes)
+    full[1:-1] = u
+    return MembraneState(grid, full)
 
 
 @dataclass(frozen=True)
@@ -238,10 +207,19 @@ def pullin0_detail(
     hi = 1.0
     try:
         sol_lo = steady0(hi, guess=sol_lo)
-        lo = hi
-        hi = 2.0  # extremely defensive; the threshold sits well below 1
     except (NoSteadyStateError, DegenerateGeometryError):
         pass
+    else:
+        # the threshold sits well below 1; the bracket must still hold
+        lo, hi = hi, 2.0
+        try:
+            steady0(hi, guess=sol_lo)
+        except (NoSteadyStateError, DegenerateGeometryError):
+            pass
+        else:
+            raise NonConvergenceError(
+                f"flat-limit steady state exists at lambda={hi:g}; no pull-in bracket"
+            )
     while hi - lo > tol_lambda:
         mid = 0.5 * (lo + hi)
         try:

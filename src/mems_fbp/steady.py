@@ -2,31 +2,58 @@
 closed-form non-existence threshold.
 
 The steady equation balances the linearized curvature term against the
-electrostatic source; Newton iteration uses a dense finite-difference
-Jacobian (the shape derivative of the potential trace has no cheap
-closed form, and interior dimensions stay small here).
+electrostatic source.  Newton iteration uses the dense tangent
+Jacobian: the trace derivative comes from linearizing the potential
+solve, dphi/du_j = -A(u)^{-1} dG/du_j with G(u, phi) = A(u) phi - b(u),
+so one LU of the potential operator serves every column.
 """
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import solve_potential, trace_top
+from .elliptic import (
+    PotentialField,
+    apply_operator,
+    assemble_system,
+    solve_potential,
+    trace_top,
+)
 from .errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
-from .numerics import Grid1D, Grid2D, d1_central, d2_central
-from .transform import MembraneState
+from .numerics import (
+    Grid1D,
+    Grid2D,
+    SparseSystem,
+    d1_central,
+    d2_central,
+    damped_newton,
+    factorize,
+    solve_factored,
+)
+from .transform import MembraneState, assemble_coefficients
 
 __all__ = [
     "BranchPoint",
     "SteadyBranch",
     "steady_residual",
+    "steady_jacobian",
     "solve_steady",
     "continue_branch",
     "nonexistence_bound",
     "trace_lower_bound_check",
 ]
+
+log = logging.getLogger(__name__)
+
+# Deflection step of the central differences of the operator application.
+# The coefficients are smooth rational functions of u and the gap 1 + u,
+# so the truncation error is about (step / gap)^2 relative: 4e-10 at the
+# default touchdown floor 0.05, with roundoff of the same size.
+_OPERATOR_STEP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,11 +66,19 @@ class BranchPoint:
 
 @dataclass
 class SteadyBranch:
-    """Continuation points ordered by increasing voltage parameter."""
+    """Continuation points ordered by increasing voltage parameter.
+
+    ``newton_iters`` counts the Newton iterations of the accepted points,
+    ``jacobians`` the Jacobians built over every attempt, rejected steps
+    included, and ``rejected_steps`` the voltage steps whose solve failed.
+    """
 
     points: list[BranchPoint]
     fold_estimate: float | None = None
     fold_interval: tuple[float, float] | None = None
+    rejected_steps: int = 0
+    newton_iters: int = 0
+    jacobians: int = 0
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -76,6 +111,81 @@ def steady_residual(
     return d2u - lam * _h_eps(u, eps, grid2d)[1:-1]
 
 
+def _trace_jacobian(u: MembraneState, eps: float, grid2d: Grid2D):
+    """Membrane trace and its derivative by the interior deflections.
+
+    Returns (tr, dtr) at the interior x-nodes, dtr[i, j] = d tr_i / d u_j.
+    On the grid column of x-node i, G = A(u) phi - b(u) uses coefficients
+    sampled at node i, which depend on u_{i-1}, u_i, u_{i+1} only, so
+    perturbing every third deflection at once (three colours, central
+    differences) yields all of dG/du without a solve.  All right-hand
+    sides -dG/du_j are then solved against the one factor of A(u), a
+    colour block at a time to bound the dense storage.
+    """
+    grid = u.grid
+    n_int = grid.n_nodes - 2
+    nie = grid2d.n_eta - 1
+    coeffs = assemble_coefficients(u, eps, grid2d)
+    eta = np.broadcast_to(grid2d.eta_nodes, grid2d.shape)
+    system = assemble_system(coeffs, np.zeros(grid2d.shape), eta)
+    lu = factorize(system.matrix)
+    phi = eta.copy()
+    phi[1:-1, 1:-1] = solve_factored(lu, system).reshape(n_int, nie)
+    tr = trace_top(PotentialField(grid2d, phi)).dphi_top[1:-1]
+
+    def operator_at(shift: np.ndarray) -> np.ndarray:
+        shifted = MembraneState(grid, u.u + shift, u.time)
+        return apply_operator(assemble_coefficients(shifted, eps, grid2d), phi)
+
+    dtr = np.empty((n_int, n_int))
+    for colour in range(3):
+        cols = np.arange(colour, n_int, 3)
+        shift = np.zeros(grid.n_nodes)
+        shift[cols + 1] = _OPERATOR_STEP
+        dg = (operator_at(shift) - operator_at(-shift)) / (2.0 * _OPERATOR_STEP)
+        # deflection j moves the operator rows of x-nodes j-1, j, j+1
+        rhs = np.zeros((n_int, nie, cols.size))
+        for k, j in enumerate(cols):
+            lo, hi = max(j - 1, 0), min(j + 2, n_int)
+            rhs[lo:hi, :, k] = -dg[lo:hi, :]
+        block = SparseSystem(system.matrix, rhs.reshape(n_int * nie, cols.size), system.tol)
+        dphi = solve_factored(lu, block).reshape(n_int, nie, cols.size)
+        # 3-point one-sided trace; the top row phi = 1 does not move
+        dtr[:, cols] = (-4.0 * dphi[:, -1, :] + dphi[:, -2, :]) / (2.0 * grid2d.h_eta)
+        del rhs, block, dphi
+    return tr, dtr
+
+
+def steady_jacobian(
+    u: MembraneState, lam: float, eps: float, grid2d: Grid2D | None = None
+) -> np.ndarray:
+    """Jacobian of ``steady_residual`` by the interior deflections.
+
+    The curvature factor P = (1+eps^2 u_x^2)^(5/2)/(1+u)^2 and the
+    second difference are tridiagonal in u and differentiated in closed
+    form; the trace derivative comes from ``_trace_jacobian``.
+    """
+    grid2d = grid2d or _square_grid2d(u.grid)
+    grid = u.grid
+    h = grid.h
+    tr, dtr = _trace_jacobian(u, eps, grid2d)
+    dv = d1_central(u.u, grid)[1:-1]
+    w = 1.0 + u.u[1:-1]
+    stretch = 1.0 + eps * eps * dv * dv
+    p = stretch**2.5 / (w * w)
+    dp_du = -2.0 * p / w  # by u_i
+    # by u_{i+1} through u_x = (u_{i+1} - u_{i-1}) / 2h; by u_{i-1} negated
+    dp_dnext = 5.0 * eps * eps * dv * stretch**1.5 / (w * w) / (2.0 * h)
+
+    jac = (-2.0 * lam * p * tr)[:, None] * dtr
+    tr2 = lam * tr * tr
+    idx = np.arange(tr.size)
+    jac[idx, idx] += -2.0 / (h * h) - tr2 * dp_du
+    jac[idx[:-1], idx[:-1] + 1] += 1.0 / (h * h) - tr2[:-1] * dp_dnext[:-1]
+    jac[idx[1:], idx[1:] - 1] += 1.0 / (h * h) + tr2[1:] * dp_dnext[1:]
+    return jac
+
+
 def _newton(
     lam: float,
     eps: float,
@@ -84,74 +194,38 @@ def _newton(
     grid2d: Grid2D,
     max_iter: int,
     floor: float,
-    fd_scale: float = 1e-6,
+    counts: Counter,
 ) -> tuple[MembraneState, int]:
-    """Damped Newton iteration; returns (state, iterations used)."""
-    grid = guess.grid
-    n_int = grid.n_nodes - 2
+    """Damped Newton iteration; returns (state, iterations used).
 
-    def residual(u_int: np.ndarray) -> np.ndarray:
+    Every Jacobian built is counted in ``counts["jacobians"]``.
+    """
+    grid = guess.grid
+
+    def state_of(u_int: np.ndarray) -> MembraneState:
         full = np.zeros(grid.n_nodes)
         full[1:-1] = u_int
-        return steady_residual(MembraneState(grid, full, guess.time), lam, eps, grid2d)
+        return MembraneState(grid, full, guess.time)
 
-    u = guess.u[1:-1].copy()
-    if float(np.min(1.0 + u)) <= floor:
-        raise DegenerateGeometryError("initial guess already below the touchdown floor")
-    r = residual(u)
-    for it in range(1, max_iter + 1):
-        rnorm = float(np.max(np.abs(r)))
-        if rnorm <= tol:
-            full = np.zeros(grid.n_nodes)
-            full[1:-1] = u
-            return MembraneState(grid, full, guess.time), it - 1
+    def residual(u_int: np.ndarray) -> np.ndarray:
+        return steady_residual(state_of(u_int), lam, eps, grid2d)
 
-        delta = fd_scale * (1.0 + float(np.max(np.abs(u))))
-        jac = np.empty((n_int, n_int))
-        for j in range(n_int):
-            u_pert = u.copy()
-            u_pert[j] += delta
-            jac[:, j] = (residual(u_pert) - r) / delta
+    def newton_step(u_int: np.ndarray, r: np.ndarray) -> np.ndarray:
+        counts["jacobians"] += 1
+        jac = steady_jacobian(state_of(u_int), lam, eps, grid2d)
         try:
-            newton_step = np.linalg.solve(jac, -r)
+            return np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
             raise NoSteadyStateError(
-                f"singular Jacobian at lambda={lam:g}", residual=rnorm
+                f"singular Jacobian at lambda={lam:g}",
+                residual=float(np.max(np.abs(r))),
             ) from exc
 
-        accepted = False
-        any_admissible = False
-        alpha = 1.0
-        for _ in range(9):  # full step plus up to 8 halvings
-            u_try = u + alpha * newton_step
-            if float(np.min(1.0 + u_try)) > floor:
-                any_admissible = True
-                r_try = residual(u_try)
-                if float(np.max(np.abs(r_try))) < rnorm:
-                    u, r = u_try, r_try
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            if not any_admissible:
-                raise DegenerateGeometryError(
-                    f"Newton iterates touch down at lambda={lam:g}"
-                )
-            raise NoSteadyStateError(
-                f"Newton stalled at lambda={lam:g} (residual {rnorm:.3e})",
-                residual=rnorm,
-            )
-
-    rnorm = float(np.max(np.abs(r)))
-    if rnorm <= tol:
-        full = np.zeros(grid.n_nodes)
-        full[1:-1] = u
-        return MembraneState(grid, full, guess.time), max_iter
-    raise NoSteadyStateError(
-        f"no steady state found at lambda={lam:g} after {max_iter} iterations "
-        f"(residual {rnorm:.3e})",
-        residual=rnorm,
+    u, iters = damped_newton(
+        residual, newton_step, guess.u[1:-1].copy(), tol, max_iter, floor,
+        f"Newton at lambda={lam:g}",
     )
+    return state_of(u), iters
 
 
 def solve_steady(
@@ -167,7 +241,7 @@ def solve_steady(
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
     grid2d = grid2d or _square_grid2d(guess.grid)
-    state, _ = _newton(lam, eps, guess, tol, grid2d, max_iter, floor)
+    state, _ = _newton(lam, eps, guess, tol, grid2d, max_iter, floor, Counter())
     return state
 
 
@@ -197,14 +271,21 @@ def continue_branch(
     lam = 0.0
     step = dlambda0
     last_failed_step = None
+    counts = Counter()
 
     while lam < lambda_max:
         if step < dlambda0 / 2**10:
             break
         lam_try = min(lam + step, lambda_max)
         try:
-            u_new, iters = _newton(lam_try, eps, u, tol, grid2d, max_iter, floor)
-        except (NoSteadyStateError, DegenerateGeometryError, NonConvergenceError):
+            u_new, iters = _newton(lam_try, eps, u, tol, grid2d, max_iter, floor, counts)
+        except (NoSteadyStateError, DegenerateGeometryError, NonConvergenceError) as exc:
+            log.debug(
+                "eps=%g: rejected lambda=%.12g (step %.6g): %s, residual %s",
+                eps, lam_try, lam_try - lam, type(exc).__name__,
+                getattr(exc, "residual", None),
+            )
+            counts["rejected"] += 1
             last_failed_step = lam_try - lam
             step *= 0.5
             continue
@@ -216,7 +297,14 @@ def continue_branch(
     if lam < lambda_max and last_failed_step is not None:
         fold_interval = (lam, lam + last_failed_step)
         fold_estimate = lam + 0.5 * last_failed_step
-    return SteadyBranch(points, fold_estimate, fold_interval)
+    return SteadyBranch(
+        points,
+        fold_estimate,
+        fold_interval,
+        rejected_steps=counts["rejected"],
+        newton_iters=sum(pt.newton_iters for pt in points),
+        jacobians=counts["jacobians"],
+    )
 
 
 def nonexistence_bound(eps: float) -> float:

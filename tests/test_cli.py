@@ -195,6 +195,54 @@ class TestOtherKinds:
         assert lines[0] == "lambda,min_gap,max_deflection,newton_iters"
         assert len(lines) == 4  # header + lambda in {0, 0.04, 0.08}
         assert (tmp_path / "out" / "profiles" / "point_000.csv").exists()
+        meta = json.loads((tmp_path / "out" / "branch.json").read_text())
+        diag = meta["branches"]["1.0"]["diagnostics"]
+        assert diag["rejected_steps"] == 0
+        assert diag["newton_iters"] == sum(
+            float(line.split(",")[-1]) for line in lines[1:]
+        )
+        assert diag["jacobians"] == diag["newton_iters"]
+
+    def test_steady_honours_touchdown_floor(self, tmp_path, capsys):
+        fields = dict(kind="steady", eps=0.1, n_x=16, n_eta=16, out_dir=str(tmp_path / "out"))
+        fields["lambda"] = 0.1
+        assert main([str(write_config(tmp_path, **fields)), "--quiet"]) == EXIT_OK
+        # the steady state deflects by more than 1e-3, so no iterate may reach it
+        path = write_config(tmp_path, "high.json", touchdown_floor=0.999, **fields)
+        assert main([str(path), "--quiet"]) == EXIT_SOLVER
+        assert "DegenerateGeometryError" in capsys.readouterr().err
+
+    def test_continuation_honours_touchdown_floor(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            kind="continuation",
+            eps=1.0,
+            n_x=16,
+            n_eta=16,
+            lambda_max=0.08,
+            dlambda0=0.04,
+            eps_list=[1.0],
+            touchdown_floor=0.999,
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_OK
+        meta = json.loads((tmp_path / "out" / "branch.json").read_text())["branches"]["1.0"]
+        # the floor, not the fold, stops the branch far below lambda_max
+        assert meta["fold_estimate"] is not None and meta["fold_estimate"] < 0.01
+        assert meta["diagnostics"]["rejected_steps"] > 0
+
+    @pytest.mark.parametrize("kind", ["steady", "continuation"])
+    def test_linearized_mode_rejected(self, tmp_path, kind):
+        path = write_config(tmp_path, kind=kind, mode="linearized")
+        with pytest.raises(ConfigError, match="'mode'"):
+            parse_config(path)
+
+    def test_continuation_initial_condition_rejected(self, tmp_path):
+        path = write_config(
+            tmp_path, kind="continuation", initial_condition={"parabola": 0.2}
+        )
+        with pytest.raises(ConfigError, match="'initial_condition'"):
+            parse_config(path)
 
     def test_pullin_artifacts(self, tmp_path):
         path = write_config(

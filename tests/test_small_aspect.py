@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mems_fbp.errors import DegenerateGeometryError, NoSteadyStateError
+from mems_fbp import small_aspect
+from mems_fbp.errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
 from mems_fbp.evolution import ModelParams
 from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.small_aspect import (
@@ -125,6 +126,12 @@ class TestPullin:
     def test_known_threshold_region(self, detail):
         # the threshold of u'' = lam/(1+u)^2 on (-1,1) sits near 0.35
         assert 0.34 <= detail.lambda_star <= 0.36
+
+    def test_solvable_upper_bracket_rejected(self, monkeypatch):
+        # a solver that succeeds everywhere leaves no bracket to bisect
+        monkeypatch.setattr(small_aspect, "steady0", lambda lam, guess=None, **kw: guess)
+        with pytest.raises(NonConvergenceError, match="lambda=2"):
+            pullin0_detail(1e-3, n_x=32, cross_validate=False)
 
 
 def test_folds_approach_flat_limit_pullin(detail):

@@ -1,6 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mems_fbp import numerics, steady
 from mems_fbp.errors import NoSteadyStateError
 from mems_fbp.evolution import ModelParams, run
 from mems_fbp.numerics import Grid1D, Grid2D
@@ -8,10 +13,11 @@ from mems_fbp.steady import (
     continue_branch,
     nonexistence_bound,
     solve_steady,
+    steady_jacobian,
     steady_residual,
     trace_lower_bound_check,
 )
-from mems_fbp.transform import MembraneState
+from mems_fbp.transform import MembraneState, random_admissible_state
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +50,69 @@ class TestResidual:
         assert traj.outcome == "converged"
         r = steady_residual(traj.final, 0.2, 0.1, grid2d)
         assert np.max(np.abs(r)) <= 1e-6
+
+
+def central_difference_jacobian(u, lam, eps, grid2d, step=1e-6):
+    """Oracle: central differences of the full residual, one column per solve pair."""
+    n_int = u.grid.n_nodes - 2
+    jac = np.empty((n_int, n_int))
+    for j in range(n_int):
+        e = np.zeros(u.grid.n_nodes)
+        e[j + 1] = step
+        plus = steady_residual(MembraneState(u.grid, u.u + e), lam, eps, grid2d)
+        minus = steady_residual(MembraneState(u.grid, u.u - e), lam, eps, grid2d)
+        jac[:, j] = (plus - minus) / (2.0 * step)
+    return jac
+
+
+def jacobian_error(n, eps, seed, lam=1.0):
+    grid = Grid1D.uniform(n)
+    grid2d = Grid2D.uniform(n, n)
+    u = random_admissible_state(grid, np.random.default_rng(seed))
+    oracle = central_difference_jacobian(u, lam, eps, grid2d)
+    tangent = steady_jacobian(u, lam, eps, grid2d)
+    return float(np.max(np.abs(tangent - oracle)) / np.max(np.abs(oracle)))
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_matches_central_differences(self, n, eps):
+        assert jacobian_error(n, eps, seed=n) <= 1e-6
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), eps=st.floats(0.05, 3.0))
+    def test_matches_central_differences_property(self, seed, eps):
+        assert jacobian_error(16, eps, seed) <= 1e-6
+
+    def test_electrostatic_part_matches(self):
+        # the residual is linear in lambda, so J(0) - J(1) isolates the
+        # source derivative, which the curvature stencil would otherwise dominate
+        grid = Grid1D.uniform(24)
+        grid2d = Grid2D.uniform(24, 24)
+        u = random_admissible_state(grid, np.random.default_rng(5))
+        tangent = steady_jacobian(u, 0.0, 0.7, grid2d) - steady_jacobian(u, 1.0, 0.7, grid2d)
+        oracle = central_difference_jacobian(
+            u, 0.0, 0.7, grid2d
+        ) - central_difference_jacobian(u, 1.0, 0.7, grid2d)
+        assert np.max(np.abs(tangent - oracle)) <= 1e-6 * np.max(np.abs(oracle))
+
+    def test_one_factorization_per_newton_iteration(self, monkeypatch, grid, grid2d):
+        counts = {"splu": 0, "residual": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(numerics, "splu", counted("splu", numerics.splu))
+        monkeypatch.setattr(steady, "steady_residual", counted("residual", steady_residual))
+        monkeypatch.setattr(steady, "steady_jacobian", counted("jacobian", steady_jacobian))
+        solve_steady(0.3, 0.1, MembraneState.zero(grid), grid2d=grid2d)
+        assert counts["jacobian"] >= 3
+        assert counts["splu"] == counts["residual"] + counts["jacobian"]
 
 
 class TestSolveSteady:
@@ -100,9 +169,16 @@ class TestContinuation:
             assert np.max(pt.state.u) <= 1e-12
             assert np.max(np.abs(pt.state.u - pt.state.u[::-1])) <= 1e-10
 
-    def test_fold_detection(self):
-        branch = continue_branch(1.0, lambda_max=2.0, dlambda0=0.1, n_x=24, n_eta=24)
+    def test_fold_detection(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="mems_fbp.steady"):
+            branch = continue_branch(1.0, lambda_max=2.0, dlambda0=0.1, n_x=24, n_eta=24)
         assert branch.fold_estimate is not None
+        # every step halving below the fold is a logged rejection
+        rejected = [r for r in caplog.records if "rejected lambda" in r.getMessage()]
+        assert branch.rejected_steps == len(rejected) >= 9
+        assert all("residual" in r.getMessage() for r in rejected)
+        assert branch.newton_iters == sum(pt.newton_iters for pt in branch.points)
+        assert branch.jacobians > branch.newton_iters
         lo, hi = branch.fold_interval
         assert lo <= branch.fold_estimate <= hi
         assert hi - lo <= 0.1 / 2**9
