@@ -9,6 +9,7 @@ interior nodes only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +43,21 @@ __all__ = [
     "stencil_is_positive_type",
     "mms_convergence",
     "MmsResult",
-    "dump_potential_csv",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class PotentialField:
-    """Nodal values of the transformed potential on the rectangle."""
+    """Nodal values of the transformed potential on the rectangle.
+
+    A field from ``solve_potential`` also carries the sparse system of
+    its interior values and the system's LU factor; other fields do not.
+    """
 
     grid: Grid2D
     phi: np.ndarray
+    system: SparseSystem | None = None
+    lu: object | None = None
 
     def max_principle_violation(self) -> float:
         """How far the field leaves [0, 1] (0 when the bounds hold)."""
@@ -66,10 +72,17 @@ class TraceProfile:
     dphi_top: np.ndarray
 
 
-def _stencil_weights(coeffs: OperatorCoefficients):
-    """Interior-node weights of A = -(mapped operator), per offset.
+# Stencil offsets (di, dj) in the order of the weight stack of
+# _stencil_weights.  assemble_system subtracts the Dirichlet ring from
+# the right-hand side in this order, which fixes its rounding.
+_OFFSETS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1), (1, 1), (-1, -1), (1, -1), (-1, 1))
 
-    Returns a dict {(di, dj): weight array over interior nodes}.
+
+def _stencil_weights(coeffs: OperatorCoefficients) -> np.ndarray:
+    """Interior-node weights of A = -(mapped operator).
+
+    Returns an array of shape (9, n_x - 1, n_eta - 1), one slab per
+    offset of ``_OFFSETS``.
     """
     g = coeffs.grid
     hx, he = g.gx.h, g.h_eta
@@ -78,17 +91,14 @@ def _stencil_weights(coeffs: OperatorCoefficients):
     c_ee = coeffs.a_etaeta[sl] / (he * he)
     c_e = coeffs.b_eta[sl] / (2.0 * he)
     c_xe = coeffs.a_xeta[sl] / (4.0 * hx * he)
-    return {
-        (0, 0): 2.0 * c_xx + 2.0 * c_ee,
-        (-1, 0): -c_xx,
-        (1, 0): -c_xx,
-        (0, -1): -c_ee + c_e,
-        (0, 1): -c_ee - c_e,
-        (1, 1): -c_xe,
-        (-1, -1): -c_xe,
-        (1, -1): c_xe,
-        (-1, 1): c_xe,
-    }
+    w = np.empty((len(_OFFSETS),) + c_xx.shape)
+    w[0] = 2.0 * c_xx + 2.0 * c_ee
+    w[1] = w[2] = -c_xx
+    w[3] = -c_ee + c_e
+    w[4] = -c_ee - c_e
+    w[5] = w[6] = -c_xe
+    w[7] = w[8] = c_xe
+    return w
 
 
 def apply_operator(coeffs: OperatorCoefficients, phi: np.ndarray) -> np.ndarray:
@@ -100,9 +110,72 @@ def apply_operator(coeffs: OperatorCoefficients, phi: np.ndarray) -> np.ndarray:
     """
     nx, ne = coeffs.grid.shape
     out = np.zeros((nx - 2, ne - 2))
-    for (di, dj), w in _stencil_weights(coeffs).items():
+    for (di, dj), w in zip(_OFFSETS, _stencil_weights(coeffs)):
         out += w * phi[1 + di : nx - 1 + di, 1 + dj : ne - 1 + dj]
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Pattern:
+    """Index maps of the 9-point operator on one grid shape.
+
+    ``indices``/``indptr`` are the CSC structure of A and ``take`` picks
+    its stored entries, in CSC order, from the flattened weight stack.
+    ``ring_rows``, ``ring_take`` and ``ring_nodes`` list the couplings to
+    the Dirichlet ring in offset order: interior row, weight, ring node.
+    """
+
+    n: int
+    indices: np.ndarray
+    indptr: np.ndarray
+    take: np.ndarray
+    ring_rows: np.ndarray
+    ring_take: np.ndarray
+    ring_nodes: tuple[np.ndarray, np.ndarray]
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern(n_x: int, n_eta: int) -> _Pattern:
+    """The cached ``_Pattern`` of a grid with n_x by n_eta cells.
+
+    Its arrays are shared by every matrix of that shape, so they are
+    made read-only.
+    """
+    nix, nie = n_x - 1, n_eta - 1
+    n = nix * nie
+    ii, jj = np.meshgrid(np.arange(1, n_x), np.arange(1, n_eta), indexing="ij")
+    ii, jj = ii.ravel(), jj.ravel()
+    k = np.arange(n)
+    rows, cols, take = [], [], []
+    ring_rows, ring_take, ring_i, ring_j = [], [], [], []
+    for o, (di, dj) in enumerate(_OFFSETS):
+        ni, nj = ii + di, jj + dj
+        inside = (ni >= 1) & (ni <= nix) & (nj >= 1) & (nj <= nie)
+        rows.append(k[inside])
+        cols.append(((ni - 1) * nie + (nj - 1))[inside])
+        take.append(o * n + k[inside])
+        ring = ~inside
+        ring_rows.append(k[ring])
+        ring_take.append(o * n + k[ring])
+        ring_i.append(ni[ring])
+        ring_j.append(nj[ring])
+    rows, cols, take = (np.concatenate(a) for a in (rows, cols, take))
+    order = np.lexsort((rows, cols))  # by column, then row: sorted CSC
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    pattern = _Pattern(
+        n=n,
+        indices=rows[order].astype(np.int32),
+        indptr=indptr,
+        take=take[order],
+        ring_rows=np.concatenate(ring_rows),
+        ring_take=np.concatenate(ring_take),
+        ring_nodes=(np.concatenate(ring_i), np.concatenate(ring_j)),
+    )
+    for a in (pattern.indices, pattern.indptr, pattern.take, pattern.ring_rows,
+              pattern.ring_take, *pattern.ring_nodes):
+        a.flags.writeable = False
+    return pattern
 
 
 def assemble_system(
@@ -115,34 +188,25 @@ def assemble_system(
 
     ``rhs_field`` and ``dirichlet`` are full nodal fields; only the
     interior of the former and the boundary ring of the latter are used.
+    The matrix is CSC on the cached sparsity pattern of the grid shape,
+    with every stencil entry stored (zero weights included).
     """
     g = coeffs.grid
-    nx, ne = g.shape
-    nix, nie = nx - 2, ne - 2
-    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ne - 1), indexing="ij")
-    k = (ii - 1) * nie + (jj - 1)
+    p = _pattern(g.gx.n_cells, g.n_eta)
+    w = _stencil_weights(coeffs).ravel()
+    rhs = rhs_field[1:-1, 1:-1].astype(float).ravel()
+    np.subtract.at(rhs, p.ring_rows, w[p.ring_take] * dirichlet[p.ring_nodes])
+    matrix = sp.csc_matrix((w[p.take], p.indices, p.indptr), shape=(p.n, p.n))
+    return SparseSystem(matrix=matrix, rhs=rhs, tol=tol)
 
-    rhs = rhs_field[1:-1, 1:-1].astype(float).copy()
-    rows, cols, vals = [], [], []
-    for (di, dj), w in _stencil_weights(coeffs).items():
-        if di == 0 and dj == 0:
-            rows.append(k.ravel())
-            cols.append(k.ravel())
-            vals.append(w.ravel())
-            continue
-        ni, nj = ii + di, jj + dj
-        interior = (ni >= 1) & (ni <= nx - 2) & (nj >= 1) & (nj <= ne - 2)
-        rows.append(k[interior])
-        cols.append(((ni - 1) * nie + (nj - 1))[interior])
-        vals.append(w[interior])
-        bnd = ~interior
-        np.subtract.at(rhs, (ii[bnd] - 1, jj[bnd] - 1), w[bnd] * dirichlet[ni[bnd], nj[bnd]])
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nix * nie, nix * nie),
-    ).tocsr()
-    return SparseSystem(matrix=matrix, rhs=rhs.ravel(), tol=tol)
+def _solve_dirichlet(coeffs, rhs_field, dirichlet, tol):
+    """``solve_dirichlet`` that also returns the system and its LU factor."""
+    system = assemble_system(coeffs, rhs_field, dirichlet, tol)
+    x, lu = solve_sparse(system, keep_factor=True)
+    full = dirichlet.astype(float)
+    full[1:-1, 1:-1] = x.reshape(coeffs.grid.gx.n_nodes - 2, coeffs.grid.n_eta - 1)
+    return full, system, lu
 
 
 def solve_dirichlet(
@@ -152,11 +216,7 @@ def solve_dirichlet(
     tol: float = 1e-10,
 ) -> np.ndarray:
     """Solve -(mapped operator) w = rhs with the given boundary values."""
-    system = assemble_system(coeffs, rhs_field, dirichlet, tol)
-    x = solve_sparse(system)
-    full = dirichlet.astype(float).copy()
-    full[1:-1, 1:-1] = x.reshape(coeffs.grid.gx.n_nodes - 2, coeffs.grid.n_eta - 1)
-    return full
+    return _solve_dirichlet(coeffs, rhs_field, dirichlet, tol)[0]
 
 
 def _eta_field(grid: Grid2D) -> np.ndarray:
@@ -166,11 +226,14 @@ def _eta_field(grid: Grid2D) -> np.ndarray:
 def solve_potential(
     v: MembraneState, eps: float, grid: Grid2D, tol: float = 1e-10
 ) -> PotentialField:
-    """Transformed potential: operator annihilates phi, boundary data eta."""
+    """Transformed potential: operator annihilates phi, boundary data eta.
+
+    The field keeps the assembled system and its LU factor, so that a
+    linearization about ``v`` needs no second factorization.
+    """
     coeffs = assemble_coefficients(v, eps, grid)
-    zeros = np.zeros(grid.shape)
-    phi = solve_dirichlet(coeffs, zeros, _eta_field(grid), tol)
-    return PotentialField(grid, phi)
+    phi, system, lu = _solve_dirichlet(coeffs, np.zeros(grid.shape), _eta_field(grid), tol)
+    return PotentialField(grid, phi, system, lu)
 
 
 def solve_potential_split(
@@ -219,10 +282,7 @@ def stencil_is_positive_type(coeffs: OperatorCoefficients, tol: float = 1e-14) -
     Only then does the discrete solution inherit the maximum principle;
     the cross stencil breaks this whenever the membrane has slope.
     """
-    weights = _stencil_weights(coeffs)
-    return all(
-        np.max(w) <= tol for offset, w in weights.items() if offset != (0, 0)
-    )
+    return bool(np.max(_stencil_weights(coeffs)[1:]) <= tol)
 
 
 @dataclass(frozen=True)
@@ -299,12 +359,3 @@ def mms_convergence(eps: float, n_values=(32, 64, 128), tol: float = 1e-12) -> M
     trace_order = float(np.polyfit(np.log(hs), np.log(trace_errors), 1)[0])
     return MmsResult(tuple(n_values), hs, field_errors, trace_errors, field_order, trace_order)
 
-
-def dump_potential_csv(field: PotentialField, path) -> None:
-    """Debug dump: one row per eta level, one column per x node."""
-    grid = field.grid
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("eta," + ",".join(repr(float(x)) for x in grid.gx.nodes) + "\n")
-        for j, eta in enumerate(grid.eta_nodes):
-            row = ",".join(repr(float(val)) for val in field.phi[:, j])
-            fh.write(f"{eta!r},{row}\n")

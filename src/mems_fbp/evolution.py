@@ -19,7 +19,6 @@ from .transform import MembraneState
 __all__ = [
     "ModelParams",
     "Trajectory",
-    "default_grid2d",
     "imex_step",
     "rhs",
     "step",
@@ -78,16 +77,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def default_grid2d(u: MembraneState) -> Grid2D:
-    """Square rectangle discretization matching the membrane grid."""
-    return Grid2D(
-        gx=u.grid,
-        n_eta=u.grid.n_cells,
-        eta_nodes=np.linspace(0.0, 1.0, u.grid.n_cells + 1),
-        h_eta=1.0 / u.grid.n_cells,
-    )
-
-
 def _diffusion_interior(u: MembraneState, p: ModelParams) -> np.ndarray:
     if p.mode == "linearized":
         return np.ones(u.grid.n_nodes - 2)
@@ -112,7 +101,7 @@ def imex_step(u: MembraneState, dt: float, diffusion_int: np.ndarray, forcing: n
 
 def rhs(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None) -> np.ndarray:
     """Instantaneous right-hand side at the interior nodes."""
-    grid2d = grid2d or default_grid2d(u)
+    grid2d = grid2d or Grid2D.square(u.grid)
     d2u = d2_central(u.u, u.grid)[1:-1]
     g = g_eps(u, p.eps, grid2d)[1:-1]
     return _diffusion_interior(u, p) * d2u - p.lam * g
@@ -120,7 +109,7 @@ def rhs(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None) -> np.nd
 
 def step(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None) -> MembraneState:
     """Advance one time step; the potential is re-solved at the current state."""
-    grid2d = grid2d or default_grid2d(u)
+    grid2d = grid2d or Grid2D.square(u.grid)
     forcing = -p.lam * g_eps(u, p.eps, grid2d)
     return imex_step(u, p.dt, _diffusion_interior(u, p), forcing)
 
@@ -162,7 +151,7 @@ def run(
     record_energy: bool = False,
 ) -> Trajectory:
     """Run the membrane until equilibrium, touchdown or ``max_time``."""
-    grid2d = grid2d or default_grid2d(u0)
+    grid2d = grid2d or Grid2D.square(u0.grid)
     energy_fn = (lambda s: total_energy(s, p, grid2d)) if record_energy else None
     return _run_loop(u0, p, lambda s: step(s, p, grid2d), thin_every, energy_fn)
 
@@ -182,7 +171,7 @@ def total_energy(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None)
     if p.lam == 0.0:
         return elastic
 
-    grid2d = grid2d or default_grid2d(u)
+    grid2d = grid2d or Grid2D.square(u.grid)
     phi = solve_potential(u, p.eps, grid2d).phi
     w = 1.0 + u.u
     eta = grid2d.eta_nodes

@@ -83,6 +83,16 @@ class Grid2D:
             h_eta=1.0 / n_eta,
         )
 
+    @classmethod
+    def square(cls, gx: Grid1D) -> "Grid2D":
+        """Rectangle grid with as many vertical cells as ``gx`` has lateral ones."""
+        return cls(
+            gx=gx,
+            n_eta=gx.n_cells,
+            eta_nodes=np.linspace(0.0, 1.0, gx.n_cells + 1),
+            h_eta=1.0 / gx.n_cells,
+        )
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.gx.n_nodes, self.n_eta + 1)
@@ -98,9 +108,13 @@ def grids_match(a: Grid1D, b: Grid1D) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SparseSystem:
-    """A row-compressed linear system A x = rhs with a solve tolerance."""
+    """A sparse linear system A x = rhs with a solve tolerance.
 
-    matrix: sp.csr_matrix
+    The potential solver assembles ``matrix`` column-compressed (CSC), the
+    format SuperLU factorizes; other sparse formats are converted first.
+    """
+
+    matrix: sp.spmatrix
     rhs: np.ndarray
     tol: float = 1e-10
 
@@ -154,7 +168,8 @@ def factorize(matrix: sp.spmatrix):
         warnings.simplefilter("error", MatrixRankWarning)
         try:
             # the stencil pattern is structurally symmetric, so the
-            # AT+A ordering roughly halves the LU fill of the default
+            # AT+A ordering roughly halves the LU fill of the default;
+            # tocsc() is a no-op on the CSC matrices of assemble_system
             return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystemError(f"singular system: {exc}") from exc
@@ -183,14 +198,17 @@ def solve_factored(lu, system: SparseSystem) -> np.ndarray:
     return x
 
 
-def solve_sparse(system: SparseSystem) -> np.ndarray:
+def solve_sparse(system: SparseSystem, keep_factor: bool = False):
     """Direct sparse solve of ``system`` with a residual check.
 
     Deterministic for fixed inputs.  Raises SingularSystemError on a
     (numerically) singular matrix and NonConvergenceError if the
-    residual exceeds ``tol * ||rhs||_2``.
+    residual exceeds ``tol * ||rhs||_2``.  With ``keep_factor`` returns
+    (x, lu), the LU factor serving further solves with the same matrix.
     """
-    return solve_factored(factorize(system.matrix), system)
+    lu = factorize(system.matrix)
+    x = solve_factored(lu, system)
+    return (x, lu) if keep_factor else x
 
 
 def damped_newton(residual, newton_step, u, tol, max_iter, floor, label):

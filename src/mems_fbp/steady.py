@@ -5,7 +5,9 @@ The steady equation balances the linearized curvature term against the
 electrostatic source.  Newton iteration uses the dense tangent
 Jacobian: the trace derivative comes from linearizing the potential
 solve, dphi/du_j = -A(u)^{-1} dG/du_j with G(u, phi) = A(u) phi - b(u),
-so one LU of the potential operator serves every column.
+so one LU of the potential operator serves every column.  Newton takes
+that LU from the residual evaluation at the same iterate, so each
+iteration factorizes once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import numpy as np
 from .elliptic import (
     PotentialField,
     apply_operator,
-    assemble_system,
     solve_potential,
     trace_top,
 )
@@ -31,7 +32,6 @@ from .numerics import (
     d1_central,
     d2_central,
     damped_newton,
-    factorize,
     solve_factored,
 )
 from .transform import MembraneState, assemble_coefficients
@@ -85,36 +85,37 @@ class SteadyBranch:
         return np.array([pt.lam for pt in self.points])
 
 
-def _square_grid2d(grid: Grid1D) -> Grid2D:
-    return Grid2D(
-        gx=grid,
-        n_eta=grid.n_cells,
-        eta_nodes=np.linspace(0.0, 1.0, grid.n_cells + 1),
-        h_eta=1.0 / grid.n_cells,
-    )
-
-
-def _h_eps(u: MembraneState, eps: float, grid2d: Grid2D) -> np.ndarray:
-    """Steady-state source: squared trace with the (1+eps^2 u_x^2)^(5/2)
-    curvature factor over the squared gap."""
-    tr = trace_top(solve_potential(u, eps, grid2d)).dphi_top
-    dv = d1_central(u.u, u.grid)
-    return (1.0 + eps * eps * dv * dv) ** 2.5 / (1.0 + u.u) ** 2 * tr * tr
-
-
 def steady_residual(
-    u: MembraneState, lam: float, eps: float, grid2d: Grid2D | None = None
-) -> np.ndarray:
-    """Residual of the steady balance at the interior nodes."""
-    grid2d = grid2d or _square_grid2d(u.grid)
-    d2u = d2_central(u.u, u.grid)[1:-1]
-    return d2u - lam * _h_eps(u, eps, grid2d)[1:-1]
+    u: MembraneState,
+    lam: float,
+    eps: float,
+    grid2d: Grid2D | None = None,
+    with_potential: bool = False,
+):
+    """Residual of the steady balance at the interior nodes.
+
+    The source is the squared trace with the (1+eps^2 u_x^2)^(5/2)
+    curvature factor over the squared gap.  With ``with_potential``
+    returns (residual, potential field), the field carrying its factored
+    system for ``steady_jacobian``.
+    """
+    grid2d = grid2d or Grid2D.square(u.grid)
+    field = solve_potential(u, eps, grid2d)
+    tr = trace_top(field).dphi_top
+    dv = d1_central(u.u, u.grid)
+    h = (1.0 + eps * eps * dv * dv) ** 2.5 / (1.0 + u.u) ** 2 * tr * tr
+    r = d2_central(u.u, u.grid)[1:-1] - lam * h[1:-1]
+    return (r, field) if with_potential else r
 
 
-def _trace_jacobian(u: MembraneState, eps: float, grid2d: Grid2D):
+def _trace_jacobian(
+    u: MembraneState, eps: float, grid2d: Grid2D, field: PotentialField | None = None
+):
     """Membrane trace and its derivative by the interior deflections.
 
     Returns (tr, dtr) at the interior x-nodes, dtr[i, j] = d tr_i / d u_j.
+    ``field`` is the potential at ``u`` from ``solve_potential``, whose
+    factor is reused; without it the potential is solved here.
     On the grid column of x-node i, G = A(u) phi - b(u) uses coefficients
     sampled at node i, which depend on u_{i-1}, u_i, u_{i+1} only, so
     perturbing every third deflection at once (three colours, central
@@ -125,13 +126,10 @@ def _trace_jacobian(u: MembraneState, eps: float, grid2d: Grid2D):
     grid = u.grid
     n_int = grid.n_nodes - 2
     nie = grid2d.n_eta - 1
-    coeffs = assemble_coefficients(u, eps, grid2d)
-    eta = np.broadcast_to(grid2d.eta_nodes, grid2d.shape)
-    system = assemble_system(coeffs, np.zeros(grid2d.shape), eta)
-    lu = factorize(system.matrix)
-    phi = eta.copy()
-    phi[1:-1, 1:-1] = solve_factored(lu, system).reshape(n_int, nie)
-    tr = trace_top(PotentialField(grid2d, phi)).dphi_top[1:-1]
+    if field is None:
+        field = solve_potential(u, eps, grid2d)
+    phi, system, lu = field.phi, field.system, field.lu
+    tr = trace_top(field).dphi_top[1:-1]
 
     def operator_at(shift: np.ndarray) -> np.ndarray:
         shifted = MembraneState(grid, u.u + shift, u.time)
@@ -157,18 +155,24 @@ def _trace_jacobian(u: MembraneState, eps: float, grid2d: Grid2D):
 
 
 def steady_jacobian(
-    u: MembraneState, lam: float, eps: float, grid2d: Grid2D | None = None
+    u: MembraneState,
+    lam: float,
+    eps: float,
+    grid2d: Grid2D | None = None,
+    field: PotentialField | None = None,
 ) -> np.ndarray:
     """Jacobian of ``steady_residual`` by the interior deflections.
 
     The curvature factor P = (1+eps^2 u_x^2)^(5/2)/(1+u)^2 and the
     second difference are tridiagonal in u and differentiated in closed
-    form; the trace derivative comes from ``_trace_jacobian``.
+    form; the trace derivative comes from ``_trace_jacobian``.  ``field``
+    is the potential at ``u`` as ``steady_residual`` returns it; passing
+    it saves the factorization of the potential operator.
     """
-    grid2d = grid2d or _square_grid2d(u.grid)
+    grid2d = grid2d or Grid2D.square(u.grid)
     grid = u.grid
     h = grid.h
-    tr, dtr = _trace_jacobian(u, eps, grid2d)
+    tr, dtr = _trace_jacobian(u, eps, grid2d, field)
     dv = d1_central(u.u, grid)[1:-1]
     w = 1.0 + u.u[1:-1]
     stretch = 1.0 + eps * eps * dv * dv
@@ -198,9 +202,13 @@ def _newton(
 ) -> tuple[MembraneState, int]:
     """Damped Newton iteration; returns (state, iterations used).
 
-    Every Jacobian built is counted in ``counts["jacobians"]``.
+    Every Jacobian built is counted in ``counts["jacobians"]``.  The
+    Jacobian at an iterate reuses the potential (and its LU factor) of
+    the residual evaluation there; the latest one is held for this call
+    only, so concurrent calls share nothing.
     """
     grid = guess.grid
+    latest = {}  # the last residual evaluation: {"u": u_int, "field": potential}
 
     def state_of(u_int: np.ndarray) -> MembraneState:
         full = np.zeros(grid.n_nodes)
@@ -208,11 +216,14 @@ def _newton(
         return MembraneState(grid, full, guess.time)
 
     def residual(u_int: np.ndarray) -> np.ndarray:
-        return steady_residual(state_of(u_int), lam, eps, grid2d)
+        r, field = steady_residual(state_of(u_int), lam, eps, grid2d, with_potential=True)
+        latest.update(u=u_int, field=field)
+        return r
 
     def newton_step(u_int: np.ndarray, r: np.ndarray) -> np.ndarray:
         counts["jacobians"] += 1
-        jac = steady_jacobian(state_of(u_int), lam, eps, grid2d)
+        field = latest["field"] if latest.get("u") is u_int else None
+        jac = steady_jacobian(state_of(u_int), lam, eps, grid2d, field)
         try:
             return np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
@@ -240,7 +251,7 @@ def solve_steady(
     """Steady deflection at the given voltage parameter, seeded from ``guess``."""
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
-    grid2d = grid2d or _square_grid2d(guess.grid)
+    grid2d = grid2d or Grid2D.square(guess.grid)
     state, _ = _newton(lam, eps, guess, tol, grid2d, max_iter, floor, Counter())
     return state
 
@@ -328,6 +339,6 @@ def trace_lower_bound_check(
     (negative, convex) profiles this should not drop below 1 beyond
     discretization error.
     """
-    grid2d = grid2d or _square_grid2d(u.grid)
+    grid2d = grid2d or Grid2D.square(u.grid)
     tr = trace_top(solve_potential(u, eps, grid2d)).dphi_top
     return float(np.min(tr / (1.0 + u.u)))

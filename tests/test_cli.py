@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -202,6 +203,33 @@ class TestOtherKinds:
             float(line.split(",")[-1]) for line in lines[1:]
         )
         assert diag["jacobians"] == diag["newton_iters"]
+
+    def test_continuation_threads_match_serial(self, tmp_path):
+        # two eps branches to their folds, run concurrently and in turn:
+        # nothing a branch factorizes may leak into the other
+        outputs = {}
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so that shared state shows
+        try:
+            for threads in (2, 1):
+                out = tmp_path / f"out{threads}"
+                path = write_config(
+                    tmp_path,
+                    f"cfg{threads}.json",
+                    kind="continuation",
+                    n_x=10,
+                    n_eta=10,
+                    lambda_max=2.0,
+                    dlambda0=0.05,
+                    eps_list=[0.1, 1.0],
+                    out_dir=str(out),
+                )
+                assert main([str(path), "--quiet", "--threads", str(threads)]) == EXIT_OK
+                outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert sorted(outputs[1]) == ["branch.json", "branch_eps0.1.csv", "branch_eps1.0.csv"]
+        assert outputs[2] == outputs[1]
 
     def test_steady_honours_touchdown_floor(self, tmp_path, capsys):
         fields = dict(kind="steady", eps=0.1, n_x=16, n_eta=16, out_dir=str(tmp_path / "out"))

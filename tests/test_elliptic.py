@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mems_fbp import elliptic
 from mems_fbp.errors import GridTooCoarseError
@@ -138,14 +141,65 @@ def test_assembled_system_structure(grid2d_32, parabola32):
     assert np.max(np.diff(system.matrix.indptr)) <= 9  # 9-point stencil bound
 
 
-def test_csv_dump(tmp_path, grid2d_32, parabola32):
-    field = elliptic.solve_potential(parabola32, 0.5, grid2d_32)
-    path = tmp_path / "phi.csv"
-    elliptic.dump_potential_csv(field, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == grid2d_32.n_eta + 2  # header + one row per eta level
-    header = lines[0].split(",")
-    assert header[0] == "eta" and len(header) == grid2d_32.gx.n_nodes + 1
-    # round-trip: shortest-repr floats reload exactly
-    reloaded = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
-    assert np.array_equal(reloaded, field.phi.T)
+def coo_reference_system(coeffs, rhs_field, dirichlet):
+    """Reference assembly: the 9-point weights scattered as COO triplets
+    and converted to CSC, the Dirichlet ring subtracted offset by offset."""
+    g = coeffs.grid
+    hx, he = g.gx.h, g.h_eta
+    sl = (slice(1, -1), slice(1, -1))
+    c_xx = coeffs.a_xx[sl] / (hx * hx)
+    c_ee = coeffs.a_etaeta[sl] / (he * he)
+    c_e = coeffs.b_eta[sl] / (2.0 * he)
+    c_xe = coeffs.a_xeta[sl] / (4.0 * hx * he)
+    weights = {
+        (0, 0): 2.0 * c_xx + 2.0 * c_ee,
+        (-1, 0): -c_xx,
+        (1, 0): -c_xx,
+        (0, -1): -c_ee + c_e,
+        (0, 1): -c_ee - c_e,
+        (1, 1): -c_xe,
+        (-1, -1): -c_xe,
+        (1, -1): c_xe,
+        (-1, 1): c_xe,
+    }
+    nx, ne = g.shape
+    nix, nie = nx - 2, ne - 2
+    ii, jj = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ne - 1), indexing="ij")
+    k = (ii - 1) * nie + (jj - 1)
+    rhs = rhs_field[1:-1, 1:-1].astype(float).copy()
+    rows, cols, vals = [], [], []
+    for (di, dj), w in weights.items():
+        ni, nj = ii + di, jj + dj
+        interior = (ni >= 1) & (ni <= nx - 2) & (nj >= 1) & (nj <= ne - 2)
+        rows.append(k[interior])
+        cols.append(((ni - 1) * nie + (nj - 1))[interior])
+        vals.append(w[interior])
+        bnd = ~interior
+        np.subtract.at(rhs, (ii[bnd] - 1, jj[bnd] - 1), w[bnd] * dirichlet[ni[bnd], nj[bnd]])
+    matrix = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nix * nie, nix * nie),
+    ).tocsr().tocsc()
+    return matrix, rhs.ravel()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(3, 3), (8, 3), (3, 7), (12, 5), (6, 16), (16, 16), (24, 20)]),
+    eps=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_assembly_matches_coo_reference(shape, eps, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid2D.uniform(*shape)
+    v = random_admissible_state(grid.gx, rng, min_gap=0.1)
+    coeffs = assemble_coefficients(v, eps, grid)
+    rhs_field = rng.normal(size=grid.shape)
+    dirichlet = rng.normal(size=grid.shape)
+    system = elliptic.assemble_system(coeffs, rhs_field, dirichlet)
+    matrix, rhs = coo_reference_system(coeffs, rhs_field, dirichlet)
+    assert system.matrix.format == "csc"
+    for name in ("indptr", "indices", "data"):
+        ours, ref = getattr(system.matrix, name), getattr(matrix, name)
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes(), name
+    assert rhs.dtype == system.rhs.dtype and rhs.tobytes() == system.rhs.tobytes()
