@@ -200,15 +200,6 @@ def assemble_system(
     return SparseSystem(matrix=matrix, rhs=rhs, tol=tol)
 
 
-def _solve_dirichlet(coeffs, rhs_field, dirichlet, tol):
-    """``solve_dirichlet`` that also returns the system and its LU factor."""
-    system = assemble_system(coeffs, rhs_field, dirichlet, tol)
-    x, lu = solve_sparse(system, keep_factor=True)
-    full = dirichlet.astype(float)
-    full[1:-1, 1:-1] = x.reshape(coeffs.grid.gx.n_nodes - 2, coeffs.grid.n_eta - 1)
-    return full, system, lu
-
-
 def solve_dirichlet(
     coeffs: OperatorCoefficients,
     rhs_field: np.ndarray,
@@ -216,7 +207,11 @@ def solve_dirichlet(
     tol: float = 1e-10,
 ) -> np.ndarray:
     """Solve -(mapped operator) w = rhs with the given boundary values."""
-    return _solve_dirichlet(coeffs, rhs_field, dirichlet, tol)[0]
+    system = assemble_system(coeffs, rhs_field, dirichlet, tol)
+    x, _ = solve_sparse(system)
+    full = dirichlet.astype(float)
+    full[1:-1, 1:-1] = x.reshape(coeffs.grid.gx.n_nodes - 2, coeffs.grid.n_eta - 1)
+    return full
 
 
 def _eta_field(grid: Grid2D) -> np.ndarray:
@@ -232,7 +227,10 @@ def solve_potential(
     linearization about ``v`` needs no second factorization.
     """
     coeffs = assemble_coefficients(v, eps, grid)
-    phi, system, lu = _solve_dirichlet(coeffs, np.zeros(grid.shape), _eta_field(grid), tol)
+    phi = _eta_field(grid)
+    system = assemble_system(coeffs, np.zeros(grid.shape), phi, tol)
+    x, lu = solve_sparse(system)
+    phi[1:-1, 1:-1] = x.reshape(grid.gx.n_nodes - 2, grid.n_eta - 1)
     return PotentialField(grid, phi, system, lu)
 
 

@@ -198,17 +198,16 @@ def solve_factored(lu, system: SparseSystem) -> np.ndarray:
     return x
 
 
-def solve_sparse(system: SparseSystem, keep_factor: bool = False):
+def solve_sparse(system: SparseSystem):
     """Direct sparse solve of ``system`` with a residual check.
 
-    Deterministic for fixed inputs.  Raises SingularSystemError on a
-    (numerically) singular matrix and NonConvergenceError if the
-    residual exceeds ``tol * ||rhs||_2``.  With ``keep_factor`` returns
-    (x, lu), the LU factor serving further solves with the same matrix.
+    Returns (x, lu), the LU factor serving further solves with the same
+    matrix.  Deterministic for fixed inputs.  Raises SingularSystemError
+    on a (numerically) singular matrix and NonConvergenceError if the
+    residual exceeds ``tol * ||rhs||_2``.
     """
     lu = factorize(system.matrix)
-    x = solve_factored(lu, system)
-    return (x, lu) if keep_factor else x
+    return solve_factored(lu, system), lu
 
 
 def damped_newton(residual, newton_step, u, tol, max_iter, floor, label):

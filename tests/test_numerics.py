@@ -67,7 +67,7 @@ class TestSolveSparse:
     def test_identity(self, rng):
         b = rng.standard_normal(10)
         system = SparseSystem(sp.eye(10, format="csr"), b)
-        np.testing.assert_allclose(solve_sparse(system), b, atol=1e-14)
+        np.testing.assert_allclose(solve_sparse(system)[0], b, atol=1e-14)
 
     def _laplacian(self, m):
         # standard 5-point Laplacian on an m x m interior block
@@ -84,7 +84,7 @@ class TestSolveSparse:
         h = 1.0 / 9.0
         xy = np.array([(i * h, j * h) for i in range(1, 9) for j in range(1, 9)])
         b = h * h * (2.0 * xy[:, 0] * (1 - xy[:, 0]) + 2.0 * xy[:, 1] * (1 - xy[:, 1]))
-        x = solve_sparse(SparseSystem(A, b))
+        x = solve_sparse(SparseSystem(A, b))[0]
         x_dense = np.linalg.solve(A.toarray(), b)
         assert np.max(np.abs(x - x_dense)) <= 1e-10
 
@@ -93,7 +93,7 @@ class TestSolveSparse:
         A = sp.random(dim, dim, density=0.05, random_state=rng, format="csr")
         A = A + sp.eye(dim) * dim  # shift to safe diagonal dominance
         b = rng.standard_normal(dim)
-        x = solve_sparse(SparseSystem(A.tocsr(), b))
+        x = solve_sparse(SparseSystem(A.tocsr(), b))[0]
         x_dense = np.linalg.solve(A.toarray(), b)
         assert np.max(np.abs(x - x_dense)) <= 1e-9
 
