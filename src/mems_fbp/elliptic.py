@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from .errors import GridTooCoarseError
 from .numerics import (
+    EliminationOrder,
     Grid1D,
     Grid2D,
     SparseSystem,
@@ -123,6 +124,7 @@ class _Pattern:
     its stored entries, in CSC order, from the flattened weight stack.
     ``ring_rows``, ``ring_take`` and ``ring_nodes`` list the couplings to
     the Dirichlet ring in offset order: interior row, weight, ring node.
+    ``order`` is the nested-dissection elimination order of the unknowns.
     """
 
     n: int
@@ -132,6 +134,35 @@ class _Pattern:
     ring_rows: np.ndarray
     ring_take: np.ndarray
     ring_nodes: tuple[np.ndarray, np.ndarray]
+    order: EliminationOrder
+
+
+def _dissection_order(nix: int, nie: int) -> np.ndarray:
+    """Nested-dissection order of the unknowns of an nix x nie interior grid.
+
+    A block is cut by one grid line across its longer side.  One line
+    separates the 9-point stencil, so the two halves are ordered
+    recursively and the line is eliminated after both.  Blocks of at
+    most 8 nodes keep lexicographic order.
+    """
+    parts = []
+
+    def dissect(block: np.ndarray) -> None:
+        if block.size <= 8:
+            parts.append(block.ravel())
+        elif block.shape[0] >= block.shape[1]:
+            m = block.shape[0] // 2
+            dissect(block[:m])
+            dissect(block[m + 1 :])
+            parts.append(block[m])
+        else:
+            m = block.shape[1] // 2
+            dissect(block[:, :m])
+            dissect(block[:, m + 1 :])
+            parts.append(block[:, m])
+
+    dissect(np.arange(nix * nie).reshape(nix, nie))
+    return np.concatenate(parts)
 
 
 @functools.lru_cache(maxsize=16)
@@ -163,14 +194,16 @@ def _pattern(n_x: int, n_eta: int) -> _Pattern:
     order = np.lexsort((rows, cols))  # by column, then row: sorted CSC
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    indices = rows[order].astype(np.int32)
     pattern = _Pattern(
         n=n,
-        indices=rows[order].astype(np.int32),
+        indices=indices,
         indptr=indptr,
-        take=take[order],
+        take=take[order].astype(np.int32),
         ring_rows=np.concatenate(ring_rows),
         ring_take=np.concatenate(ring_take),
         ring_nodes=(np.concatenate(ring_i), np.concatenate(ring_j)),
+        order=EliminationOrder.on_pattern(_dissection_order(nix, nie), indices, indptr),
     )
     for a in (pattern.indices, pattern.indptr, pattern.take, pattern.ring_rows,
               pattern.ring_take, *pattern.ring_nodes):
@@ -189,7 +222,8 @@ def assemble_system(
     ``rhs_field`` and ``dirichlet`` are full nodal fields; only the
     interior of the former and the boundary ring of the latter are used.
     The matrix is CSC on the cached sparsity pattern of the grid shape,
-    with every stencil entry stored (zero weights included).
+    with every stencil entry stored (zero weights included); the system
+    carries the nested-dissection elimination order cached with it.
     """
     g = coeffs.grid
     p = _pattern(g.gx.n_cells, g.n_eta)
@@ -197,7 +231,7 @@ def assemble_system(
     rhs = rhs_field[1:-1, 1:-1].astype(float).ravel()
     np.subtract.at(rhs, p.ring_rows, w[p.ring_take] * dirichlet[p.ring_nodes])
     matrix = sp.csc_matrix((w[p.take], p.indices, p.indptr), shape=(p.n, p.n))
-    return SparseSystem(matrix=matrix, rhs=rhs, tol=tol)
+    return SparseSystem(matrix=matrix, rhs=rhs, tol=tol, order=p.order)
 
 
 def solve_dirichlet(

@@ -177,16 +177,7 @@ def total_energy(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None)
     eta = grid2d.eta_nodes
 
     # phi derivatives on the rectangle (2nd-order, one-sided at edges)
-    dphi_x = np.empty_like(phi)
-    hx = u.grid.h
-    dphi_x[1:-1, :] = (phi[2:, :] - phi[:-2, :]) / (2.0 * hx)
-    dphi_x[0, :] = (-3.0 * phi[0, :] + 4.0 * phi[1, :] - phi[2, :]) / (2.0 * hx)
-    dphi_x[-1, :] = (3.0 * phi[-1, :] - 4.0 * phi[-2, :] + phi[-3, :]) / (2.0 * hx)
-    dphi_e = np.empty_like(phi)
-    he = grid2d.h_eta
-    dphi_e[:, 1:-1] = (phi[:, 2:] - phi[:, :-2]) / (2.0 * he)
-    dphi_e[:, 0] = (-3.0 * phi[:, 0] + 4.0 * phi[:, 1] - phi[:, 2]) / (2.0 * he)
-    dphi_e[:, -1] = (3.0 * phi[:, -1] - 4.0 * phi[:, -2] + phi[:, -3]) / (2.0 * he)
+    dphi_x, dphi_e = np.gradient(phi, u.grid.h, grid2d.h_eta, edge_order=2)
 
     # physical gradient through the map: d_z = d_eta / (1+v),
     # d_x picks up the slope term -eta v_x/(1+v) d_eta

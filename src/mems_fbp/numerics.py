@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import MatrixRankWarning, splu
 
 from .errors import (
@@ -24,6 +25,7 @@ from .errors import (
 __all__ = [
     "Grid1D",
     "Grid2D",
+    "EliminationOrder",
     "SparseSystem",
     "grids_match",
     "solve_tridiagonal",
@@ -107,24 +109,70 @@ def grids_match(a: Grid1D, b: Grid1D) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
+class EliminationOrder:
+    """An elimination order of the unknowns of one CSC sparsity pattern.
+
+    ``perm[k]`` is the unknown eliminated k-th.  ``take``, ``indices`` and
+    ``indptr`` store the reordered matrix P A P^T of any matrix A on the
+    pattern in CSC form: its data is ``A.data[take]``, so reordering a
+    matrix is one gather.  The arrays are read-only because one order
+    serves every matrix on its pattern.
+    """
+
+    perm: np.ndarray
+    take: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def on_pattern(
+        cls, perm: np.ndarray, indices: np.ndarray, indptr: np.ndarray
+    ) -> "EliminationOrder":
+        """The order ``perm`` on the CSC pattern given by ``indices``/``indptr``."""
+        n = indptr.size - 1
+        rank = np.empty(n, dtype=np.intp)
+        rank[perm] = np.arange(n)
+        rows = rank[indices]
+        cols = rank[np.repeat(np.arange(n), np.diff(indptr))]
+        take = np.lexsort((rows, cols))  # by column, then row: sorted CSC
+        new_indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=new_indptr[1:])
+        order = cls(perm, take.astype(np.int32), rows[take].astype(np.int32), new_indptr)
+        for a in (order.perm, order.take, order.indices, order.indptr):
+            a.flags.writeable = False
+        return order
+
+    def reorder(self, matrix: sp.csc_matrix) -> sp.csc_matrix:
+        """P A P^T of the CSC ``matrix`` A stored on this order's pattern."""
+        data = matrix.data[self.take]
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=matrix.shape)
+
+
+@dataclass(frozen=True, eq=False)
 class SparseSystem:
     """A sparse linear system A x = rhs with a solve tolerance.
 
     The potential solver assembles ``matrix`` column-compressed (CSC), the
     format SuperLU factorizes; other sparse formats are converted first.
+    ``order`` is the elimination order of the unknowns, which the
+    potential solver caches per grid shape with the sparsity pattern
+    (``matrix`` must then be CSC on that pattern); ``None`` eliminates
+    the unknowns in their natural order.
     """
 
     matrix: sp.spmatrix
     rhs: np.ndarray
     tol: float = 1e-10
+    order: EliminationOrder | None = None
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """Thomas algorithm for a tridiagonal system.
+    """Solve a tridiagonal system with LAPACK ``dgtsv``.
 
     ``lower``/``upper`` may be scalars (broadcast) or arrays of length
-    n-1; ``diag`` and ``rhs`` have length n.  Intended for strictly
-    diagonally dominant or SPD matrices; no pivoting is performed.
+    n-1; ``diag`` and ``rhs`` have length n.  ``dgtsv`` eliminates with
+    partial pivoting; an exactly zero pivot raises SingularSystemError
+    naming its (0-based) row.
     """
     diag = np.asarray(diag, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -141,36 +189,27 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
         upper = np.asarray(upper, dtype=float)
     if lower.size != n - 1 or upper.size != n - 1:
         raise ValueError("off-diagonals must have length n-1")
-
-    cp = np.empty(n - 1)
-    x = np.empty(n)
-    piv = diag[0]
-    if piv == 0.0:
-        raise SingularSystemError("zero pivot at row 0")
-    x[0] = rhs[0] / piv
-    for i in range(1, n):
-        cp[i - 1] = upper[i - 1] / piv
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if piv == 0.0:
-            raise SingularSystemError(f"zero pivot at row {i}")
-        x[i] = (rhs[i] - lower[i - 1] * x[i - 1]) / piv
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    if info > 0:
+        raise SingularSystemError(f"zero pivot at row {info - 1}")
     return x
 
 
-def factorize(matrix: sp.spmatrix):
-    """Sparse LU factor of ``matrix`` (a SuperLU object).
+def factorize(system: SparseSystem):
+    """Sparse LU factor (a SuperLU object) of the matrix of ``system``.
 
+    The factor is of P A P^T, the matrix reordered by ``system.order``
+    (for the potential solver, a nested-dissection order cached per grid
+    shape; the identity when it is None).  SuperLU adds no column
+    ordering of its own, and ``solve_factored`` applies the permutation.
     Raises SingularSystemError on a (numerically) singular matrix.
     """
+    order = system.order
+    matrix = system.matrix.tocsc() if order is None else order.reorder(system.matrix)
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            # the stencil pattern is structurally symmetric, so the
-            # AT+A ordering roughly halves the LU fill of the default;
-            # tocsc() is a no-op on the CSC matrices of assemble_system
-            return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            return splu(matrix, permc_spec="NATURAL", panel_size=4)
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystemError(f"singular system: {exc}") from exc
 
@@ -178,13 +217,19 @@ def factorize(matrix: sp.spmatrix):
 def solve_factored(lu, system: SparseSystem) -> np.ndarray:
     """Solve ``system`` with the factor ``lu`` of its matrix, checking the residual.
 
-    ``system.rhs`` may be a vector or a matrix of right-hand sides, one
-    per column.  Raises SingularSystemError on a non-finite solution and
-    NonConvergenceError if the residual of any column exceeds
-    ``tol * ||rhs column||_2``.
+    ``lu`` is the factor ``factorize(system)`` returns, or that of another
+    system with the same matrix and order.  ``system.rhs`` may be a vector
+    or a matrix of right-hand sides, one per column.  Raises
+    SingularSystemError on a non-finite solution and NonConvergenceError
+    if the residual of any column exceeds ``tol * ||rhs column||_2``.
     """
     b = system.rhs
-    x = lu.solve(b)
+    if system.order is None:
+        x = lu.solve(b)
+    else:
+        perm = system.order.perm
+        x = np.empty_like(b, dtype=float)
+        x[perm] = lu.solve(b[perm])
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("singular system: non-finite solution")
     residual = np.atleast_1d(np.linalg.norm(system.matrix @ x - b, axis=0))
@@ -206,7 +251,7 @@ def solve_sparse(system: SparseSystem):
     on a (numerically) singular matrix and NonConvergenceError if the
     residual exceeds ``tol * ||rhs||_2``.
     """
-    lu = factorize(system.matrix)
+    lu = factorize(system)
     return solve_factored(lu, system), lu
 
 

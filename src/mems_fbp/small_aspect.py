@@ -117,7 +117,7 @@ def steady0(
     """Newton solve of the flat-limit steady problem.
 
     The Jacobian is tridiagonal (diffusion stencil plus a diagonal from
-    the source), so each iteration is a Thomas solve.
+    the source), so each iteration is one tridiagonal solve.
     """
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")

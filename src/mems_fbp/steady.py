@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceE
 from .numerics import (
     Grid1D,
     Grid2D,
-    SparseSystem,
     d1_central,
     d2_central,
     damped_newton,
@@ -146,7 +145,7 @@ def _trace_jacobian(
         for k, j in enumerate(cols):
             lo, hi = max(j - 1, 0), min(j + 2, n_int)
             rhs[lo:hi, :, k] = -dg[lo:hi, :]
-        block = SparseSystem(system.matrix, rhs.reshape(n_int * nie, cols.size), system.tol)
+        block = replace(system, rhs=rhs.reshape(n_int * nie, cols.size))
         dphi = solve_factored(lu, block).reshape(n_int, nie, cols.size)
         # 3-point one-sided trace; the top row phi = 1 does not move
         dtr[:, cols] = (-4.0 * dphi[:, -1, :] + dphi[:, -2, :]) / (2.0 * grid2d.h_eta)

@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from mems_fbp import elliptic
 from mems_fbp.errors import GridTooCoarseError
-from mems_fbp.numerics import Grid1D, Grid2D
+from mems_fbp.numerics import Grid1D, Grid2D, factorize
 from mems_fbp.transform import (
     MembraneState,
     assemble_coefficients,
@@ -203,3 +204,60 @@ def test_assembly_matches_coo_reference(shape, eps, seed):
         ours, ref = getattr(system.matrix, name), getattr(matrix, name)
         assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes(), name
     assert rhs.dtype == system.rhs.dtype and rhs.tobytes() == system.rhs.tobytes()
+
+
+def deflected_system(shape, eps=0.1, seed=7):
+    grid = Grid2D.uniform(*shape)
+    v = random_admissible_state(grid.gx, np.random.default_rng(seed))
+    phi = np.broadcast_to(grid.eta_nodes, grid.shape).copy()
+    coeffs = assemble_coefficients(v, eps, grid)
+    return elliptic.assemble_system(coeffs, np.zeros(grid.shape), phi)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 3), (4, 3), (3, 7), (17, 3), (12, 5), (16, 12), (31, 17), (32, 32)]
+)
+def test_dissection_order_is_a_cached_permutation(shape):
+    order = elliptic._pattern(*shape).order
+    assert elliptic._pattern(*shape).order is order
+    n = (shape[0] - 1) * (shape[1] - 1)
+    assert np.array_equal(np.sort(order.perm), np.arange(n))
+    for a in (order.perm, order.take, order.indices, order.indptr):
+        assert not a.flags.writeable
+    system = deflected_system(shape)
+    assert system.order is order
+    reordered = order.reorder(system.matrix)
+    assert reordered.has_sorted_indices
+    dense = system.matrix.toarray()
+    assert np.array_equal(reordered.toarray(), dense[order.perm][:, order.perm])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(8, 8), (16, 12), (9, 21), (24, 24), (32, 32)]),
+    eps=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_potential_matches_minimum_degree_reference(shape, eps, seed):
+    grid = Grid2D.uniform(*shape)
+    v = random_admissible_state(grid.gx, np.random.default_rng(seed))
+    field = elliptic.solve_potential(v, eps, grid)
+    system = field.system
+    reference = splu(system.matrix, permc_spec="MMD_AT_PLUS_A").solve(system.rhs)
+    x = field.phi[1:-1, 1:-1].ravel()
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize(
+    "shape, bound",
+    [((32, 32), 1.0), ((128, 128), 1.0),
+     ((8, 8), 1.1), ((16, 12), 1.1), ((24, 24), 1.1), ((48, 48), 1.1), ((64, 32), 1.1)],
+)
+def test_dissection_fill_against_minimum_degree(shape, bound):
+    system = deflected_system(shape)
+    ours, mmd = factorize(system), splu(system.matrix, permc_spec="MMD_AT_PLUS_A")
+    fill, mmd_fill = ours.L.nnz + ours.U.nnz, mmd.L.nnz + mmd.U.nnz
+    if bound == 1.0:
+        assert fill < mmd_fill
+    else:
+        assert fill <= bound * mmd_fill

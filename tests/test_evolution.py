@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mems_fbp import numerics
 from mems_fbp.evolution import (
     ModelParams,
     check_evenness_preservation,
@@ -99,6 +100,21 @@ class TestStep:
 
 
 class TestRun:
+    def test_one_factorization_per_step(self, monkeypatch):
+        splu = numerics.splu
+        factorizations = []
+
+        def counted(*args, **kwargs):
+            factorizations.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "splu", counted)
+        p = ModelParams(eps=0.1, lam=0.3, dt=1e-3, max_time=0.02)
+        traj = run(MembraneState.zero(Grid1D.uniform(16)), p, Grid2D.uniform(16, 12), thin_every=1)
+        assert traj.outcome == "max_time_reached"
+        assert len(traj.states) - 1 == 20
+        assert len(factorizations) == 20
+
     def test_zero_voltage_immediate_convergence(self, grid, grid2d):
         p = ModelParams(eps=0.1, lam=0.0)
         traj = run(MembraneState.zero(grid), p, grid2d)
