@@ -10,8 +10,10 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -48,13 +50,19 @@ _SOLVER_ERRORS = (
 
 @dataclass
 class ExperimentConfig:
+    """A validated experiment config.
+
+    Every config key is declared once: the model keys are the fields of
+    ``params`` (JSON ``lambda`` is ``lam``), every other key is a field
+    here under its JSON name, and ``parse_config`` checks each JSON value
+    against the declared type.
+    """
+
     kind: str
-    params: ModelParams
+    params: ModelParams = field(default_factory=ModelParams)
     n_x: int = 128
     n_eta: int = 128
-    ic_kind: str = "zero"  # zero | parabola | custom-csv
-    ic_depth: float = 0.0
-    ic_path: str | None = None
+    initial_condition: str | dict = "zero"  # "zero" | {"parabola": depth} | {"csv": path}
     out_dir: str = "."
     seed: int = 0
     thin_every: int = 10
@@ -66,32 +74,38 @@ class ExperimentConfig:
     eps_list: list[float] = field(default_factory=lambda: [0.2, 0.1, 0.05])
     tau: float = 1.0
     tol_lambda: float = 1e-4
-    threads: int = 1
+    threads: int = field(default=1, init=False)  # from --threads, not a config key
 
 
-_DEFAULTS = {
-    "lambda": 0.0,
-    "eps": 0.1,
-    "mode": "quasilinear",
-    "dt": 1e-3,
-    "touchdown_floor": 0.05,
-    "equilibrium_tol": 1e-9,
-    "max_time": 50.0,
-    "n_x": 128,
-    "n_eta": 128,
-    "initial_condition": "zero",
-    "out_dir": ".",
-    "seed": 0,
-    "thin_every": 10,
-    "record_energy": False,
-    "require_survival": False,
-    "dump_profiles": False,
-    "lambda_max": 2.0,
-    "dlambda0": 0.05,
-    "eps_list": [0.2, 0.1, 0.05],
-    "tau": 1.0,
-    "tol_lambda": 1e-4,
-}
+_JSON_NAMES = {"lam": "lambda"}  # field name -> JSON key, where they differ
+
+
+@cache
+def _keys(cls) -> dict:
+    """JSON key -> (field name, declared type) of the config fields of ``cls``."""
+    hints = get_type_hints(cls)
+    return {
+        _JSON_NAMES.get(f.name, f.name): (f.name, hints[f.name])
+        for f in fields(cls)
+        if f.init and f.name != "params"
+    }
+
+
+def _typed(key: str, value, hint):
+    """``value`` if its JSON type matches ``hint`` (an int counts as a float
+    and is stored as one; a bool is never a number); otherwise a ConfigError."""
+    if get_origin(hint) is list:
+        if isinstance(value, list):
+            return [_typed(key, v, get_args(hint)[0]) for v in value]
+    elif isinstance(value, bool):
+        if hint is bool:
+            return value
+    elif hint is float and isinstance(value, (int, float)):
+        return float(value)
+    elif isinstance(value, get_args(hint) or hint):
+        return value
+    expected = hint.__name__ if isinstance(hint, type) else hint
+    raise ConfigError(f"invalid field {key!r}: expected {expected}, got {type(value).__name__}")
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -107,103 +121,75 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
-    known = set(_DEFAULTS) | {"kind"}
+    model_keys, other_keys = _keys(ModelParams), _keys(ExperimentConfig)
     for key in raw:
-        if key not in known:
+        if key not in model_keys and key not in other_keys:
             raise ConfigError(f"unknown config key {key!r}")
     if "kind" not in raw:
         raise ConfigError("missing required field 'kind'")
     kind = raw["kind"]
     if kind not in KINDS:
-        raise ConfigError(f"invalid kind {kind!r}; expected one of {KINDS}")
+        raise ConfigError(f"invalid field 'kind': {kind!r} is not one of {KINDS}")
 
-    cfg = dict(_DEFAULTS)
-    cfg.update(raw)
+    def values(keys):
+        return {
+            name: _typed(key, raw[key], hint) for key, (name, hint) in keys.items() if key in raw
+        }
+
+    try:
+        params = ModelParams(**values(model_keys))
+    except ValueError as exc:
+        raise ConfigError(f"invalid model parameters: {exc}") from exc
+    cfg = ExperimentConfig(params=params, **values(other_keys))
 
     def fail(name, why):
         raise ConfigError(f"invalid field {name!r}: {why}")
 
-    for name in ("n_x", "n_eta", "seed", "thin_every"):
-        if not isinstance(cfg[name], int) or isinstance(cfg[name], bool):
-            fail(name, "must be an integer")
-    if cfg["n_x"] < 8 or cfg["n_eta"] < 8:
+    if cfg.n_x < 8 or cfg.n_eta < 8:
         fail("n_x/n_eta", "grid sizes must be at least 8")
-    if cfg["thin_every"] < 1:
+    if cfg.thin_every < 1:
         fail("thin_every", "must be at least 1")
 
-    ic = cfg["initial_condition"]
-    ic_kind, ic_depth, ic_path = "zero", 0.0, None
-    if ic == "zero":
-        pass
-    elif isinstance(ic, dict) and set(ic) == {"parabola"}:
-        ic_kind, ic_depth = "parabola", float(ic["parabola"])
-        if not 0.0 <= ic_depth < 1.0:
+    ic = cfg.initial_condition
+    if isinstance(ic, dict) and set(ic) == {"parabola"}:
+        depth = _typed("initial_condition", ic["parabola"], float)
+        cfg.initial_condition = ic = {"parabola": depth}
+        if not 0.0 <= depth < 1.0:
             fail("initial_condition", "parabola depth must lie in [0, 1)")
     elif isinstance(ic, dict) and set(ic) == {"csv"}:
-        ic_kind, ic_path = "custom-csv", str(ic["csv"])
-        if not Path(ic_path).exists():
-            fail("initial_condition", f"csv path {ic_path!r} does not exist")
-    else:
+        if not Path(_typed("initial_condition", ic["csv"], str)).exists():
+            fail("initial_condition", f"csv path {ic['csv']!r} does not exist")
+    elif ic != "zero":
         fail("initial_condition", "expected 'zero', {'parabola': depth} or {'csv': path}")
 
-    try:
-        params = ModelParams(
-            eps=float(cfg["eps"]),
-            lam=float(cfg["lambda"]),
-            mode=cfg["mode"],
-            dt=float(cfg["dt"]),
-            touchdown_floor=float(cfg["touchdown_floor"]),
-            equilibrium_tol=float(cfg["equilibrium_tol"]),
-            max_time=float(cfg["max_time"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid model parameters: {exc}") from exc
-    if kind in ("steady", "continuation") and params.mode != "quasilinear":
+    if kind in ("steady", "continuation", "limit-study") and params.mode != "quasilinear":
         fail("mode", f"{kind} solves the quasilinear equation only")
     if kind == "continuation" and ic != "zero":
         fail("initial_condition", "continuation starts from the flat membrane; only 'zero'")
 
-    if not isinstance(cfg["eps_list"], list) or not cfg["eps_list"]:
+    if not cfg.eps_list:
         fail("eps_list", "must be a non-empty list")
-    eps_list = [float(e) for e in cfg["eps_list"]]
-    if any(e <= 0 for e in eps_list):
+    if any(e <= 0 for e in cfg.eps_list):
         fail("eps_list", "entries must be positive")
-    if float(cfg["tau"]) <= 0:
-        fail("tau", "must be positive")
-    if float(cfg["tol_lambda"]) <= 0:
-        fail("tol_lambda", "must be positive")
-    if float(cfg["dlambda0"]) <= 0:
-        fail("dlambda0", "must be positive")
-
-    return ExperimentConfig(
-        kind=kind,
-        params=params,
-        n_x=cfg["n_x"],
-        n_eta=cfg["n_eta"],
-        ic_kind=ic_kind,
-        ic_depth=ic_depth,
-        ic_path=ic_path,
-        out_dir=str(cfg["out_dir"]),
-        seed=cfg["seed"],
-        thin_every=cfg["thin_every"],
-        record_energy=bool(cfg["record_energy"]),
-        require_survival=bool(cfg["require_survival"]),
-        dump_profiles=bool(cfg["dump_profiles"]),
-        lambda_max=float(cfg["lambda_max"]),
-        dlambda0=float(cfg["dlambda0"]),
-        eps_list=eps_list,
-        tau=float(cfg["tau"]),
-        tol_lambda=float(cfg["tol_lambda"]),
-    )
+    if kind == "continuation":
+        if "eps_list" not in raw:
+            cfg.eps_list = [params.eps]
+        elif "eps" in raw and cfg.eps_list != [params.eps]:
+            fail("eps", "continuation runs eps_list; when both are set, eps_list must be [eps]")
+    for name in ("tau", "tol_lambda", "dlambda0"):
+        if getattr(cfg, name) <= 0:
+            fail(name, "must be positive")
+    return cfg
 
 
 def _initial_state(cfg: ExperimentConfig, grid: Grid1D) -> MembraneState:
-    if cfg.ic_kind == "zero":
+    ic = cfg.initial_condition
+    if ic == "zero":
         return MembraneState.zero(grid)
-    if cfg.ic_kind == "parabola":
+    if "parabola" in ic:
         x = grid.nodes
-        return MembraneState(grid, -cfg.ic_depth * (1.0 - x * x))
-    u = np.loadtxt(cfg.ic_path, delimiter=",", ndmin=1)
+        return MembraneState(grid, -ic["parabola"] * (1.0 - x * x))
+    u = np.loadtxt(ic["csv"], delimiter=",", ndmin=1)
     if u.ndim != 1 or u.size != grid.n_nodes:
         raise ConfigError(
             f"custom initial condition must hold {grid.n_nodes} values, got shape {u.shape}"
@@ -232,15 +218,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _params_dict(p: ModelParams) -> dict:
-    return {
-        "eps": p.eps,
-        "lambda": p.lam,
-        "mode": p.mode,
-        "dt": p.dt,
-        "touchdown_floor": p.touchdown_floor,
-        "equilibrium_tol": p.equilibrium_tol,
-        "max_time": p.max_time,
-    }
+    return {_JSON_NAMES.get(name, name): value for name, value in asdict(p).items()}
 
 
 def _run_evolve(cfg: ExperimentConfig, out: Path, say) -> int:
@@ -317,7 +295,7 @@ def _branch_rows(branch):
 
 
 def _run_continuation(cfg: ExperimentConfig, out: Path, say) -> int:
-    eps_values = cfg.eps_list if len(cfg.eps_list) > 1 else [cfg.params.eps]
+    eps_values = cfg.eps_list
 
     def one(eps):
         return steady.continue_branch(

@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import g_eps, solve_potential
-from .numerics import Grid2D, d1_central, d2_central, solve_tridiagonal, trapezoid_2d
+from .numerics import Grid2D, d1_central, solve_tridiagonal, trapezoid_2d
 from .transform import MembraneState
 
 __all__ = [
     "ModelParams",
     "Trajectory",
     "imex_step",
-    "rhs",
     "step",
     "run",
     "total_energy",
@@ -40,8 +39,8 @@ class ModelParams:
     its linearized-stretching variant (the source term is unchanged).
     """
 
-    eps: float
-    lam: float
+    eps: float = 0.1
+    lam: float = 0.0
     mode: str = "quasilinear"
     dt: float = 1e-3
     touchdown_floor: float = 0.05
@@ -97,14 +96,6 @@ def imex_step(u: MembraneState, dt: float, diffusion_int: np.ndarray, forcing: n
     u_new = np.zeros_like(u.u)
     u_new[1:-1] = sol
     return MembraneState(u.grid, u_new, u.time + dt)
-
-
-def rhs(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None) -> np.ndarray:
-    """Instantaneous right-hand side at the interior nodes."""
-    grid2d = grid2d or Grid2D.square(u.grid)
-    d2u = d2_central(u.u, u.grid)[1:-1]
-    g = g_eps(u, p.eps, grid2d)[1:-1]
-    return _diffusion_interior(u, p) * d2u - p.lam * g
 
 
 def step(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None) -> MembraneState:

@@ -29,7 +29,6 @@ __all__ = [
     "degenerate_step",
     "run0",
     "steady0",
-    "pullin0",
     "pullin0_detail",
     "PullinResult",
     "shooting_pullin",
@@ -239,11 +238,6 @@ def pullin0_detail(
                 residual=abs(lam_star - shooting_value),
             )
     return PullinResult(lam_star, (lo, hi), shooting_value)
-
-
-def pullin0(tol_lambda: float, n_x: int = 512) -> float:
-    """Flat-limit pull-in voltage, bracketed to ``tol_lambda``."""
-    return pullin0_detail(tol_lambda, n_x).lambda_star
 
 
 def _potential_l2_error(

@@ -19,8 +19,6 @@ from .numerics import Grid1D, Grid2D, d1_central, d2_central, grids_match
 __all__ = [
     "MembraneState",
     "OperatorCoefficients",
-    "map_to_rect",
-    "map_from_rect",
     "assemble_coefficients",
     "source_f_v",
     "random_admissible_state",
@@ -79,32 +77,6 @@ class OperatorCoefficients:
     a_xeta: np.ndarray
     a_etaeta: np.ndarray
     b_eta: np.ndarray
-
-
-def _interp_v(x, v: MembraneState):
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1.0) or np.any(x > 1.0):
-        raise ValueError("x outside [-1, 1]")
-    return v.interp(x)
-
-
-def map_to_rect(x, z, v: MembraneState):
-    """Map a physical point (x, z) with -1 <= z <= v(x) to (x, eta)."""
-    vx = _interp_v(x, v)
-    z = np.asarray(z, dtype=float)
-    if np.any(z < -1.0) or np.any(z > vx):
-        raise ValueError("z outside [-1, v(x)]")
-    eta = (1.0 + z) / (1.0 + vx)
-    return x, eta
-
-
-def map_from_rect(x, eta, v: MembraneState):
-    """Inverse map: (x, eta) in [-1,1] x [0,1] back to the physical (x, z)."""
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta < 0.0) or np.any(eta > 1.0):
-        raise ValueError("eta outside [0, 1]")
-    vx = _interp_v(x, v)
-    return x, (1.0 + vx) * eta - 1.0
 
 
 def _check_admissible(v: MembraneState):

@@ -30,7 +30,48 @@ class TestParseConfig:
         assert cfg.n_x == 128 and cfg.n_eta == 128
         assert cfg.params.dt == 1e-3
         assert cfg.params.lam == 0.1
-        assert cfg.ic_kind == "zero"
+        assert cfg.initial_condition == "zero"
+
+    def test_int_for_float_key_stored_as_float(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, kind="limit-study", eps_list=[1], tau=2))
+        assert cfg.eps_list == [1.0] and isinstance(cfg.eps_list[0], float)
+        assert cfg.tau == 2.0 and isinstance(cfg.tau, float)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("kind", 5),
+            ("lambda", "0.1"),
+            ("eps", True),
+            ("mode", 1),
+            ("dt", "1e-3"),
+            ("touchdown_floor", None),
+            ("equilibrium_tol", [1e-9]),
+            ("max_time", False),
+            ("n_x", 64.0),
+            ("n_eta", True),
+            ("initial_condition", 0),
+            ("initial_condition", {"parabola": "0.2"}),
+            ("initial_condition", {"csv": 5}),
+            ("out_dir", 5),
+            ("seed", 1.5),
+            ("thin_every", "10"),
+            ("record_energy", "false"),
+            ("require_survival", 1),
+            ("dump_profiles", 0),
+            ("lambda_max", "2"),
+            ("dlambda0", True),
+            ("eps_list", 0.1),
+            ("eps_list", [0.1, "0.2"]),
+            ("eps_list", [True]),
+            ("tau", None),
+            ("tol_lambda", "1e-4"),
+        ],
+    )
+    def test_wrong_json_type_names_the_key(self, tmp_path, key, value):
+        fields = {"kind": "evolve", key: value}
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(write_config(tmp_path, **fields))
 
     def test_unknown_kind(self, tmp_path):
         path = write_config(tmp_path, kind="frobnicate")
@@ -204,6 +245,31 @@ class TestOtherKinds:
         )
         assert diag["jacobians"] == diag["newton_iters"]
 
+    @pytest.mark.parametrize(
+        "fields, key",
+        [({"eps": 0.5}, "0.5"), ({"eps_list": [1.0]}, "1.0")],
+    )
+    def test_continuation_runs_eps_or_eps_list(self, tmp_path, fields, key):
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path,
+            kind="continuation",
+            n_x=8,
+            n_eta=8,
+            lambda_max=0.04,
+            dlambda0=0.04,
+            out_dir=str(out),
+            **fields,
+        )
+        assert main([str(path), "--quiet"]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["branch.csv", "branch.json"]
+        assert list(json.loads((out / "branch.json").read_text())["branches"]) == [key]
+
+    def test_continuation_eps_conflicting_with_eps_list_rejected(self, tmp_path):
+        path = write_config(tmp_path, kind="continuation", eps=0.5, eps_list=[0.1, 0.5])
+        with pytest.raises(ConfigError, match="'eps'"):
+            parse_config(path)
+
     def test_continuation_threads_match_serial(self, tmp_path):
         # two eps branches to their folds, run concurrently and in turn:
         # nothing a branch factorizes may leak into the other
@@ -259,7 +325,7 @@ class TestOtherKinds:
         assert meta["fold_estimate"] is not None and meta["fold_estimate"] < 0.01
         assert meta["diagnostics"]["rejected_steps"] > 0
 
-    @pytest.mark.parametrize("kind", ["steady", "continuation"])
+    @pytest.mark.parametrize("kind", ["steady", "continuation", "limit-study"])
     def test_linearized_mode_rejected(self, tmp_path, kind):
         path = write_config(tmp_path, kind=kind, mode="linearized")
         with pytest.raises(ConfigError, match="'mode'"):

@@ -6,17 +6,9 @@ from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.transform import (
     MembraneState,
     assemble_coefficients,
-    map_from_rect,
-    map_to_rect,
     random_admissible_state,
     source_f_v,
 )
-
-
-@pytest.fixture
-def half_parabola(grid32):
-    x = grid32.nodes
-    return MembraneState(grid32, -0.5 * (1.0 - x * x))
 
 
 class TestMembraneState:
@@ -31,46 +23,6 @@ class TestMembraneState:
 
     def test_min_gap(self, parabola32):
         assert abs(parabola32.min_gap - 0.75) <= 1e-15
-
-
-class TestMaps:
-    def test_flat_membrane(self, grid32):
-        v = MembraneState.zero(grid32)
-        _, eta = map_to_rect(0.3, -0.4, v)
-        assert abs(eta - 0.6) <= 1e-15
-        _, z = map_from_rect(0.3, 0.6, v)
-        assert abs(z + 0.4) <= 1e-15
-
-    def test_boundary_mapping(self, half_parabola, rng):
-        xs = rng.uniform(-1, 1, 20)
-        _, eta_bottom = map_to_rect(xs, np.full(20, -1.0), half_parabola)
-        np.testing.assert_allclose(eta_bottom, 0.0, atol=1e-15)
-        _, eta_top = map_to_rect(xs, half_parabola.interp(xs), half_parabola)
-        np.testing.assert_allclose(eta_top, 1.0, atol=1e-14)
-
-    def test_spot_values(self, half_parabola):
-        # v(0) = -0.5: z = -0.75 maps to eta = 0.5 and back
-        _, eta = map_to_rect(0.0, -0.75, half_parabola)
-        assert abs(eta - 0.5) <= 1e-15
-        _, z = map_from_rect(0.0, 0.5, half_parabola)
-        assert abs(z + 0.75) <= 1e-15
-
-    def test_round_trip(self, half_parabola, rng):
-        x = rng.uniform(-1, 1, 100)
-        z = rng.uniform(-1.0, half_parabola.interp(x))
-        _, eta = map_to_rect(x, z, half_parabola)
-        _, z_back = map_from_rect(x, eta, half_parabola)
-        assert np.max(np.abs(z_back - z)) <= 1e-14
-
-    def test_domain_errors(self, half_parabola):
-        with pytest.raises(ValueError):
-            map_to_rect(0.0, -0.4, half_parabola)  # above the membrane
-        with pytest.raises(ValueError):
-            map_to_rect(0.0, -1.1, half_parabola)
-        with pytest.raises(ValueError):
-            map_from_rect(0.0, 1.2, half_parabola)
-        with pytest.raises(ValueError):
-            map_to_rect(1.5, -0.9, half_parabola)
 
 
 class TestCoefficients:
