@@ -41,7 +41,6 @@ __all__ = [
     "solve_potential_split",
     "trace_top",
     "g_eps",
-    "stencil_is_positive_type",
     "mms_convergence",
     "MmsResult",
 ]
@@ -306,15 +305,6 @@ def g_eps(v: MembraneState, eps: float, grid: Grid2D, tol: float = 1e-10) -> np.
     dv = d1_central(v.u, v.grid)
     pre = (1.0 + eps * eps * dv * dv) / (1.0 + v.u) ** 2
     return pre * tr * tr
-
-
-def stencil_is_positive_type(coeffs: OperatorCoefficients, tol: float = 1e-14) -> bool:
-    """True when every off-diagonal stencil weight is nonpositive.
-
-    Only then does the discrete solution inherit the maximum principle;
-    the cross stencil breaks this whenever the membrane has slope.
-    """
-    return bool(np.max(_stencil_weights(coeffs)[1:]) <= tol)
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,8 @@ def damped_newton(residual, newton_step, u, tol, max_iter, floor, label):
     """Damped Newton iteration for interior deflection values ``u``.
 
     ``residual(u)`` returns the residual vector and ``newton_step(u, r)``
-    the full Newton step from ``u`` with residual ``r``.  Each step is
+    the full Newton step from ``u`` with residual ``r``; it is called only
+    at the point of the latest residual evaluation.  Each step is
     halved up to eight times until the trial point keeps min(1+u) above
     ``floor`` and lowers the max-norm residual.  Returns the first
     iterate with max-norm residual <= ``tol`` and the number of steps

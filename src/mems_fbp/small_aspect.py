@@ -258,10 +258,8 @@ def _potential_l2_error(
     eta_c = comparison_grid.eta_nodes  # = 1 + z on the strip
 
     w_eps = 1.0 + u_eps.interp(xs)
-    w_flat = 1.0 + u_flat.interp(xs)
-    inside_eps = eta_c[None, :] <= w_eps[:, None]
-    inside_flat = eta_c[None, :] <= w_flat[:, None]
-    both = inside_eps & inside_flat
+    psi_flat = psi0(u_flat, comparison_grid)
+    both = (eta_c[None, :] <= w_eps[:, None]) & ~np.ma.getmaskarray(psi_flat)
 
     # transformed vertical coordinate of each strip node, clipped to the
     # rectangle for the (masked-out) points above the membrane
@@ -273,8 +271,7 @@ def _potential_l2_error(
     for row, i in enumerate(x_idx):  # columns share x-nodes: linear interp in eta
         psi_eps[row] = np.interp(eta_query[row], sol_eta, phi[i])
 
-    psi_flat = eta_c[None, :] / w_flat[:, None]
-    integrand = np.where(both, (psi_eps - psi_flat) ** 2, 0.0)
+    integrand = np.where(both, (psi_eps - psi_flat.data) ** 2, 0.0)
     return float(np.sqrt(trapezoid_2d(integrand, xs, eta_c - 1.0)))
 
 
@@ -335,7 +332,8 @@ def limit_study(
                 alive = k - 1
                 break
             err_series.append(float(np.max(np.abs(u.u - flat_states[k].u))))
-            if k in sample_steps:
+            # a flat state past its touchdown lies outside the comparison
+            if k in sample_steps and k <= flat_alive:
                 samples.append(
                     (
                         k * dt,

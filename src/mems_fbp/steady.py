@@ -1,5 +1,5 @@
-"""Steady states, continuation in the voltage parameter, and the
-closed-form non-existence threshold.
+"""Steady states, the minimal branch traced in the centre depth up to its
+fold, and the closed-form non-existence threshold.
 
 The steady equation balances the linearized curvature term against the
 electrostatic source.  Newton iteration uses the dense tangent
@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .elliptic import (
     PotentialField,
@@ -54,6 +55,25 @@ log = logging.getLogger(__name__)
 # default touchdown floor 0.05, with roundoff of the same size.
 _OPERATOR_STEP = 1e-6
 
+# Step of the centre depth along the branch march.
+_DEPTH_STEP = 0.05
+
+# Depth resolution of the bounded search for the fold.
+_FOLD_XATOL = 1e-6
+
+# Max-norm residual at which Newton accepts a branch point.
+_BRANCH_TOL = 1e-10
+
+# Half-width of the reported fold interval.  A depth solve stops at a
+# max-norm residual of ``_BRANCH_TOL``, which moves its voltage
+# by at most that times the 1-norm of the voltage row of the inverse
+# bordered Jacobian: 0.40-0.46 at the eps = 0.1 and 1 folds on the 8x8 to
+# 128x128 grids, so 5e-11.  At the fold the voltage is quadratic in the
+# depth, |lambda''| about 3.5, so the 1e-6 depth resolution adds 2e-12.
+# 1e-8 leaves a factor of about 190 over their sum for other grids and aspect
+# ratios.
+_FOLD_TOL = 1e-8
+
 
 @dataclass(frozen=True, eq=False)
 class BranchPoint:
@@ -65,11 +85,17 @@ class BranchPoint:
 
 @dataclass
 class SteadyBranch:
-    """Continuation points ordered by increasing voltage parameter.
+    """Points of the minimal branch, ordered by increasing voltage.
 
-    ``newton_iters`` counts the Newton iterations of the accepted points,
-    ``jacobians`` the Jacobians built over every attempt, rejected steps
-    included, and ``rejected_steps`` the voltage steps whose solve failed.
+    The points are the voltages k * dlambda0 from zero, then
+    ``lambda_max`` itself, the located fold or the last depth sample
+    (see ``continue_branch``).  ``fold_estimate`` is the largest voltage
+    of the branch, None unless the branch was traced past it below
+    ``lambda_max``; ``fold_interval`` is fold_estimate -/+ ``_FOLD_TOL``.
+    ``newton_iters`` counts the Newton iterations of the points,
+    ``jacobians`` the Jacobians built by every solve, depth samples and
+    the fold search included, and ``rejected_steps`` the depth steps
+    whose solve failed.
     """
 
     points: list[BranchPoint]
@@ -84,6 +110,17 @@ class SteadyBranch:
         return np.array([pt.lam for pt in self.points])
 
 
+def _source(u: MembraneState, eps: float, field: PotentialField) -> np.ndarray:
+    """Electrostatic source at the interior nodes: the squared trace with
+    the (1+eps^2 u_x^2)^(5/2) curvature factor over the squared gap.
+
+    It is minus the derivative of ``steady_residual`` by the voltage.
+    """
+    tr = trace_top(field).dphi_top
+    dv = d1_central(u.u, u.grid)
+    return ((1.0 + eps * eps * dv * dv) ** 2.5 / (1.0 + u.u) ** 2 * tr * tr)[1:-1]
+
+
 def steady_residual(
     u: MembraneState,
     lam: float,
@@ -93,17 +130,14 @@ def steady_residual(
 ):
     """Residual of the steady balance at the interior nodes.
 
-    The source is the squared trace with the (1+eps^2 u_x^2)^(5/2)
-    curvature factor over the squared gap.  With ``with_potential``
-    returns (residual, potential field), the field carrying its factored
-    system for ``steady_jacobian``.
+    The second difference of ``u`` minus ``lam`` times the source of
+    ``_source``.  With ``with_potential`` returns (residual, potential
+    field), the field carrying its factored system for
+    ``steady_jacobian``.
     """
     grid2d = grid2d or Grid2D.square(u.grid)
     field = solve_potential(u, eps, grid2d)
-    tr = trace_top(field).dphi_top
-    dv = d1_central(u.u, u.grid)
-    h = (1.0 + eps * eps * dv * dv) ** 2.5 / (1.0 + u.u) ** 2 * tr * tr
-    r = d2_central(u.u, u.grid)[1:-1] - lam * h[1:-1]
+    r = d2_central(u.u, u.grid)[1:-1] - lam * _source(u, eps, field)
     return (r, field) if with_potential else r
 
 
@@ -198,8 +232,17 @@ def _newton(
     max_iter: int,
     floor: float,
     counts: Counter,
-) -> tuple[MembraneState, int]:
-    """Damped Newton iteration; returns (state, iterations used).
+    depth: float | None = None,
+) -> tuple[MembraneState, float, int]:
+    """Damped Newton iteration; returns (state, voltage, iterations used).
+
+    Without ``depth`` the voltage is fixed at ``lam``.  With a depth the
+    centre deflection is held at -depth and the voltage becomes the last
+    unknown, seeded by ``lam``; each step solves the bordered system
+    [J, -h; e_c^T, 0] [du; dlam] = -[r; u_c + depth], where h is the
+    source of the residual evaluation and e_c picks the centre node.  The
+    voltage rides along in the vector whose entries Newton keeps at
+    1 + entry > ``floor``, which holds for any nonnegative voltage.
 
     Every Jacobian built is counted in ``counts["jacobians"]``.  The
     Jacobian at an iterate reuses the potential (and its LU factor) of
@@ -207,35 +250,47 @@ def _newton(
     only, so concurrent calls share nothing.
     """
     grid = guess.grid
-    latest = {}  # the last residual evaluation: {"u": u_int, "field": potential}
+    n_int = grid.n_nodes - 2
+    centre = n_int // 2
+    z = guess.u[1:-1].copy()
+    if depth is None:
+        label = f"Newton at lambda={lam:g}"
+    else:
+        label = f"Newton at depth={depth:g}"
+        z = np.append(z, lam)
+    latest = {}  # the potential of the last residual evaluation
 
-    def state_of(u_int: np.ndarray) -> MembraneState:
+    def state_of(z: np.ndarray) -> MembraneState:
         full = np.zeros(grid.n_nodes)
-        full[1:-1] = u_int
+        full[1:-1] = z[:n_int]
         return MembraneState(grid, full, guess.time)
 
-    def residual(u_int: np.ndarray) -> np.ndarray:
-        r, field = steady_residual(state_of(u_int), lam, eps, grid2d, with_potential=True)
-        latest.update(u=u_int, field=field)
-        return r
+    def lam_of(z: np.ndarray) -> float:
+        return lam if depth is None else float(z[n_int])
 
-    def newton_step(u_int: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def residual(z: np.ndarray) -> np.ndarray:
+        r, latest["field"] = steady_residual(
+            state_of(z), lam_of(z), eps, grid2d, with_potential=True
+        )
+        return r if depth is None else np.append(r, z[centre] + depth)
+
+    def newton_step(z: np.ndarray, r: np.ndarray) -> np.ndarray:
         counts["jacobians"] += 1
-        field = latest["field"] if latest.get("u") is u_int else None
-        jac = steady_jacobian(state_of(u_int), lam, eps, grid2d, field)
+        u, field = state_of(z), latest["field"]
+        jac = steady_jacobian(u, lam_of(z), eps, grid2d, field)
+        if depth is not None:
+            border = np.zeros((1, n_int + 1))
+            border[0, centre] = 1.0
+            jac = np.block([[jac, -_source(u, eps, field)[:, None]], [border]])
         try:
             return np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
             raise NoSteadyStateError(
-                f"singular Jacobian at lambda={lam:g}",
-                residual=float(np.max(np.abs(r))),
+                f"singular Jacobian in {label}", residual=float(np.max(np.abs(r)))
             ) from exc
 
-    u, iters = damped_newton(
-        residual, newton_step, guess.u[1:-1].copy(), tol, max_iter, floor,
-        f"Newton at lambda={lam:g}",
-    )
-    return state_of(u), iters
+    z, iters = damped_newton(residual, newton_step, z, tol, max_iter, floor, label)
+    return state_of(z), lam_of(z), iters
 
 
 def solve_steady(
@@ -251,7 +306,7 @@ def solve_steady(
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
     grid2d = grid2d or Grid2D.square(guess.grid)
-    state, _ = _newton(lam, eps, guess, tol, grid2d, max_iter, floor, Counter())
+    state, _, _ = _newton(lam, eps, guess, tol, grid2d, max_iter, floor, Counter())
     return state
 
 
@@ -261,56 +316,105 @@ def continue_branch(
     dlambda0: float,
     n_x: int = 64,
     n_eta: int | None = None,
-    tol: float = 1e-10,
     max_iter: int = 15,
     floor: float = 0.05,
 ) -> SteadyBranch:
-    """Natural continuation of the minimal branch from zero voltage.
+    """The minimal steady branch from zero voltage, traced in the centre depth.
 
-    The voltage step halves on every Newton failure; the branch ends at
-    ``lambda_max`` or once the step drops below dlambda0 / 2^10, which
-    brackets the fold.  The fold estimate is the bracket midpoint.
+    The centre deflection d = -u(0) is the continuation parameter and the
+    voltage an unknown (``_newton`` with a depth).  d steps by
+    ``_DEPTH_STEP`` from the flat membrane, each depth seeded by a secant
+    through the last two samples; a failed depth solve halves the step.
+    Once the voltage falls between two samples, the fold, the largest
+    voltage of the branch, is located by a bounded search in d to
+    ``_FOLD_XATOL``.  The march also ends once a sample past ``lambda_max``
+    is followed by a higher one, or when 1 - d would reach ``floor``.
+
+    The points are the voltages k * dlambda0 below the end of the march,
+    each solved at its fixed voltage from the interpolation between the
+    two samples around it, then either ``lambda_max`` exactly (no fold),
+    or the located fold (``fold_estimate``, with ``fold_interval`` its
+    -/+ ``_FOLD_TOL``), or, for a march stopped short of both, its last
+    sample (no fold).
     """
     if dlambda0 <= 0.0:
         raise ValueError("dlambda0 must be positive")
     grid = Grid1D.uniform(n_x)
     grid2d = Grid2D.uniform(n_x, n_eta if n_eta is not None else n_x)
-
-    u = MembraneState.zero(grid)
-    points = [BranchPoint(0.0, u, 1.0, 0)]
-    lam = 0.0
-    step = dlambda0
-    last_failed_step = None
     counts = Counter()
 
-    while lam < lambda_max:
-        if step < dlambda0 / 2**10:
+    def at_depth(d: float, lam: float, guess: MembraneState) -> tuple[float, BranchPoint]:
+        state, lam, iters = _newton(
+            lam, eps, guess, _BRANCH_TOL, grid2d, max_iter, floor, counts, depth=d
+        )
+        log.debug("eps=%g: depth %.8g at lambda=%.12g, %d Newton iterations", eps, d, lam, iters)
+        return d, BranchPoint(lam, state, state.min_gap, iters)
+
+    def locate_fold(below, top, above) -> tuple[float, BranchPoint]:
+        # each evaluation is seeded from the nearest depth solved so far
+        solved = dict([below, top, above])
+
+        def minus_lambda(d: float) -> float:
+            near = solved[min(solved, key=lambda s: abs(s - d))]
+            _, solved[d] = at_depth(d, near.lam, near.state)
+            return -solved[d].lam
+
+        minimize_scalar(
+            minus_lambda, bounds=(below[0], above[0]), method="bounded",
+            options={"xatol": _FOLD_XATOL},
+        )
+        return max(solved.items(), key=lambda item: item[1].lam)  # the best depth
+
+    # (depth, point) samples with increasing voltage; the last may be the fold
+    samples = [(0.0, BranchPoint(0.0, MembraneState.zero(grid), 1.0, 0))]
+    fold = None
+    step = _DEPTH_STEP
+    while True:
+        d = samples[-1][0] + step
+        if 1.0 - d <= floor or step < _DEPTH_STEP / 2**10:
             break
-        lam_try = min(lam + step, lambda_max)
+        (d1, p1), (d0, p0) = samples[-1], samples[max(len(samples) - 2, 0)]
+        t = (d - d1) / (d1 - d0) if d1 > d0 else 0.0
+        guess = MembraneState(grid, p1.state.u + t * (p1.state.u - p0.state.u))
         try:
-            u_new, iters = _newton(lam_try, eps, u, tol, grid2d, max_iter, floor, counts)
+            sample = at_depth(d, p1.lam + t * (p1.lam - p0.lam), guess)
         except (NoSteadyStateError, DegenerateGeometryError, NonConvergenceError) as exc:
             log.debug(
-                "eps=%g: rejected lambda=%.12g (step %.6g): %s, residual %s",
-                eps, lam_try, lam_try - lam, type(exc).__name__,
-                getattr(exc, "residual", None),
+                "eps=%g: rejected depth=%.8g (step %.6g): %s, residual %s",
+                eps, d, step, type(exc).__name__, getattr(exc, "residual", None),
             )
             counts["rejected"] += 1
-            last_failed_step = lam_try - lam
             step *= 0.5
             continue
-        u = u_new
-        lam = lam_try
-        points.append(BranchPoint(lam, u, u.min_gap, iters))
+        if sample[1].lam < p1.lam:
+            fold = locate_fold(samples[-2], samples[-1], sample)
+            samples = [s for s in samples if s[0] < fold[0]] + [fold]
+            break
+        samples.append(sample)
+        # past lambda_max, and on the rising side, since the voltage still grows
+        if p1.lam >= lambda_max:
+            break
 
-    fold_estimate = fold_interval = None
-    if lam < lambda_max and last_failed_step is not None:
-        fold_interval = (lam, lam + last_failed_step)
-        fold_estimate = lam + 0.5 * last_failed_step
+    points = [samples[0][1]]
+    k = 1
+    reached = False  # lambda_max
+    for (_, lo), (_, hi) in zip(samples, samples[1:]):
+        while not reached and (lam := min(k * dlambda0, lambda_max)) <= hi.lam:
+            t = (lam - lo.lam) / (hi.lam - lo.lam)
+            guess = MembraneState(grid, lo.state.u + t * (hi.state.u - lo.state.u))
+            state, _, iters = _newton(
+                lam, eps, guess, _BRANCH_TOL, grid2d, max_iter, floor, counts
+            )
+            points.append(BranchPoint(lam, state, state.min_gap, iters))
+            reached = lam == lambda_max
+            k += 1
+    if not reached and samples[-1][1].lam > points[-1].lam:
+        points.append(samples[-1][1])
+    fold_estimate = None if reached or fold is None else fold[1].lam
     return SteadyBranch(
         points,
         fold_estimate,
-        fold_interval,
+        None if fold_estimate is None else (fold_estimate - _FOLD_TOL, fold_estimate + _FOLD_TOL),
         rejected_steps=counts["rejected"],
         newton_iters=sum(pt.newton_iters for pt in points),
         jacobians=counts["jacobians"],

@@ -113,6 +113,11 @@ class TestJacobian:
         solve_steady(0.3, 0.1, MembraneState.zero(grid), grid2d=grid2d)
         assert counts["jacobian"] >= 3
         assert counts["splu"] == counts["residual"]
+        # depth solves, with the voltage as unknown, reuse the factor too
+        counts.update(splu=0, residual=0, jacobian=0)
+        continue_branch(1.0, 2.0, 0.05, n_x=8)
+        assert counts["jacobian"] >= 3
+        assert counts["splu"] == counts["residual"]
 
 
 class TestSolveSteady:
@@ -155,32 +160,38 @@ class TestSolveSteady:
 
 class TestContinuation:
     def test_branch_below_fold(self, grid2d):
-        branch = continue_branch(0.1, lambda_max=0.3, dlambda0=0.1, n_x=32, n_eta=32)
-        lams = branch.lambdas
-        assert lams[0] == 0.0
-        assert np.all(np.diff(lams) > 0)
-        assert lams[-1] == pytest.approx(0.3)
-        assert branch.fold_estimate is None
-        gaps = [pt.min_gap for pt in branch.points]
-        assert all(b <= a for a, b in zip(gaps, gaps[1:]))
-        for pt in branch.points[1:]:
-            r = steady_residual(pt.state, pt.lam, 0.1, grid2d)
-            assert np.max(np.abs(r)) <= 1e-10
-            assert np.max(pt.state.u) <= 1e-12
-            assert np.max(np.abs(pt.state.u - pt.state.u[::-1])) <= 1e-10
+        for lambda_max, dlambda0 in ((0.3, 0.1), (0.32, 0.08)):
+            branch = continue_branch(0.1, lambda_max, dlambda0, n_x=32, n_eta=32)
+            lams = branch.lambdas
+            # the reported voltages are k * dlambda0, landing on lambda_max
+            assert lams.size == round(lambda_max / dlambda0) + 1
+            assert np.max(np.abs(lams - dlambda0 * np.arange(lams.size))) <= 1e-12
+            assert lams[-1] == lambda_max
+            assert branch.fold_estimate is None and branch.fold_interval is None
+            gaps = [pt.min_gap for pt in branch.points]
+            assert all(b <= a for a, b in zip(gaps, gaps[1:]))
+            for pt in branch.points[1:]:
+                r = steady_residual(pt.state, pt.lam, 0.1, grid2d)
+                assert np.max(np.abs(r)) <= 1e-10
+                assert np.max(pt.state.u) <= 1e-12
+                assert np.max(np.abs(pt.state.u - pt.state.u[::-1])) <= 1e-10
 
     def test_fold_detection(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="mems_fbp.steady"):
             branch = continue_branch(1.0, lambda_max=2.0, dlambda0=0.1, n_x=24, n_eta=24)
         assert branch.fold_estimate is not None
-        # every step halving below the fold is a logged rejection
-        rejected = [r for r in caplog.records if "rejected lambda" in r.getMessage()]
-        assert branch.rejected_steps == len(rejected) >= 9
+        # every failed depth solve is a logged rejection
+        rejected = [r for r in caplog.records if "rejected depth" in r.getMessage()]
+        assert branch.rejected_steps == len(rejected)
         assert all("residual" in r.getMessage() for r in rejected)
         assert branch.newton_iters == sum(pt.newton_iters for pt in branch.points)
         assert branch.jacobians > branch.newton_iters
+        # the located fold is the last point, inside its stated interval
+        assert branch.points[-1].lam == branch.fold_estimate
+        assert branch.fold_estimate == max(branch.lambdas)
         lo, hi = branch.fold_interval
         assert lo <= branch.fold_estimate <= hi
+        assert hi - lo <= 2 * steady._FOLD_TOL
         assert hi - lo <= 0.1 / 2**9
         assert branch.fold_estimate <= nonexistence_bound(1.0)
         # beyond the bracket the solve fails from the last branch point
@@ -188,6 +199,36 @@ class TestContinuation:
         with pytest.raises(NoSteadyStateError):
             solve_steady(hi + 0.05, 1.0, last.state, max_iter=10,
                          grid2d=Grid2D.uniform(24, 24))
+
+    def test_failed_depth_solve_halves_the_step(self, monkeypatch, caplog):
+        newton = steady._newton
+        depths = []
+
+        def failing_once(*args, depth=None, **kwargs):
+            if depth is not None:
+                depths.append(depth)
+                if len(depths) == 2:
+                    raise NoSteadyStateError("injected", residual=1.0)
+            return newton(*args, depth=depth, **kwargs)
+
+        monkeypatch.setattr(steady, "_newton", failing_once)
+        with caplog.at_level(logging.DEBUG, logger="mems_fbp.steady"):
+            branch = continue_branch(1.0, lambda_max=2.0, dlambda0=0.1, n_x=8)
+        rejected = [r for r in caplog.records if "rejected depth" in r.getMessage()]
+        assert branch.rejected_steps == len(rejected) == 1
+        assert "NoSteadyStateError, residual 1.0" in rejected[0].getMessage()
+        step = steady._DEPTH_STEP
+        assert depths[:3] == pytest.approx([step, 2 * step, 1.5 * step], abs=1e-15)
+        assert branch.fold_estimate is not None
+
+    def test_fold_converges_under_refinement(self):
+        folds = [
+            continue_branch(0.1, lambda_max=2.0, dlambda0=0.05, n_x=n).fold_estimate
+            for n in (16, 32, 64)
+        ]
+        order = np.log2((folds[1] - folds[0]) / (folds[2] - folds[1]))
+        assert 1.9 <= order <= 2.1
+        assert folds[1] == pytest.approx(0.3482489329, abs=1e-9)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
