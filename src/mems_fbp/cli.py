@@ -17,7 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import elliptic, evolution, small_aspect, steady
+from . import criteria, evolution, small_aspect, steady
 from .errors import (
     ConfigError,
     DegenerateGeometryError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .evolution import ModelParams
 from .numerics import Grid1D, Grid2D
-from .transform import MembraneState, random_admissible_state
+from .transform import MembraneState
 
 __all__ = ["ExperimentConfig", "parse_config", "run_experiment", "main"]
 
@@ -48,6 +48,12 @@ _SOLVER_ERRORS = (
 )
 
 
+def _read_by(*kinds: str, **kwargs):
+    """A config field read by the experiment ``kinds`` only; a config of
+    any other kind that sets it is rejected."""
+    return field(metadata={"kinds": kinds}, **kwargs)
+
+
 @dataclass
 class ExperimentConfig:
     """A validated experiment config.
@@ -55,25 +61,29 @@ class ExperimentConfig:
     Every config key is declared once: the model keys are the fields of
     ``params`` (JSON ``lambda`` is ``lam``), every other key is a field
     here under its JSON name, and ``parse_config`` checks each JSON value
-    against the declared type.
+    against the declared type.  A field's ``kinds`` metadata names the
+    kinds that read it (every kind, without it).
     """
 
     kind: str
     params: ModelParams = field(default_factory=ModelParams)
-    n_x: int = 128
-    n_eta: int = 128
-    initial_condition: str | dict = "zero"  # "zero" | {"parabola": depth} | {"csv": path}
+    n_x: int = _read_by("evolve", "steady", "continuation", "pullin", "limit-study", default=128)
+    n_eta: int = _read_by("evolve", "steady", "continuation", "limit-study", default=128)
+    # "zero" | {"parabola": depth} | {"csv": path}
+    initial_condition: str | dict = _read_by("evolve", "steady", "limit-study", default="zero")
     out_dir: str = "."
-    seed: int = 0
-    thin_every: int = 10
-    record_energy: bool = False
-    require_survival: bool = False
-    dump_profiles: bool = False
-    lambda_max: float = 2.0
-    dlambda0: float = 0.05
-    eps_list: list[float] = field(default_factory=lambda: [0.2, 0.1, 0.05])
-    tau: float = 1.0
-    tol_lambda: float = 1e-4
+    seed: int = _read_by("validate", default=0)
+    thin_every: int = _read_by("evolve", default=10)
+    record_energy: bool = _read_by("evolve", default=False)
+    require_survival: bool = _read_by("evolve", "limit-study", default=False)
+    dump_profiles: bool = _read_by("continuation", default=False)
+    lambda_max: float = _read_by("continuation", default=2.0)
+    dlambda0: float = _read_by("continuation", default=0.05)
+    eps_list: list[float] = _read_by(
+        "continuation", "limit-study", default_factory=lambda: [0.2, 0.1, 0.05]
+    )
+    tau: float = _read_by("limit-study", default=1.0)
+    tol_lambda: float = _read_by("pullin", default=1e-4)
     threads: int = field(default=1, init=False)  # from --threads, not a config key
 
 
@@ -82,10 +92,11 @@ _JSON_NAMES = {"lam": "lambda"}  # field name -> JSON key, where they differ
 
 @cache
 def _keys(cls) -> dict:
-    """JSON key -> (field name, declared type) of the config fields of ``cls``."""
+    """JSON key -> (field name, declared type, kinds that read it) of the
+    config fields of ``cls``."""
     hints = get_type_hints(cls)
     return {
-        _JSON_NAMES.get(f.name, f.name): (f.name, hints[f.name])
+        _JSON_NAMES.get(f.name, f.name): (f.name, hints[f.name], f.metadata.get("kinds", KINDS))
         for f in fields(cls)
         if f.init and f.name != "params"
     }
@@ -122,18 +133,24 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError("config must be a JSON object")
 
     model_keys, other_keys = _keys(ModelParams), _keys(ExperimentConfig)
+    keys = model_keys | other_keys
     for key in raw:
-        if key not in model_keys and key not in other_keys:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
     if "kind" not in raw:
         raise ConfigError("missing required field 'kind'")
-    kind = raw["kind"]
+    kind = _typed("kind", raw["kind"], str)
     if kind not in KINDS:
         raise ConfigError(f"invalid field 'kind': {kind!r} is not one of {KINDS}")
+    for key in raw:
+        if kind not in keys[key][2]:
+            raise ConfigError(f"config key {key!r} is not read by kind {kind!r}")
 
     def values(keys):
         return {
-            name: _typed(key, raw[key], hint) for key, (name, hint) in keys.items() if key in raw
+            name: _typed(key, raw[key], hint)
+            for key, (name, hint, _) in keys.items()
+            if key in raw
         }
 
     try:
@@ -161,11 +178,6 @@ def parse_config(path) -> ExperimentConfig:
             fail("initial_condition", f"csv path {ic['csv']!r} does not exist")
     elif ic != "zero":
         fail("initial_condition", "expected 'zero', {'parabola': depth} or {'csv': path}")
-
-    if kind in ("steady", "continuation", "limit-study") and params.mode != "quasilinear":
-        fail("mode", f"{kind} solves the quasilinear equation only")
-    if kind == "continuation" and ic != "zero":
-        fail("initial_condition", "continuation starts from the flat membrane; only 'zero'")
 
     if not cfg.eps_list:
         fail("eps_list", "must be a non-empty list")
@@ -421,69 +433,17 @@ def _run_limit_study(cfg: ExperimentConfig, out: Path, say) -> int:
     return EXIT_OK
 
 
-def _validate_checks(cfg: ExperimentConfig):
-    """Invariant suite: (name, callable -> (ok, detail)) pairs."""
+def _validate_checks(cfg: ExperimentConfig) -> list[tuple[str, tuple[bool, str]]]:
+    """Release criteria C1-C5 and C12 at 32x32: (name, (ok, detail)) pairs."""
     rng = np.random.default_rng(cfg.seed)
-    grid = Grid1D.uniform(32)
-    grid2d = Grid2D.uniform(32, 32)
-
-    def mms():
-        result = elliptic.mms_convergence(0.1, (16, 32, 64))
-        ok = 1.9 <= result.field_order <= 2.1
-        return ok, f"field order {result.field_order:.3f}"
-
-    def unit_source_at_rest():
-        worst = 0.0
-        for eps in (0.01, 0.1, 1.0, 10.0):
-            g = elliptic.g_eps(MembraneState.zero(grid), eps, grid2d)
-            worst = max(worst, float(np.max(np.abs(g - 1.0))))
-        return worst <= 1e-10, f"max |g-1| = {worst:.2e}"
-
-    def potential_symmetry():
-        worst = 0.0
-        for _ in range(5):
-            v = random_admissible_state(grid, rng)
-            u_even = 0.5 * (v.u + v.u[::-1])
-            phi = elliptic.solve_potential(MembraneState(grid, u_even), 0.5, grid2d).phi
-            worst = max(worst, float(np.max(np.abs(phi - phi[::-1, :]))))
-        return worst <= 1e-10, f"max asymmetry {worst:.2e}"
-
-    def split_agreement():
-        worst = 0.0
-        for _ in range(5):
-            v = random_admissible_state(grid, rng)
-            a = elliptic.solve_potential(v, 0.7, grid2d).phi
-            b = elliptic.solve_potential_split(v, 0.7, grid2d).phi
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        return worst <= 1e-8, f"max split gap {worst:.2e}"
-
-    def sign_preservation():
-        x = grid.nodes
-        u0 = MembraneState(grid, -0.1 * (1.0 - x * x))
-        p = ModelParams(eps=0.1, lam=0.5, dt=1e-3, max_time=0.05)
-        traj = evolution.run(u0, p, grid2d, thin_every=1)
-        ok = evolution.check_sign_preservation(traj)
-        return ok, f"{len(traj.states)} states checked"
-
-    def flat_limit_consistency():
-        x = grid.nodes
-        u = MembraneState(grid, -0.2 * (1.0 - x * x))
-        p = ModelParams(eps=0.1, lam=0.5, dt=1e-3)
-        worst = 0.0
-        a = b = u
-        for _ in range(50):
-            a = small_aspect.step0(a, p)
-            b = small_aspect.degenerate_step(b, p)
-            worst = max(worst, float(np.max(np.abs(a.u - b.u))))
-        return worst <= 1e-12, f"max stepwise gap {worst:.2e}"
-
+    traj, eps, grid2d = criteria.even_run(32, 32, 50)
     return [
-        ("elliptic_mms_order", mms),
-        ("unit_source_at_rest", unit_source_at_rest),
-        ("potential_symmetry", potential_symmetry),
-        ("dual_formulation_agreement", split_agreement),
-        ("sign_preservation", sign_preservation),
-        ("flat_limit_consistency", flat_limit_consistency),
+        ("elliptic_mms_order", criteria.mms_order((0.1,), (16, 32, 64))),
+        ("unit_source_at_rest", criteria.unit_source_at_rest(grid2d)),
+        ("potential_symmetry", criteria.symmetry(traj, eps, grid2d)),
+        ("dual_formulation_agreement", criteria.dual_formulation(grid2d, 5, rng)),
+        ("sign_preservation", criteria.sign(traj)),
+        ("flat_limit_consistency", criteria.degeneration(32, 50)),
     ]
 
 
@@ -491,8 +451,7 @@ def _run_validate(cfg: ExperimentConfig, out: Path, say) -> int:
     rows = []
     report = {}
     all_ok = True
-    for name, check in _validate_checks(cfg):
-        ok, detail = check()
+    for name, (ok, detail) in _validate_checks(cfg):
         all_ok &= ok
         rows.append([name, "pass" if ok else "fail", detail])
         report[name] = {"passed": ok, "detail": detail}

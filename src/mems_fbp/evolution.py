@@ -23,8 +23,6 @@ __all__ = [
     "step",
     "run",
     "total_energy",
-    "check_sign_preservation",
-    "check_evenness_preservation",
 ]
 
 MODES = ("quasilinear", "linearized")
@@ -37,15 +35,19 @@ class ModelParams:
     ``eps`` is the device aspect ratio, ``lam`` the dimensionless
     voltage parameter.  ``mode`` selects the full curvature operator or
     its linearized-stretching variant (the source term is unchanged).
+    The ``kinds`` metadata of a field names the experiment kinds of the
+    command-line driver that read it as a config key.
     """
 
-    eps: float = 0.1
-    lam: float = 0.0
-    mode: str = "quasilinear"
-    dt: float = 1e-3
-    touchdown_floor: float = 0.05
-    equilibrium_tol: float = 1e-9
-    max_time: float = 50.0
+    eps: float = field(default=0.1, metadata={"kinds": ("evolve", "steady", "continuation")})
+    lam: float = field(default=0.0, metadata={"kinds": ("evolve", "steady", "limit-study")})
+    mode: str = field(default="quasilinear", metadata={"kinds": ("evolve",)})
+    dt: float = field(default=1e-3, metadata={"kinds": ("evolve", "limit-study")})
+    touchdown_floor: float = field(
+        default=0.05, metadata={"kinds": ("evolve", "steady", "continuation", "limit-study")}
+    )
+    equilibrium_tol: float = field(default=1e-9, metadata={"kinds": ("evolve",)})
+    max_time: float = field(default=50.0, metadata={"kinds": ("evolve",)})
 
     def __post_init__(self):
         if self.eps <= 0.0:
@@ -98,9 +100,8 @@ def imex_step(u: MembraneState, dt: float, diffusion_int: np.ndarray, forcing: n
     return MembraneState(u.grid, u_new, u.time + dt)
 
 
-def step(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None) -> MembraneState:
+def step(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> MembraneState:
     """Advance one time step; the potential is re-solved at the current state."""
-    grid2d = grid2d or Grid2D.square(u.grid)
     forcing = -p.lam * g_eps(u, p.eps, grid2d)
     return imex_step(u, p.dt, _diffusion_interior(u, p), forcing)
 
@@ -137,17 +138,16 @@ def _run_loop(u0, p, step_fn, thin_every, energy_fn=None) -> Trajectory:
 def run(
     u0: MembraneState,
     p: ModelParams,
-    grid2d: Grid2D | None = None,
+    grid2d: Grid2D,
     thin_every: int = 10,
     record_energy: bool = False,
 ) -> Trajectory:
     """Run the membrane until equilibrium, touchdown or ``max_time``."""
-    grid2d = grid2d or Grid2D.square(u0.grid)
     energy_fn = (lambda s: total_energy(s, p, grid2d)) if record_energy else None
     return _run_loop(u0, p, lambda s: step(s, p, grid2d), thin_every, energy_fn)
 
 
-def total_energy(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None) -> float:
+def total_energy(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> float:
     """Stretching energy minus the weighted electrostatic field energy.
 
     The field integral over the physical gap region is evaluated on the
@@ -162,7 +162,6 @@ def total_energy(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None)
     if p.lam == 0.0:
         return elastic
 
-    grid2d = grid2d or Grid2D.square(u.grid)
     phi = solve_potential(u, p.eps, grid2d).phi
     w = 1.0 + u.u
     eta = grid2d.eta_nodes
@@ -178,12 +177,3 @@ def total_energy(u: MembraneState, p: ModelParams, grid2d: Grid2D | None = None)
     electro = trapezoid_2d(integrand, x, eta)
     return elastic - 0.5 * p.lam * electro
 
-
-def check_sign_preservation(traj: Trajectory, tol: float = 1e-12) -> bool:
-    """True when no stored state pokes above the undeflected plane."""
-    return all(float(np.max(s.u)) <= tol for s in traj.states)
-
-
-def check_evenness_preservation(traj: Trajectory, tol: float = 1e-10) -> bool:
-    """True when every stored state is even in x to within ``tol``."""
-    return all(float(np.max(np.abs(s.u - s.u[::-1]))) <= tol for s in traj.states)

@@ -85,16 +85,6 @@ class Grid2D:
             h_eta=1.0 / n_eta,
         )
 
-    @classmethod
-    def square(cls, gx: Grid1D) -> "Grid2D":
-        """Rectangle grid with as many vertical cells as ``gx`` has lateral ones."""
-        return cls(
-            gx=gx,
-            n_eta=gx.n_cells,
-            eta_nodes=np.linspace(0.0, 1.0, gx.n_cells + 1),
-            h_eta=1.0 / gx.n_cells,
-        )
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.gx.n_nodes, self.n_eta + 1)

@@ -35,6 +35,12 @@ __all__ = [
     "limit_study",
 ]
 
+# Centre depths over which ``shooting_pullin`` maximizes the voltage.
+_SHOOTING_DEPTHS = (0.05, 0.95)
+
+# Fractions of the horizon at which ``limit_study`` samples potential errors.
+_SAMPLE_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
+
 
 @dataclass
 class LimitComparison:
@@ -151,16 +157,16 @@ def steady0(
 class PullinResult:
     lambda_star: float
     bracket: tuple[float, float]
-    shooting_value: float | None
+    shooting_value: float
 
 
-def shooting_pullin(tol: float, depth_bounds=(0.05, 0.95)) -> float:
+def shooting_pullin(tol: float) -> float:
     """Pull-in voltage of the flat-limit model by shooting.
 
     For a given center depth the two-point problem is integrated as an
     initial value problem from the symmetry axis; the voltage matching
     the clamped end is found by bisection, and pull-in is the largest
-    such voltage over all depths.
+    such voltage over the depths ``_SHOOTING_DEPTHS``.
     """
 
     def endpoint(lam: float, depth: float) -> float:
@@ -188,16 +194,14 @@ def shooting_pullin(tol: float, depth_bounds=(0.05, 0.95)) -> float:
 
     result = minimize_scalar(
         lambda b: -lam_of_depth(b),
-        bounds=depth_bounds,
+        bounds=_SHOOTING_DEPTHS,
         method="bounded",
         options={"xatol": 1e-3},
     )
     return float(-result.fun)
 
 
-def pullin0_detail(
-    tol_lambda: float, n_x: int = 512, cross_validate: bool = True
-) -> PullinResult:
+def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
     """Bisection on flat-limit steady solvability, with oracle cross-check."""
     if tol_lambda <= 0.0:
         raise ValueError("tol_lambda must be positive")
@@ -228,15 +232,13 @@ def pullin0_detail(
             hi = mid
     lam_star = 0.5 * (lo + hi)
 
-    shooting_value = None
-    if cross_validate:
-        shooting_value = shooting_pullin(tol_lambda / 10.0)
-        if abs(lam_star - shooting_value) > 2.0 * tol_lambda:
-            raise NonConvergenceError(
-                f"pull-in bisection ({lam_star:.6f}) disagrees with the shooting "
-                f"oracle ({shooting_value:.6f}) beyond 2*tol",
-                residual=abs(lam_star - shooting_value),
-            )
+    shooting_value = shooting_pullin(tol_lambda / 10.0)
+    if abs(lam_star - shooting_value) > 2.0 * tol_lambda:
+        raise NonConvergenceError(
+            f"pull-in bisection ({lam_star:.6f}) disagrees with the shooting "
+            f"oracle ({shooting_value:.6f}) beyond 2*tol",
+            residual=abs(lam_star - shooting_value),
+        )
     return PullinResult(lam_star, (lo, hi), shooting_value)
 
 
@@ -283,23 +285,21 @@ def limit_study(
     n_eta: int | None = None,
     dt: float = 1e-3,
     touchdown_floor: float = 0.05,
-    sample_times=None,
     workers: int = 1,
 ) -> LimitComparison:
     """Lockstep comparison of the full model against the flat limit.
 
     All runs share the spatial grid and time step so that only the
-    aspect ratio varies.  If any run reaches the touchdown floor before
-    ``tau``, the horizon shrinks to the span every run survives (with a
-    warning).
+    aspect ratio varies.  Potential errors are sampled at the fractions
+    ``_SAMPLE_FRACTIONS`` of ``tau``.  If any run reaches the touchdown
+    floor before ``tau``, the horizon shrinks to the span every run
+    survives (with a warning).
     """
     if float(np.max(u0.u)) > 0.0:
         raise ValueError("initial deflection must be nonpositive for the limit study")
     eps_list = list(eps_list)
     n_steps = int(round(tau / dt))
-    if sample_times is None:
-        sample_times = [tau * frac for frac in (0.25, 0.5, 0.75, 1.0)]
-    sample_steps = sorted({max(1, int(round(t / dt))) for t in sample_times})
+    sample_steps = sorted({max(1, int(round(tau * f / dt))) for f in _SAMPLE_FRACTIONS})
 
     grid = u0.grid
     n_eta = n_eta if n_eta is not None else grid.n_cells

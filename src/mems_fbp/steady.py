@@ -61,11 +61,14 @@ _DEPTH_STEP = 0.05
 # Depth resolution of the bounded search for the fold.
 _FOLD_XATOL = 1e-6
 
-# Max-norm residual at which Newton accepts a branch point.
-_BRANCH_TOL = 1e-10
+# Max-norm residual at which Newton accepts a steady state or branch point.
+_NEWTON_TOL = 1e-10
+
+# Newton iterations allowed per branch point, depth sample or fold-search solve.
+_BRANCH_MAX_ITER = 15
 
 # Half-width of the reported fold interval.  A depth solve stops at a
-# max-norm residual of ``_BRANCH_TOL``, which moves its voltage
+# max-norm residual of ``_NEWTON_TOL``, which moves its voltage
 # by at most that times the 1-norm of the voltage row of the inverse
 # bordered Jacobian: 0.40-0.46 at the eps = 0.1 and 1 folds on the 8x8 to
 # 128x128 grids, so 5e-11.  At the fold the voltage is quadratic in the
@@ -125,7 +128,7 @@ def steady_residual(
     u: MembraneState,
     lam: float,
     eps: float,
-    grid2d: Grid2D | None = None,
+    grid2d: Grid2D,
     with_potential: bool = False,
 ):
     """Residual of the steady balance at the interior nodes.
@@ -135,7 +138,6 @@ def steady_residual(
     field), the field carrying its factored system for
     ``steady_jacobian``.
     """
-    grid2d = grid2d or Grid2D.square(u.grid)
     field = solve_potential(u, eps, grid2d)
     r = d2_central(u.u, u.grid)[1:-1] - lam * _source(u, eps, field)
     return (r, field) if with_potential else r
@@ -191,7 +193,7 @@ def steady_jacobian(
     u: MembraneState,
     lam: float,
     eps: float,
-    grid2d: Grid2D | None = None,
+    grid2d: Grid2D,
     field: PotentialField | None = None,
 ) -> np.ndarray:
     """Jacobian of ``steady_residual`` by the interior deflections.
@@ -202,7 +204,6 @@ def steady_jacobian(
     is the potential at ``u`` as ``steady_residual`` returns it; passing
     it saves the factorization of the potential operator.
     """
-    grid2d = grid2d or Grid2D.square(u.grid)
     grid = u.grid
     h = grid.h
     tr, dtr = _trace_jacobian(u, eps, grid2d, field)
@@ -227,7 +228,6 @@ def _newton(
     lam: float,
     eps: float,
     guess: MembraneState,
-    tol: float,
     grid2d: Grid2D,
     max_iter: int,
     floor: float,
@@ -289,7 +289,7 @@ def _newton(
                 f"singular Jacobian in {label}", residual=float(np.max(np.abs(r)))
             ) from exc
 
-    z, iters = damped_newton(residual, newton_step, z, tol, max_iter, floor, label)
+    z, iters = damped_newton(residual, newton_step, z, _NEWTON_TOL, max_iter, floor, label)
     return state_of(z), lam_of(z), iters
 
 
@@ -297,16 +297,15 @@ def solve_steady(
     lam: float,
     eps: float,
     guess: MembraneState,
-    tol: float = 1e-10,
-    grid2d: Grid2D | None = None,
+    grid2d: Grid2D,
     max_iter: int = 50,
     floor: float = 0.05,
 ) -> MembraneState:
-    """Steady deflection at the given voltage parameter, seeded from ``guess``."""
+    """Steady deflection at the given voltage parameter, seeded from ``guess``,
+    to a max-norm residual of ``_NEWTON_TOL``."""
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
-    grid2d = grid2d or Grid2D.square(guess.grid)
-    state, _, _ = _newton(lam, eps, guess, tol, grid2d, max_iter, floor, Counter())
+    state, _, _ = _newton(lam, eps, guess, grid2d, max_iter, floor, Counter())
     return state
 
 
@@ -316,7 +315,6 @@ def continue_branch(
     dlambda0: float,
     n_x: int = 64,
     n_eta: int | None = None,
-    max_iter: int = 15,
     floor: float = 0.05,
 ) -> SteadyBranch:
     """The minimal steady branch from zero voltage, traced in the centre depth.
@@ -345,7 +343,7 @@ def continue_branch(
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> tuple[float, BranchPoint]:
         state, lam, iters = _newton(
-            lam, eps, guess, _BRANCH_TOL, grid2d, max_iter, floor, counts, depth=d
+            lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts, depth=d
         )
         log.debug("eps=%g: depth %.8g at lambda=%.12g, %d Newton iterations", eps, d, lam, iters)
         return d, BranchPoint(lam, state, state.min_gap, iters)
@@ -403,7 +401,7 @@ def continue_branch(
             t = (lam - lo.lam) / (hi.lam - lo.lam)
             guess = MembraneState(grid, lo.state.u + t * (hi.state.u - lo.state.u))
             state, _, iters = _newton(
-                lam, eps, guess, _BRANCH_TOL, grid2d, max_iter, floor, counts
+                lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts
             )
             points.append(BranchPoint(lam, state, state.min_gap, iters))
             reached = lam == lambda_max
@@ -433,15 +431,12 @@ def nonexistence_bound(eps: float) -> float:
     return min(2.0 * j, 2.0 / 3.0) / eps
 
 
-def trace_lower_bound_check(
-    u: MembraneState, eps: float, grid2d: Grid2D | None = None
-) -> float:
+def trace_lower_bound_check(u: MembraneState, eps: float, grid2d: Grid2D) -> float:
     """Smallest physical normal derivative of the potential on the membrane.
 
     The transformed trace divided by the local gap; for steady
     (negative, convex) profiles this should not drop below 1 beyond
     discretization error.
     """
-    grid2d = grid2d or Grid2D.square(u.grid)
     tr = trace_top(solve_potential(u, eps, grid2d)).dphi_top
     return float(np.min(tr / (1.0 + u.u)))

@@ -24,6 +24,10 @@ __all__ = [
     "random_admissible_state",
 ]
 
+# Sine modes and leading coefficient scale of ``random_admissible_state``.
+_RANDOM_MODES = 6
+_RANDOM_AMPLITUDE = 0.3
+
 
 @dataclass(frozen=True, eq=False)
 class MembraneState:
@@ -136,22 +140,18 @@ def source_f_v(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:
 
 
 def random_admissible_state(
-    grid: Grid1D,
-    rng: np.random.Generator,
-    min_gap: float = 0.3,
-    modes: int = 6,
-    amplitude: float = 0.3,
+    grid: Grid1D, rng: np.random.Generator, min_gap: float = 0.3
 ) -> MembraneState:
     """Random smooth clamped deflection with min(1+u) >= min_gap.
 
-    A low-order sine series with decaying random coefficients, rescaled
-    when it dips too close to the plate.  Used for randomized solver
-    cross-checks.
+    A sine series of ``_RANDOM_MODES`` modes with random coefficients of
+    standard deviation ``_RANDOM_AMPLITUDE / k^2``, rescaled when it dips
+    too close to the plate.  Used for randomized solver cross-checks.
     """
     x = grid.nodes
     u = np.zeros_like(x)
-    for k in range(1, modes + 1):
-        u += rng.normal(0.0, amplitude / (k * k)) * np.sin(k * np.pi * (x + 1.0) / 2.0)
+    for k in range(1, _RANDOM_MODES + 1):
+        u += rng.normal(0.0, _RANDOM_AMPLITUDE / (k * k)) * np.sin(k * np.pi * (x + 1.0) / 2.0)
     u[0] = u[-1] = 0.0  # sin(k*pi) is only zero up to roundoff
     depth = float(np.max(-u))
     if depth > 1.0 - min_gap:

@@ -1,8 +1,11 @@
 """Acceptance suite: one test per release criterion.
 
 Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see
-them all); tolerances are fixed here, not tuned per run.  Shared
-expensive computations live in module-scoped fixtures.
+them all); tolerances are fixed, not tuned per run.  C1-C5 and C12 call
+the checks of ``mems_fbp.criteria`` at the acceptance sizes, the same
+checks the ``validate`` kind runs at 32x32; the other tolerances are
+fixed here.  Shared expensive computations live in module-scoped
+fixtures.
 """
 
 import time
@@ -10,16 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from mems_fbp import elliptic, small_aspect, steady
-from mems_fbp.evolution import (
-    ModelParams,
-    check_evenness_preservation,
-    check_sign_preservation,
-    run,
-    step,
-)
+from mems_fbp import criteria, small_aspect, steady
+from mems_fbp.evolution import ModelParams, run, step
 from mems_fbp.numerics import Grid1D, Grid2D, fit_exponential_rate
-from mems_fbp.transform import MembraneState, random_admissible_state
+from mems_fbp.transform import MembraneState
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -34,14 +31,9 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def run_even_sign():
     """1000-step run at lambda=0.3, eps=0.1 from even nonpositive data."""
-    grid = Grid1D.uniform(48)
-    grid2d = Grid2D.uniform(48, 32)
-    x = grid.nodes
-    u0 = MembraneState(grid, -0.1 * (1.0 - x * x))
-    p = ModelParams(eps=0.1, lam=0.3, dt=1e-3, equilibrium_tol=1e-14, max_time=1.0)
-    traj = run(u0, p, grid2d, thin_every=1)
+    traj, eps, grid2d = criteria.even_run(48, 32, 1000)
     assert len(traj.states) == 1001  # initial state plus 1000 steps
-    return grid2d, p, traj
+    return traj, eps, grid2d
 
 
 @pytest.fixture(scope="module")
@@ -70,64 +62,37 @@ def branch_eps01_n128():
 
 def test_c01_elliptic_mms_order():
     t0 = time.perf_counter()
-    orders = {}
-    for eps in (0.1, 1.0):
-        result = elliptic.mms_convergence(eps, (32, 64, 128))
-        orders[eps] = result.field_order
+    ok, detail = criteria.mms_order((0.1, 1.0), (32, 64, 128))
     elapsed = time.perf_counter() - t0
-    ok = all(1.9 <= o <= 2.1 for o in orders.values()) and elapsed < 30.0
-    report("C1", ok, f"MMS orders {orders} in [1.9, 2.1], {elapsed:.1f}s < 30s")
+    ok = ok and elapsed < 30.0
+    report("C1", ok, f"{detail}, {elapsed:.1f}s < 30s")
     assert ok
 
 
 def test_c02_dual_formulation_oracle():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(1)
-    grid = Grid2D.uniform(64, 64)
-    worst = 0.0
-    for _ in range(20):
-        v = random_admissible_state(grid.gx, rng)
-        direct = elliptic.solve_potential(v, 0.7, grid).phi
-        split = elliptic.solve_potential_split(v, 0.7, grid).phi
-        worst = max(worst, float(np.max(np.abs(direct - split))))
+    ok, detail = criteria.dual_formulation(Grid2D.uniform(64, 64), 20, np.random.default_rng(1))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-8 and elapsed < 60.0
-    report("C2", ok, f"max direct-vs-split gap {worst:.2e} <= 1e-8, {elapsed:.1f}s < 60s")
+    ok = ok and elapsed < 60.0
+    report("C2", ok, f"{detail}, {elapsed:.1f}s < 60s")
     assert ok
 
 
 def test_c03_unit_source_at_rest():
-    grid2d = Grid2D.uniform(64, 64)
-    v0 = MembraneState.zero(grid2d.gx)
-    worst = 0.0
-    for eps in (0.01, 0.1, 1.0, 10.0):
-        g = elliptic.g_eps(v0, eps, grid2d)
-        worst = max(worst, float(np.max(np.abs(g - 1.0))))
-    ok = worst <= 1e-10
-    report("C3", ok, f"max |g(0) - 1| = {worst:.2e} <= 1e-10 over four aspect ratios")
+    ok, detail = criteria.unit_source_at_rest(Grid2D.uniform(64, 64))
+    report("C3", ok, detail)
     assert ok
 
 
 def test_c04_symmetry_preservation(run_even_sign):
-    grid2d, p, traj = run_even_sign
-    traj_even = check_evenness_preservation(traj, tol=1e-10)
-    phi = elliptic.solve_potential(traj.final, p.eps, grid2d).phi
-    phi_gap = float(np.max(np.abs(phi - phi[::-1, :])))
-    ok = traj_even and phi_gap <= 1e-10
-    report(
-        "C4",
-        ok,
-        f"even data: trajectory even over 1000 steps={traj_even}, "
-        f"potential asymmetry {phi_gap:.2e} <= 1e-10",
-    )
+    ok, detail = criteria.symmetry(*run_even_sign)
+    report("C4", ok, detail)
     assert ok
 
 
 def test_c05_sign_preservation(run_even_sign):
-    _, _, traj = run_even_sign
-    worst = max(float(np.max(s.u)) for s in traj.states)
-    ok = worst <= 1e-12
-    report("C5", ok, f"max u over 1000-step run = {worst:.2e} <= 1e-12")
+    ok, detail = criteria.sign(run_even_sign[0])
+    report("C5", ok, detail)
     assert ok
 
 
@@ -275,15 +240,6 @@ def test_c11_small_aspect_limit():
 
 
 def test_c12_degeneration_consistency():
-    grid = Grid1D.uniform(64)
-    x = grid.nodes
-    u_a = u_b = MembraneState(grid, -0.2 * (1.0 - x * x))
-    p = ModelParams(eps=0.1, lam=0.5, dt=1e-3)
-    worst = 0.0
-    for _ in range(100):
-        u_a = small_aspect.step0(u_a, p)
-        u_b = small_aspect.degenerate_step(u_b, p)
-        worst = max(worst, float(np.max(np.abs(u_a.u - u_b.u))))
-    ok = worst <= 1e-12
-    report("C12", ok, f"flat-limit vs degenerate pipeline stepwise gap {worst:.2e} <= 1e-12")
+    ok, detail = criteria.degeneration(64, 100)
+    report("C12", ok, detail)
     assert ok

@@ -69,8 +69,36 @@ class TestParseConfig:
         ],
     )
     def test_wrong_json_type_names_the_key(self, tmp_path, key, value):
-        fields = {"kind": "evolve", key: value}
-        with pytest.raises(ConfigError, match=f"'{key}'"):
+        # each case runs under a kind that reads its key, so the type is checked
+        kind = {
+            "seed": "validate",
+            "dump_profiles": "continuation",
+            "lambda_max": "continuation",
+            "dlambda0": "continuation",
+            "eps_list": "limit-study",
+            "tau": "limit-study",
+            "tol_lambda": "pullin",
+        }.get(key, "evolve")
+        fields = {"kind": kind, key: value}
+        with pytest.raises(ConfigError, match=f"'{key}': expected"):
+            parse_config(write_config(tmp_path, **fields))
+
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            # pullin reads none of eps, lambda and mode; eps is the first
+            (
+                {"kind": "pullin", "eps": 0.5, "lambda": 3.0, "mode": "linearized",
+                 "n_x": 64, "tol_lambda": 1e-3},
+                "eps",
+            ),
+            ({"kind": "evolve", "tau": 2.0}, "tau"),
+            ({"kind": "pullin", "dump_profiles": True}, "dump_profiles"),
+        ],
+    )
+    def test_key_the_kind_does_not_read_rejected(self, tmp_path, fields, key):
+        kind = fields["kind"]
+        with pytest.raises(ConfigError, match=f"config key '{key}' is not read by kind '{kind}'"):
             parse_config(write_config(tmp_path, **fields))
 
     def test_unknown_kind(self, tmp_path):
@@ -338,15 +366,17 @@ class TestOtherKinds:
 
     @pytest.mark.parametrize("kind", ["steady", "continuation", "limit-study"])
     def test_linearized_mode_rejected(self, tmp_path, kind):
+        # these kinds solve the quasilinear equation only and do not read mode
         path = write_config(tmp_path, kind=kind, mode="linearized")
-        with pytest.raises(ConfigError, match="'mode'"):
+        with pytest.raises(ConfigError, match="'mode' is not read by kind"):
             parse_config(path)
 
     def test_continuation_initial_condition_rejected(self, tmp_path):
+        # continuation starts from the flat membrane
         path = write_config(
             tmp_path, kind="continuation", initial_condition={"parabola": 0.2}
         )
-        with pytest.raises(ConfigError, match="'initial_condition'"):
+        with pytest.raises(ConfigError, match="'initial_condition' is not read by kind"):
             parse_config(path)
 
     def test_pullin_artifacts(self, tmp_path):
@@ -394,3 +424,21 @@ class TestOtherKinds:
             "sign_preservation",
             "flat_limit_consistency",
         }
+
+    def test_validate_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        from mems_fbp import criteria
+
+        monkeypatch.setattr(criteria, "sign", lambda traj: (False, "forced failure"))
+        path = write_config(tmp_path, kind="validate", out_dir=str(tmp_path / "out"))
+        assert main([str(path), "--quiet"]) == EXIT_SOLVER
+        report = json.loads((tmp_path / "out" / "validate.json").read_text())
+        assert report["all_passed"] is False
+        assert report["checks"]["sign_preservation"] == {
+            "passed": False,
+            "detail": "forced failure",
+        }
+        assert all(
+            check["passed"] for name, check in report["checks"].items()
+            if name != "sign_preservation"
+        )
+        assert "ERROR[solver]" in capsys.readouterr().err

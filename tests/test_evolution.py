@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from mems_fbp import numerics
-from mems_fbp.evolution import (
-    ModelParams,
-    check_evenness_preservation,
-    check_sign_preservation,
-    run,
-    step,
-    total_energy,
-)
+from mems_fbp import criteria, numerics
+from mems_fbp.evolution import ModelParams, Trajectory, run, step, total_energy
 from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.steady import steady_residual
 from mems_fbp.transform import MembraneState
@@ -196,21 +189,29 @@ class TestStructurePreservation:
     def test_zero_initial_state(self, grid, grid2d):
         p = ModelParams(eps=0.1, lam=0.3, dt=1e-3, max_time=0.05)
         traj = run(MembraneState.zero(grid), p, grid2d, thin_every=1)
-        assert check_sign_preservation(traj)
-        assert check_evenness_preservation(traj)
+        assert criteria.sign(traj)[0]
+        assert criteria.symmetry(traj, p.eps, grid2d)[0]
 
     def test_even_nonpositive_data(self, grid, grid2d):
         x = grid.nodes
         u0 = MembraneState(grid, -0.1 * (1.0 - x * x))
         p = ModelParams(eps=0.1, lam=0.5, dt=1e-3, max_time=0.1)
         traj = run(u0, p, grid2d, thin_every=1)
-        assert check_sign_preservation(traj)
-        assert check_evenness_preservation(traj)
+        assert criteria.sign(traj)[0]
+        assert criteria.symmetry(traj, p.eps, grid2d)[0]
 
     def test_uneven_data_detected(self, grid, grid2d):
         x = grid.nodes
         u0 = MembraneState(grid, -0.1 * (1.0 - x * x) * (1.0 + 0.5 * x))
         p = ModelParams(eps=0.1, lam=0.5, dt=1e-3, max_time=0.02)
         traj = run(u0, p, grid2d, thin_every=1)
-        assert not check_evenness_preservation(traj)
-        assert check_sign_preservation(traj)
+        assert not criteria.symmetry(traj, p.eps, grid2d)[0]
+        assert criteria.sign(traj)[0]
+
+    def test_state_above_the_plane_detected(self, grid):
+        x = grid.nodes
+        bump = MembraneState(grid, 0.01 * (1.0 - x * x), time=1e-3)
+        traj = Trajectory([MembraneState.zero(grid), bump], "max_time_reached")
+        ok, detail = criteria.sign(traj)
+        assert not ok
+        assert "1.00e-02" in detail

@@ -3,18 +3,16 @@ import warnings
 import numpy as np
 import pytest
 
-from mems_fbp import small_aspect
+from mems_fbp import criteria, small_aspect
 from mems_fbp.errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
 from mems_fbp.evolution import ModelParams
 from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.small_aspect import (
-    degenerate_step,
     limit_study,
     psi0,
     pullin0_detail,
     run0,
     steady0,
-    step0,
 )
 from mems_fbp.transform import MembraneState
 
@@ -131,7 +129,7 @@ class TestPullin:
         # a solver that succeeds everywhere leaves no bracket to bisect
         monkeypatch.setattr(small_aspect, "steady0", lambda lam, guess=None, **kw: guess)
         with pytest.raises(NonConvergenceError, match="lambda=2"):
-            pullin0_detail(1e-3, n_x=32, cross_validate=False)
+            pullin0_detail(1e-3, n_x=32)
 
 
 def test_folds_approach_flat_limit_pullin(detail):
@@ -148,16 +146,9 @@ def test_folds_approach_flat_limit_pullin(detail):
 
 
 class TestDegenerationConsistency:
-    def test_stepwise_match(self, grid):
-        x = grid.nodes
-        u_a = u_b = MembraneState(grid, -0.2 * (1.0 - x * x))
-        p = ModelParams(eps=0.1, lam=0.5, dt=1e-3)
-        worst = 0.0
-        for _ in range(100):
-            u_a = step0(u_a, p)
-            u_b = degenerate_step(u_b, p)
-            worst = max(worst, float(np.max(np.abs(u_a.u - u_b.u))))
-        assert worst <= 1e-12
+    def test_stepwise_match(self):
+        ok, detail = criteria.degeneration(32, 100)
+        assert ok, detail
 
 
 class TestLimitStudy:
