@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -31,6 +32,8 @@ from .numerics import Grid1D, Grid2D
 from .transform import MembraneState
 
 __all__ = ["ExperimentConfig", "parse_config", "run_experiment", "main"]
+
+log = logging.getLogger("mems_fbp")
 
 KINDS = ("evolve", "steady", "continuation", "pullin", "limit-study", "validate")
 
@@ -233,7 +236,7 @@ def _params_dict(p: ModelParams) -> dict:
     return {_JSON_NAMES.get(name, name): value for name, value in asdict(p).items()}
 
 
-def _run_evolve(cfg: ExperimentConfig, out: Path, say) -> int:
+def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
     grid = Grid1D.uniform(cfg.n_x)
     grid2d = Grid2D.uniform(cfg.n_x, cfg.n_eta)
     u0 = _initial_state(cfg, grid)
@@ -261,7 +264,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path, say) -> int:
             "wall_time_s": wall,
         },
     )
-    say(f"evolve: outcome={traj.outcome} final_time={traj.final.time:g}")
+    log.info("evolve: outcome=%s final_time=%g", traj.outcome, traj.final.time)
     if cfg.require_survival and traj.outcome == "touchdown":
         print(
             f"mems-fbp: ERROR[touchdown] evolution: touchdown at t={traj.touchdown_time:g} "
@@ -272,7 +275,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path, say) -> int:
     return EXIT_OK
 
 
-def _run_steady(cfg: ExperimentConfig, out: Path, say) -> int:
+def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
     grid = Grid1D.uniform(cfg.n_x)
     grid2d = Grid2D.uniform(cfg.n_x, cfg.n_eta)
     guess = _initial_state(cfg, grid)
@@ -297,7 +300,7 @@ def _run_steady(cfg: ExperimentConfig, out: Path, say) -> int:
             "wall_time_s": wall,
         },
     )
-    say(f"steady: min_gap={state.min_gap:g}")
+    log.info("steady: min_gap=%g", state.min_gap)
     return EXIT_OK
 
 
@@ -306,7 +309,7 @@ def _branch_rows(branch):
         yield [pt.lam, pt.min_gap, float(np.max(np.abs(pt.state.u))), pt.newton_iters]
 
 
-def _run_continuation(cfg: ExperimentConfig, out: Path, say) -> int:
+def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
     eps_values = cfg.eps_list
 
     def one(eps):
@@ -356,12 +359,14 @@ def _run_continuation(cfg: ExperimentConfig, out: Path, say) -> int:
                 "jacobians": branch.jacobians,
             },
         }
-        say(f"continuation eps={eps:g}: {len(branch.points)} points, fold={branch.fold_estimate}")
+        log.info(
+            "continuation eps=%g: %d points, fold=%s", eps, len(branch.points), branch.fold_estimate
+        )
     _write_json(out / "branch.json", {"kind": "continuation", "branches": meta})
     return EXIT_OK
 
 
-def _run_pullin(cfg: ExperimentConfig, out: Path, say) -> int:
+def _run_pullin(cfg: ExperimentConfig, out: Path) -> int:
     t0 = time.perf_counter()
     result = small_aspect.pullin0_detail(cfg.tol_lambda, n_x=cfg.n_x)
     wall = time.perf_counter() - t0
@@ -380,13 +385,20 @@ def _run_pullin(cfg: ExperimentConfig, out: Path, say) -> int:
             "tol_lambda": cfg.tol_lambda,
             "n_x": cfg.n_x,
             "wall_time_s": wall,
+            "diagnostics": {
+                "solves": result.solves,
+                "failed_solves": result.failed_solves,
+                "newton_iters": result.newton_iters,
+                "bisection_s": result.bisection_s,
+                "check_s": result.check_s,
+            },
         },
     )
-    say(f"pullin: lambda*={result.lambda_star:.6f} bracket={result.bracket}")
+    log.info("pullin: lambda*=%.6f bracket=%s", result.lambda_star, result.bracket)
     return EXIT_OK
 
 
-def _run_limit_study(cfg: ExperimentConfig, out: Path, say) -> int:
+def _run_limit_study(cfg: ExperimentConfig, out: Path) -> int:
     grid = Grid1D.uniform(cfg.n_x)
     u0 = _initial_state(cfg, grid)
     import warnings as _warnings
@@ -423,7 +435,7 @@ def _run_limit_study(cfg: ExperimentConfig, out: Path, say) -> int:
             "warnings": [str(w.message) for w in caught],
         },
     )
-    say(f"limit-study: tau_used={comp.tau:g} sup_errors={comp.sup_errors}")
+    log.info("limit-study: tau_used=%g sup_errors=%s", comp.tau, comp.sup_errors)
     if cfg.require_survival and shortened:
         print(
             f"mems-fbp: ERROR[touchdown] limit-study: horizon shortened to t={comp.tau:g}",
@@ -447,7 +459,7 @@ def _validate_checks(cfg: ExperimentConfig) -> list[tuple[str, tuple[bool, str]]
     ]
 
 
-def _run_validate(cfg: ExperimentConfig, out: Path, say) -> int:
+def _run_validate(cfg: ExperimentConfig, out: Path) -> int:
     rows = []
     report = {}
     all_ok = True
@@ -455,7 +467,7 @@ def _run_validate(cfg: ExperimentConfig, out: Path, say) -> int:
         all_ok &= ok
         rows.append([name, "pass" if ok else "fail", detail])
         report[name] = {"passed": ok, "detail": detail}
-        say(f"validate: {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+        log.info("validate: %s: %s (%s)", name, "PASS" if ok else "FAIL", detail)
     _write_csv(out / "validate.csv", ["check", "status", "detail"], rows)
     _write_json(out / "validate.json", {"kind": "validate", "checks": report, "all_passed": all_ok})
     if not all_ok:
@@ -475,22 +487,25 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> int:
-    """Dispatch one experiment; returns the process exit status."""
+    """Dispatch one experiment; returns the process exit status.
+
+    Progress goes to the ``mems_fbp`` logger at INFO, which ``quiet``
+    silences for the length of the run.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    def say(msg):
-        if not quiet:
-            print(msg)
-
+    level = log.level
+    log.setLevel(logging.WARNING if quiet else logging.INFO)
     try:
-        return _RUNNERS[cfg.kind](cfg, out, say)
+        return _RUNNERS[cfg.kind](cfg, out)
     except _SOLVER_ERRORS as exc:
         print(
             f"mems-fbp: ERROR[solver] {type(exc).__name__}: {exc}",
             file=sys.stderr,
         )
         return EXIT_SOLVER
+    finally:
+        log.setLevel(level)
 
 
 def main(argv=None) -> int:
@@ -512,7 +527,13 @@ def main(argv=None) -> int:
     if args.out is not None:
         cfg.out_dir = args.out
     cfg.threads = max(1, args.threads)
-    return run_experiment(cfg, quiet=args.quiet)
+    progress = logging.StreamHandler(sys.stdout)
+    progress.setFormatter(logging.Formatter("%(message)s"))
+    log.addHandler(progress)
+    try:
+        return run_experiment(cfg, quiet=args.quiet)
+    finally:
+        log.removeHandler(progress)
 
 
 if __name__ == "__main__":

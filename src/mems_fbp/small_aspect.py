@@ -8,12 +8,14 @@ approaches it as the aspect ratio shrinks.
 
 from __future__ import annotations
 
+import math
+import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 from .elliptic import solve_potential
 from .errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
@@ -118,11 +120,16 @@ def steady0(
     guess: MembraneState | None = None,
     max_iter: int = 50,
     floor: float = 0.05,
+    counts: Counter | None = None,
 ) -> MembraneState:
     """Newton solve of the flat-limit steady problem.
 
     The Jacobian is tridiagonal (diffusion stencil plus a diagonal from
-    the source), so each iteration is one tridiagonal solve.
+    the source), so each iteration is one tridiagonal solve, counted in
+    ``counts["newton_iters"]`` when ``counts`` is given.  ``tol`` is
+    raised to eps/h^2, the roundoff of the second difference of a
+    deflection below 1 in size: near the fold Newton stalls at up to
+    half of it, which is above 1e-10 from n_x = 2048 on.
     """
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
@@ -133,6 +140,7 @@ def steady0(
         grid = guess.grid
         u = guess.u[1:-1].copy()
     h2 = grid.h * grid.h
+    tol = max(tol, np.finfo(float).eps / h2)
 
     def residual(u_int):
         full = np.zeros(grid.n_nodes)
@@ -141,6 +149,8 @@ def steady0(
         return d2 - lam / (1.0 + u_int) ** 2
 
     def newton_step(u_int, r):
+        if counts is not None:
+            counts["newton_iters"] += 1
         diag = -2.0 / h2 + 2.0 * lam / (1.0 + u_int) ** 3
         off = np.full(u_int.size - 1, 1.0 / h2)
         return solve_tridiagonal(off, diag, off, -r)
@@ -155,83 +165,91 @@ def steady0(
 
 @dataclass(frozen=True)
 class PullinResult:
+    """Bisected pull-in voltage, the exact shoot it was checked against,
+    and what finding it cost: flat-limit Newton ``solves`` (of which
+    ``failed_solves`` found no steady state), their ``newton_iters``, and
+    the seconds spent in the bisection and in the cross-check."""
+
     lambda_star: float
     bracket: tuple[float, float]
     shooting_value: float
+    solves: int
+    failed_solves: int
+    newton_iters: int
+    bisection_s: float
+    check_s: float
+
+
+def _clamp_voltage(gap: float) -> float:
+    """Voltage at which the symmetric flat-limit solution with centre gap
+    ``gap`` reaches the clamp.
+
+    w = 1+u solves w'' = lam/w^2 with w(0) = gap, w'(0) = 0.  Its first
+    integral w'^2 = 2 lam (1/gap - 1/w) integrates in closed form, and
+    w(1) = 1 holds exactly when lam = I^2/2 with
+    I = sqrt(gap) (sqrt(1-gap) + gap arccosh(1/sqrt(gap))).
+    """
+    root = math.sqrt(gap)
+    i = root * (math.sqrt(1.0 - gap) + gap * math.acosh(1.0 / root))
+    return 0.5 * i * i
 
 
 def shooting_pullin(tol: float) -> float:
-    """Pull-in voltage of the flat-limit model by shooting.
+    """Pull-in voltage of the flat-limit model by exact shooting, to ``tol``.
 
-    For a given center depth the two-point problem is integrated as an
-    initial value problem from the symmetry axis; the voltage matching
-    the clamped end is found by bisection, and pull-in is the largest
-    such voltage over the depths ``_SHOOTING_DEPTHS``.
+    Pull-in is the largest ``_clamp_voltage`` over the centre gaps
+    1 - ``_SHOOTING_DEPTHS``.  The voltage has curvature about -3.6 at
+    its maximum and the bounded search stops within 2/3 of ``xatol`` of
+    it, so ``xatol = sqrt(tol)`` leaves a voltage error below 0.8 tol.
     """
-
-    def endpoint(lam: float, depth: float) -> float:
-        def rhs(_, y):
-            return [y[1], lam / (1.0 + y[0]) ** 2]
-
-        def crashed(_, y):
-            return y[0] + 0.999
-
-        crashed.terminal = True
-        sol = solve_ivp(
-            rhs, (0.0, 1.0), [-depth, 0.0], rtol=1e-9, atol=1e-11, events=crashed
-        )
-        if sol.t[-1] < 1.0:
-            return -1.0  # touched down before the clamp: voltage too large
-        return float(sol.y[0, -1])
-
-    def lam_of_depth(depth: float) -> float:
-        hi = 0.1
-        while endpoint(hi, depth) < 0.0:
-            hi *= 2.0
-            if hi > 64.0:
-                raise NonConvergenceError("shooting bracket search failed")
-        return float(brentq(lambda lam: endpoint(lam, depth), 1e-12, hi, xtol=tol))
-
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
     result = minimize_scalar(
-        lambda b: -lam_of_depth(b),
-        bounds=_SHOOTING_DEPTHS,
+        lambda gap: -_clamp_voltage(gap),
+        bounds=(1.0 - _SHOOTING_DEPTHS[1], 1.0 - _SHOOTING_DEPTHS[0]),
         method="bounded",
-        options={"xatol": 1e-3},
+        options={"xatol": math.sqrt(tol)},
     )
     return float(-result.fun)
 
 
 def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
-    """Bisection on flat-limit steady solvability, with oracle cross-check."""
+    """Bisection on flat-limit steady solvability, cross-checked against
+    the exact shoot ``shooting_pullin``."""
     if tol_lambda <= 0.0:
         raise ValueError("tol_lambda must be positive")
-    grid = Grid1D.uniform(n_x)
-    lo, sol_lo = 0.0, MembraneState.zero(grid)
-    hi = 1.0
-    try:
-        sol_lo = steady0(hi, guess=sol_lo)
-    except (NoSteadyStateError, DegenerateGeometryError):
-        pass
-    else:
-        # the threshold sits well below 1; the bracket must still hold
-        lo, hi = hi, 2.0
+    counts = Counter()
+
+    def probe(lam: float, guess: MembraneState) -> MembraneState | None:
+        """The steady state at ``lam``, or None if there is none."""
+        counts["solves"] += 1
         try:
-            steady0(hi, guess=sol_lo)
+            return steady0(lam, guess=guess, counts=counts)
         except (NoSteadyStateError, DegenerateGeometryError):
-            pass
-        else:
+            counts["failed_solves"] += 1
+            return None
+
+    t0 = time.perf_counter()
+    lo, sol_lo = 0.0, MembraneState.zero(Grid1D.uniform(n_x))
+    hi = 1.0
+    sol = probe(hi, sol_lo)
+    if sol is not None:
+        # the threshold sits well below 1; the bracket must still hold
+        lo, hi, sol_lo = hi, 2.0, sol
+        if probe(hi, sol_lo) is not None:
             raise NonConvergenceError(
                 f"flat-limit steady state exists at lambda={hi:g}; no pull-in bracket"
             )
     while hi - lo > tol_lambda:
         mid = 0.5 * (lo + hi)
-        try:
-            sol_lo = steady0(mid, guess=sol_lo)
-            lo = mid
-        except (NoSteadyStateError, DegenerateGeometryError):
+        sol = probe(mid, sol_lo)
+        if sol is None:
             hi = mid
+        else:
+            lo, sol_lo = mid, sol
     lam_star = 0.5 * (lo + hi)
 
+    t1 = time.perf_counter()
     shooting_value = shooting_pullin(tol_lambda / 10.0)
     if abs(lam_star - shooting_value) > 2.0 * tol_lambda:
         raise NonConvergenceError(
@@ -239,7 +257,16 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
             f"oracle ({shooting_value:.6f}) beyond 2*tol",
             residual=abs(lam_star - shooting_value),
         )
-    return PullinResult(lam_star, (lo, hi), shooting_value)
+    return PullinResult(
+        lam_star,
+        (lo, hi),
+        shooting_value,
+        solves=counts["solves"],
+        failed_solves=counts["failed_solves"],
+        newton_iters=counts["newton_iters"],
+        bisection_s=t1 - t0,
+        check_s=time.perf_counter() - t1,
+    )
 
 
 def _potential_l2_error(

@@ -1,4 +1,5 @@
 import json
+import logging
 import sys
 
 import numpy as np
@@ -392,6 +393,46 @@ class TestOtherKinds:
         lo, hi = meta["bracket"]
         assert lo <= meta["lambda_star"] <= hi
         assert abs(meta["lambda_star"] - meta["shooting_oracle"]) <= 2 * meta["tol_lambda"]
+
+    def test_pullin_diagnostics_count_the_solves(self, tmp_path, monkeypatch):
+        from mems_fbp import small_aspect
+
+        seen = {"solves": 0, "failed": 0, "tridiagonal": 0}
+        steady0, solve_tridiagonal = small_aspect.steady0, small_aspect.solve_tridiagonal
+
+        def counted_steady0(*args, **kwargs):
+            seen["solves"] += 1
+            try:
+                return steady0(*args, **kwargs)
+            except Exception:
+                seen["failed"] += 1
+                raise
+
+        def counted_tridiagonal(*args):
+            seen["tridiagonal"] += 1
+            return solve_tridiagonal(*args)
+
+        monkeypatch.setattr(small_aspect, "steady0", counted_steady0)
+        monkeypatch.setattr(small_aspect, "solve_tridiagonal", counted_tridiagonal)
+        path = write_config(
+            tmp_path, kind="pullin", n_x=128, tol_lambda=2e-3, out_dir=str(tmp_path / "out")
+        )
+        assert main([str(path), "--quiet"]) == EXIT_OK
+        diagnostics = json.loads((tmp_path / "out" / "pullin.json").read_text())["diagnostics"]
+        assert diagnostics["solves"] == seen["solves"] > 0
+        assert diagnostics["failed_solves"] == seen["failed"] > 0
+        assert diagnostics["newton_iters"] == seen["tridiagonal"]
+        assert diagnostics["bisection_s"] > 0.0 and diagnostics["check_s"] > 0.0
+
+    def test_progress_on_stdout_unless_quiet(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, kind="pullin", n_x=64, tol_lambda=2e-3, out_dir=str(tmp_path / "out")
+        )
+        assert main([str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("pullin: lambda*=0.35")
+        assert main([str(path), "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert not logging.getLogger("mems_fbp").handlers
 
     def test_limit_study_artifacts(self, tmp_path):
         path = write_config(

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq, minimize_scalar
 
 from mems_fbp import criteria, small_aspect
 from mems_fbp.errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
@@ -12,6 +14,7 @@ from mems_fbp.small_aspect import (
     psi0,
     pullin0_detail,
     run0,
+    shooting_pullin,
     steady0,
 )
 from mems_fbp.transform import MembraneState
@@ -103,6 +106,10 @@ class TestFlatSteady:
             steady0(0.5, n_x=64)
 
 
+# pull-in voltage of u'' = lam/(1+u)^2 on (-1, 1), u(+-1) = 0
+FLAT_PULLIN = 0.350004119343
+
+
 @pytest.fixture(scope="module")
 def detail():
     return pullin0_detail(1e-3, n_x=256)
@@ -130,6 +137,52 @@ class TestPullin:
         monkeypatch.setattr(small_aspect, "steady0", lambda lam, guess=None, **kw: guess)
         with pytest.raises(NonConvergenceError, match="lambda=2"):
             pullin0_detail(1e-3, n_x=32)
+
+    def test_fine_grid_above_roundoff(self):
+        # at n_x = 2048 a 1e-10 residual is below the roundoff of the
+        # second difference; the discretisation error there is below 1e-7
+        result = pullin0_detail(1e-4, n_x=2048)
+        assert abs(result.lambda_star - FLAT_PULLIN) <= 1e-4 + 1e-7
+
+
+def _numerical_shot_voltage(depth: float) -> float:
+    """Voltage whose solution from the axis with u(0) = -depth, u'(0) = 0
+    reaches u(1) = 0, by integrating the ODE numerically: the reference
+    for the closed form of ``shooting_pullin``."""
+
+    def endpoint(lam: float) -> float:
+        sol = solve_ivp(
+            lambda _, y: [y[1], lam / (1.0 + y[0]) ** 2],
+            (0.0, 1.0),
+            [-depth, 0.0],
+            rtol=1e-10,
+            atol=1e-12,
+        )
+        return float(sol.y[0, -1])
+
+    hi = 0.1
+    while endpoint(hi) < 0.0:
+        hi *= 2.0
+    return brentq(endpoint, 1e-12, hi, xtol=1e-13)
+
+
+class TestExactShooting:
+    @pytest.mark.parametrize("depth", [0.05, 0.2, 0.39, 0.6, 0.95])
+    def test_matches_numerical_shot(self, depth):
+        assert small_aspect._clamp_voltage(1.0 - depth) == pytest.approx(
+            _numerical_shot_voltage(depth), abs=1e-8
+        )
+
+    def test_within_tol_of_the_maximum(self):
+        peak = -minimize_scalar(
+            lambda d: -_numerical_shot_voltage(d),
+            bounds=small_aspect._SHOOTING_DEPTHS,
+            method="bounded",
+            options={"xatol": 1e-5},
+        ).fun
+        assert peak == pytest.approx(FLAT_PULLIN, abs=1e-9)
+        for tol in (1e-2, 1e-3, 1e-5, 1e-7):
+            assert abs(shooting_pullin(tol) - peak) <= tol
 
 
 def test_folds_approach_flat_limit_pullin(detail):
