@@ -11,6 +11,7 @@ import json
 import logging
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 from pathlib import Path
@@ -279,9 +280,15 @@ def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
     grid = Grid1D.uniform(cfg.n_x)
     grid2d = Grid2D.uniform(cfg.n_x, cfg.n_eta)
     guess = _initial_state(cfg, grid)
+    counts = Counter()
     t0 = time.perf_counter()
     state = steady.solve_steady(
-        cfg.params.lam, cfg.params.eps, guess, grid2d=grid2d, floor=cfg.params.touchdown_floor
+        cfg.params.lam,
+        cfg.params.eps,
+        guess,
+        grid2d=grid2d,
+        floor=cfg.params.touchdown_floor,
+        counts=counts,
     )
     wall = time.perf_counter() - t0
     res = steady.steady_residual(state, cfg.params.lam, cfg.params.eps, grid2d)
@@ -298,6 +305,10 @@ def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
             "min_gap": state.min_gap,
             "max_deflection": float(np.max(np.abs(state.u))),
             "wall_time_s": wall,
+            "diagnostics": {
+                "newton_iters": counts["newton_iters"],
+                "jacobians": counts["jacobians"],
+            },
         },
     )
     log.info("steady: min_gap=%g", state.min_gap)
@@ -389,7 +400,7 @@ def _run_pullin(cfg: ExperimentConfig, out: Path) -> int:
                 "solves": result.solves,
                 "failed_solves": result.failed_solves,
                 "newton_iters": result.newton_iters,
-                "bisection_s": result.bisection_s,
+                "search_s": result.search_s,
                 "check_s": result.check_s,
             },
         },

@@ -160,20 +160,22 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solve a tridiagonal system with LAPACK ``dgtsv``.
 
     ``lower``/``upper`` may be scalars (broadcast) or arrays of length
-    n-1; ``diag`` and ``rhs`` have length n.  ``dgtsv`` eliminates with
+    n-1; ``diag`` has length n and ``rhs`` shape (n,) or (n, k), k
+    right-hand sides solved in the one call.  ``dgtsv`` eliminates with
     partial pivoting; an exactly zero pivot raises SingularSystemError
     naming its (0-based) row.
     """
     diag = np.asarray(diag, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = diag.size
-    if rhs.size != n:
-        raise ValueError(f"rhs length {rhs.size} != diagonal length {n}")
-    if np.isscalar(lower) or np.ndim(lower) == 0:
+    rows = rhs.shape[0] if rhs.ndim else 1
+    if rows != n:
+        raise ValueError(f"rhs length {rows} != diagonal length {n}")
+    if np.ndim(lower) == 0:
         lower = np.full(n - 1, float(lower))
     else:
         lower = np.asarray(lower, dtype=float)
-    if np.isscalar(upper) or np.ndim(upper) == 0:
+    if np.ndim(upper) == 0:
         upper = np.full(n - 1, float(upper))
     else:
         upper = np.asarray(upper, dtype=float)

@@ -18,9 +18,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .elliptic import solve_potential
-from .errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
+from .errors import DegenerateGeometryError, NonConvergenceError
 from .evolution import ModelParams, Trajectory, _run_loop, imex_step, step as step_eps
 from .numerics import Grid1D, Grid2D, damped_newton, solve_tridiagonal, trapezoid_2d
+from .steady import BranchPoint, march_to_fold
 from .transform import MembraneState
 
 __all__ = [
@@ -39,6 +40,20 @@ __all__ = [
 
 # Centre depths over which ``shooting_pullin`` maximizes the voltage.
 _SHOOTING_DEPTHS = (0.05, 0.95)
+
+# Touchdown floor of the pull-in search: its Newton iterates and its depths
+# keep 1 + u above it.
+_PULLIN_FLOOR = 0.05
+
+# Half-width of the reported pull-in bracket.  A depth solve stops at a
+# max-norm residual of max(1e-10, eps_mach/h^2), at most 3.7e-9 up to
+# n_x = 8192, which moves its voltage by at most that times the 1-norm of
+# the voltage row of the inverse bordered Jacobian: 0.459 at the fold for
+# every n_x from 32 to 8192, so 1.7e-9.  At the fold the voltage is
+# quadratic in the depth, |lambda''| = 3.61, so the 1e-6 depth resolution
+# of the fold search adds 1.8e-12.  1e-8 leaves a factor of about 6 over
+# their sum at n_x = 8192, and of about 200 below n_x = 1343.
+_PULLIN_TOL = 1e-8
 
 # Fractions of the horizon at which ``limit_study`` samples potential errors.
 _SAMPLE_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
@@ -121,15 +136,24 @@ def steady0(
     max_iter: int = 50,
     floor: float = 0.05,
     counts: Counter | None = None,
-) -> MembraneState:
+    depth: float | None = None,
+) -> MembraneState | tuple[MembraneState, float]:
     """Newton solve of the flat-limit steady problem.
 
-    The Jacobian is tridiagonal (diffusion stencil plus a diagonal from
+    The Jacobian T is tridiagonal (diffusion stencil plus a diagonal from
     the source), so each iteration is one tridiagonal solve, counted in
     ``counts["newton_iters"]`` when ``counts`` is given.  ``tol`` is
     raised to eps/h^2, the roundoff of the second difference of a
     deflection below 1 in size: near the fold Newton stalls at up to
     half of it, which is above 1e-10 from n_x = 2048 on.
+
+    Without ``depth`` the voltage is ``lam`` and the steady state is
+    returned.  With a depth the centre deflection is held at -depth and
+    the voltage becomes an unknown, seeded by ``lam``, and (state,
+    voltage) is returned.  Each step then solves the bordered system
+    [T, -s; e_c^T, 0] [du; dlam] = -[r; u_c + depth], s = 1/(1+u)^2 the
+    source, by block elimination: T [a b] = [r s] in one two-column
+    solve, dlam = (a_c - u_c - depth) / b_c and du = b dlam - a.
     """
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
@@ -139,36 +163,62 @@ def steady0(
     else:
         grid = guess.grid
         u = guess.u[1:-1].copy()
+    n_int = u.size
+    centre = n_int // 2
     h2 = grid.h * grid.h
     tol = max(tol, np.finfo(float).eps / h2)
+    if depth is None:
+        label = f"flat-limit Newton at lambda={lam:g}"
+    else:
+        label = f"flat-limit Newton at depth={depth:g}"
+        u = np.append(u, lam)
 
-    def residual(u_int):
-        full = np.zeros(grid.n_nodes)
-        full[1:-1] = u_int
-        d2 = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / h2
-        return d2 - lam / (1.0 + u_int) ** 2
+    def lam_of(z):
+        return lam if depth is None else z[n_int]
 
-    def newton_step(u_int, r):
+    full = np.zeros(grid.n_nodes)  # deflection with its clamped ends
+    off = np.full(n_int - 1, 1.0 / h2)
+
+    def residual(z):
+        full[1:-1] = z[:n_int]
+        r = np.empty(z.size)
+        r[:n_int] = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / h2 - lam_of(z) / (
+            1.0 + z[:n_int]
+        ) ** 2
+        if depth is not None:
+            r[n_int] = z[centre] + depth
+        return r
+
+    def newton_step(z, r):
         if counts is not None:
             counts["newton_iters"] += 1
-        diag = -2.0 / h2 + 2.0 * lam / (1.0 + u_int) ** 3
-        off = np.full(u_int.size - 1, 1.0 / h2)
-        return solve_tridiagonal(off, diag, off, -r)
+        u_int = z[:n_int]
+        diag = -2.0 / h2 + 2.0 * lam_of(z) / (1.0 + u_int) ** 3
+        if depth is None:
+            return solve_tridiagonal(off, diag, off, -r)
+        rhs = np.empty((n_int, 2))
+        rhs[:, 0] = r[:n_int]
+        rhs[:, 1] = 1.0 / (1.0 + u_int) ** 2
+        a, b = solve_tridiagonal(off, diag, off, rhs).T
+        step = np.empty(n_int + 1)
+        step[n_int] = dlam = (a[centre] - r[n_int]) / b[centre]
+        np.subtract(b * dlam, a, out=step[:n_int])
+        return step
 
-    u, _ = damped_newton(
-        residual, newton_step, u, tol, max_iter, floor, f"flat-limit Newton at lambda={lam:g}"
-    )
-    full = np.zeros(grid.n_nodes)
-    full[1:-1] = u
-    return MembraneState(grid, full)
+    z, _ = damped_newton(residual, newton_step, u, tol, max_iter, floor, label)
+    full[1:-1] = z[:n_int]
+    state = MembraneState(grid, full)
+    return state if depth is None else (state, float(z[n_int]))
 
 
 @dataclass(frozen=True)
 class PullinResult:
-    """Bisected pull-in voltage, the exact shoot it was checked against,
-    and what finding it cost: flat-limit Newton ``solves`` (of which
-    ``failed_solves`` found no steady state), their ``newton_iters``, and
-    the seconds spent in the bisection and in the cross-check."""
+    """Pull-in voltage located as the fold of the discrete flat-limit
+    branch, the exact shoot it was checked against, and what finding it
+    cost: flat-limit depth ``solves`` (of which ``failed_solves`` were
+    rejected depth steps), their ``newton_iters``, and the seconds spent
+    in the depth search and in the cross-check.  ``bracket`` is
+    lambda_star -/+ ``_PULLIN_TOL``."""
 
     lambda_star: float
     bracket: tuple[float, float]
@@ -176,7 +226,7 @@ class PullinResult:
     solves: int
     failed_solves: int
     newton_iters: int
-    bisection_s: float
+    search_s: float
     check_s: float
 
 
@@ -214,57 +264,55 @@ def shooting_pullin(tol: float) -> float:
 
 
 def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
-    """Bisection on flat-limit steady solvability, cross-checked against
-    the exact shoot ``shooting_pullin``."""
+    """Pull-in voltage of the flat limit on ``n_x`` cells, cross-checked
+    against the exact shoot ``shooting_pullin`` to 2 ``tol_lambda``.
+
+    The discrete branch is marched in the centre depth from the flat
+    membrane by ``steady.march_to_fold`` with ``steady0`` as the depth
+    solve, and its fold, located to ``_PULLIN_TOL``, is the pull-in
+    voltage; ``tol_lambda`` sets only the cross-check.  A march that
+    reaches the touchdown floor without passing a fold raises
+    NonConvergenceError.
+    """
     if tol_lambda <= 0.0:
         raise ValueError("tol_lambda must be positive")
     counts = Counter()
 
-    def probe(lam: float, guess: MembraneState) -> MembraneState | None:
-        """The steady state at ``lam``, or None if there is none."""
+    def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         counts["solves"] += 1
-        try:
-            return steady0(lam, guess=guess, counts=counts)
-        except (NoSteadyStateError, DegenerateGeometryError):
-            counts["failed_solves"] += 1
-            return None
+        iters = counts["newton_iters"]
+        state, lam = steady0(lam, guess=guess, floor=_PULLIN_FLOOR, counts=counts, depth=d)
+        return BranchPoint(lam, state, state.min_gap, counts["newton_iters"] - iters)
 
     t0 = time.perf_counter()
-    lo, sol_lo = 0.0, MembraneState.zero(Grid1D.uniform(n_x))
-    hi = 1.0
-    sol = probe(hi, sol_lo)
-    if sol is not None:
-        # the threshold sits well below 1; the bracket must still hold
-        lo, hi, sol_lo = hi, 2.0, sol
-        if probe(hi, sol_lo) is not None:
-            raise NonConvergenceError(
-                f"flat-limit steady state exists at lambda={hi:g}; no pull-in bracket"
-            )
-    while hi - lo > tol_lambda:
-        mid = 0.5 * (lo + hi)
-        sol = probe(mid, sol_lo)
-        if sol is None:
-            hi = mid
-        else:
-            lo, sol_lo = mid, sol
-    lam_star = 0.5 * (lo + hi)
+    origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(n_x)), 1.0, 0)
+    samples, fold, rejected = march_to_fold(
+        at_depth, origin, math.inf, _PULLIN_FLOOR, "flat-limit pull-in"
+    )
+    if fold is None:
+        d, last = samples[-1]
+        raise NonConvergenceError(
+            f"flat-limit pull-in search: depth march ended at depth={d:.6g}, "
+            f"lambda={last.lam:.6g} with no fold"
+        )
+    lam_star = fold[1].lam
 
     t1 = time.perf_counter()
     shooting_value = shooting_pullin(tol_lambda / 10.0)
     if abs(lam_star - shooting_value) > 2.0 * tol_lambda:
         raise NonConvergenceError(
-            f"pull-in bisection ({lam_star:.6f}) disagrees with the shooting "
+            f"pull-in fold ({lam_star:.6f}) disagrees with the shooting "
             f"oracle ({shooting_value:.6f}) beyond 2*tol",
             residual=abs(lam_star - shooting_value),
         )
     return PullinResult(
         lam_star,
-        (lo, hi),
+        (lam_star - _PULLIN_TOL, lam_star + _PULLIN_TOL),
         shooting_value,
         solves=counts["solves"],
-        failed_solves=counts["failed_solves"],
+        failed_solves=rejected,
         newton_iters=counts["newton_iters"],
-        bisection_s=t1 - t0,
+        search_s=t1 - t0,
         check_s=time.perf_counter() - t1,
     )
 

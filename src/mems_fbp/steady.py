@@ -43,6 +43,7 @@ __all__ = [
     "steady_jacobian",
     "solve_steady",
     "continue_branch",
+    "march_to_fold",
     "nonexistence_bound",
     "trace_lower_bound_check",
 ]
@@ -300,13 +301,91 @@ def solve_steady(
     grid2d: Grid2D,
     max_iter: int = 50,
     floor: float = 0.05,
+    counts: Counter | None = None,
 ) -> MembraneState:
     """Steady deflection at the given voltage parameter, seeded from ``guess``,
-    to a max-norm residual of ``_NEWTON_TOL``."""
+    to a max-norm residual of ``_NEWTON_TOL``.
+
+    When ``counts`` is given, the Newton iterations of a converged solve
+    are added to ``counts["newton_iters"]`` and every Jacobian built to
+    ``counts["jacobians"]``.
+    """
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
-    state, _, _ = _newton(lam, eps, guess, grid2d, max_iter, floor, Counter())
+    counts = Counter() if counts is None else counts
+    state, _, iters = _newton(lam, eps, guess, grid2d, max_iter, floor, counts)
+    counts["newton_iters"] += iters
     return state
+
+
+def march_to_fold(
+    solve, origin: BranchPoint, lambda_max: float, floor: float, label: str
+) -> tuple[list[tuple[float, BranchPoint]], tuple[float, BranchPoint] | None, int]:
+    """March a steady branch in the centre depth d = -u(0) up to its fold.
+
+    ``solve(d, lam, guess)`` returns the branch point at depth d, seeded
+    by the voltage ``lam`` and the state ``guess``, and raises
+    NoSteadyStateError, DegenerateGeometryError or NonConvergenceError
+    when it finds none; the flat limit and the full model each pass
+    their own depth solve.  From ``origin`` at d = 0, d steps by
+    ``_DEPTH_STEP``, each depth seeded by a secant through the last two
+    samples; a failed solve is a rejected step and halves the step.  Once
+    the voltage falls between two samples, the fold, the largest voltage
+    of the branch, is located by a bounded search in d to ``_FOLD_XATOL``,
+    each evaluation seeded from the nearest depth solved so far.  The
+    march also ends once a sample past ``lambda_max`` is followed by a
+    higher one, when 1 - d would reach ``floor``, or when the step falls
+    below ``_DEPTH_STEP / 2**10``.  ``label`` opens each log line.
+
+    Returns (samples, fold, rejected): the (depth, point) samples in
+    increasing voltage, ending with the fold when one was located; the
+    fold or None; and the number of rejected steps.
+    """
+
+    def locate_fold(below, top, above) -> tuple[float, BranchPoint]:
+        solved = dict([below, top, above])
+
+        def minus_lambda(d: float) -> float:
+            near = solved[min(solved, key=lambda s: abs(s - d))]
+            solved[d] = solve(d, near.lam, near.state)
+            return -solved[d].lam
+
+        minimize_scalar(
+            minus_lambda, bounds=(below[0], above[0]), method="bounded",
+            options={"xatol": _FOLD_XATOL},
+        )
+        return max(solved.items(), key=lambda item: item[1].lam)  # the best depth
+
+    samples = [(0.0, origin)]
+    fold = None
+    rejected = 0
+    step = _DEPTH_STEP
+    while True:
+        d = samples[-1][0] + step
+        if 1.0 - d <= floor or step < _DEPTH_STEP / 2**10:
+            break
+        (d1, p1), (d0, p0) = samples[-1], samples[max(len(samples) - 2, 0)]
+        t = (d - d1) / (d1 - d0) if d1 > d0 else 0.0
+        guess = MembraneState(p1.state.grid, p1.state.u + t * (p1.state.u - p0.state.u))
+        try:
+            sample = (d, solve(d, p1.lam + t * (p1.lam - p0.lam), guess))
+        except (NoSteadyStateError, DegenerateGeometryError, NonConvergenceError) as exc:
+            log.debug(
+                "%s: rejected depth=%.8g (step %.6g): %s, residual %s",
+                label, d, step, type(exc).__name__, getattr(exc, "residual", None),
+            )
+            rejected += 1
+            step *= 0.5
+            continue
+        if sample[1].lam < p1.lam:
+            fold = locate_fold(samples[-2], samples[-1], sample)
+            samples = [s for s in samples if s[0] < fold[0]] + [fold]
+            break
+        samples.append(sample)
+        # past lambda_max, and on the rising side, since the voltage still grows
+        if p1.lam >= lambda_max:
+            break
+    return samples, fold, rejected
 
 
 def continue_branch(
@@ -320,13 +399,9 @@ def continue_branch(
     """The minimal steady branch from zero voltage, traced in the centre depth.
 
     The centre deflection d = -u(0) is the continuation parameter and the
-    voltage an unknown (``_newton`` with a depth).  d steps by
-    ``_DEPTH_STEP`` from the flat membrane, each depth seeded by a secant
-    through the last two samples; a failed depth solve halves the step.
-    Once the voltage falls between two samples, the fold, the largest
-    voltage of the branch, is located by a bounded search in d to
-    ``_FOLD_XATOL``.  The march also ends once a sample past ``lambda_max``
-    is followed by a higher one, or when 1 - d would reach ``floor``.
+    voltage an unknown (``_newton`` with a depth), marched from the flat
+    membrane to the fold, past ``lambda_max`` or to ``floor`` by
+    ``march_to_fold``.
 
     The points are the voltages k * dlambda0 below the end of the march,
     each solved at its fixed voltage from the interpolation between the
@@ -341,57 +416,15 @@ def continue_branch(
     grid2d = Grid2D.uniform(n_x, n_eta if n_eta is not None else n_x)
     counts = Counter()
 
-    def at_depth(d: float, lam: float, guess: MembraneState) -> tuple[float, BranchPoint]:
+    def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         state, lam, iters = _newton(
             lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts, depth=d
         )
         log.debug("eps=%g: depth %.8g at lambda=%.12g, %d Newton iterations", eps, d, lam, iters)
-        return d, BranchPoint(lam, state, state.min_gap, iters)
+        return BranchPoint(lam, state, state.min_gap, iters)
 
-    def locate_fold(below, top, above) -> tuple[float, BranchPoint]:
-        # each evaluation is seeded from the nearest depth solved so far
-        solved = dict([below, top, above])
-
-        def minus_lambda(d: float) -> float:
-            near = solved[min(solved, key=lambda s: abs(s - d))]
-            _, solved[d] = at_depth(d, near.lam, near.state)
-            return -solved[d].lam
-
-        minimize_scalar(
-            minus_lambda, bounds=(below[0], above[0]), method="bounded",
-            options={"xatol": _FOLD_XATOL},
-        )
-        return max(solved.items(), key=lambda item: item[1].lam)  # the best depth
-
-    # (depth, point) samples with increasing voltage; the last may be the fold
-    samples = [(0.0, BranchPoint(0.0, MembraneState.zero(grid), 1.0, 0))]
-    fold = None
-    step = _DEPTH_STEP
-    while True:
-        d = samples[-1][0] + step
-        if 1.0 - d <= floor or step < _DEPTH_STEP / 2**10:
-            break
-        (d1, p1), (d0, p0) = samples[-1], samples[max(len(samples) - 2, 0)]
-        t = (d - d1) / (d1 - d0) if d1 > d0 else 0.0
-        guess = MembraneState(grid, p1.state.u + t * (p1.state.u - p0.state.u))
-        try:
-            sample = at_depth(d, p1.lam + t * (p1.lam - p0.lam), guess)
-        except (NoSteadyStateError, DegenerateGeometryError, NonConvergenceError) as exc:
-            log.debug(
-                "eps=%g: rejected depth=%.8g (step %.6g): %s, residual %s",
-                eps, d, step, type(exc).__name__, getattr(exc, "residual", None),
-            )
-            counts["rejected"] += 1
-            step *= 0.5
-            continue
-        if sample[1].lam < p1.lam:
-            fold = locate_fold(samples[-2], samples[-1], sample)
-            samples = [s for s in samples if s[0] < fold[0]] + [fold]
-            break
-        samples.append(sample)
-        # past lambda_max, and on the rising side, since the voltage still grows
-        if p1.lam >= lambda_max:
-            break
+    origin = BranchPoint(0.0, MembraneState.zero(grid), 1.0, 0)
+    samples, fold, rejected = march_to_fold(at_depth, origin, lambda_max, floor, f"eps={eps:g}")
 
     points = [samples[0][1]]
     k = 1
@@ -413,7 +446,7 @@ def continue_branch(
         points,
         fold_estimate,
         None if fold_estimate is None else (fold_estimate - _FOLD_TOL, fold_estimate + _FOLD_TOL),
-        rejected_steps=counts["rejected"],
+        rejected_steps=rejected,
         newton_iters=sum(pt.newton_iters for pt in points),
         jacobians=counts["jacobians"],
     )

@@ -54,6 +54,17 @@ class TestTridiagonal:
         res = np.max(np.abs(A @ x - rhs))
         assert res <= 1e-12 * (np.max(np.abs(rhs)) + 1.0)
 
+    def test_two_right_hand_sides_in_one_call(self, rng):
+        n = 40
+        lower = rng.uniform(-1, 1, n - 1)
+        upper = rng.uniform(-1, 1, n - 1)
+        diag = 3.0 + rng.uniform(0, 1, n)
+        rhs = rng.standard_normal((n, 2))
+        x = solve_tridiagonal(lower, diag, upper, rhs)
+        A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        assert x.shape == (n, 2)
+        np.testing.assert_allclose(x, np.linalg.solve(A, rhs), rtol=0, atol=1e-13)
+
     def test_zero_pivot_named(self):
         with pytest.raises(SingularSystemError, match="row 1"):
             solve_tridiagonal([1.0], [1.0, 1.0], [1.0], [1.0, 1.0])

@@ -105,9 +105,22 @@ class TestFlatSteady:
         with pytest.raises(NoSteadyStateError):
             steady0(0.5, n_x=64)
 
+    def test_depth_mode_matches_fixed_voltage(self):
+        # with the centre depth held, the voltage is found; solving at that
+        # voltage returns the same state
+        state, lam = steady0(0.3, n_x=64, depth=0.2)
+        assert state.u[32] == pytest.approx(-0.2, abs=1e-14)
+        assert 0.0 < lam < FLAT_PULLIN
+        fixed = steady0(lam, n_x=64, guess=state)
+        assert np.max(np.abs(fixed.u - state.u)) <= 1e-10
+
 
 # pull-in voltage of u'' = lam/(1+u)^2 on (-1, 1), u(+-1) = 0
 FLAT_PULLIN = 0.350004119343
+# folds of its second-order discretisation on 256 and 512 cells, by a
+# centre-out march of the symmetric discrete solution
+FLAT_FOLD_256 = 0.3500016756410
+FLAT_FOLD_512 = 0.3500035084199
 
 
 @pytest.fixture(scope="module")
@@ -117,12 +130,16 @@ def detail():
 
 class TestPullin:
     def test_bracket_contract(self, detail):
+        # the bracket is the located fold -/+ the stated bound; it holds the
+        # discrete fold, with a steady state below it and none above it
         lo, hi = detail.bracket
-        assert hi - lo <= 1e-3
-        assert lo <= detail.lambda_star <= hi
-        steady0(detail.lambda_star - 1e-3, n_x=256)  # succeeds
+        tol = small_aspect._PULLIN_TOL
+        assert (lo, hi) == (detail.lambda_star - tol, detail.lambda_star + tol)
+        assert tol <= 1e-8
+        assert lo <= FLAT_FOLD_256 <= hi
+        steady0(lo - 1e-3, n_x=256)  # succeeds
         with pytest.raises((NoSteadyStateError, DegenerateGeometryError)):
-            steady0(detail.lambda_star + 1e-3, n_x=256)
+            steady0(hi + 1e-3, n_x=256)
 
     def test_shooting_agreement(self, detail):
         assert detail.shooting_value is not None
@@ -133,10 +150,26 @@ class TestPullin:
         assert 0.34 <= detail.lambda_star <= 0.36
 
     def test_solvable_upper_bracket_rejected(self, monkeypatch):
-        # a solver that succeeds everywhere leaves no bracket to bisect
-        monkeypatch.setattr(small_aspect, "steady0", lambda lam, guess=None, **kw: guess)
-        with pytest.raises(NonConvergenceError, match="lambda=2"):
+        # a branch whose voltage rises up to the touchdown floor has no fold
+        # to locate; the error names the phase and where the march ended
+        monkeypatch.setattr(
+            small_aspect, "steady0", lambda lam, guess=None, depth=None, **kw: (guess, depth)
+        )
+        with pytest.raises(NonConvergenceError, match="pull-in search.*depth=0.9, lambda=0.9"):
             pullin0_detail(1e-3, n_x=32)
+
+    @pytest.mark.parametrize("tol_lambda", [1e-3, 1e-4, 1e-5])
+    def test_discrete_fold_whatever_the_tolerance(self, tol_lambda):
+        result = pullin0_detail(tol_lambda, n_x=512)
+        assert abs(result.lambda_star - FLAT_FOLD_512) <= small_aspect._PULLIN_TOL
+        assert result.failed_solves == 0
+
+    def test_converges_under_refinement(self):
+        errors = [
+            abs(pullin0_detail(1e-4, n_x=n).lambda_star - FLAT_PULLIN) for n in (128, 256, 512)
+        ]
+        orders = np.log2([errors[0] / errors[1], errors[1] / errors[2]])
+        assert np.all((1.9 <= orders) & (orders <= 2.1))
 
     def test_fine_grid_above_roundoff(self):
         # at n_x = 2048 a 1e-10 residual is below the roundoff of the
