@@ -368,6 +368,7 @@ def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
                 "rejected_steps": branch.rejected_steps,
                 "newton_iters": branch.newton_iters,
                 "jacobians": branch.jacobians,
+                "fold_solves": branch.fold_solves,
             },
         }
         log.info(
@@ -399,6 +400,7 @@ def _run_pullin(cfg: ExperimentConfig, out: Path) -> int:
             "diagnostics": {
                 "solves": result.solves,
                 "failed_solves": result.failed_solves,
+                "fold_solves": result.fold_solves,
                 "newton_iters": result.newton_iters,
                 "search_s": result.search_s,
                 "check_s": result.check_s,

@@ -50,9 +50,10 @@ _PULLIN_FLOOR = 0.05
 # n_x = 8192, which moves its voltage by at most that times the 1-norm of
 # the voltage row of the inverse bordered Jacobian: 0.459 at the fold for
 # every n_x from 32 to 8192, so 1.7e-9.  At the fold the voltage is
-# quadratic in the depth, |lambda''| = 3.61, so the 1e-6 depth resolution
-# of the fold search adds 1.8e-12.  1e-8 leaves a factor of about 6 over
-# their sum at n_x = 8192, and of about 200 below n_x = 1343.
+# quadratic in the depth, |lambda''| = 3.61, and the fold search of
+# ``march_to_fold`` ends within 2e-6 of the fold, which adds at most
+# 1/2 |lambda''| (2e-6)^2 = 7.2e-12.  1e-8 leaves a factor of about 6 over
+# their sum at n_x = 8192, and of about 190 below n_x = 1343.
 _PULLIN_TOL = 1e-8
 
 # Fractions of the horizon at which ``limit_study`` samples potential errors.
@@ -216,15 +217,16 @@ class PullinResult:
     """Pull-in voltage located as the fold of the discrete flat-limit
     branch, the exact shoot it was checked against, and what finding it
     cost: flat-limit depth ``solves`` (of which ``failed_solves`` were
-    rejected depth steps), their ``newton_iters``, and the seconds spent
-    in the depth search and in the cross-check.  ``bracket`` is
-    lambda_star -/+ ``_PULLIN_TOL``."""
+    rejected depth steps and ``fold_solves`` made by the fold search),
+    their ``newton_iters``, and the seconds spent in the depth search and
+    in the cross-check.  ``bracket`` is lambda_star -/+ ``_PULLIN_TOL``."""
 
     lambda_star: float
     bracket: tuple[float, float]
     shooting_value: float
     solves: int
     failed_solves: int
+    fold_solves: int
     newton_iters: int
     search_s: float
     check_s: float
@@ -286,7 +288,7 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
 
     t0 = time.perf_counter()
     origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(n_x)), 1.0, 0)
-    samples, fold, rejected = march_to_fold(
+    samples, fold, rejected, fold_solves = march_to_fold(
         at_depth, origin, math.inf, _PULLIN_FLOOR, "flat-limit pull-in"
     )
     if fold is None:
@@ -311,6 +313,7 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
         shooting_value,
         solves=counts["solves"],
         failed_solves=rejected,
+        fold_solves=fold_solves,
         newton_iters=counts["newton_iters"],
         search_s=t1 - t0,
         check_s=time.perf_counter() - t1,

@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .elliptic import (
     PotentialField,
@@ -59,8 +58,20 @@ _OPERATOR_STEP = 1e-6
 # Step of the centre depth along the branch march.
 _DEPTH_STEP = 0.05
 
-# Depth resolution of the bounded search for the fold.
+# Depth resolution of the fold search.  It stops once the vertex of the
+# parabola through its three samples lies within this of the top sample
+# and (b - a)(c - b) < this for the sample depths a < b < c.  The vertex
+# is off the fold by about |lambda'''/(6 lambda'')| (b - a)(c - b), and
+# that ratio is 0.37 in the flat limit and at most about 1 at the eps = 0.1
+# and 1 folds, so the top sample is then within 2e-6 of the fold.
 _FOLD_XATOL = 1e-6
+
+# Solves allowed in one fold search; 5 reach ``_FOLD_XATOL`` on the
+# discrete branches and on the closed-form flat-limit branch.
+_FOLD_MAX_SOLVES = 30
+
+# What a depth solve raises when it finds no branch point.
+_DEPTH_SOLVE_ERRORS = (DegenerateGeometryError, NonConvergenceError)
 
 # Max-norm residual at which Newton accepts a steady state or branch point.
 _NEWTON_TOL = 1e-10
@@ -73,9 +84,9 @@ _BRANCH_MAX_ITER = 15
 # by at most that times the 1-norm of the voltage row of the inverse
 # bordered Jacobian: 0.40-0.46 at the eps = 0.1 and 1 folds on the 8x8 to
 # 128x128 grids, so 5e-11.  At the fold the voltage is quadratic in the
-# depth, |lambda''| about 3.5, so the 1e-6 depth resolution adds 2e-12.
-# 1e-8 leaves a factor of about 190 over their sum for other grids and aspect
-# ratios.
+# depth, |lambda''| at most 3.6, so the fold search, within 2 ``_FOLD_XATOL``
+# of the fold, adds at most 1/2 |lambda''| (2e-6)^2 = 7e-12.  1e-8 leaves a
+# factor of about 175 over their sum for other grids and aspect ratios.
 _FOLD_TOL = 1e-8
 
 
@@ -98,8 +109,8 @@ class SteadyBranch:
     ``lambda_max``; ``fold_interval`` is fold_estimate -/+ ``_FOLD_TOL``.
     ``newton_iters`` counts the Newton iterations of the points,
     ``jacobians`` the Jacobians built by every solve, depth samples and
-    the fold search included, and ``rejected_steps`` the depth steps
-    whose solve failed.
+    the fold search included, ``rejected_steps`` the depth steps whose
+    solve failed and ``fold_solves`` the depth solves of the fold search.
     """
 
     points: list[BranchPoint]
@@ -108,6 +119,7 @@ class SteadyBranch:
     rejected_steps: int = 0
     newton_iters: int = 0
     jacobians: int = 0
+    fold_solves: int = 0
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -320,7 +332,7 @@ def solve_steady(
 
 def march_to_fold(
     solve, origin: BranchPoint, lambda_max: float, floor: float, label: str
-) -> tuple[list[tuple[float, BranchPoint]], tuple[float, BranchPoint] | None, int]:
+) -> tuple[list[tuple[float, BranchPoint]], tuple[float, BranchPoint] | None, int, int]:
     """March a steady branch in the centre depth d = -u(0) up to its fold.
 
     ``solve(d, lam, guess)`` returns the branch point at depth d, seeded
@@ -329,36 +341,84 @@ def march_to_fold(
     when it finds none; the flat limit and the full model each pass
     their own depth solve.  From ``origin`` at d = 0, d steps by
     ``_DEPTH_STEP``, each depth seeded by a secant through the last two
-    samples; a failed solve is a rejected step and halves the step.  Once
-    the voltage falls between two samples, the fold, the largest voltage
-    of the branch, is located by a bounded search in d to ``_FOLD_XATOL``,
-    each evaluation seeded from the nearest depth solved so far.  The
-    march also ends once a sample past ``lambda_max`` is followed by a
-    higher one, when 1 - d would reach ``floor``, or when the step falls
-    below ``_DEPTH_STEP / 2**10``.  ``label`` opens each log line.
+    samples; a failed solve is a rejected step and halves the step.
 
-    Returns (samples, fold, rejected): the (depth, point) samples in
-    increasing voltage, ending with the fold when one was located; the
-    fold or None; and the number of rejected steps.
+    Once the voltage falls, the last three samples hold the fold, the
+    largest voltage of the branch, with the highest voltage in the
+    middle.  The fold search then steps to the vertex of the parabola
+    through the three, solving there from the quadratic interpolant of
+    their states and voltages, and drops an outer sample so the highest
+    voltage stays in the middle.  It returns the middle sample once the
+    vertex lies within ``_FOLD_XATOL`` of it and the product of its
+    distances to the outer two is below ``_FOLD_XATOL``, which puts it
+    within 2 ``_FOLD_XATOL`` of the fold (see ``_FOLD_XATOL``); a vertex
+    on the middle sample with outer samples farther off is followed by a
+    solve ``_FOLD_XATOL`` beside it, and a flat top (three equal
+    voltages) ends the search at once.  A search that has not stopped
+    after ``_FOLD_MAX_SOLVES`` solves raises NonConvergenceError, and a
+    solve that fails in it re-raises its error, naming the fold search
+    and the depth.
+
+    The march also ends once a sample past ``lambda_max`` is followed by a
+    higher one, when 1 - d would reach ``floor``, or when the step falls
+    below ``_DEPTH_STEP / 2**10``.  ``label`` opens each log line and
+    error message.
+
+    Returns (samples, fold, rejected, fold_solves): the (depth, point)
+    samples in increasing voltage, ending with the fold when one was
+    located; the fold or None; the number of rejected steps; and the
+    number of depth solves of the fold search.
     """
 
-    def locate_fold(below, top, above) -> tuple[float, BranchPoint]:
-        solved = dict([below, top, above])
-
-        def minus_lambda(d: float) -> float:
-            near = solved[min(solved, key=lambda s: abs(s - d))]
-            solved[d] = solve(d, near.lam, near.state)
-            return -solved[d].lam
-
-        minimize_scalar(
-            minus_lambda, bounds=(below[0], above[0]), method="bounded",
-            options={"xatol": _FOLD_XATOL},
-        )
-        return max(solved.items(), key=lambda item: item[1].lam)  # the best depth
+    def locate_fold(below, top, above) -> tuple[tuple[float, BranchPoint], int]:
+        solves = 0
+        while True:
+            (da, pa), (db, pb), (dc, pc) = below, top, above
+            # vertex of the parabola through the three; with the top in the
+            # middle it lies between (da + db) / 2 and (db + dc) / 2
+            left, right = (db - da) * (pb.lam - pc.lam), (dc - db) * (pb.lam - pa.lam)
+            if left + right == 0.0:  # a flat top
+                return top, solves
+            d = db - 0.5 * ((db - da) * left - (dc - db) * right) / (left + right)
+            if abs(d - db) < _FOLD_XATOL:
+                if (db - da) * (dc - db) < _FOLD_XATOL:
+                    return top, solves
+                # the vertex may sit on the top by its cubic bias alone: a
+                # solve beside the top shrinks that bias below _FOLD_XATOL
+                d = db + _FOLD_XATOL if dc - db > db - da else db - _FOLD_XATOL
+            if solves == _FOLD_MAX_SOLVES:
+                raise NonConvergenceError(
+                    f"{label}: fold search unsettled after {solves} solves in depth "
+                    f"[{da:.8g}, {dc:.8g}], best lambda={pb.lam:.12g} at depth={db:.8g}",
+                    residual=abs(d - db),
+                )
+            # seeded by the quadratic interpolant of the three at d
+            w = (
+                (d - db) * (d - dc) / ((da - db) * (da - dc)),
+                (d - da) * (d - dc) / ((db - da) * (db - dc)),
+                (d - da) * (d - db) / ((dc - da) * (dc - db)),
+            )
+            guess = MembraneState(
+                pb.state.grid, w[0] * pa.state.u + w[1] * pb.state.u + w[2] * pc.state.u
+            )
+            try:
+                new = (d, solve(d, w[0] * pa.lam + w[1] * pb.lam + w[2] * pc.lam, guess))
+            except _DEPTH_SOLVE_ERRORS as exc:
+                exc.args = (f"{label}: fold search failed at depth={d:.8g}: {exc}",)
+                raise
+            solves += 1
+            # keep the top in the middle: drop the outer sample beyond a new
+            # top, or replace the outer sample on the new sample's side
+            if new[1].lam >= pb.lam:
+                below, top, above = (top, new, above) if d > db else (below, new, top)
+            elif d > db:
+                above = new
+            else:
+                below = new
 
     samples = [(0.0, origin)]
     fold = None
-    rejected = 0
+    rejected = fold_solves = 0
     step = _DEPTH_STEP
     while True:
         d = samples[-1][0] + step
@@ -369,7 +429,7 @@ def march_to_fold(
         guess = MembraneState(p1.state.grid, p1.state.u + t * (p1.state.u - p0.state.u))
         try:
             sample = (d, solve(d, p1.lam + t * (p1.lam - p0.lam), guess))
-        except (NoSteadyStateError, DegenerateGeometryError, NonConvergenceError) as exc:
+        except _DEPTH_SOLVE_ERRORS as exc:
             log.debug(
                 "%s: rejected depth=%.8g (step %.6g): %s, residual %s",
                 label, d, step, type(exc).__name__, getattr(exc, "residual", None),
@@ -378,14 +438,14 @@ def march_to_fold(
             step *= 0.5
             continue
         if sample[1].lam < p1.lam:
-            fold = locate_fold(samples[-2], samples[-1], sample)
+            fold, fold_solves = locate_fold(samples[-2], samples[-1], sample)
             samples = [s for s in samples if s[0] < fold[0]] + [fold]
             break
         samples.append(sample)
         # past lambda_max, and on the rising side, since the voltage still grows
         if p1.lam >= lambda_max:
             break
-    return samples, fold, rejected
+    return samples, fold, rejected, fold_solves
 
 
 def continue_branch(
@@ -424,7 +484,9 @@ def continue_branch(
         return BranchPoint(lam, state, state.min_gap, iters)
 
     origin = BranchPoint(0.0, MembraneState.zero(grid), 1.0, 0)
-    samples, fold, rejected = march_to_fold(at_depth, origin, lambda_max, floor, f"eps={eps:g}")
+    samples, fold, rejected, fold_solves = march_to_fold(
+        at_depth, origin, lambda_max, floor, f"eps={eps:g}"
+    )
 
     points = [samples[0][1]]
     k = 1
@@ -449,6 +511,7 @@ def continue_branch(
         rejected_steps=rejected,
         newton_iters=sum(pt.newton_iters for pt in points),
         jacobians=counts["jacobians"],
+        fold_solves=fold_solves,
     )
 
 

@@ -453,6 +453,35 @@ class TestOtherKinds:
         assert diagnostics["newton_iters"] == seen["tridiagonal"]
         assert diagnostics["search_s"] > 0.0 and diagnostics["check_s"] > 0.0
 
+    def test_fold_solves_on_default_configs(self, tmp_path):
+        # the continuation defaults on a 32x32 grid, the pull-in defaults as they are
+        cont = write_config(tmp_path, "cont.json", kind="continuation", n_x=32, n_eta=32)
+        assert main([str(cont), "--out", str(tmp_path / "cont"), "--quiet"]) == EXIT_OK
+        meta = json.loads((tmp_path / "cont" / "branch.json").read_text())
+        for branch in meta["branches"].values():
+            assert branch["fold_estimate"] is not None
+            assert 0 < branch["diagnostics"]["fold_solves"] <= 6
+        pullin = write_config(tmp_path, "pullin.json", kind="pullin")
+        assert main([str(pullin), "--out", str(tmp_path / "pullin"), "--quiet"]) == EXIT_OK
+        diagnostics = json.loads((tmp_path / "pullin" / "pullin.json").read_text())["diagnostics"]
+        assert 0 < diagnostics["fold_solves"] <= 6
+
+    def test_failed_fold_search_exit_code(self, tmp_path, monkeypatch, capsys):
+        from mems_fbp import small_aspect
+
+        steady0 = small_aspect.steady0
+
+        def failing_off_the_march(*args, depth, **kwargs):
+            if abs(depth / 0.05 - round(depth / 0.05)) > 1e-9:
+                raise NoSteadyStateError("injected failure", residual=1.0)
+            return steady0(*args, depth=depth, **kwargs)
+
+        monkeypatch.setattr(small_aspect, "steady0", failing_off_the_march)
+        path = write_config(tmp_path, kind="pullin", n_x=64, out_dir=str(tmp_path / "out"))
+        assert main([str(path), "--quiet"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "NoSteadyStateError: flat-limit pull-in: fold search failed at depth=" in err
+
     def test_progress_on_stdout_unless_quiet(self, tmp_path, capsys):
         path = write_config(
             tmp_path, kind="pullin", n_x=64, tol_lambda=2e-3, out_dir=str(tmp_path / "out")

@@ -2,15 +2,17 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mems_fbp import numerics, steady
-from mems_fbp.errors import NoSteadyStateError
+from mems_fbp import numerics, small_aspect, steady
+from mems_fbp.errors import NoSteadyStateError, NonConvergenceError
 from mems_fbp.evolution import ModelParams, run
 from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.steady import (
+    BranchPoint,
     continue_branch,
+    march_to_fold,
     nonexistence_bound,
     solve_steady,
     steady_jacobian,
@@ -233,6 +235,76 @@ class TestContinuation:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             continue_branch(0.1, 1.0, -0.05)
+
+
+def march_voltage(voltage):
+    """``march_to_fold`` on the branch lambda = voltage(d), solved exactly
+    by a PDE-free depth solve; returns (fold, fold-search solves)."""
+
+    def solve(d, lam, guess):
+        return BranchPoint(voltage(d), guess, 1.0 - d, 0)
+
+    origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(4)), 1.0, 0)
+    samples, fold, rejected, fold_solves = march_to_fold(solve, origin, np.inf, 0.05, "test")
+    assert rejected == 0 and samples[-1] == fold
+    return fold, fold_solves
+
+
+class TestFoldSearch:
+    def test_closed_form_flat_limit_branch(self):
+        (_, fold), solves = march_voltage(lambda d: small_aspect._clamp_voltage(1.0 - d))
+        assert fold.lam == pytest.approx(0.350004119343, abs=1e-12)
+        assert solves <= 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        peak=st.floats(0.2, 0.8),
+        curvature=st.floats(1.0, 10.0),
+        skew=st.floats(-0.25, 0.25),
+    )
+    # a peak near the midpoint of two march samples: the cubic term biases
+    # the first two parabolic vertices alike, so the second lands on the
+    # first, 1.6e-4 from the peak
+    @example(peak=0.27482, curvature=4.0, skew=0.25)
+    def test_single_peaked_branches(self, peak, curvature, skew):
+        # lambda'(d) = 0 only at the peak in [0, 1]: the other root lies
+        # 1 / (3 |skew|) >= 4/3 away
+        def q(d):
+            e = d - peak
+            return -0.5 * curvature * e * e + skew * curvature * e**3
+
+        (depth, fold), solves = march_voltage(lambda d: q(d) - q(0.0))
+        assert abs(depth - peak) <= 1e-5
+        assert abs(fold.lam + q(0.0)) <= 1e-10
+        assert solves <= 8
+
+    def test_flat_top_returns_the_middle_sample(self):
+        # a plateau at 0.3 over depths 0.25-0.45: the march stops at 0.5,
+        # one vertex solve lands on the plateau and the three voltages tie
+        (depth, fold), solves = march_voltage(lambda d: min(0.3, 1.2 * d, 0.3 - (d - 0.45)))
+        assert fold.lam == 0.3 and 0.4 <= depth <= 0.45
+        assert solves == 1
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(steady, "_FOLD_MAX_SOLVES", 1)
+        with pytest.raises(NonConvergenceError) as info:
+            march_voltage(lambda d: small_aspect._clamp_voltage(1.0 - d))
+        message = str(info.value)
+        assert "test: fold search unsettled after 1 solves" in message
+        assert "in depth [0.35, 0.4]" in message and "best lambda=0.35000" in message
+        assert 0.0 < info.value.residual < 0.05
+
+    def test_failed_solve_names_the_fold_search(self):
+        def voltage(d):
+            if abs(d / 0.05 - round(d / 0.05)) > 1e-9:  # off the march grid
+                raise NoSteadyStateError("Newton stalled", residual=0.5)
+            return small_aspect._clamp_voltage(1.0 - d)
+
+        with pytest.raises(NoSteadyStateError) as info:
+            march_voltage(voltage)
+        assert str(info.value).startswith("test: fold search failed at depth=0.38")
+        assert str(info.value).endswith(": Newton stalled")
+        assert info.value.residual == 0.5
 
 
 class TestNonexistenceBound:
