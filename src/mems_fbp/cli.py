@@ -308,6 +308,7 @@ def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
             "diagnostics": {
                 "newton_iters": counts["newton_iters"],
                 "jacobians": counts["jacobians"],
+                "krylov_iters": counts["krylov_iters"],
             },
         },
     )
@@ -368,6 +369,7 @@ def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
                 "rejected_steps": branch.rejected_steps,
                 "newton_iters": branch.newton_iters,
                 "jacobians": branch.jacobians,
+                "krylov_iters": branch.krylov_iters,
                 "fold_solves": branch.fold_solves,
             },
         }

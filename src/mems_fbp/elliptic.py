@@ -34,11 +34,11 @@ from .transform import (
 __all__ = [
     "PotentialField",
     "TraceProfile",
-    "apply_operator",
     "assemble_system",
     "solve_dirichlet",
     "solve_potential",
     "solve_potential_split",
+    "stencil_derivatives",
     "trace_top",
     "g_eps",
     "mms_convergence",
@@ -101,18 +101,21 @@ def _stencil_weights(coeffs: OperatorCoefficients) -> np.ndarray:
     return w
 
 
-def apply_operator(coeffs: OperatorCoefficients, phi: np.ndarray) -> np.ndarray:
-    """-(mapped operator) applied to the full nodal field ``phi``.
+def stencil_derivatives(phi: np.ndarray, grid: Grid2D):
+    """The cross, second and first vertical differences of ``phi``.
 
-    Returns the interior-node values, shape (n_x - 1, n_eta - 1); the
-    boundary ring of ``phi`` enters through the stencil like any other
-    node, so at the potential this is A phi_int - b of ``assemble_system``.
+    Returns (d_xe, d_ee, d_e) at the interior nodes, each of shape
+    (n_x - 1, n_eta - 1): the 4-corner d_x d_eta, the central d_etaeta and
+    the central d_eta of ``_stencil_weights``, the boundary ring of the full
+    nodal field ``phi`` entering like any other node.  At the potential,
+    A phi - b is -(eps^2 d_xx + a_xeta d_xe + a_etaeta d_ee + b_eta d_e)
+    phi, so these are minus its derivatives by the three coefficient
+    fields that depend on the membrane.
     """
-    nx, ne = coeffs.grid.shape
-    out = np.zeros((nx - 2, ne - 2))
-    for (di, dj), w in zip(_OFFSETS, _stencil_weights(coeffs)):
-        out += w * phi[1 + di : nx - 1 + di, 1 + dj : ne - 1 + dj]
-    return out
+    hx, he = grid.gx.h, grid.h_eta
+    up, mid, down = phi[1:-1, 2:], phi[1:-1, 1:-1], phi[1:-1, :-2]
+    d_xe = (phi[2:, 2:] + phi[:-2, :-2] - phi[2:, :-2] - phi[:-2, 2:]) / (4.0 * hx * he)
+    return d_xe, (up - 2.0 * mid + down) / (he * he), (up - down) / (2.0 * he)
 
 
 @dataclass(frozen=True, eq=False)

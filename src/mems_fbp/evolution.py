@@ -13,6 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import g_eps, solve_potential
+from .errors import (
+    DegenerateGeometryError,
+    GridTooCoarseError,
+    NonConvergenceError,
+    SingularSystemError,
+)
 from .numerics import Grid2D, d1_central, solve_tridiagonal, trapezoid_2d
 from .transform import MembraneState
 
@@ -26,6 +32,14 @@ __all__ = [
 ]
 
 MODES = ("quasilinear", "linearized")
+
+# What a failed step raises; ``_run_loop`` re-raises it naming the step.
+_STEP_ERRORS = (
+    DegenerateGeometryError,
+    GridTooCoarseError,
+    NonConvergenceError,
+    SingularSystemError,
+)
 
 
 @dataclass(frozen=True)
@@ -107,7 +121,11 @@ def step(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> MembraneState:
 
 
 def _run_loop(u0, p, step_fn, thin_every, energy_fn=None) -> Trajectory:
-    """Shared driver: iterate until equilibrium, touchdown or the horizon."""
+    """Shared driver: iterate until equilibrium, touchdown or the horizon.
+
+    A step that fails re-raises its error, type and ``residual`` kept,
+    with its 1-based index and start time before the message.
+    """
     states = [u0]
     energies = [(u0.time, energy_fn(u0))] if energy_fn else None
     if u0.min_gap <= p.touchdown_floor:
@@ -116,7 +134,11 @@ def _run_loop(u0, p, step_fn, thin_every, energy_fn=None) -> Trajectory:
     u = u0
     k = 0
     while True:
-        u_new = step_fn(u)
+        try:
+            u_new = step_fn(u)
+        except _STEP_ERRORS as exc:
+            exc.args = (f"step {k + 1} from t={u.time:.12g}: {exc}",)
+            raise
         k += 1
         if u_new.min_gap <= p.touchdown_floor:
             outcome, touchdown_time, stop = "touchdown", u_new.time, True

@@ -32,6 +32,7 @@ __all__ = [
     "factorize",
     "solve_factored",
     "solve_sparse",
+    "gmres",
     "damped_newton",
     "d1_central",
     "d2_central",
@@ -245,6 +246,58 @@ def solve_sparse(system: SparseSystem):
     """
     lu = factorize(system)
     return solve_factored(lu, system), lu
+
+
+def gmres(matvec, b, precondition, atol, max_iter):
+    """Solve A x = b by GMRES from x = 0, right-preconditioned and unrestarted.
+
+    ``matvec(v)`` applies A and ``precondition(v)`` applies the inverse of
+    the preconditioner M.  Iteration k extends the Krylov basis of A M^{-1}
+    by one vector, orthogonalized by modified Gram-Schmidt, and updates the
+    Givens rotations of the Hessenberg matrix, whose last rotated entry is
+    the 2-norm residual ||b - A x|| of the iterate (right preconditioning
+    leaves the residual unscaled).  Stops at the first iteration whose
+    residual is <= ``atol``, at an exact (happy) breakdown, or after
+    ``max_iter`` iterations.  Returns (x, iterations, residual); the caller
+    decides what a residual above ``atol`` means.
+    """
+    beta = float(np.linalg.norm(b))
+    if not beta > atol:
+        return np.zeros_like(b, dtype=float), 0, beta
+    basis = np.empty((max_iter + 1, b.size))
+    hess = np.zeros((max_iter + 1, max_iter))
+    cos, sin = np.zeros(max_iter), np.zeros(max_iter)
+    g = np.zeros(max_iter + 1)
+    g[0] = beta
+    basis[0] = b / beta
+    residual, m = beta, 0  # m: columns of the least-squares problem
+    for k in range(max_iter):
+        w = matvec(precondition(basis[k]))
+        for i in range(k + 1):
+            hess[i, k] = w @ basis[i]
+            w -= hess[i, k] * basis[i]
+        norm_w = float(np.linalg.norm(w))
+        column = hess[: k + 2, k]
+        column[k + 1] = norm_w
+        for i in range(k):
+            column[i], column[i + 1] = (
+                cos[i] * column[i] + sin[i] * column[i + 1],
+                cos[i] * column[i + 1] - sin[i] * column[i],
+            )
+        rho = float(np.hypot(column[k], column[k + 1]))
+        if rho == 0.0:  # A M^{-1} singular on the basis: no further progress
+            break
+        cos[k], sin[k] = column[k] / rho, column[k + 1] / rho
+        column[k], column[k + 1] = rho, 0.0
+        g[k + 1], g[k] = -sin[k] * g[k], cos[k] * g[k]
+        residual, m = abs(float(g[k + 1])), k + 1
+        if residual <= atol or norm_w == 0.0:
+            break
+        basis[k + 1] = w / norm_w
+    if m == 0:
+        return np.zeros_like(b, dtype=float), 0, residual
+    y = np.linalg.solve(hess[:m, :m], g[:m])
+    return precondition(basis[:m].T @ y), m, residual
 
 
 def damped_newton(residual, newton_step, u, tol, max_iter, floor, label):

@@ -2,12 +2,19 @@
 fold, and the closed-form non-existence threshold.
 
 The steady equation balances the linearized curvature term against the
-electrostatic source.  Newton iteration uses the dense tangent
-Jacobian: the trace derivative comes from linearizing the potential
-solve, dphi/du_j = -A(u)^{-1} dG/du_j with G(u, phi) = A(u) phi - b(u),
-so one LU of the potential operator serves every column.  Newton takes
-that LU from the residual evaluation at the same iterate, so each
-iteration factorizes once.
+electrostatic source.  Newton solves each step by GMRES on the exact
+linearization (``linearize``) without forming it.  A product J v is the
+closed-form tridiagonal part T v (the second difference and the
+curvature factor of the source) plus the source's dependence on the
+membrane trace.  The trace change follows from linearizing the potential
+solve, dphi = -A(u)^{-1} G_u v with G(u, phi) = A(u) phi - b(u): G_u is
+exact, built once per step from three stencil differences of the
+potential, and each product is one solve against the LU of A(u) that the
+residual evaluation at the same iterate already made, so each Newton
+iteration factorizes once.  T, solved in closed form, preconditions
+GMRES, which then needs a few such solves per step instead of one per
+unknown.  ``steady_jacobian`` is the dense matrix of the same
+linearization.
 """
 
 from __future__ import annotations
@@ -20,25 +27,34 @@ import numpy as np
 
 from .elliptic import (
     PotentialField,
-    apply_operator,
     solve_potential,
+    stencil_derivatives,
     trace_top,
 )
-from .errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
+from .errors import (
+    DegenerateGeometryError,
+    NoSteadyStateError,
+    NonConvergenceError,
+    SingularSystemError,
+)
 from .numerics import (
     Grid1D,
     Grid2D,
     d1_central,
     d2_central,
     damped_newton,
+    gmres,
     solve_factored,
+    solve_tridiagonal,
 )
-from .transform import MembraneState, assemble_coefficients
+from .transform import MembraneState
 
 __all__ = [
     "BranchPoint",
     "SteadyBranch",
+    "Linearization",
     "steady_residual",
+    "linearize",
     "steady_jacobian",
     "solve_steady",
     "continue_branch",
@@ -48,12 +64,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Deflection step of the central differences of the operator application.
-# The coefficients are smooth rational functions of u and the gap 1 + u,
-# so the truncation error is about (step / gap)^2 relative: 4e-10 at the
-# default touchdown floor 0.05, with roundoff of the same size.
-_OPERATOR_STEP = 1e-6
 
 # Step of the centre depth along the branch march.
 _DEPTH_STEP = 0.05
@@ -70,14 +80,31 @@ _FOLD_XATOL = 1e-6
 # discrete branches and on the closed-form flat-limit branch.
 _FOLD_MAX_SOLVES = 30
 
-# What a depth solve raises when it finds no branch point.
+# What a depth or fixed-voltage solve raises when it finds no branch point.
 _DEPTH_SOLVE_ERRORS = (DegenerateGeometryError, NonConvergenceError)
 
 # Max-norm residual at which Newton accepts a steady state or branch point.
 _NEWTON_TOL = 1e-10
 
+# Stop rule of the GMRES solve of a Newton step: a 2-norm linear residual
+# at most the looser of _KRYLOV_RTOL times the 2-norm of the Newton
+# residual and _KRYLOV_ATOL.  The residual after a step is its linear
+# residual plus the quadratic remainder, so a tenth of _NEWTON_TOL leaves
+# the Newton iterations as with an exact solve; it ends the last steps of
+# each solve early, which on the 32x32 branches at eps = 0.1, 1, 2 and 3
+# takes 510 GMRES iterations instead of 810 for the same Newton steps.
+# The relative part bounds the steps far from a solution, where iterates
+# can be ill-conditioned (cond(J) up to 1e6 on random admissible states at
+# eps near 2.4, n = 32, which still reach 1e-12 within the iteration cap).
+_KRYLOV_RTOL = 1e-12
+_KRYLOV_ATOL = 0.1 * _NEWTON_TOL
+
 # Newton iterations allowed per branch point, depth sample or fold-search solve.
 _BRANCH_MAX_ITER = 15
+
+# Halvings of the depth segment in which ``continue_branch`` locates the
+# seed of a fixed-voltage point: a width of 0.05 / 2^40 = 5e-14.
+_SEED_BISECTIONS = 40
 
 # Half-width of the reported fold interval.  A depth solve stops at a
 # max-norm residual of ``_NEWTON_TOL``, which moves its voltage
@@ -108,8 +135,9 @@ class SteadyBranch:
     of the branch, None unless the branch was traced past it below
     ``lambda_max``; ``fold_interval`` is fold_estimate -/+ ``_FOLD_TOL``.
     ``newton_iters`` counts the Newton iterations of the points,
-    ``jacobians`` the Jacobians built by every solve, depth samples and
-    the fold search included, ``rejected_steps`` the depth steps whose
+    ``jacobians`` the linearizations of every solve (one per Newton
+    step, depth samples and the fold search included), ``krylov_iters``
+    their GMRES iterations, ``rejected_steps`` the depth steps whose
     solve failed and ``fold_solves`` the depth solves of the fold search.
     """
 
@@ -119,6 +147,7 @@ class SteadyBranch:
     rejected_steps: int = 0
     newton_iters: int = 0
     jacobians: int = 0
+    krylov_iters: int = 0
     fold_solves: int = 0
 
     @property
@@ -148,58 +177,135 @@ def steady_residual(
 
     The second difference of ``u`` minus ``lam`` times the source of
     ``_source``.  With ``with_potential`` returns (residual, potential
-    field), the field carrying its factored system for
-    ``steady_jacobian``.
+    field), the field carrying its factored system for ``linearize``.
     """
     field = solve_potential(u, eps, grid2d)
     r = d2_central(u.u, u.grid)[1:-1] - lam * _source(u, eps, field)
     return (r, field) if with_potential else r
 
 
-def _trace_jacobian(
-    u: MembraneState, eps: float, grid2d: Grid2D, field: PotentialField | None = None
-):
-    """Membrane trace and its derivative by the interior deflections.
+@dataclass(frozen=True, eq=False)
+class Linearization:
+    """The derivative of ``steady_residual`` at one state, as products.
 
-    Returns (tr, dtr) at the interior x-nodes, dtr[i, j] = d tr_i / d u_j.
-    ``field`` is the potential at ``u`` from ``solve_potential``, whose
-    factor is reused; without it the potential is solved here.
-    On the grid column of x-node i, G = A(u) phi - b(u) uses coefficients
-    sampled at node i, which depend on u_{i-1}, u_i, u_{i+1} only, so
-    perturbing every third deflection at once (three colours, central
-    differences) yields all of dG/du without a solve.  All right-hand
-    sides -dG/du_j are then solved against the one factor of A(u), a
-    colour block at a time to bound the dense storage.
+    J = T + diag(``coupling``) dtr: T is tridiagonal (``lower``, ``diag``,
+    ``upper``), the second difference and the derivative of the curvature
+    factor P = (1+eps^2 u_x^2)^(5/2)/(1+u)^2 of the source; ``coupling``
+    is -2 lam P tr and dtr the derivative of the membrane trace tr.  With
+    ``border``, the operator is the bordered [J, -h; e_c^T, 0] of a depth
+    solve, acting on (deflection change, voltage change), where h is the
+    ``source`` and e_c picks the centre node; ``border`` holds T^{-1} h.
+    """
+
+    field: PotentialField
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+    coupling: np.ndarray
+    source: np.ndarray
+    # G_u v = dg[0] v + dg[1] D1 v + dg[2] D2 v at interior node (i, j)
+    dg: np.ndarray
+    border: np.ndarray | None = None
+
+    def trace_change(self, v: np.ndarray) -> np.ndarray:
+        """dtr v for one deflection change v, or for each column of v.
+
+        Solves A dphi = -G_u v against the potential's LU, all columns
+        in one call, and takes the 3-point trace of dphi (the top row
+        phi = 1 does not move).
+        """
+        n, h = self.diag.size, self.field.grid.gx.h
+        cols = v.reshape(n, -1)
+        padded = np.zeros((n + 2, cols.shape[1]))
+        padded[1:-1] = cols
+        d1 = (padded[2:] - padded[:-2]) / (2.0 * h)
+        d2 = (padded[2:] - 2.0 * cols + padded[:-2]) / (h * h)
+        dg = self.dg[..., None]
+        rhs = -(dg[0] * cols[:, None] + dg[1] * d1[:, None] + dg[2] * d2[:, None])
+        nie = rhs.shape[1]
+        system = replace(self.field.system, rhs=rhs.reshape(n * nie, -1))
+        dphi = solve_factored(self.field.lu, system).reshape(n, nie, -1)
+        he = self.field.grid.h_eta
+        return ((-4.0 * dphi[:, -1] + dphi[:, -2]) / (2.0 * he)).reshape(v.shape)
+
+    def matvec(self, z: np.ndarray) -> np.ndarray:
+        """The linearization applied to ``z``."""
+        n = self.diag.size
+        v = z[:n]
+        out = self.diag * v + self.coupling * self.trace_change(v)
+        out[1:] += self.lower * v[:-1]
+        out[:-1] += self.upper * v[1:]
+        if self.border is None:
+            return out
+        return np.append(out - self.source * z[n], v[n // 2])
+
+    def precondition(self, y: np.ndarray) -> np.ndarray:
+        """Solve with T, or with the bordered [T, -h; e_c^T, 0] by block
+        elimination: x = a + b dlam, where T a is y but its last entry,
+        T b = h, and dlam makes x_c that last entry."""
+        n = self.diag.size
+        a = solve_tridiagonal(self.lower, self.diag, self.upper, y[:n])
+        if self.border is None:
+            return a
+        dlam = (y[n] - a[n // 2]) / self.border[n // 2]
+        return np.append(a + self.border * dlam, dlam)
+
+
+def linearize(
+    u: MembraneState,
+    lam: float,
+    eps: float,
+    grid2d: Grid2D,
+    field: PotentialField | None = None,
+    bordered: bool = False,
+) -> Linearization:
+    """The ``Linearization`` of ``steady_residual`` at ``u`` and ``lam``.
+
+    ``field`` is the potential at ``u`` as ``steady_residual`` returns
+    it, whose LU factor serves every product; without it the potential
+    is solved here.  ``bordered`` adds the border of a depth solve.
+
+    The operator weights are linear in a_xeta, a_etaeta and b_eta, which
+    depend on the deflection only through w = 1 + u_i, u_x and u_xx at
+    the grid column of node i.  So G_u v = F_w v + F_x D1 v + F_xx D2 v
+    node by node, each F being the chain-rule factors of the three
+    coefficients times ``stencil_derivatives`` of the potential.
     """
     grid = u.grid
-    n_int = grid.n_nodes - 2
-    nie = grid2d.n_eta - 1
+    h = grid.h
     if field is None:
         field = solve_potential(u, eps, grid2d)
-    phi, system, lu = field.phi, field.system, field.lu
     tr = trace_top(field).dphi_top[1:-1]
+    e2 = eps * eps
+    w = 1.0 + u.u[1:-1]
+    dv = d1_central(u.u, grid)[1:-1]
+    stretch = 1.0 + e2 * dv * dv
+    p = stretch**2.5 / (w * w)
+    dp_du = -2.0 * p / w  # by u_i
+    # by u_{i+1} through u_x = (u_{i+1} - u_{i-1}) / 2h; by u_{i-1} negated
+    dp_dnext = 5.0 * e2 * dv * stretch**1.5 / (w * w) / (2.0 * h)
+    tr2 = lam * tr * tr
+    lower = 1.0 / (h * h) + tr2[1:] * dp_dnext[1:]
+    diag = -2.0 / (h * h) - tr2 * dp_du
+    upper = 1.0 / (h * h) - tr2[:-1] * dp_dnext[:-1]
 
-    def operator_at(shift: np.ndarray) -> np.ndarray:
-        shifted = MembraneState(grid, u.u + shift, u.time)
-        return apply_operator(assemble_coefficients(shifted, eps, grid2d), phi)
+    # with s = u_x/w and q = u_xx/w: a_xeta = -2 e2 eta s,
+    # a_etaeta = (1 + e2 eta^2 u_x^2)/w^2, b_eta = e2 eta (2 s^2 - q), and G
+    # is minus their sum against d_xe, d_ee, d_e plus a fixed eps^2 d_xx term
+    eta = grid2d.eta_nodes[None, 1:-1]
+    s = (dv / w)[:, None]
+    q = (d2_central(u.u, grid)[1:-1] / w)[:, None]
+    a_ee = (1.0 + e2 * eta * eta * (dv * dv)[:, None]) / (w * w)[:, None]
+    d_xe, d_ee, d_e = stencil_derivatives(field.phi, grid2d)
+    dg = np.empty((3,) + d_e.shape)
+    dg[0] = 2.0 * a_ee * d_ee - e2 * eta * (2.0 * s * d_xe + (q - 4.0 * s * s) * d_e)
+    dg[1] = 2.0 * e2 * eta * (d_xe - eta * s * d_ee - 2.0 * s * d_e)
+    dg[2] = e2 * eta * d_e
+    dg /= w[:, None]
 
-    dtr = np.empty((n_int, n_int))
-    for colour in range(3):
-        cols = np.arange(colour, n_int, 3)
-        shift = np.zeros(grid.n_nodes)
-        shift[cols + 1] = _OPERATOR_STEP
-        dg = (operator_at(shift) - operator_at(-shift)) / (2.0 * _OPERATOR_STEP)
-        # deflection j moves the operator rows of x-nodes j-1, j, j+1
-        rhs = np.zeros((n_int, nie, cols.size))
-        for k, j in enumerate(cols):
-            lo, hi = max(j - 1, 0), min(j + 2, n_int)
-            rhs[lo:hi, :, k] = -dg[lo:hi, :]
-        block = replace(system, rhs=rhs.reshape(n_int * nie, cols.size))
-        dphi = solve_factored(lu, block).reshape(n_int, nie, cols.size)
-        # 3-point one-sided trace; the top row phi = 1 does not move
-        dtr[:, cols] = (-4.0 * dphi[:, -1, :] + dphi[:, -2, :]) / (2.0 * grid2d.h_eta)
-        del rhs, block, dphi
-    return tr, dtr
+    source = p * tr * tr
+    border = solve_tridiagonal(lower, diag, upper, source) if bordered else None
+    return Linearization(field, lower, diag, upper, -2.0 * lam * p * tr, source, dg, border)
 
 
 def steady_jacobian(
@@ -209,31 +315,21 @@ def steady_jacobian(
     grid2d: Grid2D,
     field: PotentialField | None = None,
 ) -> np.ndarray:
-    """Jacobian of ``steady_residual`` by the interior deflections.
+    """Dense Jacobian of ``steady_residual`` by the interior deflections.
 
-    The curvature factor P = (1+eps^2 u_x^2)^(5/2)/(1+u)^2 and the
-    second difference are tridiagonal in u and differentiated in closed
-    form; the trace derivative comes from ``_trace_jacobian``.  ``field``
-    is the potential at ``u`` as ``steady_residual`` returns it; passing
-    it saves the factorization of the potential operator.
+    The matrix of the operator ``linearize`` returns: its tridiagonal
+    part plus the trace term, whose n_int columns are solved against the
+    potential's LU in one block.  ``field`` is the potential at ``u`` as
+    ``steady_residual`` returns it; passing it saves the factorization of
+    the potential operator.  Newton uses the products instead.
     """
-    grid = u.grid
-    h = grid.h
-    tr, dtr = _trace_jacobian(u, eps, grid2d, field)
-    dv = d1_central(u.u, grid)[1:-1]
-    w = 1.0 + u.u[1:-1]
-    stretch = 1.0 + eps * eps * dv * dv
-    p = stretch**2.5 / (w * w)
-    dp_du = -2.0 * p / w  # by u_i
-    # by u_{i+1} through u_x = (u_{i+1} - u_{i-1}) / 2h; by u_{i-1} negated
-    dp_dnext = 5.0 * eps * eps * dv * stretch**1.5 / (w * w) / (2.0 * h)
-
-    jac = (-2.0 * lam * p * tr)[:, None] * dtr
-    tr2 = lam * tr * tr
-    idx = np.arange(tr.size)
-    jac[idx, idx] += -2.0 / (h * h) - tr2 * dp_du
-    jac[idx[:-1], idx[:-1] + 1] += 1.0 / (h * h) - tr2[:-1] * dp_dnext[:-1]
-    jac[idx[1:], idx[1:] - 1] += 1.0 / (h * h) + tr2[1:] * dp_dnext[1:]
+    lin = linearize(u, lam, eps, grid2d, field)
+    n = lin.diag.size
+    jac = lin.coupling[:, None] * lin.trace_change(np.eye(n))
+    idx = np.arange(n)
+    jac[idx, idx] += lin.diag
+    jac[idx[1:], idx[:-1]] += lin.lower
+    jac[idx[:-1], idx[1:]] += lin.upper
     return jac
 
 
@@ -257,10 +353,16 @@ def _newton(
     voltage rides along in the vector whose entries Newton keeps at
     1 + entry > ``floor``, which holds for any nonnegative voltage.
 
-    Every Jacobian built is counted in ``counts["jacobians"]``.  The
-    Jacobian at an iterate reuses the potential (and its LU factor) of
-    the residual evaluation there; the latest one is held for this call
-    only, so concurrent calls share nothing.
+    Each step linearizes once (``linearize``, counted in
+    ``counts["jacobians"]``) and solves by ``gmres`` on the products,
+    preconditioned by the tridiagonal part, to the stop rule of
+    ``_KRYLOV_RTOL`` and ``_KRYLOV_ATOL``; its iterations add to
+    ``counts["krylov_iters"]``, and a GMRES solve that misses the rule
+    within as many iterations as unknowns raises NoSteadyStateError
+    carrying its linear residual.  The linearization at an iterate
+    reuses the potential (and its LU factor) of the residual evaluation
+    there; the latest one is held for this call only, so concurrent
+    calls share nothing.
     """
     grid = guess.grid
     n_int = grid.n_nodes - 2
@@ -289,18 +391,24 @@ def _newton(
 
     def newton_step(z: np.ndarray, r: np.ndarray) -> np.ndarray:
         counts["jacobians"] += 1
-        u, field = state_of(z), latest["field"]
-        jac = steady_jacobian(u, lam_of(z), eps, grid2d, field)
-        if depth is not None:
-            border = np.zeros((1, n_int + 1))
-            border[0, centre] = 1.0
-            jac = np.block([[jac, -_source(u, eps, field)[:, None]], [border]])
+        bound = max(_KRYLOV_RTOL * float(np.linalg.norm(r)), _KRYLOV_ATOL)
         try:
-            return np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
+            lin = linearize(
+                state_of(z), lam_of(z), eps, grid2d, latest["field"], bordered=depth is not None
+            )
+            step, iters, linear = gmres(lin.matvec, -r, lin.precondition, bound, r.size)
+        except SingularSystemError as exc:
             raise NoSteadyStateError(
-                f"singular Jacobian in {label}", residual=float(np.max(np.abs(r)))
+                f"{label}: singular linearization: {exc}", residual=float(np.max(np.abs(r)))
             ) from exc
+        counts["krylov_iters"] += iters
+        if not linear <= bound:
+            raise NoSteadyStateError(
+                f"{label}: GMRES linear residual {linear:.3e} above {bound:.3e} "
+                f"after {iters} iterations",
+                residual=linear,
+            )
+        return step
 
     z, iters = damped_newton(residual, newton_step, z, _NEWTON_TOL, max_iter, floor, label)
     return state_of(z), lam_of(z), iters
@@ -319,8 +427,9 @@ def solve_steady(
     to a max-norm residual of ``_NEWTON_TOL``.
 
     When ``counts`` is given, the Newton iterations of a converged solve
-    are added to ``counts["newton_iters"]`` and every Jacobian built to
-    ``counts["jacobians"]``.
+    are added to ``counts["newton_iters"]``, every linearization (one per
+    Newton step) to ``counts["jacobians"]`` and their GMRES iterations to
+    ``counts["krylov_iters"]``.
     """
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
@@ -328,6 +437,19 @@ def solve_steady(
     state, _, iters = _newton(lam, eps, guess, grid2d, max_iter, floor, counts)
     counts["newton_iters"] += iters
     return state
+
+
+def _lagrange_weights(nodes, x: float) -> list[float]:
+    """Weights of the values at ``nodes`` in their Lagrange interpolant at ``x``."""
+    weights = []
+    for k, node in enumerate(nodes):
+        num = den = 1.0
+        for m, other in enumerate(nodes):
+            if m != k:
+                num *= x - other
+                den *= node - other
+        weights.append(num / den)
+    return weights
 
 
 def march_to_fold(
@@ -393,11 +515,7 @@ def march_to_fold(
                     residual=abs(d - db),
                 )
             # seeded by the quadratic interpolant of the three at d
-            w = (
-                (d - db) * (d - dc) / ((da - db) * (da - dc)),
-                (d - da) * (d - dc) / ((db - da) * (db - dc)),
-                (d - da) * (d - db) / ((dc - da) * (dc - db)),
-            )
+            w = _lagrange_weights((da, db, dc), d)
             guess = MembraneState(
                 pb.state.grid, w[0] * pa.state.u + w[1] * pb.state.u + w[2] * pc.state.u
             )
@@ -464,8 +582,11 @@ def continue_branch(
     ``march_to_fold``.
 
     The points are the voltages k * dlambda0 below the end of the march,
-    each solved at its fixed voltage from the interpolation between the
-    two samples around it, then either ``lambda_max`` exactly (no fold),
+    each solved at its fixed voltage, seeded by the cubic interpolant of
+    the four samples nearest it at the depth where the interpolated
+    voltage is its own (found by bisection between the two samples around
+    it); a point whose solve fails re-raises its error, naming eps and
+    the voltage.  Then either ``lambda_max`` exactly (no fold),
     or the located fold (``fold_estimate``, with ``fold_interval`` its
     -/+ ``_FOLD_TOL``), or, for a march stopped short of both, its last
     sample (no fold).
@@ -488,17 +609,35 @@ def continue_branch(
         at_depth, origin, lambda_max, floor, f"eps={eps:g}"
     )
 
+    def point_at(lam: float, segment: int) -> BranchPoint:
+        # seeded from the cubic interpolant of the four samples nearest the
+        # segment, at the depth where its voltage is lam
+        start = max(0, min(segment - 1, len(samples) - 4))
+        window = samples[start : start + 4]
+        nodes = [d for d, _ in window]
+        lo, hi = samples[segment][0], samples[segment + 1][0]
+        for _ in range(_SEED_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            w = _lagrange_weights(nodes, mid)
+            if sum(wk * pt.lam for wk, (_, pt) in zip(w, window)) < lam:
+                lo = mid
+            else:
+                hi = mid
+        w = _lagrange_weights(nodes, 0.5 * (lo + hi))
+        guess = MembraneState(grid, sum(wk * pt.state.u for wk, (_, pt) in zip(w, window)))
+        try:
+            state, _, iters = _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts)
+        except _DEPTH_SOLVE_ERRORS as exc:
+            exc.args = (f"eps={eps:g}: branch point at lambda={lam:.12g} failed: {exc}",)
+            raise
+        return BranchPoint(lam, state, state.min_gap, iters)
+
     points = [samples[0][1]]
     k = 1
     reached = False  # lambda_max
-    for (_, lo), (_, hi) in zip(samples, samples[1:]):
+    for segment, (_, hi) in enumerate(samples[1:]):
         while not reached and (lam := min(k * dlambda0, lambda_max)) <= hi.lam:
-            t = (lam - lo.lam) / (hi.lam - lo.lam)
-            guess = MembraneState(grid, lo.state.u + t * (hi.state.u - lo.state.u))
-            state, _, iters = _newton(
-                lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts
-            )
-            points.append(BranchPoint(lam, state, state.min_gap, iters))
+            points.append(point_at(lam, segment))
             reached = lam == lambda_max
             k += 1
     if not reached and samples[-1][1].lam > points[-1].lam:
@@ -511,6 +650,7 @@ def continue_branch(
         rejected_steps=rejected,
         newton_iters=sum(pt.newton_iters for pt in points),
         jacobians=counts["jacobians"],
+        krylov_iters=counts["krylov_iters"],
         fold_solves=fold_solves,
     )
 

@@ -179,6 +179,28 @@ class TestEvolveKind:
         assert main([str(path), "--quiet"]) == EXIT_TOUCHDOWN
         assert "ERROR[touchdown]" in capsys.readouterr().err
 
+    def test_failed_step_exit_code(self, tmp_path, monkeypatch, capsys):
+        from mems_fbp import evolution
+        from mems_fbp.errors import SingularSystemError
+
+        step = evolution.step
+        taken = []
+
+        def failing_third(u, p, grid2d):
+            taken.append(u.time)
+            if len(taken) == 3:
+                raise SingularSystemError("injected failure")
+            return step(u, p, grid2d)
+
+        monkeypatch.setattr(evolution, "step", failing_third)
+        path = write_config(
+            tmp_path, kind="evolve", **{"lambda": 0.1}, n_x=8, n_eta=8, dt=0.01,
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "SingularSystemError: step 3 from t=0.02: injected failure" in err
+
     def test_deterministic_csv(self, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -237,13 +259,13 @@ class TestOtherKinds:
         from mems_fbp import steady
 
         jacobians = []
-        build = steady.steady_jacobian
+        build = steady.linearize
 
         def counted(*args, **kwargs):
             jacobians.append(args[1])
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(steady, "steady_jacobian", counted)
+        monkeypatch.setattr(steady, "linearize", counted)
         path = write_config(
             tmp_path,
             kind="steady",
@@ -255,9 +277,25 @@ class TestOtherKinds:
         )
         assert main([str(path), "--quiet"]) == EXIT_OK
         diagnostics = json.loads((tmp_path / "out" / "steady.json").read_text())["diagnostics"]
-        # one Jacobian per Newton step of the one solve
+        # one linearization per Newton step of the one solve
+        krylov = diagnostics.pop("krylov_iters")
         assert diagnostics == {"newton_iters": len(jacobians), "jacobians": len(jacobians)}
         assert len(jacobians) > 0
+        assert len(jacobians) <= krylov <= 15 * len(jacobians)
+
+    def test_steady_gmres_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        from mems_fbp import steady
+
+        monkeypatch.setattr(steady, "_KRYLOV_RTOL", 0.0)
+        monkeypatch.setattr(steady, "_KRYLOV_ATOL", 0.0)
+        path = write_config(
+            tmp_path, kind="steady", **{"lambda": 0.1}, eps=0.1, n_x=8, n_eta=8,
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err.startswith("mems-fbp: ERROR[solver] NoSteadyStateError: Newton at lambda=0.1: ")
+        assert "after 7 iterations" in err
 
     def test_steady_failure_exit_code(self, tmp_path, capsys):
         path = write_config(
@@ -278,13 +316,13 @@ class TestOtherKinds:
         from mems_fbp import steady
 
         jacobians = []
-        build = steady.steady_jacobian
+        build = steady.linearize
 
         def counted(*args, **kwargs):
             jacobians.append(args[1])
             return build(*args, **kwargs)
 
-        monkeypatch.setattr(steady, "steady_jacobian", counted)
+        monkeypatch.setattr(steady, "linearize", counted)
         path = write_config(
             tmp_path,
             kind="continuation",
@@ -308,8 +346,28 @@ class TestOtherKinds:
         assert diag["newton_iters"] == sum(
             float(line.split(",")[-1]) for line in lines[1:]
         )
-        # every Jacobian built, in the depth march as at the reported voltages
+        # every linearization, in the depth march as at the reported voltages
         assert diag["jacobians"] == len(jacobians)
+        assert diag["krylov_iters"] >= diag["jacobians"]
+
+    def test_failed_branch_point_exit_code(self, tmp_path, monkeypatch, capsys):
+        from mems_fbp import steady
+
+        newton = steady._newton
+
+        def failing_points(*args, depth=None, **kwargs):
+            if depth is None:
+                raise NoSteadyStateError("injected failure", residual=1.0)
+            return newton(*args, depth=depth, **kwargs)
+
+        monkeypatch.setattr(steady, "_newton", failing_points)
+        path = write_config(
+            tmp_path, kind="continuation", eps=0.5, n_x=8, n_eta=8, lambda_max=0.04,
+            dlambda0=0.04, out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "NoSteadyStateError: eps=0.5: branch point at lambda=0.04 failed: injected" in err
 
     @pytest.mark.parametrize(
         "fields, key",

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mems_fbp import criteria, numerics
+from mems_fbp import evolution
+from mems_fbp.errors import NonConvergenceError
 from mems_fbp.evolution import ModelParams, Trajectory, run, step, total_energy
 from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.steady import steady_residual
@@ -94,6 +96,20 @@ class TestRun:
         assert traj.outcome == "max_time_reached"
         assert len(traj.states) - 1 == 20
         assert len(factorizations) == 20
+
+    def test_failed_step_names_its_index_and_time(self, grid):
+        p = ModelParams(eps=0.1, lam=0.1, dt=0.01)
+        u0 = MembraneState(grid, -0.1 * (1.0 - grid.nodes**2))
+
+        def shrink_then_fail(u):
+            if u.time > 0.015:
+                raise NonConvergenceError("sparse solve residual too large", residual=0.5)
+            return MembraneState(u.grid, 0.9 * u.u, u.time + p.dt)
+
+        with pytest.raises(NonConvergenceError) as info:
+            evolution._run_loop(u0, p, shrink_then_fail, thin_every=1)
+        assert str(info.value) == "step 3 from t=0.02: sparse solve residual too large"
+        assert info.value.residual == 0.5
 
     def test_zero_voltage_immediate_convergence(self, grid, grid2d):
         p = ModelParams(eps=0.1, lam=0.0)

@@ -10,6 +10,7 @@ from mems_fbp.numerics import (
     d1_central,
     d2_central,
     fit_exponential_rate,
+    gmres,
     solve_sparse,
     solve_tridiagonal,
 )
@@ -112,6 +113,41 @@ class TestSolveSparse:
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(SingularSystemError):
             solve_sparse(SparseSystem(A, np.array([1.0, 1.0])))
+
+
+class TestGmres:
+    @staticmethod
+    def system(n=20, seed=0):
+        rng = np.random.default_rng(seed)
+        a = np.eye(n) * 4.0 + rng.normal(size=(n, n))  # nonsymmetric
+        return a, rng.normal(size=n)
+
+    def test_solves_to_the_absolute_bound(self):
+        a, b = self.system()
+        x, iters, residual = gmres(lambda v: a @ v, b, lambda v: v, 1e-10, b.size)
+        assert residual <= 1e-10
+        # the reported residual is the true one, up to roundoff
+        assert abs(np.linalg.norm(b - a @ x) - residual) <= 1e-12
+        assert 0 < iters <= b.size
+
+    def test_exact_preconditioner_takes_one_iteration(self):
+        a, b = self.system()
+        inverse = np.linalg.inv(a)
+        x, iters, residual = gmres(lambda v: a @ v, b, lambda v: inverse @ v, 1e-10, b.size)
+        assert iters == 1 and residual <= 1e-10
+        assert np.max(np.abs(a @ x - b)) <= 1e-10
+
+    def test_iteration_cap_reports_the_residual(self):
+        a, b = self.system()
+        x, iters, residual = gmres(lambda v: a @ v, b, lambda v: v, 1e-10, 3)
+        assert iters == 3
+        assert residual > 1e-10
+        assert abs(np.linalg.norm(b - a @ x) - residual) <= 1e-10 * np.linalg.norm(b)
+
+    def test_zero_right_hand_side(self):
+        a, _ = self.system()
+        x, iters, residual = gmres(lambda v: a @ v, np.zeros(20), lambda v: v, 0.0, 20)
+        assert iters == 0 and residual == 0.0 and not np.any(x)
 
 
 class TestDerivatives:

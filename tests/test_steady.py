@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.steady import (
     BranchPoint,
     continue_branch,
+    linearize,
     march_to_fold,
     nonexistence_bound,
     solve_steady,
@@ -111,7 +113,7 @@ class TestJacobian:
 
         monkeypatch.setattr(numerics, "splu", counted("splu", numerics.splu))
         monkeypatch.setattr(steady, "steady_residual", counted("residual", steady_residual))
-        monkeypatch.setattr(steady, "steady_jacobian", counted("jacobian", steady_jacobian))
+        monkeypatch.setattr(steady, "linearize", counted("jacobian", linearize))
         solve_steady(0.3, 0.1, MembraneState.zero(grid), grid2d=grid2d)
         assert counts["jacobian"] >= 3
         assert counts["splu"] == counts["residual"]
@@ -120,6 +122,74 @@ class TestJacobian:
         continue_branch(1.0, 2.0, 0.05, n_x=8)
         assert counts["jacobian"] >= 3
         assert counts["splu"] == counts["residual"]
+
+
+def directional_difference(u, lam, eps, grid2d, v, mu=None, step=1e-6):
+    """Oracle: central difference of the residual along v (and along the
+    voltage by mu, with the centre row of a depth solve appended)."""
+
+    def at(sign):
+        full = u.u.copy()
+        full[1:-1] += sign * step * v
+        r = steady_residual(
+            MembraneState(u.grid, full), lam + sign * step * (mu or 0.0), eps, grid2d
+        )
+        return r if mu is None else np.append(r, full[full.size // 2])
+
+    return (at(1.0) - at(-1.0)) / (2.0 * step)
+
+
+def relative_error(value, oracle):
+    return float(np.max(np.abs(value - oracle)) / np.max(np.abs(oracle)))
+
+
+class TestLinearization:
+    @settings(max_examples=16, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.floats(0.05, 3.0),
+        n=st.integers(8, 24),
+        lam=st.floats(0.1, 2.0),
+        bordered=st.booleans(),
+    )
+    def test_matvec_matches_central_differences(self, seed, eps, n, lam, bordered):
+        grid = Grid1D.uniform(n)
+        grid2d = Grid2D.uniform(n, n)
+        rng = np.random.default_rng(seed)
+        u = random_admissible_state(grid, rng)
+        v = rng.normal(size=n - 1)
+        mu = float(rng.normal()) if bordered else None
+        z = v if mu is None else np.append(v, mu)
+
+        def product(lam):
+            return linearize(u, lam, eps, grid2d, bordered=bordered).matvec(z)
+
+        oracle = directional_difference(u, lam, eps, grid2d, v, mu)
+        assert relative_error(product(lam), oracle) <= 1e-6
+        # the source part alone, which the second difference would dominate
+        source = directional_difference(u, 0.0, eps, grid2d, v, mu) - oracle
+        assert relative_error(product(0.0) - product(lam), source) <= 1e-6
+
+    def test_preconditioner_inverts_the_tridiagonal_part(self, grid, grid2d):
+        u = random_admissible_state(grid, np.random.default_rng(3))
+        for bordered in (False, True):
+            lin = linearize(u, 0.7, 1.0, grid2d, bordered=bordered)
+            tridiagonal = replace(lin, coupling=np.zeros_like(lin.coupling))
+            y = np.random.default_rng(4).normal(size=lin.diag.size + bordered)
+            x = tridiagonal.matvec(lin.precondition(y))
+            assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
+    def test_missed_stop_rule_names_newton_and_iterations(self, monkeypatch, grid, grid2d):
+        monkeypatch.setattr(steady, "_KRYLOV_RTOL", 0.0)
+        monkeypatch.setattr(steady, "_KRYLOV_ATOL", 0.0)
+        with pytest.raises(NoSteadyStateError) as info:
+            solve_steady(0.1, 0.1, MembraneState.zero(grid), grid2d=grid2d)
+        message = str(info.value)
+        n_int = grid.n_nodes - 2
+        assert message.startswith("Newton at lambda=0.1: GMRES linear residual")
+        assert message.endswith(f"after {n_int} iterations")
+        # the linear residual, at roundoff of the right-hand side
+        assert 0.0 < info.value.residual < 1e-10
 
 
 class TestSolveSteady:
@@ -231,6 +301,48 @@ class TestContinuation:
         order = np.log2((folds[1] - folds[0]) / (folds[2] - folds[1]))
         assert 1.9 <= order <= 2.1
         assert folds[1] == pytest.approx(0.3482489329, abs=1e-9)
+
+    def test_failed_branch_point_names_eps_and_voltage(self, monkeypatch):
+        newton = steady._newton
+
+        def failing_points(*args, depth=None, **kwargs):
+            if depth is None:
+                raise NoSteadyStateError("Newton stalled", residual=0.25)
+            return newton(*args, depth=depth, **kwargs)
+
+        monkeypatch.setattr(steady, "_newton", failing_points)
+        with pytest.raises(NoSteadyStateError) as info:
+            continue_branch(1.0, lambda_max=2.0, dlambda0=0.1, n_x=8)
+        assert str(info.value) == "eps=1: branch point at lambda=0.1 failed: Newton stalled"
+        assert info.value.residual == 0.25
+
+    def test_cubic_seeds_take_one_or_two_newton_iterations(self):
+        branch = continue_branch(0.1, lambda_max=2.0, dlambda0=0.05, n_x=16)
+        assert all(1 <= pt.newton_iters <= 2 for pt in branch.points[1:-1])
+        assert branch.krylov_iters >= branch.jacobians
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_fold_tolerance_derivation(self, eps, n):
+        # _FOLD_TOL takes the voltage row of the inverse bordered Jacobian to
+        # have a 1-norm of 0.40-0.46 at these folds
+        branch = continue_branch(eps, lambda_max=2.0, dlambda0=0.05, n_x=n)
+        fold = branch.points[-1]
+        grid2d = Grid2D.uniform(n, n)
+        jac = steady_jacobian(fold.state, fold.lam, eps, grid2d)
+        source = steady_residual(fold.state, 0.0, eps, grid2d) - steady_residual(
+            fold.state, 1.0, eps, grid2d
+        )
+        m = jac.shape[0]
+        bordered = np.zeros((m + 1, m + 1))
+        bordered[:m, :m] = jac
+        bordered[:m, m] = -source
+        bordered[m, m // 2] = 1.0
+        row = np.linalg.inv(bordered)[m]
+        assert np.sum(np.abs(row)) <= 0.5
+        if n == 32:
+            expected = {0.1: 0.34824893288292, 1.0: 0.24238884297202}[eps]
+            assert branch.fold_estimate == pytest.approx(expected, abs=1e-10)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
