@@ -4,7 +4,10 @@ Discretizes the mapped operator with a 9-point second-order stencil:
 central differences for the pure second derivatives and the vertical
 drift, a 4-corner cross stencil for the mixed derivative.  Dirichlet
 data is eliminated into the right-hand side, so the unknowns are the
-interior nodes only.
+interior nodes only.  They are numbered in a nested-dissection order,
+cached per grid shape, so the assembled matrix is factorized as it
+stands; the solves here scatter each solution back to the grid, and no
+other module sees that numbering.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ import scipy.sparse as sp
 
 from .errors import GridTooCoarseError
 from .numerics import (
-    EliminationOrder,
     Grid1D,
     Grid2D,
     SparseSystem,
     d1_central,
+    solve_factored,
     solve_sparse,
 )
 from .transform import (
@@ -33,13 +36,13 @@ from .transform import (
 
 __all__ = [
     "PotentialField",
-    "TraceProfile",
     "assemble_system",
     "solve_dirichlet",
     "solve_potential",
     "solve_potential_split",
     "stencil_derivatives",
     "trace_top",
+    "trace_response",
     "g_eps",
     "mms_convergence",
     "MmsResult",
@@ -51,7 +54,8 @@ class PotentialField:
     """Nodal values of the transformed potential on the rectangle.
 
     A field from ``solve_potential`` also carries the sparse system of
-    its interior values and the system's LU factor; other fields do not.
+    its interior values, in the numbering of ``assemble_system``, and the
+    system's LU factor; other fields do not.
     """
 
     grid: Grid2D
@@ -64,12 +68,10 @@ class PotentialField:
         return float(max(-np.min(self.phi), np.max(self.phi) - 1.0, 0.0))
 
 
-@dataclass(frozen=True, eq=False)
-class TraceProfile:
-    """Vertical derivative of the potential along the membrane edge eta = 1."""
-
-    grid: Grid1D
-    dphi_top: np.ndarray
+# Relative residual tolerance of the potential solves, and of the
+# manufactured-solution solves of ``mms_convergence``.
+_POTENTIAL_TOL = 1e-10
+_MMS_TOL = 1e-12
 
 
 # Stencil offsets (di, dj) in the order of the weight stack of
@@ -122,21 +124,25 @@ def stencil_derivatives(phi: np.ndarray, grid: Grid2D):
 class _Pattern:
     """Index maps of the 9-point operator on one grid shape.
 
-    ``indices``/``indptr`` are the CSC structure of A and ``take`` picks
-    its stored entries, in CSC order, from the flattened weight stack.
-    ``ring_rows``, ``ring_take`` and ``ring_nodes`` list the couplings to
-    the Dirichlet ring in offset order: interior row, weight, ring node.
-    ``order`` is the nested-dissection elimination order of the unknowns.
+    The unknowns are numbered in the nested-dissection order ``perm``:
+    unknown k is the interior node of lexicographic index ``perm[k]``,
+    which sits at (``nodes[0][k]``, ``nodes[1][k]``) of the interior block.
+    ``indices``/``indptr`` are the CSC structure of A in this numbering
+    and ``take`` picks its stored entries, in CSC order, from the
+    flattened weight stack.  ``ring_rows``, ``ring_take`` and
+    ``ring_nodes`` list the couplings to the Dirichlet ring in offset
+    order: unknown, weight, ring node.
     """
 
     n: int
+    perm: np.ndarray
+    nodes: tuple[np.ndarray, np.ndarray]
     indices: np.ndarray
     indptr: np.ndarray
     take: np.ndarray
     ring_rows: np.ndarray
     ring_take: np.ndarray
     ring_nodes: tuple[np.ndarray, np.ndarray]
-    order: EliminationOrder
 
 
 def _dissection_order(nix: int, nie: int) -> np.ndarray:
@@ -176,6 +182,9 @@ def _pattern(n_x: int, n_eta: int) -> _Pattern:
     """
     nix, nie = n_x - 1, n_eta - 1
     n = nix * nie
+    perm = _dissection_order(nix, nie)
+    rank = np.empty(n, dtype=np.intp)  # rank[m]: the number of lexicographic node m
+    rank[perm] = np.arange(n)
     ii, jj = np.meshgrid(np.arange(1, n_x), np.arange(1, n_eta), indexing="ij")
     ii, jj = ii.ravel(), jj.ravel()
     k = np.arange(n)
@@ -184,11 +193,11 @@ def _pattern(n_x: int, n_eta: int) -> _Pattern:
     for o, (di, dj) in enumerate(_OFFSETS):
         ni, nj = ii + di, jj + dj
         inside = (ni >= 1) & (ni <= nix) & (nj >= 1) & (nj <= nie)
-        rows.append(k[inside])
-        cols.append(((ni - 1) * nie + (nj - 1))[inside])
+        rows.append(rank[inside])
+        cols.append(rank[((ni - 1) * nie + (nj - 1))[inside]])
         take.append(o * n + k[inside])
         ring = ~inside
-        ring_rows.append(k[ring])
+        ring_rows.append(rank[ring])
         ring_take.append(o * n + k[ring])
         ring_i.append(ni[ring])
         ring_j.append(nj[ring])
@@ -196,19 +205,19 @@ def _pattern(n_x: int, n_eta: int) -> _Pattern:
     order = np.lexsort((rows, cols))  # by column, then row: sorted CSC
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    indices = rows[order].astype(np.int32)
     pattern = _Pattern(
         n=n,
-        indices=indices,
+        perm=perm,
+        nodes=np.divmod(perm, nie),
+        indices=rows[order].astype(np.int32),
         indptr=indptr,
         take=take[order].astype(np.int32),
         ring_rows=np.concatenate(ring_rows),
         ring_take=np.concatenate(ring_take),
         ring_nodes=(np.concatenate(ring_i), np.concatenate(ring_j)),
-        order=EliminationOrder.on_pattern(_dissection_order(nix, nie), indices, indptr),
     )
-    for a in (pattern.indices, pattern.indptr, pattern.take, pattern.ring_rows,
-              pattern.ring_take, *pattern.ring_nodes):
+    for a in (pattern.perm, *pattern.nodes, pattern.indices, pattern.indptr, pattern.take,
+              pattern.ring_rows, pattern.ring_take, *pattern.ring_nodes):
         a.flags.writeable = False
     return pattern
 
@@ -223,17 +232,18 @@ def assemble_system(
 
     ``rhs_field`` and ``dirichlet`` are full nodal fields; only the
     interior of the former and the boundary ring of the latter are used.
-    The matrix is CSC on the cached sparsity pattern of the grid shape,
-    with every stencil entry stored (zero weights included); the system
-    carries the nested-dissection elimination order cached with it.
+    The unknowns are numbered in the nested-dissection order cached with
+    the grid shape, so the system is P A P^T x = P b for the lexicographic
+    A and b.  The matrix is CSC on the cached sparsity pattern, with every
+    stencil entry stored (zero weights included).
     """
     g = coeffs.grid
     p = _pattern(g.gx.n_cells, g.n_eta)
     w = _stencil_weights(coeffs).ravel()
-    rhs = rhs_field[1:-1, 1:-1].astype(float).ravel()
+    rhs = rhs_field[1:-1, 1:-1][p.nodes].astype(float, copy=False)
     np.subtract.at(rhs, p.ring_rows, w[p.ring_take] * dirichlet[p.ring_nodes])
     matrix = sp.csc_matrix((w[p.take], p.indices, p.indptr), shape=(p.n, p.n))
-    return SparseSystem(matrix=matrix, rhs=rhs, tol=tol, order=p.order)
+    return SparseSystem(matrix=matrix, rhs=rhs, tol=tol)
 
 
 def solve_dirichlet(
@@ -245,8 +255,9 @@ def solve_dirichlet(
     """Solve -(mapped operator) w = rhs with the given boundary values."""
     system = assemble_system(coeffs, rhs_field, dirichlet, tol)
     x, _ = solve_sparse(system)
+    g = coeffs.grid
     full = dirichlet.astype(float)
-    full[1:-1, 1:-1] = x.reshape(coeffs.grid.gx.n_nodes - 2, coeffs.grid.n_eta - 1)
+    full[1:-1, 1:-1][_pattern(g.gx.n_cells, g.n_eta).nodes] = x
     return full
 
 
@@ -254,9 +265,7 @@ def _eta_field(grid: Grid2D) -> np.ndarray:
     return np.broadcast_to(grid.eta_nodes, grid.shape).copy()
 
 
-def solve_potential(
-    v: MembraneState, eps: float, grid: Grid2D, tol: float = 1e-10
-) -> PotentialField:
+def solve_potential(v: MembraneState, eps: float, grid: Grid2D) -> PotentialField:
     """Transformed potential: operator annihilates phi, boundary data eta.
 
     The field keeps the assembled system and its LU factor, so that a
@@ -264,15 +273,13 @@ def solve_potential(
     """
     coeffs = assemble_coefficients(v, eps, grid)
     phi = _eta_field(grid)
-    system = assemble_system(coeffs, np.zeros(grid.shape), phi, tol)
+    system = assemble_system(coeffs, np.zeros(grid.shape), phi, _POTENTIAL_TOL)
     x, lu = solve_sparse(system)
-    phi[1:-1, 1:-1] = x.reshape(grid.gx.n_nodes - 2, grid.n_eta - 1)
+    phi[1:-1, 1:-1][_pattern(grid.gx.n_cells, grid.n_eta).nodes] = x
     return PotentialField(grid, phi, system, lu)
 
 
-def solve_potential_split(
-    v: MembraneState, eps: float, grid: Grid2D, tol: float = 1e-10
-) -> PotentialField:
+def solve_potential_split(v: MembraneState, eps: float, grid: Grid2D) -> PotentialField:
     """Same potential via the homogeneous-data split.
 
     Solves for the deviation from eta with zero boundary values and the
@@ -280,11 +287,16 @@ def solve_potential_split(
     """
     coeffs = assemble_coefficients(v, eps, grid)
     f = source_f_v(v, eps, grid)
-    capital_phi = solve_dirichlet(coeffs, f, np.zeros(grid.shape), tol)
+    capital_phi = solve_dirichlet(coeffs, f, np.zeros(grid.shape), _POTENTIAL_TOL)
     return PotentialField(grid, capital_phi + _eta_field(grid))
 
 
-def trace_top(field: PotentialField) -> TraceProfile:
+def _top_derivative(phi: np.ndarray, h_eta: float) -> np.ndarray:
+    """The one-sided 3-point d/d eta of nodal values ``phi`` at eta = 1."""
+    return (3.0 * phi[:, -1] - 4.0 * phi[:, -2] + phi[:, -3]) / (2.0 * h_eta)
+
+
+def trace_top(field: PotentialField) -> np.ndarray:
     """One-sided 3-point vertical derivative along eta = 1, per x-node.
 
     Second order (exact on quadratics in eta), so it does not degrade
@@ -295,16 +307,31 @@ def trace_top(field: PotentialField) -> TraceProfile:
         raise GridTooCoarseError(
             f"trace extraction needs at least 3 vertical cells, got {grid.n_eta}"
         )
-    phi = field.phi
-    d = (3.0 * phi[:, -1] - 4.0 * phi[:, -2] + phi[:, -3]) / (2.0 * grid.h_eta)
-    return TraceProfile(grid.gx, d)
+    return _top_derivative(field.phi, grid.h_eta)
 
 
-def g_eps(v: MembraneState, eps: float, grid: Grid2D, tol: float = 1e-10) -> np.ndarray:
+def trace_response(field: PotentialField, forcing: np.ndarray) -> np.ndarray:
+    """Membrane traces of the solutions w of A w = ``forcing``, w = 0 on the boundary.
+
+    A is the operator of ``field``, a field from ``solve_potential``, and
+    its LU factor serves every column.  ``forcing`` holds interior
+    values, shape (n_x - 1, n_eta - 1), or (n_x - 1, n_eta - 1, k) for k
+    columns solved in one call.  Returns the ``trace_top`` of each w,
+    shape (n_x + 1,) or (n_x + 1, k).
+    """
+    grid = field.grid
+    nodes = _pattern(grid.gx.n_cells, grid.n_eta).nodes
+    system = SparseSystem(field.system.matrix, forcing[nodes], field.system.tol)
+    w = np.zeros(grid.shape + forcing.shape[2:])
+    w[1:-1, 1:-1][nodes] = solve_factored(field.lu, system)
+    return _top_derivative(w, grid.h_eta)
+
+
+def g_eps(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:
     """Electrostatic source profile: squared membrane trace of the
     potential times the geometric prefactor (1 + eps^2 v_x^2)/(1+v)^2."""
-    field = solve_potential(v, eps, grid, tol)
-    tr = trace_top(field).dphi_top
+    field = solve_potential(v, eps, grid)
+    tr = trace_top(field)
     dv = d1_central(v.u, v.grid)
     pre = (1.0 + eps * eps * dv * dv) / (1.0 + v.u) ** 2
     return pre * tr * tr
@@ -352,7 +379,7 @@ def _mms_forcing(eps: float, grid: Grid2D) -> np.ndarray:
     return -(e2 * phi_xx + a_xeta * phi_xe + a_etaeta * phi_ee + b_eta * phi_e)
 
 
-def mms_convergence(eps: float, n_values=(32, 64, 128), tol: float = 1e-12) -> MmsResult:
+def mms_convergence(eps: float, n_values=(32, 64, 128)) -> MmsResult:
     """Manufactured-solution refinement study for the mapped solver.
 
     Solves the homogeneous-boundary problem with the analytic forcing on
@@ -365,14 +392,14 @@ def mms_convergence(eps: float, n_values=(32, 64, 128), tol: float = 1e-12) -> M
         v = _mms_profile(grid.gx)
         coeffs = assemble_coefficients(v, eps, grid)
         forcing = _mms_forcing(eps, grid)
-        numeric = solve_dirichlet(coeffs, forcing, np.zeros(grid.shape), tol)
+        numeric = solve_dirichlet(coeffs, forcing, np.zeros(grid.shape), _MMS_TOL)
 
         x = grid.gx.nodes[:, None]
         eta = grid.eta_nodes[None, :]
         exact = np.sin(np.pi * (x + 1.0) / 2.0) * np.sin(np.pi * eta)
         field_errors.append(float(np.max(np.abs(numeric - exact))))
 
-        tr = trace_top(PotentialField(grid, numeric)).dphi_top
+        tr = trace_top(PotentialField(grid, numeric))
         exact_tr = -np.pi * np.sin(np.pi * (grid.gx.nodes + 1.0) / 2.0)
         trace_errors.append(float(np.max(np.abs(tr - exact_tr))))
         hs.append(grid.gx.h)

@@ -2,7 +2,9 @@
 loop used by all modules.
 
 Everything here is pure and operates on plain numpy arrays; grid objects
-are immutable after construction.
+are immutable after construction.  The sparse direct solve eliminates
+the unknowns in the order they are numbered; choosing that numbering is
+the caller's part (``elliptic`` assembles in nested-dissection order).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import (
 __all__ = [
     "Grid1D",
     "Grid2D",
-    "EliminationOrder",
     "SparseSystem",
     "grids_match",
     "solve_tridiagonal",
@@ -100,61 +101,17 @@ def grids_match(a: Grid1D, b: Grid1D) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class EliminationOrder:
-    """An elimination order of the unknowns of one CSC sparsity pattern.
-
-    ``perm[k]`` is the unknown eliminated k-th.  ``take``, ``indices`` and
-    ``indptr`` store the reordered matrix P A P^T of any matrix A on the
-    pattern in CSC form: its data is ``A.data[take]``, so reordering a
-    matrix is one gather.  The arrays are read-only because one order
-    serves every matrix on its pattern.
-    """
-
-    perm: np.ndarray
-    take: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-    @classmethod
-    def on_pattern(
-        cls, perm: np.ndarray, indices: np.ndarray, indptr: np.ndarray
-    ) -> "EliminationOrder":
-        """The order ``perm`` on the CSC pattern given by ``indices``/``indptr``."""
-        n = indptr.size - 1
-        rank = np.empty(n, dtype=np.intp)
-        rank[perm] = np.arange(n)
-        rows = rank[indices]
-        cols = rank[np.repeat(np.arange(n), np.diff(indptr))]
-        take = np.lexsort((rows, cols))  # by column, then row: sorted CSC
-        new_indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=new_indptr[1:])
-        order = cls(perm, take.astype(np.int32), rows[take].astype(np.int32), new_indptr)
-        for a in (order.perm, order.take, order.indices, order.indptr):
-            a.flags.writeable = False
-        return order
-
-    def reorder(self, matrix: sp.csc_matrix) -> sp.csc_matrix:
-        """P A P^T of the CSC ``matrix`` A stored on this order's pattern."""
-        data = matrix.data[self.take]
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=matrix.shape)
-
-
-@dataclass(frozen=True, eq=False)
 class SparseSystem:
     """A sparse linear system A x = rhs with a solve tolerance.
 
     The potential solver assembles ``matrix`` column-compressed (CSC), the
-    format SuperLU factorizes; other sparse formats are converted first.
-    ``order`` is the elimination order of the unknowns, which the
-    potential solver caches per grid shape with the sparsity pattern
-    (``matrix`` must then be CSC on that pattern); ``None`` eliminates
-    the unknowns in their natural order.
+    format SuperLU factorizes, with its unknowns already numbered in
+    their elimination order; other sparse formats are converted first.
     """
 
     matrix: sp.spmatrix
     rhs: np.ndarray
     tol: float = 1e-10
-    order: EliminationOrder | None = None
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
@@ -191,18 +148,15 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
 def factorize(system: SparseSystem):
     """Sparse LU factor (a SuperLU object) of the matrix of ``system``.
 
-    The factor is of P A P^T, the matrix reordered by ``system.order``
-    (for the potential solver, a nested-dissection order cached per grid
-    shape; the identity when it is None).  SuperLU adds no column
-    ordering of its own, and ``solve_factored`` applies the permutation.
-    Raises SingularSystemError on a (numerically) singular matrix.
+    The unknowns are eliminated in their given order: SuperLU adds no
+    column ordering of its own, so the caller numbers them for low fill
+    (the potential solver assembles in nested-dissection order).  Raises
+    SingularSystemError on a (numerically) singular matrix.
     """
-    order = system.order
-    matrix = system.matrix.tocsc() if order is None else order.reorder(system.matrix)
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            return splu(matrix, permc_spec="NATURAL", panel_size=4)
+            return splu(system.matrix.tocsc(), permc_spec="NATURAL", panel_size=4)
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystemError(f"singular system: {exc}") from exc
 
@@ -211,18 +165,13 @@ def solve_factored(lu, system: SparseSystem) -> np.ndarray:
     """Solve ``system`` with the factor ``lu`` of its matrix, checking the residual.
 
     ``lu`` is the factor ``factorize(system)`` returns, or that of another
-    system with the same matrix and order.  ``system.rhs`` may be a vector
-    or a matrix of right-hand sides, one per column.  Raises
+    system with the same matrix.  ``system.rhs`` may be a vector or a
+    matrix of right-hand sides, one per column.  Raises
     SingularSystemError on a non-finite solution and NonConvergenceError
     if the residual of any column exceeds ``tol * ||rhs column||_2``.
     """
     b = system.rhs
-    if system.order is None:
-        x = lu.solve(b)
-    else:
-        perm = system.order.perm
-        x = np.empty_like(b, dtype=float)
-        x[perm] = lu.solve(b[perm])
+    x = lu.solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("singular system: non-finite solution")
     residual = np.atleast_1d(np.linalg.norm(system.matrix @ x - b, axis=0))

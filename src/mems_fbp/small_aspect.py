@@ -321,38 +321,29 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
 
 
 def _potential_l2_error(
-    u_eps: MembraneState,
-    u_flat: MembraneState,
-    eps: float,
-    solver_grid: Grid2D,
-    comparison_grid: Grid2D,
+    u_eps: MembraneState, u_flat: MembraneState, eps: float, grid: Grid2D
 ) -> float:
     """L2 distance of the two potentials over the strip -1 < z < 0.
 
-    The full-model potential is pulled back to physical coordinates by
-    composing with the map and interpolating bilinearly; points outside
-    either gap region do not contribute.
+    Both are compared at the nodes of ``grid``, on which the full model
+    is solved.  Its potential is pulled back to physical coordinates by
+    composing with the map, interpolating linearly in eta along each grid
+    column; points outside either gap region do not contribute.
     """
-    phi = solve_potential(u_eps, eps, solver_grid).phi
-    xs = comparison_grid.gx.nodes
-    eta_c = comparison_grid.eta_nodes  # = 1 + z on the strip
+    phi = solve_potential(u_eps, eps, grid).phi
+    eta = grid.eta_nodes  # = 1 + z on the strip
 
-    w_eps = 1.0 + u_eps.interp(xs)
-    psi_flat = psi0(u_flat, comparison_grid)
-    both = (eta_c[None, :] <= w_eps[:, None]) & ~np.ma.getmaskarray(psi_flat)
+    w_eps = 1.0 + u_eps.u
+    psi_flat = psi0(u_flat, grid)
+    both = (eta[None, :] <= w_eps[:, None]) & ~np.ma.getmaskarray(psi_flat)
 
     # transformed vertical coordinate of each strip node, clipped to the
     # rectangle for the (masked-out) points above the membrane
-    eta_query = np.clip(eta_c[None, :] / w_eps[:, None], 0.0, 1.0)
-
-    sol_eta = solver_grid.eta_nodes
-    psi_eps = np.empty_like(eta_query)
-    x_idx = np.searchsorted(solver_grid.gx.nodes, xs).clip(0, solver_grid.gx.n_nodes - 1)
-    for row, i in enumerate(x_idx):  # columns share x-nodes: linear interp in eta
-        psi_eps[row] = np.interp(eta_query[row], sol_eta, phi[i])
+    eta_query = np.clip(eta[None, :] / w_eps[:, None], 0.0, 1.0)
+    psi_eps = np.array([np.interp(q, eta, column) for q, column in zip(eta_query, phi)])
 
     integrand = np.where(both, (psi_eps - psi_flat.data) ** 2, 0.0)
-    return float(np.sqrt(trapezoid_2d(integrand, xs, eta_c - 1.0)))
+    return float(np.sqrt(trapezoid_2d(integrand, grid.gx.nodes, eta - 1.0)))
 
 
 def limit_study(
@@ -381,8 +372,7 @@ def limit_study(
 
     grid = u0.grid
     n_eta = n_eta if n_eta is not None else grid.n_cells
-    solver_grid = Grid2D.uniform(grid.n_cells, n_eta)
-    comparison_grid = Grid2D.uniform(grid.n_cells, n_eta)
+    grid2d = Grid2D.uniform(grid.n_cells, n_eta)
 
     # flat-limit reference, every step stored
     p_flat = ModelParams(eps=1.0, lam=lam, dt=dt, touchdown_floor=touchdown_floor)
@@ -405,19 +395,14 @@ def limit_study(
         for k in range(1, n_steps + 1):
             if k >= len(flat_states):
                 break
-            u = step_eps(u, p, solver_grid)
+            u = step_eps(u, p, grid2d)
             if u.min_gap <= touchdown_floor:
                 alive = k - 1
                 break
             err_series.append(float(np.max(np.abs(u.u - flat_states[k].u))))
             # a flat state past its touchdown lies outside the comparison
             if k in sample_steps and k <= flat_alive:
-                samples.append(
-                    (
-                        k * dt,
-                        _potential_l2_error(u, flat_states[k], eps, solver_grid, comparison_grid),
-                    )
-                )
+                samples.append((k * dt, _potential_l2_error(u, flat_states[k], eps, grid2d)))
         return alive, err_series, samples
 
     if workers > 1:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .elliptic import (
     PotentialField,
     solve_potential,
     stencil_derivatives,
+    trace_response,
     trace_top,
 )
 from .errors import (
@@ -44,7 +45,6 @@ from .numerics import (
     d2_central,
     damped_newton,
     gmres,
-    solve_factored,
     solve_tridiagonal,
 )
 from .transform import MembraneState
@@ -161,7 +161,7 @@ def _source(u: MembraneState, eps: float, field: PotentialField) -> np.ndarray:
 
     It is minus the derivative of ``steady_residual`` by the voltage.
     """
-    tr = trace_top(field).dphi_top
+    tr = trace_top(field)
     dv = d1_central(u.u, u.grid)
     return ((1.0 + eps * eps * dv * dv) ** 2.5 / (1.0 + u.u) ** 2 * tr * tr)[1:-1]
 
@@ -210,9 +210,9 @@ class Linearization:
     def trace_change(self, v: np.ndarray) -> np.ndarray:
         """dtr v for one deflection change v, or for each column of v.
 
-        Solves A dphi = -G_u v against the potential's LU, all columns
-        in one call, and takes the 3-point trace of dphi (the top row
-        phi = 1 does not move).
+        The potential changes by dphi solving A dphi = -G_u v with zero
+        boundary values (phi = eta there for every membrane), so dtr v
+        is the ``trace_response`` of -G_u v, all columns in one call.
         """
         n, h = self.diag.size, self.field.grid.gx.h
         cols = v.reshape(n, -1)
@@ -222,11 +222,7 @@ class Linearization:
         d2 = (padded[2:] - 2.0 * cols + padded[:-2]) / (h * h)
         dg = self.dg[..., None]
         rhs = -(dg[0] * cols[:, None] + dg[1] * d1[:, None] + dg[2] * d2[:, None])
-        nie = rhs.shape[1]
-        system = replace(self.field.system, rhs=rhs.reshape(n * nie, -1))
-        dphi = solve_factored(self.field.lu, system).reshape(n, nie, -1)
-        he = self.field.grid.h_eta
-        return ((-4.0 * dphi[:, -1] + dphi[:, -2]) / (2.0 * he)).reshape(v.shape)
+        return trace_response(self.field, rhs)[1:-1].reshape(v.shape)
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         """The linearization applied to ``z``."""
@@ -275,7 +271,7 @@ def linearize(
     h = grid.h
     if field is None:
         field = solve_potential(u, eps, grid2d)
-    tr = trace_top(field).dphi_top[1:-1]
+    tr = trace_top(field)[1:-1]
     e2 = eps * eps
     w = 1.0 + u.u[1:-1]
     dv = d1_central(u.u, grid)[1:-1]
@@ -674,5 +670,5 @@ def trace_lower_bound_check(u: MembraneState, eps: float, grid2d: Grid2D) -> flo
     (negative, convex) profiles this should not drop below 1 beyond
     discretization error.
     """
-    tr = trace_top(solve_potential(u, eps, grid2d)).dphi_top
+    tr = trace_top(solve_potential(u, eps, grid2d))
     return float(np.min(tr / (1.0 + u.u)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
@@ -79,14 +79,14 @@ class TestTrace:
         field = elliptic.PotentialField(
             grid2d_32, np.broadcast_to(grid2d_32.eta_nodes, grid2d_32.shape)
         )
-        tr = elliptic.trace_top(field).dphi_top
+        tr = elliptic.trace_top(field)
         np.testing.assert_allclose(tr, 1.0, rtol=1e-13)
 
     def test_exact_on_quadratic(self, grid2d_32):
         field = elliptic.PotentialField(
             grid2d_32, np.broadcast_to(grid2d_32.eta_nodes**2, grid2d_32.shape)
         )
-        tr = elliptic.trace_top(field).dphi_top
+        tr = elliptic.trace_top(field)
         np.testing.assert_allclose(tr, 2.0, rtol=1e-12)
 
     def test_too_coarse(self):
@@ -181,13 +181,34 @@ def coo_reference_system(coeffs, rhs_field, dirichlet):
     return matrix, rhs.ravel()
 
 
+# The dissection order is checked on each of these shapes, whatever Hypothesis draws.
+DISSECTION_SHAPES = ((3, 3), (4, 3), (3, 7), (17, 3), (12, 5), (16, 12), (31, 17), (32, 32))
+
+
+def _with_dissection_shapes(test):
+    for shape in DISSECTION_SHAPES:
+        test = example(shape=shape, eps=0.1, seed=7)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None)
 @given(
-    shape=st.sampled_from([(3, 3), (8, 3), (3, 7), (12, 5), (6, 16), (16, 16), (24, 20)]),
+    shape=st.sampled_from(
+        sorted({(8, 3), (6, 16), (16, 16), (24, 20), *DISSECTION_SHAPES})
+    ),
     eps=st.floats(0.01, 10.0),
     seed=st.integers(0, 2**32 - 1),
 )
+@_with_dissection_shapes
 def test_assembly_matches_coo_reference(shape, eps, seed):
+    pattern = elliptic._pattern(*shape)
+    assert elliptic._pattern(*shape) is pattern
+    perm = pattern.perm
+    n = (shape[0] - 1) * (shape[1] - 1)
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    for a in (perm, *pattern.nodes, pattern.indices, pattern.indptr, pattern.take):
+        assert not a.flags.writeable
+
     rng = np.random.default_rng(seed)
     grid = Grid2D.uniform(*shape)
     v = random_admissible_state(grid.gx, rng, min_gap=0.1)
@@ -196,6 +217,8 @@ def test_assembly_matches_coo_reference(shape, eps, seed):
     dirichlet = rng.normal(size=grid.shape)
     system = elliptic.assemble_system(coeffs, rhs_field, dirichlet)
     matrix, rhs = coo_reference_system(coeffs, rhs_field, dirichlet)
+    # the unknowns are numbered in the dissection order: P A P^T and P b
+    matrix, rhs = matrix[perm][:, perm].tocsr().tocsc(), rhs[perm]
     assert system.matrix.format == "csc"
     for name in ("indptr", "indices", "data"):
         ours, ref = getattr(system.matrix, name), getattr(matrix, name)
@@ -203,30 +226,12 @@ def test_assembly_matches_coo_reference(shape, eps, seed):
     assert rhs.dtype == system.rhs.dtype and rhs.tobytes() == system.rhs.tobytes()
 
 
-def deflected_system(shape, eps=0.1, seed=7):
-    grid = Grid2D.uniform(*shape)
-    v = random_admissible_state(grid.gx, np.random.default_rng(seed))
-    phi = np.broadcast_to(grid.eta_nodes, grid.shape).copy()
+def natural_reference(v, eps, grid):
+    """Coefficients and the lexicographically numbered matrix and rhs of
+    the potential solve at ``v``, assembled by the COO reference."""
     coeffs = assemble_coefficients(v, eps, grid)
-    return elliptic.assemble_system(coeffs, np.zeros(grid.shape), phi)
-
-
-@pytest.mark.parametrize(
-    "shape", [(3, 3), (4, 3), (3, 7), (17, 3), (12, 5), (16, 12), (31, 17), (32, 32)]
-)
-def test_dissection_order_is_a_cached_permutation(shape):
-    order = elliptic._pattern(*shape).order
-    assert elliptic._pattern(*shape).order is order
-    n = (shape[0] - 1) * (shape[1] - 1)
-    assert np.array_equal(np.sort(order.perm), np.arange(n))
-    for a in (order.perm, order.take, order.indices, order.indptr):
-        assert not a.flags.writeable
-    system = deflected_system(shape)
-    assert system.order is order
-    reordered = order.reorder(system.matrix)
-    assert reordered.has_sorted_indices
-    dense = system.matrix.toarray()
-    assert np.array_equal(reordered.toarray(), dense[order.perm][:, order.perm])
+    eta = np.broadcast_to(grid.eta_nodes, grid.shape)
+    return (coeffs, *coo_reference_system(coeffs, np.zeros(grid.shape), eta))
 
 
 @settings(max_examples=30, deadline=None)
@@ -239,8 +244,8 @@ def test_solve_potential_matches_minimum_degree_reference(shape, eps, seed):
     grid = Grid2D.uniform(*shape)
     v = random_admissible_state(grid.gx, np.random.default_rng(seed))
     field = elliptic.solve_potential(v, eps, grid)
-    system = field.system
-    reference = splu(system.matrix, permc_spec="MMD_AT_PLUS_A").solve(system.rhs)
+    _, matrix, rhs = natural_reference(v, eps, grid)
+    reference = splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(rhs)
     x = field.phi[1:-1, 1:-1].ravel()
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
@@ -251,10 +256,41 @@ def test_solve_potential_matches_minimum_degree_reference(shape, eps, seed):
      ((8, 8), 1.1), ((16, 12), 1.1), ((24, 24), 1.1), ((48, 48), 1.1), ((64, 32), 1.1)],
 )
 def test_dissection_fill_against_minimum_degree(shape, bound):
-    system = deflected_system(shape)
-    ours, mmd = factorize(system), splu(system.matrix, permc_spec="MMD_AT_PLUS_A")
+    grid = Grid2D.uniform(*shape)
+    v = random_admissible_state(grid.gx, np.random.default_rng(7))
+    coeffs, matrix, rhs = natural_reference(v, 0.1, grid)
+    eta = np.broadcast_to(grid.eta_nodes, grid.shape)
+    ours = factorize(elliptic.assemble_system(coeffs, np.zeros(grid.shape), eta))
+    mmd = splu(matrix, permc_spec="MMD_AT_PLUS_A")
     fill, mmd_fill = ours.L.nnz + ours.U.nnz, mmd.L.nnz + mmd.U.nnz
     if bound == 1.0:
         assert fill < mmd_fill
     else:
         assert fill <= bound * mmd_fill
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(3, 3), (8, 5), (5, 12), (16, 16), (24, 20)]),
+    eps=st.floats(0.05, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_response_matches_a_separate_dirichlet_solve(shape, eps, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid2D.uniform(*shape)
+    v = random_admissible_state(grid.gx, rng)
+    field = elliptic.solve_potential(v, eps, grid)
+    coeffs = assemble_coefficients(v, eps, grid)
+    k = 3
+    forcing = rng.normal(size=(grid.gx.n_cells - 1, grid.n_eta - 1, k))
+    traces = elliptic.trace_response(field, forcing)
+    assert traces.shape == (grid.gx.n_nodes, k)
+    for c in range(k):
+        rhs_field = np.zeros(grid.shape)
+        rhs_field[1:-1, 1:-1] = forcing[..., c]
+        w = elliptic.solve_dirichlet(coeffs, rhs_field, np.zeros(grid.shape))
+        expected = elliptic.trace_top(elliptic.PotentialField(grid, w))
+        assert np.linalg.norm(traces[:, c] - expected) <= 1e-9 * np.linalg.norm(expected)
+        single = elliptic.trace_response(field, forcing[..., c])
+        assert single.shape == (grid.gx.n_nodes,)
+        assert np.array_equal(single, traces[:, c])
