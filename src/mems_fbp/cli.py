@@ -73,7 +73,8 @@ class ExperimentConfig:
     params: ModelParams = field(default_factory=ModelParams)
     n_x: int = _read_by("evolve", "steady", "continuation", "pullin", "limit-study", default=128)
     n_eta: int = _read_by("evolve", "steady", "continuation", "limit-study", default=128)
-    # "zero" | {"parabola": depth} | {"csv": path}
+    # "zero" | {"parabola": depth} | {"csv": path}; parse_config reads the
+    # csv and keeps its values in place of the path
     initial_condition: str | dict = _read_by("evolve", "steady", "limit-study", default="zero")
     out_dir: str = "."
     seed: int = _read_by("validate", default=0)
@@ -178,8 +179,18 @@ def parse_config(path) -> ExperimentConfig:
         if not 0.0 <= depth < 1.0:
             fail("initial_condition", "parabola depth must lie in [0, 1)")
     elif isinstance(ic, dict) and set(ic) == {"csv"}:
-        if not Path(_typed("initial_condition", ic["csv"], str)).exists():
-            fail("initial_condition", f"csv path {ic['csv']!r} does not exist")
+        csv = _typed("initial_condition", ic["csv"], str)
+        if not Path(csv).exists():
+            fail("initial_condition", f"csv path {csv!r} does not exist")
+        try:
+            u = np.loadtxt(csv, delimiter=",", ndmin=1)
+            if u.ndim != 1:
+                raise ValueError(f"expected one column of values, got shape {u.shape}")
+            MembraneState(Grid1D.uniform(cfg.n_x), u)  # checks length, finiteness, clamp
+        except (OSError, ValueError) as exc:
+            fail("initial_condition", f"csv {csv!r}: {exc}")
+        u[0] = u[-1] = 0.0  # exact zeros at the checked ends, as MembraneState keeps -0.0
+        cfg.initial_condition = {"csv": u}
     elif ic != "zero":
         fail("initial_condition", "expected 'zero', {'parabola': depth} or {'csv': path}")
 
@@ -205,15 +216,7 @@ def _initial_state(cfg: ExperimentConfig, grid: Grid1D) -> MembraneState:
     if "parabola" in ic:
         x = grid.nodes
         return MembraneState(grid, -ic["parabola"] * (1.0 - x * x))
-    u = np.loadtxt(ic["csv"], delimiter=",", ndmin=1)
-    if u.ndim != 1 or u.size != grid.n_nodes:
-        raise ConfigError(
-            f"custom initial condition must hold {grid.n_nodes} values, got shape {u.shape}"
-        )
-    if max(abs(u[0]), abs(u[-1])) > 1e-12:
-        raise ConfigError("custom initial condition must vanish at the clamped ends")
-    u[0] = u[-1] = 0.0
-    return MembraneState(grid, u)
+    return MembraneState(grid, ic["csv"])
 
 
 def _fmt(value) -> str:
@@ -305,11 +308,7 @@ def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
             "min_gap": state.min_gap,
             "max_deflection": float(np.max(np.abs(state.u))),
             "wall_time_s": wall,
-            "diagnostics": {
-                "newton_iters": counts["newton_iters"],
-                "jacobians": counts["jacobians"],
-                "krylov_iters": counts["krylov_iters"],
-            },
+            "diagnostics": counts,
         },
     )
     log.info("steady: min_gap=%g", state.min_gap)
@@ -365,13 +364,7 @@ def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
             "fold_estimate": branch.fold_estimate,
             "fold_interval": list(branch.fold_interval) if branch.fold_interval else None,
             "nonexistence_bound": steady.nonexistence_bound(eps),
-            "diagnostics": {
-                "rejected_steps": branch.rejected_steps,
-                "newton_iters": branch.newton_iters,
-                "jacobians": branch.jacobians,
-                "krylov_iters": branch.krylov_iters,
-                "fold_solves": branch.fold_solves,
-            },
+            "diagnostics": branch.diagnostics,
         }
         log.info(
             "continuation eps=%g: %d points, fold=%s", eps, len(branch.points), branch.fold_estimate
@@ -399,14 +392,7 @@ def _run_pullin(cfg: ExperimentConfig, out: Path) -> int:
             "tol_lambda": cfg.tol_lambda,
             "n_x": cfg.n_x,
             "wall_time_s": wall,
-            "diagnostics": {
-                "solves": result.solves,
-                "failed_solves": result.failed_solves,
-                "fold_solves": result.fold_solves,
-                "newton_iters": result.newton_iters,
-                "search_s": result.search_s,
-                "check_s": result.check_s,
-            },
+            "diagnostics": result.diagnostics,
         },
     )
     log.info("pullin: lambda*=%.6f bracket=%s", result.lambda_star, result.bracket)

@@ -27,12 +27,7 @@ from .numerics import (
     solve_factored,
     solve_sparse,
 )
-from .transform import (
-    MembraneState,
-    OperatorCoefficients,
-    assemble_coefficients,
-    source_f_v,
-)
+from .transform import MembraneState, OperatorCoefficients, assemble_coefficients
 
 __all__ = [
     "PotentialField",
@@ -62,10 +57,6 @@ class PotentialField:
     phi: np.ndarray
     system: SparseSystem | None = None
     lu: object | None = None
-
-    def max_principle_violation(self) -> float:
-        """How far the field leaves [0, 1] (0 when the bounds hold)."""
-        return float(max(-np.min(self.phi), np.max(self.phi) - 1.0, 0.0))
 
 
 # Relative residual tolerance of the potential solves, and of the
@@ -283,11 +274,11 @@ def solve_potential_split(v: MembraneState, eps: float, grid: Grid2D) -> Potenti
     """Same potential via the homogeneous-data split.
 
     Solves for the deviation from eta with zero boundary values and the
-    operator applied to eta as source, then adds eta back.
+    operator applied to eta as source, then adds eta back.  Only the
+    eta-derivative of eta is nonzero, so that source is the b_eta field.
     """
     coeffs = assemble_coefficients(v, eps, grid)
-    f = source_f_v(v, eps, grid)
-    capital_phi = solve_dirichlet(coeffs, f, np.zeros(grid.shape), _POTENTIAL_TOL)
+    capital_phi = solve_dirichlet(coeffs, coeffs.b_eta, np.zeros(grid.shape), _POTENTIAL_TOL)
     return PotentialField(grid, capital_phi + _eta_field(grid))
 
 

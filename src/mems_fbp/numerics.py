@@ -91,10 +91,6 @@ class Grid2D:
     def shape(self) -> tuple[int, int]:
         return (self.gx.n_nodes, self.n_eta + 1)
 
-    @property
-    def n_interior(self) -> int:
-        return (self.gx.n_cells - 1) * (self.n_eta - 1)
-
 
 def grids_match(a: Grid1D, b: Grid1D) -> bool:
     return a.n_cells == b.n_cells and np.array_equal(a.nodes, b.nodes)

@@ -216,20 +216,18 @@ def steady0(
 class PullinResult:
     """Pull-in voltage located as the fold of the discrete flat-limit
     branch, the exact shoot it was checked against, and what finding it
-    cost: flat-limit depth ``solves`` (of which ``failed_solves`` were
-    rejected depth steps and ``fold_solves`` made by the fold search),
-    their ``newton_iters``, and the seconds spent in the depth search and
-    in the cross-check.  ``bracket`` is lambda_star -/+ ``_PULLIN_TOL``."""
+    cost.  ``bracket`` is lambda_star -/+ ``_PULLIN_TOL``.
+
+    ``diagnostics`` holds the flat-limit depth ``solves`` (of which
+    ``failed_solves`` were rejected depth steps and ``fold_solves`` made
+    by the fold search), their ``newton_iters``, and the seconds
+    ``search_s`` spent in the depth search and ``check_s`` in the
+    cross-check."""
 
     lambda_star: float
     bracket: tuple[float, float]
     shooting_value: float
-    solves: int
-    failed_solves: int
-    fold_solves: int
-    newton_iters: int
-    search_s: float
-    check_s: float
+    diagnostics: Counter
 
 
 def _clamp_voltage(gap: float) -> float:
@@ -278,7 +276,7 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
     """
     if tol_lambda <= 0.0:
         raise ValueError("tol_lambda must be positive")
-    counts = Counter()
+    counts = Counter(solves=0, newton_iters=0)
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         counts["solves"] += 1
@@ -288,9 +286,10 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
 
     t0 = time.perf_counter()
     origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(n_x)), 1.0, 0)
-    samples, fold, rejected, fold_solves = march_to_fold(
-        at_depth, origin, math.inf, _PULLIN_FLOOR, "flat-limit pull-in"
+    samples, fold = march_to_fold(
+        at_depth, origin, math.inf, _PULLIN_FLOOR, "flat-limit pull-in", counts
     )
+    counts["failed_solves"] = counts.pop("rejected_steps")
     if fold is None:
         d, last = samples[-1]
         raise NonConvergenceError(
@@ -300,6 +299,7 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
     lam_star = fold[1].lam
 
     t1 = time.perf_counter()
+    counts["search_s"] = t1 - t0
     shooting_value = shooting_pullin(tol_lambda / 10.0)
     if abs(lam_star - shooting_value) > 2.0 * tol_lambda:
         raise NonConvergenceError(
@@ -307,16 +307,12 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
             f"oracle ({shooting_value:.6f}) beyond 2*tol",
             residual=abs(lam_star - shooting_value),
         )
+    counts["check_s"] = time.perf_counter() - t1
     return PullinResult(
         lam_star,
         (lam_star - _PULLIN_TOL, lam_star + _PULLIN_TOL),
         shooting_value,
-        solves=counts["solves"],
-        failed_solves=rejected,
-        fold_solves=fold_solves,
-        newton_iters=counts["newton_iters"],
-        search_s=t1 - t0,
-        check_s=time.perf_counter() - t1,
+        counts,
     )
 
 

@@ -134,21 +134,19 @@ class SteadyBranch:
     (see ``continue_branch``).  ``fold_estimate`` is the largest voltage
     of the branch, None unless the branch was traced past it below
     ``lambda_max``; ``fold_interval`` is fold_estimate -/+ ``_FOLD_TOL``.
-    ``newton_iters`` counts the Newton iterations of the points,
-    ``jacobians`` the linearizations of every solve (one per Newton
-    step, depth samples and the fold search included), ``krylov_iters``
-    their GMRES iterations, ``rejected_steps`` the depth steps whose
-    solve failed and ``fold_solves`` the depth solves of the fold search.
+
+    ``diagnostics`` counts what tracing the branch cost: under
+    ``newton_iters`` the Newton iterations of the points, ``jacobians``
+    the linearizations of every solve (one per Newton step, depth samples
+    and the fold search included), ``krylov_iters`` their GMRES
+    iterations, ``rejected_steps`` the depth steps whose solve failed and
+    ``fold_solves`` the depth solves of the fold search.
     """
 
     points: list[BranchPoint]
+    diagnostics: Counter
     fold_estimate: float | None = None
     fold_interval: tuple[float, float] | None = None
-    rejected_steps: int = 0
-    newton_iters: int = 0
-    jacobians: int = 0
-    krylov_iters: int = 0
-    fold_solves: int = 0
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -425,11 +423,13 @@ def solve_steady(
     When ``counts`` is given, the Newton iterations of a converged solve
     are added to ``counts["newton_iters"]``, every linearization (one per
     Newton step) to ``counts["jacobians"]`` and their GMRES iterations to
-    ``counts["krylov_iters"]``.
+    ``counts["krylov_iters"]``; all three keys are set, at 0 for a guess
+    that already converges.
     """
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
     counts = Counter() if counts is None else counts
+    counts.update(newton_iters=0, jacobians=0, krylov_iters=0)
     state, _, iters = _newton(lam, eps, guess, grid2d, max_iter, floor, counts)
     counts["newton_iters"] += iters
     return state
@@ -449,8 +449,8 @@ def _lagrange_weights(nodes, x: float) -> list[float]:
 
 
 def march_to_fold(
-    solve, origin: BranchPoint, lambda_max: float, floor: float, label: str
-) -> tuple[list[tuple[float, BranchPoint]], tuple[float, BranchPoint] | None, int, int]:
+    solve, origin: BranchPoint, lambda_max: float, floor: float, label: str, counts: Counter
+) -> tuple[list[tuple[float, BranchPoint]], tuple[float, BranchPoint] | None]:
     """March a steady branch in the centre depth d = -u(0) up to its fold.
 
     ``solve(d, lam, guess)`` returns the branch point at depth d, seeded
@@ -480,12 +480,13 @@ def march_to_fold(
     The march also ends once a sample past ``lambda_max`` is followed by a
     higher one, when 1 - d would reach ``floor``, or when the step falls
     below ``_DEPTH_STEP / 2**10``.  ``label`` opens each log line and
-    error message.
+    error message.  The rejected steps add to ``counts["rejected_steps"]``
+    and the depth solves of the fold search to ``counts["fold_solves"]``;
+    both keys are set, at 0 when there were none.
 
-    Returns (samples, fold, rejected, fold_solves): the (depth, point)
-    samples in increasing voltage, ending with the fold when one was
-    located; the fold or None; the number of rejected steps; and the
-    number of depth solves of the fold search.
+    Returns (samples, fold): the (depth, point) samples in increasing
+    voltage, ending with the fold when one was located, and the fold or
+    None.
     """
 
     def locate_fold(below, top, above) -> tuple[tuple[float, BranchPoint], int]:
@@ -530,9 +531,9 @@ def march_to_fold(
             else:
                 below = new
 
+    counts.update(rejected_steps=0, fold_solves=0)
     samples = [(0.0, origin)]
     fold = None
-    rejected = fold_solves = 0
     step = _DEPTH_STEP
     while True:
         d = samples[-1][0] + step
@@ -548,18 +549,19 @@ def march_to_fold(
                 "%s: rejected depth=%.8g (step %.6g): %s, residual %s",
                 label, d, step, type(exc).__name__, getattr(exc, "residual", None),
             )
-            rejected += 1
+            counts["rejected_steps"] += 1
             step *= 0.5
             continue
         if sample[1].lam < p1.lam:
-            fold, fold_solves = locate_fold(samples[-2], samples[-1], sample)
+            fold, solves = locate_fold(samples[-2], samples[-1], sample)
+            counts["fold_solves"] += solves
             samples = [s for s in samples if s[0] < fold[0]] + [fold]
             break
         samples.append(sample)
         # past lambda_max, and on the rising side, since the voltage still grows
         if p1.lam >= lambda_max:
             break
-    return samples, fold, rejected, fold_solves
+    return samples, fold
 
 
 def continue_branch(
@@ -591,7 +593,7 @@ def continue_branch(
         raise ValueError("dlambda0 must be positive")
     grid = Grid1D.uniform(n_x)
     grid2d = Grid2D.uniform(n_x, n_eta if n_eta is not None else n_x)
-    counts = Counter()
+    counts = Counter(jacobians=0, krylov_iters=0)
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         state, lam, iters = _newton(
@@ -601,9 +603,7 @@ def continue_branch(
         return BranchPoint(lam, state, state.min_gap, iters)
 
     origin = BranchPoint(0.0, MembraneState.zero(grid), 1.0, 0)
-    samples, fold, rejected, fold_solves = march_to_fold(
-        at_depth, origin, lambda_max, floor, f"eps={eps:g}"
-    )
+    samples, fold = march_to_fold(at_depth, origin, lambda_max, floor, f"eps={eps:g}", counts)
 
     def point_at(lam: float, segment: int) -> BranchPoint:
         # seeded from the cubic interpolant of the four samples nearest the
@@ -639,15 +639,12 @@ def continue_branch(
     if not reached and samples[-1][1].lam > points[-1].lam:
         points.append(samples[-1][1])
     fold_estimate = None if reached or fold is None else fold[1].lam
+    counts["newton_iters"] = sum(pt.newton_iters for pt in points)
     return SteadyBranch(
         points,
+        counts,
         fold_estimate,
         None if fold_estimate is None else (fold_estimate - _FOLD_TOL, fold_estimate + _FOLD_TOL),
-        rejected_steps=rejected,
-        newton_iters=sum(pt.newton_iters for pt in points),
-        jacobians=counts["jacobians"],
-        krylov_iters=counts["krylov_iters"],
-        fold_solves=fold_solves,
     )
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "MembraneState",
     "OperatorCoefficients",
     "assemble_coefficients",
-    "source_f_v",
     "random_admissible_state",
 ]
 
@@ -90,20 +89,6 @@ def _check_admissible(v: MembraneState):
         )
 
 
-def _slope_fields(v: MembraneState):
-    """Return (dv/(1+v), d2v/(1+v)) sampled at the x-nodes."""
-    w = 1.0 + v.u
-    dv = d1_central(v.u, v.grid)
-    d2v = d2_central(v.u, v.grid)
-    return dv, dv / w, d2v / w
-
-
-def _b_eta_field(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:
-    _, s, q = _slope_fields(v)
-    # eps^2 * eta * (2 s^2 - q), outer product over (x, eta)
-    return eps * eps * np.outer(2.0 * s * s - q, grid.eta_nodes)
-
-
 def assemble_coefficients(v: MembraneState, eps: float, grid: Grid2D) -> OperatorCoefficients:
     """Evaluate the four coefficient fields of the mapped operator on ``grid``."""
     if eps <= 0.0:
@@ -114,29 +99,17 @@ def assemble_coefficients(v: MembraneState, eps: float, grid: Grid2D) -> Operato
 
     eta = grid.eta_nodes
     w = 1.0 + v.u
-    dv, s, _ = _slope_fields(v)
+    dv = d1_central(v.u, v.grid)
+    s = dv / w
+    q = d2_central(v.u, v.grid) / w
     e2 = eps * eps
 
-    shape = grid.shape
-    a_xx = np.full(shape, e2)
+    a_xx = np.full(grid.shape, e2)
     a_xeta = -2.0 * e2 * np.outer(s, eta)
     a_etaeta = (1.0 + e2 * np.outer(dv * dv, eta * eta)) / (w * w)[:, None]
-    b_eta = _b_eta_field(v, eps, grid)
+    # the operator applied to eta itself: eps^2 eta (2 s^2 - q)
+    b_eta = e2 * np.outer(2.0 * s * s - q, eta)
     return OperatorCoefficients(grid, a_xx, a_xeta, a_etaeta, b_eta)
-
-
-def source_f_v(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:
-    """Source produced by applying the mapped operator to eta itself.
-
-    Equals the b_eta coefficient field nodewise (the eta-derivative of
-    eta is one, all other derivatives vanish).
-    """
-    if eps <= 0.0:
-        raise ValueError("aspect ratio must be positive")
-    if not grids_match(grid.gx, v.grid):
-        raise ValueError("2-D grid does not share the membrane's x-nodes")
-    _check_admissible(v)
-    return _b_eta_field(v, eps, grid)
 
 
 def random_admissible_state(

@@ -140,6 +140,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["0.0", "-0.1", "0.0"],  # 3 values for 17 nodes
+            ["0.0"] + ["deep"] * 15 + ["0.0"],
+            ["0.0"] + ["-0.1"] * 7 + ["nan"] + ["-0.1"] * 7 + ["0.0"],
+        ],
+        ids=["wrong-length", "non-numeric", "nan"],
+    )
+    def test_bad_csv_initial_condition_exit_code(self, tmp_path, capsys, values):
+        ic_path = tmp_path / "ic.csv"
+        ic_path.write_text("\n".join(values))
+        path = write_config(
+            tmp_path, kind="evolve", n_x=16, n_eta=8, initial_condition={"csv": str(ic_path)},
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_CONFIG
+        assert "ERROR[config] invalid field 'initial_condition': csv" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json")]) == EXIT_CONFIG
         assert "ERROR[config]" in capsys.readouterr().err
@@ -510,6 +529,35 @@ class TestOtherKinds:
         assert diagnostics["failed_solves"] == seen["failed"] == 1
         assert diagnostics["newton_iters"] == seen["tridiagonal"]
         assert diagnostics["search_s"] > 0.0 and diagnostics["check_s"] > 0.0
+
+    def test_diagnostics_keep_their_zero_counts(self, tmp_path):
+        # the flat membrane is the steady state at zero voltage: no Newton step
+        steady_cfg = write_config(
+            tmp_path, "steady.json", kind="steady", **{"lambda": 0.0}, eps=0.1, n_x=16, n_eta=16
+        )
+        assert main([str(steady_cfg), "--out", str(tmp_path / "steady"), "--quiet"]) == EXIT_OK
+        meta = json.loads((tmp_path / "steady" / "steady.json").read_text())
+        assert meta["diagnostics"] == {"newton_iters": 0, "jacobians": 0, "krylov_iters": 0}
+        # a branch that stops below its fold rejects no step and searches no fold
+        cont = write_config(
+            tmp_path, "cont.json", kind="continuation", eps=1.0, n_x=16, n_eta=16,
+            lambda_max=0.08, dlambda0=0.04,
+        )
+        assert main([str(cont), "--out", str(tmp_path / "cont"), "--quiet"]) == EXIT_OK
+        diag = json.loads((tmp_path / "cont" / "branch.json").read_text())["branches"]["1.0"][
+            "diagnostics"
+        ]
+        assert sorted(diag) == [
+            "fold_solves", "jacobians", "krylov_iters", "newton_iters", "rejected_steps"
+        ]
+        assert diag["rejected_steps"] == 0 and diag["fold_solves"] == 0
+        pullin = write_config(tmp_path, "pullin.json", kind="pullin", n_x=128, tol_lambda=2e-3)
+        assert main([str(pullin), "--out", str(tmp_path / "pullin"), "--quiet"]) == EXIT_OK
+        diagnostics = json.loads((tmp_path / "pullin" / "pullin.json").read_text())["diagnostics"]
+        assert sorted(diagnostics) == [
+            "check_s", "failed_solves", "fold_solves", "newton_iters", "search_s", "solves"
+        ]
+        assert diagnostics["failed_solves"] == 0
 
     def test_fold_solves_on_default_configs(self, tmp_path):
         # the continuation defaults on a 32x32 grid, the pull-in defaults as they are

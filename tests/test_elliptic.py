@@ -41,7 +41,7 @@ class TestSolvePotential:
     def test_max_principle_flat(self, grid2d_32):
         v = MembraneState.zero(grid2d_32.gx)
         field = elliptic.solve_potential(v, 1.0, grid2d_32)
-        assert field.max_principle_violation() <= 1e-10
+        assert np.min(field.phi) >= -1e-10 and np.max(field.phi) <= 1.0 + 1e-10
 
     @pytest.mark.parametrize("depth", [0.25, 0.4, 0.6, 0.8])
     def test_max_principle_deflected(self, grid2d_32, depth):
@@ -50,7 +50,7 @@ class TestSolvePotential:
         x = grid2d_32.gx.nodes
         v = MembraneState(grid2d_32.gx, -depth * (1.0 - x * x))
         field = elliptic.solve_potential(v, 1.0, grid2d_32)
-        assert field.max_principle_violation() <= 1e-10
+        assert np.min(field.phi) >= -1e-10 and np.max(field.phi) <= 1.0 + 1e-10
 
 
 class TestSplitFormulation:

@@ -28,7 +28,6 @@ class TestGrids:
         g = Grid2D.uniform(16, 24)
         assert g.eta_nodes[0] == 0.0 and g.eta_nodes[-1] == 1.0
         assert g.shape == (17, 25)
-        assert g.n_interior == 15 * 23
 
     def test_too_coarse(self):
         with pytest.raises(ValueError):

@@ -162,7 +162,7 @@ class TestPullin:
     def test_discrete_fold_whatever_the_tolerance(self, tol_lambda):
         result = pullin0_detail(tol_lambda, n_x=512)
         assert abs(result.lambda_star - FLAT_FOLD_512) <= small_aspect._PULLIN_TOL
-        assert result.failed_solves == 0
+        assert result.diagnostics["failed_solves"] == 0
 
     def test_converges_under_refinement(self):
         errors = [

@@ -1,4 +1,5 @@
 import logging
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -254,10 +255,11 @@ class TestContinuation:
         assert branch.fold_estimate is not None
         # every failed depth solve is a logged rejection
         rejected = [r for r in caplog.records if "rejected depth" in r.getMessage()]
-        assert branch.rejected_steps == len(rejected)
+        diagnostics = branch.diagnostics
+        assert diagnostics["rejected_steps"] == len(rejected)
         assert all("residual" in r.getMessage() for r in rejected)
-        assert branch.newton_iters == sum(pt.newton_iters for pt in branch.points)
-        assert branch.jacobians > branch.newton_iters
+        assert diagnostics["newton_iters"] == sum(pt.newton_iters for pt in branch.points)
+        assert diagnostics["jacobians"] > diagnostics["newton_iters"]
         # the located fold is the last point, inside its stated interval
         assert branch.points[-1].lam == branch.fold_estimate
         assert branch.fold_estimate == max(branch.lambdas)
@@ -287,7 +289,7 @@ class TestContinuation:
         with caplog.at_level(logging.DEBUG, logger="mems_fbp.steady"):
             branch = continue_branch(1.0, lambda_max=2.0, dlambda0=0.1, n_x=8)
         rejected = [r for r in caplog.records if "rejected depth" in r.getMessage()]
-        assert branch.rejected_steps == len(rejected) == 1
+        assert branch.diagnostics["rejected_steps"] == len(rejected) == 1
         assert "NoSteadyStateError, residual 1.0" in rejected[0].getMessage()
         step = steady._DEPTH_STEP
         assert depths[:3] == pytest.approx([step, 2 * step, 1.5 * step], abs=1e-15)
@@ -319,7 +321,7 @@ class TestContinuation:
     def test_cubic_seeds_take_one_or_two_newton_iterations(self):
         branch = continue_branch(0.1, lambda_max=2.0, dlambda0=0.05, n_x=16)
         assert all(1 <= pt.newton_iters <= 2 for pt in branch.points[1:-1])
-        assert branch.krylov_iters >= branch.jacobians
+        assert branch.diagnostics["krylov_iters"] >= branch.diagnostics["jacobians"]
 
     @pytest.mark.parametrize("eps", [0.1, 1.0])
     @pytest.mark.parametrize("n", [16, 32])
@@ -357,9 +359,10 @@ def march_voltage(voltage):
         return BranchPoint(voltage(d), guess, 1.0 - d, 0)
 
     origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(4)), 1.0, 0)
-    samples, fold, rejected, fold_solves = march_to_fold(solve, origin, np.inf, 0.05, "test")
-    assert rejected == 0 and samples[-1] == fold
-    return fold, fold_solves
+    counts = Counter()
+    samples, fold = march_to_fold(solve, origin, np.inf, 0.05, "test", counts)
+    assert counts["rejected_steps"] == 0 and samples[-1] == fold
+    return fold, counts["fold_solves"]
 
 
 class TestFoldSearch:

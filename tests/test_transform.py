@@ -7,7 +7,6 @@ from mems_fbp.transform import (
     MembraneState,
     assemble_coefficients,
     random_admissible_state,
-    source_f_v,
 )
 
 
@@ -72,28 +71,22 @@ class TestCoefficients:
 
 
 class TestSourceField:
+    """``b_eta`` is the mapped operator applied to eta itself, the source
+    of the homogeneous-data split."""
+
     def test_flat_membrane(self, grid2d_32):
         v = MembraneState.zero(grid2d_32.gx)
-        assert np.max(np.abs(source_f_v(v, 1.0, grid2d_32))) == 0.0
+        assert np.max(np.abs(assemble_coefficients(v, 1.0, grid2d_32).b_eta)) == 0.0
 
     def test_vanishes_at_bottom(self, grid2d_32, parabola32):
-        f = source_f_v(parabola32, 1.0, grid2d_32)
+        f = assemble_coefficients(parabola32, 1.0, grid2d_32).b_eta
         assert np.max(np.abs(f[:, 0])) == 0.0
 
     def test_spot_value(self, grid32, grid2d_32, parabola32):
         # at (0, 1): slope 0, curvature 1/2, gap 3/4 -> -2/3
-        f = source_f_v(parabola32, 1.0, grid2d_32)
+        f = assemble_coefficients(parabola32, 1.0, grid2d_32).b_eta
         i = np.argmin(np.abs(grid32.nodes))
         assert abs(f[i, -1] - (-2.0 / 3.0)) <= 1e-13
-
-    def test_equals_b_eta_exactly(self, grid2d_32, rng):
-        from mems_fbp.transform import assemble_coefficients
-
-        for _ in range(3):
-            v = random_admissible_state(grid2d_32.gx, rng)
-            c = assemble_coefficients(v, 0.8, grid2d_32)
-            f = source_f_v(v, 0.8, grid2d_32)
-            assert np.array_equal(f, c.b_eta)
 
 
 class TestRandomAdmissible:
