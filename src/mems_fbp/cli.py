@@ -266,6 +266,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
             "final_time": traj.final.time,
             "states_stored": len(traj.states),
             "wall_time_s": wall,
+            "diagnostics": traj.diagnostics,
         },
     )
     log.info("evolve: outcome=%s final_time=%g", traj.outcome, traj.final.time)

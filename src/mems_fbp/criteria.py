@@ -85,7 +85,13 @@ def even_run(n_x: int, n_eta: int, steps: int) -> tuple[Trajectory, float, Grid2
 
 def symmetry(traj: Trajectory, eps: float, grid2d: Grid2D) -> tuple[bool, str]:
     """C4: every stored state and the potential of the final one are
-    even in x to ``EVEN_TOL``."""
+    even in x to ``EVEN_TOL``.
+
+    The final potential comes from ``solve_potential``, the full operator
+    on the whole rectangle, and not from the half-rectangle solve the
+    time steps use for even states, whose mirrored result is even by
+    construction: so C4 still tests the symmetry of the full operator.
+    """
     traj_gap = max(float(np.max(np.abs(s.u - s.u[::-1]))) for s in traj.states)
     phi = solve_potential(traj.final, eps, grid2d).phi
     phi_gap = float(np.max(np.abs(phi - phi[::-1, :])))

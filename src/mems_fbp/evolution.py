@@ -8,11 +8,12 @@ potential solve.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import g_eps, solve_potential
+from .elliptic import g_eps, is_even, potential_values
 from .errors import (
     DegenerateGeometryError,
     GridTooCoarseError,
@@ -80,12 +81,17 @@ class ModelParams:
 
 @dataclass
 class Trajectory:
-    """Stored (possibly thinned) states of a run plus its outcome."""
+    """Stored (possibly thinned) states of a run plus its outcome.
+
+    ``diagnostics`` counts what the run did; ``run`` records the steps
+    taken and how their potentials were solved.
+    """
 
     states: list[MembraneState]
     outcome: str  # converged | touchdown | max_time_reached
     touchdown_time: float | None = None
     energy_series: list[tuple[float, float]] | None = field(default=None)
+    diagnostics: Counter = field(default_factory=Counter)
 
     @property
     def final(self) -> MembraneState:
@@ -164,9 +170,25 @@ def run(
     thin_every: int = 10,
     record_energy: bool = False,
 ) -> Trajectory:
-    """Run the membrane until equilibrium, touchdown or ``max_time``."""
+    """Run the membrane until equilibrium, touchdown or ``max_time``.
+
+    The trajectory's ``diagnostics`` count the ``steps`` taken and how
+    the potential solve of each was made: ``folded_solves`` on the half
+    rectangle for a state that ``is_even``, ``full_solves`` otherwise
+    (see ``elliptic.potential_values``).  Energy evaluations are not
+    counted.
+    """
+    counts = Counter(steps=0, folded_solves=0, full_solves=0)
+
+    def one_step(s: MembraneState) -> MembraneState:
+        counts["steps"] += 1
+        counts["folded_solves" if is_even(s) else "full_solves"] += 1
+        return step(s, p, grid2d)
+
     energy_fn = (lambda s: total_energy(s, p, grid2d)) if record_energy else None
-    return _run_loop(u0, p, lambda s: step(s, p, grid2d), thin_every, energy_fn)
+    traj = _run_loop(u0, p, one_step, thin_every, energy_fn)
+    traj.diagnostics = counts
+    return traj
 
 
 def total_energy(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> float:
@@ -184,7 +206,7 @@ def total_energy(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> float:
     if p.lam == 0.0:
         return elastic
 
-    phi = solve_potential(u, p.eps, grid2d).phi
+    phi = potential_values(u, p.eps, grid2d)
     w = 1.0 + u.u
     eta = grid2d.eta_nodes
 

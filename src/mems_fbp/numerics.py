@@ -32,6 +32,7 @@ __all__ = [
     "solve_tridiagonal",
     "factorize",
     "solve_factored",
+    "check_residual",
     "solve_sparse",
     "gmres",
     "damped_newton",
@@ -166,19 +167,29 @@ def solve_factored(lu, system: SparseSystem) -> np.ndarray:
     SingularSystemError on a non-finite solution and NonConvergenceError
     if the residual of any column exceeds ``tol * ||rhs column||_2``.
     """
-    b = system.rhs
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
+    x = lu.solve(system.rhs)
+    check_residual(system.matrix @ x - system.rhs, system.rhs, system.tol)
+    return x
+
+
+def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float) -> None:
+    """Check the residual A x - b of a solve of A x = b.
+
+    ``residual`` and ``rhs`` are vectors or matrices with one column per
+    right-hand side.  Raises SingularSystemError if the residual is not
+    finite (a non-finite solution) and NonConvergenceError if the 2-norm
+    of any column exceeds ``tol`` times that of its right-hand side.
+    """
+    if not np.all(np.isfinite(residual)):
         raise SingularSystemError("singular system: non-finite solution")
-    residual = np.atleast_1d(np.linalg.norm(system.matrix @ x - b, axis=0))
-    bound = system.tol * np.atleast_1d(np.linalg.norm(b, axis=0))
+    residual = np.atleast_1d(np.linalg.norm(residual, axis=0))
+    bound = tol * np.atleast_1d(np.linalg.norm(rhs, axis=0))
     k = int(np.argmax(residual - bound))
     if residual[k] > bound[k] + 1e-300:
         raise NonConvergenceError(
             f"sparse solve residual {residual[k]:.3e} exceeds {bound[k]:.3e}",
             residual=float(residual[k]),
         )
-    return x
 
 
 def solve_sparse(system: SparseSystem):

@@ -47,8 +47,9 @@ class MembraneState:
             raise ValueError("membrane must be clamped: u(-1) = u(1) = 0")
         if not np.all(np.isfinite(u)):
             raise ValueError("deflection contains non-finite values")
-        if u[0] != 0.0 or u[-1] != 0.0:
-            u = u.copy()  # snap roundoff-level end values (e.g. sin(k*pi))
+        ends = u[[0, -1]]
+        if np.any(ends != 0.0) or np.any(np.signbit(ends)):
+            u = u.copy()  # snap roundoff-level end values (e.g. sin(k*pi)) and -0.0
             u[0] = u[-1] = 0.0
         object.__setattr__(self, "u", u)
 

@@ -258,6 +258,43 @@ class TestEvolveKind:
         assert main([str(path), "--quiet"]) == EXIT_OK
 
 
+    def test_even_parabola_solves_every_step_folded(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            kind="evolve",
+            **{"lambda": 0.3},
+            eps=0.1,
+            max_time=0.005,
+            initial_condition={"parabola": 0.1},
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_OK
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert meta["n_x"] == meta["n_eta"] == 128
+        assert meta["diagnostics"] == {"steps": 5, "folded_solves": 5, "full_solves": 0}
+        # the clamped ends of -depth * (1 - x^2) are written as +0.0
+        first = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[1].split(",")
+        assert first[1] == first[-1] == "0.0"
+
+    def test_uneven_csv_initial_condition_solves_every_step_in_full(self, tmp_path):
+        x = np.linspace(-1, 1, 17)
+        ic_path = tmp_path / "ic.csv"
+        ic_path.write_text("\n".join(repr(float(v)) for v in -0.1 * (1 - x * x) * (1 + 0.3 * x)))
+        path = write_config(
+            tmp_path,
+            kind="evolve",
+            **{"lambda": 0.3},
+            n_x=16,
+            n_eta=8,
+            max_time=0.01,
+            initial_condition={"csv": str(ic_path)},
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_OK
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert meta["diagnostics"] == {"steps": 10, "folded_solves": 0, "full_solves": 10}
+
+
 class TestOtherKinds:
     def test_steady_artifacts(self, tmp_path):
         path = write_config(

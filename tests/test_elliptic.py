@@ -7,7 +7,7 @@ from scipy.sparse.linalg import splu
 
 from mems_fbp import elliptic
 from mems_fbp.errors import GridTooCoarseError
-from mems_fbp.numerics import Grid1D, Grid2D, factorize
+from mems_fbp.numerics import Grid1D, Grid2D, d1_central, factorize
 from mems_fbp.transform import (
     MembraneState,
     assemble_coefficients,
@@ -295,3 +295,97 @@ def test_trace_response_matches_a_separate_dirichlet_solve(shape, eps, seed):
         single = elliptic.trace_response(field, forcing[..., c])
         assert single.shape == (grid.gx.n_nodes,)
         assert np.array_equal(single, traces[:, c])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3), (8, 5), (9, 7), (16, 12), (17, 10)])
+def test_folded_system_is_the_half_rows_of_the_full_system_on_mirrored_values(shape):
+    """The fold is R A E: the rows of A at the nodes with x >= 0, applied
+    to the mirror extension of their values, with R b as right-hand side."""
+    grid = Grid2D.uniform(*shape)
+    n_x = shape[0]
+    v = random_admissible_state(grid.gx, np.random.default_rng(3))  # the map needs no symmetry
+    coeffs = assemble_coefficients(v, 0.3, grid)
+    eta = np.broadcast_to(grid.eta_nodes, grid.shape)
+    zero = np.zeros(grid.shape)
+    full_p = elliptic._pattern(*shape)
+    half_p = elliptic._pattern(*shape, folded=True)
+    assert elliptic._pattern(*shape, folded=True) is half_p
+    assert half_p.n == (n_x - (n_x + 1) // 2) * (shape[1] - 1)
+    for a in (half_p.perm, *half_p.nodes, half_p.take, half_p.extra_slots, half_p.extra_take):
+        assert not a.flags.writeable
+    full = elliptic.assemble_system(coeffs, zero, eta)
+    w = elliptic._stencil_weights(coeffs).ravel()
+    half = elliptic._assemble(half_p, w, zero, eta, 1e-10)
+
+    full_index = {node: k for k, node in enumerate(zip(*full_p.nodes))}
+    half_index = {node: k for k, node in enumerate(zip(*half_p.nodes))}
+    rows = [full_index[node] for node in zip(*half_p.nodes)]
+    extend = np.zeros((full_p.n, half_p.n))  # E: interior column i takes column max(i, n_x - i)
+    for k, (i, j) in enumerate(zip(*full_p.nodes)):
+        extend[k, half_index[(max(i, n_x - 2 - i), j)]] = 1.0
+    assert half.matrix.has_sorted_indices
+    assert np.array_equal(half.matrix.toarray(), full.matrix.toarray()[rows] @ extend)
+    assert np.array_equal(half.rhs, full.rhs[rows])
+
+
+def full_path_g(v, eps, grid):
+    """``g_eps`` computed, as for an uneven membrane, from ``solve_potential``."""
+    tr = elliptic.trace_top(elliptic.solve_potential(v, eps, grid))
+    dv = d1_central(v.u, v.grid)
+    return (1.0 + eps * eps * dv * dv) / (1.0 + v.u) ** 2 * tr * tr
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_x=st.integers(3, 40),
+    n_eta=st.integers(3, 24),
+    eps=st.floats(0.01, 10.0),
+    depth=st.floats(0.0, 0.8),
+    power=st.floats(0.5, 3.0),
+)
+def test_folded_potential_matches_the_full_solve(n_x, n_eta, eps, depth, power):
+    grid = Grid2D.uniform(n_x, n_eta)
+    x = grid.gx.nodes
+    bump = -depth * (1.0 - x * x) ** power  # single-peaked
+    v = MembraneState(grid.gx, 0.5 * (bump + bump[::-1]))
+    assert elliptic.is_even(v)
+    phi = elliptic.potential_values(v, eps, grid)
+    assert np.array_equal(phi, phi[::-1])
+    assert np.max(np.abs(phi - elliptic.solve_potential(v, eps, grid).phi)) <= 1e-12
+    g = elliptic.g_eps(v, eps, grid)
+    assert np.max(np.abs(g - full_path_g(v, eps, grid))) <= 1e-12 * np.max(np.abs(g))
+
+    # one node moved by twice the threshold: the full solve, bit for bit
+    u = v.u.copy()
+    u[n_x - 1] += 2.0 * elliptic._EVEN_TOL
+    uneven = MembraneState(grid.gx, u)
+    assert not elliptic.is_even(uneven)
+    phi = elliptic.potential_values(uneven, eps, grid)
+    assert np.array_equal(phi, elliptic.solve_potential(uneven, eps, grid).phi)
+    assert np.array_equal(elliptic.g_eps(uneven, eps, grid), full_path_g(uneven, eps, grid))
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (512, 16), (1024, 8), (33, 17)])
+@pytest.mark.parametrize("eps", [1.0, 10.0])
+def test_asymmetry_at_the_threshold_stays_inside_the_residual_tolerance(shape, eps):
+    """The worst odd perturbation (alternating signs) of a deep even
+    membrane, as large as the folded path admits, leaves the mirrored
+    potential a tenth of the residual tolerance of the full system."""
+    grid = Grid2D.uniform(*shape)
+    n_x = shape[0]
+    x = grid.gx.nodes
+    i = np.arange(n_x + 1)
+    alternating = (-1.0) ** i
+    odd = np.where(2 * i > n_x, alternating, 0.0) - np.where(2 * i < n_x, alternating[::-1], 0.0)
+    odd[0] = odd[-1] = 0.0
+    even = -0.8 * (1.0 - x * x)
+    even = 0.5 * (even + even[::-1])
+    v = MembraneState(grid.gx, even + 0.4995 * elliptic._EVEN_TOL * odd)
+    assert elliptic.is_even(v)
+    assert float(np.max(np.abs(v.u - v.u[::-1]))) > 0.99 * elliptic._EVEN_TOL
+    phi = elliptic.potential_values(v, eps, grid)
+    coeffs = assemble_coefficients(v, eps, grid)
+    system = elliptic.assemble_system(coeffs, np.zeros(grid.shape), phi)
+    x_full = phi[1:-1, 1:-1][elliptic._pattern(*shape).nodes]
+    residual = np.linalg.norm(system.matrix @ x_full - system.rhs) / np.linalg.norm(system.rhs)
+    assert residual <= 0.1 * elliptic._POTENTIAL_TOL

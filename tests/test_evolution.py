@@ -97,6 +97,15 @@ class TestRun:
         assert len(traj.states) - 1 == 20
         assert len(factorizations) == 20
 
+    def test_diagnostics_count_the_steps_and_their_solves(self, grid, grid2d):
+        p = ModelParams(eps=0.1, lam=0.3, dt=1e-3, max_time=0.01)
+        x = grid.nodes
+        even = run(MembraneState(grid, -0.1 * (1.0 - x * x)), p, grid2d)
+        assert even.diagnostics == {"steps": 10, "folded_solves": 10, "full_solves": 0}
+        tilted = MembraneState(grid, -0.1 * (1.0 - x * x) * (1.0 + 0.2 * x))
+        uneven = run(tilted, p, grid2d)
+        assert uneven.diagnostics == {"steps": 10, "folded_solves": 0, "full_solves": 10}
+
     def test_failed_step_names_its_index_and_time(self, grid):
         p = ModelParams(eps=0.1, lam=0.1, dt=0.01)
         u0 = MembraneState(grid, -0.1 * (1.0 - grid.nodes**2))

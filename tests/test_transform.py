@@ -20,6 +20,15 @@ class TestMembraneState:
         with pytest.raises(ValueError):
             MembraneState(grid32, np.zeros(5))
 
+    def test_negative_zero_ends_snap_to_positive_zero(self, grid32):
+        x = grid32.nodes
+        u = -0.2 * (1.0 - x * x)
+        assert np.signbit(u[0]) and np.signbit(u[-1])
+        v = MembraneState(grid32, u)
+        assert v.u[0] == v.u[-1] == 0.0
+        assert not np.signbit(v.u[0]) and not np.signbit(v.u[-1])
+        assert np.array_equal(v.u[1:-1], u[1:-1])
+
     def test_min_gap(self, parabola32):
         assert abs(parabola32.min_gap - 0.75) <= 1e-15
 
