@@ -171,6 +171,8 @@ def parse_config(path) -> ExperimentConfig:
         fail("n_x/n_eta", "grid sizes must be at least 8")
     if cfg.thin_every < 1:
         fail("thin_every", "must be at least 1")
+    if cfg.seed < 0:
+        fail("seed", "must be nonnegative")
 
     ic = cfg.initial_condition
     if isinstance(ic, dict) and set(ic) == {"parabola"}:
@@ -190,6 +192,8 @@ def parse_config(path) -> ExperimentConfig:
         except (OSError, ValueError) as exc:
             fail("initial_condition", f"csv {csv!r}: {exc}")
         u[0] = u[-1] = 0.0  # exact zeros at the checked ends, as MembraneState keeps -0.0
+        if kind == "limit-study" and np.max(u) > 0.0:
+            fail("initial_condition", f"csv {csv!r}: limit-study needs a deflection <= 0")
         cfg.initial_condition = {"csv": u}
     elif ic != "zero":
         fail("initial_condition", "expected 'zero', {'parabola': depth} or {'csv': path}")
@@ -203,9 +207,11 @@ def parse_config(path) -> ExperimentConfig:
             cfg.eps_list = [params.eps]
         elif "eps" in raw and cfg.eps_list != [params.eps]:
             fail("eps", "continuation runs eps_list; when both are set, eps_list must be [eps]")
-    for name in ("tau", "tol_lambda", "dlambda0"):
+    for name in ("tau", "tol_lambda", "dlambda0", "lambda_max"):
         if getattr(cfg, name) <= 0:
             fail(name, "must be positive")
+    if kind == "limit-study" and cfg.tau < params.dt:
+        fail("tau", f"must be at least one time step dt={params.dt:g}")
     return cfg
 
 
@@ -417,7 +423,6 @@ def _run_limit_study(cfg: ExperimentConfig, out: Path) -> int:
             touchdown_floor=cfg.params.touchdown_floor,
             workers=cfg.threads,
         )
-    shortened = comp.tau < cfg.tau - 1e-12
     sample_times = sorted({t for series in comp.potential_errors for t, _ in series})
     header = ["eps", "sup_error"] + [f"potential_error@t={_fmt(t)}" for t in sample_times]
     rows = []
@@ -433,12 +438,13 @@ def _run_limit_study(cfg: ExperimentConfig, out: Path) -> int:
             "eps_list": comp.eps_values,
             "tau_requested": cfg.tau,
             "tau_used": comp.tau,
-            "horizon_shortened": shortened,
+            "horizon_shortened": comp.horizon_shortened,
             "warnings": [str(w.message) for w in caught],
+            "diagnostics": comp.diagnostics,
         },
     )
     log.info("limit-study: tau_used=%g sup_errors=%s", comp.tau, comp.sup_errors)
-    if cfg.require_survival and shortened:
+    if cfg.require_survival and comp.horizon_shortened:
         print(
             f"mems-fbp: ERROR[touchdown] limit-study: horizon shortened to t={comp.tau:g}",
             file=sys.stderr,

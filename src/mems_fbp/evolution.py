@@ -75,6 +75,8 @@ class ModelParams:
             raise ValueError("dt must be positive")
         if not 0.0 < self.touchdown_floor < 1.0:
             raise ValueError("touchdown_floor must lie in (0, 1)")
+        if self.equilibrium_tol < 0.0:
+            raise ValueError("equilibrium_tol must be nonnegative")
         if self.max_time <= 0.0:
             raise ValueError("max_time must be positive")
 
@@ -126,16 +128,15 @@ def step(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> MembraneState:
     return imex_step(u, p.dt, _diffusion_interior(u, p), forcing)
 
 
-def _run_loop(u0, p, step_fn, thin_every, energy_fn=None) -> Trajectory:
+def _run_loop(u0, p, step_fn, thin_every) -> Trajectory:
     """Shared driver: iterate until equilibrium, touchdown or the horizon.
 
     A step that fails re-raises its error, type and ``residual`` kept,
     with its 1-based index and start time before the message.
     """
     states = [u0]
-    energies = [(u0.time, energy_fn(u0))] if energy_fn else None
     if u0.min_gap <= p.touchdown_floor:
-        return Trajectory(states, "touchdown", u0.time, energies)
+        return Trajectory(states, "touchdown", u0.time)
 
     u = u0
     k = 0
@@ -156,10 +157,8 @@ def _run_loop(u0, p, step_fn, thin_every, energy_fn=None) -> Trajectory:
             stop = False
         if stop or k % thin_every == 0:
             states.append(u_new)
-            if energy_fn:
-                energies.append((u_new.time, energy_fn(u_new)))
         if stop:
-            return Trajectory(states, outcome, touchdown_time, energies)
+            return Trajectory(states, outcome, touchdown_time)
         u = u_new
 
 
@@ -175,8 +174,9 @@ def run(
     The trajectory's ``diagnostics`` count the ``steps`` taken and how
     the potential solve of each was made: ``folded_solves`` on the half
     rectangle for a state that ``is_even``, ``full_solves`` otherwise
-    (see ``elliptic.potential_values``).  Energy evaluations are not
-    counted.
+    (see ``elliptic.potential_values``).  With ``record_energy`` the
+    ``total_energy`` of every stored state is evaluated after the run;
+    these evaluations are not counted.
     """
     counts = Counter(steps=0, folded_solves=0, full_solves=0)
 
@@ -185,9 +185,10 @@ def run(
         counts["folded_solves" if is_even(s) else "full_solves"] += 1
         return step(s, p, grid2d)
 
-    energy_fn = (lambda s: total_energy(s, p, grid2d)) if record_energy else None
-    traj = _run_loop(u0, p, one_step, thin_every, energy_fn)
+    traj = _run_loop(u0, p, one_step, thin_every)
     traj.diagnostics = counts
+    if record_energy:
+        traj.energy_series = [(s.time, total_energy(s, p, grid2d)) for s in traj.states]
     return traj
 
 

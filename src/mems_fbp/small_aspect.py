@@ -12,14 +12,14 @@ import math
 import time
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .elliptic import solve_potential
 from .errors import DegenerateGeometryError, NonConvergenceError
-from .evolution import ModelParams, Trajectory, _run_loop, imex_step, step as step_eps
+from .evolution import ModelParams, Trajectory, _run_loop, imex_step, run
 from .numerics import Grid1D, Grid2D, damped_newton, solve_tridiagonal, trapezoid_2d
 from .steady import BranchPoint, march_to_fold
 from .transform import MembraneState
@@ -27,9 +27,7 @@ from .transform import MembraneState
 __all__ = [
     "LimitComparison",
     "psi0",
-    "psi0_membrane_trace",
     "step0",
-    "degenerate_step",
     "run0",
     "steady0",
     "pullin0_detail",
@@ -66,13 +64,18 @@ class LimitComparison:
 
     ``potential_errors[i]`` holds (time, L2 error) samples for
     ``eps_values[i]``; ``sup_errors[i]`` is the max deflection gap over
-    the common horizon ``tau``.
+    the common horizon ``tau``, and ``horizon_shortened`` says that a
+    touchdown cut it short of the requested whole steps.
+    ``diagnostics[i]`` is the ``Trajectory.diagnostics`` of the run at
+    ``eps_values[i]``.
     """
 
     eps_values: list[float]
     sup_errors: list[float]
     potential_errors: list[list[tuple[float, float]]]
     tau: float
+    horizon_shortened: bool
+    diagnostics: list[Counter]
 
     @property
     def potential_sup_errors(self) -> list[float]:
@@ -98,30 +101,11 @@ def psi0(u0: MembraneState, grid: Grid2D) -> np.ma.MaskedArray:
     return np.ma.MaskedArray(values, mask=outside)
 
 
-def psi0_membrane_trace(u: MembraneState) -> np.ndarray:
-    """Vertical derivative of the explicit potential on the membrane: 1/(1+u)."""
-    return 1.0 / (1.0 + u.u)
-
-
-def _flat_diffusion(u: MembraneState) -> np.ndarray:
-    return np.ones(u.grid.n_nodes - 2)
-
-
 def step0(u: MembraneState, p: ModelParams) -> MembraneState:
-    """One step of the flat-limit model (no potential solve needed)."""
+    """One step of the flat-limit model (no potential solve needed): the
+    full model's ``imex_step`` with unit diffusion."""
     forcing = -p.lam / (1.0 + u.u) ** 2
-    return imex_step(u, p.dt, _flat_diffusion(u), forcing)
-
-
-def degenerate_step(u: MembraneState, p: ModelParams) -> MembraneState:
-    """Full-model stepping kernel driven with flat-limit inputs.
-
-    Uses unit diffusion and the squared membrane trace of the explicit
-    potential as source; should reproduce ``step0`` to roundoff.
-    """
-    tr = psi0_membrane_trace(u)
-    forcing = -p.lam * tr * tr
-    return imex_step(u, p.dt, _flat_diffusion(u), forcing)
+    return imex_step(u, p.dt, np.ones(u.grid.n_cells - 1), forcing)
 
 
 def run0(u0: MembraneState, p: ModelParams, thin_every: int = 10) -> Trajectory:
@@ -342,6 +326,17 @@ def _potential_l2_error(
     return float(np.sqrt(trapezoid_2d(integrand, grid.gx.nodes, eta - 1.0)))
 
 
+def _states_before_touchdown(traj: Trajectory, steps: int) -> list[MembraneState]:
+    """The states of a run that stored every one, from the start up to
+    the last before a touchdown (the start alone, if it began at the
+    floor).  A run that stopped at an exact fixed point is padded with
+    it to ``steps`` steps."""
+    states = traj.states
+    if traj.outcome == "touchdown":
+        return states[: max(len(states) - 1, 1)]
+    return states + states[-1:] * (steps + 1 - len(states))
+
+
 def limit_study(
     u0: MembraneState,
     lam: float,
@@ -355,51 +350,47 @@ def limit_study(
     """Lockstep comparison of the full model against the flat limit.
 
     All runs share the spatial grid and time step so that only the
-    aspect ratio varies.  Potential errors are sampled at the fractions
-    ``_SAMPLE_FRACTIONS`` of ``tau``.  If any run reaches the touchdown
-    floor before ``tau``, the horizon shrinks to the span every run
-    survives (with a warning).
+    aspect ratio varies, and take ``round(tau/dt)`` steps: the flat
+    reference by ``run0`` and each aspect ratio by ``run``, every state
+    stored and none stopped short at equilibrium.  Potential errors are
+    sampled at the fractions ``_SAMPLE_FRACTIONS`` of ``tau``.  If any
+    run reaches the touchdown floor before ``tau``, the horizon shrinks
+    to the span every run survives (with a warning); no run steps past
+    the flat reference's touchdown.
     """
     if float(np.max(u0.u)) > 0.0:
         raise ValueError("initial deflection must be nonpositive for the limit study")
+    if tau < dt:
+        raise ValueError("tau must be at least one time step dt")
     eps_list = list(eps_list)
     n_steps = int(round(tau / dt))
     sample_steps = sorted({max(1, int(round(tau * f / dt))) for f in _SAMPLE_FRACTIONS})
 
-    grid = u0.grid
-    n_eta = n_eta if n_eta is not None else grid.n_cells
-    grid2d = Grid2D.uniform(grid.n_cells, n_eta)
+    n_x = u0.grid.n_cells
+    grid2d = Grid2D.uniform(n_x, n_eta if n_eta is not None else n_x)
 
-    # flat-limit reference, every step stored
-    p_flat = ModelParams(eps=1.0, lam=lam, dt=dt, touchdown_floor=touchdown_floor)
-    flat_states = [u0]
-    u = u0
-    flat_alive = n_steps
-    for k in range(1, n_steps + 1):
-        u = step0(u, p_flat)
-        flat_states.append(u)
-        if u.min_gap <= touchdown_floor:
-            flat_alive = k - 1
-            break
+    base = ModelParams(lam=lam, dt=dt, touchdown_floor=touchdown_floor, equilibrium_tol=0.0)
+
+    def params(eps: float, steps: int) -> ModelParams:
+        # the horizon lies half a step before the last step's time, so
+        # that rounding in the summed step times cannot add or drop a step
+        return replace(base, eps=eps, max_time=u0.time + (steps - 0.5) * dt)
+
+    flat = _states_before_touchdown(run0(u0, params(1.0, n_steps), thin_every=1), n_steps)
+    flat_alive = len(flat) - 1
 
     def run_one(eps: float):
-        p = ModelParams(eps=eps, lam=lam, dt=dt, touchdown_floor=touchdown_floor)
-        u = u0
-        err_series = [0.0]
-        samples = []
-        alive = min(n_steps, len(flat_states) - 1)
-        for k in range(1, n_steps + 1):
-            if k >= len(flat_states):
-                break
-            u = step_eps(u, p, grid2d)
-            if u.min_gap <= touchdown_floor:
-                alive = k - 1
-                break
-            err_series.append(float(np.max(np.abs(u.u - flat_states[k].u))))
-            # a flat state past its touchdown lies outside the comparison
-            if k in sample_steps and k <= flat_alive:
-                samples.append((k * dt, _potential_l2_error(u, flat_states[k], eps, grid2d)))
-        return alive, err_series, samples
+        if flat_alive == 0:
+            return [0.0], [], Counter(steps=0, folded_solves=0, full_solves=0)
+        traj = run(u0, params(eps, flat_alive), grid2d, thin_every=1)
+        states = _states_before_touchdown(traj, flat_alive)
+        err_series = [float(np.max(np.abs(u.u - f.u))) for u, f in zip(states, flat)]
+        samples = [
+            (k * dt, _potential_l2_error(states[k], flat[k], eps, grid2d))
+            for k in sample_steps
+            if k < len(states)
+        ]
+        return err_series, samples, traj.diagnostics
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -409,17 +400,19 @@ def limit_study(
     else:
         results = [run_one(eps) for eps in eps_list]
 
-    common_alive = min([flat_alive] + [alive for alive, _, _ in results])
-    if common_alive < n_steps:
+    common_alive = min([flat_alive] + [len(series) - 1 for series, _, _ in results])
+    shortened = common_alive < n_steps
+    if shortened:
         warnings.warn(
             f"touchdown before the horizon; comparison shortened to t={common_alive * dt:g}",
             stacklevel=2,
         )
-    sup_errors = [
-        float(np.max(series[: common_alive + 1])) for _, series, _ in results
-    ]
+    sup_errors = [float(np.max(series[: common_alive + 1])) for series, _, _ in results]
     potential_errors = [
         [(t, e) for t, e in samples if t <= common_alive * dt + 1e-12]
-        for _, _, samples in results
+        for _, samples, _ in results
     ]
-    return LimitComparison(eps_list, sup_errors, potential_errors, common_alive * dt)
+    diagnostics = [counts for _, _, counts in results]
+    return LimitComparison(
+        eps_list, sup_errors, potential_errors, common_alive * dt, shortened, diagnostics
+    )

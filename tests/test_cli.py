@@ -1,6 +1,8 @@
 import json
 import logging
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +160,39 @@ class TestParseConfig:
         )
         assert main([str(path), "--quiet"]) == EXIT_CONFIG
         assert "ERROR[config] invalid field 'initial_condition': csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "validate", "seed": -1}, "'seed': must be nonnegative"),
+            ({"kind": "continuation", "lambda_max": -0.3}, "'lambda_max': must be positive"),
+            ({"kind": "continuation", "lambda_max": 0}, "'lambda_max': must be positive"),
+            ({"kind": "evolve", "equilibrium_tol": -1e-9}, "equilibrium_tol must be nonnegative"),
+            ({"kind": "limit-study", "tau": 4e-4}, "'tau': must be at least one time step"),
+            ({"kind": "limit-study", "initial_condition": "above.csv"}, "deflection <= 0"),
+        ],
+        ids=["negative-seed", "negative-lambda_max", "zero-lambda_max",
+             "negative-equilibrium_tol", "tau-below-dt", "limit-study-csv-above-plane"],
+    )
+    def test_out_of_range_value_exit_code(self, tmp_path, capsys, fields, message):
+        if fields.get("initial_condition") == "above.csv":
+            ic_path = tmp_path / "above.csv"
+            x = np.linspace(-1.0, 1.0, 17)
+            ic_path.write_text("\n".join(str(v) for v in (0.1 * (1.0 - x * x)).tolist()))
+            fields = dict(fields, n_x=16, n_eta=8, initial_condition={"csv": str(ic_path)})
+        path = write_config(tmp_path, out_dir=str(tmp_path / "out"), **fields)
+        assert main([str(path), "--quiet"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_example_configs_parse(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        examples = re.findall(r"echo '(\{.*?\})'", readme, flags=re.DOTALL)
+        assert len(examples) == 5
+        for text in examples:
+            path = tmp_path / "example.json"
+            path.write_text(text)
+            parse_config(path)
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json")]) == EXIT_CONFIG
@@ -651,6 +686,61 @@ class TestOtherKinds:
         lines = (tmp_path / "out" / "limit_study.csv").read_text().splitlines()
         assert lines[0].startswith("eps,sup_error,potential_error@t=")
         assert len(lines) == 3
+
+    def test_limit_study_diagnostics_per_eps(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            kind="limit-study",
+            **{"lambda": 0.5},
+            n_x=16,
+            n_eta=8,
+            eps_list=[0.2, 0.1],
+            tau=0.02,
+            initial_condition={"parabola": 0.2},
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_OK
+        meta = json.loads((tmp_path / "out" / "limit_study.json").read_text())
+        assert meta["diagnostics"] == [{"steps": 20, "folded_solves": 20, "full_solves": 0}] * 2
+
+    def test_limit_study_rounded_tau_survives(self, tmp_path, capsys):
+        # 0.0333 rounds to 33 whole steps of 1e-3: no touchdown shortened it
+        path = write_config(
+            tmp_path,
+            kind="limit-study",
+            **{"lambda": 0.5},
+            n_x=16,
+            n_eta=8,
+            eps_list=[0.1],
+            tau=0.0333,
+            require_survival=True,
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_OK
+        meta = json.loads((tmp_path / "out" / "limit_study.json").read_text())
+        assert meta["tau_used"] == pytest.approx(0.033)
+        assert meta["horizon_shortened"] is False and meta["warnings"] == []
+        assert capsys.readouterr().err == ""
+
+    def test_limit_study_touchdown_exit_code(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            kind="limit-study",
+            **{"lambda": 3.0},
+            n_x=16,
+            n_eta=8,
+            eps_list=[0.05, 0.02],
+            tau=2.0,
+            require_survival=True,
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_TOUCHDOWN
+        meta = json.loads((tmp_path / "out" / "limit_study.json").read_text())
+        assert meta["horizon_shortened"] is True
+        # the flat reference touches down first: each run stops at its horizon
+        steps = round(meta["tau_used"] / 1e-3)
+        assert [d["steps"] for d in meta["diagnostics"]] == [steps, steps]
+        assert "ERROR[touchdown] limit-study" in capsys.readouterr().err
 
     def test_validate_kind(self, tmp_path):
         path = write_config(

@@ -270,6 +270,48 @@ class TestLimitStudy:
         with pytest.raises(ValueError):
             limit_study(bump, 0.5, [0.1], 0.1)
 
+    def test_start_at_the_floor_compares_nothing(self, grid):
+        x = grid.nodes
+        at_floor = MembraneState(grid, -0.96 * (1.0 - x * x))  # gap 0.04 <= 0.05
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            comp = limit_study(at_floor, 0.5, [0.2, 0.1], 0.05, n_eta=16, dt=1e-3)
+        assert comp.sup_errors == [0.0, 0.0]
+        assert comp.tau == 0.0 and comp.horizon_shortened
+        assert [c["steps"] for c in comp.diagnostics] == [0, 0]
+
+    def test_tau_below_one_step_rejected(self, grid):
+        with pytest.raises(ValueError, match="tau"):
+            limit_study(MembraneState.zero(grid), 0.5, [0.1], 4e-4, dt=1e-3)
+
+    def test_tau_rounded_to_whole_steps_is_not_shortened(self, grid):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            comp = limit_study(MembraneState.zero(grid), 0.5, [0.1], 0.0333, n_eta=16, dt=1e-3)
+        assert comp.tau == pytest.approx(0.033)
+        assert not comp.horizon_shortened and not caught
+        assert comp.diagnostics[0]["steps"] == 33
+
+    def test_diagnostics_count_each_run(self, grid):
+        x = grid.nodes
+        u0 = MembraneState(grid, -0.2 * (1.0 - x * x))
+        comp = limit_study(u0, 0.5, [0.2, 0.1], 0.02, n_eta=16, dt=1e-3)
+        assert comp.diagnostics == [{"steps": 20, "folded_solves": 20, "full_solves": 0}] * 2
+
+    def test_flat_touchdown_caps_every_run(self):
+        grid = Grid1D.uniform(16)
+        p = ModelParams(eps=1.0, lam=3.0, dt=1e-3, max_time=2.0, equilibrium_tol=0.0)
+        flat = run0(MembraneState.zero(grid), p, thin_every=1)
+        assert flat.outcome == "touchdown"
+        survived = len(flat.states) - 2
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            comp = limit_study(MembraneState.zero(grid), 3.0, [0.05, 0.02], 2.0, n_eta=8)
+        # neither run touches down before the flat reference, so each is
+        # stopped at the steps the flat one survived
+        assert comp.horizon_shortened and round(comp.tau / 1e-3) == survived
+        assert [c["steps"] for c in comp.diagnostics] == [survived, survived]
+
     def test_workers_match_serial(self, grid):
         kwargs = dict(n_eta=16, dt=2e-3)
         a = limit_study(MembraneState.zero(grid), 0.5, [0.2, 0.1], 0.1, **kwargs)
@@ -277,3 +319,4 @@ class TestLimitStudy:
                         workers=2, **kwargs)
         assert a.sup_errors == b.sup_errors
         assert a.potential_errors == b.potential_errors
+        assert a.diagnostics == b.diagnostics
