@@ -1,5 +1,5 @@
-"""Grids, finite-difference kernels, linear solvers and the damped Newton
-loop used by all modules.
+"""Grids, finite-difference kernels and linear solvers used by all
+modules; the Newton loop of the steady problem is ``steady.damped_newton``.
 
 Everything here is pure and operates on plain numpy arrays; grid objects
 are immutable after construction.  The sparse direct solve eliminates
@@ -17,12 +17,7 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import MatrixRankWarning, splu
 
-from .errors import (
-    DegenerateGeometryError,
-    NoSteadyStateError,
-    NonConvergenceError,
-    SingularSystemError,
-)
+from .errors import NonConvergenceError, SingularSystemError
 
 __all__ = [
     "Grid1D",
@@ -35,7 +30,6 @@ __all__ = [
     "check_residual",
     "solve_sparse",
     "gmres",
-    "damped_newton",
     "d1_central",
     "d2_central",
     "fit_exponential_rate",
@@ -254,56 +248,6 @@ def gmres(matvec, b, precondition, atol, max_iter):
         return np.zeros_like(b, dtype=float), 0, residual
     y = np.linalg.solve(hess[:m, :m], g[:m])
     return precondition(basis[:m].T @ y), m, residual
-
-
-def damped_newton(residual, newton_step, u, tol, max_iter, floor, label):
-    """Damped Newton iteration for interior deflection values ``u``.
-
-    ``residual(u)`` returns the residual vector and ``newton_step(u, r)``
-    the full Newton step from ``u`` with residual ``r``; it is called only
-    at the point of the latest residual evaluation.  Each step is
-    halved up to eight times until the trial point keeps min(1+u) above
-    ``floor`` and lowers the max-norm residual.  Returns the first
-    iterate with max-norm residual <= ``tol`` and the number of steps
-    taken.  Raises DegenerateGeometryError when the guess, or every
-    trial point of a line search, lies at or below the floor, and
-    NoSteadyStateError when a line search stalls or ``max_iter`` steps
-    do not reach ``tol``.  ``label`` opens every error message.
-    """
-    if float(np.min(1.0 + u)) <= floor:
-        raise DegenerateGeometryError(f"{label}: initial guess already below the touchdown floor")
-    r = residual(u)
-    for it in range(max_iter + 1):
-        rnorm = float(np.max(np.abs(r)))
-        if rnorm <= tol:
-            return u, it
-        if it == max_iter:
-            break
-        step = newton_step(u, r)
-
-        accepted = False
-        any_admissible = False
-        alpha = 1.0
-        for _ in range(9):  # full step plus up to 8 halvings
-            u_try = u + alpha * step
-            if float(np.min(1.0 + u_try)) > floor:
-                any_admissible = True
-                r_try = residual(u_try)
-                if float(np.max(np.abs(r_try))) < rnorm:
-                    u, r = u_try, r_try
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            if not any_admissible:
-                raise DegenerateGeometryError(f"{label}: iterates touch down")
-            raise NoSteadyStateError(
-                f"{label}: stalled (residual {rnorm:.3e})", residual=rnorm
-            )
-    raise NoSteadyStateError(
-        f"{label}: no steady state after {max_iter} iterations (residual {rnorm:.3e})",
-        residual=rnorm,
-    )
 
 
 def _check_length(f: np.ndarray, grid: Grid1D) -> np.ndarray:

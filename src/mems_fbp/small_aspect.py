@@ -3,7 +3,10 @@
 In the flat limit the potential is explicit, (1+z)/(1+u), and the
 membrane obeys a semilinear heat equation with source -lambda/(1+u)^2.
 This module solves that model and measures how the full solver
-approaches it as the aspect ratio shrinks.
+approaches it as the aspect ratio shrinks.  Its steady solve supplies
+only the residual and a tridiagonal Newton step to the Newton loop
+``steady.damped_newton``, and its pull-in search marches the branch
+with ``steady.march_to_fold``, both shared with the full model.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from scipy.optimize import minimize_scalar
 from .elliptic import solve_potential
 from .errors import DegenerateGeometryError, NonConvergenceError
 from .evolution import ModelParams, Trajectory, _run_loop, imex_step, run
-from .numerics import Grid1D, Grid2D, damped_newton, solve_tridiagonal, trapezoid_2d
-from .steady import BranchPoint, march_to_fold
+from .numerics import Grid1D, Grid2D, solve_tridiagonal, trapezoid_2d
+from .steady import BranchPoint, damped_newton, march_to_fold
 from .transform import MembraneState
 
 __all__ = [
@@ -38,6 +41,9 @@ __all__ = [
 
 # Centre depths over which ``shooting_pullin`` maximizes the voltage.
 _SHOOTING_DEPTHS = (0.05, 0.95)
+
+# Newton iterations allowed per ``steady0`` solve.
+_STEADY0_MAX_ITER = 50
 
 # Touchdown floor of the pull-in search: its Newton iterates and its depths
 # keep 1 + u above it.
@@ -79,8 +85,13 @@ class LimitComparison:
 
     @property
     def potential_sup_errors(self) -> list[float]:
-        """Largest sampled potential error per aspect ratio."""
-        return [max(err for _, err in series) for series in self.potential_errors]
+        """Largest sampled potential error per aspect ratio, nan for one
+        with no sample (a touchdown cut the horizon before the first
+        sample time), as ``limit_study.csv`` writes a missing sample."""
+        return [
+            max((err for _, err in series), default=math.nan)
+            for series in self.potential_errors
+        ]
 
 
 def psi0(u0: MembraneState, grid: Grid2D) -> np.ma.MaskedArray:
@@ -118,12 +129,13 @@ def steady0(
     tol: float = 1e-10,
     n_x: int = 512,
     guess: MembraneState | None = None,
-    max_iter: int = 50,
     floor: float = 0.05,
     counts: Counter | None = None,
     depth: float | None = None,
 ) -> MembraneState | tuple[MembraneState, float]:
-    """Newton solve of the flat-limit steady problem.
+    """Newton solve of the flat-limit steady problem by ``steady.damped_newton``,
+    in at most ``_STEADY0_MAX_ITER`` iterations, seeded by ``guess`` (the
+    flat membrane on ``n_x`` cells without one).
 
     The Jacobian T is tridiagonal (diffusion stencil plus a diagonal from
     the source), so each iteration is one tridiagonal solve, counted in
@@ -143,57 +155,33 @@ def steady0(
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
     if guess is None:
-        grid = Grid1D.uniform(n_x)
-        u = np.zeros(grid.n_nodes - 2)
-    else:
-        grid = guess.grid
-        u = guess.u[1:-1].copy()
-    n_int = u.size
-    centre = n_int // 2
+        guess = MembraneState.zero(Grid1D.uniform(n_x))
+    grid = guess.grid
+    n_int = grid.n_nodes - 2
     h2 = grid.h * grid.h
-    tol = max(tol, np.finfo(float).eps / h2)
-    if depth is None:
-        label = f"flat-limit Newton at lambda={lam:g}"
-    else:
-        label = f"flat-limit Newton at depth={depth:g}"
-        u = np.append(u, lam)
-
-    def lam_of(z):
-        return lam if depth is None else z[n_int]
-
     full = np.zeros(grid.n_nodes)  # deflection with its clamped ends
     off = np.full(n_int - 1, 1.0 / h2)
 
-    def residual(z):
-        full[1:-1] = z[:n_int]
-        r = np.empty(z.size)
-        r[:n_int] = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / h2 - lam_of(z) / (
-            1.0 + z[:n_int]
-        ) ** 2
-        if depth is not None:
-            r[n_int] = z[centre] + depth
-        return r
+    def residual(u, lam):
+        full[1:-1] = u
+        return (full[2:] - 2.0 * u + full[:-2]) / h2 - lam / (1.0 + u) ** 2
 
-    def newton_step(z, r):
+    def step(u, lam, r):
         if counts is not None:
             counts["newton_iters"] += 1
-        u_int = z[:n_int]
-        diag = -2.0 / h2 + 2.0 * lam_of(z) / (1.0 + u_int) ** 3
+        diag = -2.0 / h2 + 2.0 * lam / (1.0 + u) ** 3
         if depth is None:
             return solve_tridiagonal(off, diag, off, -r)
-        rhs = np.empty((n_int, 2))
-        rhs[:, 0] = r[:n_int]
-        rhs[:, 1] = 1.0 / (1.0 + u_int) ** 2
+        rhs = np.array((r[:n_int], 1.0 / (1.0 + u) ** 2)).T
         a, b = solve_tridiagonal(off, diag, off, rhs).T
-        step = np.empty(n_int + 1)
-        step[n_int] = dlam = (a[centre] - r[n_int]) / b[centre]
-        np.subtract(b * dlam, a, out=step[:n_int])
-        return step
+        dlam = (a[n_int // 2] - r[n_int]) / b[n_int // 2]
+        return np.concatenate((b * dlam - a, [dlam]))
 
-    z, _ = damped_newton(residual, newton_step, u, tol, max_iter, floor, label)
-    full[1:-1] = z[:n_int]
-    state = MembraneState(grid, full)
-    return state if depth is None else (state, float(z[n_int]))
+    tol = max(tol, np.finfo(float).eps / h2)
+    state, lam, _ = damped_newton(
+        residual, step, guess, lam, tol, _STEADY0_MAX_ITER, floor, "flat-limit Newton", depth
+    )
+    return state if depth is None else (state, lam)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,17 @@
 """Steady states, the minimal branch traced in the centre depth up to its
 fold, and the closed-form non-existence threshold.
 
-The steady equation balances the linearized curvature term against the
-electrostatic source.  Newton solves each step by GMRES on the exact
-linearization (``linearize``) without forming it.  A product J v is the
-closed-form tridiagonal part T v (the second difference and the
+``damped_newton`` is the one Newton loop of the steady problem, for the
+full model here and the flat limit in ``small_aspect``.  It owns the
+unknowns (the interior deflections, and the voltage when the centre depth
+is held), the border row of a depth solve, the labels and the failure
+exits; a model supplies only its residual and its Newton step.
+``march_to_fold`` likewise traces either model's branch to its fold.
+
+The full model's steady equation balances the linearized curvature term
+against the electrostatic source.  Its Newton step solves by GMRES on the
+exact linearization (``linearize``) without forming it.  A product J v is
+the closed-form tridiagonal part T v (the second difference and the
 curvature factor of the source) plus the source's dependence on the
 membrane trace.  The trace change follows from linearizing the potential
 solve, dphi = -A(u)^{-1} G_u v with G(u, phi) = A(u) phi - b(u): G_u is
@@ -13,8 +20,7 @@ potential, and each product is one solve against the LU of A(u) that the
 residual evaluation at the same iterate already made, so each Newton
 iteration factorizes once.  T, solved in closed form, preconditions
 GMRES, which then needs a few such solves per step instead of one per
-unknown.  ``steady_jacobian`` is the dense matrix of the same
-linearization.
+unknown.
 """
 
 from __future__ import annotations
@@ -43,7 +49,6 @@ from .numerics import (
     Grid2D,
     d1_central,
     d2_central,
-    damped_newton,
     gmres,
     solve_tridiagonal,
 )
@@ -55,7 +60,7 @@ __all__ = [
     "Linearization",
     "steady_residual",
     "linearize",
-    "steady_jacobian",
+    "damped_newton",
     "solve_steady",
     "continue_branch",
     "march_to_fold",
@@ -302,29 +307,93 @@ def linearize(
     return Linearization(field, lower, diag, upper, -2.0 * lam * p * tr, source, dg, border)
 
 
-def steady_jacobian(
-    u: MembraneState,
+def damped_newton(
+    residual,
+    step,
+    guess: MembraneState,
     lam: float,
-    eps: float,
-    grid2d: Grid2D,
-    field: PotentialField | None = None,
-) -> np.ndarray:
-    """Dense Jacobian of ``steady_residual`` by the interior deflections.
+    tol: float,
+    max_iter: int,
+    floor: float,
+    model: str,
+    depth: float | None = None,
+) -> tuple[MembraneState, float, int]:
+    """Damped Newton iteration for a steady state of either model; returns
+    (state, voltage, iterations used).
 
-    The matrix of the operator ``linearize`` returns: its tridiagonal
-    part plus the trace term, whose n_int columns are solved against the
-    potential's LU in one block.  ``field`` is the potential at ``u`` as
-    ``steady_residual`` returns it; passing it saves the factorization of
-    the potential operator.  Newton uses the products instead.
+    The model supplies ``residual(u, lam)``, its residual at the interior
+    deflections u and the voltage lam, and ``step(u, lam, r)``, the full
+    Newton step from the point of the latest residual evaluation, whose
+    residual is r.  Without ``depth`` the unknowns are u, seeded by the
+    interior of ``guess``, and the voltage is fixed at ``lam``.  With a
+    depth the centre deflection is held at -depth and the voltage becomes
+    the last unknown, seeded by ``lam``: r ends with the border row
+    u_c + depth, and ``step`` returns (du, dlam) solving the bordered
+    system [J, -h; e_c^T, 0] [du; dlam] = -r, where h is the source (minus
+    the residual's derivative by the voltage) and e_c picks the centre
+    node.  The voltage rides along in the vector whose entries Newton keeps
+    at 1 + entry > ``floor``, which holds for any nonnegative voltage.
+
+    Each step is halved up to eight times until the trial point keeps
+    every 1 + entry above ``floor`` and lowers the max-norm residual.
+    Returns at the first iterate with max-norm residual <= ``tol``, its
+    state at the time of ``guess``.  Raises DegenerateGeometryError when
+    the guess, or every trial point of a line search, lies at or below the
+    floor, and NoSteadyStateError when a line search stalls or
+    ``max_iter`` steps do not reach ``tol``.  Every error message opens
+    with ``model`` and the voltage or depth ("Newton at lambda=0.1"), and
+    so does that of a NoSteadyStateError raised by ``step``.
     """
-    lin = linearize(u, lam, eps, grid2d, field)
-    n = lin.diag.size
-    jac = lin.coupling[:, None] * lin.trace_change(np.eye(n))
-    idx = np.arange(n)
-    jac[idx, idx] += lin.diag
-    jac[idx[1:], idx[:-1]] += lin.lower
-    jac[idx[:-1], idx[1:]] += lin.upper
-    return jac
+    grid = guess.grid
+    n = grid.n_nodes - 2
+    z = guess.u[1:-1].copy()
+    if depth is None:
+        label = f"{model} at lambda={lam:g}"
+    else:
+        label = f"{model} at depth={depth:g}"
+        z = np.append(z, lam)
+
+    def lam_of(z):
+        return lam if depth is None else z[n]
+
+    def full_residual(z):
+        if depth is None:
+            return residual(z, lam)
+        return np.concatenate((residual(z[:n], z[n]), [z[n // 2] + depth]))
+
+    if float(np.min(1.0 + z)) <= floor:
+        raise DegenerateGeometryError(f"{label}: initial guess already below the touchdown floor")
+    r = full_residual(z)
+    for it in range(max_iter + 1):
+        rnorm = float(np.max(np.abs(r)))
+        if rnorm <= tol:
+            full = np.concatenate(([0.0], z[:n], [0.0]))
+            return MembraneState(grid, full, guess.time), float(lam_of(z)), it
+        if it == max_iter:
+            break
+        try:
+            dz = step(z[:n], lam_of(z), r)
+        except NoSteadyStateError as exc:
+            exc.args = (f"{label}: {exc}",)
+            raise
+
+        any_admissible = False
+        for k in range(9):  # full step plus up to 8 halvings
+            z_try = z + 0.5**k * dz
+            if float(np.min(1.0 + z_try)) > floor:
+                any_admissible = True
+                r_try = full_residual(z_try)
+                if float(np.max(np.abs(r_try))) < rnorm:
+                    z, r = z_try, r_try
+                    break
+        else:
+            if not any_admissible:
+                raise DegenerateGeometryError(f"{label}: iterates touch down")
+            raise NoSteadyStateError(f"{label}: stalled (residual {rnorm:.3e})", residual=rnorm)
+    raise NoSteadyStateError(
+        f"{label}: no steady state after {max_iter} iterations (residual {rnorm:.3e})",
+        residual=rnorm,
+    )
 
 
 def _newton(
@@ -337,15 +406,9 @@ def _newton(
     counts: Counter,
     depth: float | None = None,
 ) -> tuple[MembraneState, float, int]:
-    """Damped Newton iteration; returns (state, voltage, iterations used).
-
-    Without ``depth`` the voltage is fixed at ``lam``.  With a depth the
-    centre deflection is held at -depth and the voltage becomes the last
-    unknown, seeded by ``lam``; each step solves the bordered system
-    [J, -h; e_c^T, 0] [du; dlam] = -[r; u_c + depth], where h is the
-    source of the residual evaluation and e_c picks the centre node.  The
-    voltage rides along in the vector whose entries Newton keeps at
-    1 + entry > ``floor``, which holds for any nonnegative voltage.
+    """``damped_newton`` on the full model, at the fixed voltage ``lam`` or,
+    with ``depth``, at that centre depth; returns (state, voltage,
+    iterations used).
 
     Each step linearizes once (``linearize``, counted in
     ``counts["jacobians"]``) and solves by ``gmres`` on the products,
@@ -359,53 +422,38 @@ def _newton(
     calls share nothing.
     """
     grid = guess.grid
-    n_int = grid.n_nodes - 2
-    centre = n_int // 2
-    z = guess.u[1:-1].copy()
-    if depth is None:
-        label = f"Newton at lambda={lam:g}"
-    else:
-        label = f"Newton at depth={depth:g}"
-        z = np.append(z, lam)
     latest = {}  # the potential of the last residual evaluation
 
-    def state_of(z: np.ndarray) -> MembraneState:
+    def state_of(u: np.ndarray) -> MembraneState:
         full = np.zeros(grid.n_nodes)
-        full[1:-1] = z[:n_int]
+        full[1:-1] = u
         return MembraneState(grid, full, guess.time)
 
-    def lam_of(z: np.ndarray) -> float:
-        return lam if depth is None else float(z[n_int])
+    def residual(u: np.ndarray, lam: float) -> np.ndarray:
+        r, latest["field"] = steady_residual(state_of(u), lam, eps, grid2d, with_potential=True)
+        return r
 
-    def residual(z: np.ndarray) -> np.ndarray:
-        r, latest["field"] = steady_residual(
-            state_of(z), lam_of(z), eps, grid2d, with_potential=True
-        )
-        return r if depth is None else np.append(r, z[centre] + depth)
-
-    def newton_step(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def step(u: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
         counts["jacobians"] += 1
         bound = max(_KRYLOV_RTOL * float(np.linalg.norm(r)), _KRYLOV_ATOL)
         try:
             lin = linearize(
-                state_of(z), lam_of(z), eps, grid2d, latest["field"], bordered=depth is not None
+                state_of(u), lam, eps, grid2d, latest["field"], bordered=depth is not None
             )
-            step, iters, linear = gmres(lin.matvec, -r, lin.precondition, bound, r.size)
+            dz, iters, linear = gmres(lin.matvec, -r, lin.precondition, bound, r.size)
         except SingularSystemError as exc:
             raise NoSteadyStateError(
-                f"{label}: singular linearization: {exc}", residual=float(np.max(np.abs(r)))
+                f"singular linearization: {exc}", residual=float(np.max(np.abs(r)))
             ) from exc
         counts["krylov_iters"] += iters
         if not linear <= bound:
             raise NoSteadyStateError(
-                f"{label}: GMRES linear residual {linear:.3e} above {bound:.3e} "
-                f"after {iters} iterations",
+                f"GMRES linear residual {linear:.3e} above {bound:.3e} after {iters} iterations",
                 residual=linear,
             )
-        return step
+        return dz
 
-    z, iters = damped_newton(residual, newton_step, z, _NEWTON_TOL, max_iter, floor, label)
-    return state_of(z), lam_of(z), iters
+    return damped_newton(residual, step, guess, lam, _NEWTON_TOL, max_iter, floor, "Newton", depth)
 
 
 def solve_steady(

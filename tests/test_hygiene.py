@@ -1,0 +1,55 @@
+"""Static checks on the package source: what a module exports exists, and
+what it imports it uses.  They guard changes that delete code."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import mems_fbp
+
+MODULES = ["mems_fbp"] + [
+    f"mems_fbp.{info.name}" for info in pkgutil.iter_modules(mems_fbp.__path__)
+]
+
+
+def parse(name):
+    return ast.parse(Path(importlib.import_module(name).__file__).read_text())
+
+
+def exported(tree):
+    """The string entries of the module-level ``__all__``, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return None
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if exported(parse(m)) is not None])
+def test_every_export_resolves(name):
+    names = exported(parse(name))
+    module = importlib.import_module(name)
+    assert [n for n in names if not hasattr(module, n)] == []
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_import_is_used(name):
+    tree = parse(name)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # "import a.b" binds "a"
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(exported(tree) or [])  # a re-export counts as a use
+    unused = sorted(f"{n} (line {line})" for n, line in imported.items() if n not in used)
+    assert unused == []

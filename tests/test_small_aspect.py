@@ -264,6 +264,15 @@ class TestLimitStudy:
         assert comp.tau < 2.0
         assert any("shortened" in str(w.message) for w in caught)
 
+    def test_no_potential_sample_reads_nan(self):
+        # touchdown cuts the horizon before the first sample time, 2.0 / 4
+        with pytest.warns(UserWarning, match="shortened"):
+            comp = limit_study(MembraneState.zero(Grid1D.uniform(32)), 3.0, [0.1], 2.0, n_eta=16)
+        assert comp.tau == pytest.approx(0.114)
+        assert comp.potential_errors == [[]]
+        sup = comp.potential_sup_errors
+        assert len(sup) == 1 and np.isnan(sup[0])
+
     def test_positive_initial_data_rejected(self, grid):
         x = grid.nodes
         bump = MembraneState(grid, 0.1 * (1.0 - x * x))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mems_fbp import numerics, small_aspect, steady
-from mems_fbp.errors import NoSteadyStateError, NonConvergenceError
+from mems_fbp.errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
 from mems_fbp.evolution import ModelParams, run
 from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.steady import (
@@ -18,7 +18,6 @@ from mems_fbp.steady import (
     march_to_fold,
     nonexistence_bound,
     solve_steady,
-    steady_jacobian,
     steady_residual,
     trace_lower_bound_check,
 )
@@ -70,12 +69,19 @@ def central_difference_jacobian(u, lam, eps, grid2d, step=1e-6):
     return jac
 
 
+def dense_jacobian(u, lam, eps, grid2d):
+    """Dense matrix of ``linearize``: its tridiagonal part plus the trace term."""
+    lin = linearize(u, lam, eps, grid2d)
+    tridiagonal = np.diag(lin.diag) + np.diag(lin.lower, -1) + np.diag(lin.upper, 1)
+    return tridiagonal + lin.coupling[:, None] * lin.trace_change(np.eye(lin.diag.size))
+
+
 def jacobian_error(n, eps, seed, lam=1.0):
     grid = Grid1D.uniform(n)
     grid2d = Grid2D.uniform(n, n)
     u = random_admissible_state(grid, np.random.default_rng(seed))
     oracle = central_difference_jacobian(u, lam, eps, grid2d)
-    tangent = steady_jacobian(u, lam, eps, grid2d)
+    tangent = dense_jacobian(u, lam, eps, grid2d)
     return float(np.max(np.abs(tangent - oracle)) / np.max(np.abs(oracle)))
 
 
@@ -96,7 +102,7 @@ class TestJacobian:
         grid = Grid1D.uniform(24)
         grid2d = Grid2D.uniform(24, 24)
         u = random_admissible_state(grid, np.random.default_rng(5))
-        tangent = steady_jacobian(u, 0.0, 0.7, grid2d) - steady_jacobian(u, 1.0, 0.7, grid2d)
+        tangent = dense_jacobian(u, 0.0, 0.7, grid2d) - dense_jacobian(u, 1.0, 0.7, grid2d)
         oracle = central_difference_jacobian(
             u, 0.0, 0.7, grid2d
         ) - central_difference_jacobian(u, 1.0, 0.7, grid2d)
@@ -191,6 +197,70 @@ class TestLinearization:
         assert message.endswith(f"after {n_int} iterations")
         # the linear residual, at roundoff of the right-hand side
         assert 0.0 < info.value.residual < 1e-10
+
+
+def flat_newton(lam, guess, floor, max_iter, depth, monkeypatch):
+    monkeypatch.setattr(small_aspect, "_STEADY0_MAX_ITER", max_iter)
+    return small_aspect.steady0(lam, guess=guess, floor=floor, depth=depth)
+
+
+def full_newton(lam, guess, floor, max_iter, depth, monkeypatch):
+    grid2d = Grid2D.uniform(guess.grid.n_cells, guess.grid.n_cells)
+    if depth is None:
+        return solve_steady(lam, 1.0, guess, grid2d, max_iter, floor)
+    return steady._newton(lam, 1.0, guess, grid2d, max_iter, floor, Counter(), depth=depth)
+
+
+@pytest.mark.parametrize(
+    "model, solve", [("flat-limit Newton", flat_newton), ("Newton", full_newton)]
+)
+class TestNewtonExits:
+    """The failure exits of ``steady.damped_newton``, through either model,
+    at a fixed voltage and at a fixed centre depth."""
+
+    grid = Grid1D.uniform(8)
+
+    @staticmethod
+    def label(model, depth, lam=0.2):
+        return f"{model} at lambda={lam:g}" if depth is None else f"{model} at depth={depth:g}"
+
+    @pytest.mark.parametrize("depth", [None, 0.3])
+    def test_guess_below_the_floor(self, model, solve, depth, monkeypatch):
+        x = self.grid.nodes
+        guess = MembraneState(self.grid, -0.96 * (1.0 - x * x))  # gap 0.04 <= 0.05
+        with pytest.raises(DegenerateGeometryError) as info:
+            solve(0.2, guess, 0.05, 50, depth, monkeypatch)
+        message = f"{self.label(model, depth)}: initial guess already below the touchdown floor"
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("depth", [None, 0.3])
+    def test_every_trial_point_at_the_floor(self, model, solve, depth, monkeypatch):
+        # the first step deflects the flat membrane, so even its 1/256 lies
+        # below a floor a hair under the flat gap of 1
+        with pytest.raises(DegenerateGeometryError) as info:
+            solve(0.2, MembraneState.zero(self.grid), 1.0 - 1e-12, 50, depth, monkeypatch)
+        assert str(info.value) == f"{self.label(model, depth)}: iterates touch down"
+
+    def test_stalled_line_search(self, model, solve, monkeypatch):
+        # far above pull-in no step lowers the residual
+        with pytest.raises(NoSteadyStateError) as info:
+            solve(2.0, MembraneState.zero(self.grid), 0.05, 50, None, monkeypatch)
+        residual = info.value.residual
+        message = f"{self.label(model, None, 2.0)}: stalled (residual {residual:.3e})"
+        assert str(info.value) == message
+        assert residual > 1.0
+
+    @pytest.mark.parametrize("depth", [None, 0.3])
+    def test_iteration_cap(self, model, solve, depth, monkeypatch):
+        with pytest.raises(NoSteadyStateError) as info:
+            solve(0.2, MembraneState.zero(self.grid), 0.05, 1, depth, monkeypatch)
+        residual = info.value.residual
+        message = (
+            f"{self.label(model, depth)}: no steady state after 1 iterations "
+            f"(residual {residual:.3e})"
+        )
+        assert str(info.value) == message
+        assert residual > steady._NEWTON_TOL
 
 
 class TestSolveSteady:
@@ -331,7 +401,7 @@ class TestContinuation:
         branch = continue_branch(eps, lambda_max=2.0, dlambda0=0.05, n_x=n)
         fold = branch.points[-1]
         grid2d = Grid2D.uniform(n, n)
-        jac = steady_jacobian(fold.state, fold.lam, eps, grid2d)
+        jac = dense_jacobian(fold.state, fold.lam, eps, grid2d)
         source = steady_residual(fold.state, 0.0, eps, grid2d) - steady_residual(
             fold.state, 1.0, eps, grid2d
         )
