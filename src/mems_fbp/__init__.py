@@ -10,6 +10,7 @@ from .errors import (
     NoSteadyStateError,
     NonConvergenceError,
     SingularSystemError,
+    SolverError,
 )
 from .evolution import ModelParams, Trajectory
 from .numerics import Grid1D, Grid2D, SparseSystem
@@ -29,6 +30,7 @@ __all__ = [
     "NonConvergenceError",
     "OperatorCoefficients",
     "SingularSystemError",
+    "SolverError",
     "SparseSystem",
     "Trajectory",
     "__version__",

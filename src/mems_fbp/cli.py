@@ -20,14 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import criteria, evolution, small_aspect, steady
-from .errors import (
-    ConfigError,
-    DegenerateGeometryError,
-    GridTooCoarseError,
-    NoSteadyStateError,
-    NonConvergenceError,
-    SingularSystemError,
-)
+from .errors import ConfigError, SolverError
 from .evolution import ModelParams
 from .numerics import Grid1D, Grid2D
 from .transform import MembraneState
@@ -43,13 +36,12 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_TOUCHDOWN = 4
 
-_SOLVER_ERRORS = (
-    NonConvergenceError,
-    NoSteadyStateError,
-    SingularSystemError,
-    DegenerateGeometryError,
-    GridTooCoarseError,
-)
+
+def _fail(tag: str, message: str, code: int) -> int:
+    """Report a failed run on stderr as ``mems-fbp: ERROR[tag] message``;
+    returns the exit status ``code``."""
+    print(f"mems-fbp: ERROR[{tag}] {message}", file=sys.stderr)
+    return code
 
 
 def _read_by(*kinds: str, **kwargs):
@@ -277,12 +269,11 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
     )
     log.info("evolve: outcome=%s final_time=%g", traj.outcome, traj.final.time)
     if cfg.require_survival and traj.outcome == "touchdown":
-        print(
-            f"mems-fbp: ERROR[touchdown] evolution: touchdown at t={traj.touchdown_time:g} "
-            "before the horizon",
-            file=sys.stderr,
+        return _fail(
+            "touchdown",
+            f"evolution: touchdown at t={traj.touchdown_time:g} before the horizon",
+            EXIT_TOUCHDOWN,
         )
-        return EXIT_TOUCHDOWN
     return EXIT_OK
 
 
@@ -445,11 +436,9 @@ def _run_limit_study(cfg: ExperimentConfig, out: Path) -> int:
     )
     log.info("limit-study: tau_used=%g sup_errors=%s", comp.tau, comp.sup_errors)
     if cfg.require_survival and comp.horizon_shortened:
-        print(
-            f"mems-fbp: ERROR[touchdown] limit-study: horizon shortened to t={comp.tau:g}",
-            file=sys.stderr,
+        return _fail(
+            "touchdown", f"limit-study: horizon shortened to t={comp.tau:g}", EXIT_TOUCHDOWN
         )
-        return EXIT_TOUCHDOWN
     return EXIT_OK
 
 
@@ -479,8 +468,7 @@ def _run_validate(cfg: ExperimentConfig, out: Path) -> int:
     _write_csv(out / "validate.csv", ["check", "status", "detail"], rows)
     _write_json(out / "validate.json", {"kind": "validate", "checks": report, "all_passed": all_ok})
     if not all_ok:
-        print("mems-fbp: ERROR[solver] validate: one or more checks failed", file=sys.stderr)
-        return EXIT_SOLVER
+        return _fail("solver", "validate: one or more checks failed", EXIT_SOLVER)
     return EXIT_OK
 
 
@@ -498,7 +486,9 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> int:
     """Dispatch one experiment; returns the process exit status.
 
     Progress goes to the ``mems_fbp`` logger at INFO, which ``quiet``
-    silences for the length of the run.
+    silences for the length of the run.  A ``SolverError`` is reported
+    under its class name and returns ``EXIT_SOLVER``; any other
+    exception propagates.
     """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -506,12 +496,8 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> int:
     log.setLevel(logging.WARNING if quiet else logging.INFO)
     try:
         return _RUNNERS[cfg.kind](cfg, out)
-    except _SOLVER_ERRORS as exc:
-        print(
-            f"mems-fbp: ERROR[solver] {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_SOLVER
+    except SolverError as exc:
+        return _fail("solver", f"{type(exc).__name__}: {exc}", EXIT_SOLVER)
     finally:
         log.setLevel(level)
 
@@ -527,14 +513,15 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
+    if args.threads < 1:
+        return _fail("config", f"--threads must be at least 1, got {args.threads}", EXIT_CONFIG)
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:
-        print(f"mems-fbp: ERROR[config] {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("config", str(exc), EXIT_CONFIG)
     if args.out is not None:
         cfg.out_dir = args.out
-    cfg.threads = max(1, args.threads)
+    cfg.threads = args.threads
     progress = logging.StreamHandler(sys.stdout)
     progress.setFormatter(logging.Formatter("%(message)s"))
     log.addHandler(progress)

@@ -1,16 +1,26 @@
-"""Exception types shared by the solver modules."""
+"""Exception types shared by the solver modules.
+
+Every failure of a solve is a ``SolverError``: a singular system, an
+iteration that misses its tolerance (and so a steady state that Newton
+cannot find), a membrane at the ground plate and a grid too coarse for
+its stencil.  In this laboratory such a failure is often the finding
+itself, touchdown or no steady state past the fold, so the command-line
+driver reports each one under its class name with exit status 3.  Each
+also derives from ``ValueError`` or ``RuntimeError``, so a caller that
+catches the builtin still catches it.
+
+``ConfigError`` is not a solver failure: it rejects an experiment's input
+before any solve starts, and the driver reports it with exit status 2.
+"""
 
 from __future__ import annotations
 
 
-class SingularSystemError(ValueError):
-    """A linear system is (numerically) singular."""
+class SolverError(Exception):
+    """A solve failed.
 
-
-class NonConvergenceError(RuntimeError):
-    """An iterative procedure stopped without meeting its tolerance.
-
-    Carries the last residual norm in ``residual``.
+    Carries the last residual norm in ``residual``, None where no
+    residual is known.
     """
 
     def __init__(self, message: str, residual: float | None = None):
@@ -18,7 +28,15 @@ class NonConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class DegenerateGeometryError(ValueError):
+class SingularSystemError(SolverError, ValueError):
+    """A linear system is (numerically) singular."""
+
+
+class NonConvergenceError(SolverError, RuntimeError):
+    """An iterative procedure stopped without meeting its tolerance."""
+
+
+class DegenerateGeometryError(SolverError, ValueError):
     """The membrane touches (or crosses) the ground plate, so the
     mapped elliptic problem degenerates."""
 
@@ -27,7 +45,7 @@ class NoSteadyStateError(NonConvergenceError):
     """Newton iteration for a steady state failed to converge."""
 
 
-class GridTooCoarseError(ValueError):
+class GridTooCoarseError(SolverError, ValueError):
     """The grid has too few nodes for the requested stencil."""
 
 

@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import g_eps, is_even, potential_values
-from .errors import (
-    DegenerateGeometryError,
-    GridTooCoarseError,
-    NonConvergenceError,
-    SingularSystemError,
-)
+from .errors import SolverError
 from .numerics import Grid2D, d1_central, solve_tridiagonal, trapezoid_2d
 from .transform import MembraneState
 
@@ -33,15 +28,6 @@ __all__ = [
 ]
 
 MODES = ("quasilinear", "linearized")
-
-# What a failed step raises; ``_run_loop`` re-raises it naming the step.
-_STEP_ERRORS = (
-    DegenerateGeometryError,
-    GridTooCoarseError,
-    NonConvergenceError,
-    SingularSystemError,
-)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -131,8 +117,9 @@ def step(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> MembraneState:
 def _run_loop(u0, p, step_fn, thin_every) -> Trajectory:
     """Shared driver: iterate until equilibrium, touchdown or the horizon.
 
-    A step that fails re-raises its error, type and ``residual`` kept,
-    with its 1-based index and start time before the message.
+    A step that fails with a ``SolverError`` re-raises it, type and
+    ``residual`` kept, with its 1-based index and start time before the
+    message; any other exception passes through untouched.
     """
     states = [u0]
     if u0.min_gap <= p.touchdown_floor:
@@ -143,7 +130,7 @@ def _run_loop(u0, p, step_fn, thin_every) -> Trajectory:
     while True:
         try:
             u_new = step_fn(u)
-        except _STEP_ERRORS as exc:
+        except SolverError as exc:
             exc.args = (f"step {k + 1} from t={u.time:.12g}: {exc}",)
             raise
         k += 1

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .elliptic import solve_potential
-from .errors import DegenerateGeometryError, NonConvergenceError
+from .errors import DegenerateGeometryError, NonConvergenceError, SolverError
 from .evolution import ModelParams, Trajectory, _run_loop, imex_step, run
 from .numerics import Grid1D, Grid2D, solve_tridiagonal, trapezoid_2d
 from .steady import BranchPoint, damped_newton, march_to_fold
@@ -344,7 +344,9 @@ def limit_study(
     sampled at the fractions ``_SAMPLE_FRACTIONS`` of ``tau``.  If any
     run reaches the touchdown floor before ``tau``, the horizon shrinks
     to the span every run survives (with a warning); no run steps past
-    the flat reference's touchdown.
+    the flat reference's touchdown.  A ``SolverError`` of an aspect
+    ratio's run or potential samples is re-raised with ``eps=<eps>: ``
+    before its message.
     """
     if float(np.max(u0.u)) > 0.0:
         raise ValueError("initial deflection must be nonpositive for the limit study")
@@ -370,14 +372,18 @@ def limit_study(
     def run_one(eps: float):
         if flat_alive == 0:
             return [0.0], [], Counter(steps=0, folded_solves=0, full_solves=0)
-        traj = run(u0, params(eps, flat_alive), grid2d, thin_every=1)
-        states = _states_before_touchdown(traj, flat_alive)
+        try:
+            traj = run(u0, params(eps, flat_alive), grid2d, thin_every=1)
+            states = _states_before_touchdown(traj, flat_alive)
+            samples = [
+                (k * dt, _potential_l2_error(states[k], flat[k], eps, grid2d))
+                for k in sample_steps
+                if k < len(states)
+            ]
+        except SolverError as exc:
+            exc.args = (f"eps={eps:g}: {exc}",)
+            raise
         err_series = [float(np.max(np.abs(u.u - f.u))) for u, f in zip(states, flat)]
-        samples = [
-            (k * dt, _potential_l2_error(states[k], flat[k], eps, grid2d))
-            for k in sample_steps
-            if k < len(states)
-        ]
         return err_series, samples, traj.diagnostics
 
     if workers > 1:

@@ -107,6 +107,9 @@ _KRYLOV_ATOL = 0.1 * _NEWTON_TOL
 # Newton iterations allowed per branch point, depth sample or fold-search solve.
 _BRANCH_MAX_ITER = 15
 
+# Newton iterations allowed per ``solve_steady`` solve.
+_STEADY_MAX_ITER = 50
+
 # Halvings of the depth segment in which ``continue_branch`` locates the
 # seed of a fixed-voltage point: a width of 0.05 / 2^40 = 5e-14.
 _SEED_BISECTIONS = 40
@@ -461,12 +464,12 @@ def solve_steady(
     eps: float,
     guess: MembraneState,
     grid2d: Grid2D,
-    max_iter: int = 50,
     floor: float = 0.05,
     counts: Counter | None = None,
 ) -> MembraneState:
     """Steady deflection at the given voltage parameter, seeded from ``guess``,
-    to a max-norm residual of ``_NEWTON_TOL``.
+    to a max-norm residual of ``_NEWTON_TOL`` in at most ``_STEADY_MAX_ITER``
+    Newton iterations.
 
     When ``counts`` is given, the Newton iterations of a converged solve
     are added to ``counts["newton_iters"]``, every linearization (one per
@@ -478,7 +481,7 @@ def solve_steady(
         raise ValueError("lambda must be nonnegative")
     counts = Counter() if counts is None else counts
     counts.update(newton_iters=0, jacobians=0, krylov_iters=0)
-    state, _, iters = _newton(lam, eps, guess, grid2d, max_iter, floor, counts)
+    state, _, iters = _newton(lam, eps, guess, grid2d, _STEADY_MAX_ITER, floor, counts)
     counts["newton_iters"] += iters
     return state
 

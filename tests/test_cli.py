@@ -1,3 +1,4 @@
+import itertools
 import json
 import logging
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mems_fbp import evolution
 from mems_fbp.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -16,13 +18,35 @@ from mems_fbp.cli import (
     parse_config,
     run_experiment,
 )
-from mems_fbp.errors import ConfigError, NoSteadyStateError
+from mems_fbp.errors import (
+    ConfigError,
+    DegenerateGeometryError,
+    GridTooCoarseError,
+    NoSteadyStateError,
+    NonConvergenceError,
+    SingularSystemError,
+)
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
     path = tmp_path / name
     path.write_text(json.dumps(fields))
     return path
+
+
+def failing_step(fails):
+    """``evolution.step`` that, on its n-th call, raises ``fails(u, p, n)``
+    when that is an exception."""
+    step = evolution.step
+    calls = itertools.count(1)
+
+    def failing(u, p, grid2d):
+        error = fails(u, p, next(calls))
+        if error is not None:
+            raise error
+        return step(u, p, grid2d)
+
+    return failing
 
 
 class TestParseConfig:
@@ -198,6 +222,15 @@ class TestParseConfig:
         assert main([str(tmp_path / "absent.json")]) == EXIT_CONFIG
         assert "ERROR[config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, kind="pullin", n_x=32, out_dir=str(out))
+        assert main([str(path), "--quiet", "--threads", str(threads)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"mems-fbp: ERROR[config] --threads must be at least 1, got {threads}\n"
+        assert not out.exists()
+
 
 class TestEvolveKind:
     def test_touchdown_recorded(self, tmp_path):
@@ -254,6 +287,41 @@ class TestEvolveKind:
         assert main([str(path), "--quiet"]) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert "SingularSystemError: step 3 from t=0.02: injected failure" in err
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            SingularSystemError,
+            NonConvergenceError,
+            NoSteadyStateError,
+            DegenerateGeometryError,
+            GridTooCoarseError,
+        ],
+    )
+    def test_every_solver_error_exits_named(self, tmp_path, monkeypatch, capsys, cls):
+        monkeypatch.setattr(
+            evolution, "step", failing_step(lambda u, p, n: cls("boom") if n == 2 else None)
+        )
+        path = write_config(
+            tmp_path, kind="evolve", **{"lambda": 0.1}, n_x=8, n_eta=8,
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err == f"mems-fbp: ERROR[solver] {cls.__name__}: step 2 from t=0.001: boom\n"
+
+    def test_other_step_exception_propagates(self, tmp_path, monkeypatch):
+        error = KeyError("boom")
+        monkeypatch.setattr(
+            evolution, "step", failing_step(lambda u, p, n: error if n == 2 else None)
+        )
+        path = write_config(
+            tmp_path, kind="evolve", **{"lambda": 0.1}, n_x=8, n_eta=8,
+            out_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(KeyError) as info:
+            main([str(path), "--quiet"])
+        assert info.value is error and info.value.args == ("boom",)
 
     def test_deterministic_csv(self, tmp_path):
         outs = []
@@ -741,6 +809,29 @@ class TestOtherKinds:
         steps = round(meta["tau_used"] / 1e-3)
         assert [d["steps"] for d in meta["diagnostics"]] == [steps, steps]
         assert "ERROR[touchdown] limit-study" in capsys.readouterr().err
+
+    def test_limit_study_failed_run_names_its_eps(self, tmp_path, monkeypatch, capsys):
+        def at_eps_01(u, p, n):
+            if p.eps == 0.1 and u.time > 0.0015:
+                return SingularSystemError("singular system: forced")
+            return None
+
+        monkeypatch.setattr(evolution, "step", failing_step(at_eps_01))
+        path = write_config(
+            tmp_path,
+            kind="limit-study",
+            **{"lambda": 0.5},
+            n_x=16,
+            n_eta=8,
+            eps_list=[0.2, 0.1],
+            tau=0.005,
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "mems-fbp: ERROR[solver] SingularSystemError: eps=0.1: step 3 from t=0.002: "
+            "singular system: forced\n"
+        )
 
     def test_validate_kind(self, tmp_path):
         path = write_config(

@@ -205,9 +205,10 @@ def flat_newton(lam, guess, floor, max_iter, depth, monkeypatch):
 
 
 def full_newton(lam, guess, floor, max_iter, depth, monkeypatch):
+    monkeypatch.setattr(steady, "_STEADY_MAX_ITER", max_iter)
     grid2d = Grid2D.uniform(guess.grid.n_cells, guess.grid.n_cells)
     if depth is None:
-        return solve_steady(lam, 1.0, guess, grid2d, max_iter, floor)
+        return solve_steady(lam, 1.0, guess, grid2d, floor)
     return steady._newton(lam, 1.0, guess, grid2d, max_iter, floor, Counter(), depth=depth)
 
 
@@ -286,9 +287,10 @@ class TestSolveSteady:
         traj = run(MembraneState.zero(grid), p, grid2d, thin_every=500)
         assert np.max(np.abs(traj.final.u - steady_01.u)) <= 1e-6
 
-    def test_beyond_pullin_fails(self, grid, grid2d):
+    def test_beyond_pullin_fails(self, grid, grid2d, monkeypatch):
+        monkeypatch.setattr(steady, "_STEADY_MAX_ITER", 12)
         with pytest.raises(NoSteadyStateError) as exc_info:
-            solve_steady(1.5, 0.1, MembraneState.zero(grid), grid2d=grid2d, max_iter=12)
+            solve_steady(1.5, 0.1, MembraneState.zero(grid), grid2d=grid2d)
         assert exc_info.value.residual is not None
 
     def test_stability_of_branch_state(self, grid, grid2d, steady_01):
@@ -319,7 +321,7 @@ class TestContinuation:
                 assert np.max(pt.state.u) <= 1e-12
                 assert np.max(np.abs(pt.state.u - pt.state.u[::-1])) <= 1e-10
 
-    def test_fold_detection(self, caplog):
+    def test_fold_detection(self, caplog, monkeypatch):
         with caplog.at_level(logging.DEBUG, logger="mems_fbp.steady"):
             branch = continue_branch(1.0, lambda_max=2.0, dlambda0=0.1, n_x=24, n_eta=24)
         assert branch.fold_estimate is not None
@@ -340,9 +342,9 @@ class TestContinuation:
         assert branch.fold_estimate <= nonexistence_bound(1.0)
         # beyond the bracket the solve fails from the last branch point
         last = branch.points[-1]
+        monkeypatch.setattr(steady, "_STEADY_MAX_ITER", 10)
         with pytest.raises(NoSteadyStateError):
-            solve_steady(hi + 0.05, 1.0, last.state, max_iter=10,
-                         grid2d=Grid2D.uniform(24, 24))
+            solve_steady(hi + 0.05, 1.0, last.state, grid2d=Grid2D.uniform(24, 24))
 
     def test_failed_depth_solve_halves_the_step(self, monkeypatch, caplog):
         newton = steady._newton
