@@ -13,7 +13,7 @@ from .errors import (
     SolverError,
 )
 from .evolution import ModelParams, Trajectory
-from .numerics import Grid1D, Grid2D, SparseSystem
+from .numerics import Grid1D, Grid2D
 from .transform import MembraneState, OperatorCoefficients
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "OperatorCoefficients",
     "SingularSystemError",
     "SolverError",
-    "SparseSystem",
     "Trajectory",
     "__version__",
 ]

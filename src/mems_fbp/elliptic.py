@@ -6,9 +6,13 @@ drift, a 4-corner cross stencil for the mixed derivative.  Dirichlet
 data is eliminated into the right-hand side, so the unknowns are the
 interior nodes only.  They are numbered in a nested-dissection order,
 cached per grid shape, so the assembled matrix is factorized as it
-stands; the solves here scatter each solution back to the grid, and no
-other module sees that numbering.  The potential of an even membrane
-can be solved on the half rectangle x >= 0 (``potential_values``).
+stands, and no other module sees that numbering.  Every solve here
+takes one path (``_solve``): assemble on the cached pattern, solve and
+check the residual (``numerics.solve_sparse``), scatter onto the grid.
+The potential of an even membrane takes it on the folded pattern, the
+half rectangle x >= 0 (``potential_values``), and its mirrored solution
+is checked against the full system.  ``trace_response`` solves against
+the factor a potential keeps, with the same residual check.
 """
 
 from __future__ import annotations
@@ -20,16 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridTooCoarseError
-from .numerics import (
-    Grid1D,
-    Grid2D,
-    SparseSystem,
-    check_residual,
-    d1_central,
-    factorize,
-    solve_factored,
-    solve_sparse,
-)
+from .numerics import Grid1D, Grid2D, check_residual, d1_central, solve_sparse
 from .transform import MembraneState, OperatorCoefficients, assemble_coefficients
 
 __all__ = [
@@ -53,14 +48,14 @@ __all__ = [
 class PotentialField:
     """Nodal values of the transformed potential on the rectangle.
 
-    A field from ``solve_potential`` also carries the sparse system of
-    its interior values, in the numbering of ``assemble_system``, and the
-    system's LU factor; other fields do not.
+    A field from ``solve_potential`` also carries the matrix of its
+    interior values, in the numbering of ``assemble_system``, and its LU
+    factor; other fields do not.
     """
 
     grid: Grid2D
     phi: np.ndarray
-    system: SparseSystem | None = None
+    matrix: sp.csc_matrix | None = None
     lu: object | None = None
 
 
@@ -257,50 +252,87 @@ def _pattern(n_x: int, n_eta: int, folded: bool = False) -> _Pattern:
 
 
 def assemble_system(
-    coeffs: OperatorCoefficients,
+    weights: np.ndarray,
     rhs_field: np.ndarray,
     dirichlet: np.ndarray,
-    tol: float = 1e-10,
-) -> SparseSystem:
+    folded: bool = False,
+) -> tuple[sp.csc_matrix, np.ndarray]:
     """Assemble A x = b for A = -(mapped operator) with Dirichlet data.
 
-    ``rhs_field`` and ``dirichlet`` are full nodal fields; only the
-    interior of the former and the boundary ring of the latter are used.
-    The unknowns are numbered in the nested-dissection order cached with
-    the grid shape, so the system is P A P^T x = P b for the lexicographic
-    A and b.  The matrix is CSC on the cached sparsity pattern, with every
-    stencil entry stored (zero weights included).
+    ``weights`` is the stack of ``_stencil_weights`` of the operator's
+    coefficients; ``rhs_field`` and ``dirichlet`` are full nodal fields,
+    of which only the interior of the former and the boundary ring of the
+    latter are used.  The unknowns are numbered in the nested-dissection
+    order of the ``_pattern`` cached with the grid shape, so the system
+    is P A P^T x = P b for the lexicographic A and b; ``folded`` assembles
+    the fold R A E onto x >= 0 instead.  Returns (matrix, rhs), the matrix
+    CSC on the cached sparsity pattern with every stencil entry stored
+    (zero weights included).
     """
-    g = coeffs.grid
-    w = _stencil_weights(coeffs).ravel()
-    return _assemble(_pattern(g.gx.n_cells, g.n_eta), w, rhs_field, dirichlet, tol)
-
-
-def _assemble(
-    p: _Pattern, w: np.ndarray, rhs_field: np.ndarray, dirichlet: np.ndarray, tol: float
-) -> SparseSystem:
-    """The system of pattern ``p`` from the flattened weight stack ``w``."""
+    p = _pattern(weights.shape[1] + 1, weights.shape[2] + 1, folded)
+    w = weights.ravel()
     rhs = rhs_field[1:-1, 1:-1][p.nodes].astype(float, copy=False)
     np.subtract.at(rhs, p.ring_rows, w[p.ring_take] * dirichlet[p.ring_nodes])
     data = w[p.take]
     np.add.at(data, p.extra_slots, w[p.extra_take])
-    matrix = sp.csc_matrix((data, p.indices, p.indptr), shape=(p.n, p.n))
-    return SparseSystem(matrix=matrix, rhs=rhs, tol=tol)
+    return sp.csc_matrix((data, p.indices, p.indptr), shape=(p.n, p.n)), rhs
+
+
+def _apply_stencil(w: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """The weight stack ``w`` of ``_stencil_weights`` applied to the nodal
+    ``field``, its boundary ring included, at the interior nodes: A x - b
+    for the interior values x and the Dirichlet data of ``field`` (no
+    source)."""
+    n_x, n_eta = field.shape[0] - 1, field.shape[1] - 1
+    out = np.zeros(w.shape[1:])
+    for weight, (di, dj) in zip(w, _OFFSETS):
+        out += weight * field[1 + di : n_x + di, 1 + dj : n_eta + dj]
+    return out
+
+
+def _solve(
+    weights: np.ndarray,
+    rhs_field: np.ndarray,
+    dirichlet: np.ndarray,
+    tol: float,
+    folded: bool = False,
+):
+    """Solve -(mapped operator) w = rhs with the given boundary values.
+
+    The one factor-solve-check path of every potential solve: the system
+    that ``assemble_system`` makes of the stencil ``weights`` is solved by
+    ``solve_sparse`` at relative residual ``tol`` and scattered onto the
+    grid.  A ``folded`` solve, for data even in x, is mirrored onto x < 0
+    and then checked against the full system, applied as a stencil with
+    the same weights, at ``tol``.  Callers hand over the weights rather
+    than the coefficients, which are then freed before the factorization.
+    Returns (w, matrix, lu): the nodal solution, the assembled matrix and
+    its factor.
+    """
+    matrix, rhs = assemble_system(weights, rhs_field, dirichlet, folded)
+    x, lu = solve_sparse(matrix, rhs, tol)
+    p = _pattern(weights.shape[1] + 1, weights.shape[2] + 1, folded)
+    full = dirichlet.astype(float)
+    full[1:-1, 1:-1][p.nodes] = x
+    if folded:
+        full[: p.first] = full[::-1][: p.first]  # w[i] = w[n_x - i]
+        ring = dirichlet.astype(float)
+        ring[1:-1, 1:-1] = 0.0
+        source = rhs_field[1:-1, 1:-1]
+        residual = _apply_stencil(weights, full) - source
+        b = source - _apply_stencil(weights, ring)
+        check_residual(residual.ravel(), b.ravel(), tol)
+    return full, matrix, lu
 
 
 def solve_dirichlet(
     coeffs: OperatorCoefficients,
     rhs_field: np.ndarray,
     dirichlet: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = _POTENTIAL_TOL,
 ) -> np.ndarray:
     """Solve -(mapped operator) w = rhs with the given boundary values."""
-    system = assemble_system(coeffs, rhs_field, dirichlet, tol)
-    x, _ = solve_sparse(system)
-    g = coeffs.grid
-    full = dirichlet.astype(float)
-    full[1:-1, 1:-1][_pattern(g.gx.n_cells, g.n_eta).nodes] = x
-    return full
+    return _solve(_stencil_weights(coeffs), rhs_field, dirichlet, tol)[0]
 
 
 def _eta_field(grid: Grid2D) -> np.ndarray:
@@ -310,15 +342,12 @@ def _eta_field(grid: Grid2D) -> np.ndarray:
 def solve_potential(v: MembraneState, eps: float, grid: Grid2D) -> PotentialField:
     """Transformed potential: operator annihilates phi, boundary data eta.
 
-    The field keeps the assembled system and its LU factor, so that a
+    The field keeps the assembled matrix and its LU factor, so that a
     linearization about ``v`` needs no second factorization.
     """
-    coeffs = assemble_coefficients(v, eps, grid)
-    phi = _eta_field(grid)
-    system = assemble_system(coeffs, np.zeros(grid.shape), phi, _POTENTIAL_TOL)
-    x, lu = solve_sparse(system)
-    phi[1:-1, 1:-1][_pattern(grid.gx.n_cells, grid.n_eta).nodes] = x
-    return PotentialField(grid, phi, system, lu)
+    weights = _stencil_weights(assemble_coefficients(v, eps, grid))
+    phi, matrix, lu = _solve(weights, np.zeros(grid.shape), _eta_field(grid), _POTENTIAL_TOL)
+    return PotentialField(grid, phi, matrix, lu)
 
 
 def solve_potential_split(v: MembraneState, eps: float, grid: Grid2D) -> PotentialField:
@@ -329,7 +358,7 @@ def solve_potential_split(v: MembraneState, eps: float, grid: Grid2D) -> Potenti
     eta-derivative of eta is nonzero, so that source is the b_eta field.
     """
     coeffs = assemble_coefficients(v, eps, grid)
-    capital_phi = solve_dirichlet(coeffs, coeffs.b_eta, np.zeros(grid.shape), _POTENTIAL_TOL)
+    capital_phi = solve_dirichlet(coeffs, coeffs.b_eta, np.zeros(grid.shape))
     return PotentialField(grid, capital_phi + _eta_field(grid))
 
 
@@ -355,53 +384,21 @@ def trace_top(field: PotentialField) -> np.ndarray:
 def trace_response(field: PotentialField, forcing: np.ndarray) -> np.ndarray:
     """Membrane traces of the solutions w of A w = ``forcing``, w = 0 on the boundary.
 
-    A is the operator of ``field``, a field from ``solve_potential``, and
-    its LU factor serves every column.  ``forcing`` holds interior
-    values, shape (n_x - 1, n_eta - 1), or (n_x - 1, n_eta - 1, k) for k
-    columns solved in one call.  Returns the ``trace_top`` of each w,
-    shape (n_x + 1,) or (n_x + 1, k).
+    A is the operator of ``field``, a field from ``solve_potential``; its
+    LU factor serves every column, each checked by the residual test of
+    the potential solve.  ``forcing`` holds interior values, shape
+    (n_x - 1, n_eta - 1), or (n_x - 1, n_eta - 1, k) for k columns solved
+    in one call.  Returns the ``trace_top`` of each w, shape (n_x + 1,)
+    or (n_x + 1, k).
     """
     grid = field.grid
     nodes = _pattern(grid.gx.n_cells, grid.n_eta).nodes
-    system = SparseSystem(field.system.matrix, forcing[nodes], field.system.tol)
+    rhs = forcing[nodes]
+    x = field.lu.solve(rhs)
+    check_residual(field.matrix @ x - rhs, rhs, _POTENTIAL_TOL)
     w = np.zeros(grid.shape + forcing.shape[2:])
-    w[1:-1, 1:-1][nodes] = solve_factored(field.lu, system)
+    w[1:-1, 1:-1][nodes] = x
     return _top_derivative(w, grid.h_eta)
-
-
-def _apply_stencil(w: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """The weight stack ``w`` of ``_stencil_weights`` applied to the nodal
-    ``field``, its boundary ring included, at the interior nodes: A x - b
-    for the interior values x and the Dirichlet data of ``field`` (no
-    source)."""
-    n_x, n_eta = field.shape[0] - 1, field.shape[1] - 1
-    out = np.zeros(w.shape[1:])
-    for weight, (di, dj) in zip(w, _OFFSETS):
-        out += weight * field[1 + di : n_x + di, 1 + dj : n_eta + dj]
-    return out
-
-
-def _folded_potential(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:
-    """Nodal potential of an even membrane, solved on the half rectangle.
-
-    The fold R A E of the potential operator (see ``_pattern``) is
-    factorized and solved for the nodes with x >= 0, and the solution is
-    mirrored onto x < 0.  The result is exactly even and is checked
-    against the full system A phi = b, applied as a stencil, with the
-    residual test of ``solve_potential``.
-    """
-    n_x, n_eta = grid.gx.n_cells, grid.n_eta
-    w = _stencil_weights(assemble_coefficients(v, eps, grid))
-    ring = _eta_field(grid)  # the Dirichlet data, and zero inside: no source
-    ring[1:-1, 1:-1] = 0.0
-    half = _pattern(n_x, n_eta, folded=True)
-    system = _assemble(half, w.ravel(), ring, ring, _POTENTIAL_TOL)
-    phi = ring.copy()
-    phi[1:-1, 1:-1][half.nodes] = factorize(system).solve(system.rhs)
-    phi[: half.first] = phi[::-1][: half.first]  # phi[i] = phi[n_x - i]
-    residual, rhs = _apply_stencil(w, phi), -_apply_stencil(w, ring)
-    check_residual(residual.ravel(), rhs.ravel(), _POTENTIAL_TOL)
-    return phi
 
 
 def is_even(v: MembraneState) -> bool:
@@ -413,13 +410,13 @@ def is_even(v: MembraneState) -> bool:
 def potential_values(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:
     """Nodal values of the potential of ``solve_potential``.
 
-    A membrane that ``is_even`` is solved on the half rectangle by
-    ``_folded_potential``, with half the unknowns and under half the fill
-    of the full factor; any other by ``solve_potential``.
+    A membrane that ``is_even`` is solved on the half rectangle, on the
+    folded pattern of the same solve path, with half the unknowns and
+    under half the fill of the full factor.
     """
-    if is_even(v):
-        return _folded_potential(v, eps, grid)
-    return solve_potential(v, eps, grid).phi
+    weights = _stencil_weights(assemble_coefficients(v, eps, grid))
+    zero, eta = np.zeros(grid.shape), _eta_field(grid)
+    return _solve(weights, zero, eta, _POTENTIAL_TOL, folded=is_even(v))[0]
 
 
 def g_eps(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:

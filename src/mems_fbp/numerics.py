@@ -2,9 +2,11 @@
 modules; the Newton loop of the steady problem is ``steady.damped_newton``.
 
 Everything here is pure and operates on plain numpy arrays; grid objects
-are immutable after construction.  The sparse direct solve eliminates
-the unknowns in the order they are numbered; choosing that numbering is
-the caller's part (``elliptic`` assembles in nested-dissection order).
+are immutable after construction.  The sparse direct solve
+(``solve_sparse``: factorize, solve, ``check_residual``) eliminates the
+unknowns in the order they are numbered; choosing that numbering is the
+caller's part (``elliptic`` assembles in nested-dissection order, and
+routes every potential solve through this one function).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import MatrixRankWarning, splu
 
@@ -22,11 +23,9 @@ from .errors import NonConvergenceError, SingularSystemError
 __all__ = [
     "Grid1D",
     "Grid2D",
-    "SparseSystem",
     "grids_match",
     "solve_tridiagonal",
     "factorize",
-    "solve_factored",
     "check_residual",
     "solve_sparse",
     "gmres",
@@ -91,20 +90,6 @@ def grids_match(a: Grid1D, b: Grid1D) -> bool:
     return a.n_cells == b.n_cells and np.array_equal(a.nodes, b.nodes)
 
 
-@dataclass(frozen=True, eq=False)
-class SparseSystem:
-    """A sparse linear system A x = rhs with a solve tolerance.
-
-    The potential solver assembles ``matrix`` column-compressed (CSC), the
-    format SuperLU factorizes, with its unknowns already numbered in
-    their elimination order; other sparse formats are converted first.
-    """
-
-    matrix: sp.spmatrix
-    rhs: np.ndarray
-    tol: float = 1e-10
-
-
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solve a tridiagonal system with LAPACK ``dgtsv``.
 
@@ -136,34 +121,21 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return x
 
 
-def factorize(system: SparseSystem):
-    """Sparse LU factor (a SuperLU object) of the matrix of ``system``.
+def factorize(matrix):
+    """Sparse LU factor (a SuperLU object) of the square sparse ``matrix``.
 
     The unknowns are eliminated in their given order: SuperLU adds no
     column ordering of its own, so the caller numbers them for low fill
-    (the potential solver assembles in nested-dissection order).  Raises
+    (the potential solver assembles in nested-dissection order).  A
+    matrix that is not CSC is converted first.  Raises
     SingularSystemError on a (numerically) singular matrix.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:
-            return splu(system.matrix.tocsc(), permc_spec="NATURAL", panel_size=4)
+            return splu(matrix.tocsc(), permc_spec="NATURAL", panel_size=4)
         except (RuntimeError, MatrixRankWarning) as exc:
             raise SingularSystemError(f"singular system: {exc}") from exc
-
-
-def solve_factored(lu, system: SparseSystem) -> np.ndarray:
-    """Solve ``system`` with the factor ``lu`` of its matrix, checking the residual.
-
-    ``lu`` is the factor ``factorize(system)`` returns, or that of another
-    system with the same matrix.  ``system.rhs`` may be a vector or a
-    matrix of right-hand sides, one per column.  Raises
-    SingularSystemError on a non-finite solution and NonConvergenceError
-    if the residual of any column exceeds ``tol * ||rhs column||_2``.
-    """
-    x = lu.solve(system.rhs)
-    check_residual(system.matrix @ x - system.rhs, system.rhs, system.tol)
-    return x
 
 
 def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float) -> None:
@@ -186,16 +158,20 @@ def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float) -> None:
         )
 
 
-def solve_sparse(system: SparseSystem):
-    """Direct sparse solve of ``system`` with a residual check.
+def solve_sparse(matrix, rhs: np.ndarray, tol: float):
+    """Direct sparse solve of ``matrix`` x = ``rhs`` with a residual check.
 
+    ``rhs`` is a vector or a matrix of right-hand sides, one per column.
     Returns (x, lu), the LU factor serving further solves with the same
     matrix.  Deterministic for fixed inputs.  Raises SingularSystemError
-    on a (numerically) singular matrix and NonConvergenceError if the
-    residual exceeds ``tol * ||rhs||_2``.
+    on a (numerically) singular matrix or a non-finite solution and
+    NonConvergenceError if the residual of any column exceeds
+    ``tol * ||rhs column||_2`` (``check_residual``).
     """
-    lu = factorize(system)
-    return solve_factored(lu, system), lu
+    lu = factorize(matrix)
+    x = lu.solve(rhs)
+    check_residual(matrix @ x - rhs, rhs, tol)
+    return x, lu
 
 
 def gmres(matvec, b, precondition, atol, max_iter):

@@ -637,6 +637,30 @@ class TestOtherKinds:
         assert lo <= meta["lambda_star"] <= hi
         assert abs(meta["lambda_star"] - meta["shooting_oracle"]) <= 2 * meta["tol_lambda"]
 
+    def test_pullin_on_a_coarse_grid(self, tmp_path):
+        # the fold on 16 cells lies 0.0401 h^2 = 6.3e-4 below the shoot, more
+        # than 2 tol_lambda away but inside the grid's allowance
+        out = tmp_path / "out"
+        path = write_config(tmp_path, kind="pullin", n_x=16)
+        assert main([str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+        meta = json.loads((out / "pullin.json").read_text())
+        assert 2 * meta["tol_lambda"] < meta["shooting_oracle"] - meta["lambda_star"] < 7e-4
+
+    @pytest.mark.parametrize("shift, code", [(3e-4, EXIT_OK), (4e-4, EXIT_SOLVER)])
+    def test_pullin_cross_check_bound(self, tmp_path, monkeypatch, capsys, shift, code):
+        # on 16 cells the bound is 2e-4 + 0.05 h^2 = 9.81e-4 and the fold sits
+        # 6.26e-4 below the shoot: a shift of 3e-4 stays inside, 4e-4 does not
+        from mems_fbp import small_aspect
+
+        shooting = small_aspect.shooting_pullin
+        monkeypatch.setattr(small_aspect, "shooting_pullin", lambda tol: shooting(tol) + shift)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, kind="pullin", n_x=16)
+        assert main([str(path), "--out", str(out), "--quiet"]) == code
+        assert (out / "pullin.json").exists() == (code == EXIT_OK)
+        if code == EXIT_SOLVER:
+            assert "beyond 2*tol + 0.05*h^2 = 0.000981" in capsys.readouterr().err
+
     def test_pullin_diagnostics_count_the_solves(self, tmp_path, monkeypatch):
         from mems_fbp import small_aspect
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from mems_fbp import elliptic
-from mems_fbp.errors import GridTooCoarseError
+from mems_fbp.errors import GridTooCoarseError, NonConvergenceError
 from mems_fbp.numerics import Grid1D, Grid2D, d1_central, factorize
 from mems_fbp.transform import (
     MembraneState,
@@ -133,10 +133,11 @@ def test_assembled_system_structure(grid2d_32, parabola32):
     from mems_fbp.transform import assemble_coefficients
 
     coeffs = assemble_coefficients(parabola32, 0.5, grid2d_32)
-    system = elliptic.assemble_system(coeffs, np.zeros(grid2d_32.shape), np.zeros(grid2d_32.shape))
+    zero = np.zeros(grid2d_32.shape)
+    matrix, _ = elliptic.assemble_system(elliptic._stencil_weights(coeffs), zero, zero)
     n_int = (grid2d_32.gx.n_cells - 1) * (grid2d_32.n_eta - 1)
-    assert system.matrix.shape == (n_int, n_int)
-    assert np.max(np.diff(system.matrix.indptr)) <= 9  # 9-point stencil bound
+    assert matrix.shape == (n_int, n_int)
+    assert np.max(np.diff(matrix.indptr)) <= 9  # 9-point stencil bound
 
 
 def coo_reference_system(coeffs, rhs_field, dirichlet):
@@ -195,15 +196,17 @@ def test_assembly_matches_coo_reference(shape, eps, seed):
     coeffs = assemble_coefficients(v, eps, grid)
     rhs_field = rng.normal(size=grid.shape)
     dirichlet = rng.normal(size=grid.shape)
-    system = elliptic.assemble_system(coeffs, rhs_field, dirichlet)
+    ours_matrix, ours_rhs = elliptic.assemble_system(
+        elliptic._stencil_weights(coeffs), rhs_field, dirichlet
+    )
     matrix, rhs = coo_reference_system(coeffs, rhs_field, dirichlet)
     # the unknowns are numbered in the dissection order: P A P^T and P b
     matrix, rhs = matrix[perm][:, perm].tocsr().tocsc(), rhs[perm]
-    assert system.matrix.format == "csc"
+    assert ours_matrix.format == "csc"
     for name in ("indptr", "indices", "data"):
-        ours, ref = getattr(system.matrix, name), getattr(matrix, name)
+        ours, ref = getattr(ours_matrix, name), getattr(matrix, name)
         assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes(), name
-    assert rhs.dtype == system.rhs.dtype and rhs.tobytes() == system.rhs.tobytes()
+    assert rhs.dtype == ours_rhs.dtype and rhs.tobytes() == ours_rhs.tobytes()
 
 
 def natural_reference(v, eps, grid):
@@ -229,10 +232,12 @@ def test_dissection_order_is_a_cached_permutation(shape):
     v = random_admissible_state(grid.gx, np.random.default_rng(7))
     coeffs, matrix, rhs = natural_reference(v, 0.1, grid)
     eta = np.broadcast_to(grid.eta_nodes, grid.shape)
-    system = elliptic.assemble_system(coeffs, np.zeros(grid.shape), eta)
-    assert system.matrix.has_sorted_indices
-    assert np.array_equal(system.matrix.toarray(), matrix.toarray()[perm][:, perm])
-    assert np.array_equal(system.rhs, rhs[perm])
+    ours_matrix, ours_rhs = elliptic.assemble_system(
+        elliptic._stencil_weights(coeffs), np.zeros(grid.shape), eta
+    )
+    assert ours_matrix.has_sorted_indices
+    assert np.array_equal(ours_matrix.toarray(), matrix.toarray()[perm][:, perm])
+    assert np.array_equal(ours_rhs, rhs[perm])
 
 
 @settings(max_examples=30, deadline=None)
@@ -261,7 +266,8 @@ def test_dissection_fill_against_minimum_degree(shape, bound):
     v = random_admissible_state(grid.gx, np.random.default_rng(7))
     coeffs, matrix, rhs = natural_reference(v, 0.1, grid)
     eta = np.broadcast_to(grid.eta_nodes, grid.shape)
-    ours = factorize(elliptic.assemble_system(coeffs, np.zeros(grid.shape), eta))
+    weights = elliptic._stencil_weights(coeffs)
+    ours = factorize(elliptic.assemble_system(weights, np.zeros(grid.shape), eta)[0])
     mmd = splu(matrix, permc_spec="MMD_AT_PLUS_A")
     fill, mmd_fill = ours.L.nnz + ours.U.nnz, mmd.L.nnz + mmd.U.nnz
     if bound == 1.0:
@@ -313,9 +319,9 @@ def test_folded_system_is_the_half_rows_of_the_full_system_on_mirrored_values(sh
     assert half_p.n == (n_x - (n_x + 1) // 2) * (shape[1] - 1)
     for a in (half_p.perm, *half_p.nodes, half_p.take, half_p.extra_slots, half_p.extra_take):
         assert not a.flags.writeable
-    full = elliptic.assemble_system(coeffs, zero, eta)
-    w = elliptic._stencil_weights(coeffs).ravel()
-    half = elliptic._assemble(half_p, w, zero, eta, 1e-10)
+    weights = elliptic._stencil_weights(coeffs)
+    full_matrix, full_rhs = elliptic.assemble_system(weights, zero, eta)
+    half_matrix, half_rhs = elliptic.assemble_system(weights, zero, eta, folded=True)
 
     full_index = {node: k for k, node in enumerate(zip(*full_p.nodes))}
     half_index = {node: k for k, node in enumerate(zip(*half_p.nodes))}
@@ -323,9 +329,9 @@ def test_folded_system_is_the_half_rows_of_the_full_system_on_mirrored_values(sh
     extend = np.zeros((full_p.n, half_p.n))  # E: interior column i takes column max(i, n_x - i)
     for k, (i, j) in enumerate(zip(*full_p.nodes)):
         extend[k, half_index[(max(i, n_x - 2 - i), j)]] = 1.0
-    assert half.matrix.has_sorted_indices
-    assert np.array_equal(half.matrix.toarray(), full.matrix.toarray()[rows] @ extend)
-    assert np.array_equal(half.rhs, full.rhs[rows])
+    assert half_matrix.has_sorted_indices
+    assert np.array_equal(half_matrix.toarray(), full_matrix.toarray()[rows] @ extend)
+    assert np.array_equal(half_rhs, full_rhs[rows])
 
 
 def full_path_g(v, eps, grid):
@@ -385,7 +391,35 @@ def test_asymmetry_at_the_threshold_stays_inside_the_residual_tolerance(shape, e
     assert float(np.max(np.abs(v.u - v.u[::-1]))) > 0.99 * elliptic._EVEN_TOL
     phi = elliptic.potential_values(v, eps, grid)
     coeffs = assemble_coefficients(v, eps, grid)
-    system = elliptic.assemble_system(coeffs, np.zeros(grid.shape), phi)
+    weights = elliptic._stencil_weights(coeffs)
+    matrix, rhs = elliptic.assemble_system(weights, np.zeros(grid.shape), phi)
     x_full = phi[1:-1, 1:-1][elliptic._pattern(*shape).nodes]
-    residual = np.linalg.norm(system.matrix @ x_full - system.rhs) / np.linalg.norm(system.rhs)
+    residual = np.linalg.norm(matrix @ x_full - rhs) / np.linalg.norm(rhs)
     assert residual <= 0.1 * elliptic._POTENTIAL_TOL
+
+
+def tilted(grid, depth=0.3, tilt=0.5):
+    x = grid.nodes
+    return MembraneState(grid, -depth * (1.0 - x * x) * (1.0 + tilt * x))
+
+
+def test_folded_check_rejects_an_uneven_membrane(monkeypatch):
+    """Admitted by a forged ``is_even``, a clearly uneven membrane is solved
+    on the half rectangle; its mirrored solution fails the full check."""
+    grid = Grid2D.uniform(16, 12)
+    v = tilted(grid.gx)
+    monkeypatch.setattr(elliptic, "is_even", lambda v: True)
+    with pytest.raises(NonConvergenceError, match="sparse solve residual") as info:
+        elliptic.potential_values(v, 1.0, grid)
+    assert info.value.residual > 1e-6
+
+
+def test_trace_response_rejects_a_factor_of_another_membrane():
+    grid = Grid2D.uniform(16, 12)
+    field = elliptic.solve_potential(tilted(grid.gx), 1.0, grid)
+    other = elliptic.solve_potential(tilted(grid.gx, tilt=-0.5), 1.0, grid)
+    forcing = np.random.default_rng(0).normal(size=(grid.gx.n_cells - 1, grid.n_eta - 1, 2))
+    elliptic.trace_response(field, forcing)  # its own factor passes
+    forged = elliptic.PotentialField(grid, field.phi, field.matrix, other.lu)
+    with pytest.raises(NonConvergenceError, match="sparse solve residual"):
+        elliptic.trace_response(forged, forcing)

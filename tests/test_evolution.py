@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mems_fbp import criteria, numerics
+from mems_fbp import criteria, elliptic, numerics
 from mems_fbp import evolution
 from mems_fbp.errors import NonConvergenceError
 from mems_fbp.evolution import ModelParams, Trajectory, run, step, total_energy
@@ -83,19 +83,32 @@ class TestStep:
 
 class TestRun:
     def test_one_factorization_per_step(self, monkeypatch):
-        splu = numerics.splu
-        factorizations = []
+        # folded (even start) or full (uneven start), each step's potential
+        # takes the one solve path: one assembly, one factorization
+        calls = {"splu": 0, "assemble_system": 0}
 
-        def counted(*args, **kwargs):
-            factorizations.append(1)
-            return splu(*args, **kwargs)
+        def counted(module, name):
+            fn = getattr(module, name)
 
-        monkeypatch.setattr(numerics, "splu", counted)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(numerics, "splu")
+        counted(elliptic, "assemble_system")
+        grid = Grid1D.uniform(16)
+        x = grid.nodes
+        tilted = MembraneState(grid, -0.1 * (1.0 - x * x) * (1.0 + 0.2 * x))
         p = ModelParams(eps=0.1, lam=0.3, dt=1e-3, max_time=0.02)
-        traj = run(MembraneState.zero(Grid1D.uniform(16)), p, Grid2D.uniform(16, 12), thin_every=1)
-        assert traj.outcome == "max_time_reached"
-        assert len(traj.states) - 1 == 20
-        assert len(factorizations) == 20
+        for u0, solves in ((MembraneState.zero(grid), "folded_solves"), (tilted, "full_solves")):
+            calls.update(splu=0, assemble_system=0)
+            traj = run(u0, p, Grid2D.uniform(16, 12), thin_every=1)
+            assert traj.outcome == "max_time_reached"
+            assert len(traj.states) - 1 == 20
+            assert traj.diagnostics["steps"] == traj.diagnostics[solves] == 20
+            assert calls == {"splu": 20, "assemble_system": 20}
 
     def test_diagnostics_count_the_steps_and_their_solves(self, grid, grid2d):
         p = ModelParams(eps=0.1, lam=0.3, dt=1e-3, max_time=0.01)

@@ -53,3 +53,29 @@ def test_every_import_is_used(name):
     used.update(exported(tree) or [])  # a re-export counts as a use
     unused = sorted(f"{n} (line {line})" for n, line in imported.items() if n not in used)
     assert unused == []
+
+
+def names_used(tree):
+    """Every name read or attribute taken anywhere in ``tree``."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_private_definition_is_used(name):
+    """A module-level private function or class is referenced somewhere in
+    the package outside its own definition: a merge that leaves a helper
+    without callers fails here."""
+    tree = parse(name)
+    others = set().union(*(names_used(parse(m)) for m in MODULES if m != name))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+        if node.name not in names_used(rest) | others:
+            unused.append(f"{node.name} (line {node.lineno})")
+    assert unused == []

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mems_fbp.errors import SingularSystemError
+from mems_fbp.errors import NonConvergenceError, SingularSystemError
 from mems_fbp.numerics import (
     Grid1D,
     Grid2D,
-    SparseSystem,
+    check_residual,
     d1_central,
     d2_central,
     fit_exponential_rate,
@@ -77,8 +77,8 @@ class TestTridiagonal:
 class TestSolveSparse:
     def test_identity(self, rng):
         b = rng.standard_normal(10)
-        system = SparseSystem(sp.eye(10, format="csr"), b)
-        np.testing.assert_allclose(solve_sparse(system)[0], b, atol=1e-14)
+        x, _ = solve_sparse(sp.eye(10, format="csr"), b, 1e-10)
+        np.testing.assert_allclose(x, b, atol=1e-14)
 
     def _laplacian(self, m):
         # standard 5-point Laplacian on an m x m interior block
@@ -95,7 +95,7 @@ class TestSolveSparse:
         h = 1.0 / 9.0
         xy = np.array([(i * h, j * h) for i in range(1, 9) for j in range(1, 9)])
         b = h * h * (2.0 * xy[:, 0] * (1 - xy[:, 0]) + 2.0 * xy[:, 1] * (1 - xy[:, 1]))
-        x = solve_sparse(SparseSystem(A, b))[0]
+        x = solve_sparse(A, b, 1e-10)[0]
         x_dense = np.linalg.solve(A.toarray(), b)
         assert np.max(np.abs(x - x_dense)) <= 1e-10
 
@@ -104,14 +104,29 @@ class TestSolveSparse:
         A = sp.random(dim, dim, density=0.05, random_state=rng, format="csr")
         A = A + sp.eye(dim) * dim  # shift to safe diagonal dominance
         b = rng.standard_normal(dim)
-        x = solve_sparse(SparseSystem(A.tocsr(), b))[0]
+        x = solve_sparse(A.tocsr(), b, 1e-10)[0]
         x_dense = np.linalg.solve(A.toarray(), b)
         assert np.max(np.abs(x - x_dense)) <= 1e-9
 
     def test_singular_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(SingularSystemError):
-            solve_sparse(SparseSystem(A, np.array([1.0, 1.0])))
+            solve_sparse(A, np.array([1.0, 1.0]), 1e-10)
+
+
+class TestCheckResidual:
+    def test_non_finite_residual_is_singular(self):
+        with pytest.raises(SingularSystemError, match="non-finite"):
+            check_residual(np.array([0.0, np.nan]), np.ones(2), 1e-10)
+
+    def test_worst_column_is_reported(self):
+        rhs = np.ones((4, 3))  # ||column||_2 = 2, bound 2e-10
+        residual = np.zeros((4, 3))
+        residual[:, 1] = 3e-10  # norm 6e-10
+        residual[0, 2] = 1e-10  # inside its bound
+        with pytest.raises(NonConvergenceError, match="6.000e-10 exceeds 2.000e-10") as info:
+            check_residual(residual, rhs, 1e-10)
+        assert info.value.residual == pytest.approx(6e-10, rel=1e-12)
 
 
 class TestGmres:
