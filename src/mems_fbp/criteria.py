@@ -11,11 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .elliptic import g_eps, mms_convergence, solve_potential, solve_potential_split
+from .elliptic import (
+    g_eps,
+    mms_convergence,
+    solve_dirichlet,
+    solve_potential,
+    solve_potential_split,
+)
 from .evolution import ModelParams, Trajectory, imex_step, run
 from .numerics import Grid1D, Grid2D
 from .small_aspect import step0
-from .transform import MembraneState, random_admissible_state
+from .transform import MembraneState, assemble_coefficients, random_admissible_state
 
 __all__ = [
     "mms_order",
@@ -87,13 +93,16 @@ def symmetry(traj: Trajectory, eps: float, grid2d: Grid2D) -> tuple[bool, str]:
     """C4: every stored state and the potential of the final one are
     even in x to ``EVEN_TOL``.
 
-    The final potential comes from ``solve_potential``, the full operator
-    on the whole rectangle, and not from the half-rectangle solve the
-    time steps use for even states, whose mirrored result is even by
-    construction: so C4 still tests the symmetry of the full operator.
+    The final potential comes from ``solve_dirichlet``, the full operator
+    on the whole rectangle with the data of ``solve_potential``, and not
+    from the half-rectangle solve that ``solve_potential`` makes for an
+    even state, whose mirrored result is even by construction: so C4
+    still tests the symmetry of the full operator.
     """
     traj_gap = max(float(np.max(np.abs(s.u - s.u[::-1]))) for s in traj.states)
-    phi = solve_potential(traj.final, eps, grid2d).phi
+    eta = np.broadcast_to(grid2d.eta_nodes, grid2d.shape)
+    coeffs = assemble_coefficients(traj.final, eps, grid2d)
+    phi = solve_dirichlet(coeffs, np.zeros(grid2d.shape), eta)
     phi_gap = float(np.max(np.abs(phi - phi[::-1, :])))
     ok = max(traj_gap, phi_gap) <= EVEN_TOL
     return ok, (

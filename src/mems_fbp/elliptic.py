@@ -9,10 +9,13 @@ cached per grid shape, so the assembled matrix is factorized as it
 stands, and no other module sees that numbering.  Every solve here
 takes one path (``_solve``): assemble on the cached pattern, solve and
 check the residual (``numerics.solve_sparse``), scatter onto the grid.
-The potential of an even membrane takes it on the folded pattern, the
-half rectangle x >= 0 (``potential_values``), and its mirrored solution
-is checked against the full system.  ``trace_response`` solves against
-the factor a potential keeps, with the same residual check.
+``solve_potential`` decides for every potential, of a time step, a
+steady residual or a check alike: the potential of an even membrane
+takes that path on the folded pattern, the half rectangle x >= 0, and
+its mirrored solution is checked against the full system instead.
+``trace_response`` solves against the factor a potential keeps, half or
+full, with the same residual check.  ``solve_dirichlet`` always solves
+the full system, for references that must not assume the symmetry.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "solve_potential",
     "solve_potential_split",
     "is_even",
-    "potential_values",
     "stencil_derivatives",
     "trace_top",
     "trace_response",
@@ -48,15 +50,19 @@ __all__ = [
 class PotentialField:
     """Nodal values of the transformed potential on the rectangle.
 
-    A field from ``solve_potential`` also carries the matrix of its
-    interior values, in the numbering of ``assemble_system``, and its LU
-    factor; other fields do not.
+    A field from ``solve_potential`` also carries the stencil ``weights``
+    of its operator, the assembled matrix of its unknowns, in the
+    numbering of ``assemble_system``, and its LU factor; other fields do
+    not.  A ``folded`` field, the potential of an even membrane, keeps
+    the matrix and factor of the half rectangle.
     """
 
     grid: Grid2D
     phi: np.ndarray
     matrix: sp.csc_matrix | None = None
     lu: object | None = None
+    weights: np.ndarray | None = None
+    folded: bool = False
 
 
 # Relative residual tolerance of the potential solves, and of the
@@ -65,7 +71,7 @@ _POTENTIAL_TOL = 1e-10
 _MMS_TOL = 1e-12
 
 # Largest max_i |u_i - u_{n_x - i}| of a membrane whose potential
-# ``potential_values`` solves on the half rectangle.  The mirrored
+# ``solve_potential`` solves on the half rectangle.  The mirrored
 # solution phi is checked against the full system A(u) phi = b(u).  Its
 # rows at x >= 0 are those of the half system, solved to rounding
 # (relative residual below 1e-14); at x < 0 they differ from their
@@ -78,7 +84,8 @@ _MMS_TOL = 1e-12
 # then below 5e-12, twenty times inside _POTENTIAL_TOL, so an even state
 # does not need a second, full factorization.  Time stepping from an
 # even state keeps the asymmetry at rounding level (at most 1.3e-15 in
-# runs up to touchdown).
+# runs up to touchdown), and a steady Newton from an even guess keeps its
+# iterates exactly even (see ``steady.Linearization.precondition``).
 _EVEN_TOL = 1e-14
 
 
@@ -282,12 +289,31 @@ def _apply_stencil(w: np.ndarray, field: np.ndarray) -> np.ndarray:
     """The weight stack ``w`` of ``_stencil_weights`` applied to the nodal
     ``field``, its boundary ring included, at the interior nodes: A x - b
     for the interior values x and the Dirichlet data of ``field`` (no
-    source)."""
+    source).  A ``field`` of shape (n_x + 1, n_eta + 1, k) holds k fields."""
     n_x, n_eta = field.shape[0] - 1, field.shape[1] - 1
-    out = np.zeros(w.shape[1:])
+    extra = (None,) * (field.ndim - 2)
+    out = np.zeros(w.shape[1:] + field.shape[2:])
     for weight, (di, dj) in zip(w, _OFFSETS):
-        out += weight * field[1 + di : n_x + di, 1 + dj : n_eta + dj]
+        out += weight[(..., *extra)] * field[1 + di : n_x + di, 1 + dj : n_eta + dj]
     return out
+
+
+def _check_mirrored(
+    weights: np.ndarray, full: np.ndarray, source: np.ndarray, rhs: np.ndarray, tol: float
+) -> None:
+    """The residual check of a folded solve, made on the full system.
+
+    ``full`` is the mirrored nodal solution (or k of them, stacked on a
+    last axis), ``source`` the interior right-hand side of the operator
+    and ``rhs`` that of the full system A x = b, the source less the
+    Dirichlet ring's share.  The residual A x - b is the full stencil
+    ``weights`` applied to ``full`` less ``source``.  Its rows at x >= 0
+    are those of the half system, so this one check covers them too; at
+    x < 0 it fails when the membrane or the data is not even.
+    """
+    n = source.shape[0] * source.shape[1]
+    residual = _apply_stencil(weights, full) - source
+    check_residual(residual.reshape(n, -1), rhs.reshape(n, -1), tol)
 
 
 def _solve(
@@ -303,14 +329,14 @@ def _solve(
     that ``assemble_system`` makes of the stencil ``weights`` is solved by
     ``solve_sparse`` at relative residual ``tol`` and scattered onto the
     grid.  A ``folded`` solve, for data even in x, is mirrored onto x < 0
-    and then checked against the full system, applied as a stencil with
-    the same weights, at ``tol``.  Callers hand over the weights rather
-    than the coefficients, which are then freed before the factorization.
-    Returns (w, matrix, lu): the nodal solution, the assembled matrix and
-    its factor.
+    and checked once, by ``_check_mirrored`` on the full system at
+    ``tol``, rather than on the half system.  Callers hand over the
+    weights rather than the coefficients, which are then freed before the
+    factorization.  Returns (w, matrix, lu): the nodal solution, the
+    assembled matrix and its factor.
     """
     matrix, rhs = assemble_system(weights, rhs_field, dirichlet, folded)
-    x, lu = solve_sparse(matrix, rhs, tol)
+    x, lu = solve_sparse(matrix, rhs, None if folded else tol)
     p = _pattern(weights.shape[1] + 1, weights.shape[2] + 1, folded)
     full = dirichlet.astype(float)
     full[1:-1, 1:-1][p.nodes] = x
@@ -319,9 +345,7 @@ def _solve(
         ring = dirichlet.astype(float)
         ring[1:-1, 1:-1] = 0.0
         source = rhs_field[1:-1, 1:-1]
-        residual = _apply_stencil(weights, full) - source
-        b = source - _apply_stencil(weights, ring)
-        check_residual(residual.ravel(), b.ravel(), tol)
+        _check_mirrored(weights, full, source, source - _apply_stencil(weights, ring), tol)
     return full, matrix, lu
 
 
@@ -331,7 +355,10 @@ def solve_dirichlet(
     dirichlet: np.ndarray,
     tol: float = _POTENTIAL_TOL,
 ) -> np.ndarray:
-    """Solve -(mapped operator) w = rhs with the given boundary values."""
+    """Solve -(mapped operator) w = rhs with the given boundary values.
+
+    Always on the full rectangle, whatever the symmetry of the data.
+    """
     return _solve(_stencil_weights(coeffs), rhs_field, dirichlet, tol)[0]
 
 
@@ -342,12 +369,17 @@ def _eta_field(grid: Grid2D) -> np.ndarray:
 def solve_potential(v: MembraneState, eps: float, grid: Grid2D) -> PotentialField:
     """Transformed potential: operator annihilates phi, boundary data eta.
 
-    The field keeps the assembled matrix and its LU factor, so that a
-    linearization about ``v`` needs no second factorization.
+    A membrane that ``is_even`` is solved on the half rectangle, with half
+    the unknowns and under half the fill of the full factor; its field is
+    ``folded``.  The field keeps the stencil weights, the assembled matrix
+    and its LU factor, so that a linearization about ``v`` needs no
+    second factorization.
     """
     weights = _stencil_weights(assemble_coefficients(v, eps, grid))
-    phi, matrix, lu = _solve(weights, np.zeros(grid.shape), _eta_field(grid), _POTENTIAL_TOL)
-    return PotentialField(grid, phi, matrix, lu)
+    folded = is_even(v)
+    zero, eta = np.zeros(grid.shape), _eta_field(grid)
+    phi, matrix, lu = _solve(weights, zero, eta, _POTENTIAL_TOL, folded)
+    return PotentialField(grid, phi, matrix, lu, weights, folded)
 
 
 def solve_potential_split(v: MembraneState, eps: float, grid: Grid2D) -> PotentialField:
@@ -386,46 +418,41 @@ def trace_response(field: PotentialField, forcing: np.ndarray) -> np.ndarray:
 
     A is the operator of ``field``, a field from ``solve_potential``; its
     LU factor serves every column, each checked by the residual test of
-    the potential solve.  ``forcing`` holds interior values, shape
-    (n_x - 1, n_eta - 1), or (n_x - 1, n_eta - 1, k) for k columns solved
-    in one call.  Returns the ``trace_top`` of each w, shape (n_x + 1,)
-    or (n_x + 1, k).
+    the potential solve.  The half factor of a ``folded`` field solves
+    for the mirror extension of w, checked like a folded potential
+    (``_check_mirrored``) on the full system: a ``forcing`` that is not
+    even in x then raises NonConvergenceError.  ``forcing`` holds interior
+    values, shape (n_x - 1, n_eta - 1), or (n_x - 1, n_eta - 1, k) for k
+    columns solved in one call.  Returns the ``trace_top`` of each w,
+    shape (n_x + 1,) or (n_x + 1, k).
     """
     grid = field.grid
-    nodes = _pattern(grid.gx.n_cells, grid.n_eta).nodes
-    rhs = forcing[nodes]
+    p = _pattern(grid.gx.n_cells, grid.n_eta, field.folded)
+    rhs = forcing[p.nodes]
     x = field.lu.solve(rhs)
-    check_residual(field.matrix @ x - rhs, rhs, _POTENTIAL_TOL)
     w = np.zeros(grid.shape + forcing.shape[2:])
-    w[1:-1, 1:-1][nodes] = x
+    w[1:-1, 1:-1][p.nodes] = x
+    if field.folded:
+        w[: p.first] = w[::-1][: p.first]
+        _check_mirrored(field.weights, w, forcing, forcing, _POTENTIAL_TOL)
+    else:
+        check_residual(field.matrix @ x - rhs, rhs, _POTENTIAL_TOL)
     return _top_derivative(w, grid.h_eta)
 
 
 def is_even(v: MembraneState) -> bool:
-    """Whether ``potential_values`` solves the potential of ``v`` on the
+    """Whether ``solve_potential`` solves the potential of ``v`` on the
     half rectangle: max_i |u_i - u_{n_x - i}| <= ``_EVEN_TOL``."""
     return float(np.max(np.abs(v.u - v.u[::-1]))) <= _EVEN_TOL
-
-
-def potential_values(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:
-    """Nodal values of the potential of ``solve_potential``.
-
-    A membrane that ``is_even`` is solved on the half rectangle, on the
-    folded pattern of the same solve path, with half the unknowns and
-    under half the fill of the full factor.
-    """
-    weights = _stencil_weights(assemble_coefficients(v, eps, grid))
-    zero, eta = np.zeros(grid.shape), _eta_field(grid)
-    return _solve(weights, zero, eta, _POTENTIAL_TOL, folded=is_even(v))[0]
 
 
 def g_eps(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:
     """Electrostatic source profile: squared membrane trace of the
     potential times the geometric prefactor (1 + eps^2 v_x^2)/(1+v)^2.
 
-    The potential is that of ``potential_values``.
+    The potential is that of ``solve_potential``.
     """
-    tr = trace_top(PotentialField(grid, potential_values(v, eps, grid)))
+    tr = trace_top(solve_potential(v, eps, grid))
     dv = d1_central(v.u, v.grid)
     pre = (1.0 + eps * eps * dv * dv) / (1.0 + v.u) ** 2
     return pre * tr * tr

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import g_eps, is_even, potential_values
+from .elliptic import g_eps, is_even, solve_potential
 from .errors import SolverError
 from .numerics import Grid2D, d1_central, solve_tridiagonal, trapezoid_2d
 from .transform import MembraneState
@@ -161,7 +161,7 @@ def run(
     The trajectory's ``diagnostics`` count the ``steps`` taken and how
     the potential solve of each was made: ``folded_solves`` on the half
     rectangle for a state that ``is_even``, ``full_solves`` otherwise
-    (see ``elliptic.potential_values``).  With ``record_energy`` the
+    (see ``elliptic.solve_potential``).  With ``record_energy`` the
     ``total_energy`` of every stored state is evaluated after the run;
     these evaluations are not counted.
     """
@@ -194,7 +194,7 @@ def total_energy(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> float:
     if p.lam == 0.0:
         return elastic
 
-    phi = potential_values(u, p.eps, grid2d)
+    phi = solve_potential(u, p.eps, grid2d).phi
     w = 1.0 + u.u
     eta = grid2d.eta_nodes
 

@@ -21,6 +21,12 @@ residual evaluation at the same iterate already made, so each Newton
 iteration factorizes once.  T, solved in closed form, preconditions
 GMRES, which then needs a few such solves per step instead of one per
 unknown.
+
+The branch from the flat membrane, and any solve from an even guess, stays
+even: its potentials are solved on the half rectangle (``solve_potential``
+of an even membrane), and the preconditioner of a Newton step about such
+a state returns even vectors, so every GMRES product is one solve against
+the half factor and the step stays in the even subspace.
 """
 
 from __future__ import annotations
@@ -147,8 +153,11 @@ class SteadyBranch:
     ``newton_iters`` the Newton iterations of the points, ``jacobians``
     the linearizations of every solve (one per Newton step, depth samples
     and the fold search included), ``krylov_iters`` their GMRES
-    iterations, ``rejected_steps`` the depth steps whose solve failed and
-    ``fold_solves`` the depth solves of the fold search.
+    iterations, ``rejected_steps`` the depth steps whose solve failed,
+    ``fold_solves`` the depth solves of the fold search, and
+    ``folded_solves`` and ``full_solves`` the potential solves of every
+    residual evaluation, on the half rectangle or on the full one (see
+    ``elliptic.solve_potential``).
     """
 
     points: list[BranchPoint]
@@ -244,13 +253,21 @@ class Linearization:
     def precondition(self, y: np.ndarray) -> np.ndarray:
         """Solve with T, or with the bordered [T, -h; e_c^T, 0] by block
         elimination: x = a + b dlam, where T a is y but its last entry,
-        T b = h, and dlam makes x_c that last entry."""
+        T b = h, and dlam makes x_c that last entry.
+
+        About the even state of a ``folded`` field, the deflection part of
+        x, border term included, is then replaced by its even part, so
+        every vector that GMRES multiplies, and the step it returns, is
+        exactly even and its products solve against the half factor.
+        """
         n = self.diag.size
-        a = solve_tridiagonal(self.lower, self.diag, self.upper, y[:n])
-        if self.border is None:
-            return a
-        dlam = (y[n] - a[n // 2]) / self.border[n // 2]
-        return np.append(a + self.border * dlam, dlam)
+        x = solve_tridiagonal(self.lower, self.diag, self.upper, y[:n])
+        if self.border is not None:
+            dlam = (y[n] - x[n // 2]) / self.border[n // 2]
+            x = x + self.border * dlam
+        if self.field.folded:
+            x = 0.5 * (x + x[::-1])
+        return x if self.border is None else np.append(x, dlam)
 
 
 def linearize(
@@ -419,10 +436,12 @@ def _newton(
     ``_KRYLOV_RTOL`` and ``_KRYLOV_ATOL``; its iterations add to
     ``counts["krylov_iters"]``, and a GMRES solve that misses the rule
     within as many iterations as unknowns raises NoSteadyStateError
-    carrying its linear residual.  The linearization at an iterate
-    reuses the potential (and its LU factor) of the residual evaluation
-    there; the latest one is held for this call only, so concurrent
-    calls share nothing.
+    carrying its linear residual.  Each residual evaluation adds one to
+    ``counts["folded_solves"]`` or ``counts["full_solves"]``, as its
+    potential was solved on the half rectangle or not.  The linearization
+    at an iterate reuses the potential (and its LU factor) of the
+    residual evaluation there; the latest one is held for this call only,
+    so concurrent calls share nothing.
     """
     grid = guess.grid
     latest = {}  # the potential of the last residual evaluation
@@ -433,7 +452,9 @@ def _newton(
         return MembraneState(grid, full, guess.time)
 
     def residual(u: np.ndarray, lam: float) -> np.ndarray:
-        r, latest["field"] = steady_residual(state_of(u), lam, eps, grid2d, with_potential=True)
+        r, field = steady_residual(state_of(u), lam, eps, grid2d, with_potential=True)
+        counts["folded_solves" if field.folded else "full_solves"] += 1
+        latest["field"] = field
         return r
 
     def step(u: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
@@ -473,14 +494,16 @@ def solve_steady(
 
     When ``counts`` is given, the Newton iterations of a converged solve
     are added to ``counts["newton_iters"]``, every linearization (one per
-    Newton step) to ``counts["jacobians"]`` and their GMRES iterations to
-    ``counts["krylov_iters"]``; all three keys are set, at 0 for a guess
-    that already converges.
+    Newton step) to ``counts["jacobians"]``, their GMRES iterations to
+    ``counts["krylov_iters"]`` and the potential solves of the residual
+    evaluations to ``counts["folded_solves"]`` and ``counts["full_solves"]``
+    (see ``_newton``); all five keys are set, the first three at 0 for a
+    guess that already converges.
     """
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
     counts = Counter() if counts is None else counts
-    counts.update(newton_iters=0, jacobians=0, krylov_iters=0)
+    counts.update(newton_iters=0, jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
     state, _, iters = _newton(lam, eps, guess, grid2d, _STEADY_MAX_ITER, floor, counts)
     counts["newton_iters"] += iters
     return state
@@ -644,7 +667,7 @@ def continue_branch(
         raise ValueError("dlambda0 must be positive")
     grid = Grid1D.uniform(n_x)
     grid2d = Grid2D.uniform(n_x, n_eta if n_eta is not None else n_x)
-    counts = Counter(jacobians=0, krylov_iters=0)
+    counts = Counter(jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         state, lam, iters = _newton(

@@ -436,9 +436,14 @@ class TestOtherKinds:
         )
         assert main([str(path), "--quiet"]) == EXIT_OK
         diagnostics = json.loads((tmp_path / "out" / "steady.json").read_text())["diagnostics"]
-        # one linearization per Newton step of the one solve
+        # one linearization per Newton step of the one solve, and one
+        # potential solve, on the half rectangle, per residual evaluation
         krylov = diagnostics.pop("krylov_iters")
-        assert diagnostics == {"newton_iters": len(jacobians), "jacobians": len(jacobians)}
+        residuals = diagnostics.pop("folded_solves")
+        assert diagnostics == {
+            "newton_iters": len(jacobians), "jacobians": len(jacobians), "full_solves": 0
+        }
+        assert residuals >= len(jacobians) + 1
         assert len(jacobians) > 0
         assert len(jacobians) <= krylov <= 15 * len(jacobians)
 
@@ -701,7 +706,9 @@ class TestOtherKinds:
         )
         assert main([str(steady_cfg), "--out", str(tmp_path / "steady"), "--quiet"]) == EXIT_OK
         meta = json.loads((tmp_path / "steady" / "steady.json").read_text())
-        assert meta["diagnostics"] == {"newton_iters": 0, "jacobians": 0, "krylov_iters": 0}
+        assert meta["diagnostics"] == {
+            "newton_iters": 0, "jacobians": 0, "krylov_iters": 0, "folded_solves": 1, "full_solves": 0
+        }
         # a branch that stops below its fold rejects no step and searches no fold
         cont = write_config(
             tmp_path, "cont.json", kind="continuation", eps=1.0, n_x=16, n_eta=16,
@@ -712,7 +719,8 @@ class TestOtherKinds:
             "diagnostics"
         ]
         assert sorted(diag) == [
-            "fold_solves", "jacobians", "krylov_iters", "newton_iters", "rejected_steps"
+            "fold_solves", "folded_solves", "full_solves", "jacobians", "krylov_iters",
+            "newton_iters", "rejected_steps",
         ]
         assert diag["rejected_steps"] == 0 and diag["fold_solves"] == 0
         pullin = write_config(tmp_path, "pullin.json", kind="pullin", n_x=128, tol_lambda=2e-3)

@@ -15,6 +15,14 @@ from mems_fbp.transform import (
 )
 
 
+def full_potential(v, eps, grid):
+    """The potential of ``v`` from the full operator on the whole rectangle,
+    whatever its symmetry: the reference for the folded solve."""
+    eta = np.broadcast_to(grid.eta_nodes, grid.shape)
+    coeffs = assemble_coefficients(v, eps, grid)
+    return elliptic.solve_dirichlet(coeffs, np.zeros(grid.shape), eta)
+
+
 class TestSolvePotential:
     @pytest.mark.parametrize("eps", [0.01, 0.1, 1.0, 10.0])
     def test_flat_membrane_gives_eta(self, grid2d_32, eps):
@@ -30,12 +38,11 @@ class TestSolvePotential:
         assert np.all(phi[:, 0] == 0.0) and np.all(phi[:, -1] == 1.0)
 
     def test_even_profile_gives_even_potential(self, grid2d_32, rng):
+        # the full operator, not the fold, whose potential is even by construction
         for _ in range(3):
             v = random_admissible_state(grid2d_32.gx, rng)
             u_even = 0.5 * (v.u + v.u[::-1])
-            phi = elliptic.solve_potential(
-                MembraneState(grid2d_32.gx, u_even), 0.7, grid2d_32
-            ).phi
+            phi = full_potential(MembraneState(grid2d_32.gx, u_even), 0.7, grid2d_32)
             assert np.max(np.abs(phi - phi[::-1, :])) <= 1e-10
 
     def test_max_principle_flat(self, grid2d_32):
@@ -281,15 +288,22 @@ def test_dissection_fill_against_minimum_degree(shape, bound):
     shape=st.sampled_from([(3, 3), (8, 5), (5, 12), (16, 16), (24, 20)]),
     eps=st.floats(0.05, 5.0),
     seed=st.integers(0, 2**32 - 1),
+    even=st.booleans(),
 )
-def test_trace_response_matches_a_separate_dirichlet_solve(shape, eps, seed):
+def test_trace_response_matches_a_separate_dirichlet_solve(shape, eps, seed, even):
+    # an even membrane and forcing: the half factor, checked on the full system
     rng = np.random.default_rng(seed)
     grid = Grid2D.uniform(*shape)
     v = random_admissible_state(grid.gx, rng)
+    if even:
+        v = MembraneState(grid.gx, 0.5 * (v.u + v.u[::-1]))
     field = elliptic.solve_potential(v, eps, grid)
+    assert field.folded == even
     coeffs = assemble_coefficients(v, eps, grid)
     k = 3
     forcing = rng.normal(size=(grid.gx.n_cells - 1, grid.n_eta - 1, k))
+    if even:
+        forcing = forcing + forcing[::-1]
     traces = elliptic.trace_response(field, forcing)
     assert traces.shape == (grid.gx.n_nodes, k)
     for c in range(k):
@@ -335,8 +349,8 @@ def test_folded_system_is_the_half_rows_of_the_full_system_on_mirrored_values(sh
 
 
 def full_path_g(v, eps, grid):
-    """``g_eps`` computed, as for an uneven membrane, from ``solve_potential``."""
-    tr = elliptic.trace_top(elliptic.solve_potential(v, eps, grid))
+    """``g_eps`` computed from the potential of the full operator."""
+    tr = elliptic.trace_top(elliptic.PotentialField(grid, full_potential(v, eps, grid)))
     dv = d1_central(v.u, v.grid)
     return (1.0 + eps * eps * dv * dv) / (1.0 + v.u) ** 2 * tr * tr
 
@@ -355,9 +369,11 @@ def test_folded_potential_matches_the_full_solve(n_x, n_eta, eps, depth, power):
     bump = -depth * (1.0 - x * x) ** power  # single-peaked
     v = MembraneState(grid.gx, 0.5 * (bump + bump[::-1]))
     assert elliptic.is_even(v)
-    phi = elliptic.potential_values(v, eps, grid)
+    field = elliptic.solve_potential(v, eps, grid)
+    phi = field.phi
+    assert field.folded
     assert np.array_equal(phi, phi[::-1])
-    assert np.max(np.abs(phi - elliptic.solve_potential(v, eps, grid).phi)) <= 1e-12
+    assert np.max(np.abs(phi - full_potential(v, eps, grid))) <= 1e-12
     g = elliptic.g_eps(v, eps, grid)
     assert np.max(np.abs(g - full_path_g(v, eps, grid))) <= 1e-12 * np.max(np.abs(g))
 
@@ -366,8 +382,9 @@ def test_folded_potential_matches_the_full_solve(n_x, n_eta, eps, depth, power):
     u[n_x - 1] += 2.0 * elliptic._EVEN_TOL
     uneven = MembraneState(grid.gx, u)
     assert not elliptic.is_even(uneven)
-    phi = elliptic.potential_values(uneven, eps, grid)
-    assert np.array_equal(phi, elliptic.solve_potential(uneven, eps, grid).phi)
+    field = elliptic.solve_potential(uneven, eps, grid)
+    assert not field.folded
+    assert np.array_equal(field.phi, full_potential(uneven, eps, grid))
     assert np.array_equal(elliptic.g_eps(uneven, eps, grid), full_path_g(uneven, eps, grid))
 
 
@@ -389,7 +406,7 @@ def test_asymmetry_at_the_threshold_stays_inside_the_residual_tolerance(shape, e
     v = MembraneState(grid.gx, even + 0.4995 * elliptic._EVEN_TOL * odd)
     assert elliptic.is_even(v)
     assert float(np.max(np.abs(v.u - v.u[::-1]))) > 0.99 * elliptic._EVEN_TOL
-    phi = elliptic.potential_values(v, eps, grid)
+    phi = elliptic.solve_potential(v, eps, grid).phi
     coeffs = assemble_coefficients(v, eps, grid)
     weights = elliptic._stencil_weights(coeffs)
     matrix, rhs = elliptic.assemble_system(weights, np.zeros(grid.shape), phi)
@@ -410,7 +427,7 @@ def test_folded_check_rejects_an_uneven_membrane(monkeypatch):
     v = tilted(grid.gx)
     monkeypatch.setattr(elliptic, "is_even", lambda v: True)
     with pytest.raises(NonConvergenceError, match="sparse solve residual") as info:
-        elliptic.potential_values(v, 1.0, grid)
+        elliptic.solve_potential(v, 1.0, grid)
     assert info.value.residual > 1e-6
 
 
@@ -423,3 +440,15 @@ def test_trace_response_rejects_a_factor_of_another_membrane():
     forged = elliptic.PotentialField(grid, field.phi, field.matrix, other.lu)
     with pytest.raises(NonConvergenceError, match="sparse solve residual"):
         elliptic.trace_response(forged, forcing)
+
+
+def test_folded_trace_response_rejects_an_odd_forcing():
+    """The half factor cannot answer an odd forcing; the full check says so."""
+    grid = Grid2D.uniform(16, 12)
+    x = grid.gx.nodes
+    field = elliptic.solve_potential(MembraneState(grid.gx, -0.4 * (1.0 - x * x)), 1.0, grid)
+    assert field.folded
+    forcing = np.random.default_rng(2).normal(size=(grid.gx.n_cells - 1, grid.n_eta - 1))
+    with pytest.raises(NonConvergenceError, match="sparse solve residual") as info:
+        elliptic.trace_response(field, forcing - forcing[::-1])
+    assert info.value.residual > 1e-6

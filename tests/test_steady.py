@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mems_fbp import numerics, small_aspect, steady
+from mems_fbp import elliptic, numerics, small_aspect, steady
 from mems_fbp.errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
 from mems_fbp.evolution import ModelParams, run
 from mems_fbp.numerics import Grid1D, Grid2D
@@ -185,6 +185,18 @@ class TestLinearization:
             y = np.random.default_rng(4).normal(size=lin.diag.size + bordered)
             x = tridiagonal.matvec(lin.precondition(y))
             assert np.max(np.abs(x - y)) <= 1e-10 * np.max(np.abs(y))
+
+    @pytest.mark.parametrize("bordered", [False, True])
+    def test_preconditioner_is_even_about_an_even_state(self, grid, grid2d, bordered):
+        x = grid.nodes
+        u = MembraneState(grid, -0.3 * (1.0 - x * x) ** 2)
+        lin = linearize(u, 0.7, 1.0, grid2d, bordered=bordered)
+        assert lin.field.folded
+        n = lin.diag.size
+        y = np.random.default_rng(5).normal(size=n + bordered)  # not even
+        v = lin.precondition(y)[:n]
+        assert np.array_equal(v, v[::-1])
+        assert np.max(np.abs(v)) > 0.0
 
     def test_missed_stop_rule_names_newton_and_iterations(self, monkeypatch, grid, grid2d):
         monkeypatch.setattr(steady, "_KRYLOV_RTOL", 0.0)
@@ -397,13 +409,16 @@ class TestContinuation:
 
     @pytest.mark.parametrize("eps", [0.1, 1.0])
     @pytest.mark.parametrize("n", [16, 32])
-    def test_fold_tolerance_derivation(self, eps, n):
+    def test_fold_tolerance_derivation(self, eps, n, monkeypatch):
         # _FOLD_TOL takes the voltage row of the inverse bordered Jacobian to
         # have a 1-norm of 0.40-0.46 at these folds
         branch = continue_branch(eps, lambda_max=2.0, dlambda0=0.05, n_x=n)
         fold = branch.points[-1]
         grid2d = Grid2D.uniform(n, n)
-        jac = dense_jacobian(fold.state, fold.lam, eps, grid2d)
+        # J in odd directions too: the full factor, not the half one of the even fold
+        with monkeypatch.context() as m:
+            m.setattr(elliptic, "is_even", lambda v: False)
+            jac = dense_jacobian(fold.state, fold.lam, eps, grid2d)
         source = steady_residual(fold.state, 0.0, eps, grid2d) - steady_residual(
             fold.state, 1.0, eps, grid2d
         )
@@ -421,6 +436,22 @@ class TestContinuation:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             continue_branch(0.1, 1.0, -0.05)
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    def test_folded_branch_matches_the_full_one(self, eps, monkeypatch):
+        # oracle: the same branch with every potential solved on the full rectangle
+        folded = continue_branch(eps, 2.0, 0.05, n_x=16)
+        with monkeypatch.context() as m:
+            m.setattr(elliptic, "is_even", lambda v: False)
+            full = continue_branch(eps, 2.0, 0.05, n_x=16)
+        assert folded.diagnostics["full_solves"] == 0
+        assert full.diagnostics["folded_solves"] == 0
+        assert folded.diagnostics["folded_solves"] == full.diagnostics["full_solves"] > 0
+        solves = ("folded_solves", "full_solves")
+        assert {k: v for k, v in folded.diagnostics.items() if k not in solves} == {
+            k: v for k, v in full.diagnostics.items() if k not in solves
+        }
+        assert abs(folded.fold_estimate - full.fold_estimate) <= 1e-12
 
 
 def march_voltage(voltage):
