@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridTooCoarseError
-from .numerics import Grid1D, Grid2D, check_residual, d1_central, solve_sparse
+from .numerics import Grid1D, Grid2D, check_residual, d1_central, factorize, solve_sparse
 from .transform import MembraneState, OperatorCoefficients, assemble_coefficients
 
 __all__ = [
@@ -84,8 +84,9 @@ _MMS_TOL = 1e-12
 # then below 5e-12, twenty times inside _POTENTIAL_TOL, so an even state
 # does not need a second, full factorization.  Time stepping from an
 # even state keeps the asymmetry at rounding level (at most 1.3e-15 in
-# runs up to touchdown), and a steady Newton from an even guess keeps its
-# iterates exactly even (see ``steady.Linearization.precondition``).
+# runs up to touchdown).  A steady Newton from a guess inside this
+# tolerance starts from its exact even part and keeps its iterates exactly
+# even (see ``steady._newton``).
 _EVEN_TOL = 1e-14
 
 
@@ -328,15 +329,19 @@ def _solve(
     The one factor-solve-check path of every potential solve: the system
     that ``assemble_system`` makes of the stencil ``weights`` is solved by
     ``solve_sparse`` at relative residual ``tol`` and scattered onto the
-    grid.  A ``folded`` solve, for data even in x, is mirrored onto x < 0
-    and checked once, by ``_check_mirrored`` on the full system at
-    ``tol``, rather than on the half system.  Callers hand over the
+    grid.  A ``folded`` solve, for data even in x, is factorized and
+    solved without that check, mirrored onto x < 0 and checked once, by
+    ``_check_mirrored`` on the full system at ``tol``.  Callers hand over the
     weights rather than the coefficients, which are then freed before the
     factorization.  Returns (w, matrix, lu): the nodal solution, the
     assembled matrix and its factor.
     """
     matrix, rhs = assemble_system(weights, rhs_field, dirichlet, folded)
-    x, lu = solve_sparse(matrix, rhs, None if folded else tol)
+    if folded:
+        lu = factorize(matrix)
+        x = lu.solve(rhs)
+    else:
+        x, lu = solve_sparse(matrix, rhs, tol)
     p = _pattern(weights.shape[1] + 1, weights.shape[2] + 1, folded)
     full = dirichlet.astype(float)
     full[1:-1, 1:-1][p.nodes] = x

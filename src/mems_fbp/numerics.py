@@ -158,7 +158,7 @@ def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float) -> None:
         )
 
 
-def solve_sparse(matrix, rhs: np.ndarray, tol: float | None):
+def solve_sparse(matrix, rhs: np.ndarray, tol: float):
     """Direct sparse solve of ``matrix`` x = ``rhs`` with a residual check.
 
     ``rhs`` is a vector or a matrix of right-hand sides, one per column.
@@ -166,14 +166,11 @@ def solve_sparse(matrix, rhs: np.ndarray, tol: float | None):
     matrix.  Deterministic for fixed inputs.  Raises SingularSystemError
     on a (numerically) singular matrix or a non-finite solution and
     NonConvergenceError if the residual of any column exceeds
-    ``tol * ||rhs column||_2`` (``check_residual``).  ``tol`` None skips
-    the check, for a caller that checks x against a larger system that
-    this one is part of.
+    ``tol * ||rhs column||_2`` (``check_residual``).
     """
     lu = factorize(matrix)
     x = lu.solve(rhs)
-    if tol is not None:
-        check_residual(matrix @ x - rhs, rhs, tol)
+    check_residual(matrix @ x - rhs, rhs, tol)
     return x, lu
 
 

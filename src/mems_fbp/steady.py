@@ -22,11 +22,14 @@ iteration factorizes once.  T, solved in closed form, preconditions
 GMRES, which then needs a few such solves per step instead of one per
 unknown.
 
-The branch from the flat membrane, and any solve from an even guess, stays
-even: its potentials are solved on the half rectangle (``solve_potential``
+The branch from the flat membrane, and any solve from a guess that
+``is_even``, stays exactly even: Newton starts from the guess's exact even
+part, its potentials are solved on the half rectangle (``solve_potential``
 of an even membrane), and the preconditioner of a Newton step about such
 a state returns even vectors, so every GMRES product is one solve against
-the half factor and the step stays in the even subspace.
+the half factor and the step stays in the even subspace.  A step about
+an iterate that is even only within ``elliptic._EVEN_TOL`` solves for the
+even part of its residual, the part that such steps can reduce.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import numpy as np
 
 from .elliptic import (
     PotentialField,
+    is_even,
     solve_potential,
     stencil_derivatives,
     trace_response,
@@ -438,12 +442,19 @@ def _newton(
     within as many iterations as unknowns raises NoSteadyStateError
     carrying its linear residual.  Each residual evaluation adds one to
     ``counts["folded_solves"]`` or ``counts["full_solves"]``, as its
-    potential was solved on the half rectangle or not.  The linearization
+    potential was solved on the half rectangle or not.  A guess that
+    ``is_even`` is replaced by its exact even part, so its iterates stay
+    exactly even, and on a folded field GMRES solves for the even part of
+    the residual (see the module docstring).  The linearization
     at an iterate reuses the potential (and its LU factor) of the
     residual evaluation there; the latest one is held for this call only,
     so concurrent calls share nothing.
     """
     grid = guess.grid
+    if is_even(guess):
+        # start from its exact even part, at most _EVEN_TOL / 2 away, so every
+        # iterate is exactly even: the preconditioner returns even steps
+        guess = MembraneState(grid, 0.5 * (guess.u + guess.u[::-1]), guess.time)
     latest = {}  # the potential of the last residual evaluation
 
     def state_of(u: np.ndarray) -> MembraneState:
@@ -464,7 +475,13 @@ def _newton(
             lin = linearize(
                 state_of(u), lam, eps, grid2d, latest["field"], bordered=depth is not None
             )
-            dz, iters, linear = gmres(lin.matvec, -r, lin.precondition, bound, r.size)
+            rhs = -r
+            if lin.field.folded:
+                # solve for the even part of r alone: even steps cannot reduce
+                # the odd part left by an iterate not exactly even
+                half = rhs[: lin.diag.size]  # a view: the deflection rows
+                half[:] = 0.5 * (half + half[::-1])
+            dz, iters, linear = gmres(lin.matvec, rhs, lin.precondition, bound, r.size)
         except SingularSystemError as exc:
             raise NoSteadyStateError(
                 f"singular linearization: {exc}", residual=float(np.max(np.abs(r)))

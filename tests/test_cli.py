@@ -707,7 +707,8 @@ class TestOtherKinds:
         assert main([str(steady_cfg), "--out", str(tmp_path / "steady"), "--quiet"]) == EXIT_OK
         meta = json.loads((tmp_path / "steady" / "steady.json").read_text())
         assert meta["diagnostics"] == {
-            "newton_iters": 0, "jacobians": 0, "krylov_iters": 0, "folded_solves": 1, "full_solves": 0
+            "newton_iters": 0, "jacobians": 0, "krylov_iters": 0,
+            "folded_solves": 1, "full_solves": 0,
         }
         # a branch that stops below its fold rejects no step and searches no fold
         cont = write_config(

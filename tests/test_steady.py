@@ -314,6 +314,41 @@ class TestSolveSteady:
         assert traj.outcome == "converged"
         assert np.max(np.abs(traj.final.u - steady_01.u)) <= 1e-6
 
+    # guesses near an even state: nudged by an odd 1e-15 or 4e-15, within
+    # _EVEN_TOL; a parabola on n_x = 1000, whose nodes are not mirrored
+    # exactly; nudged by 1e-11 or 1e-13, beyond _EVEN_TOL
+    @pytest.mark.parametrize(
+        "n_x, nudge, lam, eps",
+        [(128, 1e-15, 0.2, 1.0), (512, 4e-15, 0.2, 1.0), (1000, 0.0, 0.2, 1.0),
+         (128, 1e-11, 0.3, 0.1), (512, 1e-13, 0.3, 0.1)],
+    )
+    def test_near_even_guess_converges_as_on_the_full_operator(
+        self, n_x, nudge, lam, eps, monkeypatch
+    ):
+        # A guess within _EVEN_TOL is folded from the start; Newton starts from
+        # its even part, as at 512 an odd part of 4e-15 would leave a residual of
+        # about 1e-9, above _NEWTON_TOL.  An uneven guess is solved on the full
+        # rectangle until an iterate comes within _EVEN_TOL of even; even steps
+        # cannot reduce the odd part of its residual, so GMRES, which solves for
+        # the even part alone, would miss its stop rule otherwise.
+        grid2d = Grid2D.uniform(n_x, 16)
+        x = grid2d.gx.nodes
+        odd = np.random.default_rng(1).normal(size=x.size)
+        odd = (1.0 - x * x) * (odd - odd[::-1])
+        guess = MembraneState(grid2d.gx, -0.1 * (1.0 - x * x) + nudge * odd / np.max(np.abs(odd)))
+        near = elliptic.is_even(guess)
+        assert near == (nudge < 1e-14) and np.any(guess.u != guess.u[::-1])
+        folded, full = Counter(), Counter()
+        u = solve_steady(lam, eps, guess, grid2d, counts=folded)
+        with monkeypatch.context() as m:
+            m.setattr(steady, "is_even", lambda v: False)
+            m.setattr(elliptic, "is_even", lambda v: False)
+            ref = solve_steady(lam, eps, guess, grid2d, counts=full)
+        assert folded["folded_solves"] > 0 and (folded["full_solves"] == 0) == near
+        for key in ("newton_iters", "jacobians", "krylov_iters"):
+            assert folded[key] == full[key], key
+        assert np.max(np.abs(u.u - ref.u)) <= 1e-12
+
 
 class TestContinuation:
     def test_branch_below_fold(self, grid2d):
