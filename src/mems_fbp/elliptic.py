@@ -7,15 +7,17 @@ data is eliminated into the right-hand side, so the unknowns are the
 interior nodes only.  They are numbered in a nested-dissection order,
 cached per grid shape, so the assembled matrix is factorized as it
 stands, and no other module sees that numbering.  Every solve here
-takes one path (``_solve``): assemble on the cached pattern, solve and
-check the residual (``numerics.solve_sparse``), scatter onto the grid.
-``solve_potential`` decides for every potential, of a time step, a
-steady residual or a check alike: the potential of an even membrane
-takes that path on the folded pattern, the half rectangle x >= 0, and
-its mirrored solution is checked against the full system instead.
+takes one path (``_solve``): assemble on the cached pattern, factorize
+and solve (``numerics.solve_sparse``), then ``_scatter_checked``:
+scatter onto the grid and check the residual on the full 9-point
+stencil.  ``solve_potential`` decides for every potential, of a time
+step, a steady residual or a check alike: the potential of an even
+membrane takes that path on the folded pattern, the half rectangle
+x >= 0, and its solution is mirrored onto x < 0 before the same check.
 ``trace_response`` solves against the factor a potential keeps, half or
-full, with the same residual check.  ``solve_dirichlet`` always solves
-the full system, for references that must not assume the symmetry.
+full, and checks through the same helper.  ``solve_dirichlet`` always
+solves the full system, for references that must not assume the
+symmetry.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridTooCoarseError
-from .numerics import Grid1D, Grid2D, check_residual, d1_central, factorize, solve_sparse
+from .numerics import Grid1D, Grid2D, check_residual, d1_central, solve_sparse
 from .transform import MembraneState, OperatorCoefficients, assemble_coefficients
 
 __all__ = [
@@ -50,16 +51,16 @@ __all__ = [
 class PotentialField:
     """Nodal values of the transformed potential on the rectangle.
 
-    A field from ``solve_potential`` also carries the stencil ``weights``
-    of its operator, the assembled matrix of its unknowns, in the
-    numbering of ``assemble_system``, and its LU factor; other fields do
-    not.  A ``folded`` field, the potential of an even membrane, keeps
-    the matrix and factor of the half rectangle.
+    A field from ``solve_potential`` also carries the LU factor of its
+    assembled system, in the numbering of ``assemble_system``, and the
+    stencil ``weights`` of its operator, with which each solve against
+    the factor is checked; other fields do not.  A ``folded`` field, the
+    potential of an even membrane, keeps the factor of the half
+    rectangle.
     """
 
     grid: Grid2D
     phi: np.ndarray
-    matrix: sp.csc_matrix | None = None
     lu: object | None = None
     weights: np.ndarray | None = None
     folded: bool = False
@@ -299,22 +300,35 @@ def _apply_stencil(w: np.ndarray, field: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_mirrored(
-    weights: np.ndarray, full: np.ndarray, source: np.ndarray, rhs: np.ndarray, tol: float
-) -> None:
-    """The residual check of a folded solve, made on the full system.
+def _scatter_checked(
+    weights: np.ndarray,
+    x: np.ndarray,
+    p: _Pattern,
+    w: np.ndarray,
+    source: np.ndarray,
+    rhs: np.ndarray,
+    tol: float,
+) -> np.ndarray:
+    """The nodal solution of a solve on pattern ``p``, checked on the full system.
 
-    ``full`` is the mirrored nodal solution (or k of them, stacked on a
-    last axis), ``source`` the interior right-hand side of the operator
-    and ``rhs`` that of the full system A x = b, the source less the
-    Dirichlet ring's share.  The residual A x - b is the full stencil
-    ``weights`` applied to ``full`` less ``source``.  Its rows at x >= 0
-    are those of the half system, so this one check covers them too; at
-    x < 0 it fails when the membrane or the data is not even.
+    ``x`` holds the unknowns in the numbering of ``p`` (or k columns of
+    them); they fill the interior of the nodal field ``w`` (k fields
+    stacked on a last axis), whose boundary ring holds the Dirichlet
+    data, and a folded ``p``'s are mirrored onto x < 0.  ``source`` is
+    the interior right-hand side of the operator and ``rhs`` that of the
+    full system A w = b, the source less the Dirichlet ring's share.  The
+    residual A w - b, the full stencil ``weights`` applied to ``w`` less
+    ``source``, must pass ``check_residual`` at ``tol``.  On a folded
+    pattern its rows at x >= 0 are those of the half system, so this one
+    check covers them too; at x < 0 it fails when the membrane or the
+    data is not even.  Returns ``w``, filled in place.
     """
+    w[1:-1, 1:-1][p.nodes] = x
+    w[1 : p.first] = w[::-1][1 : p.first]  # w[i] = w[n_x - i]; none unfolded
     n = source.shape[0] * source.shape[1]
-    residual = _apply_stencil(weights, full) - source
+    residual = _apply_stencil(weights, w) - source
     check_residual(residual.reshape(n, -1), rhs.reshape(n, -1), tol)
+    return w
 
 
 def _solve(
@@ -326,32 +340,23 @@ def _solve(
 ):
     """Solve -(mapped operator) w = rhs with the given boundary values.
 
-    The one factor-solve-check path of every potential solve: the system
-    that ``assemble_system`` makes of the stencil ``weights`` is solved by
-    ``solve_sparse`` at relative residual ``tol`` and scattered onto the
-    grid.  A ``folded`` solve, for data even in x, is factorized and
-    solved without that check, mirrored onto x < 0 and checked once, by
-    ``_check_mirrored`` on the full system at ``tol``.  Callers hand over the
-    weights rather than the coefficients, which are then freed before the
-    factorization.  Returns (w, matrix, lu): the nodal solution, the
-    assembled matrix and its factor.
+    The one path of every potential solve: the system that
+    ``assemble_system`` makes of the stencil ``weights``, on the full
+    pattern or the ``folded`` one (for data even in x), is factorized and
+    solved by ``solve_sparse``, and its solution scattered onto the grid
+    and checked on the full system at relative residual ``tol`` by
+    ``_scatter_checked``.  Callers hand over the weights rather than the
+    coefficients, which are then freed before the factorization.  Returns
+    (w, lu): the nodal solution and the factor of the assembled matrix.
     """
     matrix, rhs = assemble_system(weights, rhs_field, dirichlet, folded)
-    if folded:
-        lu = factorize(matrix)
-        x = lu.solve(rhs)
-    else:
-        x, lu = solve_sparse(matrix, rhs, tol)
+    x, lu = solve_sparse(matrix, rhs)
     p = _pattern(weights.shape[1] + 1, weights.shape[2] + 1, folded)
-    full = dirichlet.astype(float)
-    full[1:-1, 1:-1][p.nodes] = x
-    if folded:
-        full[: p.first] = full[::-1][: p.first]  # w[i] = w[n_x - i]
-        ring = dirichlet.astype(float)
-        ring[1:-1, 1:-1] = 0.0
-        source = rhs_field[1:-1, 1:-1]
-        _check_mirrored(weights, full, source, source - _apply_stencil(weights, ring), tol)
-    return full, matrix, lu
+    w = dirichlet.astype(float)
+    w[1:-1, 1:-1] = 0.0
+    source = rhs_field[1:-1, 1:-1]
+    full_rhs = source - _apply_stencil(weights, w)
+    return _scatter_checked(weights, x, p, w, source, full_rhs, tol), lu
 
 
 def solve_dirichlet(
@@ -376,15 +381,14 @@ def solve_potential(v: MembraneState, eps: float, grid: Grid2D) -> PotentialFiel
 
     A membrane that ``is_even`` is solved on the half rectangle, with half
     the unknowns and under half the fill of the full factor; its field is
-    ``folded``.  The field keeps the stencil weights, the assembled matrix
-    and its LU factor, so that a linearization about ``v`` needs no
-    second factorization.
+    ``folded``.  The field keeps the LU factor and the stencil weights,
+    so that a linearization about ``v`` needs no second factorization.
     """
     weights = _stencil_weights(assemble_coefficients(v, eps, grid))
     folded = is_even(v)
     zero, eta = np.zeros(grid.shape), _eta_field(grid)
-    phi, matrix, lu = _solve(weights, zero, eta, _POTENTIAL_TOL, folded)
-    return PotentialField(grid, phi, matrix, lu, weights, folded)
+    phi, lu = _solve(weights, zero, eta, _POTENTIAL_TOL, folded)
+    return PotentialField(grid, phi, lu, weights, folded)
 
 
 def solve_potential_split(v: MembraneState, eps: float, grid: Grid2D) -> PotentialField:
@@ -410,22 +414,17 @@ def trace_top(field: PotentialField) -> np.ndarray:
     Second order (exact on quadratics in eta), so it does not degrade
     the global accuracy of the trace-driven source term.
     """
-    grid = field.grid
-    if grid.n_eta < 3:
-        raise GridTooCoarseError(
-            f"trace extraction needs at least 3 vertical cells, got {grid.n_eta}"
-        )
-    return _top_derivative(field.phi, grid.h_eta)
+    return _top_derivative(field.phi, field.grid.h_eta)
 
 
 def trace_response(field: PotentialField, forcing: np.ndarray) -> np.ndarray:
     """Membrane traces of the solutions w of A w = ``forcing``, w = 0 on the boundary.
 
     A is the operator of ``field``, a field from ``solve_potential``; its
-    LU factor serves every column, each checked by the residual test of
-    the potential solve.  The half factor of a ``folded`` field solves
-    for the mirror extension of w, checked like a folded potential
-    (``_check_mirrored``) on the full system: a ``forcing`` that is not
+    LU factor, half or full, serves every column, and each solution is
+    checked on the full stencil by ``_scatter_checked`` at the residual
+    tolerance of the potential solve.  The half factor of a ``folded``
+    field solves for the mirror extension of w: a ``forcing`` that is not
     even in x then raises NonConvergenceError.  ``forcing`` holds interior
     values, shape (n_x - 1, n_eta - 1), or (n_x - 1, n_eta - 1, k) for k
     columns solved in one call.  Returns the ``trace_top`` of each w,
@@ -433,15 +432,9 @@ def trace_response(field: PotentialField, forcing: np.ndarray) -> np.ndarray:
     """
     grid = field.grid
     p = _pattern(grid.gx.n_cells, grid.n_eta, field.folded)
-    rhs = forcing[p.nodes]
-    x = field.lu.solve(rhs)
+    x = field.lu.solve(forcing[p.nodes])
     w = np.zeros(grid.shape + forcing.shape[2:])
-    w[1:-1, 1:-1][p.nodes] = x
-    if field.folded:
-        w[: p.first] = w[::-1][: p.first]
-        _check_mirrored(field.weights, w, forcing, forcing, _POTENTIAL_TOL)
-    else:
-        check_residual(field.matrix @ x - rhs, rhs, _POTENTIAL_TOL)
+    _scatter_checked(field.weights, x, p, w, forcing, forcing, _POTENTIAL_TOL)
     return _top_derivative(w, grid.h_eta)
 
 

@@ -3,10 +3,12 @@ modules; the Newton loop of the steady problem is ``steady.damped_newton``.
 
 Everything here is pure and operates on plain numpy arrays; grid objects
 are immutable after construction.  The sparse direct solve
-(``solve_sparse``: factorize, solve, ``check_residual``) eliminates the
-unknowns in the order they are numbered; choosing that numbering is the
-caller's part (``elliptic`` assembles in nested-dissection order, and
-routes every potential solve through this one function).
+(``solve_sparse``: factorize and solve) eliminates the unknowns in the
+order they are numbered.  Choosing that numbering, and checking the
+residual (``check_residual``) on the system the solve stands for, are
+the caller's part: ``elliptic`` assembles in nested-dissection order,
+routes every potential solve through this one function and checks each
+solution on the full 9-point stencil.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import MatrixRankWarning, splu
 
-from .errors import NonConvergenceError, SingularSystemError
+from .errors import GridTooCoarseError, NonConvergenceError, SingularSystemError
 
 __all__ = [
     "Grid1D",
     "Grid2D",
     "grids_match",
     "solve_tridiagonal",
-    "factorize",
     "check_residual",
     "solve_sparse",
     "gmres",
@@ -62,7 +63,9 @@ class Grid2D:
 
     ``gx`` spans the lateral direction, ``eta_nodes`` the vertical one.
     Nodal fields are stored as arrays of shape (gx.n_nodes, n_eta + 1)
-    indexed ``[i, j]`` for node (x_i, eta_j).
+    indexed ``[i, j]`` for node (x_i, eta_j).  A grid of fewer than 3
+    vertical cells, too few for the 3-point trace at eta = 1, raises
+    GridTooCoarseError.
     """
 
     gx: Grid1D
@@ -70,10 +73,12 @@ class Grid2D:
     eta_nodes: np.ndarray
     h_eta: float
 
+    def __post_init__(self):
+        if self.n_eta < 3:
+            raise GridTooCoarseError(f"need at least 3 vertical cells, got {self.n_eta}")
+
     @classmethod
     def uniform(cls, n_x: int, n_eta: int) -> "Grid2D":
-        if n_eta < 3:
-            raise ValueError(f"need at least 3 vertical cells, got {n_eta}")
         return cls(
             gx=Grid1D.uniform(n_x),
             n_eta=n_eta,
@@ -121,23 +126,6 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     return x
 
 
-def factorize(matrix):
-    """Sparse LU factor (a SuperLU object) of the square sparse ``matrix``.
-
-    The unknowns are eliminated in their given order: SuperLU adds no
-    column ordering of its own, so the caller numbers them for low fill
-    (the potential solver assembles in nested-dissection order).  A
-    matrix that is not CSC is converted first.  Raises
-    SingularSystemError on a (numerically) singular matrix.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            return splu(matrix.tocsc(), permc_spec="NATURAL", panel_size=4)
-        except (RuntimeError, MatrixRankWarning) as exc:
-            raise SingularSystemError(f"singular system: {exc}") from exc
-
-
 def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float) -> None:
     """Check the residual A x - b of a solve of A x = b.
 
@@ -158,20 +146,25 @@ def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float) -> None:
         )
 
 
-def solve_sparse(matrix, rhs: np.ndarray, tol: float):
-    """Direct sparse solve of ``matrix`` x = ``rhs`` with a residual check.
+def solve_sparse(matrix, rhs: np.ndarray):
+    """Direct sparse solve of ``matrix`` x = ``rhs``.
 
     ``rhs`` is a vector or a matrix of right-hand sides, one per column.
-    Returns (x, lu), the LU factor serving further solves with the same
-    matrix.  Deterministic for fixed inputs.  Raises SingularSystemError
-    on a (numerically) singular matrix or a non-finite solution and
-    NonConvergenceError if the residual of any column exceeds
-    ``tol * ||rhs column||_2`` (``check_residual``).
+    Returns (x, lu), the LU factor (a SuperLU object) serving further
+    solves with the same matrix.  The unknowns are eliminated in their
+    given order: SuperLU adds no column ordering of its own, so the
+    caller numbers them for low fill.  A matrix that is not CSC is
+    converted first.  Deterministic for fixed inputs.  Raises
+    SingularSystemError on a (numerically) singular matrix; the residual
+    is the caller's to check (``check_residual``).
     """
-    lu = factorize(matrix)
-    x = lu.solve(rhs)
-    check_residual(matrix @ x - rhs, rhs, tol)
-    return x, lu
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            lu = splu(matrix.tocsc(), permc_spec="NATURAL", panel_size=4)
+        except (RuntimeError, MatrixRankWarning) as exc:
+            raise SingularSystemError(f"singular system: {exc}") from exc
+    return lu.solve(rhs), lu
 
 
 def gmres(matvec, b, precondition, atol, max_iter):

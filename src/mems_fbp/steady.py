@@ -279,14 +279,14 @@ def linearize(
     lam: float,
     eps: float,
     grid2d: Grid2D,
-    field: PotentialField | None = None,
+    field: PotentialField,
     bordered: bool = False,
 ) -> Linearization:
     """The ``Linearization`` of ``steady_residual`` at ``u`` and ``lam``.
 
     ``field`` is the potential at ``u`` as ``steady_residual`` returns
-    it, whose LU factor serves every product; without it the potential
-    is solved here.  ``bordered`` adds the border of a depth solve.
+    it, whose LU factor serves every product.  ``bordered`` adds the
+    border of a depth solve.
 
     The operator weights are linear in a_xeta, a_etaeta and b_eta, which
     depend on the deflection only through w = 1 + u_i, u_x and u_xx at
@@ -296,8 +296,6 @@ def linearize(
     """
     grid = u.grid
     h = grid.h
-    if field is None:
-        field = solve_potential(u, eps, grid2d)
     tr = trace_top(field)[1:-1]
     e2 = eps * eps
     w = 1.0 + u.u[1:-1]

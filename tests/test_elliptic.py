@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,7 +9,7 @@ from scipy.sparse.linalg import splu
 
 from mems_fbp import elliptic
 from mems_fbp.errors import GridTooCoarseError, NonConvergenceError
-from mems_fbp.numerics import Grid1D, Grid2D, d1_central, factorize
+from mems_fbp.numerics import Grid1D, Grid2D, d1_central, solve_sparse
 from mems_fbp.transform import (
     MembraneState,
     assemble_coefficients,
@@ -97,15 +99,11 @@ class TestTrace:
         np.testing.assert_allclose(tr, 2.0, rtol=1e-12)
 
     def test_too_coarse(self):
-        grid = Grid2D(
-            gx=Grid1D.uniform(8),
-            n_eta=2,
-            eta_nodes=np.linspace(0, 1, 3),
-            h_eta=0.5,
-        )
-        field = elliptic.PotentialField(grid, np.zeros(grid.shape))
+        """A grid too coarse for the 3-point trace cannot be made at all."""
+        with pytest.raises(GridTooCoarseError, match="at least 3 vertical cells"):
+            Grid2D(gx=Grid1D.uniform(8), n_eta=2, eta_nodes=np.linspace(0, 1, 3), h_eta=0.5)
         with pytest.raises(GridTooCoarseError):
-            elliptic.trace_top(field)
+            Grid2D.uniform(8, 2)
 
 
 class TestSourceProfile:
@@ -274,7 +272,7 @@ def test_dissection_fill_against_minimum_degree(shape, bound):
     coeffs, matrix, rhs = natural_reference(v, 0.1, grid)
     eta = np.broadcast_to(grid.eta_nodes, grid.shape)
     weights = elliptic._stencil_weights(coeffs)
-    ours = factorize(elliptic.assemble_system(weights, np.zeros(grid.shape), eta)[0])
+    ours = solve_sparse(*elliptic.assemble_system(weights, np.zeros(grid.shape), eta))[1]
     mmd = splu(matrix, permc_spec="MMD_AT_PLUS_A")
     fill, mmd_fill = ours.L.nnz + ours.U.nnz, mmd.L.nnz + mmd.U.nnz
     if bound == 1.0:
@@ -431,13 +429,35 @@ def test_folded_check_rejects_an_uneven_membrane(monkeypatch):
     assert info.value.residual > 1e-6
 
 
+@pytest.mark.parametrize("tilt", [0.0, 0.5])
+def test_residual_check_fires_on_both_patterns(monkeypatch, tilt):
+    """A solution off by 1e-6 fails the full-stencil check, whether the
+    membrane is even (half pattern) or not (full pattern)."""
+    grid = Grid2D.uniform(16, 12)
+    v = tilted(grid.gx, tilt=tilt)
+    assert elliptic.is_even(v) == (tilt == 0.0)
+    real = elliptic.solve_sparse
+
+    def perturbed(matrix, rhs):
+        x, lu = real(matrix, rhs)
+        return x + 1e-6, lu
+
+    monkeypatch.setattr(elliptic, "solve_sparse", perturbed)
+    with pytest.raises(NonConvergenceError, match="sparse solve residual") as info:
+        elliptic.solve_potential(v, 1.0, grid)
+    weights = elliptic._stencil_weights(assemble_coefficients(v, 1.0, grid))
+    eta = np.broadcast_to(grid.eta_nodes, grid.shape)
+    rhs = elliptic.assemble_system(weights, np.zeros(grid.shape), eta)[1]
+    assert info.value.residual > elliptic._POTENTIAL_TOL * np.linalg.norm(rhs)
+
+
 def test_trace_response_rejects_a_factor_of_another_membrane():
     grid = Grid2D.uniform(16, 12)
     field = elliptic.solve_potential(tilted(grid.gx), 1.0, grid)
     other = elliptic.solve_potential(tilted(grid.gx, tilt=-0.5), 1.0, grid)
     forcing = np.random.default_rng(0).normal(size=(grid.gx.n_cells - 1, grid.n_eta - 1, 2))
     elliptic.trace_response(field, forcing)  # its own factor passes
-    forged = elliptic.PotentialField(grid, field.phi, field.matrix, other.lu)
+    forged = replace(field, lu=other.lu)
     with pytest.raises(NonConvergenceError, match="sparse solve residual"):
         elliptic.trace_response(forged, forcing)
 

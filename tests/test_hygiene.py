@@ -1,5 +1,6 @@
-"""Static checks on the package source: what a module exports exists, and
-what it imports it uses.  They guard changes that delete code."""
+"""Static checks on the package source: what a module exports exists and
+is used, and what it imports it uses.  They guard changes that delete
+code."""
 
 import ast
 import importlib
@@ -78,4 +79,28 @@ def test_every_private_definition_is_used(name):
         rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
         if node.name not in names_used(rest) | others:
             unused.append(f"{node.name} (line {node.lineno})")
+    assert unused == []
+
+
+# Public names that the package itself never uses, kept because each backs
+# an acceptance criterion of tests/test_acceptance.py that calls it.
+CRITERION_EXPORTS = {
+    "fit_exponential_rate": "C7",
+    "trace_lower_bound_check": "C9",
+}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if exported(parse(m)) is not None])
+def test_every_export_is_used(name):
+    """A name in a module's ``__all__`` is used in the package outside its
+    own definition: a public function used only by its own unit tests is
+    deleted, unless it backs an acceptance criterion."""
+    tree = parse(name)
+    others = set().union(*(names_used(parse(m)) for m in MODULES if m != name))
+    unused = []
+    for export in exported(tree):
+        rest = [n for n in tree.body if getattr(n, "name", None) != export]
+        used = names_used(ast.Module(body=rest, type_ignores=[])) | others
+        if export not in used and export not in CRITERION_EXPORTS:
+            unused.append(export)
     assert unused == []

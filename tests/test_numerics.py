@@ -77,7 +77,7 @@ class TestTridiagonal:
 class TestSolveSparse:
     def test_identity(self, rng):
         b = rng.standard_normal(10)
-        x, _ = solve_sparse(sp.eye(10, format="csr"), b, 1e-10)
+        x, _ = solve_sparse(sp.eye(10, format="csr"), b)
         np.testing.assert_allclose(x, b, atol=1e-14)
 
     def _laplacian(self, m):
@@ -95,7 +95,7 @@ class TestSolveSparse:
         h = 1.0 / 9.0
         xy = np.array([(i * h, j * h) for i in range(1, 9) for j in range(1, 9)])
         b = h * h * (2.0 * xy[:, 0] * (1 - xy[:, 0]) + 2.0 * xy[:, 1] * (1 - xy[:, 1]))
-        x = solve_sparse(A, b, 1e-10)[0]
+        x = solve_sparse(A, b)[0]
         x_dense = np.linalg.solve(A.toarray(), b)
         assert np.max(np.abs(x - x_dense)) <= 1e-10
 
@@ -104,14 +104,14 @@ class TestSolveSparse:
         A = sp.random(dim, dim, density=0.05, random_state=rng, format="csr")
         A = A + sp.eye(dim) * dim  # shift to safe diagonal dominance
         b = rng.standard_normal(dim)
-        x = solve_sparse(A.tocsr(), b, 1e-10)[0]
+        x = solve_sparse(A.tocsr(), b)[0]
         x_dense = np.linalg.solve(A.toarray(), b)
         assert np.max(np.abs(x - x_dense)) <= 1e-9
 
     def test_singular_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(SingularSystemError):
-            solve_sparse(A, np.array([1.0, 1.0]), 1e-10)
+            solve_sparse(A, np.array([1.0, 1.0]))
 
 
 class TestCheckResidual:

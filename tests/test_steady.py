@@ -69,9 +69,16 @@ def central_difference_jacobian(u, lam, eps, grid2d, step=1e-6):
     return jac
 
 
+def linearize_at(u, lam, eps, grid2d, bordered=False):
+    """``linearize`` about ``u`` with the potential that ``steady_residual``
+    returns there, as the Newton step takes it."""
+    field = steady_residual(u, lam, eps, grid2d, with_potential=True)[1]
+    return linearize(u, lam, eps, grid2d, field, bordered=bordered)
+
+
 def dense_jacobian(u, lam, eps, grid2d):
     """Dense matrix of ``linearize``: its tridiagonal part plus the trace term."""
-    lin = linearize(u, lam, eps, grid2d)
+    lin = linearize_at(u, lam, eps, grid2d)
     tridiagonal = np.diag(lin.diag) + np.diag(lin.lower, -1) + np.diag(lin.upper, 1)
     return tridiagonal + lin.coupling[:, None] * lin.trace_change(np.eye(lin.diag.size))
 
@@ -169,7 +176,7 @@ class TestLinearization:
         z = v if mu is None else np.append(v, mu)
 
         def product(lam):
-            return linearize(u, lam, eps, grid2d, bordered=bordered).matvec(z)
+            return linearize_at(u, lam, eps, grid2d, bordered=bordered).matvec(z)
 
         oracle = directional_difference(u, lam, eps, grid2d, v, mu)
         assert relative_error(product(lam), oracle) <= 1e-6
@@ -180,7 +187,7 @@ class TestLinearization:
     def test_preconditioner_inverts_the_tridiagonal_part(self, grid, grid2d):
         u = random_admissible_state(grid, np.random.default_rng(3))
         for bordered in (False, True):
-            lin = linearize(u, 0.7, 1.0, grid2d, bordered=bordered)
+            lin = linearize_at(u, 0.7, 1.0, grid2d, bordered=bordered)
             tridiagonal = replace(lin, coupling=np.zeros_like(lin.coupling))
             y = np.random.default_rng(4).normal(size=lin.diag.size + bordered)
             x = tridiagonal.matvec(lin.precondition(y))
@@ -190,7 +197,7 @@ class TestLinearization:
     def test_preconditioner_is_even_about_an_even_state(self, grid, grid2d, bordered):
         x = grid.nodes
         u = MembraneState(grid, -0.3 * (1.0 - x * x) ** 2)
-        lin = linearize(u, 0.7, 1.0, grid2d, bordered=bordered)
+        lin = linearize_at(u, 0.7, 1.0, grid2d, bordered=bordered)
         assert lin.field.folded
         n = lin.diag.size
         y = np.random.default_rng(5).normal(size=n + bordered)  # not even
