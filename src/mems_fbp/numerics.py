@@ -100,30 +100,30 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
 
     ``lower``/``upper`` may be scalars (broadcast) or arrays of length
     n-1; ``diag`` has length n and ``rhs`` shape (n,) or (n, k), k
-    right-hand sides solved in the one call.  ``dgtsv`` eliminates with
-    partial pivoting; an exactly zero pivot raises SingularSystemError
-    naming its (0-based) row.
+    right-hand sides solved in the one call.  No input is overwritten.
+    Mismatched lengths raise ValueError, and an exactly zero pivot of the
+    elimination with partial pivoting raises SingularSystemError naming
+    its (0-based) row.
     """
     diag = np.asarray(diag, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = diag.size
-    rows = rhs.shape[0] if rhs.ndim else 1
-    if rows != n:
-        raise ValueError(f"rhs length {rows} != diagonal length {n}")
-    if np.ndim(lower) == 0:
-        lower = np.full(n - 1, float(lower))
-    else:
-        lower = np.asarray(lower, dtype=float)
-    if np.ndim(upper) == 0:
-        upper = np.full(n - 1, float(upper))
-    else:
-        upper = np.asarray(upper, dtype=float)
-    if lower.size != n - 1 or upper.size != n - 1:
-        raise ValueError("off-diagonals must have length n-1")
-    *_, x, info = dgtsv(lower, diag, upper, rhs)
+    if rhs.ndim == 0 or rhs.shape[0] != n:
+        raise ValueError(f"rhs of shape {rhs.shape} does not match diagonal length {n}")
+    *_, x, info = dgtsv(_off_diagonal(lower, n), diag, _off_diagonal(upper, n), rhs)
     if info > 0:
         raise SingularSystemError(f"zero pivot at row {info - 1}")
     return x
+
+
+def _off_diagonal(band, n: int) -> np.ndarray:
+    """An off-diagonal of ``solve_tridiagonal`` as an array of length n-1."""
+    band = np.asarray(band, dtype=float)
+    if band.ndim == 0:
+        return np.full(n - 1, band)
+    if band.size != n - 1:
+        raise ValueError("off-diagonals must have length n-1")
+    return band
 
 
 def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float) -> None:

@@ -160,6 +160,12 @@ def steady0(
     [T, -s; e_c^T, 0] [du; dlam] = -[r; u_c + depth], s = 1/(1+u)^2 the
     source, by block elimination: T [a b] = [r s] in one two-column
     solve, dlam = (a_c - u_c - depth) / b_c and du = b dlam - a.
+
+    A step reuses 1+u and (1+u)^2 of the residual evaluation at its point,
+    the latest one (``damped_newton`` steps from there), and fills
+    (du, dlam) into one preallocated vector.  The arithmetic is that of
+    the plain expressions, operation by operation, so every iterate is the
+    same to the last bit.
     """
     if lam < 0.0:
         raise ValueError("lambda must be nonnegative")
@@ -170,21 +176,32 @@ def steady0(
     h2 = grid.h * grid.h
     full = np.zeros(grid.n_nodes)  # deflection with its clamped ends
     off = np.full(n_int - 1, 1.0 / h2)
+    latest = {}  # 1 + u and its square at the latest residual evaluation
 
     def residual(u, lam):
         full[1:-1] = u
-        return (full[2:] - 2.0 * u + full[:-2]) / h2 - lam / (1.0 + u) ** 2
+        w = 1.0 + u
+        latest["w"], latest["w2"] = w, w * w
+        r = full[2:] - 2.0 * u
+        r += full[:-2]
+        r /= h2
+        r -= lam / latest["w2"]
+        return r
 
     def step(u, lam, r):
         if counts is not None:
             counts["newton_iters"] += 1
-        diag = -2.0 / h2 + 2.0 * lam / (1.0 + u) ** 3
+        diag = -2.0 / h2 + 2.0 * lam / latest["w"] ** 3
         if depth is None:
             return solve_tridiagonal(off, diag, off, -r)
-        rhs = np.array((r[:n_int], 1.0 / (1.0 + u) ** 2)).T
+        rhs = np.array((r[:n_int], 1.0 / latest["w2"])).T
         a, b = solve_tridiagonal(off, diag, off, rhs).T
         dlam = (a[n_int // 2] - r[n_int]) / b[n_int // 2]
-        return np.concatenate((b * dlam - a, [dlam]))
+        du_dlam = np.empty(n_int + 1)
+        np.multiply(b, dlam, out=du_dlam[:n_int])
+        du_dlam[:n_int] -= a
+        du_dlam[n_int] = dlam
+        return du_dlam
 
     tol = max(tol, np.finfo(float).eps / h2)
     state, lam, _ = damped_newton(

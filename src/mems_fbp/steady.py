@@ -252,7 +252,7 @@ class Linearization:
         out[:-1] += self.upper * v[1:]
         if self.border is None:
             return out
-        return np.append(out - self.source * z[n], v[n // 2])
+        return np.concatenate((out - self.source * z[n], [v[n // 2]]))
 
     def precondition(self, y: np.ndarray) -> np.ndarray:
         """Solve with T, or with the bordered [T, -h; e_c^T, 0] by block
@@ -271,7 +271,7 @@ class Linearization:
             x = x + self.border * dlam
         if self.field.folded:
             x = 0.5 * (x + x[::-1])
-        return x if self.border is None else np.append(x, dlam)
+        return x if self.border is None else np.concatenate((x, [dlam]))
 
 
 def linearize(
@@ -368,12 +368,14 @@ def damped_newton(
     """
     grid = guess.grid
     n = grid.n_nodes - 2
-    z = guess.u[1:-1].copy()
     if depth is None:
         label = f"{model} at lambda={lam:g}"
+        z = guess.u[1:-1].copy()
     else:
         label = f"{model} at depth={depth:g}"
-        z = np.append(z, lam)
+        z = np.empty(n + 1)
+        z[:n] = guess.u[1:-1]
+        z[n] = lam
 
     def lam_of(z):
         return lam if depth is None else z[n]
@@ -381,15 +383,20 @@ def damped_newton(
     def full_residual(z):
         if depth is None:
             return residual(z, lam)
-        return np.concatenate((residual(z[:n], z[n]), [z[n // 2] + depth]))
+        r = np.empty(n + 1)
+        r[:n] = residual(z[:n], z[n])
+        r[n] = z[n // 2] + depth
+        return r
 
-    if float(np.min(1.0 + z)) <= floor:
+    # 1 + min(z) is min(1 + z) exactly, since rounding is monotone
+    if 1.0 + float(z.min()) <= floor:
         raise DegenerateGeometryError(f"{label}: initial guess already below the touchdown floor")
     r = full_residual(z)
+    rnorm = float(np.abs(r).max())
     for it in range(max_iter + 1):
-        rnorm = float(np.max(np.abs(r)))
         if rnorm <= tol:
-            full = np.concatenate(([0.0], z[:n], [0.0]))
+            full = np.zeros(n + 2)
+            full[1:-1] = z[:n]
             return MembraneState(grid, full, guess.time), float(lam_of(z)), it
         if it == max_iter:
             break
@@ -402,11 +409,12 @@ def damped_newton(
         any_admissible = False
         for k in range(9):  # full step plus up to 8 halvings
             z_try = z + 0.5**k * dz
-            if float(np.min(1.0 + z_try)) > floor:
+            if 1.0 + float(z_try.min()) > floor:
                 any_admissible = True
                 r_try = full_residual(z_try)
-                if float(np.max(np.abs(r_try))) < rnorm:
-                    z, r = z_try, r_try
+                rnorm_try = float(np.abs(r_try).max())
+                if rnorm_try < rnorm:
+                    z, r, rnorm = z_try, r_try, rnorm_try
                     break
         else:
             if not any_admissible:

@@ -9,6 +9,7 @@ coefficient fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,12 @@ _RANDOM_AMPLITUDE = 0.3
 class MembraneState:
     """Deflection profile on a 1-D grid at a given time.
 
-    Clamped at both ends: u[0] = u[-1] = 0.
+    Clamped at both ends: construction rejects a deflection that is not a
+    vector of the grid's node count, whose end values exceed 1e-12 in size,
+    or that holds a NaN or an infinity, with ValueError in that order of
+    checks.  End values that pass (roundoff such as sin(k*pi), or -0.0)
+    are snapped to +0.0 in a copy, so u[0] = u[-1] = +0.0 always; the
+    interior values are kept as given.
     """
 
     grid: Grid1D
@@ -41,14 +47,14 @@ class MembraneState:
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
-        if u.size != self.grid.n_nodes:
-            raise ValueError(f"deflection length {u.size} != node count {self.grid.n_nodes}")
-        if max(abs(u[0]), abs(u[-1])) > 1e-12:
+        if u.shape != (self.grid.n_nodes,):
+            raise ValueError(f"deflection shape {u.shape} != node count ({self.grid.n_nodes},)")
+        first, last = float(u[0]), float(u[-1])
+        if abs(first) > 1e-12 or abs(last) > 1e-12:
             raise ValueError("membrane must be clamped: u(-1) = u(1) = 0")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValueError("deflection contains non-finite values")
-        ends = u[[0, -1]]
-        if np.any(ends != 0.0) or np.any(np.signbit(ends)):
+        if first or last or math.copysign(1.0, first) < 0.0 or math.copysign(1.0, last) < 0.0:
             u = u.copy()  # snap roundoff-level end values (e.g. sin(k*pi)) and -0.0
             u[0] = u[-1] = 0.0
         object.__setattr__(self, "u", u)
@@ -56,7 +62,7 @@ class MembraneState:
     @property
     def min_gap(self) -> float:
         """Smallest distance 1 + u to the ground plate."""
-        return float(np.min(1.0 + self.u))
+        return 1.0 + float(self.u.min())  # min(1 + u) exactly: rounding is monotone
 
     def interp(self, x) -> np.ndarray:
         """Piecewise-linear interpolation of the deflection."""

@@ -104,3 +104,26 @@ def test_every_export_is_used(name):
         if export not in used and export not in CRITERION_EXPORTS:
             unused.append(export)
     assert unused == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_np_append(name):
+    """No module calls ``np.append``: it copies its whole input on every
+    call and hides that copy in a loop.  A vector that grows by a border
+    entry is filled into a preallocated array, or concatenated once."""
+    tree = parse(name)
+    appends = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "append"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("np", "numpy")
+    ] + [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "numpy"
+        and any(alias.name == "append" for alias in node.names)
+    ]
+    assert appends == []

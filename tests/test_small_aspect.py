@@ -2,13 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
 from mems_fbp import criteria, small_aspect
 from mems_fbp.errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
 from mems_fbp.evolution import ModelParams
-from mems_fbp.numerics import Grid1D, Grid2D
+from mems_fbp.numerics import Grid1D, Grid2D, solve_tridiagonal
 from mems_fbp.small_aspect import (
     limit_study,
     psi0,
@@ -17,6 +19,7 @@ from mems_fbp.small_aspect import (
     shooting_pullin,
     steady0,
 )
+from mems_fbp.steady import damped_newton
 from mems_fbp.transform import MembraneState
 
 
@@ -94,6 +97,56 @@ class TestFlatSteady:
         traj = run0(MembraneState.zero(grid), p)
         assert np.max(np.abs(u_star.u - traj.final.u)) <= 1e-8
 
+    @pytest.mark.parametrize("n_x", [63, 64])
+    @pytest.mark.parametrize("depth", [None, 0.3, 0.6])
+    def test_matches_the_plain_expressions(self, n_x, depth, monkeypatch):
+        # the residual and Newton step as plain expressions, one new array per
+        # operation: steady0's must give the same bits, at a point off the
+        # branch and along its whole solve
+        grid = Grid1D.uniform(n_x)
+        n = grid.n_nodes - 2
+        h2 = grid.h * grid.h
+        off = np.full(n - 1, 1.0 / h2)
+
+        def residual(u, lam):
+            full = np.concatenate(([0.0], u, [0.0]))
+            return (full[2:] - 2.0 * u + full[:-2]) / h2 - lam / (1.0 + u) ** 2
+
+        def step(u, lam, r):
+            diag = -2.0 / h2 + 2.0 * lam / (1.0 + u) ** 3
+            if depth is None:
+                return solve_tridiagonal(off, diag, off, -r)
+            a, b = solve_tridiagonal(off, diag, off, np.array((r[:n], 1.0 / (1.0 + u) ** 2)).T).T
+            dlam = (a[n // 2] - r[n]) / b[n // 2]
+            return np.concatenate((b * dlam - a, [dlam]))
+
+        model = {}
+
+        def spy(residual, step, *args):
+            model["residual"], model["step"] = residual, step
+            return damped_newton(residual, step, *args)
+
+        monkeypatch.setattr(small_aspect, "damped_newton", spy)
+        guess = MembraneState.zero(grid)
+        got = steady0(0.3, guess=guess, depth=depth)
+
+        x = grid.nodes[1:-1]
+        u, lam = -0.4 * (1.0 - x * x) * (1.0 + 0.3 * x), 0.31
+        r = model["residual"](u, lam)  # a step follows the residual at its point
+        assert np.array_equal(r, residual(u, lam))
+        if depth is not None:
+            r = np.concatenate((r, [u[n // 2] + depth]))
+        assert np.array_equal(model["step"](u, lam, r), step(u, lam, r))
+
+        tol = max(1e-10, np.finfo(float).eps / h2)
+        want, lam_want, _ = damped_newton(
+            residual, step, guess, 0.3, tol, 50, 0.05, "reference", depth
+        )
+        if depth is not None:
+            got, lam_got = got
+            assert lam_got == lam_want
+        assert np.array_equal(got.u, want.u)
+
     def test_residual_contract(self):
         u = steady0(0.25, tol=1e-11, n_x=64)
         h2 = u.grid.h**2
@@ -170,6 +223,26 @@ class TestPullin:
         ]
         orders = np.log2([errors[0] / errors[1], errors[1] / errors[2]])
         assert np.all((1.9 <= orders) & (orders <= 2.1))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_x=st.integers(8, 512))
+    def test_fold_lags_the_pullin_by_0_04_h2(self, n_x):
+        # the second-order discrete fold lies 0.0400 h^2 below the exact
+        # pull-in to leading order, odd n_x (no node at x = 0) included:
+        # measured 0.04026 at n_x = 8, 0.04021 at 9, 0.04005 at 33 and
+        # 0.040038 at 256; the located fold is within _PULLIN_TOL of it
+        h2 = (2.0 / n_x) ** 2
+        lag = (FLAT_PULLIN - pullin0_detail(1e-4, n_x=n_x).lambda_star) / h2
+        slack = small_aspect._PULLIN_TOL / h2
+        assert 0.0400 - slack <= lag <= 0.0403 + slack
+
+    def test_search_work_is_pinned(self):
+        # the depth solves and Newton steps of one search at the benchmark's
+        # n_x: a change meant to leave the algorithm alone must keep them, and
+        # a change to the search updates them on purpose
+        counts = pullin0_detail(1e-4, n_x=512).diagnostics
+        pinned = {"solves": 14, "fold_solves": 5, "failed_solves": 0, "newton_iters": 26}
+        assert {key: counts[key] for key in pinned} == pinned
 
     def test_fine_grid_above_roundoff(self):
         # at n_x = 2048 a 1e-10 residual is below the roundoff of the

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mems_fbp.errors import DegenerateGeometryError
 from mems_fbp.numerics import Grid1D, Grid2D
@@ -28,6 +30,52 @@ class TestMembraneState:
         assert v.u[0] == v.u[-1] == 0.0
         assert not np.signbit(v.u[0]) and not np.signbit(v.u[-1])
         assert np.array_equal(v.u[1:-1], u[1:-1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_deflection_rejected(self, grid32, bad):
+        u = np.zeros(grid32.n_nodes)
+        u[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            MembraneState(grid32, u)
+
+    def test_largest_finite_deflection_accepted(self, grid32):
+        u = np.zeros(grid32.n_nodes)
+        u[1:-1] = np.finfo(float).max
+        assert np.array_equal(MembraneState(grid32, u).u, u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.filterwarnings("error")
+    def test_generated_inputs_follow_the_rules(self, data):
+        n_cells = data.draw(st.integers(3, 40))
+        grid = Grid1D.uniform(n_cells)
+        size = data.draw(st.sampled_from([grid.n_nodes] * 4 + [grid.n_nodes - 1, grid.n_nodes + 1]))
+        u = np.array(data.draw(st.lists(st.floats(-0.9, 0.9), min_size=size, max_size=size)))
+        specials = [np.nan, np.inf, -np.inf, np.finfo(float).max]
+        for i in data.draw(st.lists(st.integers(1, size - 2), max_size=3)):
+            u[i] = data.draw(st.sampled_from(specials))
+        ends = st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1e-11, -1e-11] + specials[:3])
+        u[0], u[-1] = data.draw(ends), data.draw(ends)
+        given_u = u.copy()
+
+        # the documented rules, in their order
+        if size != grid.n_nodes:
+            error = "node count"
+        elif abs(u[0]) > 1e-12 or abs(u[-1]) > 1e-12:
+            error = "clamped"
+        elif not np.isfinite(u).all():
+            error = "non-finite"
+        else:
+            error = None
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                MembraneState(grid, u)
+        else:
+            v = MembraneState(grid, u)
+            assert v.u[0] == v.u[-1] == 0.0
+            assert not np.signbit(v.u[0]) and not np.signbit(v.u[-1])
+            assert np.array_equal(v.u[1:-1], given_u[1:-1])
+        assert np.array_equal(u, given_u, equal_nan=True)  # the input is left alone
 
     def test_min_gap(self, parabola32):
         assert abs(parabola32.min_gap - 0.75) <= 1e-15
