@@ -101,7 +101,8 @@ def _keys(cls) -> dict:
 
 def _typed(key: str, value, hint):
     """``value`` if its JSON type matches ``hint`` (an int counts as a float
-    and is stored as one; a bool is never a number); otherwise a ConfigError."""
+    and is stored as one; a bool is never a number); otherwise a ConfigError.
+    A float must be finite: JSON ``NaN`` and ``Infinity`` are rejected."""
     if get_origin(hint) is list:
         if isinstance(value, list):
             return [_typed(key, v, get_args(hint)[0]) for v in value]
@@ -109,7 +110,9 @@ def _typed(key: str, value, hint):
         if hint is bool:
             return value
     elif hint is float and isinstance(value, (int, float)):
-        return float(value)
+        if -sys.float_info.max <= value <= sys.float_info.max:  # no NaN, infinity or huge int
+            return float(value)
+        raise ConfigError(f"invalid field {key!r}: expected a finite number, got {value}")
     elif isinstance(value, get_args(hint) or hint):
         return value
     expected = hint.__name__ if isinstance(hint, type) else hint
@@ -150,8 +153,9 @@ def parse_config(path) -> ExperimentConfig:
             if key in raw
         }
 
+    model = values(model_keys)  # a ConfigError here is not wrapped below
     try:
-        params = ModelParams(**values(model_keys))
+        params = ModelParams(**model)
     except ValueError as exc:
         raise ConfigError(f"invalid model parameters: {exc}") from exc
     cfg = ExperimentConfig(params=params, **values(other_keys))

@@ -5,19 +5,22 @@ central differences for the pure second derivatives and the vertical
 drift, a 4-corner cross stencil for the mixed derivative.  Dirichlet
 data is eliminated into the right-hand side, so the unknowns are the
 interior nodes only.  They are numbered in a nested-dissection order,
-cached per grid shape, so the assembled matrix is factorized as it
-stands, and no other module sees that numbering.  Every solve here
-takes one path (``_solve``): assemble on the cached pattern, factorize
-and solve (``numerics.solve_sparse``), then ``_scatter_checked``:
-scatter onto the grid and check the residual on the full 9-point
+cached per grid shape with the matrix's sparsity pattern, so the
+assembled matrix is factorized as it stands; only the gather of the
+right-hand side and the scatter of the solution see that numbering, and
+no other module does.  Every solve here takes one path (``_solve``):
+form the right-hand side b once, on the grid, assemble the matrix on
+the cached pattern, factorize and solve for b gathered in its numbering
+(``numerics.solve_sparse``), then ``_scatter_checked``: scatter onto the
+grid and check the residual against the same b on the full 9-point
 stencil.  ``solve_potential`` decides for every potential, of a time
 step, a steady residual or a check alike: the potential of an even
 membrane takes that path on the folded pattern, the half rectangle
 x >= 0, and its solution is mirrored onto x < 0 before the same check.
 ``trace_response`` solves against the factor a potential keeps, half or
-full, and checks through the same helper.  ``solve_dirichlet`` always
-solves the full system, for references that must not assume the
-symmetry.
+full, with its forcing as b, and checks through the same helper.
+``solve_dirichlet`` always solves the full system, for references that
+must not assume the symmetry.
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ _EVEN_TOL = 1e-14
 
 
 # Stencil offsets (di, dj) in the order of the weight stack of
-# _stencil_weights.  assemble_system subtracts the Dirichlet ring from
-# the right-hand side in this order, which fixes its rounding.
+# _stencil_weights.  _apply_stencil sums the weights in this order, which
+# fixes the rounding of every right-hand side's ring share and residual.
 _OFFSETS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1), (1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
@@ -149,9 +152,8 @@ class _Pattern:
     numbering and ``take`` picks its stored entries, in CSC order, from
     the flattened weight stack; ``extra_slots``/``extra_take`` add the
     weights that the fold maps onto an entry already taken (none when
-    unfolded).  ``ring_rows``, ``ring_take`` and ``ring_nodes`` list the
-    couplings to the Dirichlet ring in offset order: unknown, weight,
-    ring node.
+    unfolded).  The pattern holds the matrix only: a right-hand side is
+    formed on the grid and gathered by ``nodes``.
     """
 
     n: int
@@ -163,9 +165,6 @@ class _Pattern:
     take: np.ndarray
     extra_slots: np.ndarray
     extra_take: np.ndarray
-    ring_rows: np.ndarray
-    ring_take: np.ndarray
-    ring_nodes: tuple[np.ndarray, np.ndarray]
 
 
 def _dissection_order(nix: int, nie: int) -> np.ndarray:
@@ -218,7 +217,6 @@ def _pattern(n_x: int, n_eta: int, folded: bool = False) -> _Pattern:
     ii, jj = ii.ravel(), jj.ravel()
     k = (ii - 1) * nie + (jj - 1)  # interior-block index of each unknown's node
     rows, cols, take = [], [], []
-    ring_rows, ring_take, ring_i, ring_j = [], [], [], []
     for o, (di, dj) in enumerate(_OFFSETS):
         ni, nj = ii + di, jj + dj
         inside = (ni >= 1) & (ni <= n_x - 1) & (nj >= 1) & (nj <= nie)
@@ -226,11 +224,6 @@ def _pattern(n_x: int, n_eta: int, folded: bool = False) -> _Pattern:
         rows.append(rank[inside])
         cols.append(rank[((ci - first) * nie + (nj - 1))[inside]])
         take.append(o * n_all + k[inside])
-        ring = ~inside
-        ring_rows.append(rank[ring])
-        ring_take.append(o * n_all + k[ring])
-        ring_i.append(ni[ring])
-        ring_j.append(nj[ring])
     rows, cols, take = (np.concatenate(a) for a in (rows, cols, take))
     order = np.lexsort((rows, cols))  # by column, then row: sorted CSC
     rows, cols, take = rows[order], cols[order], take[order]
@@ -249,49 +242,38 @@ def _pattern(n_x: int, n_eta: int, folded: bool = False) -> _Pattern:
         take=take[~repeat].astype(np.int32),
         extra_slots=slot[repeat],
         extra_take=take[repeat],
-        ring_rows=np.concatenate(ring_rows),
-        ring_take=np.concatenate(ring_take),
-        ring_nodes=(np.concatenate(ring_i), np.concatenate(ring_j)),
     )
     for a in (pattern.perm, *pattern.nodes, pattern.indices, pattern.indptr, pattern.take,
-              pattern.extra_slots, pattern.extra_take, pattern.ring_rows, pattern.ring_take,
-              *pattern.ring_nodes):
+              pattern.extra_slots, pattern.extra_take):
         a.flags.writeable = False
     return pattern
 
 
-def assemble_system(
-    weights: np.ndarray,
-    rhs_field: np.ndarray,
-    dirichlet: np.ndarray,
-    folded: bool = False,
-) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Assemble A x = b for A = -(mapped operator) with Dirichlet data.
+def assemble_system(weights: np.ndarray, folded: bool = False) -> sp.csc_matrix:
+    """The matrix A = -(mapped operator) on the interior unknowns.
 
     ``weights`` is the stack of ``_stencil_weights`` of the operator's
-    coefficients; ``rhs_field`` and ``dirichlet`` are full nodal fields,
-    of which only the interior of the former and the boundary ring of the
-    latter are used.  The unknowns are numbered in the nested-dissection
-    order of the ``_pattern`` cached with the grid shape, so the system
-    is P A P^T x = P b for the lexicographic A and b; ``folded`` assembles
-    the fold R A E onto x >= 0 instead.  Returns (matrix, rhs), the matrix
-    CSC on the cached sparsity pattern with every stencil entry stored
-    (zero weights included).
+    coefficients.  The unknowns are numbered in the nested-dissection
+    order of the ``_pattern`` cached with the grid shape, so the matrix
+    is P A P^T for the lexicographic A; ``folded`` assembles the fold
+    R A E onto x >= 0 instead.  Returns it CSC on the cached sparsity
+    pattern with every stencil entry stored (zero weights included).  A
+    right-hand side is formed on the grid and gathered by the pattern's
+    ``nodes`` (see ``_solve``).
     """
     p = _pattern(weights.shape[1] + 1, weights.shape[2] + 1, folded)
     w = weights.ravel()
-    rhs = rhs_field[1:-1, 1:-1][p.nodes].astype(float, copy=False)
-    np.subtract.at(rhs, p.ring_rows, w[p.ring_take] * dirichlet[p.ring_nodes])
     data = w[p.take]
     np.add.at(data, p.extra_slots, w[p.extra_take])
-    return sp.csc_matrix((data, p.indices, p.indptr), shape=(p.n, p.n)), rhs
+    return sp.csc_matrix((data, p.indices, p.indptr), shape=(p.n, p.n))
 
 
 def _apply_stencil(w: np.ndarray, field: np.ndarray) -> np.ndarray:
     """The weight stack ``w`` of ``_stencil_weights`` applied to the nodal
-    ``field``, its boundary ring included, at the interior nodes: A x - b
-    for the interior values x and the Dirichlet data of ``field`` (no
-    source).  A ``field`` of shape (n_x + 1, n_eta + 1, k) holds k fields."""
+    ``field``, its boundary ring included, at the interior nodes: A x for
+    the interior values x of a field that is zero on the ring, the ring's
+    share of the right-hand side for one that is zero inside.  A
+    ``field`` of shape (n_x + 1, n_eta + 1, k) holds k fields."""
     n_x, n_eta = field.shape[0] - 1, field.shape[1] - 1
     extra = (None,) * (field.ndim - 2)
     out = np.zeros(w.shape[1:] + field.shape[2:])
@@ -301,32 +283,26 @@ def _apply_stencil(w: np.ndarray, field: np.ndarray) -> np.ndarray:
 
 
 def _scatter_checked(
-    weights: np.ndarray,
-    x: np.ndarray,
-    p: _Pattern,
-    w: np.ndarray,
-    source: np.ndarray,
-    rhs: np.ndarray,
-    tol: float,
+    weights: np.ndarray, x: np.ndarray, p: _Pattern, rhs: np.ndarray, tol: float
 ) -> np.ndarray:
     """The nodal solution of a solve on pattern ``p``, checked on the full system.
 
-    ``x`` holds the unknowns in the numbering of ``p`` (or k columns of
-    them); they fill the interior of the nodal field ``w`` (k fields
-    stacked on a last axis), whose boundary ring holds the Dirichlet
-    data, and a folded ``p``'s are mirrored onto x < 0.  ``source`` is
-    the interior right-hand side of the operator and ``rhs`` that of the
-    full system A w = b, the source less the Dirichlet ring's share.  The
-    residual A w - b, the full stencil ``weights`` applied to ``w`` less
-    ``source``, must pass ``check_residual`` at ``tol``.  On a folded
-    pattern its rows at x >= 0 are those of the half system, so this one
-    check covers them too; at x < 0 it fails when the membrane or the
-    data is not even.  Returns ``w``, filled in place.
+    ``rhs`` is the right-hand side b of the full system on the interior
+    nodes, k fields stacked on a last axis for k columns, and ``x`` the
+    solution of the system on ``p`` for ``rhs[p.nodes]``.  The unknowns
+    fill the interior of a nodal field w that is zero on the boundary
+    ring, and a folded ``p``'s are mirrored onto x < 0.  The residual
+    A w - b, the full stencil ``weights`` applied to w less ``rhs``, must
+    pass ``check_residual`` at ``tol``.  On a folded pattern its rows at
+    x >= 0 are those of the half system, so this one check covers them
+    too; at x < 0 it fails when the membrane or the data is not even.
+    Returns w.
     """
+    w = np.zeros((rhs.shape[0] + 2, rhs.shape[1] + 2) + rhs.shape[2:])
     w[1:-1, 1:-1][p.nodes] = x
     w[1 : p.first] = w[::-1][1 : p.first]  # w[i] = w[n_x - i]; none unfolded
-    n = source.shape[0] * source.shape[1]
-    residual = _apply_stencil(weights, w) - source
+    n = rhs.shape[0] * rhs.shape[1]
+    residual = _apply_stencil(weights, w) - rhs
     check_residual(residual.reshape(n, -1), rhs.reshape(n, -1), tol)
     return w
 
@@ -340,23 +316,26 @@ def _solve(
 ):
     """Solve -(mapped operator) w = rhs with the given boundary values.
 
-    The one path of every potential solve: the system that
-    ``assemble_system`` makes of the stencil ``weights``, on the full
-    pattern or the ``folded`` one (for data even in x), is factorized and
-    solved by ``solve_sparse``, and its solution scattered onto the grid
-    and checked on the full system at relative residual ``tol`` by
-    ``_scatter_checked``.  Callers hand over the weights rather than the
-    coefficients, which are then freed before the factorization.  Returns
-    (w, lu): the nodal solution and the factor of the assembled matrix.
+    The one path of every potential solve.  The right-hand side b is
+    formed once, on the grid: the interior of ``rhs_field`` less the
+    share of the boundary ring of ``dirichlet``, the stencil ``weights``
+    applied to that ring.  The matrix that ``assemble_system`` makes of
+    the weights, on the full pattern or the ``folded`` one (for data
+    even in x), is factorized and solved by ``solve_sparse`` for b
+    gathered in the pattern's numbering, and the solution scattered onto
+    the grid and checked against the same b at relative residual ``tol``
+    by ``_scatter_checked``.  Callers hand over the weights rather than
+    the coefficients, which are then freed before the factorization.
+    Returns (w, lu): the nodal solution, on the ring the Dirichlet data,
+    and the factor of the assembled matrix.
     """
-    matrix, rhs = assemble_system(weights, rhs_field, dirichlet, folded)
-    x, lu = solve_sparse(matrix, rhs)
     p = _pattern(weights.shape[1] + 1, weights.shape[2] + 1, folded)
     w = dirichlet.astype(float)
     w[1:-1, 1:-1] = 0.0
-    source = rhs_field[1:-1, 1:-1]
-    full_rhs = source - _apply_stencil(weights, w)
-    return _scatter_checked(weights, x, p, w, source, full_rhs, tol), lu
+    rhs = rhs_field[1:-1, 1:-1] - _apply_stencil(weights, w)
+    x, lu = solve_sparse(assemble_system(weights, folded), rhs[p.nodes])
+    w[1:-1, 1:-1] = _scatter_checked(weights, x, p, rhs, tol)[1:-1, 1:-1]
+    return w, lu
 
 
 def solve_dirichlet(
@@ -433,8 +412,7 @@ def trace_response(field: PotentialField, forcing: np.ndarray) -> np.ndarray:
     grid = field.grid
     p = _pattern(grid.gx.n_cells, grid.n_eta, field.folded)
     x = field.lu.solve(forcing[p.nodes])
-    w = np.zeros(grid.shape + forcing.shape[2:])
-    _scatter_checked(field.weights, x, p, w, forcing, forcing, _POTENTIAL_TOL)
+    w = _scatter_checked(field.weights, x, p, forcing, _POTENTIAL_TOL)
     return _top_derivative(w, grid.h_eta)
 
 

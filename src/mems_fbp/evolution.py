@@ -51,19 +51,19 @@ class ModelParams:
     max_time: float = field(default=50.0, metadata={"kinds": ("evolve",)})
 
     def __post_init__(self):
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ValueError("eps must be positive")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError("lambda must be nonnegative")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if not 0.0 < self.touchdown_floor < 1.0:
             raise ValueError("touchdown_floor must lie in (0, 1)")
-        if self.equilibrium_tol < 0.0:
+        if not self.equilibrium_tol >= 0.0:
             raise ValueError("equilibrium_tol must be nonnegative")
-        if self.max_time <= 0.0:
+        if not self.max_time > 0.0:
             raise ValueError("max_time must be positive")
 
 

@@ -6,9 +6,10 @@ are immutable after construction.  The sparse direct solve
 (``solve_sparse``: factorize and solve) eliminates the unknowns in the
 order they are numbered.  Choosing that numbering, and checking the
 residual (``check_residual``) on the system the solve stands for, are
-the caller's part: ``elliptic`` assembles in nested-dissection order,
-routes every potential solve through this one function and checks each
-solution on the full 9-point stencil.
+the caller's part: ``elliptic`` assembles the matrix in
+nested-dissection order, forms each right-hand side on the grid, routes
+every potential solve through this one function and checks each
+solution on the full 9-point stencil against that same right-hand side.
 """
 
 from __future__ import annotations

@@ -167,7 +167,7 @@ def steady0(
     the plain expressions, operation by operation, so every iterate is the
     same to the last bit.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lambda must be nonnegative")
     if guess is None:
         guess = MembraneState.zero(Grid1D.uniform(n_x))
@@ -250,7 +250,7 @@ def shooting_pullin(tol: float) -> float:
     its maximum and the bounded search stops within 2/3 of ``xatol`` of
     it, so ``xatol = sqrt(tol)`` leaves a voltage error below 0.8 tol.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     result = minimize_scalar(
         lambda gap: -_clamp_voltage(gap),
@@ -273,7 +273,7 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
     reaches the touchdown floor without passing a fold raises
     NonConvergenceError.
     """
-    if tol_lambda <= 0.0:
+    if not tol_lambda > 0.0:
         raise ValueError("tol_lambda must be positive")
     counts = Counter(solves=0, newton_iters=0)
 
@@ -380,7 +380,7 @@ def limit_study(
     """
     if float(np.max(u0.u)) > 0.0:
         raise ValueError("initial deflection must be nonpositive for the limit study")
-    if tau < dt:
+    if not tau >= dt:
         raise ValueError("tau must be at least one time step dt")
     eps_list = list(eps_list)
     n_steps = int(round(tau / dt))

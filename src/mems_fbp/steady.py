@@ -523,7 +523,7 @@ def solve_steady(
     (see ``_newton``); all five keys are set, the first three at 0 for a
     guess that already converges.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lambda must be nonnegative")
     counts = Counter() if counts is None else counts
     counts.update(newton_iters=0, jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
@@ -686,7 +686,7 @@ def continue_branch(
     -/+ ``_FOLD_TOL``), or, for a march stopped short of both, its last
     sample (no fold).
     """
-    if dlambda0 <= 0.0:
+    if not dlambda0 > 0.0:
         raise ValueError("dlambda0 must be positive")
     grid = Grid1D.uniform(n_x)
     grid2d = Grid2D.uniform(n_x, n_eta if n_eta is not None else n_x)
@@ -751,7 +751,7 @@ def nonexistence_bound(eps: float) -> float:
     min{2 J(eps), 2/3} / eps with J(r) = r (2r^2 + 3) / (3 (r^2 + 1)^{3/2});
     tends to 2 as the aspect ratio vanishes.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     j = eps * (2.0 * eps * eps + 3.0) / (3.0 * (eps * eps + 1.0) ** 1.5)
     return min(2.0 * j, 2.0 / 3.0) / eps

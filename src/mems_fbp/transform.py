@@ -98,7 +98,7 @@ def _check_admissible(v: MembraneState):
 
 def assemble_coefficients(v: MembraneState, eps: float, grid: Grid2D) -> OperatorCoefficients:
     """Evaluate the four coefficient fields of the mapped operator on ``grid``."""
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("aspect ratio must be positive")
     if not grids_match(grid.gx, v.grid):
         raise ValueError("2-D grid does not share the membrane's x-nodes")

@@ -14,6 +14,8 @@ from mems_fbp.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_TOUCHDOWN,
+    ExperimentConfig,
+    _keys,
     main,
     parse_config,
     run_experiment,
@@ -26,6 +28,10 @@ from mems_fbp.errors import (
     NonConvergenceError,
     SingularSystemError,
 )
+
+
+# JSON key -> (field name, declared type, kinds that read it) of every config key
+CONFIG_KEYS = _keys(evolution.ModelParams) | _keys(ExperimentConfig)
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -109,6 +115,21 @@ class TestParseConfig:
         fields = {"kind": kind, key: value}
         with pytest.raises(ConfigError, match=f"'{key}': expected"):
             parse_config(write_config(tmp_path, **fields))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "key", [k for k, (_, hint, _) in CONFIG_KEYS.items() if hint in (float, list[float])]
+    )
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, key, value):
+        # JSON NaN and Infinity parse as floats; every number key refuses them
+        kind = CONFIG_KEYS[key][2][0]
+        out = tmp_path / "out"
+        entry = [0.1, value] if key == "eps_list" else value
+        path = write_config(tmp_path, kind=kind, out_dir=str(out), **{key: entry})
+        assert main([str(path), "--quiet"]) == EXIT_CONFIG
+        message = f"ERROR[config] invalid field '{key}': expected a finite number, got {value}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "fields, key",

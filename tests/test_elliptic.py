@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,12 +135,25 @@ class TestManufacturedSolution:
         assert np.all(np.diff(result.field_errors) < 0)
 
 
-def test_assembled_system_structure(grid2d_32, parabola32):
-    from mems_fbp.transform import assemble_coefficients
+class Formed(Exception):
+    """Carries the system that ``elliptic._solve`` hands to ``solve_sparse``."""
 
+
+def formed_system(weights, rhs_field, dirichlet, folded=False):
+    """The matrix and right-hand side that ``elliptic._solve`` factorizes
+    and solves, caught on their way into ``solve_sparse``."""
+
+    def catch(matrix, rhs):
+        raise Formed(matrix, rhs)
+
+    with mock.patch.object(elliptic, "solve_sparse", catch), pytest.raises(Formed) as info:
+        elliptic._solve(weights, rhs_field, dirichlet, elliptic._POTENTIAL_TOL, folded)
+    return info.value.args
+
+
+def test_assembled_system_structure(grid2d_32, parabola32):
     coeffs = assemble_coefficients(parabola32, 0.5, grid2d_32)
-    zero = np.zeros(grid2d_32.shape)
-    matrix, _ = elliptic.assemble_system(elliptic._stencil_weights(coeffs), zero, zero)
+    matrix = elliptic.assemble_system(elliptic._stencil_weights(coeffs))
     n_int = (grid2d_32.gx.n_cells - 1) * (grid2d_32.n_eta - 1)
     assert matrix.shape == (n_int, n_int)
     assert np.max(np.diff(matrix.indptr)) <= 9  # 9-point stencil bound
@@ -187,31 +201,44 @@ def coo_reference_system(coeffs, rhs_field, dirichlet):
     return matrix, rhs.ravel()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     shape=st.sampled_from([(3, 3), (8, 3), (3, 7), (12, 5), (6, 16), (16, 16), (24, 20)]),
     eps=st.floats(0.01, 10.0),
     seed=st.integers(0, 2**32 - 1),
+    data=st.sampled_from(["source", "ring", "both"]),
+    folded=st.booleans(),
 )
-def test_assembly_matches_coo_reference(shape, eps, seed):
-    perm = elliptic._pattern(*shape).perm
+def test_assembly_matches_coo_reference(shape, eps, seed, data, folded):
+    # every solve of the program has a zero source or a zero ring; there
+    # the system matches the reference bit for bit, folded or not
     rng = np.random.default_rng(seed)
     grid = Grid2D.uniform(*shape)
     v = random_admissible_state(grid.gx, rng, min_gap=0.1)
     coeffs = assemble_coefficients(v, eps, grid)
-    rhs_field = rng.normal(size=grid.shape)
-    dirichlet = rng.normal(size=grid.shape)
-    ours_matrix, ours_rhs = elliptic.assemble_system(
-        elliptic._stencil_weights(coeffs), rhs_field, dirichlet
+    zero = np.zeros(grid.shape)
+    rhs_field = zero if data == "ring" else rng.normal(size=grid.shape)
+    dirichlet = zero if data == "source" else rng.normal(size=grid.shape)
+    ours_matrix, ours_rhs = formed_system(
+        elliptic._stencil_weights(coeffs), rhs_field, dirichlet, folded
     )
     matrix, rhs = coo_reference_system(coeffs, rhs_field, dirichlet)
-    # the unknowns are numbered in the dissection order: P A P^T and P b
-    matrix, rhs = matrix[perm][:, perm].tocsr().tocsc(), rhs[perm]
+    if data == "both":
+        # the program subtracts the ring's share, summed in offset order,
+        # from the source: the reference's rhs of a zero source is minus that sum
+        rhs = rhs_field[1:-1, 1:-1].ravel() + coo_reference_system(coeffs, zero, dirichlet)[1]
+    # the unknowns are numbered in the pattern's dissection order: P b
+    p = elliptic._pattern(*shape, folded)
+    rhs = rhs.reshape(shape[0] - 1, shape[1] - 1)[p.nodes]
+    assert rhs.dtype == ours_rhs.dtype and rhs.tobytes() == ours_rhs.tobytes()
     assert ours_matrix.format == "csc"
+    if folded:
+        return  # the fold of the full matrix is checked by the test of the fold below
+    # and P A P^T
+    matrix = matrix[p.perm][:, p.perm].tocsr().tocsc()
     for name in ("indptr", "indices", "data"):
         ours, ref = getattr(ours_matrix, name), getattr(matrix, name)
         assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes(), name
-    assert rhs.dtype == ours_rhs.dtype and rhs.tobytes() == ours_rhs.tobytes()
 
 
 def natural_reference(v, eps, grid):
@@ -237,7 +264,7 @@ def test_dissection_order_is_a_cached_permutation(shape):
     v = random_admissible_state(grid.gx, np.random.default_rng(7))
     coeffs, matrix, rhs = natural_reference(v, 0.1, grid)
     eta = np.broadcast_to(grid.eta_nodes, grid.shape)
-    ours_matrix, ours_rhs = elliptic.assemble_system(
+    ours_matrix, ours_rhs = formed_system(
         elliptic._stencil_weights(coeffs), np.zeros(grid.shape), eta
     )
     assert ours_matrix.has_sorted_indices
@@ -272,7 +299,7 @@ def test_dissection_fill_against_minimum_degree(shape, bound):
     coeffs, matrix, rhs = natural_reference(v, 0.1, grid)
     eta = np.broadcast_to(grid.eta_nodes, grid.shape)
     weights = elliptic._stencil_weights(coeffs)
-    ours = solve_sparse(*elliptic.assemble_system(weights, np.zeros(grid.shape), eta))[1]
+    ours = solve_sparse(*formed_system(weights, np.zeros(grid.shape), eta))[1]
     mmd = splu(matrix, permc_spec="MMD_AT_PLUS_A")
     fill, mmd_fill = ours.L.nnz + ours.U.nnz, mmd.L.nnz + mmd.U.nnz
     if bound == 1.0:
@@ -332,8 +359,8 @@ def test_folded_system_is_the_half_rows_of_the_full_system_on_mirrored_values(sh
     for a in (half_p.perm, *half_p.nodes, half_p.take, half_p.extra_slots, half_p.extra_take):
         assert not a.flags.writeable
     weights = elliptic._stencil_weights(coeffs)
-    full_matrix, full_rhs = elliptic.assemble_system(weights, zero, eta)
-    half_matrix, half_rhs = elliptic.assemble_system(weights, zero, eta, folded=True)
+    full_matrix, full_rhs = formed_system(weights, zero, eta)
+    half_matrix, half_rhs = formed_system(weights, zero, eta, folded=True)
 
     full_index = {node: k for k, node in enumerate(zip(*full_p.nodes))}
     half_index = {node: k for k, node in enumerate(zip(*half_p.nodes))}
@@ -407,7 +434,7 @@ def test_asymmetry_at_the_threshold_stays_inside_the_residual_tolerance(shape, e
     phi = elliptic.solve_potential(v, eps, grid).phi
     coeffs = assemble_coefficients(v, eps, grid)
     weights = elliptic._stencil_weights(coeffs)
-    matrix, rhs = elliptic.assemble_system(weights, np.zeros(grid.shape), phi)
+    matrix, rhs = formed_system(weights, np.zeros(grid.shape), phi)
     x_full = phi[1:-1, 1:-1][elliptic._pattern(*shape).nodes]
     residual = np.linalg.norm(matrix @ x_full - rhs) / np.linalg.norm(rhs)
     assert residual <= 0.1 * elliptic._POTENTIAL_TOL
@@ -447,7 +474,7 @@ def test_residual_check_fires_on_both_patterns(monkeypatch, tilt):
         elliptic.solve_potential(v, 1.0, grid)
     weights = elliptic._stencil_weights(assemble_coefficients(v, 1.0, grid))
     eta = np.broadcast_to(grid.eta_nodes, grid.shape)
-    rhs = elliptic.assemble_system(weights, np.zeros(grid.shape), eta)[1]
+    rhs = formed_system(weights, np.zeros(grid.shape), eta)[1]
     assert info.value.residual > elliptic._POTENTIAL_TOL * np.linalg.norm(rhs)
 
 

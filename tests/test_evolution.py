@@ -38,6 +38,9 @@ class TestModelParams:
             ModelParams(eps=0.1, lam=0.1, mode="hyperbolic")
         with pytest.raises(ValueError):
             ModelParams(eps=0.1, lam=0.1, touchdown_floor=1.5)
+        for name in ("eps", "lam", "dt", "touchdown_floor", "equilibrium_tol", "max_time"):
+            with pytest.raises(ValueError):
+                ModelParams(**{name: float("nan")})
 
 
 class TestStep:

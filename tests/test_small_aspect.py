@@ -211,6 +211,14 @@ class TestPullin:
         with pytest.raises(NonConvergenceError, match="pull-in search.*depth=0.9, lambda=0.9"):
             pullin0_detail(1e-3, n_x=32)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
+    def test_tolerance_must_be_positive(self, tol):
+        # a NaN bound would pass the shooting cross-check vacuously
+        with pytest.raises(ValueError, match="tol_lambda must be positive"):
+            pullin0_detail(tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            shooting_pullin(tol)
+
     @pytest.mark.parametrize("tol_lambda", [1e-3, 1e-4, 1e-5])
     def test_discrete_fold_whatever_the_tolerance(self, tol_lambda):
         result = pullin0_detail(tol_lambda, n_x=512)

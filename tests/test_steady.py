@@ -476,8 +476,9 @@ class TestContinuation:
             assert branch.fold_estimate == pytest.approx(expected, abs=1e-10)
 
     def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            continue_branch(0.1, 1.0, -0.05)
+        for dlambda0 in (-0.05, float("nan")):
+            with pytest.raises(ValueError, match="dlambda0"):
+                continue_branch(0.1, 1.0, dlambda0)
 
     @pytest.mark.parametrize("eps", [0.1, 1.0])
     def test_folded_branch_matches_the_full_one(self, eps, monkeypatch):
@@ -581,6 +582,8 @@ class TestNonexistenceBound:
             nonexistence_bound(0.0)
         with pytest.raises(ValueError):
             nonexistence_bound(-0.3)
+        with pytest.raises(ValueError):
+            nonexistence_bound(float("nan"))
 
     def test_against_quadrature_oracle(self):
         from scipy.integrate import quad
