@@ -123,12 +123,14 @@ def parse_config(path) -> ExperimentConfig:
     """Read and validate a JSON experiment config, filling defaults."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an int of too many digits, too deep nesting
+        raise ConfigError(f"cannot parse config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
 
@@ -287,7 +289,7 @@ def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
     guess = _initial_state(cfg, grid)
     counts = Counter()
     t0 = time.perf_counter()
-    state = steady.solve_steady(
+    point = steady.solve_steady(
         cfg.params.lam,
         cfg.params.eps,
         guess,
@@ -296,7 +298,7 @@ def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
         counts=counts,
     )
     wall = time.perf_counter() - t0
-    res = steady.steady_residual(state, cfg.params.lam, cfg.params.eps, grid2d)
+    state = point.state
     _write_csv(out / "profile.csv", ["x", "u"], zip(grid.nodes, state.u))
     _write_json(
         out / "steady.json",
@@ -306,7 +308,7 @@ def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
             "eps": cfg.params.eps,
             "n_x": cfg.n_x,
             "n_eta": cfg.n_eta,
-            "residual_inf": float(np.max(np.abs(res))),
+            "residual_inf": point.residual,
             "min_gap": state.min_gap,
             "max_deflection": float(np.max(np.abs(state.u))),
             "wall_time_s": wall,
@@ -319,7 +321,7 @@ def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
 
 def _branch_rows(branch):
     for pt in branch.points:
-        yield [pt.lam, pt.min_gap, float(np.max(np.abs(pt.state.u))), pt.newton_iters]
+        yield [pt.lam, pt.state.min_gap, float(np.max(np.abs(pt.state.u))), pt.newton_iters]
 
 
 def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
@@ -490,12 +492,16 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> int:
     """Dispatch one experiment; returns the process exit status.
 
     Progress goes to the ``mems_fbp`` logger at INFO, which ``quiet``
-    silences for the length of the run.  A ``SolverError`` is reported
-    under its class name and returns ``EXIT_SOLVER``; any other
-    exception propagates.
+    silences for the length of the run.  An output directory that cannot
+    be made (``out_dir`` names a file, or a path under one) returns
+    ``EXIT_CONFIG``.  A ``SolverError`` is reported under its class name
+    and returns ``EXIT_SOLVER``; any other exception propagates.
     """
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail("config", f"cannot make output directory {str(out)!r}: {exc}", EXIT_CONFIG)
     level = log.level
     log.setLevel(logging.WARNING if quiet else logging.INFO)
     try:

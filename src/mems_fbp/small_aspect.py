@@ -141,10 +141,11 @@ def steady0(
     floor: float = 0.05,
     counts: Counter | None = None,
     depth: float | None = None,
-) -> MembraneState | tuple[MembraneState, float]:
+) -> BranchPoint:
     """Newton solve of the flat-limit steady problem by ``steady.damped_newton``,
     in at most ``_STEADY0_MAX_ITER`` iterations, seeded by ``guess`` (the
-    flat membrane on ``n_x`` cells without one).
+    flat membrane on ``n_x`` cells without one); returns the
+    ``BranchPoint`` it reached.
 
     The Jacobian T is tridiagonal (diffusion stencil plus a diagonal from
     the source), so each iteration is one tridiagonal solve, counted in
@@ -153,10 +154,9 @@ def steady0(
     deflection below 1 in size: near the fold Newton stalls at up to
     half of it, which is above 1e-10 from n_x = 2048 on.
 
-    Without ``depth`` the voltage is ``lam`` and the steady state is
-    returned.  With a depth the centre deflection is held at -depth and
-    the voltage becomes an unknown, seeded by ``lam``, and (state,
-    voltage) is returned.  Each step then solves the bordered system
+    Without ``depth`` the voltage is ``lam``.  With a depth the centre
+    deflection is held at -depth and the voltage becomes an unknown,
+    seeded by ``lam``.  Each step then solves the bordered system
     [T, -s; e_c^T, 0] [du; dlam] = -[r; u_c + depth], s = 1/(1+u)^2 the
     source, by block elimination: T [a b] = [r s] in one two-column
     solve, dlam = (a_c - u_c - depth) / b_c and du = b dlam - a.
@@ -204,10 +204,9 @@ def steady0(
         return du_dlam
 
     tol = max(tol, np.finfo(float).eps / h2)
-    state, lam, _ = damped_newton(
+    return damped_newton(
         residual, step, guess, lam, tol, _STEADY0_MAX_ITER, floor, "flat-limit Newton", depth
     )
-    return state if depth is None else (state, lam)
 
 
 @dataclass(frozen=True)
@@ -279,12 +278,10 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         counts["solves"] += 1
-        iters = counts["newton_iters"]
-        state, lam = steady0(lam, guess=guess, floor=_PULLIN_FLOOR, counts=counts, depth=d)
-        return BranchPoint(lam, state, state.min_gap, counts["newton_iters"] - iters)
+        return steady0(lam, guess=guess, floor=_PULLIN_FLOOR, counts=counts, depth=d)
 
     t0 = time.perf_counter()
-    origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(n_x)), 1.0, 0)
+    origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(n_x)), 0, 0.0)
     samples, fold = march_to_fold(
         at_depth, origin, math.inf, _PULLIN_FLOOR, "flat-limit pull-in", counts
     )

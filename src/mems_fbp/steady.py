@@ -137,10 +137,15 @@ _FOLD_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class BranchPoint:
+    """A steady state that ``damped_newton`` reached: the voltage ``lam``,
+    the ``state``, the Newton iterations it took and the max-norm
+    ``residual`` it stopped at (the border row of a depth solve included).
+    """
+
     lam: float
     state: MembraneState
-    min_gap: float
     newton_iters: int
+    residual: float
 
 
 @dataclass
@@ -186,21 +191,17 @@ def _source(u: MembraneState, eps: float, field: PotentialField) -> np.ndarray:
 
 
 def steady_residual(
-    u: MembraneState,
-    lam: float,
-    eps: float,
-    grid2d: Grid2D,
-    with_potential: bool = False,
-):
-    """Residual of the steady balance at the interior nodes.
+    u: MembraneState, lam: float, eps: float, grid2d: Grid2D
+) -> tuple[np.ndarray, PotentialField]:
+    """Residual of the steady balance at the interior nodes, and the
+    potential field it solved.
 
-    The second difference of ``u`` minus ``lam`` times the source of
-    ``_source``.  With ``with_potential`` returns (residual, potential
-    field), the field carrying its factored system for ``linearize``.
+    The residual is the second difference of ``u`` minus ``lam`` times the
+    source of ``_source``; the field carries its factored system for
+    ``linearize``.
     """
     field = solve_potential(u, eps, grid2d)
-    r = d2_central(u.u, u.grid)[1:-1] - lam * _source(u, eps, field)
-    return (r, field) if with_potential else r
+    return d2_central(u.u, u.grid)[1:-1] - lam * _source(u, eps, field), field
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,9 +340,9 @@ def damped_newton(
     floor: float,
     model: str,
     depth: float | None = None,
-) -> tuple[MembraneState, float, int]:
+) -> BranchPoint:
     """Damped Newton iteration for a steady state of either model; returns
-    (state, voltage, iterations used).
+    the ``BranchPoint`` it reached.
 
     The model supplies ``residual(u, lam)``, its residual at the interior
     deflections u and the voltage lam, and ``step(u, lam, r)``, the full
@@ -358,13 +359,14 @@ def damped_newton(
 
     Each step is halved up to eight times until the trial point keeps
     every 1 + entry above ``floor`` and lowers the max-norm residual.
-    Returns at the first iterate with max-norm residual <= ``tol``, its
-    state at the time of ``guess``.  Raises DegenerateGeometryError when
-    the guess, or every trial point of a line search, lies at or below the
-    floor, and NoSteadyStateError when a line search stalls or
-    ``max_iter`` steps do not reach ``tol``.  Every error message opens
-    with ``model`` and the voltage or depth ("Newton at lambda=0.1"), and
-    so does that of a NoSteadyStateError raised by ``step``.
+    Returns at the first iterate with max-norm residual <= ``tol``: its
+    voltage, its state at the time of ``guess``, the steps taken and that
+    residual.  Raises DegenerateGeometryError when the guess, or every
+    trial point of a line search, lies at or below the floor, and
+    NoSteadyStateError when a line search stalls or ``max_iter`` steps do
+    not reach ``tol``.  Every error message opens with ``model`` and the
+    voltage or depth ("Newton at lambda=0.1"), and so does that of a
+    NoSteadyStateError raised by ``step``.
     """
     grid = guess.grid
     n = grid.n_nodes - 2
@@ -397,7 +399,7 @@ def damped_newton(
         if rnorm <= tol:
             full = np.zeros(n + 2)
             full[1:-1] = z[:n]
-            return MembraneState(grid, full, guess.time), float(lam_of(z)), it
+            return BranchPoint(float(lam_of(z)), MembraneState(grid, full, guess.time), it, rnorm)
         if it == max_iter:
             break
         try:
@@ -435,10 +437,9 @@ def _newton(
     floor: float,
     counts: Counter,
     depth: float | None = None,
-) -> tuple[MembraneState, float, int]:
+) -> BranchPoint:
     """``damped_newton`` on the full model, at the fixed voltage ``lam`` or,
-    with ``depth``, at that centre depth; returns (state, voltage,
-    iterations used).
+    with ``depth``, at that centre depth; returns the point it reached.
 
     Each step linearizes once (``linearize``, counted in
     ``counts["jacobians"]``) and solves by ``gmres`` on the products,
@@ -469,7 +470,7 @@ def _newton(
         return MembraneState(grid, full, guess.time)
 
     def residual(u: np.ndarray, lam: float) -> np.ndarray:
-        r, field = steady_residual(state_of(u), lam, eps, grid2d, with_potential=True)
+        r, field = steady_residual(state_of(u), lam, eps, grid2d)
         counts["folded_solves" if field.folded else "full_solves"] += 1
         latest["field"] = field
         return r
@@ -510,10 +511,11 @@ def solve_steady(
     grid2d: Grid2D,
     floor: float = 0.05,
     counts: Counter | None = None,
-) -> MembraneState:
+) -> BranchPoint:
     """Steady deflection at the given voltage parameter, seeded from ``guess``,
     to a max-norm residual of ``_NEWTON_TOL`` in at most ``_STEADY_MAX_ITER``
-    Newton iterations.
+    Newton iterations; returns the ``BranchPoint`` reached, whose
+    ``residual`` is the max-norm residual of its state.
 
     When ``counts`` is given, the Newton iterations of a converged solve
     are added to ``counts["newton_iters"]``, every linearization (one per
@@ -527,9 +529,9 @@ def solve_steady(
         raise ValueError("lambda must be nonnegative")
     counts = Counter() if counts is None else counts
     counts.update(newton_iters=0, jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
-    state, _, iters = _newton(lam, eps, guess, grid2d, _STEADY_MAX_ITER, floor, counts)
-    counts["newton_iters"] += iters
-    return state
+    point = _newton(lam, eps, guess, grid2d, _STEADY_MAX_ITER, floor, counts)
+    counts["newton_iters"] += point.newton_iters
+    return point
 
 
 def _lagrange_weights(nodes, x: float) -> list[float]:
@@ -693,13 +695,14 @@ def continue_branch(
     counts = Counter(jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
-        state, lam, iters = _newton(
-            lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts, depth=d
+        pt = _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts, depth=d)
+        log.debug(
+            "eps=%g: depth %.8g at lambda=%.12g, %d Newton iterations",
+            eps, d, pt.lam, pt.newton_iters,
         )
-        log.debug("eps=%g: depth %.8g at lambda=%.12g, %d Newton iterations", eps, d, lam, iters)
-        return BranchPoint(lam, state, state.min_gap, iters)
+        return pt
 
-    origin = BranchPoint(0.0, MembraneState.zero(grid), 1.0, 0)
+    origin = BranchPoint(0.0, MembraneState.zero(grid), 0, 0.0)
     samples, fold = march_to_fold(at_depth, origin, lambda_max, floor, f"eps={eps:g}", counts)
 
     def point_at(lam: float, segment: int) -> BranchPoint:
@@ -719,11 +722,10 @@ def continue_branch(
         w = _lagrange_weights(nodes, 0.5 * (lo + hi))
         guess = MembraneState(grid, sum(wk * pt.state.u for wk, (_, pt) in zip(w, window)))
         try:
-            state, _, iters = _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts)
+            return _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts)
         except _DEPTH_SOLVE_ERRORS as exc:
             exc.args = (f"eps={eps:g}: branch point at lambda={lam:.12g} failed: {exc}",)
             raise
-        return BranchPoint(lam, state, state.min_gap, iters)
 
     points = [samples[0][1]]
     k = 1

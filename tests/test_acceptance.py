@@ -42,7 +42,7 @@ def steady_and_evolution():
     grid = Grid1D.uniform(64)
     grid2d = Grid2D.uniform(64, 32)
     t0 = time.perf_counter()
-    u_star = steady.solve_steady(0.2, 0.1, MembraneState.zero(grid), grid2d=grid2d)
+    u_star = steady.solve_steady(0.2, 0.1, MembraneState.zero(grid), grid2d=grid2d).state
     p = ModelParams(eps=0.1, lam=0.2, dt=2e-3, equilibrium_tol=1e-8, max_time=30.0)
     traj = run(MembraneState.zero(grid), p, grid2d, thin_every=1000)
     elapsed = time.perf_counter() - t0
@@ -180,7 +180,7 @@ def test_c09_trace_inequality(branch_eps01_n128):
     violations = []
     for n in (32, 64):
         g2 = Grid2D.uniform(n, n)
-        u = steady.solve_steady(lam_ref, 0.1, MembraneState.zero(g2.gx), grid2d=g2)
+        u = steady.solve_steady(lam_ref, 0.1, MembraneState.zero(g2.gx), grid2d=g2).state
         violations.append(max(0.0, 1.0 - steady.trace_lower_bound_check(u, 0.1, g2)))
     point = next(pt for pt in branch.points if abs(pt.lam - lam_ref) < 1e-12)
     violations.append(max(0.0, 1.0 - steady.trace_lower_bound_check(point.state, 0.1, grid2d)))

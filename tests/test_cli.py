@@ -28,6 +28,8 @@ from mems_fbp.errors import (
     NonConvergenceError,
     SingularSystemError,
 )
+from mems_fbp.numerics import Grid1D, Grid2D
+from mems_fbp.transform import MembraneState
 
 
 # JSON key -> (field name, declared type, kinds that read it) of every config key
@@ -169,6 +171,38 @@ class TestParseConfig:
         path.write_text('{\n  "kind": "evolve",\n  oops\n}')
         with pytest.raises(ConfigError, match="line 3"):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b'{"kind": "evolve", "out_dir": "caf\xe9"}', "cannot read config: 'utf-8' codec"),
+            (b'{"kind": "evolve", "n_x": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
+            (b'{"kind": "evolve", "eps_list": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+             "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf8", "int-of-5000-digits", "nested-100000-deep"],
+    )
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+        assert main([str(path), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("mems-fbp: ERROR[config] ") and message in err
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_unusable_output_directory_exit_code(self, tmp_path, capsys, under, flag):
+        # out_dir or --out names an existing file, or a path under one
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        out = str(blocker / under) if under else str(blocker)
+        path = write_config(tmp_path, kind="pullin", n_x=8, **({} if flag else {"out_dir": out}))
+        assert main([str(path), "--quiet"] + (["--out", out] if flag else [])) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"mems-fbp: ERROR[config] cannot make output directory {out!r}: ")
+        assert blocker.read_text() == "not a directory"
 
     def test_grid_floor(self, tmp_path):
         path = write_config(tmp_path, kind="evolve", n_x=4)
@@ -467,6 +501,47 @@ class TestOtherKinds:
         assert residuals >= len(jacobians) + 1
         assert len(jacobians) > 0
         assert len(jacobians) <= krylov <= 15 * len(jacobians)
+
+    @pytest.mark.parametrize("start", ["parabola", "uneven-csv"])
+    def test_steady_reports_the_residual_newton_stopped_at(self, tmp_path, monkeypatch, start):
+        # residual_inf is the residual of the last Newton iterate, as a
+        # recomputation gives it, and the run solves no potential besides
+        # the residual evaluations that its diagnostics count
+        from mems_fbp import steady
+
+        if start == "parabola":
+            initial_condition = {"parabola": 0.1}
+        else:
+            x = np.linspace(-1, 1, 17)
+            ic_path = tmp_path / "ic.csv"
+            ic_path.write_text(
+                "\n".join(repr(float(v)) for v in -0.1 * (1 - x * x) * (1 + 0.3 * x))
+            )
+            initial_condition = {"csv": str(ic_path)}
+        solves = []
+        solve = steady.solve_potential
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(steady, "solve_potential", counted)
+        lam, eps, n_x, n_eta = 0.3, 0.5, 16, 8
+        path = write_config(
+            tmp_path, kind="steady", **{"lambda": lam}, eps=eps, n_x=n_x, n_eta=n_eta,
+            initial_condition=initial_condition, out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_OK
+        meta = json.loads((tmp_path / "out" / "steady.json").read_text())
+        diagnostics = meta["diagnostics"]
+        assert len(solves) == diagnostics["folded_solves"] + diagnostics["full_solves"]
+        assert (diagnostics["full_solves"] > 0) == (start == "uneven-csv")
+
+        u = np.loadtxt(tmp_path / "out" / "profile.csv", delimiter=",", skiprows=1)[:, 1]
+        state = MembraneState(Grid1D.uniform(n_x), u)
+        r = steady.steady_residual(state, lam, eps, Grid2D.uniform(n_x, n_eta))[0]
+        assert meta["residual_inf"] == float(np.max(np.abs(r)))
+        assert 0.0 < meta["residual_inf"] <= 1e-10
 
     def test_steady_gmres_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         from mems_fbp import steady

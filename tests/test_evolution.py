@@ -164,7 +164,7 @@ class TestRun:
 
     def test_equilibrium_consistency(self, settled, grid2d):
         p, traj = settled
-        res = steady_residual(traj.final, p.lam, p.eps, grid2d)
+        res = steady_residual(traj.final, p.lam, p.eps, grid2d)[0]
         assert np.max(np.abs(res)) <= 100.0 * p.equilibrium_tol
 
     def test_exponential_approach(self, settled):

@@ -127,3 +127,75 @@ def test_no_np_append(name):
         and any(alias.name == "append" for alias in node.names)
     ]
     assert appends == []
+
+
+# Optional parameters that no call in the package sets, each with why it stays.
+UNSET_DEFAULTS = {
+    ("cli", "main", "argv"): "the console entry point calls main() without arguments",
+    ("errors", "SolverError.__init__", "residual"): "set through its subclasses' constructors",
+    ("small_aspect", "steady0", "tol"): "set by tests only: test_residual_contract solves tighter",
+    ("small_aspect", "steady0", "n_x"): "set by tests only",
+    ("transform", "random_admissible_state", "min_gap"): "set by tests only",
+    ("transform", "MembraneState.zero", "time"): "set by tests only",
+}
+
+
+def calls_by_name(trees):
+    """Callee name -> (positional argument counts, keyword names) over every
+    call in ``trees``; a ``*args`` or ``**kwargs`` splat counts as setting
+    every positional or keyword parameter."""
+    seen = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            positional, keywords = seen.setdefault(name, (set(), set()))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positional.add(float("inf") if starred else len(node.args))
+            keywords.update(k.arg or "**" for k in node.keywords)
+    return seen
+
+
+def optional_parameters(tree):
+    """(qualified name, callee name, parameter, positional index or None) of
+    every parameter with a default of every function in ``tree``; the
+    callee name of ``__init__`` is its class, and a method's index skips
+    ``self`` or ``cls``."""
+
+    def visit(body, prefix, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                skip = 1 if cls else 0
+                listed = args.posonlyargs + args.args
+                callee = cls if node.name == "__init__" else node.name
+                first = len(listed) - len(args.defaults)
+                for index, arg in enumerate(listed[first:], first - skip):
+                    yield f"{prefix}{node.name}", callee, arg.arg, index
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield f"{prefix}{node.name}", callee, arg.arg, None
+                yield from visit(node.body, f"{prefix}{node.name}.", None)
+
+    yield from visit(tree.body, "", None)
+
+
+def test_every_default_is_overridden():
+    """An optional parameter of a package function is set by some call in
+    the package, by keyword or by position; one that only tests set is
+    deleted, unless ``UNSET_DEFAULTS`` gives the reason it stays, and every
+    entry there is still such a parameter.  Calls are matched by the
+    callee's name alone."""
+    calls = calls_by_name(parse(m) for m in MODULES)
+    unset = set()
+    for name in MODULES:
+        for qualified, callee, param, index in optional_parameters(parse(name)):
+            positional, keywords = calls.get(callee, (set(), set()))
+            by_position = index is not None and any(n > index for n in positional)
+            if not (by_position or param in keywords or "**" in keywords):
+                unset.add((name.rpartition(".")[2], qualified, param))
+    assert unset == set(UNSET_DEFAULTS)

@@ -19,7 +19,7 @@ from mems_fbp.small_aspect import (
     shooting_pullin,
     steady0,
 )
-from mems_fbp.steady import damped_newton
+from mems_fbp.steady import BranchPoint, damped_newton
 from mems_fbp.transform import MembraneState
 
 
@@ -88,11 +88,11 @@ class TestFlatLimitRun:
 
 class TestFlatSteady:
     def test_zero_voltage(self):
-        u = steady0(0.0, n_x=64)
+        u = steady0(0.0, n_x=64).state
         assert np.max(np.abs(u.u)) <= 1e-12
 
     def test_matches_long_time_run(self, grid):
-        u_star = steady0(0.3, n_x=32)
+        u_star = steady0(0.3, n_x=32).state
         p = ModelParams(eps=1.0, lam=0.3, dt=1e-3, equilibrium_tol=1e-9, max_time=40.0)
         traj = run0(MembraneState.zero(grid), p)
         assert np.max(np.abs(u_star.u - traj.final.u)) <= 1e-8
@@ -139,16 +139,13 @@ class TestFlatSteady:
         assert np.array_equal(model["step"](u, lam, r), step(u, lam, r))
 
         tol = max(1e-10, np.finfo(float).eps / h2)
-        want, lam_want, _ = damped_newton(
-            residual, step, guess, 0.3, tol, 50, 0.05, "reference", depth
-        )
+        want = damped_newton(residual, step, guess, 0.3, tol, 50, 0.05, "reference", depth)
         if depth is not None:
-            got, lam_got = got
-            assert lam_got == lam_want
-        assert np.array_equal(got.u, want.u)
+            assert got.lam == want.lam
+        assert np.array_equal(got.state.u, want.state.u)
 
     def test_residual_contract(self):
-        u = steady0(0.25, tol=1e-11, n_x=64)
+        u = steady0(0.25, tol=1e-11, n_x=64).state
         h2 = u.grid.h**2
         d2 = (u.u[2:] - 2 * u.u[1:-1] + u.u[:-2]) / h2
         res = d2 - 0.25 / (1.0 + u.u[1:-1]) ** 2
@@ -161,10 +158,11 @@ class TestFlatSteady:
     def test_depth_mode_matches_fixed_voltage(self):
         # with the centre depth held, the voltage is found; solving at that
         # voltage returns the same state
-        state, lam = steady0(0.3, n_x=64, depth=0.2)
+        point = steady0(0.3, n_x=64, depth=0.2)
+        state, lam = point.state, point.lam
         assert state.u[32] == pytest.approx(-0.2, abs=1e-14)
         assert 0.0 < lam < FLAT_PULLIN
-        fixed = steady0(lam, n_x=64, guess=state)
+        fixed = steady0(lam, n_x=64, guess=state).state
         assert np.max(np.abs(fixed.u - state.u)) <= 1e-10
 
 
@@ -206,7 +204,9 @@ class TestPullin:
         # a branch whose voltage rises up to the touchdown floor has no fold
         # to locate; the error names the phase and where the march ended
         monkeypatch.setattr(
-            small_aspect, "steady0", lambda lam, guess=None, depth=None, **kw: (guess, depth)
+            small_aspect,
+            "steady0",
+            lambda lam, guess=None, depth=None, **kw: BranchPoint(depth, guess, 0, 0.0),
         )
         with pytest.raises(NonConvergenceError, match="pull-in search.*depth=0.9, lambda=0.9"):
             pullin0_detail(1e-3, n_x=32)

@@ -36,23 +36,23 @@ def grid2d(grid):
 
 @pytest.fixture(scope="module")
 def steady_01(grid, grid2d):
-    return solve_steady(0.1, 0.1, MembraneState.zero(grid), grid2d=grid2d)
+    return solve_steady(0.1, 0.1, MembraneState.zero(grid), grid2d=grid2d).state
 
 
 class TestResidual:
     def test_zero_state_zero_voltage(self, grid, grid2d):
-        r = steady_residual(MembraneState.zero(grid), 0.0, 0.1, grid2d)
+        r = steady_residual(MembraneState.zero(grid), 0.0, 0.1, grid2d)[0]
         assert np.max(np.abs(r)) <= 1e-12
 
     def test_zero_state_unit_voltage(self, grid, grid2d):
-        r = steady_residual(MembraneState.zero(grid), 1.0, 0.1, grid2d)
+        r = steady_residual(MembraneState.zero(grid), 1.0, 0.1, grid2d)[0]
         assert np.max(np.abs(r + 1.0)) <= 1e-10
 
     def test_evolution_endpoint_nearly_steady(self, grid, grid2d):
         p = ModelParams(eps=0.1, lam=0.2, dt=2e-3, equilibrium_tol=1e-8, max_time=30.0)
         traj = run(MembraneState.zero(grid), p, grid2d, thin_every=500)
         assert traj.outcome == "converged"
-        r = steady_residual(traj.final, 0.2, 0.1, grid2d)
+        r = steady_residual(traj.final, 0.2, 0.1, grid2d)[0]
         assert np.max(np.abs(r)) <= 1e-6
 
 
@@ -63,8 +63,8 @@ def central_difference_jacobian(u, lam, eps, grid2d, step=1e-6):
     for j in range(n_int):
         e = np.zeros(u.grid.n_nodes)
         e[j + 1] = step
-        plus = steady_residual(MembraneState(u.grid, u.u + e), lam, eps, grid2d)
-        minus = steady_residual(MembraneState(u.grid, u.u - e), lam, eps, grid2d)
+        plus = steady_residual(MembraneState(u.grid, u.u + e), lam, eps, grid2d)[0]
+        minus = steady_residual(MembraneState(u.grid, u.u - e), lam, eps, grid2d)[0]
         jac[:, j] = (plus - minus) / (2.0 * step)
     return jac
 
@@ -72,7 +72,7 @@ def central_difference_jacobian(u, lam, eps, grid2d, step=1e-6):
 def linearize_at(u, lam, eps, grid2d, bordered=False):
     """``linearize`` about ``u`` with the potential that ``steady_residual``
     returns there, as the Newton step takes it."""
-    field = steady_residual(u, lam, eps, grid2d, with_potential=True)[1]
+    field = steady_residual(u, lam, eps, grid2d)[1]
     return linearize(u, lam, eps, grid2d, field, bordered=bordered)
 
 
@@ -147,7 +147,7 @@ def directional_difference(u, lam, eps, grid2d, v, mu=None, step=1e-6):
         full[1:-1] += sign * step * v
         r = steady_residual(
             MembraneState(u.grid, full), lam + sign * step * (mu or 0.0), eps, grid2d
-        )
+        )[0]
         return r if mu is None else np.append(r, full[full.size // 2])
 
     return (at(1.0) - at(-1.0)) / (2.0 * step)
@@ -288,7 +288,7 @@ class TestSolveSteady:
         from mems_fbp.transform import random_admissible_state
 
         guess = random_admissible_state(grid, rng)
-        u = solve_steady(0.0, 0.1, guess, grid2d=grid2d)
+        u = solve_steady(0.0, 0.1, guess, grid2d=grid2d).state
         assert np.max(np.abs(u.u)) <= 1e-12
 
     def test_small_voltage_properties(self, steady_01):
@@ -298,7 +298,7 @@ class TestSolveSteady:
         assert np.max(np.abs(u - u[::-1])) <= 1e-10
 
     def test_residual_certified(self, steady_01, grid2d):
-        r = steady_residual(steady_01, 0.1, 0.1, grid2d)
+        r = steady_residual(steady_01, 0.1, 0.1, grid2d)[0]
         assert np.max(np.abs(r)) <= 1e-10
 
     def test_matches_long_time_evolution(self, grid, grid2d, steady_01):
@@ -346,11 +346,11 @@ class TestSolveSteady:
         near = elliptic.is_even(guess)
         assert near == (nudge < 1e-14) and np.any(guess.u != guess.u[::-1])
         folded, full = Counter(), Counter()
-        u = solve_steady(lam, eps, guess, grid2d, counts=folded)
+        u = solve_steady(lam, eps, guess, grid2d, counts=folded).state
         with monkeypatch.context() as m:
             m.setattr(steady, "is_even", lambda v: False)
             m.setattr(elliptic, "is_even", lambda v: False)
-            ref = solve_steady(lam, eps, guess, grid2d, counts=full)
+            ref = solve_steady(lam, eps, guess, grid2d, counts=full).state
         assert folded["folded_solves"] > 0 and (folded["full_solves"] == 0) == near
         for key in ("newton_iters", "jacobians", "krylov_iters"):
             assert folded[key] == full[key], key
@@ -367,10 +367,10 @@ class TestContinuation:
             assert np.max(np.abs(lams - dlambda0 * np.arange(lams.size))) <= 1e-12
             assert lams[-1] == lambda_max
             assert branch.fold_estimate is None and branch.fold_interval is None
-            gaps = [pt.min_gap for pt in branch.points]
+            gaps = [pt.state.min_gap for pt in branch.points]
             assert all(b <= a for a, b in zip(gaps, gaps[1:]))
             for pt in branch.points[1:]:
-                r = steady_residual(pt.state, pt.lam, 0.1, grid2d)
+                r = steady_residual(pt.state, pt.lam, 0.1, grid2d)[0]
                 assert np.max(np.abs(r)) <= 1e-10
                 assert np.max(pt.state.u) <= 1e-12
                 assert np.max(np.abs(pt.state.u - pt.state.u[::-1])) <= 1e-10
@@ -461,9 +461,9 @@ class TestContinuation:
         with monkeypatch.context() as m:
             m.setattr(elliptic, "is_even", lambda v: False)
             jac = dense_jacobian(fold.state, fold.lam, eps, grid2d)
-        source = steady_residual(fold.state, 0.0, eps, grid2d) - steady_residual(
+        source = steady_residual(fold.state, 0.0, eps, grid2d)[0] - steady_residual(
             fold.state, 1.0, eps, grid2d
-        )
+        )[0]
         m = jac.shape[0]
         bordered = np.zeros((m + 1, m + 1))
         bordered[:m, :m] = jac
@@ -502,9 +502,9 @@ def march_voltage(voltage):
     by a PDE-free depth solve; returns (fold, fold-search solves)."""
 
     def solve(d, lam, guess):
-        return BranchPoint(voltage(d), guess, 1.0 - d, 0)
+        return BranchPoint(voltage(d), guess, 0, 0.0)
 
-    origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(4)), 1.0, 0)
+    origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(4)), 0, 0.0)
     counts = Counter()
     samples, fold = march_to_fold(solve, origin, np.inf, 0.05, "test", counts)
     assert counts["rejected_steps"] == 0 and samples[-1] == fold
@@ -607,7 +607,7 @@ class TestTraceLowerBound:
         violations = []
         for n in (16, 32, 64):
             g2 = Grid2D.uniform(n, n)
-            u = solve_steady(0.2, 0.1, MembraneState.zero(g2.gx), grid2d=g2)
+            u = solve_steady(0.2, 0.1, MembraneState.zero(g2.gx), grid2d=g2).state
             violations.append(max(0.0, 1.0 - trace_lower_bound_check(u, 0.1, g2)))
         # the discrete trace stays at or above 1; any violation must shrink
         # by roughly the discretization order under doubling
