@@ -326,6 +326,16 @@ def _branch_rows(branch):
 
 def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
     eps_values = cfg.eps_list
+    tags = ["" if len(eps_values) == 1 else f"_eps{_fmt(eps)}" for eps in eps_values]
+    if cfg.dump_profiles:
+        # made before any branch is computed: a file in the way is a config error
+        for tag in tags:
+            prof_dir = out / f"profiles{tag}"
+            try:
+                prof_dir.mkdir(exist_ok=True)
+            except OSError as exc:
+                message = f"cannot make profile directory {str(prof_dir)!r}: {exc}"
+                return _fail("config", message, EXIT_CONFIG)
 
     def one(eps):
         return steady.continue_branch(
@@ -346,19 +356,16 @@ def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
         branches = [one(eps) for eps in eps_values]
 
     meta = {}
-    for eps, branch in zip(eps_values, branches):
-        tag = "" if len(eps_values) == 1 else f"_eps{_fmt(eps)}"
+    for eps, tag, branch in zip(eps_values, tags, branches):
         _write_csv(
             out / f"branch{tag}.csv",
             ["lambda", "min_gap", "max_deflection", "newton_iters"],
             _branch_rows(branch),
         )
         if cfg.dump_profiles:
-            prof_dir = out / f"profiles{tag}"
-            prof_dir.mkdir(exist_ok=True)
             for idx, pt in enumerate(branch.points):
                 _write_csv(
-                    prof_dir / f"point_{idx:03d}.csv",
+                    out / f"profiles{tag}" / f"point_{idx:03d}.csv",
                     ["x", "u"],
                     zip(pt.state.grid.nodes, pt.state.u),
                 )
@@ -494,8 +501,10 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> int:
     Progress goes to the ``mems_fbp`` logger at INFO, which ``quiet``
     silences for the length of the run.  An output directory that cannot
     be made (``out_dir`` names a file, or a path under one) returns
-    ``EXIT_CONFIG``.  A ``SolverError`` is reported under its class name
-    and returns ``EXIT_SOLVER``; any other exception propagates.
+    ``EXIT_CONFIG``, and so does a continuation's profile directory that
+    cannot be made, before any branch is computed.  A ``SolverError`` is
+    reported under its class name and returns ``EXIT_SOLVER``; any other
+    exception propagates.
     """
     out = Path(cfg.out_dir)
     try:

@@ -6,7 +6,9 @@ This module solves that model and measures how the full solver
 approaches it as the aspect ratio shrinks.  Its steady solve supplies
 only the residual and a tridiagonal Newton step to the Newton loop
 ``steady.damped_newton``, and its pull-in search marches the branch
-with ``steady.march_to_fold``, both shared with the full model.
+with ``steady.march_to_fold``, both shared with the full model.  A
+converged depth solve's tangent (du/dd, dlambda/dd) is one more
+tridiagonal step, which seeds the march and steers its fold search.
 """
 
 from __future__ import annotations
@@ -54,10 +56,11 @@ _PULLIN_FLOOR = 0.05
 # n_x = 8192, which moves its voltage by at most that times the 1-norm of
 # the voltage row of the inverse bordered Jacobian: 0.459 at the fold for
 # every n_x from 32 to 8192, so 1.7e-9.  At the fold the voltage is
-# quadratic in the depth, |lambda''| = 3.61, and the fold search of
-# ``march_to_fold`` ends within 2e-6 of the fold, which adds at most
-# 1/2 |lambda''| (2e-6)^2 = 7.2e-12.  1e-8 leaves a factor of about 6 over
-# their sum at n_x = 8192, and of about 190 below n_x = 1343.
+# quadratic in the depth, |lambda''| = 3.61, and the Hermite fold search
+# of ``march_to_fold`` returns a sample within 2 ``steady._FOLD_XATOL`` =
+# 2e-6 of the fold, which adds at most 1/2 |lambda''| (2e-6)^2 = 7.2e-12.
+# 1e-8 leaves a factor of about 6 over their sum at n_x = 8192, and of
+# about 190 below n_x = 1343.
 _PULLIN_TOL = 1e-8
 
 # Discretization allowance of the pull-in cross-check, per h^2.  The fold
@@ -139,7 +142,6 @@ def steady0(
     n_x: int = 512,
     guess: MembraneState | None = None,
     floor: float = 0.05,
-    counts: Counter | None = None,
     depth: float | None = None,
 ) -> BranchPoint:
     """Newton solve of the flat-limit steady problem by ``steady.damped_newton``,
@@ -148,8 +150,7 @@ def steady0(
     ``BranchPoint`` it reached.
 
     The Jacobian T is tridiagonal (diffusion stencil plus a diagonal from
-    the source), so each iteration is one tridiagonal solve, counted in
-    ``counts["newton_iters"]`` when ``counts`` is given.  ``tol`` is
+    the source), so each iteration is one tridiagonal solve.  ``tol`` is
     raised to eps/h^2, the roundoff of the second difference of a
     deflection below 1 in size: near the fold Newton stalls at up to
     half of it, which is above 1e-10 from n_x = 2048 on.
@@ -159,7 +160,9 @@ def steady0(
     seeded by ``lam``.  Each step then solves the bordered system
     [T, -s; e_c^T, 0] [du; dlam] = -[r; u_c + depth], s = 1/(1+u)^2 the
     source, by block elimination: T [a b] = [r s] in one two-column
-    solve, dlam = (a_c - u_c - depth) / b_c and du = b dlam - a.
+    solve, dlam = (a_c - u_c - depth) / b_c and du = b dlam - a.  The
+    tangent of a converged depth solve is that step with r = 0 and a unit
+    border row, one more tridiagonal solve.
 
     A step reuses 1+u and (1+u)^2 of the residual evaluation at its point,
     the latest one (``damped_newton`` steps from there), and fills
@@ -189,8 +192,6 @@ def steady0(
         return r
 
     def step(u, lam, r):
-        if counts is not None:
-            counts["newton_iters"] += 1
         diag = -2.0 / h2 + 2.0 * lam / latest["w"] ** 3
         if depth is None:
             return solve_tridiagonal(off, diag, off, -r)
@@ -217,9 +218,10 @@ class PullinResult:
 
     ``diagnostics`` holds the flat-limit depth ``solves`` (of which
     ``failed_solves`` were rejected depth steps and ``fold_solves`` made
-    by the fold search), their ``newton_iters``, and the seconds
-    ``search_s`` spent in the depth search and ``check_s`` in the
-    cross-check."""
+    by the fold search), the Newton steps of the converged ones under
+    ``newton_iters`` and their tangents under ``tangent_solves``, one
+    tridiagonal solve each, and the seconds ``search_s`` spent in the
+    depth search and ``check_s`` in the cross-check."""
 
     lambda_star: float
     bracket: tuple[float, float]
@@ -267,8 +269,8 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
 
     The discrete branch is marched in the centre depth from the flat
     membrane by ``steady.march_to_fold`` with ``steady0`` as the depth
-    solve, and its fold, located to ``_PULLIN_TOL``, is the pull-in
-    voltage; ``tol_lambda`` sets only the cross-check.  A march that
+    solve, tangent included, and its fold, located to ``_PULLIN_TOL``,
+    is the pull-in voltage; ``tol_lambda`` sets only the cross-check.  A march that
     reaches the touchdown floor without passing a fold raises
     NonConvergenceError.
     """
@@ -278,12 +280,14 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         counts["solves"] += 1
-        return steady0(lam, guess=guess, floor=_PULLIN_FLOOR, counts=counts, depth=d)
+        point = steady0(lam, guess=guess, floor=_PULLIN_FLOOR, depth=d)
+        counts["newton_iters"] += point.newton_iters
+        return point
 
     t0 = time.perf_counter()
-    origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(n_x)), 0, 0.0)
+    flat = MembraneState.zero(Grid1D.uniform(n_x))
     samples, fold = march_to_fold(
-        at_depth, origin, math.inf, _PULLIN_FLOOR, "flat-limit pull-in", counts
+        at_depth, flat, math.inf, _PULLIN_FLOOR, "flat-limit pull-in", counts
     )
     counts["failed_solves"] = counts.pop("rejected_steps")
     if fold is None:
@@ -297,7 +301,7 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
     t1 = time.perf_counter()
     counts["search_s"] = t1 - t0
     shooting_value = shooting_pullin(tol_lambda / 10.0)
-    h = origin.state.grid.h
+    h = flat.grid.h
     bound = 2.0 * tol_lambda + _PULLIN_H2_ALLOWANCE * h * h
     if abs(lam_star - shooting_value) > bound:
         raise NonConvergenceError(

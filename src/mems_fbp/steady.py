@@ -7,6 +7,12 @@ unknowns (the interior deflections, and the voltage when the centre depth
 is held), the border row of a depth solve, the labels and the failure
 exits; a model supplies only its residual and its Newton step.
 ``march_to_fold`` likewise traces either model's branch to its fold.
+A converged depth solve makes one more step with its last Jacobian,
+whose solution is the branch tangent (du/dd, dlambda/dd) (Keller's
+predictor-corrector continuation); the march seeds each depth from the
+cubic Hermite interpolant of the last two samples and their tangents,
+and locates the fold, where dlambda/dd vanishes, on the Hermite cubic of
+the voltage.
 
 The full model's steady equation balances the linearized curvature term
 against the electrostatic source.  Its Newton step solves by GMRES on the
@@ -35,6 +41,7 @@ even part of its residual, the part that such steps can reduce.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -80,19 +87,28 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Step of the centre depth along the branch march.
-_DEPTH_STEP = 0.05
+# Step of the centre depth along the branch march.  Seeded by the Hermite
+# interpolant of the last two samples, a depth solve at this step is
+# rejected on none of the n = 8-64, eps = 0.1-3 branches nor in the flat
+# limit, and none takes more than 5 Newton steps.
+_DEPTH_STEP = 0.1
 
-# Depth resolution of the fold search.  It stops once the vertex of the
-# parabola through its three samples lies within this of the top sample
-# and (b - a)(c - b) < this for the sample depths a < b < c.  The vertex
-# is off the fold by about |lambda'''/(6 lambda'')| (b - a)(c - b), and
-# that ratio is 0.37 in the flat limit and at most about 1 at the eps = 0.1
-# and 1 folds, so the top sample is then within 2e-6 of the fold.
+# Depth resolution of the fold search.  Its estimates d_k are the maxima
+# of the Hermite cubic of the voltage on the bracket, and it returns the
+# sample solved at d_k once |d_{k+1} - d_k| < this.  The cubic matches the
+# voltage and its slope at both bracket ends, so when one end lies at
+# d_k, |d_k - d*| from the fold d*, the cubic's slope at d* errs by about
+# |lambda''''| w^2 |d_k - d*| / 12 over a bracket of width w, and d_{k+1}
+# by that over |lambda''|: |d_{k+1} - d*| <= rho |d_k - d*|, with rho at
+# most 0.012 measured on the flat-limit and the n = 8-64, eps = 0.1-3
+# branches (w <= 0.1).  So |d_k - d*| <= |d_k - d_{k+1}| + rho |d_k - d*|
+# < _FOLD_XATOL / (1 - rho), and the returned sample lies within
+# 2 _FOLD_XATOL of the fold, where its slope |dlambda/dd| is at most
+# 2 |lambda''| _FOLD_XATOL (|lambda''| = 3.0-6.9 at those folds).
 _FOLD_XATOL = 1e-6
 
-# Solves allowed in one fold search; 5 reach ``_FOLD_XATOL`` on the
-# discrete branches and on the closed-form flat-limit branch.
+# Solves allowed in one fold search; 3 or fewer reach ``_FOLD_XATOL`` on
+# the n = 8-64, eps = 0.1-3 branches and 2 in the flat limit.
 _FOLD_MAX_SOLVES = 30
 
 # What a depth or fixed-voltage solve raises when it finds no branch point.
@@ -121,7 +137,7 @@ _BRANCH_MAX_ITER = 15
 _STEADY_MAX_ITER = 50
 
 # Halvings of the depth segment in which ``continue_branch`` locates the
-# seed of a fixed-voltage point: a width of 0.05 / 2^40 = 5e-14.
+# seed of a fixed-voltage point: a width of 0.1 / 2^40 = 9e-14.
 _SEED_BISECTIONS = 40
 
 # Half-width of the reported fold interval.  A depth solve stops at a
@@ -129,9 +145,10 @@ _SEED_BISECTIONS = 40
 # by at most that times the 1-norm of the voltage row of the inverse
 # bordered Jacobian: 0.40-0.46 at the eps = 0.1 and 1 folds on the 8x8 to
 # 128x128 grids, so 5e-11.  At the fold the voltage is quadratic in the
-# depth, |lambda''| at most 3.6, so the fold search, within 2 ``_FOLD_XATOL``
-# of the fold, adds at most 1/2 |lambda''| (2e-6)^2 = 7e-12.  1e-8 leaves a
-# factor of about 175 over their sum for other grids and aspect ratios.
+# depth, |lambda''| at most 6.9 on the n = 8-64, eps = 0.1-3 branches, so
+# the Hermite fold search, within 2 ``_FOLD_XATOL`` of the fold, adds at
+# most 1/2 |lambda''| (2e-6)^2 = 1.4e-11.  1e-8 leaves a factor of about
+# 150 over their sum for other grids and aspect ratios.
 _FOLD_TOL = 1e-8
 
 
@@ -140,12 +157,25 @@ class BranchPoint:
     """A steady state that ``damped_newton`` reached: the voltage ``lam``,
     the ``state``, the Newton iterations it took and the max-norm
     ``residual`` it stopped at (the border row of a depth solve included).
+
+    A depth solve also gives the branch ``tangent`` there, the derivative
+    by the centre depth d of (the interior deflections, the voltage): its
+    entry at the held centre node is -1 and its last entry is dlambda/dd,
+    the ``slope``.  At a fold the slope vanishes and the deflection part
+    spans the null space of the Jacobian.  A point solved at a fixed
+    voltage has no tangent.
     """
 
     lam: float
     state: MembraneState
     newton_iters: int
     residual: float
+    tangent: np.ndarray | None = None
+
+    @property
+    def slope(self) -> float:
+        """dlambda/dd, the last entry of the ``tangent``."""
+        return float(self.tangent[-1])
 
 
 @dataclass
@@ -160,10 +190,11 @@ class SteadyBranch:
 
     ``diagnostics`` counts what tracing the branch cost: under
     ``newton_iters`` the Newton iterations of the points, ``jacobians``
-    the linearizations of every solve (one per Newton step, depth samples
-    and the fold search included), ``krylov_iters`` their GMRES
-    iterations, ``rejected_steps`` the depth steps whose solve failed,
-    ``fold_solves`` the depth solves of the fold search, and
+    the linearizations of every solve (one per Newton step and one per
+    tangent, depth samples and the fold search included), ``krylov_iters``
+    their GMRES iterations, ``tangent_solves`` the tangents of the
+    converged depth solves, ``rejected_steps`` the depth steps whose solve
+    failed, ``fold_solves`` the depth solves of the fold search, and
     ``folded_solves`` and ``full_solves`` the potential solves of every
     residual evaluation, on the half rectangle or on the full one (see
     ``elliptic.solve_potential``).
@@ -361,12 +392,17 @@ def damped_newton(
     every 1 + entry above ``floor`` and lowers the max-norm residual.
     Returns at the first iterate with max-norm residual <= ``tol``: its
     voltage, its state at the time of ``guess``, the steps taken and that
-    residual.  Raises DegenerateGeometryError when the guess, or every
-    trial point of a line search, lies at or below the floor, and
-    NoSteadyStateError when a line search stalls or ``max_iter`` steps do
-    not reach ``tol``.  Every error message opens with ``model`` and the
-    voltage or depth ("Newton at lambda=0.1"), and so does that of a
-    NoSteadyStateError raised by ``step``.
+    residual.  With a depth it first makes one more ``step`` there, whose
+    r is the unit border row: the bordered system [J, -h; e_c^T, 0] t =
+    (0, -1) is the depth derivative of the branch equations, so that step
+    is the point's ``tangent``; it is not one of the ``newton_iters``.
+
+    Raises DegenerateGeometryError when the guess, or every trial point
+    of a line search, lies at or below the floor, and NoSteadyStateError
+    when a line search stalls or ``max_iter`` steps do not reach ``tol``.
+    Every error message opens with ``model`` and the voltage or depth
+    ("Newton at lambda=0.1"), and so does that of a NoSteadyStateError
+    raised by ``step``.
     """
     grid = guess.grid
     n = grid.n_nodes - 2
@@ -390,6 +426,13 @@ def damped_newton(
         r[n] = z[n // 2] + depth
         return r
 
+    def labelled_step(z, r):
+        try:
+            return step(z[:n], lam_of(z), r)
+        except NoSteadyStateError as exc:
+            exc.args = (f"{label}: {exc}",)
+            raise
+
     # 1 + min(z) is min(1 + z) exactly, since rounding is monotone
     if 1.0 + float(z.min()) <= floor:
         raise DegenerateGeometryError(f"{label}: initial guess already below the touchdown floor")
@@ -397,16 +440,18 @@ def damped_newton(
     rnorm = float(np.abs(r).max())
     for it in range(max_iter + 1):
         if rnorm <= tol:
+            tangent = None
+            if depth is not None:
+                unit = np.zeros(n + 1)
+                unit[n] = 1.0
+                tangent = labelled_step(z, unit)
             full = np.zeros(n + 2)
             full[1:-1] = z[:n]
-            return BranchPoint(float(lam_of(z)), MembraneState(grid, full, guess.time), it, rnorm)
+            state = MembraneState(grid, full, guess.time)
+            return BranchPoint(float(lam_of(z)), state, it, rnorm, tangent)
         if it == max_iter:
             break
-        try:
-            dz = step(z[:n], lam_of(z), r)
-        except NoSteadyStateError as exc:
-            exc.args = (f"{label}: {exc}",)
-            raise
+        dz = labelled_step(z, r)
 
         any_admissible = False
         for k in range(9):  # full step plus up to 8 halvings
@@ -445,7 +490,10 @@ def _newton(
     ``counts["jacobians"]``) and solves by ``gmres`` on the products,
     preconditioned by the tridiagonal part, to the stop rule of
     ``_KRYLOV_RTOL`` and ``_KRYLOV_ATOL``; its iterations add to
-    ``counts["krylov_iters"]``, and a GMRES solve that misses the rule
+    ``counts["krylov_iters"]``.  The tangent of a depth solve is one more
+    such step, against the LU that the last residual evaluation made, so
+    it factorizes nothing and counts as a linearization and its GMRES
+    iterations alike.  A GMRES solve that misses the rule
     within as many iterations as unknowns raises NoSteadyStateError
     carrying its linear residual.  Each residual evaluation adds one to
     ``counts["folded_solves"]`` or ``counts["full_solves"]``, as its
@@ -534,115 +582,148 @@ def solve_steady(
     return point
 
 
-def _lagrange_weights(nodes, x: float) -> list[float]:
-    """Weights of the values at ``nodes`` in their Lagrange interpolant at ``x``."""
-    weights = []
-    for k, node in enumerate(nodes):
-        num = den = 1.0
-        for m, other in enumerate(nodes):
-            if m != k:
-                num *= x - other
-                den *= node - other
-        weights.append(num / den)
-    return weights
+def _hermite_weights(da: float, db: float, d: float) -> tuple[float, float, float, float]:
+    """Weights of the value at ``da``, the slope at ``da``, the value at
+    ``db`` and the slope at ``db`` in their cubic Hermite interpolant at d."""
+    h = db - da
+    t = (d - da) / h
+    s = 1.0 - t
+    return (1.0 + 2.0 * t) * s * s, h * t * s * s, t * t * (3.0 - 2.0 * t), -h * t * t * s
+
+
+def _voltage_at(d: float, a, b) -> float:
+    """The cubic Hermite interpolant at depth d of the voltages of the
+    (depth, point) samples a and b."""
+    (da, pa), (db, pb) = a, b
+    w = _hermite_weights(da, db, d)
+    return w[0] * pa.lam + w[1] * pa.slope + w[2] * pb.lam + w[3] * pb.slope
+
+
+def _seed(d: float, a, b=None) -> tuple[float, MembraneState]:
+    """Voltage and state at depth d of the cubic Hermite interpolant of the
+    (depth, point) samples a and b, or of the Euler step from a alone."""
+    da, pa = a
+    if b is None:
+        terms = [(pa, 1.0, d - da)]
+    else:
+        w = _hermite_weights(da, b[0], d)
+        terms = [(pa, w[0], w[1]), (b[1], w[2], w[3])]
+    u = np.zeros_like(pa.state.u)
+    lam = 0.0
+    for pt, value, slope in terms:
+        u += value * pt.state.u
+        u[1:-1] += slope * pt.tangent[:-1]
+        lam += value * pt.lam + slope * pt.slope
+    return lam, MembraneState(pa.state.grid, u)
+
+
+def _fold_depth(a, b) -> float:
+    """Depth of the maximum of the cubic Hermite interpolant of the voltages
+    of the (depth, point) samples a and b, where the voltage rises or is
+    level at a and falls at b."""
+    (da, pa), (db, pb) = a, b
+    h = db - da
+    # by t = (d - da) / h the cubic's slope is q(t) = qa t^2 + qb t + c with
+    # q(0) = c >= 0 > q(1); the root where q falls through zero, in [0, 1),
+    # in the form free of cancellation (qb > 0 makes qa < 0)
+    c, rise = h * pa.slope, pb.lam - pa.lam
+    qa = 3.0 * (c + h * pb.slope) - 6.0 * rise
+    qb = 6.0 * rise - 4.0 * c - 2.0 * h * pb.slope
+    disc = math.sqrt(max(qb * qb - 4.0 * qa * c, 0.0))
+    t = (-qb - disc) / (2.0 * qa) if qb > 0.0 else 2.0 * c / (disc - qb)
+    return da + t * h
 
 
 def march_to_fold(
-    solve, origin: BranchPoint, lambda_max: float, floor: float, label: str, counts: Counter
+    solve, flat: MembraneState, lambda_max: float, floor: float, label: str, counts: Counter
 ) -> tuple[list[tuple[float, BranchPoint]], tuple[float, BranchPoint] | None]:
     """March a steady branch in the centre depth d = -u(0) up to its fold.
 
-    ``solve(d, lam, guess)`` returns the branch point at depth d, seeded
-    by the voltage ``lam`` and the state ``guess``, and raises
-    NoSteadyStateError, DegenerateGeometryError or NonConvergenceError
-    when it finds none; the flat limit and the full model each pass
-    their own depth solve.  From ``origin`` at d = 0, d steps by
-    ``_DEPTH_STEP``, each depth seeded by a secant through the last two
-    samples; a failed solve is a rejected step and halves the step.
+    ``solve(d, lam, guess)`` returns the branch point at depth d, tangent
+    included, seeded by the voltage ``lam`` and the state ``guess``, and
+    raises NoSteadyStateError, DegenerateGeometryError or
+    NonConvergenceError when it finds none; the flat limit and the full
+    model each pass their own depth solve.  The march starts from the
+    ``flat`` membrane at d = 0, whose tangent a solve there gives without
+    a Newton step once a first step is to be taken.  d steps by
+    ``_DEPTH_STEP``, the first depth seeded by the Euler step along that
+    tangent and each later one by the cubic Hermite interpolant through
+    the last two samples; a failed solve is a rejected step and halves
+    the step.
 
-    Once the voltage falls, the last three samples hold the fold, the
-    largest voltage of the branch, with the highest voltage in the
-    middle.  The fold search then steps to the vertex of the parabola
-    through the three, solving there from the quadratic interpolant of
-    their states and voltages, and drops an outer sample so the highest
-    voltage stays in the middle.  It returns the middle sample once the
-    vertex lies within ``_FOLD_XATOL`` of it and the product of its
-    distances to the outer two is below ``_FOLD_XATOL``, which puts it
-    within 2 ``_FOLD_XATOL`` of the fold (see ``_FOLD_XATOL``); a vertex
-    on the middle sample with outer samples farther off is followed by a
-    solve ``_FOLD_XATOL`` beside it, and a flat top (three equal
-    voltages) ends the search at once.  A search that has not stopped
-    after ``_FOLD_MAX_SOLVES`` solves raises NonConvergenceError, and a
-    solve that fails in it re-raises its error, naming the fold search
-    and the depth.
+    The first sample whose voltage falls (dlambda/dd < 0) and the one
+    before it bracket the fold, the largest voltage of the branch.  The
+    fold search solves at the maximum of the Hermite cubic of the voltage
+    on the bracket, seeded by the Hermite interpolant there, and the new
+    sample replaces the end whose slope has its sign.  It returns that
+    sample once the next estimate lies within ``_FOLD_XATOL`` of it,
+    which puts it within 2 ``_FOLD_XATOL`` of the fold (see
+    ``_FOLD_XATOL``).  A search that has not stopped after
+    ``_FOLD_MAX_SOLVES`` solves raises NonConvergenceError, and a solve
+    that fails in it re-raises its error, naming the fold search and the
+    depth.
 
     The march also ends once a sample past ``lambda_max`` is followed by a
     higher one, when 1 - d would reach ``floor``, or when the step falls
     below ``_DEPTH_STEP / 2**10``.  ``label`` opens each log line and
-    error message.  The rejected steps add to ``counts["rejected_steps"]``
-    and the depth solves of the fold search to ``counts["fold_solves"]``;
-    both keys are set, at 0 when there were none.
+    error message; every depth solve logs its depth, voltage, slope and
+    Newton iterations at DEBUG.  The rejected steps add to
+    ``counts["rejected_steps"]``, the depth solves of the fold search to
+    ``counts["fold_solves"]`` and the tangents of the converged depth
+    solves to ``counts["tangent_solves"]``; all three keys are set, at 0
+    when there were none.
 
     Returns (samples, fold): the (depth, point) samples in increasing
-    voltage, ending with the fold when one was located, and the fold or
-    None.
+    voltage, from the flat membrane and ending with the fold when one was
+    located, and the fold or None.
     """
 
-    def locate_fold(below, top, above) -> tuple[tuple[float, BranchPoint], int]:
-        solves = 0
-        while True:
-            (da, pa), (db, pb), (dc, pc) = below, top, above
-            # vertex of the parabola through the three; with the top in the
-            # middle it lies between (da + db) / 2 and (db + dc) / 2
-            left, right = (db - da) * (pb.lam - pc.lam), (dc - db) * (pb.lam - pa.lam)
-            if left + right == 0.0:  # a flat top
-                return top, solves
-            d = db - 0.5 * ((db - da) * left - (dc - db) * right) / (left + right)
-            if abs(d - db) < _FOLD_XATOL:
-                if (db - da) * (dc - db) < _FOLD_XATOL:
-                    return top, solves
-                # the vertex may sit on the top by its cubic bias alone: a
-                # solve beside the top shrinks that bias below _FOLD_XATOL
-                d = db + _FOLD_XATOL if dc - db > db - da else db - _FOLD_XATOL
-            if solves == _FOLD_MAX_SOLVES:
-                raise NonConvergenceError(
-                    f"{label}: fold search unsettled after {solves} solves in depth "
-                    f"[{da:.8g}, {dc:.8g}], best lambda={pb.lam:.12g} at depth={db:.8g}",
-                    residual=abs(d - db),
-                )
-            # seeded by the quadratic interpolant of the three at d
-            w = _lagrange_weights((da, db, dc), d)
-            guess = MembraneState(
-                pb.state.grid, w[0] * pa.state.u + w[1] * pb.state.u + w[2] * pc.state.u
-            )
+    def solve_at(d: float, lam: float, guess: MembraneState) -> tuple[float, BranchPoint]:
+        pt = solve(d, lam, guess)
+        counts["tangent_solves"] += 1
+        log.debug(
+            "%s: depth %.8g at lambda=%.12g, dlambda/dd=%.6g, %d Newton iterations",
+            label, d, pt.lam, pt.slope, pt.newton_iters,
+        )
+        return d, pt
+
+    def locate_fold(rise, fall) -> tuple[tuple[float, BranchPoint], int]:
+        d = _fold_depth(rise, fall)
+        for solves in range(1, _FOLD_MAX_SOLVES + 1):
+            lam, guess = _seed(d, rise, fall)
             try:
-                new = (d, solve(d, w[0] * pa.lam + w[1] * pb.lam + w[2] * pc.lam, guess))
+                new = solve_at(d, lam, guess)
             except _DEPTH_SOLVE_ERRORS as exc:
                 exc.args = (f"{label}: fold search failed at depth={d:.8g}: {exc}",)
                 raise
-            solves += 1
-            # keep the top in the middle: drop the outer sample beyond a new
-            # top, or replace the outer sample on the new sample's side
-            if new[1].lam >= pb.lam:
-                below, top, above = (top, new, above) if d > db else (below, new, top)
-            elif d > db:
-                above = new
+            if new[1].slope >= 0.0:
+                rise = new
             else:
-                below = new
+                fall = new
+            d = _fold_depth(rise, fall)
+            if abs(d - new[0]) < _FOLD_XATOL:
+                return new, solves
+        best = max(rise, fall, key=lambda sample: sample[1].lam)
+        raise NonConvergenceError(
+            f"{label}: fold search unsettled after {solves} solves in depth "
+            f"[{rise[0]:.8g}, {fall[0]:.8g}], best lambda={best[1].lam:.12g} "
+            f"at depth={best[0]:.8g}",
+            residual=abs(d - new[0]),
+        )
 
-    counts.update(rejected_steps=0, fold_solves=0)
-    samples = [(0.0, origin)]
+    counts.update(rejected_steps=0, fold_solves=0, tangent_solves=0)
+    samples = [(0.0, BranchPoint(0.0, flat, 0, 0.0))]
     fold = None
     step = _DEPTH_STEP
     while True:
         d = samples[-1][0] + step
         if 1.0 - d <= floor or step < _DEPTH_STEP / 2**10:
             break
-        (d1, p1), (d0, p0) = samples[-1], samples[max(len(samples) - 2, 0)]
-        t = (d - d1) / (d1 - d0) if d1 > d0 else 0.0
-        guess = MembraneState(p1.state.grid, p1.state.u + t * (p1.state.u - p0.state.u))
+        if samples[0][1].tangent is None:
+            samples[0] = solve_at(0.0, 0.0, flat)
+        lam, guess = _seed(d, *samples[-2:])
         try:
-            sample = (d, solve(d, p1.lam + t * (p1.lam - p0.lam), guess))
+            sample = solve_at(d, lam, guess)
         except _DEPTH_SOLVE_ERRORS as exc:
             log.debug(
                 "%s: rejected depth=%.8g (step %.6g): %s, residual %s",
@@ -651,14 +732,14 @@ def march_to_fold(
             counts["rejected_steps"] += 1
             step *= 0.5
             continue
-        if sample[1].lam < p1.lam:
-            fold, solves = locate_fold(samples[-2], samples[-1], sample)
+        if sample[1].slope < 0.0:
+            fold, solves = locate_fold(samples[-1], sample)
             counts["fold_solves"] += solves
             samples = [s for s in samples if s[0] < fold[0]] + [fold]
             break
         samples.append(sample)
         # past lambda_max, and on the rising side, since the voltage still grows
-        if p1.lam >= lambda_max:
+        if samples[-2][1].lam >= lambda_max:
             break
     return samples, fold
 
@@ -674,19 +755,18 @@ def continue_branch(
     """The minimal steady branch from zero voltage, traced in the centre depth.
 
     The centre deflection d = -u(0) is the continuation parameter and the
-    voltage an unknown (``_newton`` with a depth), marched from the flat
-    membrane to the fold, past ``lambda_max`` or to ``floor`` by
-    ``march_to_fold``.
+    voltage an unknown (``_newton`` with a depth, which also gives the
+    branch tangent), marched from the flat membrane to the fold, past
+    ``lambda_max`` or to ``floor`` by ``march_to_fold``.
 
     The points are the voltages k * dlambda0 below the end of the march,
-    each solved at its fixed voltage, seeded by the cubic interpolant of
-    the four samples nearest it at the depth where the interpolated
-    voltage is its own (found by bisection between the two samples around
-    it); a point whose solve fails re-raises its error, naming eps and
-    the voltage.  Then either ``lambda_max`` exactly (no fold),
-    or the located fold (``fold_estimate``, with ``fold_interval`` its
-    -/+ ``_FOLD_TOL``), or, for a march stopped short of both, its last
-    sample (no fold).
+    each solved at its fixed voltage, seeded by the cubic Hermite
+    interpolant of the two samples around it at the depth where its
+    voltage is the point's own (found by bisection); a point whose solve
+    fails re-raises its error, naming eps and the voltage.  Then either
+    ``lambda_max`` exactly (no fold), or the located fold
+    (``fold_estimate``, with ``fold_interval`` its -/+ ``_FOLD_TOL``), or,
+    for a march stopped short of both, its last sample (no fold).
     """
     if not dlambda0 > 0.0:
         raise ValueError("dlambda0 must be positive")
@@ -695,32 +775,22 @@ def continue_branch(
     counts = Counter(jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
-        pt = _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts, depth=d)
-        log.debug(
-            "eps=%g: depth %.8g at lambda=%.12g, %d Newton iterations",
-            eps, d, pt.lam, pt.newton_iters,
-        )
-        return pt
+        return _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts, depth=d)
 
-    origin = BranchPoint(0.0, MembraneState.zero(grid), 0, 0.0)
-    samples, fold = march_to_fold(at_depth, origin, lambda_max, floor, f"eps={eps:g}", counts)
+    samples, fold = march_to_fold(
+        at_depth, MembraneState.zero(grid), lambda_max, floor, f"eps={eps:g}", counts
+    )
 
     def point_at(lam: float, segment: int) -> BranchPoint:
-        # seeded from the cubic interpolant of the four samples nearest the
-        # segment, at the depth where its voltage is lam
-        start = max(0, min(segment - 1, len(samples) - 4))
-        window = samples[start : start + 4]
-        nodes = [d for d, _ in window]
-        lo, hi = samples[segment][0], samples[segment + 1][0]
+        a, b = samples[segment], samples[segment + 1]
+        lo, hi = a[0], b[0]
         for _ in range(_SEED_BISECTIONS):
             mid = 0.5 * (lo + hi)
-            w = _lagrange_weights(nodes, mid)
-            if sum(wk * pt.lam for wk, (_, pt) in zip(w, window)) < lam:
+            if _voltage_at(mid, a, b) < lam:
                 lo = mid
             else:
                 hi = mid
-        w = _lagrange_weights(nodes, 0.5 * (lo + hi))
-        guess = MembraneState(grid, sum(wk * pt.state.u for wk, (_, pt) in zip(w, window)))
+        guess = _seed(0.5 * (lo + hi), a, b)[1]
         try:
             return _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts)
         except _DEPTH_SOLVE_ERRORS as exc:

@@ -204,6 +204,34 @@ class TestParseConfig:
         assert err.startswith(f"mems-fbp: ERROR[config] cannot make output directory {out!r}: ")
         assert blocker.read_text() == "not a directory"
 
+    @pytest.mark.parametrize(
+        "eps_list, blocked", [([1.0], "profiles"), ([0.5, 1.0], "profiles_eps1.0")]
+    )
+    def test_file_in_the_way_of_the_profiles_exit_code(
+        self, tmp_path, capsys, monkeypatch, eps_list, blocked
+    ):
+        # a file where a continuation dumps its profiles is reported before
+        # any branch is computed
+        from mems_fbp import steady
+
+        def no_branch(*args, **kwargs):
+            raise AssertionError("a branch was computed")
+
+        monkeypatch.setattr(steady, "continue_branch", no_branch)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / blocked).write_text("not a directory")
+        path = write_config(
+            tmp_path, kind="continuation", n_x=8, n_eta=8, eps_list=eps_list,
+            dump_profiles=True, out_dir=str(out),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        message = f"mems-fbp: ERROR[config] cannot make profile directory {str(out / blocked)!r}: "
+        assert err.startswith(message)
+        assert len(err.strip().splitlines()) == 1
+        assert not any(p.name.startswith("branch") for p in out.iterdir())
+
     def test_grid_floor(self, tmp_path):
         path = write_config(tmp_path, kind="evolve", n_x=4)
         with pytest.raises(ConfigError, match="at least 8"):
@@ -792,7 +820,9 @@ class TestOtherKinds:
         diagnostics = json.loads((tmp_path / "out" / "pullin.json").read_text())["diagnostics"]
         assert diagnostics["solves"] == seen["solves"] > 0
         assert diagnostics["failed_solves"] == seen["failed"] == 1
-        assert diagnostics["newton_iters"] == seen["tridiagonal"]
+        # one tridiagonal solve per Newton step and one per tangent
+        assert diagnostics["tangent_solves"] == seen["solves"] - seen["failed"]
+        assert diagnostics["newton_iters"] + diagnostics["tangent_solves"] == seen["tridiagonal"]
         assert diagnostics["search_s"] > 0.0 and diagnostics["check_s"] > 0.0
 
     def test_diagnostics_keep_their_zero_counts(self, tmp_path):
@@ -817,14 +847,27 @@ class TestOtherKinds:
         ]
         assert sorted(diag) == [
             "fold_solves", "folded_solves", "full_solves", "jacobians", "krylov_iters",
-            "newton_iters", "rejected_steps",
+            "newton_iters", "rejected_steps", "tangent_solves",
         ]
         assert diag["rejected_steps"] == 0 and diag["fold_solves"] == 0
+        # a floor that stops the march before its first step: no depth solve,
+        # not even the origin's tangent
+        floored = write_config(
+            tmp_path, "floored.json", kind="continuation", eps=1.0, n_x=16, n_eta=16,
+            lambda_max=0.08, dlambda0=0.04, touchdown_floor=0.95,
+        )
+        assert main([str(floored), "--out", str(tmp_path / "floored"), "--quiet"]) == EXIT_OK
+        meta = json.loads((tmp_path / "floored" / "branch.json").read_text())["branches"]["1.0"]
+        assert meta["points"] == 1 and meta["diagnostics"] == {
+            "newton_iters": 0, "jacobians": 0, "krylov_iters": 0, "tangent_solves": 0,
+            "rejected_steps": 0, "fold_solves": 0, "folded_solves": 0, "full_solves": 0,
+        }
         pullin = write_config(tmp_path, "pullin.json", kind="pullin", n_x=128, tol_lambda=2e-3)
         assert main([str(pullin), "--out", str(tmp_path / "pullin"), "--quiet"]) == EXIT_OK
         diagnostics = json.loads((tmp_path / "pullin" / "pullin.json").read_text())["diagnostics"]
         assert sorted(diagnostics) == [
-            "check_s", "failed_solves", "fold_solves", "newton_iters", "search_s", "solves"
+            "check_s", "failed_solves", "fold_solves", "newton_iters", "search_s", "solves",
+            "tangent_solves",
         ]
         assert diagnostics["failed_solves"] == 0
 

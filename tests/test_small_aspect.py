@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
-from mems_fbp import criteria, small_aspect
+from mems_fbp import criteria, small_aspect, steady
 from mems_fbp.errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
 from mems_fbp.evolution import ModelParams
 from mems_fbp.numerics import Grid1D, Grid2D, solve_tridiagonal
@@ -19,7 +20,7 @@ from mems_fbp.small_aspect import (
     shooting_pullin,
     steady0,
 )
-from mems_fbp.steady import BranchPoint, damped_newton
+from mems_fbp.steady import BranchPoint, damped_newton, march_to_fold
 from mems_fbp.transform import MembraneState
 
 
@@ -166,6 +167,59 @@ class TestFlatSteady:
         assert np.max(np.abs(fixed.u - state.u)) <= 1e-10
 
 
+def flat_branch_vector(pt):
+    """(interior deflections, voltage) of a branch point, ordered as its tangent."""
+    return np.concatenate((pt.state.u[1:-1], [pt.lam]))
+
+
+@pytest.mark.parametrize("n_x", [64, 512])
+class TestFlatTangent:
+    def test_matches_central_differences(self, n_x):
+        # the tangent at d = 0.2 against central differences of depth solves
+        # at d -/+ delta, which err by delta^2 / 6 times the third derivative:
+        # the error over delta^2 measured 1.31 at n_x 64 and 512, so it is
+        # below 2 delta^2 and falls fourfold from delta = 0.02 to 0.01
+        def solve(d):
+            return steady0(0.2, n_x=n_x, depth=d)
+
+        tangent = solve(0.2).tangent
+        assert tangent[n_x // 2 - 1] == pytest.approx(-1.0, abs=1e-12)  # the held centre
+        errors = []
+        for delta in (0.02, 0.01):
+            difference = flat_branch_vector(solve(0.2 + delta)) - flat_branch_vector(
+                solve(0.2 - delta)
+            )
+            errors.append(np.max(np.abs(difference / (2.0 * delta) - tangent)))
+        assert errors[1] <= 2.0 * 0.01**2
+        assert 3.9 <= errors[0] / errors[1] <= 4.1
+
+    def test_fold_tangent_spans_the_null_space(self, n_x):
+        # the fold that pullin0_detail locates, from the same march
+        flat = MembraneState.zero(Grid1D.uniform(n_x))
+        _, (d, fold) = march_to_fold(
+            lambda depth, lam, guess: steady0(lam, guess=guess, depth=depth),
+            flat, np.inf, small_aspect._PULLIN_FLOOR, "test", Counter(),
+        )
+        assert fold.lam == pullin0_detail(1e-3, n_x=n_x).lambda_star
+        # the stop rule of the fold search bounds the slope there by
+        # 2 |lambda''| _FOLD_XATOL, lambda'' from the tangents 1e-3 away
+        near = [steady0(fold.lam, guess=fold.state, depth=d + s).slope for s in (1e-3, -1e-3)]
+        curvature = (near[0] - near[1]) / 2e-3
+        assert abs(fold.slope) <= 2.0 * abs(curvature) * steady._FOLD_XATOL
+        # the deflection part phi solves T phi = slope * h with T the dense
+        # Jacobian and h = 1/(1+u)^2, up to the roundoff of the tridiagonal
+        # solve (3.5e-11 at n_x 512, 0.7 % of |slope| ||h||)
+        u = fold.state.u[1:-1]
+        h2 = fold.state.grid.h ** 2
+        off = np.full(u.size - 1, 1.0 / h2)
+        jac = np.diag(-2.0 / h2 + 2.0 * fold.lam / (1.0 + u) ** 3) + np.diag(off, 1) + np.diag(
+            off, -1
+        )
+        phi = fold.tangent[:-1]
+        source = 1.0 / (1.0 + u) ** 2
+        assert np.max(np.abs(jac @ phi)) <= 1.05 * abs(fold.slope) * np.max(np.abs(source))
+
+
 # pull-in voltage of u'' = lam/(1+u)^2 on (-1, 1), u(+-1) = 0
 FLAT_PULLIN = 0.350004119343
 # folds of its second-order discretisation on 256 and 512 cells, by a
@@ -206,7 +260,9 @@ class TestPullin:
         monkeypatch.setattr(
             small_aspect,
             "steady0",
-            lambda lam, guess=None, depth=None, **kw: BranchPoint(depth, guess, 0, 0.0),
+            lambda lam, guess=None, depth=None, **kw: BranchPoint(
+                depth, guess, 0, 0.0, np.eye(guess.grid.n_nodes - 1)[-1]
+            ),
         )
         with pytest.raises(NonConvergenceError, match="pull-in search.*depth=0.9, lambda=0.9"):
             pullin0_detail(1e-3, n_x=32)
@@ -249,7 +305,10 @@ class TestPullin:
         # n_x: a change meant to leave the algorithm alone must keep them, and
         # a change to the search updates them on purpose
         counts = pullin0_detail(1e-4, n_x=512).diagnostics
-        pinned = {"solves": 14, "fold_solves": 5, "failed_solves": 0, "newton_iters": 26}
+        pinned = {
+            "solves": 7, "fold_solves": 2, "failed_solves": 0, "newton_iters": 10,
+            "tangent_solves": 7,
+        }
         assert {key: counts[key] for key in pinned} == pinned
 
     def test_fine_grid_above_roundoff(self):

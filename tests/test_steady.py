@@ -407,7 +407,7 @@ class TestContinuation:
         def failing_once(*args, depth=None, **kwargs):
             if depth is not None:
                 depths.append(depth)
-                if len(depths) == 2:
+                if len(depths) == 3:  # after the origin's tangent solve at depth 0
                     raise NoSteadyStateError("injected", residual=1.0)
             return newton(*args, depth=depth, **kwargs)
 
@@ -418,7 +418,7 @@ class TestContinuation:
         assert branch.diagnostics["rejected_steps"] == len(rejected) == 1
         assert "NoSteadyStateError, residual 1.0" in rejected[0].getMessage()
         step = steady._DEPTH_STEP
-        assert depths[:3] == pytest.approx([step, 2 * step, 1.5 * step], abs=1e-15)
+        assert depths[:4] == pytest.approx([0.0, step, 2 * step, 1.5 * step], abs=1e-15)
         assert branch.fold_estimate is not None
 
     def test_fold_converges_under_refinement(self):
@@ -497,23 +497,124 @@ class TestContinuation:
         assert abs(folded.fold_estimate - full.fold_estimate) <= 1e-12
 
 
-def march_voltage(voltage):
+# Folds of the n x n branches (lambda_max 2, dlambda0 0.05) as located by
+# the parabolic fold search of a march at depth step 0.05, to _FOLD_TOL.
+GUARD_FOLDS = {
+    8: {0.1: 0.3459419099366, 0.5: 0.3128150255151, 1.0: 0.2425036615350, 2.0: 0.1404833138089,
+        3.0: 0.0964616752896},
+    16: {0.1: 0.3477894969955, 0.5: 0.3138959663634, 1.0: 0.2424005454283, 2.0: 0.1388555841529,
+         3.0: 0.0937625880942},
+    32: {0.1: 0.3482489328830, 0.5: 0.3141682678708, 1.0: 0.2423888429720, 2.0: 0.1384536534199,
+         3.0: 0.0930308898609},
+    64: {0.1: 0.3483636447018, 0.5: 0.3142366319582, 1.0: 0.2423875519040, 2.0: 0.1383553891233,
+         3.0: 0.0928453555205},
+}
+
+
+@pytest.mark.parametrize("n", sorted(GUARD_FOLDS))
+def test_depth_step_guard(n):
+    # at _DEPTH_STEP the Hermite-seeded march rejects no step, finds the same
+    # folds and seeds every fixed-voltage point within 2 Newton steps (1 at
+    # eps 0.1), as the step of 0.05 did
+    for eps, pinned in GUARD_FOLDS[n].items():
+        branch = continue_branch(eps, 2.0, 0.05, n_x=n)
+        assert branch.diagnostics["rejected_steps"] == 0, eps
+        assert abs(branch.fold_estimate - pinned) <= steady._FOLD_TOL, eps
+        iters = [pt.newton_iters for pt in branch.points[1:-1]]
+        assert 0 < len(iters) and max(iters) <= (1 if eps == 0.1 else 2), eps
+
+
+def depth_solve(n, eps):
+    """The full model's depth solve on the n x n grid, from the flat
+    membrane or a given guess, as ``continue_branch`` makes it."""
+    grid2d = Grid2D.uniform(n, n)
+
+    def solve(d, guess=None):
+        guess = MembraneState.zero(grid2d.gx) if guess is None else guess
+        return steady._newton(0.2, eps, guess, grid2d, 15, 0.05, Counter(), depth=d)
+
+    return solve
+
+
+def branch_vector(pt):
+    """(interior deflections, voltage) of a branch point, ordered as its tangent."""
+    return np.concatenate((pt.state.u[1:-1], [pt.lam]))
+
+
+class TestTangent:
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    def test_matches_central_differences(self, eps):
+        # the tangent at d = 0.2 against central differences of depth solves
+        # at d -/+ delta, which err by delta^2 / 6 times the third derivative:
+        # the error over delta^2 measured 1.35 at eps 0.1 and 3.8 at eps 1, so
+        # it is below 5 delta^2 and falls fourfold from delta = 0.02 to 0.01
+        # (a Newton residual of 1e-10 adds at most about 1e-8)
+        solve = depth_solve(16, eps)
+        tangent = solve(0.2).tangent
+        assert tangent[7] == pytest.approx(-1.0, abs=1e-12)  # the held centre node
+        errors = []
+        for delta in (0.02, 0.01):
+            difference = branch_vector(solve(0.2 + delta)) - branch_vector(solve(0.2 - delta))
+            errors.append(np.max(np.abs(difference / (2.0 * delta) - tangent)))
+        assert errors[1] <= 5.0 * 0.01**2
+        assert 3.8 <= errors[0] / errors[1] <= 4.2
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    def test_fold_tangent_spans_the_null_space(self, eps, monkeypatch):
+        n = 16
+        grid2d = Grid2D.uniform(n, n)
+        fold = continue_branch(eps, 2.0, 0.05, n_x=n).points[-1]
+        d = -fold.state.u[n // 2]
+        # the stop rule of the fold search bounds the slope there by
+        # 2 |lambda''| _FOLD_XATOL, lambda'' from the tangents 1e-3 away
+        solve = depth_solve(n, eps)
+        curvature = (solve(d + 1e-3, fold.state).slope - solve(d - 1e-3, fold.state).slope) / 2e-3
+        assert abs(fold.slope) <= 2.0 * abs(curvature) * steady._FOLD_XATOL
+        # the deflection part phi solves J phi = slope * h up to the tangent's
+        # GMRES stop rule, a 2-norm of 1e-11, so ||J phi|| is at most 1.05
+        # |slope| ||h|| (measured 1.0001); J in odd directions too, from the
+        # full factor
+        with monkeypatch.context() as m:
+            m.setattr(elliptic, "is_even", lambda v: False)
+            jac = dense_jacobian(fold.state, fold.lam, eps, grid2d)
+        source = steady_residual(fold.state, 0.0, eps, grid2d)[0] - steady_residual(
+            fold.state, 1.0, eps, grid2d
+        )[0]
+        phi = fold.tangent[:-1]
+        assert np.max(np.abs(jac @ phi)) <= 1.05 * abs(fold.slope) * np.max(np.abs(source))
+
+
+def march_voltage(voltage, slope):
     """``march_to_fold`` on the branch lambda = voltage(d), solved exactly
-    by a PDE-free depth solve; returns (fold, fold-search solves)."""
+    by a PDE-free depth solve whose tangent ends with dlambda/dd =
+    slope(d); returns (fold, fold-search solves)."""
 
     def solve(d, lam, guess):
-        return BranchPoint(voltage(d), guess, 0, 0.0)
+        return BranchPoint(voltage(d), guess, 0, 0.0, np.array([0.0, -1.0, 0.0, slope(d)]))
 
-    origin = BranchPoint(0.0, MembraneState.zero(Grid1D.uniform(4)), 0, 0.0)
     counts = Counter()
-    samples, fold = march_to_fold(solve, origin, np.inf, 0.05, "test", counts)
+    samples, fold = march_to_fold(
+        solve, MembraneState.zero(Grid1D.uniform(4)), np.inf, 0.05, "test", counts
+    )
     assert counts["rejected_steps"] == 0 and samples[-1] == fold
     return fold, counts["fold_solves"]
 
 
+def clamp_voltage(d):
+    """The closed-form flat-limit branch: the voltage at centre depth d."""
+    return small_aspect._clamp_voltage(1.0 - d)
+
+
+def clamp_slope(d):
+    """dlambda/dd of ``clamp_voltage``: a central difference at step 1e-6,
+    one-sided at d = 0, within about 1e-10 of it off the origin."""
+    lo = max(d - 1e-6, 0.0)
+    return (clamp_voltage(d + 1e-6) - clamp_voltage(lo)) / (d + 1e-6 - lo)
+
+
 class TestFoldSearch:
     def test_closed_form_flat_limit_branch(self):
-        (_, fold), solves = march_voltage(lambda d: small_aspect._clamp_voltage(1.0 - d))
+        (_, fold), solves = march_voltage(clamp_voltage, clamp_slope)
         assert fold.lam == pytest.approx(0.350004119343, abs=1e-12)
         assert solves <= 6
 
@@ -523,9 +624,7 @@ class TestFoldSearch:
         curvature=st.floats(1.0, 10.0),
         skew=st.floats(-0.25, 0.25),
     )
-    # a peak near the midpoint of two march samples: the cubic term biases
-    # the first two parabolic vertices alike, so the second lands on the
-    # first, 1.6e-4 from the peak
+    # a peak near the midpoint of two depths 0.05 apart, at the largest skew
     @example(peak=0.27482, curvature=4.0, skew=0.25)
     def test_single_peaked_branches(self, peak, curvature, skew):
         # lambda'(d) = 0 only at the peak in [0, 1]: the other root lies
@@ -534,35 +633,43 @@ class TestFoldSearch:
             e = d - peak
             return -0.5 * curvature * e * e + skew * curvature * e**3
 
-        (depth, fold), solves = march_voltage(lambda d: q(d) - q(0.0))
+        def dq(d):
+            e = d - peak
+            return -curvature * e + 3.0 * skew * curvature * e * e
+
+        (depth, fold), solves = march_voltage(lambda d: q(d) - q(0.0), dq)
         assert abs(depth - peak) <= 1e-5
         assert abs(fold.lam + q(0.0)) <= 1e-10
         assert solves <= 8
 
     def test_flat_top_returns_the_middle_sample(self):
         # a plateau at 0.3 over depths 0.25-0.45: the march stops at 0.5,
-        # one vertex solve lands on the plateau and the three voltages tie
-        (depth, fold), solves = march_voltage(lambda d: min(0.3, 1.2 * d, 0.3 - (d - 0.45)))
+        # the first falling sample; the Hermite maximum on [0.4, 0.5] is the
+        # level end 0.4, and one solve there ends the search
+        (depth, fold), solves = march_voltage(
+            lambda d: min(0.3, 1.2 * d, 0.3 - (d - 0.45)),
+            lambda d: 1.2 if d < 0.25 else 0.0 if d < 0.45 else -1.0,
+        )
         assert fold.lam == 0.3 and 0.4 <= depth <= 0.45
         assert solves == 1
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(steady, "_FOLD_MAX_SOLVES", 1)
         with pytest.raises(NonConvergenceError) as info:
-            march_voltage(lambda d: small_aspect._clamp_voltage(1.0 - d))
+            march_voltage(clamp_voltage, clamp_slope)
         message = str(info.value)
         assert "test: fold search unsettled after 1 solves" in message
-        assert "in depth [0.35, 0.4]" in message and "best lambda=0.35000" in message
+        assert "in depth [0.3, 0.388349" in message and "best lambda=0.35000" in message
         assert 0.0 < info.value.residual < 0.05
 
     def test_failed_solve_names_the_fold_search(self):
         def voltage(d):
             if abs(d / 0.05 - round(d / 0.05)) > 1e-9:  # off the march grid
                 raise NoSteadyStateError("Newton stalled", residual=0.5)
-            return small_aspect._clamp_voltage(1.0 - d)
+            return clamp_voltage(d)
 
         with pytest.raises(NoSteadyStateError) as info:
-            march_voltage(voltage)
+            march_voltage(voltage, clamp_slope)
         assert str(info.value).startswith("test: fold search failed at depth=0.38")
         assert str(info.value).endswith(": Newton stalled")
         assert info.value.residual == 0.5
