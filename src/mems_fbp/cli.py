@@ -81,7 +81,6 @@ class ExperimentConfig:
     )
     tau: float = _read_by("limit-study", default=1.0)
     tol_lambda: float = _read_by("pullin", default=1e-4)
-    threads: int = field(default=1, init=False)  # from --threads, not a config key
 
 
 _JSON_NAMES = {"lam": "lambda"}  # field name -> JSON key, where they differ
@@ -95,7 +94,7 @@ def _keys(cls) -> dict:
     return {
         _JSON_NAMES.get(f.name, f.name): (f.name, hints[f.name], f.metadata.get("kinds", KINDS))
         for f in fields(cls)
-        if f.init and f.name != "params"
+        if f.name != "params"
     }
 
 
@@ -200,6 +199,8 @@ def parse_config(path) -> ExperimentConfig:
         fail("eps_list", "must be a non-empty list")
     if any(e <= 0 for e in cfg.eps_list):
         fail("eps_list", "entries must be positive")
+    if len(set(cfg.eps_list)) < len(cfg.eps_list):
+        fail("eps_list", "entries must be distinct")
     if kind == "continuation":
         if "eps_list" not in raw:
             cfg.eps_list = [params.eps]
@@ -337,8 +338,8 @@ def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
                 message = f"cannot make profile directory {str(prof_dir)!r}: {exc}"
                 return _fail("config", message, EXIT_CONFIG)
 
-    def one(eps):
-        return steady.continue_branch(
+    branches = [
+        steady.continue_branch(
             eps,
             cfg.lambda_max,
             cfg.dlambda0,
@@ -346,15 +347,8 @@ def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
             n_eta=cfg.n_eta,
             floor=cfg.params.touchdown_floor,
         )
-
-    if cfg.threads > 1 and len(eps_values) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            branches = list(pool.map(one, eps_values))
-    else:
-        branches = [one(eps) for eps in eps_values]
-
+        for eps in eps_values
+    ]
     meta = {}
     for eps, tag, branch in zip(eps_values, tags, branches):
         _write_csv(
@@ -425,7 +419,6 @@ def _run_limit_study(cfg: ExperimentConfig, out: Path) -> int:
             n_eta=cfg.n_eta,
             dt=cfg.params.dt,
             touchdown_floor=cfg.params.touchdown_floor,
-            workers=cfg.threads,
         )
     sample_times = sorted({t for series in comp.potential_errors for t, _ in series})
     header = ["eps", "sup_error"] + [f"potential_error@t={_fmt(t)}" for t in sample_times]
@@ -528,19 +521,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument("config", help="path to the JSON experiment config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
-    if args.threads < 1:
-        return _fail("config", f"--threads must be at least 1, got {args.threads}", EXIT_CONFIG)
     try:
         cfg = parse_config(args.config)
     except ConfigError as exc:
         return _fail("config", str(exc), EXIT_CONFIG)
     if args.out is not None:
         cfg.out_dir = args.out
-    cfg.threads = args.threads
     progress = logging.StreamHandler(sys.stdout)
     progress.setFormatter(logging.Formatter("%(message)s"))
     log.addHandler(progress)

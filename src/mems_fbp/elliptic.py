@@ -272,13 +272,11 @@ def _apply_stencil(w: np.ndarray, field: np.ndarray) -> np.ndarray:
     """The weight stack ``w`` of ``_stencil_weights`` applied to the nodal
     ``field``, its boundary ring included, at the interior nodes: A x for
     the interior values x of a field that is zero on the ring, the ring's
-    share of the right-hand side for one that is zero inside.  A
-    ``field`` of shape (n_x + 1, n_eta + 1, k) holds k fields."""
+    share of the right-hand side for one that is zero inside."""
     n_x, n_eta = field.shape[0] - 1, field.shape[1] - 1
-    extra = (None,) * (field.ndim - 2)
-    out = np.zeros(w.shape[1:] + field.shape[2:])
+    out = np.zeros(w.shape[1:])
     for weight, (di, dj) in zip(w, _OFFSETS):
-        out += weight[(..., *extra)] * field[1 + di : n_x + di, 1 + dj : n_eta + dj]
+        out += weight * field[1 + di : n_x + di, 1 + dj : n_eta + dj]
     return out
 
 
@@ -288,22 +286,20 @@ def _scatter_checked(
     """The nodal solution of a solve on pattern ``p``, checked on the full system.
 
     ``rhs`` is the right-hand side b of the full system on the interior
-    nodes, k fields stacked on a last axis for k columns, and ``x`` the
-    solution of the system on ``p`` for ``rhs[p.nodes]``.  The unknowns
-    fill the interior of a nodal field w that is zero on the boundary
-    ring, and a folded ``p``'s are mirrored onto x < 0.  The residual
-    A w - b, the full stencil ``weights`` applied to w less ``rhs``, must
-    pass ``check_residual`` at ``tol``.  On a folded pattern its rows at
-    x >= 0 are those of the half system, so this one check covers them
-    too; at x < 0 it fails when the membrane or the data is not even.
-    Returns w.
+    nodes, and ``x`` the solution of the system on ``p`` for
+    ``rhs[p.nodes]``.  The unknowns fill the interior of a nodal field w
+    that is zero on the boundary ring, and a folded ``p``'s are mirrored
+    onto x < 0.  The residual A w - b, the full stencil ``weights``
+    applied to w less ``rhs``, must pass ``check_residual`` at ``tol``.
+    On a folded pattern its rows at x >= 0 are those of the half system,
+    so this one check covers them too; at x < 0 it fails when the
+    membrane or the data is not even.  Returns w.
     """
-    w = np.zeros((rhs.shape[0] + 2, rhs.shape[1] + 2) + rhs.shape[2:])
+    w = np.zeros((rhs.shape[0] + 2, rhs.shape[1] + 2))
     w[1:-1, 1:-1][p.nodes] = x
     w[1 : p.first] = w[::-1][1 : p.first]  # w[i] = w[n_x - i]; none unfolded
-    n = rhs.shape[0] * rhs.shape[1]
     residual = _apply_stencil(weights, w) - rhs
-    check_residual(residual.reshape(n, -1), rhs.reshape(n, -1), tol)
+    check_residual(residual.reshape(-1, 1), rhs.reshape(-1, 1), tol)
     return w
 
 
@@ -397,17 +393,16 @@ def trace_top(field: PotentialField) -> np.ndarray:
 
 
 def trace_response(field: PotentialField, forcing: np.ndarray) -> np.ndarray:
-    """Membrane traces of the solutions w of A w = ``forcing``, w = 0 on the boundary.
+    """Membrane trace of the solution w of A w = ``forcing``, w = 0 on the boundary.
 
-    A is the operator of ``field``, a field from ``solve_potential``; its
-    LU factor, half or full, serves every column, and each solution is
-    checked on the full stencil by ``_scatter_checked`` at the residual
-    tolerance of the potential solve.  The half factor of a ``folded``
-    field solves for the mirror extension of w: a ``forcing`` that is not
-    even in x then raises NonConvergenceError.  ``forcing`` holds interior
-    values, shape (n_x - 1, n_eta - 1), or (n_x - 1, n_eta - 1, k) for k
-    columns solved in one call.  Returns the ``trace_top`` of each w,
-    shape (n_x + 1,) or (n_x + 1, k).
+    A is the operator of ``field``, a field from ``solve_potential``,
+    whose LU factor, half or full, solves for w; w is checked on the full
+    stencil by ``_scatter_checked`` at the residual tolerance of the
+    potential solve.  The half factor of a ``folded`` field solves for
+    the mirror extension of w: a ``forcing`` that is not even in x then
+    raises NonConvergenceError.  ``forcing`` holds the interior values,
+    shape (n_x - 1, n_eta - 1).  Returns the ``trace_top`` of w, shape
+    (n_x + 1,).
     """
     grid = field.grid
     p = _pattern(grid.gx.n_cells, grid.n_eta, field.folded)

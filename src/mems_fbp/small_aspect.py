@@ -14,6 +14,7 @@ tridiagonal step, which seeds the march and steers its fold search.
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
 from collections import Counter
@@ -138,16 +139,14 @@ def run0(u0: MembraneState, p: ModelParams, thin_every: int = 10) -> Trajectory:
 
 def steady0(
     lam: float,
+    guess: MembraneState,
     tol: float = 1e-10,
-    n_x: int = 512,
-    guess: MembraneState | None = None,
     floor: float = 0.05,
     depth: float | None = None,
 ) -> BranchPoint:
     """Newton solve of the flat-limit steady problem by ``steady.damped_newton``,
-    in at most ``_STEADY0_MAX_ITER`` iterations, seeded by ``guess`` (the
-    flat membrane on ``n_x`` cells without one); returns the
-    ``BranchPoint`` it reached.
+    in at most ``_STEADY0_MAX_ITER`` iterations, seeded by ``guess`` on
+    its grid; returns the ``BranchPoint`` it reached.
 
     The Jacobian T is tridiagonal (diffusion stencil plus a diagonal from
     the source), so each iteration is one tridiagonal solve.  ``tol`` is
@@ -172,8 +171,6 @@ def steady0(
     """
     if not lam >= 0.0:
         raise ValueError("lambda must be nonnegative")
-    if guess is None:
-        guess = MembraneState.zero(Grid1D.uniform(n_x))
     grid = guess.grid
     n_int = grid.n_nodes - 2
     h2 = grid.h * grid.h
@@ -280,7 +277,7 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         counts["solves"] += 1
-        point = steady0(lam, guess=guess, floor=_PULLIN_FLOOR, depth=d)
+        point = steady0(lam, guess, floor=_PULLIN_FLOOR, depth=d)
         counts["newton_iters"] += point.newton_iters
         return point
 
@@ -345,6 +342,13 @@ def _potential_l2_error(
     return float(np.sqrt(trapezoid_2d(integrand, grid.gx.nodes, eta - 1.0)))
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _states_before_touchdown(traj: Trajectory, steps: int) -> list[MembraneState]:
     """The states of a run that stored every one, from the start up to
     the last before a touchdown (the start alone, if it began at the
@@ -364,7 +368,6 @@ def limit_study(
     n_eta: int | None = None,
     dt: float = 1e-3,
     touchdown_floor: float = 0.05,
-    workers: int = 1,
 ) -> LimitComparison:
     """Lockstep comparison of the full model against the flat limit.
 
@@ -375,15 +378,19 @@ def limit_study(
     sampled at the fractions ``_SAMPLE_FRACTIONS`` of ``tau``.  If any
     run reaches the touchdown floor before ``tau``, the horizon shrinks
     to the span every run survives (with a warning); no run steps past
-    the flat reference's touchdown.  A ``SolverError`` of an aspect
-    ratio's run or potential samples is re-raised with ``eps=<eps>: ``
-    before its message.
+    the flat reference's touchdown.  The aspect ratios run on a pool of
+    one thread per aspect ratio, at most one per usable core; the runs
+    share nothing, so the result does not depend on the pool.  A
+    ``SolverError`` of an aspect ratio's run or potential samples is
+    re-raised with ``eps=<eps>: `` before its message.
     """
     if float(np.max(u0.u)) > 0.0:
         raise ValueError("initial deflection must be nonpositive for the limit study")
     if not tau >= dt:
         raise ValueError("tau must be at least one time step dt")
     eps_list = list(eps_list)
+    if not eps_list:
+        raise ValueError("eps_list must not be empty")
     n_steps = int(round(tau / dt))
     sample_steps = sorted({max(1, int(round(tau * f / dt))) for f in _SAMPLE_FRACTIONS})
 
@@ -417,13 +424,10 @@ def limit_study(
         err_series = [float(np.max(np.abs(u.u - f.u))) for u, f in zip(states, flat)]
         return err_series, samples, traj.diagnostics
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor  # here: no other kind loads the pool
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, eps_list))
-    else:
-        results = [run_one(eps) for eps in eps_list]
+    with ThreadPoolExecutor(max_workers=min(len(eps_list), _usable_cores())) as pool:
+        results = list(pool.map(run_one, eps_list))
 
     common_alive = min([flat_alive] + [len(series) - 1 for series, _, _ in results])
     shortened = common_alive < n_steps

@@ -205,10 +205,6 @@ class SteadyBranch:
     fold_estimate: float | None = None
     fold_interval: tuple[float, float] | None = None
 
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([pt.lam for pt in self.points])
-
 
 def _source(u: MembraneState, eps: float, field: PotentialField) -> np.ndarray:
     """Electrostatic source at the interior nodes: the squared trace with
@@ -259,21 +255,20 @@ class Linearization:
     border: np.ndarray | None = None
 
     def trace_change(self, v: np.ndarray) -> np.ndarray:
-        """dtr v for one deflection change v, or for each column of v.
+        """dtr v for the deflection change v at the interior nodes.
 
         The potential changes by dphi solving A dphi = -G_u v with zero
         boundary values (phi = eta there for every membrane), so dtr v
-        is the ``trace_response`` of -G_u v, all columns in one call.
+        is the ``trace_response`` of -G_u v.
         """
-        n, h = self.diag.size, self.field.grid.gx.h
-        cols = v.reshape(n, -1)
-        padded = np.zeros((n + 2, cols.shape[1]))
-        padded[1:-1] = cols
+        h = self.field.grid.gx.h
+        padded = np.zeros(v.size + 2)
+        padded[1:-1] = v
         d1 = (padded[2:] - padded[:-2]) / (2.0 * h)
-        d2 = (padded[2:] - 2.0 * cols + padded[:-2]) / (h * h)
-        dg = self.dg[..., None]
-        rhs = -(dg[0] * cols[:, None] + dg[1] * d1[:, None] + dg[2] * d2[:, None])
-        return trace_response(self.field, rhs)[1:-1].reshape(v.shape)
+        d2 = (padded[2:] - 2.0 * v + padded[:-2]) / (h * h)
+        g_w, g_x, g_xx = self.dg
+        rhs = -(g_w * v[:, None] + g_x * d1[:, None] + g_xx * d2[:, None])
+        return trace_response(self.field, rhs)[1:-1]
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         """The linearization applied to ``z``."""

@@ -2,7 +2,6 @@ import itertools
 import json
 import logging
 import re
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -305,14 +304,24 @@ class TestParseConfig:
         assert main([str(tmp_path / "absent.json")]) == EXIT_CONFIG
         assert "ERROR[config]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+    @pytest.mark.parametrize("kind", ["continuation", "limit-study"])
+    def test_repeated_eps_rejected(self, tmp_path, capsys, kind):
+        # each entry of eps_list names one branch or one run, and its artifacts
         out = tmp_path / "out"
-        path = write_config(tmp_path, kind="pullin", n_x=32, out_dir=str(out))
-        assert main([str(path), "--quiet", "--threads", str(threads)]) == EXIT_CONFIG
+        path = write_config(
+            tmp_path, kind=kind, n_x=8, n_eta=8, eps_list=[0.1, 0.2, 0.1], out_dir=str(out)
+        )
+        assert main([str(path), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == f"mems-fbp: ERROR[config] --threads must be at least 1, got {threads}\n"
+        assert err == "mems-fbp: ERROR[config] invalid field 'eps_list': entries must be distinct\n"
         assert not out.exists()
+
+    def test_thread_count_is_not_an_option(self, tmp_path, capsys):
+        path = write_config(tmp_path, kind="pullin", n_x=32, out_dir=str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as info:
+            main([str(path), "--threads", "2"])
+        assert info.value.code == EXIT_CONFIG  # argparse's usage error
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 class TestEvolveKind:
@@ -681,33 +690,6 @@ class TestOtherKinds:
         path = write_config(tmp_path, kind="continuation", eps=0.5, eps_list=[0.1, 0.5])
         with pytest.raises(ConfigError, match="'eps'"):
             parse_config(path)
-
-    def test_continuation_threads_match_serial(self, tmp_path):
-        # two eps branches to their folds, run concurrently and in turn:
-        # nothing a branch factorizes may leak into the other
-        outputs = {}
-        switch_interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads often, so that shared state shows
-        try:
-            for threads in (2, 1):
-                out = tmp_path / f"out{threads}"
-                path = write_config(
-                    tmp_path,
-                    f"cfg{threads}.json",
-                    kind="continuation",
-                    n_x=10,
-                    n_eta=10,
-                    lambda_max=2.0,
-                    dlambda0=0.05,
-                    eps_list=[0.1, 1.0],
-                    out_dir=str(out),
-                )
-                assert main([str(path), "--quiet", "--threads", str(threads)]) == EXIT_OK
-                outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        finally:
-            sys.setswitchinterval(switch_interval)
-        assert sorted(outputs[1]) == ["branch.json", "branch_eps0.1.csv", "branch_eps1.0.csv"]
-        assert outputs[2] == outputs[1]
 
     def test_steady_honours_touchdown_floor(self, tmp_path, capsys):
         fields = dict(kind="steady", eps=0.1, n_x=16, n_eta=16, out_dir=str(tmp_path / "out"))

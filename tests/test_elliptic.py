@@ -329,17 +329,13 @@ def test_trace_response_matches_a_separate_dirichlet_solve(shape, eps, seed, eve
     forcing = rng.normal(size=(grid.gx.n_cells - 1, grid.n_eta - 1, k))
     if even:
         forcing = forcing + forcing[::-1]
-    traces = elliptic.trace_response(field, forcing)
-    assert traces.shape == (grid.gx.n_nodes, k)
     for c in range(k):
+        trace = elliptic.trace_response(field, forcing[..., c])
         rhs_field = np.zeros(grid.shape)
         rhs_field[1:-1, 1:-1] = forcing[..., c]
         w = elliptic.solve_dirichlet(coeffs, rhs_field, np.zeros(grid.shape))
         expected = elliptic.trace_top(elliptic.PotentialField(grid, w))
-        assert np.linalg.norm(traces[:, c] - expected) <= 1e-9 * np.linalg.norm(expected)
-        single = elliptic.trace_response(field, forcing[..., c])
-        assert single.shape == (grid.gx.n_nodes,)
-        assert np.array_equal(single, traces[:, c])
+        assert np.linalg.norm(trace - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (8, 5), (9, 7), (16, 12), (17, 10)])
@@ -482,7 +478,7 @@ def test_trace_response_rejects_a_factor_of_another_membrane():
     grid = Grid2D.uniform(16, 12)
     field = elliptic.solve_potential(tilted(grid.gx), 1.0, grid)
     other = elliptic.solve_potential(tilted(grid.gx, tilt=-0.5), 1.0, grid)
-    forcing = np.random.default_rng(0).normal(size=(grid.gx.n_cells - 1, grid.n_eta - 1, 2))
+    forcing = np.random.default_rng(0).normal(size=(grid.gx.n_cells - 1, grid.n_eta - 1))
     elliptic.trace_response(field, forcing)  # its own factor passes
     forged = replace(field, lu=other.lu)
     with pytest.raises(NonConvergenceError, match="sparse solve residual"):

@@ -5,6 +5,7 @@ code."""
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,44 @@ def test_every_export_is_used(name):
     assert unused == []
 
 
+def name_uses(tree):
+    """How often each name is read or taken as an attribute in ``tree``."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+# Public methods and properties that the package itself never uses, kept
+# because each backs an acceptance criterion of tests/test_acceptance.py.
+CRITERION_MEMBERS = {
+    "LimitComparison.potential_sup_errors": "C11",
+}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if exported(parse(m)) is not None])
+def test_every_public_member_is_used(name):
+    """A public method or property of a class in a module's ``__all__`` is
+    used in the package outside its own definition, unless it backs an
+    acceptance criterion: a member used only by tests is deleted."""
+    tree = parse(name)
+    others = set().union(*(names_used(parse(m)) for m in MODULES if m != name))
+    uses = name_uses(tree)
+    unused = []
+    for cls in tree.body:
+        if not (isinstance(cls, ast.ClassDef) and cls.name in exported(tree)):
+            continue
+        for member in cls.body:
+            if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
+                continue
+            qualified = f"{cls.name}.{member.name}"
+            outside = (uses - name_uses(member))[member.name] or member.name in others
+            if not outside and qualified not in CRITERION_MEMBERS:
+                unused.append(qualified)
+    assert unused == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_no_np_append(name):
     """No module calls ``np.append``: it copies its whole input on every
@@ -134,7 +173,6 @@ UNSET_DEFAULTS = {
     ("cli", "main", "argv"): "the console entry point calls main() without arguments",
     ("errors", "SolverError.__init__", "residual"): "set through its subclasses' constructors",
     ("small_aspect", "steady0", "tol"): "set by tests only: test_residual_contract solves tighter",
-    ("small_aspect", "steady0", "n_x"): "set by tests only",
     ("transform", "random_admissible_state", "min_gap"): "set by tests only",
     ("transform", "MembraneState.zero", "time"): "set by tests only",
 }

@@ -89,11 +89,11 @@ class TestFlatLimitRun:
 
 class TestFlatSteady:
     def test_zero_voltage(self):
-        u = steady0(0.0, n_x=64).state
+        u = steady0(0.0, MembraneState.zero(Grid1D.uniform(64))).state
         assert np.max(np.abs(u.u)) <= 1e-12
 
     def test_matches_long_time_run(self, grid):
-        u_star = steady0(0.3, n_x=32).state
+        u_star = steady0(0.3, MembraneState.zero(Grid1D.uniform(32))).state
         p = ModelParams(eps=1.0, lam=0.3, dt=1e-3, equilibrium_tol=1e-9, max_time=40.0)
         traj = run0(MembraneState.zero(grid), p)
         assert np.max(np.abs(u_star.u - traj.final.u)) <= 1e-8
@@ -129,7 +129,7 @@ class TestFlatSteady:
 
         monkeypatch.setattr(small_aspect, "damped_newton", spy)
         guess = MembraneState.zero(grid)
-        got = steady0(0.3, guess=guess, depth=depth)
+        got = steady0(0.3, guess, depth=depth)
 
         x = grid.nodes[1:-1]
         u, lam = -0.4 * (1.0 - x * x) * (1.0 + 0.3 * x), 0.31
@@ -146,7 +146,7 @@ class TestFlatSteady:
         assert np.array_equal(got.state.u, want.state.u)
 
     def test_residual_contract(self):
-        u = steady0(0.25, tol=1e-11, n_x=64).state
+        u = steady0(0.25, MembraneState.zero(Grid1D.uniform(64)), tol=1e-11).state
         h2 = u.grid.h**2
         d2 = (u.u[2:] - 2 * u.u[1:-1] + u.u[:-2]) / h2
         res = d2 - 0.25 / (1.0 + u.u[1:-1]) ** 2
@@ -154,16 +154,16 @@ class TestFlatSteady:
 
     def test_beyond_pullin_fails(self):
         with pytest.raises(NoSteadyStateError):
-            steady0(0.5, n_x=64)
+            steady0(0.5, MembraneState.zero(Grid1D.uniform(64)))
 
     def test_depth_mode_matches_fixed_voltage(self):
         # with the centre depth held, the voltage is found; solving at that
         # voltage returns the same state
-        point = steady0(0.3, n_x=64, depth=0.2)
+        point = steady0(0.3, MembraneState.zero(Grid1D.uniform(64)), depth=0.2)
         state, lam = point.state, point.lam
         assert state.u[32] == pytest.approx(-0.2, abs=1e-14)
         assert 0.0 < lam < FLAT_PULLIN
-        fixed = steady0(lam, n_x=64, guess=state).state
+        fixed = steady0(lam, state).state
         assert np.max(np.abs(fixed.u - state.u)) <= 1e-10
 
 
@@ -180,7 +180,7 @@ class TestFlatTangent:
         # the error over delta^2 measured 1.31 at n_x 64 and 512, so it is
         # below 2 delta^2 and falls fourfold from delta = 0.02 to 0.01
         def solve(d):
-            return steady0(0.2, n_x=n_x, depth=d)
+            return steady0(0.2, MembraneState.zero(Grid1D.uniform(n_x)), depth=d)
 
         tangent = solve(0.2).tangent
         assert tangent[n_x // 2 - 1] == pytest.approx(-1.0, abs=1e-12)  # the held centre
@@ -242,9 +242,9 @@ class TestPullin:
         assert (lo, hi) == (detail.lambda_star - tol, detail.lambda_star + tol)
         assert tol <= 1e-8
         assert lo <= FLAT_FOLD_256 <= hi
-        steady0(lo - 1e-3, n_x=256)  # succeeds
+        steady0(lo - 1e-3, MembraneState.zero(Grid1D.uniform(256)))  # succeeds
         with pytest.raises((NoSteadyStateError, DegenerateGeometryError)):
-            steady0(hi + 1e-3, n_x=256)
+            steady0(hi + 1e-3, MembraneState.zero(Grid1D.uniform(256)))
 
     def test_shooting_agreement(self, detail):
         assert detail.shooting_value is not None
@@ -260,7 +260,7 @@ class TestPullin:
         monkeypatch.setattr(
             small_aspect,
             "steady0",
-            lambda lam, guess=None, depth=None, **kw: BranchPoint(
+            lambda lam, guess, depth=None, **kw: BranchPoint(
                 depth, guess, 0, 0.0, np.eye(guess.grid.n_nodes - 1)[-1]
             ),
         )
@@ -433,6 +433,10 @@ class TestLimitStudy:
         with pytest.raises(ValueError, match="tau"):
             limit_study(MembraneState.zero(grid), 0.5, [0.1], 4e-4, dt=1e-3)
 
+    def test_no_aspect_ratio_rejected(self, grid):
+        with pytest.raises(ValueError, match="eps_list must not be empty"):
+            limit_study(MembraneState.zero(grid), 0.5, [], 0.1)
+
     def test_tau_rounded_to_whole_steps_is_not_shortened(self, grid):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -461,11 +465,36 @@ class TestLimitStudy:
         assert comp.horizon_shortened and round(comp.tau / 1e-3) == survived
         assert [c["steps"] for c in comp.diagnostics] == [survived, survived]
 
-    def test_workers_match_serial(self, grid):
+    def test_pooled_runs_match_single_aspect_ratio_studies(self, grid):
+        # the aspect ratios run side by side: nothing one run solves may
+        # leak into the other
         kwargs = dict(n_eta=16, dt=2e-3)
-        a = limit_study(MembraneState.zero(grid), 0.5, [0.2, 0.1], 0.1, **kwargs)
-        b = limit_study(MembraneState.zero(grid), 0.5, [0.2, 0.1], 0.1,
-                        workers=2, **kwargs)
-        assert a.sup_errors == b.sup_errors
-        assert a.potential_errors == b.potential_errors
-        assert a.diagnostics == b.diagnostics
+        both = limit_study(MembraneState.zero(grid), 0.5, [0.2, 0.1], 0.1, **kwargs)
+        singles = [
+            limit_study(MembraneState.zero(grid), 0.5, [eps], 0.1, **kwargs) for eps in (0.2, 0.1)
+        ]
+        assert not both.horizon_shortened
+        assert all(s.tau == both.tau and not s.horizon_shortened for s in singles)
+        assert both.eps_values == [0.2, 0.1]
+        assert both.sup_errors == [s.sup_errors[0] for s in singles]
+        assert both.potential_errors == [s.potential_errors[0] for s in singles]
+        assert both.diagnostics == [s.diagnostics[0] for s in singles]
+
+    def test_one_usable_core_gives_the_same_result(self, grid, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        kwargs = dict(n_eta=16, dt=2e-3)
+        cores = small_aspect._usable_cores()
+        pooled = limit_study(MembraneState.zero(grid), 0.5, [0.2, 0.1], 0.1, **kwargs)
+        monkeypatch.setattr(small_aspect, "_usable_cores", lambda: 1)
+        serial = limit_study(MembraneState.zero(grid), 0.5, [0.2, 0.1], 0.1, **kwargs)
+        assert pools == [min(2, cores), 1]
+        assert serial == pooled

@@ -77,10 +77,12 @@ def linearize_at(u, lam, eps, grid2d, bordered=False):
 
 
 def dense_jacobian(u, lam, eps, grid2d):
-    """Dense matrix of ``linearize``: its tridiagonal part plus the trace term."""
+    """Dense matrix of ``linearize``: its tridiagonal part plus the trace
+    term, one ``trace_change`` product per column."""
     lin = linearize_at(u, lam, eps, grid2d)
     tridiagonal = np.diag(lin.diag) + np.diag(lin.lower, -1) + np.diag(lin.upper, 1)
-    return tridiagonal + lin.coupling[:, None] * lin.trace_change(np.eye(lin.diag.size))
+    trace = np.column_stack([lin.trace_change(e) for e in np.eye(lin.diag.size)])
+    return tridiagonal + lin.coupling[:, None] * trace
 
 
 def jacobian_error(n, eps, seed, lam=1.0):
@@ -361,7 +363,7 @@ class TestContinuation:
     def test_branch_below_fold(self, grid2d):
         for lambda_max, dlambda0 in ((0.3, 0.1), (0.32, 0.08)):
             branch = continue_branch(0.1, lambda_max, dlambda0, n_x=32, n_eta=32)
-            lams = branch.lambdas
+            lams = np.array([p.lam for p in branch.points])
             # the reported voltages are k * dlambda0, landing on lambda_max
             assert lams.size == round(lambda_max / dlambda0) + 1
             assert np.max(np.abs(lams - dlambda0 * np.arange(lams.size))) <= 1e-12
@@ -388,7 +390,7 @@ class TestContinuation:
         assert diagnostics["jacobians"] > diagnostics["newton_iters"]
         # the located fold is the last point, inside its stated interval
         assert branch.points[-1].lam == branch.fold_estimate
-        assert branch.fold_estimate == max(branch.lambdas)
+        assert branch.fold_estimate == max(p.lam for p in branch.points)
         lo, hi = branch.fold_interval
         assert lo <= branch.fold_estimate <= hi
         assert hi - lo <= 2 * steady._FOLD_TOL
