@@ -22,7 +22,7 @@ import numpy as np
 from . import criteria, evolution, small_aspect, steady
 from .errors import ConfigError, SolverError
 from .evolution import ModelParams
-from .numerics import Grid1D, Grid2D
+from .numerics import Grid1D, Grid2D, d1_central
 from .transform import MembraneState
 
 __all__ = ["ExperimentConfig", "parse_config", "run_experiment", "main"]
@@ -245,6 +245,18 @@ def _params_dict(p: ModelParams) -> dict:
     return {_JSON_NAMES.get(name, name): value for name, value in asdict(p).items()}
 
 
+def _stop_record(state: MembraneState, eps: float) -> dict:
+    """Where a run's last state stands: the x of its smallest gap (the
+    leftmost of equal ones), its centre gap 1 + u(0) (linear between the
+    middle nodes when n_x is odd) and eps max|u_x|, u_x by ``d1_central``,
+    one-sided at the clamped ends."""
+    return {
+        "min_gap_x": float(state.grid.nodes[np.argmin(state.u)]),
+        "centre_gap": 1.0 + float(state.interp(0.0)),
+        "eps_max_slope": eps * float(np.max(np.abs(d1_central(state.u, state.grid)))),
+    }
+
+
 def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
     grid = Grid1D.uniform(cfg.n_x)
     grid2d = Grid2D.uniform(cfg.n_x, cfg.n_eta)
@@ -270,6 +282,7 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
             "touchdown_time": traj.touchdown_time,
             "final_time": traj.final.time,
             "states_stored": len(traj.states),
+            "stop": _stop_record(traj.final, cfg.params.eps),
             "wall_time_s": wall,
             "diagnostics": traj.diagnostics,
         },

@@ -90,18 +90,24 @@ def even_run(n_x: int, n_eta: int, steps: int) -> tuple[Trajectory, float, Grid2
 
 
 def symmetry(traj: Trajectory, eps: float, grid2d: Grid2D) -> tuple[bool, str]:
-    """C4: every stored state and the potential of the final one are
-    even in x to ``EVEN_TOL``.
+    """C4: every stored state and the potential of the last one off the
+    plate are even in x to ``EVEN_TOL``.
 
-    The final potential comes from ``solve_dirichlet``, the full operator
-    on the whole rectangle with the data of ``solve_potential``, and not
+    A run that stops at touchdown stores the step that crossed the
+    floor, and its gap may already be negative, where no potential
+    exists; the potential is then that of the last stored state with a
+    positive gap.
+
+    The potential comes from ``solve_dirichlet``, the full operator on
+    the whole rectangle with the data of ``solve_potential``, and not
     from the half-rectangle solve that ``solve_potential`` makes for an
     even state, whose mirrored result is even by construction: so C4
     still tests the symmetry of the full operator.
     """
     traj_gap = max(float(np.max(np.abs(s.u - s.u[::-1]))) for s in traj.states)
     eta = np.broadcast_to(grid2d.eta_nodes, grid2d.shape)
-    coeffs = assemble_coefficients(traj.final, eps, grid2d)
+    last = next(s for s in reversed(traj.states) if s.min_gap > 0.0)
+    coeffs = assemble_coefficients(last, eps, grid2d)
     phi = solve_dirichlet(coeffs, np.zeros(grid2d.shape), eta)
     phi_gap = float(np.max(np.abs(phi - phi[::-1, :])))
     ok = max(traj_gap, phi_gap) <= EVEN_TOL

@@ -299,7 +299,7 @@ def _scatter_checked(
     w[1:-1, 1:-1][p.nodes] = x
     w[1 : p.first] = w[::-1][1 : p.first]  # w[i] = w[n_x - i]; none unfolded
     residual = _apply_stencil(weights, w) - rhs
-    check_residual(residual.reshape(-1, 1), rhs.reshape(-1, 1), tol)
+    check_residual(residual, rhs, tol)
     return w
 
 

@@ -130,20 +130,18 @@ def _off_diagonal(band, n: int) -> np.ndarray:
 def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float) -> None:
     """Check the residual A x - b of a solve of A x = b.
 
-    ``residual`` and ``rhs`` are vectors or matrices with one column per
-    right-hand side.  Raises SingularSystemError if the residual is not
-    finite (a non-finite solution) and NonConvergenceError if the 2-norm
-    of any column exceeds ``tol`` times that of its right-hand side.
+    ``residual`` and ``rhs`` are vectors; a grid array counts as the vector
+    of its entries.  Raises SingularSystemError if the residual is not
+    finite (a non-finite solution) and NonConvergenceError if its 2-norm
+    exceeds ``tol`` times that of the right-hand side.
     """
     if not np.all(np.isfinite(residual)):
         raise SingularSystemError("singular system: non-finite solution")
-    residual = np.atleast_1d(np.linalg.norm(residual, axis=0))
-    bound = tol * np.atleast_1d(np.linalg.norm(rhs, axis=0))
-    k = int(np.argmax(residual - bound))
-    if residual[k] > bound[k] + 1e-300:
+    norm = float(np.linalg.norm(residual))
+    bound = tol * float(np.linalg.norm(rhs))
+    if norm > bound + 1e-300:
         raise NonConvergenceError(
-            f"sparse solve residual {residual[k]:.3e} exceeds {bound[k]:.3e}",
-            residual=float(residual[k]),
+            f"sparse solve residual {norm:.3e} exceeds {bound:.3e}", residual=norm
         )
 
 

@@ -9,6 +9,9 @@ only the residual and a tridiagonal Newton step to the Newton loop
 with ``steady.march_to_fold``, both shared with the full model.  A
 converged depth solve's tangent (du/dd, dlambda/dd) is one more
 tridiagonal step, which seeds the march and steers its fold search.
+The march starts half a depth step below the fold of the continuum
+branch, whose voltage and profile the first integral of the steady
+equation gives in closed form, so one step passes the discrete fold.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .elliptic import solve_potential
 from .errors import DegenerateGeometryError, NonConvergenceError, SolverError
 from .evolution import ModelParams, Trajectory, _run_loop, imex_step, run
 from .numerics import Grid1D, Grid2D, solve_tridiagonal, trapezoid_2d
-from .steady import BranchPoint, damped_newton, march_to_fold
+from .steady import _DEPTH_STEP, BranchPoint, damped_newton, march_to_fold
 from .transform import MembraneState
 
 __all__ = [
@@ -47,6 +50,21 @@ _SHOOTING_DEPTHS = (0.05, 0.95)
 
 # Newton iterations allowed per ``steady0`` solve.
 _STEADY0_MAX_ITER = 50
+
+# Centre depth of the continuum flat-limit fold, the maximizer of
+# ``_clamp_voltage(1 - d)``: the root of its closed-form slope, to 1e-10.
+_CONTINUUM_FOLD_DEPTH = 0.3883467189
+
+# Centre depth at which the pull-in search starts, half a depth step below
+# the continuum fold: the discrete fold lies within 1.4e-3 of the
+# continuum one in depth from n_x = 8 on, so the start rises and its
+# first step passes the fold (measured for n_x = 3-39 and up to 8192).
+_PULLIN_START_DEPTH = _CONTINUUM_FOLD_DEPTH - 0.5 * _DEPTH_STEP
+
+# Newton steps that invert the continuum profile at the grid nodes (see
+# ``_continuum_start``): at the start depth of the pull-in search the
+# fourth step changes no node by more than 1e-9 and the fifth by nothing.
+_PROFILE_NEWTON_STEPS = 5
 
 # Touchdown floor of the pull-in search: its Newton iterates and its depths
 # keep 1 + u above it.
@@ -217,8 +235,9 @@ class PullinResult:
     ``failed_solves`` were rejected depth steps and ``fold_solves`` made
     by the fold search), the Newton steps of the converged ones under
     ``newton_iters`` and their tangents under ``tangent_solves``, one
-    tridiagonal solve each, and the seconds ``search_s`` spent in the
-    depth search and ``check_s`` in the cross-check."""
+    tridiagonal solve each, the depth ``start_depth`` of the search's
+    first sample, and the seconds ``search_s`` spent in the depth search
+    and ``check_s`` in the cross-check."""
 
     lambda_star: float
     bracket: tuple[float, float]
@@ -238,6 +257,31 @@ def _clamp_voltage(gap: float) -> float:
     root = math.sqrt(gap)
     i = root * (math.sqrt(1.0 - gap) + gap * math.acosh(1.0 / root))
     return 0.5 * i * i
+
+
+def _continuum_start(grid: Grid1D, depth: float) -> tuple[float, float, MembraneState]:
+    """(held depth, voltage, state) of the continuum flat-limit solution
+    with centre depth ``depth``, its profile at the nodes of ``grid``.  The
+    held depth is minus its deflection at the node that a depth solve
+    holds, x = 0, or x = h/2 when n_x is odd.
+
+    With the centre gap a = 1 - depth the voltage is lam =
+    ``_clamp_voltage(a)``, and the first integral w'^2 = 2 lam (1/a - 1/w)
+    integrates to |x| = sqrt(a/(2 lam)) (sqrt(w(w-a)) + a arccosh(sqrt(w/a))).
+    Put w = a cosh^2(s/2): then f(s) = sinh s + s equals
+    y = 2|x| / (a sqrt(a/(2 lam))).  f is increasing and convex for s >= 0,
+    and y/2 and asinh y both lie at or above its root, so Newton from the
+    smaller falls monotonically onto it, in ``_PROFILE_NEWTON_STEPS``.
+    """
+    gap = 1.0 - depth
+    lam = _clamp_voltage(gap)
+    y = np.abs(grid.nodes) * (2.0 / gap * math.sqrt(2.0 * lam / gap))
+    s = np.minimum(0.5 * y, np.arcsinh(y))
+    for _ in range(_PROFILE_NEWTON_STEPS):
+        s -= (np.sinh(s) + s - y) / (np.cosh(s) + 1.0)
+    u = 0.5 * gap * (1.0 + np.cosh(s)) - 1.0
+    u[0] = u[-1] = 0.0  # w(1) = 1 up to roundoff
+    return -float(u[grid.n_nodes // 2]), lam, MembraneState(grid, u)
 
 
 def shooting_pullin(tol: float) -> float:
@@ -264,12 +308,19 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
     against the exact shoot ``shooting_pullin`` to 2 ``tol_lambda`` plus
     the grid's own error allowance ``_PULLIN_H2_ALLOWANCE`` h^2.
 
-    The discrete branch is marched in the centre depth from the flat
-    membrane by ``steady.march_to_fold`` with ``steady0`` as the depth
-    solve, tangent included, and its fold, located to ``_PULLIN_TOL``,
-    is the pull-in voltage; ``tol_lambda`` sets only the cross-check.  A march that
-    reaches the touchdown floor without passing a fold raises
-    NonConvergenceError.
+    The discrete branch is marched in the centre depth by
+    ``steady.march_to_fold`` with ``steady0`` as the depth solve, tangent
+    included, and its fold, located to ``_PULLIN_TOL``, is the pull-in
+    voltage; ``tol_lambda`` sets only the cross-check.  The march starts
+    from the continuum solution of centre depth ``_PULLIN_START_DEPTH``,
+    half a depth step below the continuum fold (``_continuum_start``; for
+    odd n_x its depth at the held node x = h/2), which ``diagnostics``
+    records as ``start_depth``.  The discrete fold lies O(h^2) below the
+    continuum one in depth (1.3e-3 at n_x 8, 2e-5 at 64, under 1e-6 at
+    512), so the start rises and its first step passes the fold: three
+    depth solves in all for n_x = 3-39 and the powers of two up to 8192,
+    four at n_x = 4.  A march that reaches the touchdown floor without
+    passing a fold raises NonConvergenceError.
     """
     if not tol_lambda > 0.0:
         raise ValueError("tol_lambda must be positive")
@@ -282,11 +333,13 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
         return point
 
     t0 = time.perf_counter()
-    flat = MembraneState.zero(Grid1D.uniform(n_x))
+    grid = Grid1D.uniform(n_x)
+    start = _continuum_start(grid, _PULLIN_START_DEPTH)
     samples, fold = march_to_fold(
-        at_depth, flat, math.inf, _PULLIN_FLOOR, "flat-limit pull-in", counts
+        at_depth, start, math.inf, _PULLIN_FLOOR, "flat-limit pull-in", counts
     )
     counts["failed_solves"] = counts.pop("rejected_steps")
+    counts["start_depth"] = start[0]
     if fold is None:
         d, last = samples[-1]
         raise NonConvergenceError(
@@ -298,7 +351,7 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
     t1 = time.perf_counter()
     counts["search_s"] = t1 - t0
     shooting_value = shooting_pullin(tol_lambda / 10.0)
-    h = flat.grid.h
+    h = grid.h
     bound = 2.0 * tol_lambda + _PULLIN_H2_ALLOWANCE * h * h
     if abs(lam_star - shooting_value) > bound:
         raise NonConvergenceError(

@@ -6,8 +6,10 @@ full model here and the flat limit in ``small_aspect``.  It owns the
 unknowns (the interior deflections, and the voltage when the centre depth
 is held), the border row of a depth solve, the labels and the failure
 exits; a model supplies only its residual and its Newton step.
-``march_to_fold`` likewise traces either model's branch to its fold.
-A converged depth solve makes one more step with its last Jacobian,
+``march_to_fold`` likewise traces either model's branch to its fold,
+from a start that the caller gives: the flat membrane for the full
+model, a depth near the closed-form fold for the flat limit.  A
+converged depth solve makes one more step with its last Jacobian,
 whose solution is the branch tangent (du/dd, dlambda/dd) (Keller's
 predictor-corrector continuation); the march seeds each depth from the
 cubic Hermite interpolant of the last two samples and their tangents,
@@ -630,7 +632,12 @@ def _fold_depth(a, b) -> float:
 
 
 def march_to_fold(
-    solve, flat: MembraneState, lambda_max: float, floor: float, label: str, counts: Counter
+    solve,
+    start: tuple[float, float, MembraneState],
+    lambda_max: float,
+    floor: float,
+    label: str,
+    counts: Counter,
 ) -> tuple[list[tuple[float, BranchPoint]], tuple[float, BranchPoint] | None]:
     """March a steady branch in the centre depth d = -u(0) up to its fold.
 
@@ -638,13 +645,17 @@ def march_to_fold(
     included, seeded by the voltage ``lam`` and the state ``guess``, and
     raises NoSteadyStateError, DegenerateGeometryError or
     NonConvergenceError when it finds none; the flat limit and the full
-    model each pass their own depth solve.  The march starts from the
-    ``flat`` membrane at d = 0, whose tangent a solve there gives without
-    a Newton step once a first step is to be taken.  d steps by
-    ``_DEPTH_STEP``, the first depth seeded by the Euler step along that
-    tangent and each later one by the cubic Hermite interpolant through
-    the last two samples; a failed solve is a rejected step and halves
-    the step.
+    model each pass their own depth solve.  The march starts at
+    ``start = (depth, voltage guess, state guess)``: the flat membrane
+    (0, 0, flat), whose solve takes no Newton step, or any depth below
+    the fold.  Its solve is the first sample; a failure there re-raises
+    its error naming the start and the depth, and a first sample whose
+    voltage falls (dlambda/dd < 0) lies past the fold, which the search
+    below would then miss, and raises NonConvergenceError naming its
+    depth and slope.  d steps by ``_DEPTH_STEP``, the first depth seeded
+    by the Euler step along the start's tangent and each later one by the
+    cubic Hermite interpolant through the last two samples; a failed
+    solve is a rejected step and halves the step.
 
     The first sample whose voltage falls (dlambda/dd < 0) and the one
     before it bracket the fold, the largest voltage of the branch.  The
@@ -669,7 +680,7 @@ def march_to_fold(
     when there were none.
 
     Returns (samples, fold): the (depth, point) samples in increasing
-    voltage, from the flat membrane and ending with the fold when one was
+    voltage, from the start and ending with the fold when one was
     located, and the fold or None.
     """
 
@@ -707,15 +718,24 @@ def march_to_fold(
         )
 
     counts.update(rejected_steps=0, fold_solves=0, tangent_solves=0)
-    samples = [(0.0, BranchPoint(0.0, flat, 0, 0.0))]
+    d = start[0]
+    try:
+        first = solve_at(*start)
+    except _DEPTH_SOLVE_ERRORS as exc:
+        exc.args = (f"{label}: start failed at depth={d:.8g}: {exc}",)
+        raise
+    if first[1].slope < 0.0:
+        raise NonConvergenceError(
+            f"{label}: start at depth={d:.8g} lies past the fold "
+            f"(dlambda/dd={first[1].slope:.6g} < 0)"
+        )
+    samples = [first]
     fold = None
     step = _DEPTH_STEP
     while True:
         d = samples[-1][0] + step
         if 1.0 - d <= floor or step < _DEPTH_STEP / 2**10:
             break
-        if samples[0][1].tangent is None:
-            samples[0] = solve_at(0.0, 0.0, flat)
         lam, guess = _seed(d, *samples[-2:])
         try:
             sample = solve_at(d, lam, guess)
@@ -773,7 +793,7 @@ def continue_branch(
         return _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts, depth=d)
 
     samples, fold = march_to_fold(
-        at_depth, MembraneState.zero(grid), lambda_max, floor, f"eps={eps:g}", counts
+        at_depth, (0.0, 0.0, MembraneState.zero(grid)), lambda_max, floor, f"eps={eps:g}", counts
     )
 
     def point_at(lam: float, segment: int) -> BranchPoint:

@@ -343,6 +343,29 @@ class TestEvolveKind:
         header = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()[0]
         assert header.startswith("time,x=")
 
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    def test_stop_tells_an_end_blow_up_from_a_centre_touchdown(self, tmp_path, eps):
+        # above pull-in at lambda 1 on 32x32 at dt 1e-4, both runs touch down:
+        # at eps 0.5 the centre reaches the floor (measured centre gap 0.032,
+        # eps max|u_x| 0.65); at eps 1 the slope at the clamped ends blows up
+        # and the node next to an end passes the floor while the centre gap
+        # is still 0.59 (eps max|u_x| 32)
+        path = write_config(
+            tmp_path, kind="evolve", **{"lambda": 1.0}, eps=eps, n_x=32, n_eta=32, dt=1e-4,
+            thin_every=100000, out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_OK
+        meta = json.loads((tmp_path / "out" / "run.json").read_text())
+        assert meta["outcome"] == "touchdown"
+        stop = meta["stop"]
+        assert sorted(stop) == ["centre_gap", "eps_max_slope", "min_gap_x"]
+        if eps == 0.5:
+            assert stop["min_gap_x"] == 0.0 and stop["centre_gap"] <= 0.05
+            assert stop["eps_max_slope"] < 1.0
+        else:
+            assert stop["min_gap_x"] == -0.9375 and stop["centre_gap"] > 0.5
+            assert stop["eps_max_slope"] > 15.0
+
     def test_require_survival_exit_code(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -832,8 +855,8 @@ class TestOtherKinds:
             "newton_iters", "rejected_steps", "tangent_solves",
         ]
         assert diag["rejected_steps"] == 0 and diag["fold_solves"] == 0
-        # a floor that stops the march before its first step: no depth solve,
-        # not even the origin's tangent
+        # a floor that stops the march before its first step: only the solve
+        # of its start, the flat membrane, with no Newton step and one tangent
         floored = write_config(
             tmp_path, "floored.json", kind="continuation", eps=1.0, n_x=16, n_eta=16,
             lambda_max=0.08, dlambda0=0.04, touchdown_floor=0.95,
@@ -841,15 +864,15 @@ class TestOtherKinds:
         assert main([str(floored), "--out", str(tmp_path / "floored"), "--quiet"]) == EXIT_OK
         meta = json.loads((tmp_path / "floored" / "branch.json").read_text())["branches"]["1.0"]
         assert meta["points"] == 1 and meta["diagnostics"] == {
-            "newton_iters": 0, "jacobians": 0, "krylov_iters": 0, "tangent_solves": 0,
-            "rejected_steps": 0, "fold_solves": 0, "folded_solves": 0, "full_solves": 0,
+            "newton_iters": 0, "jacobians": 1, "krylov_iters": 1, "tangent_solves": 1,
+            "rejected_steps": 0, "fold_solves": 0, "folded_solves": 1, "full_solves": 0,
         }
         pullin = write_config(tmp_path, "pullin.json", kind="pullin", n_x=128, tol_lambda=2e-3)
         assert main([str(pullin), "--out", str(tmp_path / "pullin"), "--quiet"]) == EXIT_OK
         diagnostics = json.loads((tmp_path / "pullin" / "pullin.json").read_text())["diagnostics"]
         assert sorted(diagnostics) == [
             "check_s", "failed_solves", "fold_solves", "newton_iters", "search_s", "solves",
-            "tangent_solves",
+            "start_depth", "tangent_solves",
         ]
         assert diagnostics["failed_solves"] == 0
 
@@ -870,9 +893,11 @@ class TestOtherKinds:
         from mems_fbp import small_aspect
 
         steady0 = small_aspect.steady0
+        start = small_aspect._PULLIN_START_DEPTH
 
         def failing_off_the_march(*args, depth, **kwargs):
-            if abs(depth / 0.05 - round(depth / 0.05)) > 1e-9:
+            # the march solves at the start and at steps of 0.1 after it
+            if abs((depth - start) / 0.1 - round((depth - start) / 0.1)) > 1e-9:
                 raise NoSteadyStateError("injected failure", residual=1.0)
             return steady0(*args, depth=depth, **kwargs)
 

@@ -3,7 +3,7 @@ random admissible states on small grids, in place of the hand-picked
 states of the acceptance suite."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mems_fbp import criteria
@@ -35,6 +35,8 @@ def test_dual_formulation_on_random_states(grid2d, seed):
 
 @settings(max_examples=10, deadline=None)
 @given(grid2d=grids, seed=seeds, eps=st.floats(0.05, 2.0), lam=st.floats(0.0, 0.6))
+# touches down with its last step past the plate (min gap -0.134)
+@example(grid2d=Grid2D.uniform(8, 6), seed=7091, eps=2.0, lam=0.5)
 def test_symmetry_from_mirrored_random_states(grid2d, seed, eps, lam):
     traj, p = _short_run(_even_state(grid2d, seed), grid2d, eps, lam)
     ok, detail = criteria.symmetry(traj, p.eps, grid2d)

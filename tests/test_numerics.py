@@ -119,14 +119,21 @@ class TestCheckResidual:
         with pytest.raises(SingularSystemError, match="non-finite"):
             check_residual(np.array([0.0, np.nan]), np.ones(2), 1e-10)
 
-    def test_worst_column_is_reported(self):
-        rhs = np.ones((4, 3))  # ||column||_2 = 2, bound 2e-10
-        residual = np.zeros((4, 3))
-        residual[:, 1] = 3e-10  # norm 6e-10
-        residual[0, 2] = 1e-10  # inside its bound
+    def test_residual_norm_against_the_bound(self):
+        rhs = np.ones(4)  # ||rhs||_2 = 2, bound 2e-10
+        check_residual(np.full(4, 0.9e-10), rhs, 1e-10)  # norm 1.8e-10: inside
         with pytest.raises(NonConvergenceError, match="6.000e-10 exceeds 2.000e-10") as info:
-            check_residual(residual, rhs, 1e-10)
+            check_residual(np.full(4, 3e-10), rhs, 1e-10)
         assert info.value.residual == pytest.approx(6e-10, rel=1e-12)
+
+    def test_grid_array_is_one_vector(self):
+        # the 2-norm over every entry against that of the whole right-hand
+        # side, as the potential check reads its grid
+        rhs = np.ones((4, 3))  # norm sqrt(12), bound 3.464e-10
+        residual = np.zeros((4, 3))
+        residual[:, 1] = 2e-10  # norm 4e-10
+        with pytest.raises(NonConvergenceError, match="4.000e-10 exceeds 3.464e-10"):
+            check_residual(residual, rhs, 1e-10)
 
 
 class TestGmres:

@@ -167,6 +167,20 @@ class TestFlatSteady:
         assert np.max(np.abs(fixed.u - state.u)) <= 1e-10
 
 
+def pullin_start(n_x):
+    """The start (depth, voltage, state) of ``pullin0_detail``'s march."""
+    return small_aspect._continuum_start(Grid1D.uniform(n_x), small_aspect._PULLIN_START_DEPTH)
+
+
+def flat_march(start):
+    """``march_to_fold`` on ``pullin0_detail``'s depth solve from ``start``;
+    returns (samples, fold)."""
+    return march_to_fold(
+        lambda d, lam, guess: steady0(lam, guess, floor=small_aspect._PULLIN_FLOOR, depth=d),
+        start, np.inf, small_aspect._PULLIN_FLOOR, "flat-limit pull-in", Counter(),
+    )
+
+
 def flat_branch_vector(pt):
     """(interior deflections, voltage) of a branch point, ordered as its tangent."""
     return np.concatenate((pt.state.u[1:-1], [pt.lam]))
@@ -194,12 +208,8 @@ class TestFlatTangent:
         assert 3.9 <= errors[0] / errors[1] <= 4.1
 
     def test_fold_tangent_spans_the_null_space(self, n_x):
-        # the fold that pullin0_detail locates, from the same march
-        flat = MembraneState.zero(Grid1D.uniform(n_x))
-        _, (d, fold) = march_to_fold(
-            lambda depth, lam, guess: steady0(lam, guess=guess, depth=depth),
-            flat, np.inf, small_aspect._PULLIN_FLOOR, "test", Counter(),
-        )
+        # the fold that pullin0_detail locates, from the same march and start
+        _, (d, fold) = flat_march(pullin_start(n_x))
         assert fold.lam == pullin0_detail(1e-3, n_x=n_x).lambda_star
         # the stop rule of the fold search bounds the slope there by
         # 2 |lambda''| _FOLD_XATOL, lambda'' from the tangents 1e-3 away
@@ -264,7 +274,9 @@ class TestPullin:
                 depth, guess, 0, 0.0, np.eye(guess.grid.n_nodes - 1)[-1]
             ),
         )
-        with pytest.raises(NonConvergenceError, match="pull-in search.*depth=0.9, lambda=0.9"):
+        with pytest.raises(
+            NonConvergenceError, match="pull-in search.*depth=0.938347, lambda=0.938347"
+        ):
             pullin0_detail(1e-3, n_x=32)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-4, float("nan")])
@@ -306,16 +318,79 @@ class TestPullin:
         # a change to the search updates them on purpose
         counts = pullin0_detail(1e-4, n_x=512).diagnostics
         pinned = {
-            "solves": 7, "fold_solves": 2, "failed_solves": 0, "newton_iters": 10,
-            "tangent_solves": 7,
+            "solves": 3, "fold_solves": 1, "failed_solves": 0, "newton_iters": 5,
+            "tangent_solves": 3, "start_depth": small_aspect._PULLIN_START_DEPTH,
         }
         assert {key: counts[key] for key in pinned} == pinned
+
+    @pytest.mark.parametrize("n_x", [3, 4, 5, 6, 7, 8, 16, 64, 512, 2048, 8192])
+    def test_start_agrees_with_the_march_from_flat(self, n_x):
+        # the start near the continuum fold rises, reaches the fold in at
+        # most 4 depth solves and finds the fold of the march from the flat
+        # membrane: the two searches differ by 2.2e-11 at most (n_x 4)
+        result = pullin0_detail(1e-4, n_x=n_x)
+        counts = result.diagnostics
+        assert counts["solves"] <= 4 and counts["failed_solves"] == 0
+        samples, _ = flat_march(pullin_start(n_x))
+        assert samples[0][0] == counts["start_depth"] and samples[0][1].slope > 0.0
+        _, (_, fold) = flat_march((0.0, 0.0, MembraneState.zero(Grid1D.uniform(n_x))))
+        assert abs(result.lambda_star - fold.lam) <= 1e-10
+
+    def test_start_past_the_fold_raises(self):
+        # a falling first sample would reach the fold search as the rising
+        # end of its bracket and give a wrong fold without an error
+        depth = small_aspect._CONTINUUM_FOLD_DEPTH + 0.05
+        start = small_aspect._continuum_start(Grid1D.uniform(64), depth)
+        with pytest.raises(NonConvergenceError) as info:
+            flat_march(start)
+        message = str(info.value)
+        assert message.startswith("flat-limit pull-in: start at depth=0.43834672 lies past")
+        assert "(dlambda/dd=-0.1" in message
+
+    def test_continuum_fold_depth_is_pinned(self):
+        # the maximizer of the closed-form voltage, by a root of its slope:
+        # the voltage is flat to roundoff within sqrt(eps_mach / 1.8) = 1e-8
+        # of its maximum, so a maximization of it resolves the depth to 1e-8
+        # only; the root of a central difference at step 1e-5 lies 3.7e-11
+        # from that of the exact slope
+        def slope(d):
+            return clamp_voltage(d + 1e-5) - clamp_voltage(d - 1e-5)
+
+        root = brentq(slope, 0.3, 0.5, xtol=1e-13)
+        assert abs(small_aspect._CONTINUUM_FOLD_DEPTH - root) <= 1e-9
+        peak = minimize_scalar(
+            lambda d: -clamp_voltage(d), bounds=small_aspect._SHOOTING_DEPTHS,
+            method="bounded", options={"xatol": 1e-10},
+        ).x
+        assert abs(small_aspect._CONTINUUM_FOLD_DEPTH - peak) <= 1e-8
+
+    def test_continuum_start_is_the_continuum_solution(self):
+        # the seed solves the continuum problem: its nodal values match a
+        # numerical shot from the centre to 1e-9, ends clamped
+        depth, lam, state = small_aspect._continuum_start(
+            Grid1D.uniform(64), small_aspect._PULLIN_START_DEPTH
+        )
+        assert depth == small_aspect._PULLIN_START_DEPTH
+        assert lam == clamp_voltage(depth)
+        x = state.grid.nodes[32:]
+        shot = solve_ivp(
+            lambda _, y: [y[1], lam / (1.0 + y[0]) ** 2], (0.0, 1.0), [-depth, 0.0],
+            t_eval=x, rtol=1e-12, atol=1e-14,
+        )
+        assert np.max(np.abs(shot.y[0] - state.u[32:])) <= 1e-9
+        assert state.u[0] == state.u[-1] == 0.0
+        assert np.array_equal(state.u, state.u[::-1])
 
     def test_fine_grid_above_roundoff(self):
         # at n_x = 2048 a 1e-10 residual is below the roundoff of the
         # second difference; the discretisation error there is below 1e-7
         result = pullin0_detail(1e-4, n_x=2048)
         assert abs(result.lambda_star - FLAT_PULLIN) <= 1e-4 + 1e-7
+
+
+def clamp_voltage(depth: float) -> float:
+    """The closed-form flat-limit voltage at centre depth ``depth``."""
+    return small_aspect._clamp_voltage(1.0 - depth)
 
 
 def _numerical_shot_voltage(depth: float) -> float:

@@ -595,9 +595,8 @@ def march_voltage(voltage, slope):
         return BranchPoint(voltage(d), guess, 0, 0.0, np.array([0.0, -1.0, 0.0, slope(d)]))
 
     counts = Counter()
-    samples, fold = march_to_fold(
-        solve, MembraneState.zero(Grid1D.uniform(4)), np.inf, 0.05, "test", counts
-    )
+    flat = MembraneState.zero(Grid1D.uniform(4))
+    samples, fold = march_to_fold(solve, (0.0, 0.0, flat), np.inf, 0.05, "test", counts)
     assert counts["rejected_steps"] == 0 and samples[-1] == fold
     return fold, counts["fold_solves"]
 
@@ -663,6 +662,16 @@ class TestFoldSearch:
         assert "test: fold search unsettled after 1 solves" in message
         assert "in depth [0.3, 0.388349" in message and "best lambda=0.35000" in message
         assert 0.0 < info.value.residual < 0.05
+
+    def test_failed_start_names_the_start(self):
+        def solve(d, lam, guess):
+            raise NoSteadyStateError("Newton stalled", residual=0.5)
+
+        start = (0.2, 0.1, MembraneState.zero(Grid1D.uniform(4)))
+        with pytest.raises(NoSteadyStateError) as info:
+            march_to_fold(solve, start, np.inf, 0.05, "test", Counter())
+        assert str(info.value) == "test: start failed at depth=0.2: Newton stalled"
+        assert info.value.residual == 0.5
 
     def test_failed_solve_names_the_fold_search(self):
         def voltage(d):
