@@ -162,8 +162,9 @@ def run(
     the potential solve of each was made: ``folded_solves`` on the half
     rectangle for a state that ``is_even``, ``full_solves`` otherwise
     (see ``elliptic.solve_potential``).  With ``record_energy`` the
-    ``total_energy`` of every stored state is evaluated after the run;
-    these evaluations are not counted.
+    ``total_energy`` of every stored state with a positive gap is
+    evaluated after the run, so not that of a touchdown step that crossed
+    the plate, which has no gap region; these evaluations are not counted.
     """
     counts = Counter(steps=0, folded_solves=0, full_solves=0)
 
@@ -175,7 +176,9 @@ def run(
     traj = _run_loop(u0, p, one_step, thin_every)
     traj.diagnostics = counts
     if record_energy:
-        traj.energy_series = [(s.time, total_energy(s, p, grid2d)) for s in traj.states]
+        traj.energy_series = [
+            (s.time, total_energy(s, p, grid2d)) for s in traj.states if s.min_gap > 0.0
+        ]
     return traj
 
 

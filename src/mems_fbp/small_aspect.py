@@ -19,12 +19,10 @@ from __future__ import annotations
 import math
 import os
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .elliptic import solve_potential
 from .errors import DegenerateGeometryError, NonConvergenceError, SolverError
@@ -44,9 +42,6 @@ __all__ = [
     "shooting_pullin",
     "limit_study",
 ]
-
-# Centre depths over which ``shooting_pullin`` maximizes the voltage.
-_SHOOTING_DEPTHS = (0.05, 0.95)
 
 # Newton iterations allowed per ``steady0`` solve.
 _STEADY0_MAX_ITER = 50
@@ -85,10 +80,10 @@ _PULLIN_TOL = 1e-8
 # Discretization allowance of the pull-in cross-check, per h^2.  The fold
 # of the second-order discrete branch lies below the exact pull-in voltage
 # by 0.0400 h^2 to leading order: (shoot - fold) / h^2 measured 0.04026 at
-# n_x = 8, 0.04009 at 16, 0.04005 at 32 and 0.040037 at 512, against a
-# shoot to 1e-10.  The shoot of the check is within tol_lambda / 10 and
-# the fold within _PULLIN_TOL, so 2 tol_lambda + 0.05 h^2 holds every
-# n_x >= 8 with a quarter of the discretization error to spare.
+# n_x = 8, 0.04009 at 16, 0.04005 at 32 and 0.040037 at 512.  The shoot of
+# the check is exact to roundoff and the fold within _PULLIN_TOL, so
+# 2 tol_lambda + 0.05 h^2 holds every n_x >= 8 with a quarter of the
+# discretization error to spare, at any positive tol_lambda.
 _PULLIN_H2_ALLOWANCE = 0.05
 
 # Fractions of the horizon at which ``limit_study`` samples potential errors.
@@ -284,23 +279,16 @@ def _continuum_start(grid: Grid1D, depth: float) -> tuple[float, float, Membrane
     return -float(u[grid.n_nodes // 2]), lam, MembraneState(grid, u)
 
 
-def shooting_pullin(tol: float) -> float:
-    """Pull-in voltage of the flat-limit model by exact shooting, to ``tol``.
+def shooting_pullin() -> float:
+    """Pull-in voltage of the flat-limit model by exact shooting.
 
-    Pull-in is the largest ``_clamp_voltage`` over the centre gaps
-    1 - ``_SHOOTING_DEPTHS``.  The voltage has curvature about -3.6 at
-    its maximum and the bounded search stops within 2/3 of ``xatol`` of
-    it, so ``xatol = sqrt(tol)`` leaves a voltage error below 0.8 tol.
+    Pull-in is the largest ``_clamp_voltage``, reached at the centre
+    depth ``_CONTINUUM_FOLD_DEPTH``.  The voltage has curvature about
+    -3.6 there, so the 1e-10 to which that depth is pinned costs
+    1.8e-20 in voltage: the value is exact to roundoff, 1.4 ulp below
+    the maximum evaluated to 40 digits.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    result = minimize_scalar(
-        lambda gap: -_clamp_voltage(gap),
-        bounds=(1.0 - _SHOOTING_DEPTHS[1], 1.0 - _SHOOTING_DEPTHS[0]),
-        method="bounded",
-        options={"xatol": math.sqrt(tol)},
-    )
-    return float(-result.fun)
+    return _clamp_voltage(1.0 - _CONTINUUM_FOLD_DEPTH)
 
 
 def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
@@ -350,7 +338,7 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
 
     t1 = time.perf_counter()
     counts["search_s"] = t1 - t0
-    shooting_value = shooting_pullin(tol_lambda / 10.0)
+    shooting_value = shooting_pullin()
     h = grid.h
     bound = 2.0 * tol_lambda + _PULLIN_H2_ALLOWANCE * h * h
     if abs(lam_star - shooting_value) > bound:
@@ -430,10 +418,11 @@ def limit_study(
     stored and none stopped short at equilibrium.  Potential errors are
     sampled at the fractions ``_SAMPLE_FRACTIONS`` of ``tau``.  If any
     run reaches the touchdown floor before ``tau``, the horizon shrinks
-    to the span every run survives (with a warning); no run steps past
-    the flat reference's touchdown.  The aspect ratios run on a pool of
-    one thread per aspect ratio, at most one per usable core; the runs
-    share nothing, so the result does not depend on the pool.  A
+    to the span every run survives and ``horizon_shortened`` is set; no
+    run steps past the flat reference's touchdown.  The aspect ratios
+    run on a pool of one thread per aspect ratio, at most one per usable
+    core; the runs share nothing, so the result does not depend on the
+    pool.  A
     ``SolverError`` of an aspect ratio's run or potential samples is
     re-raised with ``eps=<eps>: `` before its message.
     """
@@ -484,11 +473,6 @@ def limit_study(
 
     common_alive = min([flat_alive] + [len(series) - 1 for series, _, _ in results])
     shortened = common_alive < n_steps
-    if shortened:
-        warnings.warn(
-            f"touchdown before the horizon; comparison shortened to t={common_alive * dt:g}",
-            stacklevel=2,
-        )
     sup_errors = [float(np.max(series[: common_alive + 1])) for series, _, _ in results]
     potential_errors = [
         [(t, e) for t, e in samples if t <= common_alive * dt + 1e-12]

@@ -381,6 +381,27 @@ class TestEvolveKind:
         assert main([str(path), "--quiet"]) == EXIT_TOUCHDOWN
         assert "ERROR[touchdown]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("survive, code", [(False, EXIT_OK), (True, EXIT_TOUCHDOWN)])
+    def test_energy_of_a_run_that_crossed_the_plate(self, tmp_path, capsys, survive, code):
+        # the last step of this run lands past the plate (min gap -1.24): it
+        # has no gap region and no energy, so energy.csv stops one state short
+        fields = dict(
+            kind="evolve", **{"lambda": 10.0}, eps=0.1, n_x=16, n_eta=8, dt=0.05,
+            max_time=2.0, require_survival=survive,
+        )
+        runs = {}
+        for energy in (False, True):
+            out = tmp_path / f"energy_{energy}"
+            path = write_config(tmp_path, record_energy=energy, out_dir=str(out), **fields)
+            assert main([str(path), "--quiet"]) == code
+            runs[energy] = json.loads((out / "run.json").read_text())
+            runs[energy].pop("wall_time_s")
+        assert runs[True] == runs[False]
+        assert runs[True]["outcome"] == "touchdown"
+        rows = (tmp_path / "energy_True" / "energy.csv").read_text().splitlines()[1:]
+        assert len(rows) == runs[True]["states_stored"] - 1
+        assert ("ERROR[touchdown]" in capsys.readouterr().err) == survive
+
     def test_failed_step_exit_code(self, tmp_path, monkeypatch, capsys):
         from mems_fbp import evolution
         from mems_fbp.errors import SingularSystemError
@@ -787,13 +808,24 @@ class TestOtherKinds:
         from mems_fbp import small_aspect
 
         shooting = small_aspect.shooting_pullin
-        monkeypatch.setattr(small_aspect, "shooting_pullin", lambda tol: shooting(tol) + shift)
+        monkeypatch.setattr(small_aspect, "shooting_pullin", lambda: shooting() + shift)
         out = tmp_path / "out"
         path = write_config(tmp_path, kind="pullin", n_x=16)
         assert main([str(path), "--out", str(out), "--quiet"]) == code
         assert (out / "pullin.json").exists() == (code == EXIT_OK)
         if code == EXIT_SOLVER:
             assert "beyond 2*tol + 0.05*h^2 = 0.000981" in capsys.readouterr().err
+
+    def test_pullin_oracle_does_not_move_with_the_tolerance(self, tmp_path):
+        # the oracle is the closed-form continuum pull-in; tol_lambda sets
+        # only the bound it is checked to
+        oracles = []
+        for tol in (1e-3, 1e-5):
+            out = tmp_path / f"tol_{tol:g}"
+            path = write_config(tmp_path, kind="pullin", n_x=512, tol_lambda=tol)
+            assert main([str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+            oracles.append(json.loads((out / "pullin.json").read_text())["shooting_oracle"])
+        assert oracles == [0.35000411934274966] * 2
 
     def test_pullin_diagnostics_count_the_solves(self, tmp_path, monkeypatch):
         from mems_fbp import small_aspect
@@ -984,6 +1016,9 @@ class TestOtherKinds:
         assert main([str(path), "--quiet"]) == EXIT_TOUCHDOWN
         meta = json.loads((tmp_path / "out" / "limit_study.json").read_text())
         assert meta["horizon_shortened"] is True
+        assert meta["warnings"] == [
+            f"touchdown before the horizon; comparison shortened to t={meta['tau_used']:g}"
+        ]
         # the flat reference touches down first: each run stops at its horizon
         steps = round(meta["tau_used"] / 1e-3)
         assert [d["steps"] for d in meta["diagnostics"]] == [steps, steps]

@@ -4,7 +4,10 @@ code."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -237,3 +240,17 @@ def test_every_default_is_overridden():
             if not (by_position or param in keywords or "**" in keywords):
                 unset.add((name.rpartition(".")[2], qualified, param))
     assert unset == set(UNSET_DEFAULTS)
+
+
+def test_cli_start_up_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize adds 0.2-0.3 s to a fresh import of the CLI
+    # on a 2-core machine, and no part of the package needs it
+    src = Path(mems_fbp.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, mems_fbp.cli; print('scipy.optimize' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
