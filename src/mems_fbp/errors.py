@@ -11,9 +11,14 @@ catches the builtin still catches it.
 
 ``ConfigError`` is not a solver failure: it rejects an experiment's input
 before any solve starts, and the driver reports it with exit status 2.
+
+``context`` names where a failure happened: a solve that catches one from
+a step it delegated re-raises it with its own label before the message.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class SolverError(Exception):
@@ -51,3 +56,15 @@ class GridTooCoarseError(SolverError, ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration file is malformed or invalid."""
+
+
+@contextmanager
+def context(prefix: str, errors=SolverError):
+    """Re-raise an ``errors`` exception of the block as the same object, its
+    message now ``prefix: `` and the old message; its type and ``residual``
+    are kept.  Any other exception passes through untouched."""
+    try:
+        yield
+    except errors as exc:
+        exc.args = (f"{prefix}: {exc}",)
+        raise

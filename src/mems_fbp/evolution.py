@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import g_eps, is_even, solve_potential
-from .errors import SolverError
+from .errors import context
 from .numerics import Grid2D, d1_central, solve_tridiagonal, trapezoid_2d
 from .transform import MembraneState
 
@@ -128,11 +128,8 @@ def _run_loop(u0, p, step_fn, thin_every) -> Trajectory:
     u = u0
     k = 0
     while True:
-        try:
+        with context(f"step {k + 1} from t={u.time:.12g}"):
             u_new = step_fn(u)
-        except SolverError as exc:
-            exc.args = (f"step {k + 1} from t={u.time:.12g}: {exc}",)
-            raise
         k += 1
         if u_new.min_gap <= p.touchdown_floor:
             outcome, touchdown_time, stop = "touchdown", u_new.time, True

@@ -4,11 +4,12 @@ In the flat limit the potential is explicit, (1+z)/(1+u), and the
 membrane obeys a semilinear heat equation with source -lambda/(1+u)^2.
 This module solves that model and measures how the full solver
 approaches it as the aspect ratio shrinks.  Its steady solve supplies
-only the residual and a tridiagonal Newton step to the Newton loop
-``steady.damped_newton``, and its pull-in search marches the branch
-with ``steady.march_to_fold``, both shared with the full model.  A
-converged depth solve's tangent (du/dd, dlambda/dd) is one more
-tridiagonal step, which seeds the march and steers its fold search.
+only its residual to the Newton loop ``steady.damped_newton``, each
+evaluation returning the tridiagonal Newton step at its point, and its
+pull-in search marches the branch with ``steady.march_to_fold``, both
+shared with the full model.  A converged depth solve's tangent
+(du/dd, dlambda/dd) is one more tridiagonal step, which seeds the march
+and steers its fold search.
 The march starts half a depth step below the fold of the continuum
 branch, whose voltage and profile the first integral of the steady
 equation gives in closed form, so one step passes the discrete fold.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .elliptic import solve_potential
-from .errors import DegenerateGeometryError, NonConvergenceError, SolverError
+from .errors import DegenerateGeometryError, NonConvergenceError, context
 from .evolution import ModelParams, Trajectory, _run_loop, imex_step, run
 from .numerics import Grid1D, Grid2D, solve_tridiagonal, trapezoid_2d
 from .steady import _DEPTH_STEP, BranchPoint, damped_newton, march_to_fold
@@ -176,11 +177,10 @@ def steady0(
     tangent of a converged depth solve is that step with r = 0 and a unit
     border row, one more tridiagonal solve.
 
-    A step reuses 1+u and (1+u)^2 of the residual evaluation at its point,
-    the latest one (``damped_newton`` steps from there), and fills
-    (du, dlam) into one preallocated vector.  The arithmetic is that of
-    the plain expressions, operation by operation, so every iterate is the
-    same to the last bit.
+    Each residual evaluation returns the step at its point, which reuses
+    the 1+u and (1+u)^2 of that evaluation and fills (du, dlam) into one
+    preallocated vector.  The arithmetic is that of the plain expressions,
+    operation by operation, so every iterate is the same to the last bit.
     """
     if not lam >= 0.0:
         raise ValueError("lambda must be nonnegative")
@@ -189,34 +189,33 @@ def steady0(
     h2 = grid.h * grid.h
     full = np.zeros(grid.n_nodes)  # deflection with its clamped ends
     off = np.full(n_int - 1, 1.0 / h2)
-    latest = {}  # 1 + u and its square at the latest residual evaluation
 
     def residual(u, lam):
         full[1:-1] = u
         w = 1.0 + u
-        latest["w"], latest["w2"] = w, w * w
+        w2 = w * w
         r = full[2:] - 2.0 * u
         r += full[:-2]
         r /= h2
-        r -= lam / latest["w2"]
-        return r
+        r -= lam / w2
 
-    def step(u, lam, r):
-        diag = -2.0 / h2 + 2.0 * lam / latest["w"] ** 3
-        if depth is None:
-            return solve_tridiagonal(off, diag, off, -r)
-        rhs = np.array((r[:n_int], 1.0 / latest["w2"])).T
-        a, b = solve_tridiagonal(off, diag, off, rhs).T
-        dlam = (a[n_int // 2] - r[n_int]) / b[n_int // 2]
-        du_dlam = np.empty(n_int + 1)
-        np.multiply(b, dlam, out=du_dlam[:n_int])
-        du_dlam[:n_int] -= a
-        du_dlam[n_int] = dlam
-        return du_dlam
+        def step(rhs):
+            diag = -2.0 / h2 + 2.0 * lam / w**3
+            if depth is None:
+                return solve_tridiagonal(off, diag, off, -rhs)
+            a, b = solve_tridiagonal(off, diag, off, np.array((rhs[:n_int], 1.0 / w2)).T).T
+            dlam = (a[n_int // 2] - rhs[n_int]) / b[n_int // 2]
+            du_dlam = np.empty(n_int + 1)
+            np.multiply(b, dlam, out=du_dlam[:n_int])
+            du_dlam[:n_int] -= a
+            du_dlam[n_int] = dlam
+            return du_dlam
+
+        return r, step
 
     tol = max(tol, np.finfo(float).eps / h2)
     return damped_newton(
-        residual, step, guess, lam, tol, _STEADY0_MAX_ITER, floor, "flat-limit Newton", depth
+        residual, guess, lam, tol, _STEADY0_MAX_ITER, floor, "flat-limit Newton", depth
     )
 
 
@@ -452,7 +451,7 @@ def limit_study(
     def run_one(eps: float):
         if flat_alive == 0:
             return [0.0], [], Counter(steps=0, folded_solves=0, full_solves=0)
-        try:
+        with context(f"eps={eps:g}"):
             traj = run(u0, params(eps, flat_alive), grid2d, thin_every=1)
             states = _states_before_touchdown(traj, flat_alive)
             samples = [
@@ -460,9 +459,6 @@ def limit_study(
                 for k in sample_steps
                 if k < len(states)
             ]
-        except SolverError as exc:
-            exc.args = (f"eps={eps:g}: {exc}",)
-            raise
         err_series = [float(np.max(np.abs(u.u - f.u))) for u, f in zip(states, flat)]
         return err_series, samples, traj.diagnostics
 

@@ -5,7 +5,8 @@ fold, and the closed-form non-existence threshold.
 full model here and the flat limit in ``small_aspect``.  It owns the
 unknowns (the interior deflections, and the voltage when the centre depth
 is held), the border row of a depth solve, the labels and the failure
-exits; a model supplies only its residual and its Newton step.
+exits; a model supplies only its residual, each evaluation of which also
+returns the Newton step at its point.
 ``march_to_fold`` likewise traces either model's branch to its fold,
 from a start that the caller gives: the flat membrane for the full
 model, a depth near the closed-form fold for the flat limit.  A
@@ -25,10 +26,10 @@ membrane trace.  The trace change follows from linearizing the potential
 solve, dphi = -A(u)^{-1} G_u v with G(u, phi) = A(u) phi - b(u): G_u is
 exact, built once per step from three stencil differences of the
 potential, and each product is one solve against the LU of A(u) that the
-residual evaluation at the same iterate already made, so each Newton
-iteration factorizes once.  T, solved in closed form, preconditions
-GMRES, which then needs a few such solves per step instead of one per
-unknown.
+residual evaluation returning the step made at the same iterate, so each
+Newton iteration factorizes once.  T, solved in closed form,
+preconditions GMRES, which then needs a few such solves per step instead
+of one per unknown.
 
 The branch from the flat membrane, and any solve from a guess that
 ``is_even``, stays exactly even: Newton starts from the guess's exact even
@@ -62,6 +63,7 @@ from .errors import (
     NoSteadyStateError,
     NonConvergenceError,
     SingularSystemError,
+    context,
 )
 from .numerics import (
     Grid1D,
@@ -360,7 +362,6 @@ def linearize(
 
 def damped_newton(
     residual,
-    step,
     guess: MembraneState,
     lam: float,
     tol: float,
@@ -372,27 +373,29 @@ def damped_newton(
     """Damped Newton iteration for a steady state of either model; returns
     the ``BranchPoint`` it reached.
 
-    The model supplies ``residual(u, lam)``, its residual at the interior
-    deflections u and the voltage lam, and ``step(u, lam, r)``, the full
-    Newton step from the point of the latest residual evaluation, whose
-    residual is r.  Without ``depth`` the unknowns are u, seeded by the
-    interior of ``guess``, and the voltage is fixed at ``lam``.  With a
-    depth the centre deflection is held at -depth and the voltage becomes
-    the last unknown, seeded by ``lam``: r ends with the border row
-    u_c + depth, and ``step`` returns (du, dlam) solving the bordered
-    system [J, -h; e_c^T, 0] [du; dlam] = -r, where h is the source (minus
-    the residual's derivative by the voltage) and e_c picks the centre
-    node.  The voltage rides along in the vector whose entries Newton keeps
-    at 1 + entry > ``floor``, which holds for any nonnegative voltage.
+    The model supplies ``residual(u, lam)``, which returns (r, step): its
+    residual r at the interior deflections u and the voltage lam, and the
+    Newton step at that point, ``step(rhs)`` solving J x = -rhs with J the
+    Jacobian there, so an iteration's step is ``step(r)``.  Without
+    ``depth`` the unknowns are u, seeded by the interior of ``guess``, and
+    the voltage is fixed at ``lam``.  With a depth the centre deflection
+    is held at -depth and the voltage becomes the last unknown, seeded by
+    ``lam``: the residual gains the border row u_c + depth, and ``step``
+    returns (du, dlam) solving the bordered system [J, -h; e_c^T, 0]
+    [du; dlam] = -rhs, where h is the source (minus the residual's
+    derivative by the voltage) and e_c picks the centre node.  The voltage
+    rides along in the vector whose entries Newton keeps at
+    1 + entry > ``floor``, which holds for any nonnegative voltage.
 
     Each step is halved up to eight times until the trial point keeps
-    every 1 + entry above ``floor`` and lowers the max-norm residual.
+    every 1 + entry above ``floor`` and lowers the max-norm residual; a
+    rejected trial's step is dropped before the next trial is evaluated.
     Returns at the first iterate with max-norm residual <= ``tol``: its
     voltage, its state at the time of ``guess``, the steps taken and that
-    residual.  With a depth it first makes one more ``step`` there, whose
-    r is the unit border row: the bordered system [J, -h; e_c^T, 0] t =
-    (0, -1) is the depth derivative of the branch equations, so that step
-    is the point's ``tangent``; it is not one of the ``newton_iters``.
+    residual.  With a depth it first applies that iterate's ``step`` to
+    the unit border row: the bordered system [J, -h; e_c^T, 0] t = (0, -1)
+    is the depth derivative of the branch equations, so its solution is
+    the point's ``tangent``; it is not one of the ``newton_iters``.
 
     Raises DegenerateGeometryError when the guess, or every trial point
     of a line search, lies at or below the floor, and NoSteadyStateError
@@ -412,28 +415,18 @@ def damped_newton(
         z[:n] = guess.u[1:-1]
         z[n] = lam
 
-    def lam_of(z):
-        return lam if depth is None else z[n]
-
     def full_residual(z):
         if depth is None:
             return residual(z, lam)
         r = np.empty(n + 1)
-        r[:n] = residual(z[:n], z[n])
+        r[:n], step = residual(z[:n], z[n])
         r[n] = z[n // 2] + depth
-        return r
-
-    def labelled_step(z, r):
-        try:
-            return step(z[:n], lam_of(z), r)
-        except NoSteadyStateError as exc:
-            exc.args = (f"{label}: {exc}",)
-            raise
+        return r, step
 
     # 1 + min(z) is min(1 + z) exactly, since rounding is monotone
     if 1.0 + float(z.min()) <= floor:
         raise DegenerateGeometryError(f"{label}: initial guess already below the touchdown floor")
-    r = full_residual(z)
+    r, step = full_residual(z)
     rnorm = float(np.abs(r).max())
     for it in range(max_iter + 1):
         if rnorm <= tol:
@@ -441,25 +434,28 @@ def damped_newton(
             if depth is not None:
                 unit = np.zeros(n + 1)
                 unit[n] = 1.0
-                tangent = labelled_step(z, unit)
+                with context(label, NoSteadyStateError):
+                    tangent = step(unit)
             full = np.zeros(n + 2)
             full[1:-1] = z[:n]
             state = MembraneState(grid, full, guess.time)
-            return BranchPoint(float(lam_of(z)), state, it, rnorm, tangent)
+            return BranchPoint(float(lam if depth is None else z[n]), state, it, rnorm, tangent)
         if it == max_iter:
             break
-        dz = labelled_step(z, r)
+        with context(label, NoSteadyStateError):
+            dz = step(r)
 
         any_admissible = False
         for k in range(9):  # full step plus up to 8 halvings
             z_try = z + 0.5**k * dz
             if 1.0 + float(z_try.min()) > floor:
                 any_admissible = True
-                r_try = full_residual(z_try)
-                rnorm_try = float(np.abs(r_try).max())
+                trial = full_residual(z_try)
+                rnorm_try = float(np.abs(trial[0]).max())
                 if rnorm_try < rnorm:
-                    z, r, rnorm = z_try, r_try, rnorm_try
+                    z, (r, step), rnorm = z_try, trial, rnorm_try
                     break
+                trial = None  # free what its step holds before the next evaluation
         else:
             if not any_admissible:
                 raise DegenerateGeometryError(f"{label}: iterates touch down")
@@ -483,70 +479,66 @@ def _newton(
     """``damped_newton`` on the full model, at the fixed voltage ``lam`` or,
     with ``depth``, at that centre depth; returns the point it reached.
 
-    Each step linearizes once (``linearize``, counted in
-    ``counts["jacobians"]``) and solves by ``gmres`` on the products,
-    preconditioned by the tridiagonal part, to the stop rule of
-    ``_KRYLOV_RTOL`` and ``_KRYLOV_ATOL``; its iterations add to
-    ``counts["krylov_iters"]``.  The tangent of a depth solve is one more
-    such step, against the LU that the last residual evaluation made, so
-    it factorizes nothing and counts as a linearization and its GMRES
-    iterations alike.  A GMRES solve that misses the rule
-    within as many iterations as unknowns raises NoSteadyStateError
-    carrying its linear residual.  Each residual evaluation adds one to
-    ``counts["folded_solves"]`` or ``counts["full_solves"]``, as its
-    potential was solved on the half rectangle or not.  A guess that
+    Each residual evaluation builds the iterate's state once and solves its
+    potential, adding one to ``counts["folded_solves"]`` or
+    ``counts["full_solves"]`` as that was done on the half rectangle or
+    not; its step linearizes there (``linearize``, counted in
+    ``counts["jacobians"]``) against that potential's LU factor and solves
+    by ``gmres`` on the products, preconditioned by the tridiagonal part,
+    to the stop rule of ``_KRYLOV_RTOL`` and ``_KRYLOV_ATOL``; its
+    iterations add to ``counts["krylov_iters"]``.  All four keys are set,
+    at 0 when nothing was counted.  The tangent of a depth solve is one
+    more such step, so it factorizes nothing and counts as a
+    linearization and its GMRES iterations alike.  A GMRES solve that
+    misses the rule within as many iterations as unknowns raises
+    NoSteadyStateError carrying its linear residual.  A guess that
     ``is_even`` is replaced by its exact even part, so its iterates stay
     exactly even, and on a folded field GMRES solves for the even part of
-    the residual (see the module docstring).  The linearization
-    at an iterate reuses the potential (and its LU factor) of the
-    residual evaluation there; the latest one is held for this call only,
-    so concurrent calls share nothing.
+    the residual (see the module docstring).  Every potential belongs to
+    one call, so concurrent calls share nothing.
     """
     grid = guess.grid
     if is_even(guess):
         # start from its exact even part, at most _EVEN_TOL / 2 away, so every
         # iterate is exactly even: the preconditioner returns even steps
         guess = MembraneState(grid, 0.5 * (guess.u + guess.u[::-1]), guess.time)
-    latest = {}  # the potential of the last residual evaluation
+    counts.update(jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
 
-    def state_of(u: np.ndarray) -> MembraneState:
+    def residual(u: np.ndarray, lam: float):
         full = np.zeros(grid.n_nodes)
         full[1:-1] = u
-        return MembraneState(grid, full, guess.time)
-
-    def residual(u: np.ndarray, lam: float) -> np.ndarray:
-        r, field = steady_residual(state_of(u), lam, eps, grid2d)
+        state = MembraneState(grid, full, guess.time)
+        r, field = steady_residual(state, lam, eps, grid2d)
         counts["folded_solves" if field.folded else "full_solves"] += 1
-        latest["field"] = field
-        return r
 
-    def step(u: np.ndarray, lam: float, r: np.ndarray) -> np.ndarray:
-        counts["jacobians"] += 1
-        bound = max(_KRYLOV_RTOL * float(np.linalg.norm(r)), _KRYLOV_ATOL)
-        try:
-            lin = linearize(
-                state_of(u), lam, eps, grid2d, latest["field"], bordered=depth is not None
-            )
-            rhs = -r
-            if lin.field.folded:
-                # solve for the even part of r alone: even steps cannot reduce
-                # the odd part left by an iterate not exactly even
-                half = rhs[: lin.diag.size]  # a view: the deflection rows
-                half[:] = 0.5 * (half + half[::-1])
-            dz, iters, linear = gmres(lin.matvec, rhs, lin.precondition, bound, r.size)
-        except SingularSystemError as exc:
-            raise NoSteadyStateError(
-                f"singular linearization: {exc}", residual=float(np.max(np.abs(r)))
-            ) from exc
-        counts["krylov_iters"] += iters
-        if not linear <= bound:
-            raise NoSteadyStateError(
-                f"GMRES linear residual {linear:.3e} above {bound:.3e} after {iters} iterations",
-                residual=linear,
-            )
-        return dz
+        def step(rhs: np.ndarray) -> np.ndarray:
+            counts["jacobians"] += 1
+            bound = max(_KRYLOV_RTOL * float(np.linalg.norm(rhs)), _KRYLOV_ATOL)
+            try:
+                lin = linearize(state, lam, eps, grid2d, field, bordered=depth is not None)
+                b = -rhs
+                if field.folded:
+                    # solve for the even part of rhs alone: even steps cannot
+                    # reduce the odd part left by an iterate not exactly even
+                    half = b[: lin.diag.size]  # a view: the deflection rows
+                    half[:] = 0.5 * (half + half[::-1])
+                dz, iters, linear = gmres(lin.matvec, b, lin.precondition, bound, rhs.size)
+            except SingularSystemError as exc:
+                raise NoSteadyStateError(
+                    f"singular linearization: {exc}", residual=float(np.max(np.abs(rhs)))
+                ) from exc
+            counts["krylov_iters"] += iters
+            if not linear <= bound:
+                raise NoSteadyStateError(
+                    f"GMRES linear residual {linear:.3e} above {bound:.3e} after {iters} "
+                    "iterations",
+                    residual=linear,
+                )
+            return dz
 
-    return damped_newton(residual, step, guess, lam, _NEWTON_TOL, max_iter, floor, "Newton", depth)
+        return r, step
+
+    return damped_newton(residual, guess, lam, _NEWTON_TOL, max_iter, floor, "Newton", depth)
 
 
 def solve_steady(
@@ -562,18 +554,17 @@ def solve_steady(
     Newton iterations; returns the ``BranchPoint`` reached, whose
     ``residual`` is the max-norm residual of its state.
 
-    When ``counts`` is given, the Newton iterations of a converged solve
-    are added to ``counts["newton_iters"]``, every linearization (one per
-    Newton step) to ``counts["jacobians"]``, their GMRES iterations to
-    ``counts["krylov_iters"]`` and the potential solves of the residual
-    evaluations to ``counts["folded_solves"]`` and ``counts["full_solves"]``
-    (see ``_newton``); all five keys are set, the first three at 0 for a
-    guess that already converges.
+    The model's residual evaluation returns the Newton step at its point
+    (see ``_newton``).  When ``counts`` is given, the Newton iterations of
+    a converged solve are added to ``counts["newton_iters"]``, set at 0
+    for a guess that already converges, next to what ``_newton`` counts:
+    the linearizations, one per Newton step, their GMRES iterations and
+    the potential solves of the residual evaluations.
     """
     if not lam >= 0.0:
         raise ValueError("lambda must be nonnegative")
     counts = Counter() if counts is None else counts
-    counts.update(newton_iters=0, jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
+    counts.update(newton_iters=0)
     point = _newton(lam, eps, guess, grid2d, _STEADY_MAX_ITER, floor, counts)
     counts["newton_iters"] += point.newton_iters
     return point
@@ -697,11 +688,8 @@ def march_to_fold(
         d = _fold_depth(rise, fall)
         for solves in range(1, _FOLD_MAX_SOLVES + 1):
             lam, guess = _seed(d, rise, fall)
-            try:
+            with context(f"{label}: fold search failed at depth={d:.8g}", _DEPTH_SOLVE_ERRORS):
                 new = solve_at(d, lam, guess)
-            except _DEPTH_SOLVE_ERRORS as exc:
-                exc.args = (f"{label}: fold search failed at depth={d:.8g}: {exc}",)
-                raise
             if new[1].slope >= 0.0:
                 rise = new
             else:
@@ -719,11 +707,8 @@ def march_to_fold(
 
     counts.update(rejected_steps=0, fold_solves=0, tangent_solves=0)
     d = start[0]
-    try:
+    with context(f"{label}: start failed at depth={d:.8g}", _DEPTH_SOLVE_ERRORS):
         first = solve_at(*start)
-    except _DEPTH_SOLVE_ERRORS as exc:
-        exc.args = (f"{label}: start failed at depth={d:.8g}: {exc}",)
-        raise
     if first[1].slope < 0.0:
         raise NonConvergenceError(
             f"{label}: start at depth={d:.8g} lies past the fold "
@@ -787,7 +772,7 @@ def continue_branch(
         raise ValueError("dlambda0 must be positive")
     grid = Grid1D.uniform(n_x)
     grid2d = Grid2D.uniform(n_x, n_eta if n_eta is not None else n_x)
-    counts = Counter(jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
+    counts = Counter()
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         return _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts, depth=d)
@@ -806,11 +791,10 @@ def continue_branch(
             else:
                 hi = mid
         guess = _seed(0.5 * (lo + hi), a, b)[1]
-        try:
+        with context(
+            f"eps={eps:g}: branch point at lambda={lam:.12g} failed", _DEPTH_SOLVE_ERRORS
+        ):
             return _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts)
-        except _DEPTH_SOLVE_ERRORS as exc:
-            exc.args = (f"eps={eps:g}: branch point at lambda={lam:.12g} failed: {exc}",)
-            raise
 
     points = [samples[0][1]]
     k = 1

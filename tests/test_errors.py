@@ -40,3 +40,38 @@ def test_solver_error_keeps_its_builtin_base(cls, base):
     assert isinstance(error, SolverError) and isinstance(error, base)
     assert error.residual is None and str(error) == "boom"
     assert cls("boom", residual=0.5).residual == 0.5
+
+
+class TestContext:
+    """``errors.context`` re-raises a failure with where it happened."""
+
+    @staticmethod
+    def raised(error, *args):
+        with pytest.raises(type(error)) as info:
+            with errors.context(*args):
+                raise error
+        return info.value
+
+    def test_same_object_and_type_come_back(self):
+        error = NoSteadyStateError("stalled")
+        assert self.raised(error, "Newton at lambda=0.5") is error
+        assert type(error) is NoSteadyStateError
+
+    def test_residual_is_kept(self):
+        error = DegenerateGeometryError("touchdown", residual=0.25)
+        assert self.raised(error, "step 3 from t=0.002").residual == 0.25
+
+    def test_prefix_format(self):
+        error = self.raised(SolverError("stalled (residual 1.000e-01)"), "Newton at lambda=0.5")
+        assert error.args == ("Newton at lambda=0.5: stalled (residual 1.000e-01)",)
+
+    @pytest.mark.parametrize(
+        "error", [ValueError("not a solver error"), DegenerateGeometryError("not listed")]
+    )
+    def test_other_exceptions_pass_through_unchanged(self, error):
+        assert self.raised(error, "label", NoSteadyStateError).args == (error.args[0],)
+
+    def test_a_block_that_raises_nothing_is_unaffected(self):
+        with errors.context("label"):
+            value = 1
+        assert value == 1

@@ -171,6 +171,20 @@ def test_no_np_append(name):
     assert appends == []
 
 
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "mems_fbp.errors"])
+def test_no_exception_args_assignment(name):
+    """Only ``errors.context`` rewrites an exception's ``args``: a solve
+    that names where a failure happened re-raises it through that helper."""
+    assigned = [
+        node.lineno
+        for node in ast.walk(parse(name))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "args"
+        and isinstance(node.ctx, ast.Store)
+    ]
+    assert assigned == []
+
+
 # Optional parameters that no call in the package sets, each with why it stays.
 UNSET_DEFAULTS = {
     ("cli", "main", "argv"): "the console entry point calls main() without arguments",

@@ -88,6 +88,19 @@ class TestFlatLimitRun:
         assert traj.touchdown_time is not None
 
 
+def flat_model(monkeypatch):
+    """A dict that receives the residual which ``steady0`` hands to
+    ``damped_newton``, under ``"residual"``, once ``steady0`` is called."""
+    model = {}
+
+    def spy(residual, *args):
+        model["residual"] = residual
+        return damped_newton(residual, *args)
+
+    monkeypatch.setattr(small_aspect, "damped_newton", spy)
+    return model
+
+
 class TestFlatSteady:
     def test_zero_voltage(self):
         u = steady0(0.0, MembraneState.zero(Grid1D.uniform(64))).state
@@ -102,8 +115,8 @@ class TestFlatSteady:
     @pytest.mark.parametrize("n_x", [63, 64])
     @pytest.mark.parametrize("depth", [None, 0.3, 0.6])
     def test_matches_the_plain_expressions(self, n_x, depth, monkeypatch):
-        # the residual and Newton step as plain expressions, one new array per
-        # operation: steady0's must give the same bits, at a point off the
+        # the residual and its Newton step as plain expressions, one new array
+        # per operation: steady0's must give the same bits, at a point off the
         # branch and along its whole solve
         grid = Grid1D.uniform(n_x)
         n = grid.n_nodes - 2
@@ -112,39 +125,53 @@ class TestFlatSteady:
 
         def residual(u, lam):
             full = np.concatenate(([0.0], u, [0.0]))
-            return (full[2:] - 2.0 * u + full[:-2]) / h2 - lam / (1.0 + u) ** 2
 
-        def step(u, lam, r):
-            diag = -2.0 / h2 + 2.0 * lam / (1.0 + u) ** 3
-            if depth is None:
-                return solve_tridiagonal(off, diag, off, -r)
-            a, b = solve_tridiagonal(off, diag, off, np.array((r[:n], 1.0 / (1.0 + u) ** 2)).T).T
-            dlam = (a[n // 2] - r[n]) / b[n // 2]
-            return np.concatenate((b * dlam - a, [dlam]))
+            def step(rhs):
+                diag = -2.0 / h2 + 2.0 * lam / (1.0 + u) ** 3
+                if depth is None:
+                    return solve_tridiagonal(off, diag, off, -rhs)
+                columns = np.array((rhs[:n], 1.0 / (1.0 + u) ** 2)).T
+                a, b = solve_tridiagonal(off, diag, off, columns).T
+                dlam = (a[n // 2] - rhs[n]) / b[n // 2]
+                return np.concatenate((b * dlam - a, [dlam]))
 
-        model = {}
+            return (full[2:] - 2.0 * u + full[:-2]) / h2 - lam / (1.0 + u) ** 2, step
 
-        def spy(residual, step, *args):
-            model["residual"], model["step"] = residual, step
-            return damped_newton(residual, step, *args)
-
-        monkeypatch.setattr(small_aspect, "damped_newton", spy)
+        model = flat_model(monkeypatch)
         guess = MembraneState.zero(grid)
         got = steady0(0.3, guess, depth=depth)
 
         x = grid.nodes[1:-1]
         u, lam = -0.4 * (1.0 - x * x) * (1.0 + 0.3 * x), 0.31
-        r = model["residual"](u, lam)  # a step follows the residual at its point
-        assert np.array_equal(r, residual(u, lam))
+        r, step = model["residual"](u, lam)
+        want_r, want_step = residual(u, lam)
+        assert np.array_equal(r, want_r)
         if depth is not None:
             r = np.concatenate((r, [u[n // 2] + depth]))
-        assert np.array_equal(model["step"](u, lam, r), step(u, lam, r))
+        assert np.array_equal(step(r), want_step(r))
 
         tol = max(1e-10, np.finfo(float).eps / h2)
-        want = damped_newton(residual, step, guess, 0.3, tol, 50, 0.05, "reference", depth)
+        want = damped_newton(residual, guess, 0.3, tol, 50, 0.05, "reference", depth)
         if depth is not None:
             assert got.lam == want.lam
         assert np.array_equal(got.state.u, want.state.u)
+
+    @pytest.mark.parametrize("depth", [None, 0.3])
+    def test_a_step_keeps_its_own_point(self, depth, monkeypatch):
+        # the step of one evaluation, called after a later one at another
+        # point, is the step taken right after its own evaluation
+        grid = Grid1D.uniform(32)
+        n = grid.n_nodes - 2
+        model = flat_model(monkeypatch)
+        steady0(0.3, MembraneState.zero(grid), depth=depth)
+        x = grid.nodes[1:-1]
+        first, later = -0.3 * (1.0 - x * x), -0.2 * (1.0 - x**4)
+        rhs = np.ones(n if depth is None else n + 1)
+        _, step = model["residual"](first, 0.31)
+        right_after = step(rhs)
+        _, later_step = model["residual"](later, 0.25)
+        assert np.array_equal(step(rhs), right_after)
+        assert not np.array_equal(later_step(rhs), right_after)
 
     def test_residual_contract(self):
         u = steady0(0.25, MembraneState.zero(Grid1D.uniform(64)), tol=1e-11).state

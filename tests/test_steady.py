@@ -14,6 +14,7 @@ from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.steady import (
     BranchPoint,
     continue_branch,
+    damped_newton,
     linearize,
     march_to_fold,
     nonexistence_bound,
@@ -218,6 +219,29 @@ class TestLinearization:
         assert message.endswith(f"after {n_int} iterations")
         # the linear residual, at roundoff of the right-hand side
         assert 0.0 < info.value.residual < 1e-10
+
+    @pytest.mark.parametrize("depth", [None, 0.3])
+    def test_a_step_keeps_its_own_point(self, monkeypatch, depth):
+        # the step of one residual evaluation, called after a later one at
+        # another point, is the step taken right after its own evaluation
+        model = {}
+
+        def spy(residual, *args):
+            model["residual"] = residual
+            return damped_newton(residual, *args)
+
+        monkeypatch.setattr(steady, "damped_newton", spy)
+        grid, grid2d = Grid1D.uniform(16), Grid2D.uniform(16, 16)
+        n = grid.n_nodes - 2
+        steady._newton(0.2, 1.0, MembraneState.zero(grid), grid2d, 15, 0.05, Counter(), depth)
+        x = grid.nodes[1:-1]
+        first, later = -0.3 * (1.0 - x * x) * (1.0 + 0.2 * x), -0.2 * (1.0 - x**4)
+        rhs = np.ones(n if depth is None else n + 1)
+        _, step = model["residual"](first, 0.31)
+        right_after = step(rhs)
+        _, later_step = model["residual"](later, 0.25)
+        assert np.array_equal(step(rhs), right_after)
+        assert not np.array_equal(later_step(rhs), right_after)
 
 
 def flat_newton(lam, guess, floor, max_iter, depth, monkeypatch):
