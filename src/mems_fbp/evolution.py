@@ -27,22 +27,19 @@ __all__ = [
     "total_energy",
 ]
 
-MODES = ("quasilinear", "linearized")
 
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and numerical parameters of a membrane run.
 
     ``eps`` is the device aspect ratio, ``lam`` the dimensionless
-    voltage parameter.  ``mode`` selects the full curvature operator or
-    its linearized-stretching variant (the source term is unchanged).
-    The ``kinds`` metadata of a field names the experiment kinds of the
-    command-line driver that read it as a config key.
+    voltage parameter.  The ``kinds`` metadata of a field names the
+    experiment kinds of the command-line driver that read it as a config
+    key.
     """
 
     eps: float = field(default=0.1, metadata={"kinds": ("evolve", "steady", "continuation")})
     lam: float = field(default=0.0, metadata={"kinds": ("evolve", "steady", "limit-study")})
-    mode: str = field(default="quasilinear", metadata={"kinds": ("evolve",)})
     dt: float = field(default=1e-3, metadata={"kinds": ("evolve", "limit-study")})
     touchdown_floor: float = field(
         default=0.05, metadata={"kinds": ("evolve", "steady", "continuation", "limit-study")}
@@ -55,8 +52,6 @@ class ModelParams:
             raise ValueError("eps must be positive")
         if not self.lam >= 0.0:
             raise ValueError("lambda must be nonnegative")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if not 0.0 < self.touchdown_floor < 1.0:
@@ -86,13 +81,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _diffusion_interior(u: MembraneState, p: ModelParams) -> np.ndarray:
-    if p.mode == "linearized":
-        return np.ones(u.grid.n_nodes - 2)
-    dv = d1_central(u.u, u.grid)[1:-1]
-    return (1.0 + p.eps * p.eps * dv * dv) ** -1.5
-
-
 def imex_step(u: MembraneState, dt: float, diffusion_int: np.ndarray, forcing: np.ndarray) -> MembraneState:
     """One implicit-diffusion / explicit-forcing step with clamped ends.
 
@@ -111,7 +99,14 @@ def imex_step(u: MembraneState, dt: float, diffusion_int: np.ndarray, forcing: n
 def step(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> MembraneState:
     """Advance one time step; the potential is re-solved at the current state."""
     forcing = -p.lam * g_eps(u, p.eps, grid2d)
-    return imex_step(u, p.dt, _diffusion_interior(u, p), forcing)
+    # the curvature factor (1 + eps^2 u_x^2)^(-3/2), frozen over the step
+    dv = d1_central(u.u, u.grid)[1:-1]
+    return imex_step(u, p.dt, (1.0 + p.eps * p.eps * dv * dv) ** -1.5, forcing)
+
+
+def _no_steps() -> Counter:
+    """The diagnostics of a run before its first step."""
+    return Counter(steps=0, folded_solves=0, full_solves=0)
 
 
 def _run_loop(u0, p, step_fn, thin_every) -> Trajectory:
@@ -163,7 +158,7 @@ def run(
     evaluated after the run, so not that of a touchdown step that crossed
     the plate, which has no gap region; these evaluations are not counted.
     """
-    counts = Counter(steps=0, folded_solves=0, full_solves=0)
+    counts = _no_steps()
 
     def one_step(s: MembraneState) -> MembraneState:
         counts["steps"] += 1

@@ -27,7 +27,7 @@ import numpy as np
 
 from .elliptic import solve_potential
 from .errors import DegenerateGeometryError, NonConvergenceError, context
-from .evolution import ModelParams, Trajectory, _run_loop, imex_step, run
+from .evolution import ModelParams, Trajectory, _no_steps, _run_loop, imex_step, run
 from .numerics import Grid1D, Grid2D, solve_tridiagonal, trapezoid_2d
 from .steady import _DEPTH_STEP, BranchPoint, damped_newton, march_to_fold
 from .transform import MembraneState
@@ -450,7 +450,7 @@ def limit_study(
 
     def run_one(eps: float):
         if flat_alive == 0:
-            return [0.0], [], Counter(steps=0, folded_solves=0, full_solves=0)
+            return [0.0], [], _no_steps()
         with context(f"eps={eps:g}"):
             traj = run(u0, params(eps, flat_alive), grid2d, thin_every=1)
             states = _states_before_touchdown(traj, flat_alive)

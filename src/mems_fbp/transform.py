@@ -69,8 +69,8 @@ class MembraneState:
         return np.interp(x, self.grid.nodes, self.u)
 
     @classmethod
-    def zero(cls, grid: Grid1D, time: float = 0.0) -> "MembraneState":
-        return cls(grid, np.zeros(grid.n_nodes), time)
+    def zero(cls, grid: Grid1D) -> "MembraneState":
+        return cls(grid, np.zeros(grid.n_nodes))
 
 
 @dataclass(frozen=True, eq=False)

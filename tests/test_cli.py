@@ -13,6 +13,7 @@ from mems_fbp.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_TOUCHDOWN,
+    KINDS,
     ExperimentConfig,
     _keys,
     main,
@@ -77,7 +78,7 @@ class TestParseConfig:
             ("kind", 5),
             ("lambda", "0.1"),
             ("eps", True),
-            ("mode", 1),
+            ("out_dir", ["out"]),
             ("dt", "1e-3"),
             ("touchdown_floor", None),
             ("equilibrium_tol", [1e-9]),
@@ -135,10 +136,9 @@ class TestParseConfig:
     @pytest.mark.parametrize(
         "fields, key",
         [
-            # pullin reads none of eps, lambda and mode; eps is the first
+            # pullin reads neither eps nor lambda; eps is the first
             (
-                {"kind": "pullin", "eps": 0.5, "lambda": 3.0, "mode": "linearized",
-                 "n_x": 64, "tol_lambda": 1e-3},
+                {"kind": "pullin", "eps": 0.5, "lambda": 3.0, "n_x": 64, "tol_lambda": 1e-3},
                 "eps",
             ),
             ({"kind": "evolve", "tau": 2.0}, "tau"),
@@ -299,6 +299,14 @@ class TestParseConfig:
             path = tmp_path / "example.json"
             path.write_text(text)
             parse_config(path)
+
+    def test_readme_config_block_lists_every_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```jsonc\n(.*?)```", readme, flags=re.DOTALL)
+        text = "\n".join(line.partition("//")[0] for line in block.splitlines())
+        keys = json.loads(text, object_pairs_hook=lambda pairs: [k for k, _ in pairs])
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(CONFIG_KEYS)
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main([str(tmp_path / "absent.json")]) == EXIT_CONFIG
@@ -763,11 +771,11 @@ class TestOtherKinds:
         assert meta["last_lambda"] < 0.01
         assert meta["fold_estimate"] is None and meta["fold_interval"] is None
 
-    @pytest.mark.parametrize("kind", ["steady", "continuation", "limit-study"])
-    def test_linearized_mode_rejected(self, tmp_path, kind):
-        # these kinds solve the quasilinear equation only and do not read mode
-        path = write_config(tmp_path, kind=kind, mode="linearized")
-        with pytest.raises(ConfigError, match="'mode' is not read by kind"):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mode_is_an_unknown_key(self, tmp_path, kind):
+        # every kind solves the quasilinear equation; no key selects another model
+        path = write_config(tmp_path, kind=kind, mode="quasilinear")
+        with pytest.raises(ConfigError, match="unknown config key 'mode'"):
             parse_config(path)
 
     def test_continuation_initial_condition_rejected(self, tmp_path):

@@ -191,7 +191,6 @@ UNSET_DEFAULTS = {
     ("errors", "SolverError.__init__", "residual"): "set through its subclasses' constructors",
     ("small_aspect", "steady0", "tol"): "set by tests only: test_residual_contract solves tighter",
     ("transform", "random_admissible_state", "min_gap"): "set by tests only",
-    ("transform", "MembraneState.zero", "time"): "set by tests only",
 }
 
 
@@ -239,6 +238,14 @@ def optional_parameters(tree):
     yield from visit(tree.body, "", None)
 
 
+def is_set(calls, callee, param, index):
+    """Whether some call in ``calls`` (see ``calls_by_name``) sets ``param``
+    of ``callee``, by keyword or by position."""
+    positional, keywords = calls.get(callee, (set(), set()))
+    by_position = index is not None and any(n > index for n in positional)
+    return by_position or param in keywords or "**" in keywords
+
+
 def test_every_default_is_overridden():
     """An optional parameter of a package function is set by some call in
     the package, by keyword or by position; one that only tests set is
@@ -249,11 +256,24 @@ def test_every_default_is_overridden():
     unset = set()
     for name in MODULES:
         for qualified, callee, param, index in optional_parameters(parse(name)):
-            positional, keywords = calls.get(callee, (set(), set()))
-            by_position = index is not None and any(n > index for n in positional)
-            if not (by_position or param in keywords or "**" in keywords):
+            if not is_set(calls, callee, param, index):
                 unset.add((name.rpartition(".")[2], qualified, param))
     assert unset == set(UNSET_DEFAULTS)
+
+
+def test_every_test_only_default_is_set_by_a_test():
+    """An ``UNSET_DEFAULTS`` entry kept because tests set it is set by some
+    call in a module under ``tests/``."""
+    tests = Path(__file__).parent
+    calls = calls_by_name(ast.parse(path.read_text()) for path in sorted(tests.glob("*.py")))
+    unset = []
+    for (module, qualified, param), reason in UNSET_DEFAULTS.items():
+        if not reason.startswith("set by tests only"):
+            continue
+        for name, callee, arg, index in optional_parameters(parse(f"mems_fbp.{module}")):
+            if (name, arg) == (qualified, param) and not is_set(calls, callee, arg, index):
+                unset.append((module, qualified, param))
+    assert unset == []
 
 
 def test_cli_start_up_leaves_scipy_optimize_unloaded():
