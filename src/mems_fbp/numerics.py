@@ -157,6 +157,10 @@ def solve_sparse(matrix, rhs: np.ndarray):
     SingularSystemError on a (numerically) singular matrix; the residual
     is the caller's to check (``check_residual``).
     """
+    # ``relax`` stays at SuperLU's default: with SciPy 1.17.1 a process that
+    # factorized with relax=64 beside default calls, as the benchmark's speed
+    # probe makes them beside the program's, crashed at exit (a segfault in
+    # 1 of 9 runs of such a script; none in 6 with the default alone)
     with warnings.catch_warnings():
         warnings.simplefilter("error", MatrixRankWarning)
         try:

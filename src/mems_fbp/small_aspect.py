@@ -4,15 +4,14 @@ In the flat limit the potential is explicit, (1+z)/(1+u), and the
 membrane obeys a semilinear heat equation with source -lambda/(1+u)^2.
 This module solves that model and measures how the full solver
 approaches it as the aspect ratio shrinks.  Its steady solve supplies
-only its residual to the Newton loop ``steady.damped_newton``, each
-evaluation returning the tridiagonal Newton step at its point, and its
-pull-in search marches the branch with ``steady.march_to_fold``, both
-shared with the full model.  A converged depth solve's tangent
-(du/dd, dlambda/dd) is one more tridiagonal step, which seeds the march
-and steers its fold search.
-The march starts half a depth step below the fold of the continuum
-branch, whose voltage and profile the first integral of the steady
-equation gives in closed form, so one step passes the discrete fold.
+only its residual to the Newton loop ``steady.damped_newton``, shared
+with the full model, each evaluation returning the tridiagonal Newton
+step at its point.  The pull-in voltage is the fold of the discrete
+branch, which one Newton solve of the fold equations (the steady
+equation and a bordered singularity test) locates.  It starts from the
+fold of the continuum branch, whose voltage and profile the first
+integral of the steady equation gives in closed form, and which lies
+O(h^2) from the discrete one.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .elliptic import solve_potential
 from .errors import DegenerateGeometryError, NonConvergenceError, context
 from .evolution import ModelParams, Trajectory, _no_steps, _run_loop, imex_step, run
 from .numerics import Grid1D, Grid2D, solve_tridiagonal, trapezoid_2d
-from .steady import _DEPTH_STEP, BranchPoint, damped_newton, march_to_fold
+from .steady import BranchPoint, damped_newton
 from .transform import MembraneState
 
 __all__ = [
@@ -51,31 +50,26 @@ _STEADY0_MAX_ITER = 50
 # ``_clamp_voltage(1 - d)``: the root of its closed-form slope, to 1e-10.
 _CONTINUUM_FOLD_DEPTH = 0.3883467189
 
-# Centre depth at which the pull-in search starts, half a depth step below
-# the continuum fold: the discrete fold lies within 1.4e-3 of the
-# continuum one in depth from n_x = 8 on, so the start rises and its
-# first step passes the fold (measured for n_x = 3-39 and up to 8192).
-_PULLIN_START_DEPTH = _CONTINUUM_FOLD_DEPTH - 0.5 * _DEPTH_STEP
-
 # Newton steps that invert the continuum profile at the grid nodes (see
-# ``_continuum_start``): at the start depth of the pull-in search the
-# fourth step changes no node by more than 1e-9 and the fifth by nothing.
+# ``_continuum_start``): at the continuum fold depth the fourth step changes
+# no node by more than 1e-8 and the fifth by no more than roundoff, 3.3e-16
+# (measured at n_x = 3, 8, 64, 512 and 8192).
 _PROFILE_NEWTON_STEPS = 5
 
-# Touchdown floor of the pull-in search: its Newton iterates and its depths
-# keep 1 + u above it.
+# Touchdown floor of the pull-in search: its Newton iterates keep 1 + u
+# above it.
 _PULLIN_FLOOR = 0.05
 
-# Half-width of the reported pull-in bracket.  A depth solve stops at a
-# max-norm residual of max(1e-10, eps_mach/h^2), at most 3.7e-9 up to
-# n_x = 8192, which moves its voltage by at most that times the 1-norm of
-# the voltage row of the inverse bordered Jacobian: 0.459 at the fold for
-# every n_x from 32 to 8192, so 1.7e-9.  At the fold the voltage is
-# quadratic in the depth, |lambda''| = 3.61, and the Hermite fold search
-# of ``march_to_fold`` returns a sample within 2 ``steady._FOLD_XATOL`` =
-# 2e-6 of the fold, which adds at most 1/2 |lambda''| (2e-6)^2 = 7.2e-12.
-# 1e-8 leaves a factor of about 6 over their sum at n_x = 8192, and of
-# about 190 below n_x = 1343.
+# Half-width of the reported pull-in bracket.  The fold solve stops at a
+# max-norm residual of max(1e-10, eps_mach/h^2) over the rows of F and the
+# fold row g h^2/4, at most 3.7e-9 up to n_x = 8192, which moves its
+# voltage by at most that times the 1-norm of the voltage row of the
+# inverse extended Jacobian.  That norm measured 0.4587 at the fold for
+# every n_x = 2^k from 32 to 8192, all but under 4e-8 of it on the rows
+# of F (the voltage is stationary along the branch at the fold, so the
+# fold row barely moves it), so the bound is 1.7e-9 at n_x = 8192 and
+# 4.6e-11 below n_x = 1343.  1e-8 leaves a factor of about 6 over it at
+# n_x = 8192, and of about 220 below n_x = 1343.
 _PULLIN_TOL = 1e-8
 
 # Discretization allowance of the pull-in cross-check, per h^2.  The fold
@@ -156,39 +150,61 @@ def steady0(
     guess: MembraneState,
     tol: float = 1e-10,
     floor: float = 0.05,
-    depth: float | None = None,
+    fold: bool = False,
 ) -> BranchPoint:
     """Newton solve of the flat-limit steady problem by ``steady.damped_newton``,
     in at most ``_STEADY0_MAX_ITER`` iterations, seeded by ``guess`` on
     its grid; returns the ``BranchPoint`` it reached.
 
-    The Jacobian T is tridiagonal (diffusion stencil plus a diagonal from
-    the source), so each iteration is one tridiagonal solve.  ``tol`` is
-    raised to eps/h^2, the roundoff of the second difference of a
-    deflection below 1 in size: near the fold Newton stalls at up to
-    half of it, which is above 1e-10 from n_x = 2048 on.
+    The residual is F = D2 u - lam s, s = 1/w^2 with w = 1 + u, and its
+    Jacobian J = D2 + diag(2 lam / w^3) is symmetric and tridiagonal, so
+    each iteration is one tridiagonal solve.  ``tol`` is raised to
+    eps/h^2, the roundoff of the second difference of a deflection below
+    1 in size: near the fold Newton stalls at up to half of it, which is
+    above 1e-10 from n_x = 2048 on.
 
-    Without ``depth`` the voltage is ``lam``.  With a depth the centre
-    deflection is held at -depth and the voltage becomes an unknown,
-    seeded by ``lam``.  Each step then solves the bordered system
-    [T, -s; e_c^T, 0] [du; dlam] = -[r; u_c + depth], s = 1/(1+u)^2 the
-    source, by block elimination: T [a b] = [r s] in one two-column
-    solve, dlam = (a_c - u_c - depth) / b_c and du = b dlam - a.  The
-    tangent of a converged depth solve is that step with r = 0 and a unit
-    border row, one more tridiagonal solve.
+    Without ``fold`` the voltage is ``lam``.  With ``fold`` the voltage
+    becomes an unknown, seeded by ``lam``, and the point solved for is the
+    fold of the branch: F = 0 and the fold test g = 0, the minimally
+    augmented system of Govaerts (Numerical Methods for Bifurcations of
+    Dynamical Equilibria, SIAM 2000).  [v; g] solves the bordered system
+    [J e_c; e_c^T 0] [v; g] = [0; 1], e_c the centre node, so J v = -g e_c:
+    J is singular exactly when g = 0, and v with v_c = 1 then spans its
+    null space.  With J's centre column replaced by e_c the bordered
+    system is the tridiagonal M y = -J e_c, y being v with g in place of
+    v_c, so each residual evaluation makes one tridiagonal solve and none
+    uses the singular J.  The residual's last row is g h^2/4, which
+    brings the roundoff of g, about 4 eps/h^2 like that of F, to eps/h^2
+    at most, under the stop test of F.
+
+    J being symmetric, v is also the left solution of the bordered
+    system, so g_u = 6 lam v^2/w^4 and g_lam = -2 sum(v^2/w^3).  A Newton
+    step against the rows (r, r_g) is du = p1 + dlam p2 + beta v with
+    M [p1 p2] = [-r, s], one two-column solve whose centre entries mu1,
+    mu2 it zeroes: J du = -r + s dlam holds when mu1 + mu2 dlam + g beta
+    = 0, and with the fold row g_u du + g_lam dlam = -r_g (both scaled by
+    h^2/4) that is a 2x2 system for (dlam, beta).  The fold's tangent is
+    (-v, 0): the null vector at centre entry -1, at slope 0.
 
     Each residual evaluation returns the step at its point, which reuses
-    the 1+u and (1+u)^2 of that evaluation and fills (du, dlam) into one
-    preallocated vector.  The arithmetic is that of the plain expressions,
-    operation by operation, so every iterate is the same to the last bit.
+    the 1+u and (1+u)^2 of that evaluation.  Without ``fold`` the
+    arithmetic is that of the plain expressions, operation by operation,
+    so every iterate is the same to the last bit.
     """
     if not lam >= 0.0:
         raise ValueError("lambda must be nonnegative")
     grid = guess.grid
     n_int = grid.n_nodes - 2
+    centre = n_int // 2
     h2 = grid.h * grid.h
+    scale = 0.25 * h2  # of the fold row
     full = np.zeros(grid.n_nodes)  # deflection with its clamped ends
     off = np.full(n_int - 1, 1.0 / h2)
+    # the off-diagonals of M, which has no entry off the diagonal in its
+    # centre column (below it none when the centre is the last node)
+    lower, upper = off.copy(), off.copy()
+    lower[centre : centre + 1] = 0.0
+    upper[centre - 1] = 0.0
 
     def residual(u, lam):
         full[1:-1] = u
@@ -198,24 +214,49 @@ def steady0(
         r += full[:-2]
         r /= h2
         r -= lam / w2
+        if not fold:
+            return r, lambda rhs: solve_tridiagonal(off, -2.0 / h2 + 2.0 * lam / w**3, off, -rhs)
+
+        w3 = w2 * w
+        diag = -2.0 / h2 + 2.0 * lam / w3
+        column = np.zeros(n_int)  # -J e_c
+        column[centre - 1 : centre + 2] = -1.0 / h2
+        column[centre] = -diag[centre]
+        diag[centre] = 1.0
+        v = solve_tridiagonal(lower, diag, upper, column)
+        g = v[centre]
+        v[centre] = 1.0
+        rows = np.concatenate((r, [scale * g]))
 
         def step(rhs):
-            diag = -2.0 / h2 + 2.0 * lam / w**3
-            if depth is None:
-                return solve_tridiagonal(off, diag, off, -rhs)
-            a, b = solve_tridiagonal(off, diag, off, np.array((rhs[:n_int], 1.0 / w2)).T).T
-            dlam = (a[n_int // 2] - rhs[n_int]) / b[n_int // 2]
-            du_dlam = np.empty(n_int + 1)
-            np.multiply(b, dlam, out=du_dlam[:n_int])
-            du_dlam[:n_int] -= a
-            du_dlam[n_int] = dlam
-            return du_dlam
+            if rhs is None:
+                return np.concatenate((-v, [0.0]))
+            p = solve_tridiagonal(lower, diag, upper, np.array((-rhs[:n_int], 1.0 / w2)).T)
+            mu1, mu2 = p[centre]
+            p[centre] = 0.0
+            p1, p2 = p.T
+            v2 = v * v
+            g_u = (6.0 * scale * lam) * v2 / (w2 * w2)
+            g_lam = (-2.0 * scale) * np.sum(v2 / w3)
+            g_uv = g_u @ v
+            a21, b2 = g_u @ p2 + g_lam, -rhs[n_int] - g_u @ p1
+            det = mu2 * g_uv - g * a21
+            dlam = (-mu1 * g_uv - g * b2) / det
+            beta = (mu2 * b2 + a21 * mu1) / det
+            return np.concatenate((p1 + dlam * p2 + beta * v, [dlam]))
 
-        return r, step
+        return rows, step
 
     tol = max(tol, np.finfo(float).eps / h2)
     return damped_newton(
-        residual, guess, lam, tol, _STEADY0_MAX_ITER, floor, "flat-limit Newton", depth
+        residual,
+        guess,
+        lam,
+        tol,
+        _STEADY0_MAX_ITER,
+        floor,
+        "flat-limit Newton",
+        "the fold" if fold else None,
     )
 
 
@@ -225,13 +266,9 @@ class PullinResult:
     branch, the exact shoot it was checked against, and what finding it
     cost.  ``bracket`` is lambda_star -/+ ``_PULLIN_TOL``.
 
-    ``diagnostics`` holds the flat-limit depth ``solves`` (of which
-    ``failed_solves`` were rejected depth steps and ``fold_solves`` made
-    by the fold search), the Newton steps of the converged ones under
-    ``newton_iters`` and their tangents under ``tangent_solves``, one
-    tridiagonal solve each, the depth ``start_depth`` of the search's
-    first sample, and the seconds ``search_s`` spent in the depth search
-    and ``check_s`` in the cross-check."""
+    ``diagnostics`` holds the Newton steps of the fold solve under
+    ``newton_iters``, and the seconds ``search_s`` spent in the fold
+    solve and ``check_s`` in the cross-check."""
 
     lambda_star: float
     bracket: tuple[float, float]
@@ -253,11 +290,9 @@ def _clamp_voltage(gap: float) -> float:
     return 0.5 * i * i
 
 
-def _continuum_start(grid: Grid1D, depth: float) -> tuple[float, float, MembraneState]:
-    """(held depth, voltage, state) of the continuum flat-limit solution
-    with centre depth ``depth``, its profile at the nodes of ``grid``.  The
-    held depth is minus its deflection at the node that a depth solve
-    holds, x = 0, or x = h/2 when n_x is odd.
+def _continuum_start(grid: Grid1D, depth: float) -> tuple[float, MembraneState]:
+    """(voltage, state) of the continuum flat-limit solution with centre
+    depth ``depth``, its profile at the nodes of ``grid``.
 
     With the centre gap a = 1 - depth the voltage is lam =
     ``_clamp_voltage(a)``, and the first integral w'^2 = 2 lam (1/a - 1/w)
@@ -275,7 +310,7 @@ def _continuum_start(grid: Grid1D, depth: float) -> tuple[float, float, Membrane
         s -= (np.sinh(s) + s - y) / (np.cosh(s) + 1.0)
     u = 0.5 * gap * (1.0 + np.cosh(s)) - 1.0
     u[0] = u[-1] = 0.0  # w(1) = 1 up to roundoff
-    return -float(u[grid.n_nodes // 2]), lam, MembraneState(grid, u)
+    return lam, MembraneState(grid, u)
 
 
 def shooting_pullin() -> float:
@@ -295,45 +330,24 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
     against the exact shoot ``shooting_pullin`` to 2 ``tol_lambda`` plus
     the grid's own error allowance ``_PULLIN_H2_ALLOWANCE`` h^2.
 
-    The discrete branch is marched in the centre depth by
-    ``steady.march_to_fold`` with ``steady0`` as the depth solve, tangent
-    included, and its fold, located to ``_PULLIN_TOL``, is the pull-in
-    voltage; ``tol_lambda`` sets only the cross-check.  The march starts
-    from the continuum solution of centre depth ``_PULLIN_START_DEPTH``,
-    half a depth step below the continuum fold (``_continuum_start``; for
-    odd n_x its depth at the held node x = h/2), which ``diagnostics``
-    records as ``start_depth``.  The discrete fold lies O(h^2) below the
-    continuum one in depth (1.3e-3 at n_x 8, 2e-5 at 64, under 1e-6 at
-    512), so the start rises and its first step passes the fold: three
-    depth solves in all for n_x = 3-39 and the powers of two up to 8192,
-    four at n_x = 4.  A march that reaches the touchdown floor without
-    passing a fold raises NonConvergenceError.
+    The pull-in voltage is the fold of the discrete branch, located to
+    ``_PULLIN_TOL`` by one ``steady0`` fold solve; ``tol_lambda`` sets
+    only the cross-check.  The solve starts from the continuum fold
+    (``_continuum_start`` at ``_CONTINUUM_FOLD_DEPTH``), which lies
+    O(h^2) from the discrete one, so Newton takes 1-4 steps: 1 from
+    n_x = 256 on (measured for n_x = 3-39 and the powers of two up to
+    8192).  ``diagnostics`` records them as ``newton_iters``.  A fold
+    solve that fails re-raises its error, naming the flat-limit pull-in.
     """
     if not tol_lambda > 0.0:
         raise ValueError("tol_lambda must be positive")
-    counts = Counter(solves=0, newton_iters=0)
-
-    def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
-        counts["solves"] += 1
-        point = steady0(lam, guess, floor=_PULLIN_FLOOR, depth=d)
-        counts["newton_iters"] += point.newton_iters
-        return point
-
     t0 = time.perf_counter()
     grid = Grid1D.uniform(n_x)
-    start = _continuum_start(grid, _PULLIN_START_DEPTH)
-    samples, fold = march_to_fold(
-        at_depth, start, math.inf, _PULLIN_FLOOR, "flat-limit pull-in", counts
-    )
-    counts["failed_solves"] = counts.pop("rejected_steps")
-    counts["start_depth"] = start[0]
-    if fold is None:
-        d, last = samples[-1]
-        raise NonConvergenceError(
-            f"flat-limit pull-in search: depth march ended at depth={d:.6g}, "
-            f"lambda={last.lam:.6g} with no fold"
-        )
-    lam_star = fold[1].lam
+    lam, guess = _continuum_start(grid, _CONTINUUM_FOLD_DEPTH)
+    with context("flat-limit pull-in"):
+        fold = steady0(lam, guess, floor=_PULLIN_FLOOR, fold=True)
+    counts = Counter(newton_iters=fold.newton_iters)
+    lam_star = fold.lam
 
     t1 = time.perf_counter()
     counts["search_s"] = t1 - t0

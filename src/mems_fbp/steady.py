@@ -3,19 +3,18 @@ fold, and the closed-form non-existence threshold.
 
 ``damped_newton`` is the one Newton loop of the steady problem, for the
 full model here and the flat limit in ``small_aspect``.  It owns the
-unknowns (the interior deflections, and the voltage when the centre depth
-is held), the border row of a depth solve, the labels and the failure
-exits; a model supplies only its residual, each evaluation of which also
-returns the Newton step at its point.
-``march_to_fold`` likewise traces either model's branch to its fold,
-from a start that the caller gives: the flat membrane for the full
-model, a depth near the closed-form fold for the flat limit.  A
-converged depth solve makes one more step with its last Jacobian,
-whose solution is the branch tangent (du/dd, dlambda/dd) (Keller's
-predictor-corrector continuation); the march seeds each depth from the
-cubic Hermite interpolant of the last two samples and their tangents,
-and locates the fold, where dlambda/dd vanishes, on the Hermite cubic of
-the voltage.
+unknowns (the interior deflections, and the voltage when a model holds
+something else: the full model its centre depth, the flat limit its
+fold), the labels and the failure exits; a model supplies only its
+residual, the held row included, each evaluation of which also returns
+the Newton step at its point.
+``march_to_fold`` traces the full model's branch to its fold, from a
+start that the caller gives.  A converged depth solve makes one more
+step with its last Jacobian, whose solution is the branch tangent
+(du/dd, dlambda/dd) (Keller's predictor-corrector continuation); the
+march seeds each depth from the cubic Hermite interpolant of the last
+two samples and their tangents, and locates the fold, where dlambda/dd
+vanishes, on the Hermite cubic of the voltage.
 
 The full model's steady equation balances the linearized curvature term
 against the electrostatic source.  Its Newton step solves by GMRES on the
@@ -93,8 +92,8 @@ log = logging.getLogger(__name__)
 
 # Step of the centre depth along the branch march.  Seeded by the Hermite
 # interpolant of the last two samples, a depth solve at this step is
-# rejected on none of the n = 8-64, eps = 0.1-3 branches nor in the flat
-# limit, and none takes more than 5 Newton steps.
+# rejected on none of the n = 8-64, eps = 0.1-3 branches, and none takes
+# more than 5 Newton steps.
 _DEPTH_STEP = 0.1
 
 # Depth resolution of the fold search.  Its estimates d_k are the maxima
@@ -104,15 +103,15 @@ _DEPTH_STEP = 0.1
 # d_k, |d_k - d*| from the fold d*, the cubic's slope at d* errs by about
 # |lambda''''| w^2 |d_k - d*| / 12 over a bracket of width w, and d_{k+1}
 # by that over |lambda''|: |d_{k+1} - d*| <= rho |d_k - d*|, with rho at
-# most 0.012 measured on the flat-limit and the n = 8-64, eps = 0.1-3
-# branches (w <= 0.1).  So |d_k - d*| <= |d_k - d_{k+1}| + rho |d_k - d*|
-# < _FOLD_XATOL / (1 - rho), and the returned sample lies within
+# most 0.012 measured on the n = 8-64, eps = 0.1-3 branches (w <= 0.1).
+# So |d_k - d*| <= |d_k - d_{k+1}| + rho |d_k - d*| < _FOLD_XATOL /
+# (1 - rho), and the returned sample lies within
 # 2 _FOLD_XATOL of the fold, where its slope |dlambda/dd| is at most
 # 2 |lambda''| _FOLD_XATOL (|lambda''| = 3.0-6.9 at those folds).
 _FOLD_XATOL = 1e-6
 
 # Solves allowed in one fold search; 3 or fewer reach ``_FOLD_XATOL`` on
-# the n = 8-64, eps = 0.1-3 branches and 2 in the flat limit.
+# the n = 8-64, eps = 0.1-3 branches.
 _FOLD_MAX_SOLVES = 30
 
 # What a depth or fixed-voltage solve raises when it finds no branch point.
@@ -160,14 +159,15 @@ _FOLD_TOL = 1e-8
 class BranchPoint:
     """A steady state that ``damped_newton`` reached: the voltage ``lam``,
     the ``state``, the Newton iterations it took and the max-norm
-    ``residual`` it stopped at (the border row of a depth solve included).
+    ``residual`` it stopped at (the held row of a depth or fold solve
+    included).
 
-    A depth solve also gives the branch ``tangent`` there, the derivative
-    by the centre depth d of (the interior deflections, the voltage): its
-    entry at the held centre node is -1 and its last entry is dlambda/dd,
-    the ``slope``.  At a fold the slope vanishes and the deflection part
-    spans the null space of the Jacobian.  A point solved at a fixed
-    voltage has no tangent.
+    A depth solve, and the flat limit's fold solve, also give the branch
+    ``tangent`` there, the derivative by the centre depth d of (the
+    interior deflections, the voltage): its entry at the centre node is -1
+    and its last entry is dlambda/dd, the ``slope``.  At a fold the slope
+    vanishes and the deflection part spans the null space of the
+    Jacobian.  A point solved at a fixed voltage has no tangent.
     """
 
     lam: float
@@ -368,7 +368,7 @@ def damped_newton(
     max_iter: int,
     floor: float,
     model: str,
-    depth: float | None = None,
+    held: str | None = None,
 ) -> BranchPoint:
     """Damped Newton iteration for a steady state of either model; returns
     the ``BranchPoint`` it reached.
@@ -377,51 +377,45 @@ def damped_newton(
     residual r at the interior deflections u and the voltage lam, and the
     Newton step at that point, ``step(rhs)`` solving J x = -rhs with J the
     Jacobian there, so an iteration's step is ``step(r)``.  Without
-    ``depth`` the unknowns are u, seeded by the interior of ``guess``, and
-    the voltage is fixed at ``lam``.  With a depth the centre deflection
-    is held at -depth and the voltage becomes the last unknown, seeded by
-    ``lam``: the residual gains the border row u_c + depth, and ``step``
-    returns (du, dlam) solving the bordered system [J, -h; e_c^T, 0]
-    [du; dlam] = -rhs, where h is the source (minus the residual's
-    derivative by the voltage) and e_c picks the centre node.  The voltage
-    rides along in the vector whose entries Newton keeps at
-    1 + entry > ``floor``, which holds for any nonnegative voltage.
+    ``held`` the unknowns are u, seeded by the interior of ``guess``, and
+    the voltage is fixed at ``lam``.  With ``held`` the voltage becomes
+    the last unknown, seeded by ``lam``, and the model's residual has one
+    more row, the equation that ``held`` names: the full model holds its
+    centre depth ("depth=0.3", the row u_c + depth) and the flat limit
+    its fold ("the fold", a singularity test).  J is then the Jacobian of
+    all rows by (u, lam), ``step`` returns (du, dlam), and ``step(None)``
+    returns the branch ``tangent`` at the point.  The voltage rides along
+    in the vector whose entries Newton keeps at 1 + entry > ``floor``,
+    which holds for any nonnegative voltage.
 
     Each step is halved up to eight times until the trial point keeps
     every 1 + entry above ``floor`` and lowers the max-norm residual; a
     rejected trial's step is dropped before the next trial is evaluated.
     Returns at the first iterate with max-norm residual <= ``tol``: its
     voltage, its state at the time of ``guess``, the steps taken and that
-    residual.  With a depth it first applies that iterate's ``step`` to
-    the unit border row: the bordered system [J, -h; e_c^T, 0] t = (0, -1)
-    is the depth derivative of the branch equations, so its solution is
-    the point's ``tangent``; it is not one of the ``newton_iters``.
+    residual, and with ``held`` that iterate's ``step(None)``, which is
+    not one of the ``newton_iters``.
 
     Raises DegenerateGeometryError when the guess, or every trial point
     of a line search, lies at or below the floor, and NoSteadyStateError
     when a line search stalls or ``max_iter`` steps do not reach ``tol``.
-    Every error message opens with ``model`` and the voltage or depth
-    ("Newton at lambda=0.1"), and so does that of a NoSteadyStateError
-    raised by ``step``.
+    Every error message opens with ``model`` and the voltage or what is
+    held ("Newton at lambda=0.1", "Newton at depth=0.3"), and so does
+    that of a NoSteadyStateError raised by ``step``.
     """
     grid = guess.grid
     n = grid.n_nodes - 2
-    if depth is None:
+    if held is None:
         label = f"{model} at lambda={lam:g}"
         z = guess.u[1:-1].copy()
     else:
-        label = f"{model} at depth={depth:g}"
+        label = f"{model} at {held}"
         z = np.empty(n + 1)
         z[:n] = guess.u[1:-1]
         z[n] = lam
 
     def full_residual(z):
-        if depth is None:
-            return residual(z, lam)
-        r = np.empty(n + 1)
-        r[:n], step = residual(z[:n], z[n])
-        r[n] = z[n // 2] + depth
-        return r, step
+        return residual(z, lam) if held is None else residual(z[:n], z[n])
 
     # 1 + min(z) is min(1 + z) exactly, since rounding is monotone
     if 1.0 + float(z.min()) <= floor:
@@ -431,15 +425,13 @@ def damped_newton(
     for it in range(max_iter + 1):
         if rnorm <= tol:
             tangent = None
-            if depth is not None:
-                unit = np.zeros(n + 1)
-                unit[n] = 1.0
+            if held is not None:
                 with context(label, NoSteadyStateError):
-                    tangent = step(unit)
+                    tangent = step(None)
             full = np.zeros(n + 2)
             full[1:-1] = z[:n]
             state = MembraneState(grid, full, guess.time)
-            return BranchPoint(float(lam if depth is None else z[n]), state, it, rnorm, tangent)
+            return BranchPoint(float(lam if held is None else z[n]), state, it, rnorm, tangent)
         if it == max_iter:
             break
         with context(label, NoSteadyStateError):
@@ -478,6 +470,7 @@ def _newton(
 ) -> BranchPoint:
     """``damped_newton`` on the full model, at the fixed voltage ``lam`` or,
     with ``depth``, at that centre depth; returns the point it reached.
+    A depth solve appends the border row u_c + depth to each residual.
 
     Each residual evaluation builds the iterate's state once and solves its
     potential, adding one to ``counts["folded_solves"]`` or
@@ -504,14 +497,23 @@ def _newton(
         guess = MembraneState(grid, 0.5 * (guess.u + guess.u[::-1]), guess.time)
     counts.update(jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
 
+    n = grid.n_nodes - 2
+
     def residual(u: np.ndarray, lam: float):
         full = np.zeros(grid.n_nodes)
         full[1:-1] = u
         state = MembraneState(grid, full, guess.time)
         r, field = steady_residual(state, lam, eps, grid2d)
         counts["folded_solves" if field.folded else "full_solves"] += 1
+        if depth is not None:
+            r = np.concatenate((r, [u[n // 2] + depth]))
 
-        def step(rhs: np.ndarray) -> np.ndarray:
+        def step(rhs: np.ndarray | None) -> np.ndarray:
+            if rhs is None:
+                # the tangent: the depth derivative of the branch equations
+                # is the bordered system against the unit border row
+                rhs = np.zeros(n + 1)
+                rhs[n] = 1.0
             counts["jacobians"] += 1
             bound = max(_KRYLOV_RTOL * float(np.linalg.norm(rhs)), _KRYLOV_ATOL)
             try:
@@ -538,7 +540,8 @@ def _newton(
 
         return r, step
 
-    return damped_newton(residual, guess, lam, _NEWTON_TOL, max_iter, floor, "Newton", depth)
+    held = None if depth is None else f"depth={depth:g}"
+    return damped_newton(residual, guess, lam, _NEWTON_TOL, max_iter, floor, "Newton", held)
 
 
 def solve_steady(
@@ -635,12 +638,12 @@ def march_to_fold(
     ``solve(d, lam, guess)`` returns the branch point at depth d, tangent
     included, seeded by the voltage ``lam`` and the state ``guess``, and
     raises NoSteadyStateError, DegenerateGeometryError or
-    NonConvergenceError when it finds none; the flat limit and the full
-    model each pass their own depth solve.  The march starts at
+    NonConvergenceError when it finds none.  The march starts at
     ``start = (depth, voltage guess, state guess)``: the flat membrane
     (0, 0, flat), whose solve takes no Newton step, or any depth below
-    the fold.  Its solve is the first sample; a failure there re-raises
-    its error naming the start and the depth, and a first sample whose
+    the fold, such as one just below the fold of a nearby branch.  Its
+    solve is the first sample; a failure there re-raises its error
+    naming the start and the depth, and a first sample whose
     voltage falls (dlambda/dd < 0) lies past the fold, which the search
     below would then miss, and raises NonConvergenceError naming its
     depth and slope.  d steps by ``_DEPTH_STEP``, the first depth seeded

@@ -245,8 +245,9 @@ class TestLinearization:
 
 
 def flat_newton(lam, guess, floor, max_iter, depth, monkeypatch):
+    # the flat limit's voltage-free mode holds the fold, not a depth
     monkeypatch.setattr(small_aspect, "_STEADY0_MAX_ITER", max_iter)
-    return small_aspect.steady0(lam, guess=guess, floor=floor, depth=depth)
+    return small_aspect.steady0(lam, guess=guess, floor=floor, fold=depth is not None)
 
 
 def full_newton(lam, guess, floor, max_iter, depth, monkeypatch):
@@ -262,13 +263,16 @@ def full_newton(lam, guess, floor, max_iter, depth, monkeypatch):
 )
 class TestNewtonExits:
     """The failure exits of ``steady.damped_newton``, through either model,
-    at a fixed voltage and at a fixed centre depth."""
+    at a fixed voltage and with the voltage free: the full model at a fixed
+    centre depth, the flat limit at its fold."""
 
     grid = Grid1D.uniform(8)
 
     @staticmethod
     def label(model, depth, lam=0.2):
-        return f"{model} at lambda={lam:g}" if depth is None else f"{model} at depth={depth:g}"
+        if depth is None:
+            return f"{model} at lambda={lam:g}"
+        return f"{model} at the fold" if model.startswith("flat") else f"{model} at depth={depth:g}"
 
     @pytest.mark.parametrize("depth", [None, 0.3])
     def test_guess_below_the_floor(self, model, solve, depth, monkeypatch):
@@ -696,6 +700,20 @@ class TestFoldSearch:
             march_to_fold(solve, start, np.inf, 0.05, "test", Counter())
         assert str(info.value) == "test: start failed at depth=0.2: Newton stalled"
         assert info.value.residual == 0.5
+
+    def test_start_past_the_fold_raises(self):
+        # a falling first sample would reach the fold search as the rising
+        # end of its bracket and give a wrong fold without an error; the full
+        # model's depth solve at eps 1 on 8x8, whose fold lies at depth 0.3066
+        solve = depth_solve(8, 1.0)
+        start = (0.5, 0.2, MembraneState.zero(Grid1D.uniform(8)))
+        with pytest.raises(NonConvergenceError) as info:
+            march_to_fold(
+                lambda d, lam, guess: solve(d, guess), start, np.inf, 0.05, "eps=1", Counter()
+            )
+        message = str(info.value)
+        assert message.startswith("eps=1: start at depth=0.5 lies past the fold")
+        assert "(dlambda/dd=-0.35" in message
 
     def test_failed_solve_names_the_fold_search(self):
         def voltage(d):
