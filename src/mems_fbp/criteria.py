@@ -70,7 +70,7 @@ def unit_source_at_rest(grid2d: Grid2D) -> tuple[bool, str]:
     v0 = MembraneState.zero(grid2d.gx)
     worst = 0.0
     for eps in (0.01, 0.1, 1.0, 10.0):
-        worst = max(worst, float(np.max(np.abs(g_eps(v0, eps, grid2d) - 1.0))))
+        worst = max(worst, float(np.max(np.abs(g_eps(v0, eps, grid2d)[0] - 1.0))))
     return worst <= UNIT_SOURCE_TOL, (
         f"max |g(0) - 1| over four aspect ratios {worst:.2e} <= {UNIT_SOURCE_TOL:g}"
     )

@@ -417,16 +417,19 @@ def is_even(v: MembraneState) -> bool:
     return float(np.max(np.abs(v.u - v.u[::-1]))) <= _EVEN_TOL
 
 
-def g_eps(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:
+def g_eps(v: MembraneState, eps: float, grid: Grid2D) -> tuple[np.ndarray, PotentialField]:
     """Electrostatic source profile: squared membrane trace of the
     potential times the geometric prefactor (1 + eps^2 v_x^2)/(1+v)^2.
 
-    The potential is that of ``solve_potential``.
+    Returns (source, field), ``field`` the potential of ``v`` that
+    ``solve_potential`` solved for it, so that a caller needing that
+    potential again solves nothing.
     """
-    tr = trace_top(solve_potential(v, eps, grid))
+    field = solve_potential(v, eps, grid)
+    tr = trace_top(field)
     dv = d1_central(v.u, v.grid)
     pre = (1.0 + eps * eps * dv * dv) / (1.0 + v.u) ** 2
-    return pre * tr * tr
+    return pre * tr * tr, field
 
 
 @dataclass(frozen=True)

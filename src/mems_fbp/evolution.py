@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import g_eps, is_even, solve_potential
+from .elliptic import PotentialField, g_eps, solve_potential
 from .errors import context
 from .numerics import Grid2D, d1_central, solve_tridiagonal, trapezoid_2d
 from .transform import MembraneState
@@ -96,12 +96,15 @@ def imex_step(u: MembraneState, dt: float, diffusion_int: np.ndarray, forcing: n
     return MembraneState(u.grid, u_new, u.time + dt)
 
 
-def step(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> MembraneState:
-    """Advance one time step; the potential is re-solved at the current state."""
-    forcing = -p.lam * g_eps(u, p.eps, grid2d)
+def step(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> tuple[MembraneState, PotentialField]:
+    """Advance one time step; the potential is re-solved at the current state.
+
+    Returns (new state, the potential of ``u`` that drove the step).
+    """
+    source, field = g_eps(u, p.eps, grid2d)
     # the curvature factor (1 + eps^2 u_x^2)^(-3/2), frozen over the step
     dv = d1_central(u.u, u.grid)[1:-1]
-    return imex_step(u, p.dt, (1.0 + p.eps * p.eps * dv * dv) ** -1.5, forcing)
+    return imex_step(u, p.dt, (1.0 + p.eps * p.eps * dv * dv) ** -1.5, -p.lam * source), field
 
 
 def _no_steps() -> Counter:
@@ -152,49 +155,59 @@ def run(
 
     The trajectory's ``diagnostics`` count the ``steps`` taken and how
     the potential solve of each was made: ``folded_solves`` on the half
-    rectangle for a state that ``is_even``, ``full_solves`` otherwise
-    (see ``elliptic.solve_potential``).  With ``record_energy`` the
-    ``total_energy`` of every stored state with a positive gap is
-    evaluated after the run, so not that of a touchdown step that crossed
-    the plate, which has no gap region; these evaluations are not counted.
+    rectangle, ``full_solves`` on the whole (the ``folded`` flag of the
+    step's field, see ``elliptic.solve_potential``).  With
+    ``record_energy`` the ``total_energy`` of every stored state with a
+    positive gap is recorded, so not that of a touchdown step that crossed
+    the plate, which has no gap region.  A stored state's energy comes
+    from the potential that the step from it solved; the last stored state
+    starts no step, so its potential is solved for its energy alone, and
+    that solve is not counted.
     """
     counts = _no_steps()
+    energies = []
 
     def one_step(s: MembraneState) -> MembraneState:
+        s_new, field = step(s, p, grid2d)
+        # a state that starts a step is stored when its index is a
+        # multiple of thin_every (the stop rule stores only states that
+        # start none)
+        if record_energy and counts["steps"] % thin_every == 0:
+            energies.append((s.time, total_energy(s, p, field)))
         counts["steps"] += 1
-        counts["folded_solves" if is_even(s) else "full_solves"] += 1
-        return step(s, p, grid2d)
+        counts["folded_solves" if field.folded else "full_solves"] += 1
+        return s_new
 
     traj = _run_loop(u0, p, one_step, thin_every)
     traj.diagnostics = counts
     if record_energy:
-        traj.energy_series = [
-            (s.time, total_energy(s, p, grid2d)) for s in traj.states if s.min_gap > 0.0
-        ]
+        last = traj.final
+        if last.min_gap > 0.0:
+            field = solve_potential(last, p.eps, grid2d)
+            energies.append((last.time, total_energy(last, p, field)))
+        traj.energy_series = energies
     return traj
 
 
-def total_energy(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> float:
+def total_energy(u: MembraneState, p: ModelParams, field: PotentialField) -> float:
     """Stretching energy minus the weighted electrostatic field energy.
 
-    The field integral over the physical gap region is evaluated on the
-    rectangle: the change of variables contributes the local gap width
-    as Jacobian, and the physical gradient of the potential is rebuilt
-    from the transformed one.
+    ``field`` is the potential of ``u`` at ``p.eps``, as ``step`` or
+    ``solve_potential`` returns it; nothing is solved here.  The field
+    integral over the physical gap region is evaluated on the rectangle:
+    the change of variables contributes the local gap width as Jacobian,
+    and the physical gradient of the potential is rebuilt from the
+    transformed one.
     """
     x = u.grid.nodes
     dv = d1_central(u.u, u.grid)
     e2 = p.eps * p.eps
     elastic = float(np.trapezoid(np.sqrt(1.0 + e2 * dv * dv) - 1.0, x))
-    if p.lam == 0.0:
-        return elastic
-
-    phi = solve_potential(u, p.eps, grid2d).phi
     w = 1.0 + u.u
-    eta = grid2d.eta_nodes
+    eta = field.grid.eta_nodes
 
     # phi derivatives on the rectangle (2nd-order, one-sided at edges)
-    dphi_x, dphi_e = np.gradient(phi, u.grid.h, grid2d.h_eta, edge_order=2)
+    dphi_x, dphi_e = np.gradient(field.phi, u.grid.h, field.grid.h_eta, edge_order=2)
 
     # physical gradient through the map: d_z = d_eta / (1+v),
     # d_x picks up the slope term -eta v_x/(1+v) d_eta

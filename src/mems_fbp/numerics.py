@@ -99,32 +99,22 @@ def grids_match(a: Grid1D, b: Grid1D) -> bool:
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solve a tridiagonal system with LAPACK ``dgtsv``.
 
-    ``lower``/``upper`` may be scalars (broadcast) or arrays of length
-    n-1; ``diag`` has length n and ``rhs`` shape (n,) or (n, k), k
-    right-hand sides solved in the one call.  No input is overwritten.
-    Mismatched lengths raise ValueError, and an exactly zero pivot of the
-    elimination with partial pivoting raises SingularSystemError naming
-    its (0-based) row.
+    ``lower``/``upper`` are arrays of length n-1, ``diag`` has length n
+    and ``rhs`` shape (n,) or (n, k), k right-hand sides solved in the
+    one call.  No input is overwritten.  Mismatched lengths raise
+    ValueError, and an exactly zero pivot of the elimination with partial
+    pivoting raises SingularSystemError naming its (0-based) row.
     """
-    diag = np.asarray(diag, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
+    lower, diag, upper, rhs = (np.asarray(a, dtype=float) for a in (lower, diag, upper, rhs))
     n = diag.size
+    if lower.shape != (n - 1,) or upper.shape != (n - 1,):
+        raise ValueError("off-diagonals must have length n-1")
     if rhs.ndim == 0 or rhs.shape[0] != n:
         raise ValueError(f"rhs of shape {rhs.shape} does not match diagonal length {n}")
-    *_, x, info = dgtsv(_off_diagonal(lower, n), diag, _off_diagonal(upper, n), rhs)
+    *_, x, info = dgtsv(lower, diag, upper, rhs)
     if info > 0:
         raise SingularSystemError(f"zero pivot at row {info - 1}")
     return x
-
-
-def _off_diagonal(band, n: int) -> np.ndarray:
-    """An off-diagonal of ``solve_tridiagonal`` as an array of length n-1."""
-    band = np.asarray(band, dtype=float)
-    if band.ndim == 0:
-        return np.full(n - 1, band)
-    if band.size != n - 1:
-        raise ValueError("off-diagonals must have length n-1")
-    return band
 
 
 def check_residual(residual: np.ndarray, rhs: np.ndarray, tol: float) -> None:

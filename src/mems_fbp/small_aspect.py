@@ -140,9 +140,10 @@ def step0(u: MembraneState, p: ModelParams) -> MembraneState:
     return imex_step(u, p.dt, np.ones(u.grid.n_cells - 1), forcing)
 
 
-def run0(u0: MembraneState, p: ModelParams, thin_every: int = 10) -> Trajectory:
-    """Run the flat-limit model until equilibrium, touchdown or the horizon."""
-    return _run_loop(u0, p, lambda s: step0(s, p), thin_every)
+def run0(u0: MembraneState, p: ModelParams) -> Trajectory:
+    """Run the flat-limit model until equilibrium, touchdown or the
+    horizon, every state stored."""
+    return _run_loop(u0, p, lambda s: step0(s, p), 1)
 
 
 def steady0(
@@ -459,7 +460,7 @@ def limit_study(
         # that rounding in the summed step times cannot add or drop a step
         return replace(base, eps=eps, max_time=u0.time + (steps - 0.5) * dt)
 
-    flat = _states_before_touchdown(run0(u0, params(1.0, n_steps), thin_every=1), n_steps)
+    flat = _states_before_touchdown(run0(u0, params(1.0, n_steps)), n_steps)
     flat_alive = len(flat) - 1
 
     def run_one(eps: float):
@@ -478,6 +479,11 @@ def limit_study(
 
     from concurrent.futures import ThreadPoolExecutor  # here: no other kind loads the pool
 
+    # the pool buys little on 2 cores, and how much it buys is not stable:
+    # two threads factorizing the 128^2 folded operator 20 times each have
+    # taken 0.83 s against 0.74 s one after the other on one occasion and
+    # 0.57-0.64 s against 0.91-1.05 s on another; the README limit example
+    # took 3.5-5.8 s on two threads against 3.8-4.9 s on one
     with ThreadPoolExecutor(max_workers=min(len(eps_list), _usable_cores())) as pool:
         results = list(pool.map(run_one, eps_list))
 

@@ -123,7 +123,7 @@ def test_c07_exponential_stability(steady_and_evolution):
     while True:
         times.append(u.time)
         errs.append(float(np.max(np.abs(u.u - u_star.u))))
-        u_next = step(u, p, grid2d)
+        u_next = step(u, p, grid2d)[0]
         done = float(np.max(np.abs(u_next.u - u.u))) / p.dt <= p.equilibrium_tol
         u = u_next
         if done or u.time > p.max_time:

@@ -110,16 +110,16 @@ class TestTrace:
 class TestSourceProfile:
     @pytest.mark.parametrize("eps", [0.01, 0.1, 1.0, 10.0])
     def test_unit_at_rest(self, grid2d_32, eps):
-        g = elliptic.g_eps(MembraneState.zero(grid2d_32.gx), eps, grid2d_32)
+        g = elliptic.g_eps(MembraneState.zero(grid2d_32.gx), eps, grid2d_32)[0]
         assert np.max(np.abs(g - 1.0)) <= 1e-10
 
     def test_nonnegative(self, grid2d_32, rng):
         for _ in range(5):
             v = random_admissible_state(grid2d_32.gx, rng)
-            assert np.min(elliptic.g_eps(v, 1.3, grid2d_32)) >= 0.0
+            assert np.min(elliptic.g_eps(v, 1.3, grid2d_32)[0]) >= 0.0
 
     def test_even_profile_gives_even_source(self, grid2d_32, parabola32):
-        g = elliptic.g_eps(parabola32, 0.4, grid2d_32)
+        g = elliptic.g_eps(parabola32, 0.4, grid2d_32)[0]
         assert np.max(np.abs(g - g[::-1])) <= 1e-10
 
 
@@ -395,7 +395,7 @@ def test_folded_potential_matches_the_full_solve(n_x, n_eta, eps, depth, power):
     assert field.folded
     assert np.array_equal(phi, phi[::-1])
     assert np.max(np.abs(phi - full_potential(v, eps, grid))) <= 1e-12
-    g = elliptic.g_eps(v, eps, grid)
+    g = elliptic.g_eps(v, eps, grid)[0]
     assert np.max(np.abs(g - full_path_g(v, eps, grid))) <= 1e-12 * np.max(np.abs(g))
 
     # one node moved by twice the threshold: the full solve, bit for bit
@@ -406,7 +406,7 @@ def test_folded_potential_matches_the_full_solve(n_x, n_eta, eps, depth, power):
     field = elliptic.solve_potential(uneven, eps, grid)
     assert not field.folded
     assert np.array_equal(field.phi, full_potential(uneven, eps, grid))
-    assert np.array_equal(elliptic.g_eps(uneven, eps, grid), full_path_g(uneven, eps, grid))
+    assert np.array_equal(elliptic.g_eps(uneven, eps, grid)[0], full_path_g(uneven, eps, grid))
 
 
 @pytest.mark.parametrize("shape", [(128, 128), (512, 16), (1024, 8), (33, 17)])

@@ -20,6 +20,19 @@ def grid2d(grid):
     return Grid2D.uniform(32, 16)
 
 
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """A list that gains one entry per ``numerics.splu`` factorization."""
+    real, calls = numerics.splu, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "splu", counted)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def settled(grid, grid2d):
     """Converged run at small voltage, every state stored."""
@@ -44,7 +57,7 @@ class TestModelParams:
 class TestStep:
     def test_zero_voltage_fixed_point(self, grid, grid2d):
         p = ModelParams(eps=0.1, lam=0.0)
-        u1 = step(MembraneState.zero(grid), p, grid2d)
+        u1 = step(MembraneState.zero(grid), p, grid2d)[0]
         assert np.max(np.abs(u1.u)) == 0.0
         assert u1.time == p.dt
 
@@ -54,7 +67,7 @@ class TestStep:
         p = ModelParams(eps=1.0, lam=0.0, dt=1e-3)
         norms = [np.max(np.abs(u.u))]
         for _ in range(20):
-            u = step(u, p, grid2d)
+            u = step(u, p, grid2d)[0]
             norms.append(np.max(np.abs(u.u)))
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
@@ -62,7 +75,7 @@ class TestStep:
         # from rest the step is a single implicit-diffusion solve with
         # constant forcing; reproduce it with a dense solver
         p = ModelParams(eps=0.3, lam=1.0, dt=1e-3)
-        u1 = step(MembraneState.zero(grid), p, grid2d)
+        u1 = step(MembraneState.zero(grid), p, grid2d)[0]
 
         n = grid.n_nodes - 2
         r = p.dt / grid.h**2
@@ -77,7 +90,7 @@ class TestStep:
         x = grid.nodes
         u = MembraneState(grid, -0.4 * np.sin(np.pi * (x + 1.0) / 2.0))
         p = ModelParams(eps=1.0, lam=0.0, dt=1e-3)
-        u1 = step(u, p, grid2d)
+        u1 = step(u, p, grid2d)[0]
 
         slope = (u.u[2:] - u.u[:-2]) / (2.0 * grid.h)
         factor = (1.0 + p.eps**2 * slope**2) ** -1.5
@@ -116,6 +129,33 @@ class TestRun:
             assert len(traj.states) - 1 == 20
             assert traj.diagnostics["steps"] == traj.diagnostics[solves] == 20
             assert calls == {"splu": 20, "assemble_system": 20}
+
+    @pytest.mark.parametrize("thin_every", [10, 1])
+    def test_recorded_energy_solves_no_potential_twice(self, splu_calls, thin_every):
+        # a stored state's energy reuses the potential its step solved; only
+        # the last stored state, which starts no step, is factorized again
+        grid2d = Grid2D.uniform(32, 32)
+        x = grid2d.gx.nodes
+        u0 = MembraneState(grid2d.gx, -0.1 * (1.0 - x * x))
+        p = ModelParams(eps=0.1, lam=0.3, dt=1e-3, equilibrium_tol=0.0, max_time=0.1)
+        for record_energy, extra in ((True, 1), (False, 0)):
+            splu_calls.clear()
+            traj = run(u0, p, grid2d, thin_every=thin_every, record_energy=record_energy)
+            assert traj.diagnostics["steps"] == 100
+            assert len(splu_calls) == 100 + extra
+        fresh = [
+            (s.time, total_energy(s, p, elliptic.solve_potential(s, p.eps, grid2d)))
+            for s in traj.states
+        ]
+        assert run(u0, p, grid2d, thin_every=thin_every, record_energy=True).energy_series == fresh
+
+    def test_recorded_energy_skips_a_state_past_the_plate(self, splu_calls):
+        grid2d = Grid2D.uniform(16, 12)
+        p = ModelParams(eps=0.1, lam=10.0, dt=1e-2, max_time=5.0)
+        traj = run(MembraneState.zero(grid2d.gx), p, grid2d, thin_every=1, record_energy=True)
+        assert traj.outcome == "touchdown" and traj.final.min_gap <= 0.0
+        assert len(splu_calls) == traj.diagnostics["steps"]
+        assert [t for t, _ in traj.energy_series] == [s.time for s in traj.states[:-1]]
 
     def test_diagnostics_count_the_steps_and_their_solves(self, grid, grid2d):
         p = ModelParams(eps=0.1, lam=0.3, dt=1e-3, max_time=0.01)
@@ -204,23 +244,27 @@ class TestRun:
 class TestEnergy:
     def test_rest_zero_voltage(self, grid, grid2d):
         p = ModelParams(eps=0.1, lam=0.0)
-        assert total_energy(MembraneState.zero(grid), p, grid2d) == 0.0
+        rest = MembraneState.zero(grid)
+        assert total_energy(rest, p, elliptic.solve_potential(rest, p.eps, grid2d)) == 0.0
 
     @pytest.mark.parametrize("eps", [0.01, 0.3])
     def test_rest_unit_voltage(self, grid, grid2d, eps):
         # flat membrane: field energy density 1 over a 2x1 gap
         p = ModelParams(eps=eps, lam=1.0)
-        e = total_energy(MembraneState.zero(grid), p, grid2d)
+        rest = MembraneState.zero(grid)
+        e = total_energy(rest, p, elliptic.solve_potential(rest, p.eps, grid2d))
         assert abs(e + 1.0) <= 1e-10
 
     def test_monotone_under_curvature_flow(self, grid, grid2d):
         x = grid.nodes
         u = MembraneState(grid, -0.1 * np.sin(np.pi * (x + 1.0) / 2.0))
         p = ModelParams(eps=1.0, lam=0.0, dt=1e-3)
-        energies = [total_energy(u, p, grid2d)]
+        energies = []
         for _ in range(20):
-            u = step(u, p, grid2d)
-            energies.append(total_energy(u, p, grid2d))
+            u_next, field = step(u, p, grid2d)
+            energies.append(total_energy(u, p, field))
+            u = u_next
+        energies.append(total_energy(u, p, elliptic.solve_potential(u, p.eps, grid2d)))
         assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
 
     def test_recorded_series(self, grid, grid2d):

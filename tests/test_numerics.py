@@ -36,7 +36,7 @@ class TestGrids:
 
 class TestTridiagonal:
     def test_identity(self):
-        x = solve_tridiagonal(0.0, [1.0, 1.0, 1.0], 0.0, [2.0, 3.0, 4.0])
+        x = solve_tridiagonal([0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0], [2.0, 3.0, 4.0])
         np.testing.assert_allclose(x, [2.0, 3.0, 4.0], rtol=0, atol=0)
 
     def test_two_by_two(self):

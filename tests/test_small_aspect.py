@@ -578,9 +578,20 @@ class TestLimitStudy:
         assert comp.sup_errors[1] < comp.sup_errors[0]
         assert comp.potential_sup_errors[1] < comp.potential_sup_errors[0]
 
+    def test_errors_fall_at_second_order_in_eps(self, grid):
+        # below pull-in the full model differs from the flat limit by
+        # O(eps^2): halving eps quarters the sup error (4.0046 and 4.0013
+        # at 32x8; 4.0059 and 4.0016 at 32x32)
+        comp = limit_study(MembraneState.zero(grid), 0.3, [0.2, 0.1, 0.05], 0.5,
+                           n_eta=8, dt=1e-3)
+        assert not comp.horizon_shortened
+        sup = comp.sup_errors
+        assert sup[0] / sup[1] == pytest.approx(4.0, abs=0.05)
+        assert sup[1] / sup[2] == pytest.approx(4.0, abs=0.05)
+
     def test_nonpositive_states_throughout(self, grid):
         p = ModelParams(eps=1.0, lam=0.4, dt=1e-3, max_time=0.2)
-        traj = run0(MembraneState.zero(grid), p, thin_every=1)
+        traj = run0(MembraneState.zero(grid), p)
         assert all(np.max(s.u) <= 1e-12 for s in traj.states)
 
     def test_horizon_shortening_is_recorded(self, grid):
@@ -634,7 +645,7 @@ class TestLimitStudy:
     def test_flat_touchdown_caps_every_run(self):
         grid = Grid1D.uniform(16)
         p = ModelParams(eps=1.0, lam=3.0, dt=1e-3, max_time=2.0, equilibrium_tol=0.0)
-        flat = run0(MembraneState.zero(grid), p, thin_every=1)
+        flat = run0(MembraneState.zero(grid), p)
         assert flat.outcome == "touchdown"
         survived = len(flat.states) - 2
         comp = limit_study(MembraneState.zero(grid), 3.0, [0.05, 0.02], 2.0, n_eta=8)

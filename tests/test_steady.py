@@ -460,6 +460,18 @@ class TestContinuation:
         assert 1.9 <= order <= 2.1
         assert folds[1] == pytest.approx(0.3482489329, abs=1e-9)
 
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    def test_fold_converges_at_second_order_in_each_direction(self, eps):
+        # each grid direction refined alone, the other held at 16 cells: at
+        # eps 1 the two errors nearly cancel on square grids, whose observed
+        # order then reads about 3
+        for cells in (lambda n: dict(n_x=n, n_eta=16), lambda n: dict(n_x=16, n_eta=n)):
+            folds = [
+                continue_branch(eps, lambda_max=2.0, dlambda0=0.05, **cells(n)).fold_estimate
+                for n in (16, 32, 64)
+            ]
+            assert (folds[1] - folds[0]) / (folds[2] - folds[1]) == pytest.approx(4.0, abs=0.1)
+
     def test_failed_branch_point_names_eps_and_voltage(self, monkeypatch):
         newton = steady._newton
 
