@@ -65,8 +65,8 @@ class ExperimentConfig:
     params: ModelParams = field(default_factory=ModelParams)
     n_x: int = _read_by("evolve", "steady", "continuation", "pullin", "limit-study", default=128)
     n_eta: int = _read_by("evolve", "steady", "continuation", "limit-study", default=128)
-    # "zero" | {"parabola": depth} | {"csv": path}; parse_config reads the
-    # csv and keeps its values in place of the path
+    # "zero" | {"parabola": depth} | {"csv": path}; for the kinds that read
+    # it, parse_config replaces it with the checked start state on the n_x grid
     initial_condition: str | dict = _read_by("evolve", "steady", "limit-study", default="zero")
     out_dir: str = "."
     seed: int = _read_by("validate", default=0)
@@ -171,29 +171,32 @@ def parse_config(path) -> ExperimentConfig:
     if cfg.seed < 0:
         fail("seed", "must be nonnegative")
 
-    ic = cfg.initial_condition
-    if isinstance(ic, dict) and set(ic) == {"parabola"}:
-        depth = _typed("initial_condition", ic["parabola"], float)
-        cfg.initial_condition = ic = {"parabola": depth}
-        if not 0.0 <= depth < 1.0:
-            fail("initial_condition", "parabola depth must lie in [0, 1)")
-    elif isinstance(ic, dict) and set(ic) == {"csv"}:
-        csv = _typed("initial_condition", ic["csv"], str)
-        if not Path(csv).exists():
-            fail("initial_condition", f"csv path {csv!r} does not exist")
-        try:
-            u = np.loadtxt(csv, delimiter=",", ndmin=1)
-            if u.ndim != 1:
-                raise ValueError(f"expected one column of values, got shape {u.shape}")
-            MembraneState(Grid1D.uniform(cfg.n_x), u)  # checks length, finiteness, clamp
-        except (OSError, ValueError) as exc:
-            fail("initial_condition", f"csv {csv!r}: {exc}")
-        u[0] = u[-1] = 0.0  # exact zeros at the checked ends, as MembraneState keeps -0.0
-        if kind == "limit-study" and np.max(u) > 0.0:
-            fail("initial_condition", f"csv {csv!r}: limit-study needs a deflection <= 0")
-        cfg.initial_condition = {"csv": u}
-    elif ic != "zero":
-        fail("initial_condition", "expected 'zero', {'parabola': depth} or {'csv': path}")
+    if kind in other_keys["initial_condition"][2]:  # a kind that starts from a state
+        ic, grid = cfg.initial_condition, Grid1D.uniform(cfg.n_x)
+        if ic == "zero":
+            u, source = np.zeros(grid.n_nodes), "zero"
+        elif isinstance(ic, dict) and set(ic) == {"parabola"}:
+            depth = _typed("initial_condition", ic["parabola"], float)
+            if not 0.0 <= depth < 1.0:
+                fail("initial_condition", "parabola depth must lie in [0, 1)")
+            u, source = -depth * (1.0 - grid.nodes * grid.nodes), "parabola"
+        elif isinstance(ic, dict) and set(ic) == {"csv"}:
+            csv = _typed("initial_condition", ic["csv"], str)
+            if not Path(csv).exists():
+                fail("initial_condition", f"csv path {csv!r} does not exist")
+            source = f"csv {csv!r}"
+            try:
+                u = np.loadtxt(csv, delimiter=",", ndmin=1)
+            except (OSError, ValueError) as exc:
+                fail("initial_condition", f"{source}: {exc}")
+        else:
+            fail("initial_condition", "expected 'zero', {'parabola': depth} or {'csv': path}")
+        try:  # checks shape, clamped ends, finiteness; snaps the ends to +0.0
+            cfg.initial_condition = start = MembraneState(grid, u)
+        except ValueError as exc:
+            fail("initial_condition", f"{source}: {exc}")
+        if kind == "limit-study" and np.max(start.u) > 0.0:
+            fail("initial_condition", f"{source}: limit-study needs a deflection <= 0")
 
     if not cfg.eps_list:
         fail("eps_list", "must be a non-empty list")
@@ -212,16 +215,6 @@ def parse_config(path) -> ExperimentConfig:
     if kind == "limit-study" and cfg.tau < params.dt:
         fail("tau", f"must be at least one time step dt={params.dt:g}")
     return cfg
-
-
-def _initial_state(cfg: ExperimentConfig, grid: Grid1D) -> MembraneState:
-    ic = cfg.initial_condition
-    if ic == "zero":
-        return MembraneState.zero(grid)
-    if "parabola" in ic:
-        x = grid.nodes
-        return MembraneState(grid, -ic["parabola"] * (1.0 - x * x))
-    return MembraneState(grid, ic["csv"])
 
 
 def _fmt(value) -> str:
@@ -258,16 +251,15 @@ def _stop_record(state: MembraneState, eps: float) -> dict:
 
 
 def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
-    grid = Grid1D.uniform(cfg.n_x)
+    u0 = cfg.initial_condition
     grid2d = Grid2D.uniform(cfg.n_x, cfg.n_eta)
-    u0 = _initial_state(cfg, grid)
     t0 = time.perf_counter()
     traj = evolution.run(
         u0, cfg.params, grid2d, thin_every=cfg.thin_every, record_energy=cfg.record_energy
     )
     wall = time.perf_counter() - t0
 
-    header = ["time"] + [f"x={_fmt(x)}" for x in grid.nodes]
+    header = ["time"] + [f"x={_fmt(x)}" for x in u0.grid.nodes]
     _write_csv(out / "trajectory.csv", header, ([s.time] + list(s.u) for s in traj.states))
     if traj.energy_series is not None:
         _write_csv(out / "energy.csv", ["time", "energy"], traj.energy_series)
@@ -298,22 +290,20 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
-    grid = Grid1D.uniform(cfg.n_x)
     grid2d = Grid2D.uniform(cfg.n_x, cfg.n_eta)
-    guess = _initial_state(cfg, grid)
     counts = Counter()
     t0 = time.perf_counter()
     point = steady.solve_steady(
         cfg.params.lam,
         cfg.params.eps,
-        guess,
+        cfg.initial_condition,
         grid2d=grid2d,
         floor=cfg.params.touchdown_floor,
         counts=counts,
     )
     wall = time.perf_counter() - t0
     state = point.state
-    _write_csv(out / "profile.csv", ["x", "u"], zip(grid.nodes, state.u))
+    _write_csv(out / "profile.csv", ["x", "u"], zip(state.grid.nodes, state.u))
     _write_json(
         out / "steady.json",
         {
@@ -418,10 +408,8 @@ def _run_pullin(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_limit_study(cfg: ExperimentConfig, out: Path) -> int:
-    grid = Grid1D.uniform(cfg.n_x)
-    u0 = _initial_state(cfg, grid)
     comp = small_aspect.limit_study(
-        u0,
+        cfg.initial_condition,
         cfg.params.lam,
         cfg.eps_list,
         cfg.tau,

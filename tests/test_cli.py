@@ -65,7 +65,22 @@ class TestParseConfig:
         assert cfg.n_x == 128 and cfg.n_eta == 128
         assert cfg.params.dt == 1e-3
         assert cfg.params.lam == 0.1
-        assert cfg.initial_condition == "zero"
+        # the initial condition is parsed into the checked start state
+        assert isinstance(cfg.initial_condition, MembraneState)
+        assert cfg.initial_condition.grid.n_cells == 128
+        assert not np.any(cfg.initial_condition.u)
+
+    def test_every_start_form_is_one_checked_state(self, tmp_path):
+        # the ends of a parabola and the -0.0 ends of a csv both come out +0.0
+        x = Grid1D.uniform(16).nodes
+        ic_path = tmp_path / "ic.csv"
+        ic_path.write_text("\n".join(["-0.0"] + ["-0.1"] * 15 + ["-0.0"]))
+        parabola = -0.2 * (1.0 - x * x)
+        parabola[0] = parabola[-1] = 0.0
+        expected = {"parabola": (0.2, parabola), "csv": (str(ic_path), np.r_[0.0, [-0.1] * 15, 0.0])}
+        for form, (value, u) in expected.items():
+            path = write_config(tmp_path, kind="limit-study", n_x=16, initial_condition={form: value})
+            assert parse_config(path).initial_condition.u.tobytes() == u.tobytes()
 
     def test_int_for_float_key_stored_as_float(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, kind="limit-study", eps_list=[1], tau=2))
@@ -290,6 +305,40 @@ class TestParseConfig:
         assert main([str(path), "--quiet"]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([{"kind": "evolve"}], "config must be a JSON object"),
+            ({"n_x": 16}, "missing required field 'kind'"),
+            ({"kind": "evolve", "thin_every": 0}, "'thin_every': must be at least 1"),
+            (
+                {"kind": "evolve", "n_x": 16, "initial_condition": {"csv": "two-columns.csv"}},
+                "'initial_condition': csv",
+            ),
+            (
+                {"kind": "evolve", "initial_condition": {"sine": 0.1}},
+                "'initial_condition': expected 'zero'",
+            ),
+            ({"kind": "limit-study", "eps_list": []}, "'eps_list': must be a non-empty list"),
+            ({"kind": "limit-study", "eps_list": [0.1, 0]}, "'eps_list': entries must be positive"),
+            ({"kind": "limit-study", "eps_list": [-0.1]}, "'eps_list': entries must be positive"),
+        ],
+        ids=["not-an-object", "no-kind", "zero-thin_every", "two-column-csv",
+             "unknown-initial-condition", "empty-eps_list", "zero-eps", "negative-eps"],
+    )
+    def test_rejected_config_exit_code(self, tmp_path, capsys, config, message):
+        if isinstance(config, dict) and config.get("initial_condition") == {"csv": "two-columns.csv"}:
+            ic_path = tmp_path / "two-columns.csv"
+            ic_path.write_text("\n".join(["0.0,0.0"] + ["-0.1,-0.1"] * 15 + ["0.0,0.0"]))
+            config = dict(config, initial_condition={"csv": str(ic_path)})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([str(path), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("mems-fbp: ERROR[config] ") and message in err
+        assert not out.exists()
 
     def test_readme_example_configs_parse(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -130,6 +130,17 @@ class TestRun:
             assert traj.diagnostics["steps"] == traj.diagnostics[solves] == 20
             assert calls == {"splu": 20, "assemble_system": 20}
 
+    @pytest.mark.parametrize("thin_every", [0, -3])
+    def test_thin_every_below_one_rejected_before_any_solve(
+        self, splu_calls, grid, grid2d, thin_every
+    ):
+        # checked at entry: 0 would divide by zero after the first solve,
+        # and -3 would store every third state
+        p = ModelParams(eps=0.1, lam=0.3, max_time=0.01)
+        with pytest.raises(ValueError, match="thin_every must be at least 1"):
+            run(MembraneState.zero(grid), p, grid2d, thin_every=thin_every)
+        assert splu_calls == []
+
     @pytest.mark.parametrize("thin_every", [10, 1])
     def test_recorded_energy_solves_no_potential_twice(self, splu_calls, thin_every):
         # a stored state's energy reuses the potential its step solved; only

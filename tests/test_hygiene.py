@@ -171,6 +171,22 @@ def test_no_np_append(name):
     assert appends == []
 
 
+WARNING_FILTER_CALLS = ("catch_warnings", "simplefilter", "filterwarnings", "resetwarnings")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_warning_filter_changes(name):
+    """No module changes the warning filters: ``warnings.filters`` is one
+    list for the whole process, so a save and restore of it in one thread
+    races with another thread's (``limit_study`` runs solves on a pool),
+    and a solver's failure is an exception it raises, not a warning."""
+    nodes = list(ast.walk(parse(name)))
+    names = [(n.lineno, n.attr) for n in nodes if isinstance(n, ast.Attribute)]
+    names += [(n.lineno, n.id) for n in nodes if isinstance(n, ast.Name)]
+    names += [(n.lineno, a.name) for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert [f"{n} (line {line})" for line, n in names if n in WARNING_FILTER_CALLS] == []
+
+
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "mems_fbp.errors"])
 def test_no_exception_args_assignment(name):
     """Only ``errors.context`` rewrites an exception's ``args``: a solve

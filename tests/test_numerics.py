@@ -73,6 +73,11 @@ class TestTridiagonal:
         with pytest.raises(ValueError):
             solve_tridiagonal([1.0], [1.0, 1.0, 1.0], [1.0], [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("rhs", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], 1.0])
+    def test_rhs_length_mismatch(self, rhs):
+        with pytest.raises(ValueError, match="does not match diagonal length 3"):
+            solve_tridiagonal([1.0, 1.0], [4.0, 4.0, 4.0], [1.0, 1.0], rhs)
+
 
 class TestSolveSparse:
     def test_identity(self, rng):
@@ -170,6 +175,14 @@ class TestGmres:
         x, iters, residual = gmres(lambda v: a @ v, np.zeros(20), lambda v: v, 0.0, 20)
         assert iters == 0 and residual == 0.0 and not np.any(x)
 
+    def test_breakdown_on_the_first_vector_returns_zeros(self):
+        # A M^{-1} maps b to zero: the first Krylov vector brings no
+        # progress, so GMRES stops with x = 0 and the residual ||b||
+        b = np.arange(1.0, 6.0)
+        x, iters, residual = gmres(np.zeros_like, b, lambda v: v, 1e-10, b.size)
+        assert iters == 0 and not np.any(x)
+        assert residual == np.linalg.norm(b)
+
 
 class TestDerivatives:
     def test_constant(self, grid32):
@@ -228,3 +241,7 @@ class TestFitExponentialRate:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_exponential_rate(np.arange(4.0), np.ones(4))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            fit_exponential_rate(np.arange(6.0), np.ones(5))

@@ -124,6 +124,12 @@ class TestFlatSteady:
         u = steady0(0.0, MembraneState.zero(Grid1D.uniform(64))).state
         assert np.max(np.abs(u.u)) <= 1e-12
 
+    @pytest.mark.parametrize("fold", [False, True])
+    @pytest.mark.parametrize("lam", [-0.1, float("nan")])
+    def test_negative_voltage_rejected(self, grid, lam, fold):
+        with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            steady0(lam, MembraneState.zero(grid), fold=fold)
+
     def test_matches_long_time_run(self, grid):
         u_star = steady0(0.3, MembraneState.zero(Grid1D.uniform(32))).state
         p = ModelParams(eps=1.0, lam=0.3, dt=1e-3, equilibrium_tol=1e-9, max_time=40.0)
@@ -687,3 +693,15 @@ class TestLimitStudy:
         serial = limit_study(MembraneState.zero(grid), 0.5, [0.2, 0.1], 0.1, **kwargs)
         assert pools == [min(2, cores), 1]
         assert serial == pooled
+
+    def test_pool_leaves_the_warning_filters_as_they_were(self, grid, monkeypatch):
+        # warnings.filters is one list for the process: a solve that saves
+        # and restores it on each pool thread can restore another thread's
+        # saved copy and leave that thread's filter behind
+        import warnings
+
+        monkeypatch.setattr(small_aspect, "_usable_cores", lambda: 3)  # one thread per eps
+        u0 = MembraneState(grid, -0.1 * (1.0 - grid.nodes**2))
+        before = list(warnings.filters)
+        limit_study(u0, 0.5, [0.2, 0.1, 0.05], 0.05, n_eta=16, dt=1e-3)
+        assert warnings.filters == before

@@ -8,7 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mems_fbp import elliptic, numerics, small_aspect, steady
-from mems_fbp.errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
+from mems_fbp.errors import (
+    DegenerateGeometryError,
+    NoSteadyStateError,
+    NonConvergenceError,
+    SingularSystemError,
+)
 from mems_fbp.evolution import ModelParams, run
 from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.steady import (
@@ -314,6 +319,25 @@ class TestNewtonExits:
 
 
 class TestSolveSteady:
+    @pytest.mark.parametrize("lam", [-0.1, float("nan")])
+    def test_negative_voltage_rejected(self, grid, grid2d, lam):
+        with pytest.raises(ValueError, match="lambda must be nonnegative"):
+            solve_steady(lam, 0.1, MembraneState.zero(grid), grid2d=grid2d)
+
+    def test_singular_linearization_carries_the_residual(self, monkeypatch):
+        # a zero pivot in the tridiagonal preconditioner of the first step
+        def singular(*args):
+            raise SingularSystemError("zero pivot at row 2")
+
+        monkeypatch.setattr(steady, "solve_tridiagonal", singular)
+        guess, grid2d = MembraneState.zero(Grid1D.uniform(8)), Grid2D.uniform(8, 8)
+        with pytest.raises(NoSteadyStateError) as info:
+            solve_steady(0.2, 1.0, guess, grid2d)
+        message = "Newton at lambda=0.2: singular linearization: zero pivot at row 2"
+        assert str(info.value) == message
+        r, _ = steady_residual(guess, 0.2, 1.0, grid2d)
+        assert info.value.residual == float(np.max(np.abs(r))) > 0.0
+
     def test_zero_voltage_returns_flat(self, grid, grid2d, rng):
         from mems_fbp.transform import random_admissible_state
 

@@ -121,6 +121,11 @@ class TestCoefficients:
         with pytest.raises(DegenerateGeometryError):
             assemble_coefficients(v, 1.0, grid2d_32)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, float("nan")])
+    def test_nonpositive_aspect_ratio_rejected(self, parabola32, grid2d_32, eps):
+        with pytest.raises(ValueError, match="aspect ratio must be positive"):
+            assemble_coefficients(parabola32, eps, grid2d_32)
+
     def test_grid_mismatch(self, parabola32):
         other = Grid2D.uniform(16, 16)
         with pytest.raises(ValueError):
