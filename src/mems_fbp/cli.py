@@ -204,11 +204,6 @@ def parse_config(path) -> ExperimentConfig:
         fail("eps_list", "entries must be positive")
     if len(set(cfg.eps_list)) < len(cfg.eps_list):
         fail("eps_list", "entries must be distinct")
-    if kind == "continuation":
-        if "eps_list" not in raw:
-            cfg.eps_list = [params.eps]
-        elif "eps" in raw and cfg.eps_list != [params.eps]:
-            fail("eps", "continuation runs eps_list; when both are set, eps_list must be [eps]")
     for name in ("tau", "tol_lambda", "dlambda0", "lambda_max"):
         if getattr(cfg, name) <= 0:
             fail(name, "must be positive")
@@ -329,8 +324,7 @@ def _branch_rows(branch):
 
 
 def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
-    eps_values = cfg.eps_list
-    tags = ["" if len(eps_values) == 1 else f"_eps{_fmt(eps)}" for eps in eps_values]
+    tags = [f"_eps{_fmt(eps)}" for eps in cfg.eps_list]
     if cfg.dump_profiles:
         # made before any branch is computed: a file in the way is a config error
         for tag in tags:
@@ -350,10 +344,10 @@ def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
             n_eta=cfg.n_eta,
             floor=cfg.params.touchdown_floor,
         )
-        for eps in eps_values
+        for eps in cfg.eps_list
     ]
     meta = {}
-    for eps, tag, branch in zip(eps_values, tags, branches):
+    for eps, tag, branch in zip(cfg.eps_list, tags, branches):
         _write_csv(
             out / f"branch{tag}.csv",
             ["lambda", "min_gap", "max_deflection", "newton_iters"],

@@ -38,7 +38,7 @@ class ModelParams:
     key.
     """
 
-    eps: float = field(default=0.1, metadata={"kinds": ("evolve", "steady", "continuation")})
+    eps: float = field(default=0.1, metadata={"kinds": ("evolve", "steady")})
     lam: float = field(default=0.0, metadata={"kinds": ("evolve", "steady", "limit-study")})
     dt: float = field(default=1e-3, metadata={"kinds": ("evolve", "limit-study")})
     touchdown_floor: float = field(
@@ -192,7 +192,10 @@ def run(
 
 
 def total_energy(u: MembraneState, p: ModelParams, field: PotentialField) -> float:
-    """Stretching energy minus the weighted electrostatic field energy.
+    """The flow's Lyapunov functional E = eps^-2 int(sqrt(1 + eps^2 u_x^2) - 1)
+    - lam F, with F = int(eps^2 psi_x^2 + psi_z^2) the field integral over
+    the gap.  ``run`` is its L2 gradient flow (the source g_eps is the
+    shape derivative -dF/du), so E falls along a run.
 
     ``field`` is the potential of ``u`` at ``p.eps``, as ``step`` or
     ``solve_potential`` returns it; nothing is solved here.  The field
@@ -217,5 +220,5 @@ def total_energy(u: MembraneState, p: ModelParams, field: PotentialField) -> flo
     psi_x = dphi_x - (dv / w)[:, None] * eta[None, :] * dphi_e
     integrand = (e2 * psi_x**2 + psi_z**2) * w[:, None]
     electro = trapezoid_2d(integrand, x, eta)
-    return elastic - 0.5 * p.lam * electro
+    return elastic / e2 - p.lam * electro
 

@@ -149,7 +149,10 @@ def solve_sparse(matrix, rhs: np.ndarray):
     # ``relax`` stays at SuperLU's default: with SciPy 1.17.1 a process that
     # factorized with relax=64 beside default calls, as the benchmark's speed
     # probe makes them beside the program's, crashed at exit (a segfault in
-    # 1 of 9 runs of such a script; none in 6 with the default alone)
+    # 1 of 9 runs of such a script; none in 6 with the default alone).
+    # ``panel_size`` must stay small: under MALLOC_CHECK_=3, three
+    # factorizations of the 128^2 folded operator at panel_size=32 aborted or
+    # segfaulted in 3 of 3 runs; 1, 2, 4, 16 and the default crashed in none
     try:
         lu = splu(matrix.tocsc(), permc_spec="NATURAL", panel_size=4)
     except RuntimeError as exc:  # "Factor is exactly singular"

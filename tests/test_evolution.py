@@ -260,11 +260,12 @@ class TestEnergy:
 
     @pytest.mark.parametrize("eps", [0.01, 0.3])
     def test_rest_unit_voltage(self, grid, grid2d, eps):
-        # flat membrane: field energy density 1 over a 2x1 gap
+        # flat membrane: no stretching, and the field integral F is density
+        # 1 over a 2x1 gap, so E = -lam F = -2
         p = ModelParams(eps=eps, lam=1.0)
         rest = MembraneState.zero(grid)
         e = total_energy(rest, p, elliptic.solve_potential(rest, p.eps, grid2d))
-        assert abs(e + 1.0) <= 1e-10
+        assert abs(e + 2.0) <= 1e-10
 
     def test_monotone_under_curvature_flow(self, grid, grid2d):
         x = grid.nodes
@@ -277,6 +278,55 @@ class TestEnergy:
             u = u_next
         energies.append(total_energy(u, p, elliptic.solve_potential(u, p.eps, grid2d)))
         assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    def test_falls_by_the_dissipation_along_a_run(self, eps):
+        # E falls in every step, and its total fall over t in [0, 0.3]
+        # matches the discrete dissipation dt sum |(u_{k+1} - u_k)/dt|^2.
+        # The relative gap is 2.8 % (eps 0.1) and 4.0 % (eps 1) at dt 1e-3:
+        # an O(dt) part of about 0.2-0.3 % per 1e-3 (dt 1e-3, 5e-4, 2.5e-4
+        # give 2.82, 2.61, 2.49 % and 4.02, 3.72, 3.57 %) on a spatial part
+        # near 2.4 % and 3.4 % that dt cannot remove (1.1 % and 1.5 % at
+        # n 64).  The bound is 5 %, and halving dt must take 0.1 % off.
+        grid2d = Grid2D.uniform(32, 32)
+        x = grid2d.gx.nodes
+        u0 = MembraneState(grid2d.gx, -0.2 * (1.0 - x * x) * (1.0 + 0.3 * x))
+        gaps = []
+        for dt in (1e-3, 5e-4):
+            p = ModelParams(eps=eps, lam=0.2, dt=dt, equilibrium_tol=0.0, max_time=0.3)
+            traj = run(u0, p, grid2d, thin_every=1, record_energy=True)
+            energy = np.array([e for _, e in traj.energy_series])
+            assert len(energy) == round(0.3 / dt) + 1
+            assert np.all(np.diff(energy) < 0.0)
+            u = np.array([s.u for s in traj.states])
+            dissipation = np.sum(np.trapezoid(np.diff(u, axis=0) ** 2, x)) / dt
+            gaps.append((energy[0] - energy[-1] - dissipation) / dissipation)
+        assert 0.0 < gaps[1] < gaps[0] - 1e-3 and gaps[0] < 0.05
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    def test_source_is_the_shape_derivative_of_the_field_integral(self, eps):
+        # F = E(lam=0) - E(lam=1) on one potential; its central difference
+        # along v matches -int g_eps v to 1.1e-5, 2.4e-6, 4.6e-7 (eps 0.1)
+        # and 1.0e-4, 3.7e-5, 1.0e-5 (eps 1) at n 32, 64, 128: each halving
+        # of h divides the gap by 4.4, 5.3 and 2.8, 3.6.  Asserted: by 2.
+        def field_integral(u, grid2d):
+            field = elliptic.solve_potential(u, eps, grid2d)
+            zero, unit = ModelParams(eps=eps, lam=0.0), ModelParams(eps=eps, lam=1.0)
+            return total_energy(u, zero, field) - total_energy(u, unit, field)
+
+        gaps, s = [], 1e-4
+        for n in (32, 64, 128):
+            grid2d = Grid2D.uniform(n, n)
+            x = grid2d.gx.nodes
+            u = -0.2 * (1.0 - x * x) * (1.0 + 0.3 * x)
+            v = (1.0 - x * x) * np.cos(1.3 * x)
+            plus, minus = (MembraneState(grid2d.gx, u + t * v) for t in (s, -s))
+            difference = (field_integral(plus, grid2d) - field_integral(minus, grid2d)) / (2 * s)
+            source = elliptic.g_eps(MembraneState(grid2d.gx, u), eps, grid2d)[0]
+            derivative = -np.trapezoid(source * v, x)
+            gaps.append(abs(difference - derivative) / abs(derivative))
+        assert gaps[0] < 2e-4
+        assert gaps[1] < gaps[0] / 2 and gaps[2] < gaps[1] / 2
 
     def test_recorded_series(self, grid, grid2d):
         p = ModelParams(eps=0.1, lam=0.2, dt=1e-3, max_time=0.01)
