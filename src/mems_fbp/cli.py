@@ -233,6 +233,15 @@ def _params_dict(p: ModelParams) -> dict:
     return {_JSON_NAMES.get(name, name): value for name, value in asdict(p).items()}
 
 
+def _mkdir(path: Path, what: str) -> None:
+    """Make directory ``path`` and its parents; a ConfigError naming it as
+    ``what`` if it cannot be made."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make {what} {str(path)!r}: {exc}") from exc
+
+
 def _stop_record(state: MembraneState, eps: float) -> dict:
     """Where a run's last state stands: the x of its smallest gap (the
     leftmost of equal ones), its centre gap 1 + u(0) (linear between the
@@ -245,49 +254,37 @@ def _stop_record(state: MembraneState, eps: float) -> dict:
     }
 
 
-def _run_evolve(cfg: ExperimentConfig, out: Path) -> int:
+def _run_evolve(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
     u0 = cfg.initial_condition
     grid2d = Grid2D.uniform(cfg.n_x, cfg.n_eta)
-    t0 = time.perf_counter()
     traj = evolution.run(
         u0, cfg.params, grid2d, thin_every=cfg.thin_every, record_energy=cfg.record_energy
     )
-    wall = time.perf_counter() - t0
-
     header = ["time"] + [f"x={_fmt(x)}" for x in u0.grid.nodes]
     _write_csv(out / "trajectory.csv", header, ([s.time] + list(s.u) for s in traj.states))
     if traj.energy_series is not None:
         _write_csv(out / "energy.csv", ["time", "energy"], traj.energy_series)
-    _write_json(
-        out / "run.json",
-        {
-            "kind": "evolve",
-            "params": _params_dict(cfg.params),
-            "n_x": cfg.n_x,
-            "n_eta": cfg.n_eta,
-            "outcome": traj.outcome,
-            "touchdown_time": traj.touchdown_time,
-            "final_time": traj.final.time,
-            "states_stored": len(traj.states),
-            "stop": _stop_record(traj.final, cfg.params.eps),
-            "wall_time_s": wall,
-            "diagnostics": traj.diagnostics,
-        },
-    )
     log.info("evolve: outcome=%s final_time=%g", traj.outcome, traj.final.time)
+    record = {
+        "params": _params_dict(cfg.params),
+        "n_x": cfg.n_x,
+        "n_eta": cfg.n_eta,
+        "outcome": traj.outcome,
+        "touchdown_time": traj.touchdown_time,
+        "final_time": traj.final.time,
+        "states_stored": len(traj.states),
+        "stop": _stop_record(traj.final, cfg.params.eps),
+        "diagnostics": traj.diagnostics,
+    }
     if cfg.require_survival and traj.outcome == "touchdown":
-        return _fail(
-            "touchdown",
-            f"evolution: touchdown at t={traj.touchdown_time:g} before the horizon",
-            EXIT_TOUCHDOWN,
-        )
-    return EXIT_OK
+        message = f"evolution: touchdown at t={traj.touchdown_time:g} before the horizon"
+        return record, _fail("touchdown", message, EXIT_TOUCHDOWN)
+    return record, EXIT_OK
 
 
-def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
+def _run_steady(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
     grid2d = Grid2D.uniform(cfg.n_x, cfg.n_eta)
     counts = Counter()
-    t0 = time.perf_counter()
     point = steady.solve_steady(
         cfg.params.lam,
         cfg.params.eps,
@@ -296,26 +293,19 @@ def _run_steady(cfg: ExperimentConfig, out: Path) -> int:
         floor=cfg.params.touchdown_floor,
         counts=counts,
     )
-    wall = time.perf_counter() - t0
     state = point.state
     _write_csv(out / "profile.csv", ["x", "u"], zip(state.grid.nodes, state.u))
-    _write_json(
-        out / "steady.json",
-        {
-            "kind": "steady",
-            "lambda": cfg.params.lam,
-            "eps": cfg.params.eps,
-            "n_x": cfg.n_x,
-            "n_eta": cfg.n_eta,
-            "residual_inf": point.residual,
-            "min_gap": state.min_gap,
-            "max_deflection": float(np.max(np.abs(state.u))),
-            "wall_time_s": wall,
-            "diagnostics": counts,
-        },
-    )
     log.info("steady: min_gap=%g", state.min_gap)
-    return EXIT_OK
+    return {
+        "lambda": cfg.params.lam,
+        "eps": cfg.params.eps,
+        "n_x": cfg.n_x,
+        "n_eta": cfg.n_eta,
+        "residual_inf": point.residual,
+        "min_gap": state.min_gap,
+        "max_deflection": float(np.max(np.abs(state.u))),
+        "diagnostics": counts,
+    }, EXIT_OK
 
 
 def _branch_rows(branch):
@@ -323,17 +313,12 @@ def _branch_rows(branch):
         yield [pt.lam, pt.state.min_gap, float(np.max(np.abs(pt.state.u))), pt.newton_iters]
 
 
-def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
+def _run_continuation(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
     tags = [f"_eps{_fmt(eps)}" for eps in cfg.eps_list]
     if cfg.dump_profiles:
         # made before any branch is computed: a file in the way is a config error
         for tag in tags:
-            prof_dir = out / f"profiles{tag}"
-            try:
-                prof_dir.mkdir(exist_ok=True)
-            except OSError as exc:
-                message = f"cannot make profile directory {str(prof_dir)!r}: {exc}"
-                return _fail("config", message, EXIT_CONFIG)
+            _mkdir(out / f"profiles{tag}", "profile directory")
 
     branches = [
         steady.continue_branch(
@@ -371,37 +356,28 @@ def _run_continuation(cfg: ExperimentConfig, out: Path) -> int:
         log.info(
             "continuation eps=%g: %d points, fold=%s", eps, len(branch.points), branch.fold_estimate
         )
-    _write_json(out / "branch.json", {"kind": "continuation", "branches": meta})
-    return EXIT_OK
+    return {"branches": meta}, EXIT_OK
 
 
-def _run_pullin(cfg: ExperimentConfig, out: Path) -> int:
-    t0 = time.perf_counter()
+def _run_pullin(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
     result = small_aspect.pullin0_detail(cfg.tol_lambda, n_x=cfg.n_x)
-    wall = time.perf_counter() - t0
     _write_csv(
         out / "pullin.csv",
         ["lambda_star", "bracket_lo", "bracket_hi", "shooting_oracle"],
         [[result.lambda_star, result.bracket[0], result.bracket[1], result.shooting_value]],
     )
-    _write_json(
-        out / "pullin.json",
-        {
-            "kind": "pullin",
-            "lambda_star": result.lambda_star,
-            "bracket": list(result.bracket),
-            "shooting_oracle": result.shooting_value,
-            "tol_lambda": cfg.tol_lambda,
-            "n_x": cfg.n_x,
-            "wall_time_s": wall,
-            "diagnostics": result.diagnostics,
-        },
-    )
     log.info("pullin: lambda*=%.6f bracket=%s", result.lambda_star, result.bracket)
-    return EXIT_OK
+    return {
+        "lambda_star": result.lambda_star,
+        "bracket": list(result.bracket),
+        "shooting_oracle": result.shooting_value,
+        "tol_lambda": cfg.tol_lambda,
+        "n_x": cfg.n_x,
+        "diagnostics": result.diagnostics,
+    }, EXIT_OK
 
 
-def _run_limit_study(cfg: ExperimentConfig, out: Path) -> int:
+def _run_limit_study(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
     comp = small_aspect.limit_study(
         cfg.initial_condition,
         cfg.params.lam,
@@ -411,36 +387,27 @@ def _run_limit_study(cfg: ExperimentConfig, out: Path) -> int:
         dt=cfg.params.dt,
         touchdown_floor=cfg.params.touchdown_floor,
     )
-    sample_times = sorted({t for series in comp.potential_errors for t, _ in series})
-    header = ["eps", "sup_error"] + [f"potential_error@t={_fmt(t)}" for t in sample_times]
-    rows = []
-    for eps, sup, series in zip(comp.eps_values, comp.sup_errors, comp.potential_errors):
-        by_time = dict(series)
-        rows.append([eps, sup] + [by_time.get(t, float("nan")) for t in sample_times])
-    _write_csv(out / "limit_study.csv", header, rows)
-    _write_json(
-        out / "limit_study.json",
-        {
-            "kind": "limit-study",
-            "lambda": cfg.params.lam,
-            "eps_list": comp.eps_values,
-            "tau_requested": cfg.tau,
-            "tau_used": comp.tau,
-            "horizon_shortened": comp.horizon_shortened,
-            "warnings": (
-                [f"touchdown before the horizon; comparison shortened to t={comp.tau:g}"]
-                if comp.horizon_shortened
-                else []
-            ),
-            "diagnostics": comp.diagnostics,
-        },
-    )
+    header = ["eps", "sup_error"] + [f"potential_error@t={_fmt(t)}" for t in comp.sample_times]
+    rows = zip(comp.eps_values, comp.sup_errors, comp.potential_errors)
+    _write_csv(out / "limit_study.csv", header, ([eps, sup, *errors] for eps, sup, errors in rows))
     log.info("limit-study: tau_used=%g sup_errors=%s", comp.tau, comp.sup_errors)
+    record = {
+        "lambda": cfg.params.lam,
+        "eps_list": comp.eps_values,
+        "tau_requested": cfg.tau,
+        "tau_used": comp.tau,
+        "horizon_shortened": comp.horizon_shortened,
+        "warnings": (
+            [f"touchdown before the horizon; comparison shortened to t={comp.tau:g}"]
+            if comp.horizon_shortened
+            else []
+        ),
+        "diagnostics": comp.diagnostics,
+    }
     if cfg.require_survival and comp.horizon_shortened:
-        return _fail(
-            "touchdown", f"limit-study: horizon shortened to t={comp.tau:g}", EXIT_TOUCHDOWN
-        )
-    return EXIT_OK
+        message = f"limit-study: horizon shortened to t={comp.tau:g}"
+        return record, _fail("touchdown", message, EXIT_TOUCHDOWN)
+    return record, EXIT_OK
 
 
 def _validate_checks(cfg: ExperimentConfig) -> list[tuple[str, tuple[bool, str]]]:
@@ -457,7 +424,7 @@ def _validate_checks(cfg: ExperimentConfig) -> list[tuple[str, tuple[bool, str]]
     ]
 
 
-def _run_validate(cfg: ExperimentConfig, out: Path) -> int:
+def _run_validate(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
     rows = []
     report = {}
     all_ok = True
@@ -467,46 +434,56 @@ def _run_validate(cfg: ExperimentConfig, out: Path) -> int:
         report[name] = {"passed": ok, "detail": detail}
         log.info("validate: %s: %s (%s)", name, "PASS" if ok else "FAIL", detail)
     _write_csv(out / "validate.csv", ["check", "status", "detail"], rows)
-    _write_json(out / "validate.json", {"kind": "validate", "checks": report, "all_passed": all_ok})
+    record = {"checks": report, "all_passed": all_ok}
     if not all_ok:
-        return _fail("solver", "validate: one or more checks failed", EXIT_SOLVER)
-    return EXIT_OK
+        return record, _fail("solver", "validate: one or more checks failed", EXIT_SOLVER)
+    return record, EXIT_OK
 
 
+# kind -> (runner, record file); a runner writes its tables and returns
+# its record and exit status
 _RUNNERS = {
-    "evolve": _run_evolve,
-    "steady": _run_steady,
-    "continuation": _run_continuation,
-    "pullin": _run_pullin,
-    "limit-study": _run_limit_study,
-    "validate": _run_validate,
+    "evolve": (_run_evolve, "run.json"),
+    "steady": (_run_steady, "steady.json"),
+    "continuation": (_run_continuation, "branch.json"),
+    "pullin": (_run_pullin, "pullin.json"),
+    "limit-study": (_run_limit_study, "limit_study.json"),
+    "validate": (_run_validate, "validate.json"),
 }
 
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> int:
     """Dispatch one experiment; returns the process exit status.
 
+    The kind's runner computes and writes its tables; its record goes to
+    the kind's JSON file with ``kind`` and ``wall_time_s``, the seconds
+    the runner took, also when the run then fails (a touchdown under
+    ``require_survival``, a failed check).
     Progress goes to the ``mems_fbp`` logger at INFO, which ``quiet``
-    silences for the length of the run.  An output directory that cannot
-    be made (``out_dir`` names a file, or a path under one) returns
-    ``EXIT_CONFIG``, and so does a continuation's profile directory that
-    cannot be made, before any branch is computed.  A ``SolverError`` is
-    reported under its class name and returns ``EXIT_SOLVER``; any other
-    exception propagates.
+    silences for the length of the run.  A directory that cannot be made
+    (``out_dir`` names a file, or a path under one, or a file is in the
+    way of a continuation's profiles, found before any branch is
+    computed) returns ``EXIT_CONFIG``.  A ``SolverError`` is reported
+    under its class name and returns ``EXIT_SOLVER``, with no record; any
+    other exception propagates.
     """
     out = Path(cfg.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail("config", f"cannot make output directory {str(out)!r}: {exc}", EXIT_CONFIG)
+    runner, record_file = _RUNNERS[cfg.kind]
     level = log.level
     log.setLevel(logging.WARNING if quiet else logging.INFO)
     try:
-        return _RUNNERS[cfg.kind](cfg, out)
+        _mkdir(out, "output directory")
+        start = time.perf_counter()
+        record, status = runner(cfg, out)
+        wall = time.perf_counter() - start
+    except ConfigError as exc:
+        return _fail("config", str(exc), EXIT_CONFIG)
     except SolverError as exc:
         return _fail("solver", f"{type(exc).__name__}: {exc}", EXIT_SOLVER)
     finally:
         log.setLevel(level)
+    _write_json(out / record_file, {**record, "kind": cfg.kind, "wall_time_s": wall})
+    return status
 
 
 def main(argv=None) -> int:

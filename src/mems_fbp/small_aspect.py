@@ -89,8 +89,9 @@ _SAMPLE_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 class LimitComparison:
     """Per-aspect-ratio deviation of the full model from the flat limit.
 
-    ``potential_errors[i]`` holds (time, L2 error) samples for
-    ``eps_values[i]``; ``sup_errors[i]`` is the max deflection gap over
+    ``potential_errors[i]`` holds the L2 potential errors of
+    ``eps_values[i]`` at the ``sample_times`` that every run reached;
+    ``sup_errors[i]`` is the max deflection gap over
     the common horizon ``tau``, and ``horizon_shortened`` says that a
     touchdown cut it short of the requested whole steps.
     ``diagnostics[i]`` is the ``Trajectory.diagnostics`` of the run at
@@ -99,7 +100,8 @@ class LimitComparison:
 
     eps_values: list[float]
     sup_errors: list[float]
-    potential_errors: list[list[tuple[float, float]]]
+    sample_times: list[float]
+    potential_errors: list[list[float]]
     tau: float
     horizon_shortened: bool
     diagnostics: list[Counter]
@@ -108,11 +110,8 @@ class LimitComparison:
     def potential_sup_errors(self) -> list[float]:
         """Largest sampled potential error per aspect ratio, nan for one
         with no sample (a touchdown cut the horizon before the first
-        sample time), as ``limit_study.csv`` writes a missing sample."""
-        return [
-            max((err for _, err in series), default=math.nan)
-            for series in self.potential_errors
-        ]
+        sample time)."""
+        return [max(errors, default=math.nan) for errors in self.potential_errors]
 
 
 def psi0(u0: MembraneState, grid: Grid2D) -> np.ma.MaskedArray:
@@ -470,7 +469,7 @@ def limit_study(
             traj = run(u0, params(eps, flat_alive), grid2d, thin_every=1)
             states = _states_before_touchdown(traj, flat_alive)
             samples = [
-                (k * dt, _potential_l2_error(states[k], flat[k], eps, grid2d))
+                _potential_l2_error(states[k], flat[k], eps, grid2d)
                 for k in sample_steps
                 if k < len(states)
             ]
@@ -488,11 +487,11 @@ def limit_study(
     common_alive = min([flat_alive] + [len(series) - 1 for series, _, _ in results])
     shortened = common_alive < n_steps
     sup_errors = [float(np.max(series[: common_alive + 1])) for series, _, _ in results]
-    potential_errors = [
-        [(t, e) for t, e in samples if t <= common_alive * dt + 1e-12]
-        for _, samples, _ in results
-    ]
+    sample_times = [k * dt for k in sample_steps if k <= common_alive]
+    # every run reached common_alive, so each has a sample at every time kept
+    potential_errors = [samples[: len(sample_times)] for _, samples, _ in results]
     diagnostics = [counts for _, _, counts in results]
     return LimitComparison(
-        eps_list, sup_errors, potential_errors, common_alive * dt, shortened, diagnostics
+        eps_list, sup_errors, sample_times, potential_errors,
+        common_alive * dt, shortened, diagnostics,
     )

@@ -1168,3 +1168,23 @@ class TestOtherKinds:
             if name != "sign_preservation"
         )
         assert "ERROR[solver]" in capsys.readouterr().err
+
+
+# kind -> (a small config of the kind, the file of its JSON record)
+SMALL_RUNS = {
+    "evolve": ({"n_x": 16, "n_eta": 8, "max_time": 0.005}, "run.json"),
+    "steady": ({"lambda": 0.3, "n_x": 16, "n_eta": 8}, "steady.json"),
+    "continuation": ({"eps_list": [1.0], "n_x": 16, "n_eta": 8}, "branch.json"),
+    "pullin": ({"n_x": 16}, "pullin.json"),
+    "limit-study": ({"n_x": 8, "n_eta": 8, "eps_list": [0.1], "tau": 0.005}, "limit_study.json"),
+    "validate": ({}, "validate.json"),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_records_its_kind_and_wall_time(tmp_path, kind):
+    fields, record = SMALL_RUNS[kind]
+    path = write_config(tmp_path, kind=kind, out_dir=str(tmp_path / "out"), **fields)
+    assert main([str(path), "--quiet"]) == EXIT_OK
+    meta = json.loads((tmp_path / "out" / record).read_text())
+    assert meta["kind"] == kind and meta["wall_time_s"] >= 0.0

@@ -304,3 +304,17 @@ def test_cli_start_up_leaves_scipy_optimize_unloaded():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_only_run_experiment_times_a_run_and_writes_its_record():
+    """In ``mems_fbp.cli`` only ``run_experiment`` calls ``_write_json`` and
+    ``time.perf_counter``: one function writes every kind's JSON record,
+    with its ``kind`` and ``wall_time_s``, and the runners do neither."""
+    recorded = ("_write_json", "time.perf_counter", "perf_counter")
+    callers = {
+        (getattr(top, "name", None), ast.unparse(node.func))
+        for top in parse("mems_fbp.cli").body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in recorded
+    }
+    assert callers == {("run_experiment", "_write_json"), ("run_experiment", "time.perf_counter")}

@@ -610,7 +610,7 @@ class TestLimitStudy:
         # touchdown cuts the horizon before the first sample time, 2.0 / 4
         comp = limit_study(MembraneState.zero(Grid1D.uniform(32)), 3.0, [0.1], 2.0, n_eta=16)
         assert comp.tau == pytest.approx(0.114) and comp.horizon_shortened
-        assert comp.potential_errors == [[]]
+        assert comp.sample_times == [] and comp.potential_errors == [[]]
         sup = comp.potential_sup_errors
         assert len(sup) == 1 and np.isnan(sup[0])
 
@@ -672,6 +672,7 @@ class TestLimitStudy:
         assert all(s.tau == both.tau and not s.horizon_shortened for s in singles)
         assert both.eps_values == [0.2, 0.1]
         assert both.sup_errors == [s.sup_errors[0] for s in singles]
+        assert all(s.sample_times == both.sample_times for s in singles)
         assert both.potential_errors == [s.potential_errors[0] for s in singles]
         assert both.diagnostics == [s.diagnostics[0] for s in singles]
 
