@@ -220,7 +220,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) if not isinstance(v, str) else v for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -361,11 +361,6 @@ def _run_continuation(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
 
 def _run_pullin(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
     result = small_aspect.pullin0_detail(cfg.tol_lambda, n_x=cfg.n_x)
-    _write_csv(
-        out / "pullin.csv",
-        ["lambda_star", "bracket_lo", "bracket_hi", "shooting_oracle"],
-        [[result.lambda_star, result.bracket[0], result.bracket[1], result.shooting_value]],
-    )
     log.info("pullin: lambda*=%.6f bracket=%s", result.lambda_star, result.bracket)
     return {
         "lambda_star": result.lambda_star,
@@ -425,15 +420,12 @@ def _validate_checks(cfg: ExperimentConfig) -> list[tuple[str, tuple[bool, str]]
 
 
 def _run_validate(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
-    rows = []
     report = {}
     all_ok = True
     for name, (ok, detail) in _validate_checks(cfg):
         all_ok &= ok
-        rows.append([name, "pass" if ok else "fail", detail])
         report[name] = {"passed": ok, "detail": detail}
         log.info("validate: %s: %s (%s)", name, "PASS" if ok else "FAIL", detail)
-    _write_csv(out / "validate.csv", ["check", "status", "detail"], rows)
     record = {"checks": report, "all_passed": all_ok}
     if not all_ok:
         return record, _fail("solver", "validate: one or more checks failed", EXIT_SOLVER)

@@ -434,10 +434,7 @@ def g_eps(v: MembraneState, eps: float, grid: Grid2D) -> tuple[np.ndarray, Poten
 
 @dataclass(frozen=True)
 class MmsResult:
-    n_values: tuple[int, ...]
-    h_values: np.ndarray
     field_errors: np.ndarray
-    trace_errors: np.ndarray
     field_order: float
     trace_order: float
 
@@ -499,10 +496,8 @@ def mms_convergence(eps: float, n_values=(32, 64, 128)) -> MmsResult:
         trace_errors.append(float(np.max(np.abs(tr - exact_tr))))
         hs.append(grid.gx.h)
 
-    hs = np.asarray(hs)
     field_errors = np.asarray(field_errors)
-    trace_errors = np.asarray(trace_errors)
     field_order = float(np.polyfit(np.log(hs), np.log(field_errors), 1)[0])
     trace_order = float(np.polyfit(np.log(hs), np.log(trace_errors), 1)[0])
-    return MmsResult(tuple(n_values), hs, field_errors, trace_errors, field_order, trace_order)
+    return MmsResult(field_errors, field_order, trace_order)
 

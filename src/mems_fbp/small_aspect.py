@@ -435,9 +435,10 @@ def limit_study(
     run steps past the flat reference's touchdown.  The aspect ratios
     run on a pool of one thread per aspect ratio, at most one per usable
     core; the runs share nothing, so the result does not depend on the
-    pool.  A
-    ``SolverError`` of an aspect ratio's run or potential samples is
-    re-raised with ``eps=<eps>: `` before its message.
+    pool.  Once every run is done, the deflection errors and the potential
+    samples are taken up to the common horizon, the samples solved on the
+    same pool.  A ``SolverError`` of an aspect ratio's run or potential
+    samples is re-raised with ``eps=<eps>: `` before its message.
     """
     if float(np.max(u0.u)) > 0.0:
         raise ValueError("initial deflection must be nonpositive for the limit study")
@@ -464,17 +465,14 @@ def limit_study(
 
     def run_one(eps: float):
         if flat_alive == 0:
-            return [0.0], [], _no_steps()
+            return flat, _no_steps()
         with context(f"eps={eps:g}"):
             traj = run(u0, params(eps, flat_alive), grid2d, thin_every=1)
-            states = _states_before_touchdown(traj, flat_alive)
-            samples = [
-                _potential_l2_error(states[k], flat[k], eps, grid2d)
-                for k in sample_steps
-                if k < len(states)
-            ]
-        err_series = [float(np.max(np.abs(u.u - f.u))) for u, f in zip(states, flat)]
-        return err_series, samples, traj.diagnostics
+        return _states_before_touchdown(traj, flat_alive), traj.diagnostics
+
+    def samples(eps: float, states: list[MembraneState]) -> list[float]:
+        with context(f"eps={eps:g}"):
+            return [_potential_l2_error(states[k], flat[k], eps, grid2d) for k in kept]
 
     from concurrent.futures import ThreadPoolExecutor  # here: no other kind loads the pool
 
@@ -482,16 +480,15 @@ def limit_study(
     # pairs, the README limit example took medians of 3.23 and 3.51 s on two
     # threads against 3.40 and 4.46 s on one, faster in 6 and 10 of 10 pairs
     with ThreadPoolExecutor(max_workers=min(len(eps_list), _usable_cores())) as pool:
-        results = list(pool.map(run_one, eps_list))
-
-    common_alive = min([flat_alive] + [len(series) - 1 for series, _, _ in results])
-    shortened = common_alive < n_steps
-    sup_errors = [float(np.max(series[: common_alive + 1])) for series, _, _ in results]
-    sample_times = [k * dt for k in sample_steps if k <= common_alive]
-    # every run reached common_alive, so each has a sample at every time kept
-    potential_errors = [samples[: len(sample_times)] for _, samples, _ in results]
-    diagnostics = [counts for _, _, counts in results]
+        runs, diagnostics = map(list, zip(*pool.map(run_one, eps_list)))
+        common_alive = min([flat_alive] + [len(states) - 1 for states in runs])
+        kept = [k for k in sample_steps if k <= common_alive]
+        potential_errors = list(pool.map(samples, eps_list, runs))
+    sup_errors = [
+        float(max(np.max(np.abs(u.u - f.u)) for u, f in zip(states[: common_alive + 1], flat)))
+        for states in runs
+    ]
     return LimitComparison(
-        eps_list, sup_errors, sample_times, potential_errors,
-        common_alive * dt, shortened, diagnostics,
+        eps_list, sup_errors, [k * dt for k in kept], potential_errors,
+        common_alive * dt, common_alive < n_steps, diagnostics,
     )

@@ -8,13 +8,13 @@ something else: the full model its centre depth, the flat limit its
 fold), the labels and the failure exits; a model supplies only its
 residual, the held row included, each evaluation of which also returns
 the Newton step at its point.
-``march_to_fold`` traces the full model's branch to its fold, from a
-start that the caller gives.  A converged depth solve makes one more
-step with its last Jacobian, whose solution is the branch tangent
-(du/dd, dlambda/dd) (Keller's predictor-corrector continuation); the
-march seeds each depth from the cubic Hermite interpolant of the last
-two samples and their tangents, and locates the fold, where dlambda/dd
-vanishes, on the Hermite cubic of the voltage.
+``march_to_fold`` traces the full model's branch to its fold, from the
+flat membrane.  A converged depth solve makes one more step with its
+last Jacobian, whose solution is the branch tangent (du/dd, dlambda/dd)
+(Keller's predictor-corrector continuation); the march seeds each depth
+from the cubic Hermite interpolant of the last two samples and their
+tangents, and locates the fold, where dlambda/dd vanishes, on the
+Hermite cubic of the voltage.
 
 The full model's steady equation balances the linearized curvature term
 against the electrostatic source.  Its Newton step solves by GMRES on the
@@ -627,7 +627,7 @@ def _fold_depth(a, b) -> float:
 
 def march_to_fold(
     solve,
-    start: tuple[float, float, MembraneState],
+    grid: Grid1D,
     lambda_max: float,
     floor: float,
     label: str,
@@ -638,18 +638,15 @@ def march_to_fold(
     ``solve(d, lam, guess)`` returns the branch point at depth d, tangent
     included, seeded by the voltage ``lam`` and the state ``guess``, and
     raises NoSteadyStateError, DegenerateGeometryError or
-    NonConvergenceError when it finds none.  The march starts at
-    ``start = (depth, voltage guess, state guess)``: the flat membrane
-    (0, 0, flat), whose solve takes no Newton step, or any depth below
-    the fold, such as one just below the fold of a nearby branch.  Its
-    solve is the first sample; a failure there re-raises its error
-    naming the start and the depth, and a first sample whose
-    voltage falls (dlambda/dd < 0) lies past the fold, which the search
-    below would then miss, and raises NonConvergenceError naming its
-    depth and slope.  d steps by ``_DEPTH_STEP``, the first depth seeded
-    by the Euler step along the start's tangent and each later one by the
-    cubic Hermite interpolant through the last two samples; a failed
-    solve is a rejected step and halves the step.
+    NonConvergenceError when it finds none.  The march starts from the
+    flat membrane on ``grid`` at depth 0 and voltage 0, whose solve takes
+    no Newton step and is the first sample; a failure there re-raises its
+    error naming the start.  The voltage rises there (at the flat membrane
+    the Jacobian is the second difference and the source at rest is
+    positive, so dlambda/dd > 0).  d steps by ``_DEPTH_STEP``, the first
+    depth seeded by the Euler step along the start's tangent and each later
+    one by the cubic Hermite interpolant through the last two samples; a
+    failed solve is a rejected step and halves the step.
 
     The first sample whose voltage falls (dlambda/dd < 0) and the one
     before it bracket the fold, the largest voltage of the branch.  The
@@ -709,15 +706,8 @@ def march_to_fold(
         )
 
     counts.update(rejected_steps=0, fold_solves=0, tangent_solves=0)
-    d = start[0]
-    with context(f"{label}: start failed at depth={d:.8g}", _DEPTH_SOLVE_ERRORS):
-        first = solve_at(*start)
-    if first[1].slope < 0.0:
-        raise NonConvergenceError(
-            f"{label}: start at depth={d:.8g} lies past the fold "
-            f"(dlambda/dd={first[1].slope:.6g} < 0)"
-        )
-    samples = [first]
+    with context(f"{label}: start failed at depth=0", _DEPTH_SOLVE_ERRORS):
+        samples = [solve_at(0.0, 0.0, MembraneState.zero(grid))]
     fold = None
     step = _DEPTH_STEP
     while True:
@@ -780,9 +770,7 @@ def continue_branch(
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         return _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts, depth=d)
 
-    samples, fold = march_to_fold(
-        at_depth, (0.0, 0.0, MembraneState.zero(grid)), lambda_max, floor, f"eps={eps:g}", counts
-    )
+    samples, fold = march_to_fold(at_depth, grid, lambda_max, floor, f"eps={eps:g}", counts)
 
     def point_at(lam: float, segment: int) -> BranchPoint:
         a, b = samples[segment], samples[segment + 1]

@@ -22,6 +22,7 @@ import os
 import re
 import shutil
 import warnings
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,30 @@ def test_case_reruns_to_its_golden_artifacts(case, tmp_path, monkeypatch):
             assert actual == expected, name
         else:
             assert close(expected, actual), name
+
+
+def readme_artifacts() -> dict[str, list[tuple[str, bool]]]:
+    """kind -> (name pattern, optional) of each ``.csv`` and ``.json`` name
+    that README's "Artifacts per kind" table gives in the kind's files
+    column; a name preceded by "optional" is optional."""
+    readme = (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
+    (table,) = re.findall(r"### Artifacts per kind\n\n(.*?)\n\n", readme, flags=re.DOTALL)
+    rows = {}
+    for line in table.splitlines()[2:]:
+        _, kind, files, _, _ = line.split("|")
+        names = re.findall(r"(optional )?`([^`]+\.(?:csv|json))`", files)
+        rows[kind.strip()] = [(name, bool(optional)) for optional, name in names]
+    return rows
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_readme_names_exactly_the_golden_artifacts(case):
+    kind = json.loads((GOLDEN / case / "config.json").read_text())["kind"]
+    names = readme_artifacts()[kind]
+    written = [str(p) for p in files_under(GOLDEN / case / "artifacts")]
+    assert [f for f in written if not any(fnmatch(f, name) for name, _ in names)] == []
+    required = [name for name, optional in names if not optional]
+    assert [name for name in required if not any(fnmatch(f, name) for f in written)] == []
 
 
 def rewrite() -> None:

@@ -10,7 +10,12 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq, minimize_scalar
 
 from mems_fbp import criteria, small_aspect, steady
-from mems_fbp.errors import DegenerateGeometryError, NoSteadyStateError, NonConvergenceError
+from mems_fbp.errors import (
+    DegenerateGeometryError,
+    NoSteadyStateError,
+    NonConvergenceError,
+    SingularSystemError,
+)
 from mems_fbp.evolution import ModelParams
 from mems_fbp.numerics import Grid1D, Grid2D, solve_tridiagonal
 from mems_fbp.small_aspect import (
@@ -605,6 +610,30 @@ class TestLimitStudy:
                            n_eta=16, dt=1e-3)
         assert comp.tau < 2.0
         assert comp.horizon_shortened
+
+    def test_samples_only_up_to_the_common_horizon(self, monkeypatch):
+        # eps 1 touches down after 55 steps while eps 0.1 runs 115: each is
+        # sampled once, at t = 0.05, and eps 0.1 not at 0.1, past the horizon
+        sampled = []
+        solve = small_aspect._potential_l2_error
+
+        def counted(u_eps, u_flat, eps, grid):
+            sampled.append(eps)
+            return solve(u_eps, u_flat, eps, grid)
+
+        monkeypatch.setattr(small_aspect, "_potential_l2_error", counted)
+        comp = limit_study(MembraneState.zero(Grid1D.uniform(16)), 3.0, [1.0, 0.1], 0.2, n_eta=8)
+        assert comp.tau == pytest.approx(0.054) and comp.horizon_shortened
+        assert comp.sample_times == [0.05]
+        assert sorted(sampled) == [0.1, 1.0]
+
+    def test_failed_sample_names_its_eps(self, grid, monkeypatch):
+        def singular(u_eps, u_flat, eps, grid):
+            raise SingularSystemError("singular system: forced")
+
+        monkeypatch.setattr(small_aspect, "_potential_l2_error", singular)
+        with pytest.raises(SingularSystemError, match="^eps=0.1: singular system: forced$"):
+            limit_study(MembraneState.zero(grid), 0.5, [0.1], 0.05, n_eta=8)
 
     def test_no_potential_sample_reads_nan(self):
         # touchdown cuts the horizon before the first sample time, 2.0 / 4

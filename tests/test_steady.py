@@ -659,8 +659,7 @@ def march_voltage(voltage, slope):
         return BranchPoint(voltage(d), guess, 0, 0.0, np.array([0.0, -1.0, 0.0, slope(d)]))
 
     counts = Counter()
-    flat = MembraneState.zero(Grid1D.uniform(4))
-    samples, fold = march_to_fold(solve, (0.0, 0.0, flat), np.inf, 0.05, "test", counts)
+    samples, fold = march_to_fold(solve, Grid1D.uniform(4), np.inf, 0.05, "test", counts)
     assert counts["rejected_steps"] == 0 and samples[-1] == fold
     return fold, counts["fold_solves"]
 
@@ -731,25 +730,10 @@ class TestFoldSearch:
         def solve(d, lam, guess):
             raise NoSteadyStateError("Newton stalled", residual=0.5)
 
-        start = (0.2, 0.1, MembraneState.zero(Grid1D.uniform(4)))
         with pytest.raises(NoSteadyStateError) as info:
-            march_to_fold(solve, start, np.inf, 0.05, "test", Counter())
-        assert str(info.value) == "test: start failed at depth=0.2: Newton stalled"
+            march_to_fold(solve, Grid1D.uniform(4), np.inf, 0.05, "test", Counter())
+        assert str(info.value) == "test: start failed at depth=0: Newton stalled"
         assert info.value.residual == 0.5
-
-    def test_start_past_the_fold_raises(self):
-        # a falling first sample would reach the fold search as the rising
-        # end of its bracket and give a wrong fold without an error; the full
-        # model's depth solve at eps 1 on 8x8, whose fold lies at depth 0.3066
-        solve = depth_solve(8, 1.0)
-        start = (0.5, 0.2, MembraneState.zero(Grid1D.uniform(8)))
-        with pytest.raises(NonConvergenceError) as info:
-            march_to_fold(
-                lambda d, lam, guess: solve(d, guess), start, np.inf, 0.05, "eps=1", Counter()
-            )
-        message = str(info.value)
-        assert message.startswith("eps=1: start at depth=0.5 lies past the fold")
-        assert "(dlambda/dd=-0.35" in message
 
     def test_failed_solve_names_the_fold_search(self):
         def voltage(d):
