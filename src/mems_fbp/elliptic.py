@@ -109,11 +109,11 @@ def _stencil_weights(coeffs: OperatorCoefficients) -> np.ndarray:
     g = coeffs.grid
     hx, he = g.gx.h, g.h_eta
     sl = (slice(1, -1), slice(1, -1))
-    c_xx = coeffs.a_xx[sl] / (hx * hx)
+    c_xx = coeffs.a_xx / (hx * hx)
     c_ee = coeffs.a_etaeta[sl] / (he * he)
     c_e = coeffs.b_eta[sl] / (2.0 * he)
     c_xe = coeffs.a_xeta[sl] / (4.0 * hx * he)
-    w = np.empty((len(_OFFSETS),) + c_xx.shape)
+    w = np.empty((len(_OFFSETS),) + c_ee.shape)
     w[0] = 2.0 * c_xx + 2.0 * c_ee
     w[1] = w[2] = -c_xx
     w[3] = -c_ee + c_e

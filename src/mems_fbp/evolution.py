@@ -66,19 +66,24 @@ class ModelParams:
 class Trajectory:
     """Stored (possibly thinned) states of a run plus its outcome.
 
-    ``diagnostics`` counts what the run did; ``run`` records the steps
-    taken and how their potentials were solved.
+    The last stored state is the one the run stopped at.  ``diagnostics``
+    counts what the run did; ``run`` records the steps taken and how their
+    potentials were solved.
     """
 
     states: list[MembraneState]
     outcome: str  # converged | touchdown | max_time_reached
-    touchdown_time: float | None = None
     energy_series: list[tuple[float, float]] | None = field(default=None)
     diagnostics: Counter = field(default_factory=Counter)
 
     @property
     def final(self) -> MembraneState:
         return self.states[-1]
+
+    @property
+    def touchdown_time(self) -> float | None:
+        """The time of the final state if the run touched down, else None."""
+        return self.final.time if self.outcome == "touchdown" else None
 
 
 def imex_step(u: MembraneState, dt: float, diffusion_int: np.ndarray, forcing: np.ndarray) -> MembraneState:
@@ -121,7 +126,7 @@ def _run_loop(u0, p, step_fn, thin_every) -> Trajectory:
     """
     states = [u0]
     if u0.min_gap <= p.touchdown_floor:
-        return Trajectory(states, "touchdown", u0.time)
+        return Trajectory(states, "touchdown")
 
     u = u0
     k = 0
@@ -130,17 +135,17 @@ def _run_loop(u0, p, step_fn, thin_every) -> Trajectory:
             u_new = step_fn(u)
         k += 1
         if u_new.min_gap <= p.touchdown_floor:
-            outcome, touchdown_time, stop = "touchdown", u_new.time, True
+            outcome, stop = "touchdown", True
         elif float(np.max(np.abs(u_new.u - u.u))) / p.dt <= p.equilibrium_tol:
-            outcome, touchdown_time, stop = "converged", None, True
+            outcome, stop = "converged", True
         elif u_new.time >= p.max_time - 1e-12:
-            outcome, touchdown_time, stop = "max_time_reached", None, True
+            outcome, stop = "max_time_reached", True
         else:
             stop = False
         if stop or k % thin_every == 0:
             states.append(u_new)
         if stop:
-            return Trajectory(states, outcome, touchdown_time)
+            return Trajectory(states, outcome)
         u = u_new
 
 

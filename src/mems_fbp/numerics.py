@@ -14,6 +14,7 @@ solution on the full 9-point stencil against that same right-hand side.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .errors import GridTooCoarseError, NonConvergenceError, SingularSystemError
 __all__ = [
     "Grid1D",
     "Grid2D",
-    "grids_match",
     "solve_tridiagonal",
     "check_residual",
     "solve_sparse",
@@ -37,41 +37,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid1D:
-    """Uniform node grid on the interval [-1, 1]."""
+    """Uniform node grid of ``n_cells`` cells on the interval [-1, 1].
+
+    The nodes and the spacing follow from the cell count, so two grids
+    are equal exactly when their counts are.
+    """
 
     n_cells: int
-    nodes: np.ndarray
-    h: float
+
+    def __post_init__(self):
+        if self.n_cells < 3:
+            raise ValueError(f"need at least 3 cells, got {self.n_cells}")
 
     @classmethod
     def uniform(cls, n_cells: int) -> "Grid1D":
-        if n_cells < 3:
-            raise ValueError(f"need at least 3 cells, got {n_cells}")
-        nodes = np.linspace(-1.0, 1.0, n_cells + 1)
-        return cls(n_cells=n_cells, nodes=nodes, h=2.0 / n_cells)
+        return cls(n_cells)
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(-1.0, 1.0, self.n_cells + 1)
+
+    @property
+    def h(self) -> float:
+        return 2.0 / self.n_cells
 
     @property
     def n_nodes(self) -> int:
         return self.n_cells + 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid2D:
     """Tensor-product grid on the rectangle [-1, 1] x [0, 1].
 
-    ``gx`` spans the lateral direction, ``eta_nodes`` the vertical one.
-    Nodal fields are stored as arrays of shape (gx.n_nodes, n_eta + 1)
-    indexed ``[i, j]`` for node (x_i, eta_j).  A grid of fewer than 3
-    vertical cells, too few for the 3-point trace at eta = 1, raises
-    GridTooCoarseError.
+    ``gx`` spans the lateral direction, ``n_eta`` uniform cells the
+    vertical one.  Nodal fields are stored as arrays of shape
+    (gx.n_nodes, n_eta + 1) indexed ``[i, j]`` for node (x_i, eta_j).  A
+    grid of fewer than 3 vertical cells, too few for the 3-point trace at
+    eta = 1, raises GridTooCoarseError.
     """
 
     gx: Grid1D
     n_eta: int
-    eta_nodes: np.ndarray
-    h_eta: float
 
     def __post_init__(self):
         if self.n_eta < 3:
@@ -79,20 +88,19 @@ class Grid2D:
 
     @classmethod
     def uniform(cls, n_x: int, n_eta: int) -> "Grid2D":
-        return cls(
-            gx=Grid1D.uniform(n_x),
-            n_eta=n_eta,
-            eta_nodes=np.linspace(0.0, 1.0, n_eta + 1),
-            h_eta=1.0 / n_eta,
-        )
+        return cls(Grid1D.uniform(n_x), n_eta)
+
+    @functools.cached_property
+    def eta_nodes(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.n_eta + 1)
+
+    @property
+    def h_eta(self) -> float:
+        return 1.0 / self.n_eta
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.gx.n_nodes, self.n_eta + 1)
-
-
-def grids_match(a: Grid1D, b: Grid1D) -> bool:
-    return a.n_cells == b.n_cells and np.array_equal(a.nodes, b.nodes)
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:

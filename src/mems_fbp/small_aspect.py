@@ -43,8 +43,10 @@ __all__ = [
     "limit_study",
 ]
 
-# Newton iterations allowed per ``steady0`` solve.
+# Newton iterations allowed per ``steady0`` solve, and its least stop
+# tolerance (see ``steady0``).
 _STEADY0_MAX_ITER = 50
+_STEADY0_TOL = 1e-10
 
 # Centre depth of the continuum flat-limit fold, the maximizer of
 # ``_clamp_voltage(1 - d)``: the root of its closed-form slope, to 1e-10.
@@ -148,7 +150,6 @@ def run0(u0: MembraneState, p: ModelParams) -> Trajectory:
 def steady0(
     lam: float,
     guess: MembraneState,
-    tol: float = 1e-10,
     floor: float = 0.05,
     fold: bool = False,
 ) -> BranchPoint:
@@ -158,10 +159,11 @@ def steady0(
 
     The residual is F = D2 u - lam s, s = 1/w^2 with w = 1 + u, and its
     Jacobian J = D2 + diag(2 lam / w^3) is symmetric and tridiagonal, so
-    each iteration is one tridiagonal solve.  ``tol`` is raised to
-    eps/h^2, the roundoff of the second difference of a deflection below
-    1 in size: near the fold Newton stalls at up to half of it, which is
-    above 1e-10 from n_x = 2048 on.
+    each iteration is one tridiagonal solve.  It stops at a max-norm
+    residual of ``_STEADY0_TOL``, raised to eps/h^2, the roundoff of the
+    second difference of a deflection below 1 in size: near the fold
+    Newton stalls at up to half of it, which is above 1e-10 from
+    n_x = 2048 on.
 
     Without ``fold`` the voltage is ``lam``.  With ``fold`` the voltage
     becomes an unknown, seeded by ``lam``, and the point solved for is the
@@ -247,12 +249,11 @@ def steady0(
 
         return rows, step
 
-    tol = max(tol, np.finfo(float).eps / h2)
     return damped_newton(
         residual,
         guess,
         lam,
-        tol,
+        max(_STEADY0_TOL, np.finfo(float).eps / h2),
         _STEADY0_MAX_ITER,
         floor,
         "flat-limit Newton",
@@ -271,9 +272,12 @@ class PullinResult:
     solve and ``check_s`` in the cross-check."""
 
     lambda_star: float
-    bracket: tuple[float, float]
     shooting_value: float
     diagnostics: Counter
+
+    @property
+    def bracket(self) -> tuple[float, float]:
+        return (self.lambda_star - _PULLIN_TOL, self.lambda_star + _PULLIN_TOL)
 
 
 def _clamp_voltage(gap: float) -> float:
@@ -362,12 +366,7 @@ def pullin0_detail(tol_lambda: float, n_x: int = 512) -> PullinResult:
             residual=abs(lam_star - shooting_value),
         )
     counts["check_s"] = time.perf_counter() - t1
-    return PullinResult(
-        lam_star,
-        (lam_star - _PULLIN_TOL, lam_star + _PULLIN_TOL),
-        shooting_value,
-        counts,
-    )
+    return PullinResult(lam_star, shooting_value, counts)
 
 
 def _potential_l2_error(

@@ -207,7 +207,12 @@ class SteadyBranch:
     points: list[BranchPoint]
     diagnostics: Counter
     fold_estimate: float | None = None
-    fold_interval: tuple[float, float] | None = None
+
+    @property
+    def fold_interval(self) -> tuple[float, float] | None:
+        if self.fold_estimate is None:
+            return None
+        return (self.fold_estimate - _FOLD_TOL, self.fold_estimate + _FOLD_TOL)
 
 
 def _source(u: MembraneState, eps: float, field: PotentialField) -> np.ndarray:
@@ -458,6 +463,47 @@ def damped_newton(
     )
 
 
+def _newton_step(
+    state: MembraneState,
+    lam: float,
+    eps: float,
+    grid2d: Grid2D,
+    field: PotentialField,
+    rhs: np.ndarray,
+    counts: Counter,
+    bordered: bool,
+) -> np.ndarray:
+    """The step dz of ``_newton`` at ``state``, whose potential is ``field``:
+    J dz = -rhs solved by ``gmres`` on ``linearize``'s products (bordered
+    as ``bordered`` says), to the stop rule of ``_KRYLOV_RTOL`` and
+    ``_KRYLOV_ATOL``.  Adds one to ``counts["jacobians"]`` and the GMRES
+    iterations to ``counts["krylov_iters"]``; raises NoSteadyStateError
+    when the linearization is singular or GMRES misses the rule.
+    """
+    counts["jacobians"] += 1
+    bound = max(_KRYLOV_RTOL * float(np.linalg.norm(rhs)), _KRYLOV_ATOL)
+    try:
+        lin = linearize(state, lam, eps, grid2d, field, bordered=bordered)
+        b = -rhs
+        if field.folded:
+            # solve for the even part of rhs alone: even steps cannot
+            # reduce the odd part left by an iterate not exactly even
+            half = b[: lin.diag.size]  # a view: the deflection rows
+            half[:] = 0.5 * (half + half[::-1])
+        dz, iters, linear = gmres(lin.matvec, b, lin.precondition, bound, rhs.size)
+    except SingularSystemError as exc:
+        raise NoSteadyStateError(
+            f"singular linearization: {exc}", residual=float(np.max(np.abs(rhs)))
+        ) from exc
+    counts["krylov_iters"] += iters
+    if not linear <= bound:
+        raise NoSteadyStateError(
+            f"GMRES linear residual {linear:.3e} above {bound:.3e} after {iters} iterations",
+            residual=linear,
+        )
+    return dz
+
+
 def _newton(
     lam: float,
     eps: float,
@@ -475,8 +521,8 @@ def _newton(
     Each residual evaluation builds the iterate's state once and solves its
     potential, adding one to ``counts["folded_solves"]`` or
     ``counts["full_solves"]`` as that was done on the half rectangle or
-    not; its step linearizes there (``linearize``, counted in
-    ``counts["jacobians"]``) against that potential's LU factor and solves
+    not; its step, ``_newton_step``, linearizes there (``linearize``,
+    counted in ``counts["jacobians"]``) against that potential's LU factor and solves
     by ``gmres`` on the products, preconditioned by the tridiagonal part,
     to the stop rule of ``_KRYLOV_RTOL`` and ``_KRYLOV_ATOL``; its
     iterations add to ``counts["krylov_iters"]``.  All four keys are set,
@@ -514,29 +560,7 @@ def _newton(
                 # is the bordered system against the unit border row
                 rhs = np.zeros(n + 1)
                 rhs[n] = 1.0
-            counts["jacobians"] += 1
-            bound = max(_KRYLOV_RTOL * float(np.linalg.norm(rhs)), _KRYLOV_ATOL)
-            try:
-                lin = linearize(state, lam, eps, grid2d, field, bordered=depth is not None)
-                b = -rhs
-                if field.folded:
-                    # solve for the even part of rhs alone: even steps cannot
-                    # reduce the odd part left by an iterate not exactly even
-                    half = b[: lin.diag.size]  # a view: the deflection rows
-                    half[:] = 0.5 * (half + half[::-1])
-                dz, iters, linear = gmres(lin.matvec, b, lin.precondition, bound, rhs.size)
-            except SingularSystemError as exc:
-                raise NoSteadyStateError(
-                    f"singular linearization: {exc}", residual=float(np.max(np.abs(rhs)))
-                ) from exc
-            counts["krylov_iters"] += iters
-            if not linear <= bound:
-                raise NoSteadyStateError(
-                    f"GMRES linear residual {linear:.3e} above {bound:.3e} after {iters} "
-                    "iterations",
-                    residual=linear,
-                )
-            return dz
+            return _newton_step(state, lam, eps, grid2d, field, rhs, counts, depth is not None)
 
         return r, step
 
@@ -763,6 +787,8 @@ def continue_branch(
     """
     if not dlambda0 > 0.0:
         raise ValueError("dlambda0 must be positive")
+    if not lambda_max > 0.0:
+        raise ValueError("lambda_max must be positive")
     grid = Grid1D.uniform(n_x)
     grid2d = Grid2D.uniform(n_x, n_eta if n_eta is not None else n_x)
     counts = Counter()
@@ -799,12 +825,7 @@ def continue_branch(
         points.append(samples[-1][1])
     fold_estimate = None if reached or fold is None else fold[1].lam
     counts["newton_iters"] = sum(pt.newton_iters for pt in points)
-    return SteadyBranch(
-        points,
-        counts,
-        fold_estimate,
-        None if fold_estimate is None else (fold_estimate - _FOLD_TOL, fold_estimate + _FOLD_TOL),
-    )
+    return SteadyBranch(points, counts, fold_estimate)
 
 
 def nonexistence_bound(eps: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .numerics import Grid1D, Grid2D, d1_central, d2_central, grids_match
+from .numerics import Grid1D, Grid2D, d1_central, d2_central
 
 __all__ = [
     "MembraneState",
@@ -24,9 +24,11 @@ __all__ = [
     "random_admissible_state",
 ]
 
-# Sine modes and leading coefficient scale of ``random_admissible_state``.
+# Sine modes, leading coefficient scale and least gap of
+# ``random_admissible_state``.
 _RANDOM_MODES = 6
 _RANDOM_AMPLITUDE = 0.3
+_RANDOM_MIN_GAP = 0.3
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +81,12 @@ class OperatorCoefficients:
 
     The operator is
         a_xx d_xx + a_xeta d_x d_eta + a_etaeta d_etaeta + b_eta d_eta
-    with a_xx = eps^2 constant.
+    with a_xx = eps^2 constant, held as a number; the other three are
+    nodal fields on ``grid``.
     """
 
     grid: Grid2D
-    a_xx: np.ndarray
+    a_xx: float
     a_xeta: np.ndarray
     a_etaeta: np.ndarray
     b_eta: np.ndarray
@@ -100,7 +103,7 @@ def assemble_coefficients(v: MembraneState, eps: float, grid: Grid2D) -> Operato
     """Evaluate the four coefficient fields of the mapped operator on ``grid``."""
     if not eps > 0.0:
         raise ValueError("aspect ratio must be positive")
-    if not grids_match(grid.gx, v.grid):
+    if grid.gx != v.grid:
         raise ValueError("2-D grid does not share the membrane's x-nodes")
     _check_admissible(v)
 
@@ -111,18 +114,15 @@ def assemble_coefficients(v: MembraneState, eps: float, grid: Grid2D) -> Operato
     q = d2_central(v.u, v.grid) / w
     e2 = eps * eps
 
-    a_xx = np.full(grid.shape, e2)
     a_xeta = -2.0 * e2 * np.outer(s, eta)
     a_etaeta = (1.0 + e2 * np.outer(dv * dv, eta * eta)) / (w * w)[:, None]
     # the operator applied to eta itself: eps^2 eta (2 s^2 - q)
     b_eta = e2 * np.outer(2.0 * s * s - q, eta)
-    return OperatorCoefficients(grid, a_xx, a_xeta, a_etaeta, b_eta)
+    return OperatorCoefficients(grid, e2, a_xeta, a_etaeta, b_eta)
 
 
-def random_admissible_state(
-    grid: Grid1D, rng: np.random.Generator, min_gap: float = 0.3
-) -> MembraneState:
-    """Random smooth clamped deflection with min(1+u) >= min_gap.
+def random_admissible_state(grid: Grid1D, rng: np.random.Generator) -> MembraneState:
+    """Random smooth clamped deflection with min(1+u) >= ``_RANDOM_MIN_GAP``.
 
     A sine series of ``_RANDOM_MODES`` modes with random coefficients of
     standard deviation ``_RANDOM_AMPLITUDE / k^2``, rescaled when it dips
@@ -134,6 +134,6 @@ def random_admissible_state(
         u += rng.normal(0.0, _RANDOM_AMPLITUDE / (k * k)) * np.sin(k * np.pi * (x + 1.0) / 2.0)
     u[0] = u[-1] = 0.0  # sin(k*pi) is only zero up to roundoff
     depth = float(np.max(-u))
-    if depth > 1.0 - min_gap:
-        u *= (1.0 - min_gap) / depth
+    if depth > 1.0 - _RANDOM_MIN_GAP:
+        u *= (1.0 - _RANDOM_MIN_GAP) / depth
     return MembraneState(grid, u)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
-from mems_fbp import elliptic
+from mems_fbp import elliptic, transform
 from mems_fbp.errors import GridTooCoarseError, NonConvergenceError
-from mems_fbp.numerics import Grid1D, Grid2D, d1_central, solve_sparse
+from mems_fbp.numerics import Grid2D, d1_central, solve_sparse
 from mems_fbp.transform import (
     MembraneState,
     assemble_coefficients,
@@ -102,8 +102,6 @@ class TestTrace:
     def test_too_coarse(self):
         """A grid too coarse for the 3-point trace cannot be made at all."""
         with pytest.raises(GridTooCoarseError, match="at least 3 vertical cells"):
-            Grid2D(gx=Grid1D.uniform(8), n_eta=2, eta_nodes=np.linspace(0, 1, 3), h_eta=0.5)
-        with pytest.raises(GridTooCoarseError):
             Grid2D.uniform(8, 2)
 
 
@@ -165,8 +163,8 @@ def coo_reference_system(coeffs, rhs_field, dirichlet):
     g = coeffs.grid
     hx, he = g.gx.h, g.h_eta
     sl = (slice(1, -1), slice(1, -1))
-    c_xx = coeffs.a_xx[sl] / (hx * hx)
     c_ee = coeffs.a_etaeta[sl] / (he * he)
+    c_xx = np.full(c_ee.shape, coeffs.a_xx / (hx * hx))
     c_e = coeffs.b_eta[sl] / (2.0 * he)
     c_xe = coeffs.a_xeta[sl] / (4.0 * hx * he)
     weights = {
@@ -214,7 +212,8 @@ def test_assembly_matches_coo_reference(shape, eps, seed, data, folded):
     # the system matches the reference bit for bit, folded or not
     rng = np.random.default_rng(seed)
     grid = Grid2D.uniform(*shape)
-    v = random_admissible_state(grid.gx, rng, min_gap=0.1)
+    with mock.patch.object(transform, "_RANDOM_MIN_GAP", 0.1):
+        v = random_admissible_state(grid.gx, rng)
     coeffs = assemble_coefficients(v, eps, grid)
     zero = np.zeros(grid.shape)
     rhs_field = zero if data == "ring" else rng.normal(size=grid.shape)

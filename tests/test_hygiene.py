@@ -205,8 +205,6 @@ def test_no_exception_args_assignment(name):
 UNSET_DEFAULTS = {
     ("cli", "main", "argv"): "the console entry point calls main() without arguments",
     ("errors", "SolverError.__init__", "residual"): "set through its subclasses' constructors",
-    ("small_aspect", "steady0", "tol"): "set by tests only: test_residual_contract solves tighter",
-    ("transform", "random_admissible_state", "min_gap"): "set by tests only",
 }
 
 

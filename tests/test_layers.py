@@ -1,0 +1,47 @@
+"""``tools/layers.py`` writes the layer table with every key it promises.
+
+The script pins its process to one core, so it runs in a child process
+here, at n = 16 with one sample; only the keys are checked.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).parents[1] / "tools" / "layers.py"
+
+
+def test_writes_every_key(tmp_path):
+    subprocess.run(
+        [sys.executable, str(TOOL), "--label", "smoke", "--sizes", "16", "--samples", "1",
+         "--out-dir", str(tmp_path)],
+        check=True, capture_output=True, timeout=60,
+    )
+    table = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert set(table) == {
+        "label", "machine", "commit", "method", "kernels", "steady_kernels", "flat_fold_solve",
+    }
+    assert set(table["machine"]) == {"cpu_model", "cores", "python", "numpy", "scipy"}
+    assert set(table["commit"]) == {"hash", "dirty", "trees"}
+    assert set(table["commit"]["trees"]) == {"src", "tools"}
+    assert {"pinned_core", "blas_threads", "samples", "statistic", "workloads"} <= set(
+        table["method"]
+    )
+    timing = {"median_s", "q1_s", "q3_s", "calls_per_sample"}
+    assert set(table["kernels"]) == {"16"}
+    kernels = table["kernels"]["16"]
+    assert set(kernels) == {
+        "coefficient_assembly", "stencil_weights", "sparse_assembly", "lu_factor",
+        "triangular_solve", "trace_extraction", "evolution_step",
+    }
+    assert all(set(entry) == timing for entry in kernels.values())
+    assert set(table["steady_kernels"]) == {"0.1", "1.0"}
+    for by_size in table["steady_kernels"].values():
+        assert set(by_size) == {"16"}
+        steady = by_size["16"]
+        assert set(steady) == {"steady_residual", "linearize", "gmres_newton_step"}
+        assert all(timing <= set(entry) for entry in steady.values())
+        assert "iterations" in steady["gmres_newton_step"]
+    assert set(table["flat_fold_solve"]) == {"512", "2048"}
+    assert all(set(entry) == timing for entry in table["flat_fold_solve"].values())

@@ -16,7 +16,7 @@ from mems_fbp.errors import (
     NonConvergenceError,
     SingularSystemError,
 )
-from mems_fbp.evolution import ModelParams
+from mems_fbp.evolution import ModelParams, imex_step
 from mems_fbp.numerics import Grid1D, Grid2D, solve_tridiagonal
 from mems_fbp.small_aspect import (
     limit_study,
@@ -234,8 +234,9 @@ class TestFlatSteady:
         assert np.array_equal(step(rhs), right_after)
         assert not np.array_equal(later_step(rhs), right_after)
 
-    def test_residual_contract(self):
-        u = steady0(0.25, MembraneState.zero(Grid1D.uniform(64)), tol=1e-11).state
+    def test_residual_contract(self, monkeypatch):
+        monkeypatch.setattr(small_aspect, "_STEADY0_TOL", 1e-11)
+        u = steady0(0.25, MembraneState.zero(Grid1D.uniform(64))).state
         h2 = u.grid.h**2
         d2 = (u.u[2:] - 2 * u.u[1:-1] + u.u[:-2]) / h2
         res = d2 - 0.25 / (1.0 + u.u[1:-1]) ** 2
@@ -573,6 +574,18 @@ class TestDegenerationConsistency:
     def test_stepwise_match(self):
         ok, detail = criteria.degeneration(32, 100)
         assert ok, detail
+
+    def test_a_wrong_stepping_kernel_fails(self, monkeypatch):
+        # the kernel with its diffusion number r scaled by 1.7, patched into
+        # both modules, so that a flat side that stepped through it would
+        # agree with it
+        def wrong(u, dt, diffusion_int, forcing):
+            return imex_step(u, dt, 1.7 * diffusion_int, forcing)
+
+        monkeypatch.setattr(criteria, "imex_step", wrong)
+        monkeypatch.setattr(small_aspect, "imex_step", wrong)
+        ok, detail = criteria.degeneration(32, 100)
+        assert not ok, detail
 
 
 class TestLimitStudy:

@@ -429,6 +429,13 @@ class TestContinuation:
                 assert np.max(pt.state.u) <= 1e-12
                 assert np.max(np.abs(pt.state.u - pt.state.u[::-1])) <= 1e-10
 
+    @pytest.mark.parametrize("lambda_max", [-0.5, 0.0, float("nan")])
+    def test_lambda_max_must_be_positive(self, lambda_max):
+        # unchecked, -0.5 gave a point at voltage -0.5, 0 the rest point
+        # twice, and nan was ignored: the branch ran on to its fold
+        with pytest.raises(ValueError, match="lambda_max must be positive"):
+            continue_branch(0.5, lambda_max, 0.1, n_x=8)
+
     def test_fold_detection(self, caplog, monkeypatch):
         with caplog.at_level(logging.DEBUG, logger="mems_fbp.steady"):
             branch = continue_branch(1.0, lambda_max=2.0, dlambda0=0.1, n_x=24, n_eta=24)

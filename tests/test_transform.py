@@ -154,6 +154,6 @@ class TestSourceField:
 class TestRandomAdmissible:
     def test_contract(self, grid32, rng):
         for _ in range(10):
-            v = random_admissible_state(grid32, rng, min_gap=0.3)
+            v = random_admissible_state(grid32, rng)
             assert v.u[0] == 0.0 and v.u[-1] == 0.0
             assert v.min_gap >= 0.3 - 1e-12

@@ -1,0 +1,218 @@
+"""Time the program's kernels layer by layer and write ``BENCH_<label>.json``.
+
+    python tools/layers.py --label baseline
+
+Run from anywhere; the program is imported from ``src/`` of this checkout
+and the workloads from ``bench/tasks.py``, so the table times what the
+benchmark runs.  The process pins itself to one core and BLAS to one
+thread.  Each kernel is timed on one state, the parabola
+u = -d (1 - x^2) with d the deepest ``evolve`` parabola, at the largest
+``evolve`` voltage, on an n x n grid for each n of ``--sizes``: the
+``continuation`` grid, 64, the ``evolve`` grid and 256 by default.  The
+state is even, so every potential is the folded one.  The potential
+kernels and the evolution step are timed at the ``evolve`` aspect ratio;
+the residual, the linearization and the GMRES Newton step at each
+``continuation`` aspect ratio, and at n <= 128 only.  One flat-limit
+pull-in (a fold solve) is timed at the ``flat-pullin`` n_x and at 2048.
+A sample times enough back-to-back calls to last about ``MIN_SAMPLE_S``;
+the file gives the median and quartiles of the per-call seconds over
+``--samples`` samples, after one warm-up call.  It is written to
+``--out-dir``, the checkout by default.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from collections import Counter
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # must precede the first numpy import
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+import tasks  # noqa: E402
+
+from mems_fbp import elliptic, evolution, numerics, small_aspect, steady, transform  # noqa: E402
+
+EPS = tasks.EVOLVE_EPS
+LAM = max(tasks.EVOLVE_LAMBDA)
+DEPTH = max(tasks.EVOLVE_DEPTH)
+SIZES = sorted({tasks.CONTINUATION_N, 64, tasks.EVOLVE_N, 256})
+# a sample repeats a kernel, as often as its warm-up call says, to last
+# about this long, so that timer resolution and call overhead stay small
+MIN_SAMPLE_S = 0.02
+FLAT_SIZES = (tasks.PULLIN_N, 2048)
+# the steady kernels (residual, linearization, GMRES step) run in the
+# benchmark at the continuation grid; they are timed up to this n, which
+# shows how they grow
+MAX_NEWTON_N = 128
+
+
+def _machine() -> dict:
+    model = platform.processor() or None
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {
+        "cpu_model": model,
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def _commit() -> dict:
+    def git(*args, env=None):
+        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, env=env)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    status = git("status", "--porcelain", "--", "src", "tools")
+    # the trees src/ and tools/ have as measured: a commit holding them has
+    # the same tree hashes, also when the file was written before it
+    with tempfile.TemporaryDirectory() as tmp:
+        index = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        git("read-tree", "HEAD", env=index)
+        git("add", "--", "src", "tools", env=index)
+        trees = {d: git("write-tree", f"--prefix={d}/", env=index) for d in ("src", "tools")}
+    return {
+        "hash": git("rev-parse", "HEAD"),
+        "dirty": None if status is None else bool(status),
+        "trees": trees,
+    }
+
+
+def _time(fn, samples: int) -> dict:
+    """Median and quartiles of the per-call seconds of ``fn()``."""
+    t0 = time.perf_counter()
+    fn()  # warm-up: caches, first-touch allocation
+    calls = max(1, round(MIN_SAMPLE_S / (time.perf_counter() - t0)))
+    per_call = []
+    for _ in range(samples):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        per_call.append((time.perf_counter() - t0) / calls)
+    q1, median, q3 = np.percentile(per_call, [25, 50, 75])
+    return {"median_s": median, "q1_s": q1, "q3_s": q3, "calls_per_sample": calls}
+
+
+def _state(n: int) -> tuple[numerics.Grid2D, transform.MembraneState]:
+    grid2d = numerics.Grid2D.uniform(n, n)
+    x = grid2d.gx.nodes
+    return grid2d, transform.MembraneState(grid2d.gx, -DEPTH * (1.0 - x * x))
+
+
+def kernels(n: int, samples: int) -> dict:
+    """The per-call seconds of each potential kernel and of one evolution
+    step on the n x n grid."""
+    grid2d, u = _state(n)
+    p = evolution.ModelParams(eps=EPS, lam=LAM)
+    coeffs = transform.assemble_coefficients(u, EPS, grid2d)
+    weights = elliptic._stencil_weights(coeffs)
+    matrix = elliptic.assemble_system(weights, folded=True)
+    rhs = np.ones(matrix.shape[0])
+    _, lu = numerics.solve_sparse(matrix, rhs)
+    field = elliptic.solve_potential(u, EPS, grid2d)
+
+    def timed(fn):
+        return _time(fn, samples)
+
+    return {
+        "coefficient_assembly": timed(lambda: transform.assemble_coefficients(u, EPS, grid2d)),
+        "stencil_weights": timed(lambda: elliptic._stencil_weights(coeffs)),
+        "sparse_assembly": timed(lambda: elliptic.assemble_system(weights, folded=True)),
+        "lu_factor": timed(lambda: numerics.solve_sparse(matrix, rhs)),
+        "triangular_solve": timed(lambda: lu.solve(rhs)),
+        "trace_extraction": timed(lambda: elliptic.trace_top(field)),
+        "evolution_step": timed(lambda: evolution.step(u, p, grid2d)),
+    }
+
+
+def steady_kernels(eps: float, n: int, samples: int) -> dict:
+    """The per-call seconds of the residual, the linearization and one
+    Newton step of the full model on the n x n grid at ``eps``."""
+    grid2d, u = _state(n)
+    r, field = steady.steady_residual(u, LAM, eps, grid2d)
+
+    def newton_step(counts):
+        steady._newton_step(u, LAM, eps, grid2d, field, r, counts, bordered=False)
+        return counts
+
+    out = {
+        "steady_residual": _time(lambda: steady.steady_residual(u, LAM, eps, grid2d), samples),
+        "linearize": _time(lambda: steady.linearize(u, LAM, eps, grid2d, field), samples),
+        "gmres_newton_step": _time(lambda: newton_step(Counter()), samples),
+    }
+    out["gmres_newton_step"]["iterations"] = newton_step(Counter())["krylov_iters"]
+    return out
+
+
+def measure(label: str, sizes, samples: int) -> dict:
+    core = min(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {core})
+    newton_sizes = [n for n in sizes if n <= MAX_NEWTON_N]
+    return {
+        "label": label,
+        "machine": _machine(),
+        "commit": _commit(),
+        "method": {
+            "pinned_core": core,
+            "blas_threads": 1,
+            "samples": samples,
+            "min_sample_s": MIN_SAMPLE_S,
+            "statistic": "median and quartiles of the per-call seconds over the samples",
+            "state": f"u = -{DEPTH} (1 - x^2), lambda {LAM}, n_x = n_eta = n, folded; "
+            f"kernels at eps {EPS}, steady_kernels at each eps they list",
+            "lu_factor": "numerics.solve_sparse: the factorization and one triangular solve",
+            "gmres_newton_step": "steady._newton_step on the residual: steady.linearize and "
+            "numerics.gmres on its even part, to the tolerance of a Newton step",
+            "workloads": {
+                "evolve": f"kernels at n = {tasks.EVOLVE_N}",
+                "continuation": f"kernels and steady_kernels at n = {tasks.CONTINUATION_N}",
+                "flat-pullin": f"flat_fold_solve at n_x = {tasks.PULLIN_N}",
+            },
+        },
+        "kernels": {str(n): kernels(n, samples) for n in sizes},
+        "steady_kernels": {
+            repr(eps): {str(n): steady_kernels(eps, n, samples) for n in newton_sizes}
+            for eps in tasks.CONTINUATION_EPS
+        },
+        "flat_fold_solve": {
+            str(n): _time(lambda: small_aspect.pullin0_detail(1e-6, n), samples)
+            for n in FLAT_SIZES
+        },
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--sizes", type=int, nargs="+", default=SIZES)
+    parser.add_argument("--samples", type=int, default=31)
+    parser.add_argument("--out-dir", type=Path, default=ROOT)
+    args = parser.parse_args(argv)
+    result = measure(args.label, args.sizes, args.samples)
+    path = args.out_dir / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
