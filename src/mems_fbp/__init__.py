@@ -6,7 +6,6 @@ continuation with fold detection, and the vanishing-aspect-ratio limit.
 from .errors import (
     ConfigError,
     DegenerateGeometryError,
-    GridTooCoarseError,
     NoSteadyStateError,
     NonConvergenceError,
     SingularSystemError,
@@ -23,7 +22,6 @@ __all__ = [
     "DegenerateGeometryError",
     "Grid1D",
     "Grid2D",
-    "GridTooCoarseError",
     "MembraneState",
     "ModelParams",
     "NoSteadyStateError",

@@ -29,8 +29,6 @@ __all__ = ["ExperimentConfig", "parse_config", "run_experiment", "main"]
 
 log = logging.getLogger("mems_fbp")
 
-KINDS = ("evolve", "steady", "continuation", "pullin", "limit-study", "validate")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
@@ -442,6 +440,7 @@ _RUNNERS = {
     "limit-study": (_run_limit_study, "limit_study.json"),
     "validate": (_run_validate, "validate.json"),
 }
+KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> int:

@@ -57,7 +57,7 @@ def dual_formulation(grid2d: Grid2D, count: int, rng: np.random.Generator) -> tu
     for _ in range(count):
         v = random_admissible_state(grid2d.gx, rng)
         direct = solve_potential(v, 0.7, grid2d).phi
-        split = solve_potential_split(v, 0.7, grid2d).phi
+        split = solve_potential_split(v, 0.7, grid2d)
         worst = max(worst, float(np.max(np.abs(direct - split))))
     return worst <= SPLIT_TOL, (
         f"max direct-vs-split gap over {count} states {worst:.2e} <= {SPLIT_TOL:g}"

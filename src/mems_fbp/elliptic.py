@@ -52,21 +52,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PotentialField:
-    """Nodal values of the transformed potential on the rectangle.
+    """Nodal values of the transformed potential on the rectangle, as
+    ``solve_potential`` solved them.
 
-    A field from ``solve_potential`` also carries the LU factor of its
-    assembled system, in the numbering of ``assemble_system``, and the
-    stencil ``weights`` of its operator, with which each solve against
-    the factor is checked; other fields do not.  A ``folded`` field, the
-    potential of an even membrane, keeps the factor of the half
-    rectangle.
+    The field carries the LU factor of its assembled system, in the
+    numbering of ``assemble_system``, and the stencil ``weights`` of its
+    operator, with which each solve against the factor is checked.  A
+    ``folded`` field, the potential of an even membrane, keeps the factor
+    of the half rectangle.
     """
 
     grid: Grid2D
     phi: np.ndarray
-    lu: object | None = None
-    weights: np.ndarray | None = None
-    folded: bool = False
+    lu: object
+    weights: np.ndarray
+    folded: bool
 
 
 # Relative residual tolerance of the potential solves, and of the
@@ -366,8 +366,8 @@ def solve_potential(v: MembraneState, eps: float, grid: Grid2D) -> PotentialFiel
     return PotentialField(grid, phi, lu, weights, folded)
 
 
-def solve_potential_split(v: MembraneState, eps: float, grid: Grid2D) -> PotentialField:
-    """Same potential via the homogeneous-data split.
+def solve_potential_split(v: MembraneState, eps: float, grid: Grid2D) -> np.ndarray:
+    """The nodal potential of ``solve_potential`` via the homogeneous-data split.
 
     Solves for the deviation from eta with zero boundary values and the
     operator applied to eta as source, then adds eta back.  Only the
@@ -375,7 +375,7 @@ def solve_potential_split(v: MembraneState, eps: float, grid: Grid2D) -> Potenti
     """
     coeffs = assemble_coefficients(v, eps, grid)
     capital_phi = solve_dirichlet(coeffs, coeffs.b_eta, np.zeros(grid.shape))
-    return PotentialField(grid, capital_phi + _eta_field(grid))
+    return capital_phi + _eta_field(grid)
 
 
 def _top_derivative(phi: np.ndarray, h_eta: float) -> np.ndarray:
@@ -491,7 +491,7 @@ def mms_convergence(eps: float, n_values=(32, 64, 128)) -> MmsResult:
         exact = np.sin(np.pi * (x + 1.0) / 2.0) * np.sin(np.pi * eta)
         field_errors.append(float(np.max(np.abs(numeric - exact))))
 
-        tr = trace_top(PotentialField(grid, numeric))
+        tr = _top_derivative(numeric, grid.h_eta)
         exact_tr = -np.pi * np.sin(np.pi * (grid.gx.nodes + 1.0) / 2.0)
         trace_errors.append(float(np.max(np.abs(tr - exact_tr))))
         hs.append(grid.gx.h)

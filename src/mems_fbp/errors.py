@@ -2,12 +2,11 @@
 
 Every failure of a solve is a ``SolverError``: a singular system, an
 iteration that misses its tolerance (and so a steady state that Newton
-cannot find), a membrane at the ground plate and a grid too coarse for
-its stencil.  In this laboratory such a failure is often the finding
-itself, touchdown or no steady state past the fold, so the command-line
-driver reports each one under its class name with exit status 3.  Each
-also derives from ``ValueError`` or ``RuntimeError``, so a caller that
-catches the builtin still catches it.
+cannot find) and a membrane at the ground plate.  In this laboratory
+such a failure is often the finding itself, touchdown or no steady state
+past the fold, so the command-line driver reports each one under its
+class name with exit status 3.  Each also derives from ``ValueError`` or
+``RuntimeError``, so a caller that catches the builtin still catches it.
 
 ``ConfigError`` is not a solver failure: it rejects an experiment's input
 before any solve starts, and the driver reports it with exit status 2.
@@ -48,10 +47,6 @@ class DegenerateGeometryError(SolverError, ValueError):
 
 class NoSteadyStateError(NonConvergenceError):
     """Newton iteration for a steady state failed to converge."""
-
-
-class GridTooCoarseError(SolverError, ValueError):
-    """The grid has too few nodes for the requested stencil."""
 
 
 class ConfigError(ValueError):

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
-from .errors import GridTooCoarseError, NonConvergenceError, SingularSystemError
+from .errors import NonConvergenceError, SingularSystemError
 
 __all__ = [
     "Grid1D",
@@ -76,7 +76,7 @@ class Grid2D:
     vertical one.  Nodal fields are stored as arrays of shape
     (gx.n_nodes, n_eta + 1) indexed ``[i, j]`` for node (x_i, eta_j).  A
     grid of fewer than 3 vertical cells, too few for the 3-point trace at
-    eta = 1, raises GridTooCoarseError.
+    eta = 1, raises ValueError.
     """
 
     gx: Grid1D
@@ -84,7 +84,7 @@ class Grid2D:
 
     def __post_init__(self):
         if self.n_eta < 3:
-            raise GridTooCoarseError(f"need at least 3 vertical cells, got {self.n_eta}")
+            raise ValueError(f"need at least 3 vertical cells, got {self.n_eta}")
 
     @classmethod
     def uniform(cls, n_x: int, n_eta: int) -> "Grid2D":

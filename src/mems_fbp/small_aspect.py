@@ -25,11 +25,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .elliptic import solve_potential
-from .errors import DegenerateGeometryError, NonConvergenceError, context
+from .errors import NonConvergenceError, context
 from .evolution import ModelParams, Trajectory, _no_steps, _run_loop, imex_step, run
 from .numerics import Grid1D, Grid2D, solve_tridiagonal, trapezoid_2d
 from .steady import BranchPoint, damped_newton
-from .transform import MembraneState
+from .transform import MembraneState, _check_on_grid
 
 __all__ = [
     "LimitComparison",
@@ -119,15 +119,12 @@ class LimitComparison:
 def psi0(u0: MembraneState, grid: Grid2D) -> np.ma.MaskedArray:
     """Explicit flat-limit potential on the strip -1 < z < 0.
 
-    The vertical axis of ``grid`` is read as z = eta - 1.  Nodes above
-    the membrane (z > u0(x)) are masked: the potential is only defined
-    in the gap region.
+    ``grid`` spans the x-nodes of ``u0``, and its vertical axis is read
+    as z = eta - 1.  Nodes above the membrane (z > u0(x)) are masked: the
+    potential is only defined in the gap region.
     """
-    if u0.min_gap <= 0.0:
-        raise DegenerateGeometryError(
-            f"membrane touches the ground plate (min gap {u0.min_gap:.3e})"
-        )
-    w = 1.0 + u0.interp(grid.gx.nodes)
+    _check_on_grid(u0, grid)
+    w = 1.0 + u0.u
     eta = grid.eta_nodes  # = 1 + z
     values = eta[None, :] / w[:, None]
     outside = eta[None, :] > w[:, None]

@@ -92,7 +92,11 @@ class OperatorCoefficients:
     b_eta: np.ndarray
 
 
-def _check_admissible(v: MembraneState):
+def _check_on_grid(v: MembraneState, grid: Grid2D):
+    """Check that ``grid`` spans the x-nodes of ``v`` (ValueError) and that
+    ``v`` stays above the ground plate (DegenerateGeometryError)."""
+    if grid.gx != v.grid:
+        raise ValueError("2-D grid does not share the membrane's x-nodes")
     if v.min_gap <= 0.0:
         raise DegenerateGeometryError(
             f"membrane touches the ground plate (min gap {v.min_gap:.3e})"
@@ -103,9 +107,7 @@ def assemble_coefficients(v: MembraneState, eps: float, grid: Grid2D) -> Operato
     """Evaluate the four coefficient fields of the mapped operator on ``grid``."""
     if not eps > 0.0:
         raise ValueError("aspect ratio must be positive")
-    if grid.gx != v.grid:
-        raise ValueError("2-D grid does not share the membrane's x-nodes")
-    _check_admissible(v)
+    _check_on_grid(v, grid)
 
     eta = grid.eta_nodes
     w = 1.0 + v.u

@@ -23,7 +23,6 @@ from mems_fbp.cli import (
 from mems_fbp.errors import (
     ConfigError,
     DegenerateGeometryError,
-    GridTooCoarseError,
     NoSteadyStateError,
     NonConvergenceError,
     SingularSystemError,
@@ -516,7 +515,6 @@ class TestEvolveKind:
             NonConvergenceError,
             NoSteadyStateError,
             DegenerateGeometryError,
-            GridTooCoarseError,
         ],
     )
     def test_every_solver_error_exits_named(self, tmp_path, monkeypatch, capsys, cls):

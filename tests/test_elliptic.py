@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from mems_fbp import elliptic, transform
-from mems_fbp.errors import GridTooCoarseError, NonConvergenceError
+from mems_fbp.errors import NonConvergenceError
 from mems_fbp.numerics import Grid2D, d1_central, solve_sparse
 from mems_fbp.transform import (
     MembraneState,
@@ -66,7 +66,7 @@ class TestSolvePotential:
 class TestSplitFormulation:
     def test_flat_membrane(self, grid2d_32):
         v = MembraneState.zero(grid2d_32.gx)
-        phi = elliptic.solve_potential_split(v, 2.0, grid2d_32).phi
+        phi = elliptic.solve_potential_split(v, 2.0, grid2d_32)
         assert np.max(np.abs(phi - grid2d_32.eta_nodes[None, :])) <= 1e-12
 
     def test_agreement_with_direct(self, rng):
@@ -75,33 +75,29 @@ class TestSplitFormulation:
         for _ in range(5):
             v = random_admissible_state(grid.gx, rng)
             direct = elliptic.solve_potential(v, 0.7, grid).phi
-            split = elliptic.solve_potential_split(v, 0.7, grid).phi
+            split = elliptic.solve_potential_split(v, 0.7, grid)
             worst = max(worst, float(np.max(np.abs(direct - split))))
         assert worst <= 1e-8
 
     def test_parity(self, grid2d_32, parabola32):
-        phi = elliptic.solve_potential_split(parabola32, 0.5, grid2d_32).phi
+        phi = elliptic.solve_potential_split(parabola32, 0.5, grid2d_32)
         assert np.max(np.abs(phi - phi[::-1, :])) <= 1e-10
 
 
 class TestTrace:
     def test_exact_on_linear(self, grid2d_32):
-        field = elliptic.PotentialField(
-            grid2d_32, np.broadcast_to(grid2d_32.eta_nodes, grid2d_32.shape)
-        )
-        tr = elliptic.trace_top(field)
+        phi = np.broadcast_to(grid2d_32.eta_nodes, grid2d_32.shape)
+        tr = elliptic._top_derivative(phi, grid2d_32.h_eta)
         np.testing.assert_allclose(tr, 1.0, rtol=1e-13)
 
     def test_exact_on_quadratic(self, grid2d_32):
-        field = elliptic.PotentialField(
-            grid2d_32, np.broadcast_to(grid2d_32.eta_nodes**2, grid2d_32.shape)
-        )
-        tr = elliptic.trace_top(field)
+        phi = np.broadcast_to(grid2d_32.eta_nodes**2, grid2d_32.shape)
+        tr = elliptic._top_derivative(phi, grid2d_32.h_eta)
         np.testing.assert_allclose(tr, 2.0, rtol=1e-12)
 
     def test_too_coarse(self):
         """A grid too coarse for the 3-point trace cannot be made at all."""
-        with pytest.raises(GridTooCoarseError, match="at least 3 vertical cells"):
+        with pytest.raises(ValueError, match="at least 3 vertical cells"):
             Grid2D.uniform(8, 2)
 
 
@@ -333,7 +329,7 @@ def test_trace_response_matches_a_separate_dirichlet_solve(shape, eps, seed, eve
         rhs_field = np.zeros(grid.shape)
         rhs_field[1:-1, 1:-1] = forcing[..., c]
         w = elliptic.solve_dirichlet(coeffs, rhs_field, np.zeros(grid.shape))
-        expected = elliptic.trace_top(elliptic.PotentialField(grid, w))
+        expected = elliptic._top_derivative(w, grid.h_eta)
         assert np.linalg.norm(trace - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
@@ -370,7 +366,7 @@ def test_folded_system_is_the_half_rows_of_the_full_system_on_mirrored_values(sh
 
 def full_path_g(v, eps, grid):
     """``g_eps`` computed from the potential of the full operator."""
-    tr = elliptic.trace_top(elliptic.PotentialField(grid, full_potential(v, eps, grid)))
+    tr = elliptic._top_derivative(full_potential(v, eps, grid), grid.h_eta)
     dv = d1_central(v.u, v.grid)
     return (1.0 + eps * eps * dv * dv) / (1.0 + v.u) ** 2 * tr * tr
 

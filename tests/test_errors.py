@@ -8,7 +8,6 @@ from mems_fbp import errors
 from mems_fbp.errors import (
     ConfigError,
     DegenerateGeometryError,
-    GridTooCoarseError,
     NoSteadyStateError,
     NonConvergenceError,
     SingularSystemError,
@@ -21,7 +20,6 @@ BUILTIN_BASES = {
     NonConvergenceError: RuntimeError,
     NoSteadyStateError: RuntimeError,
     DegenerateGeometryError: ValueError,
-    GridTooCoarseError: ValueError,
 }
 
 

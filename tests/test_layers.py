@@ -20,7 +20,8 @@ def test_writes_every_key(tmp_path):
     )
     table = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert set(table) == {
-        "label", "machine", "commit", "method", "kernels", "steady_kernels", "flat_fold_solve",
+        "label", "machine", "commit", "method", "kernels", "steady_kernels", "branch_to_fold",
+        "flat_fold_solve",
     }
     assert set(table["machine"]) == {"cpu_model", "cores", "python", "numpy", "scipy"}
     assert set(table["commit"]) == {"hash", "dirty", "trees"}
@@ -43,5 +44,13 @@ def test_writes_every_key(tmp_path):
         assert set(steady) == {"steady_residual", "linearize", "gmres_newton_step"}
         assert all(timing <= set(entry) for entry in steady.values())
         assert "iterations" in steady["gmres_newton_step"]
+    assert set(table["branch_to_fold"]) == {"0.1", "1.0"}
+    for by_size in table["branch_to_fold"].values():
+        assert set(by_size) == {"16"}
+        branch = by_size["16"]
+        assert set(branch) == timing | {
+            "factorizations", "krylov_iters", "tangent_solves", "points",
+        }
+        assert branch["factorizations"] > 0 and branch["points"] > 1
     assert set(table["flat_fold_solve"]) == {"512", "2048"}
     assert all(set(entry) == timing for entry in table["flat_fold_solve"].values())

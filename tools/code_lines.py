@@ -4,10 +4,13 @@ comment and not inside a module, class or function docstring.
 Prints each file's count and the total::
 
     python tools/code_lines.py src/mems_fbp
+
+A path that does not exist exits with status 2 and a one-line message.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import sys
 from pathlib import Path
@@ -36,9 +39,16 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    files = sorted(
-        f for arg in argv for f in (Path(arg).rglob("*.py") if Path(arg).is_dir() else [Path(arg)])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "paths", nargs="*", type=Path, default=[Path("src")],
+        help="Python files, and directories to search for them (default: src)",
     )
+    paths = parser.parse_args(argv).paths
+    for path in paths:
+        if not path.exists():
+            parser.exit(2, f"{parser.prog}: no such file or directory: {path}\n")
+    files = sorted(f for path in paths for f in (path.rglob("*.py") if path.is_dir() else [path]))
     total = 0
     for f in files:
         count = code_lines(f.read_text(encoding="utf-8"))
@@ -49,4 +59,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:] or ["src"]))
+    sys.exit(main(sys.argv[1:]))

@@ -12,8 +12,12 @@ u = -d (1 - x^2) with d the deepest ``evolve`` parabola, at the largest
 state is even, so every potential is the folded one.  The potential
 kernels and the evolution step are timed at the ``evolve`` aspect ratio;
 the residual, the linearization and the GMRES Newton step at each
-``continuation`` aspect ratio, and at n <= 128 only.  One flat-limit
-pull-in (a fold solve) is timed at the ``flat-pullin`` n_x and at 2048.
+``continuation`` aspect ratio, and at n <= 128 only.  So is one
+continuation to the fold, ``steady.continue_branch`` at the
+``continuation`` task's lambda_max and voltage step, with the
+factorizations, GMRES iterations, tangent solves and points of one run.
+One flat-limit pull-in (a fold solve) is timed at the ``flat-pullin`` n_x
+and at 2048.
 A sample times enough back-to-back calls to last about ``MIN_SAMPLE_S``;
 the file gives the median and quartiles of the per-call seconds over
 ``--samples`` samples, after one warm-up call.  It is written to
@@ -57,6 +61,9 @@ FLAT_SIZES = (tasks.PULLIN_N, 2048)
 # benchmark at the continuation grid; they are timed up to this n, which
 # shows how they grow
 MAX_NEWTON_N = 128
+# lambda_max and (the midpoint of) dlambda0 of a ``continuation`` task
+BRANCH_LAMBDA_MAX = 2.0
+BRANCH_DLAMBDA0 = 0.05
 
 
 def _machine() -> dict:
@@ -163,6 +170,25 @@ def steady_kernels(eps: float, n: int, samples: int) -> dict:
     return out
 
 
+def branch_to_fold(eps: float, n: int, samples: int) -> dict:
+    """The seconds of one continuation to the fold on the n x n grid at
+    ``eps``, and the solver counts of one such run."""
+
+    def branch():
+        return steady.continue_branch(eps, BRANCH_LAMBDA_MAX, BRANCH_DLAMBDA0, n_x=n, n_eta=n)
+
+    out = _time(branch, samples)
+    run = branch()
+    counts = run.diagnostics
+    out.update(
+        factorizations=counts["folded_solves"] + counts["full_solves"],
+        krylov_iters=counts["krylov_iters"],
+        tangent_solves=counts["tangent_solves"],
+        points=len(run.points),
+    )
+    return out
+
+
 def measure(label: str, sizes, samples: int) -> dict:
     core = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {core})
@@ -184,13 +210,18 @@ def measure(label: str, sizes, samples: int) -> dict:
             "numerics.gmres on its even part, to the tolerance of a Newton step",
             "workloads": {
                 "evolve": f"kernels at n = {tasks.EVOLVE_N}",
-                "continuation": f"kernels and steady_kernels at n = {tasks.CONTINUATION_N}",
+                "continuation": f"kernels, steady_kernels and branch_to_fold at "
+                f"n = {tasks.CONTINUATION_N}",
                 "flat-pullin": f"flat_fold_solve at n_x = {tasks.PULLIN_N}",
             },
         },
         "kernels": {str(n): kernels(n, samples) for n in sizes},
         "steady_kernels": {
             repr(eps): {str(n): steady_kernels(eps, n, samples) for n in newton_sizes}
+            for eps in tasks.CONTINUATION_EPS
+        },
+        "branch_to_fold": {
+            repr(eps): {str(n): branch_to_fold(eps, n, samples) for n in newton_sizes}
             for eps in tasks.CONTINUATION_EPS
         },
         "flat_fold_solve": {
