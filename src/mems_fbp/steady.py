@@ -51,6 +51,7 @@ import numpy as np
 
 from .elliptic import (
     PotentialField,
+    g_eps,
     is_even,
     solve_potential,
     stencil_derivatives,
@@ -215,29 +216,22 @@ class SteadyBranch:
         return (self.fold_estimate - _FOLD_TOL, self.fold_estimate + _FOLD_TOL)
 
 
-def _source(u: MembraneState, eps: float, field: PotentialField) -> np.ndarray:
-    """Electrostatic source at the interior nodes: the squared trace with
-    the (1+eps^2 u_x^2)^(5/2) curvature factor over the squared gap.
-
-    It is minus the derivative of ``steady_residual`` by the voltage.
-    """
-    tr = trace_top(field)
-    dv = d1_central(u.u, u.grid)
-    return ((1.0 + eps * eps * dv * dv) ** 2.5 / (1.0 + u.u) ** 2 * tr * tr)[1:-1]
-
-
 def steady_residual(
     u: MembraneState, lam: float, eps: float, grid2d: Grid2D
 ) -> tuple[np.ndarray, PotentialField]:
     """Residual of the steady balance at the interior nodes, and the
     potential field it solved.
 
-    The residual is the second difference of ``u`` minus ``lam`` times the
-    source of ``_source``; the field carries its factored system for
-    ``linearize``.
+    The balance is that of ``evolution.step`` divided by its curvature
+    factor (1+eps^2 u_x^2)^(-3/2): the second difference of ``u`` minus
+    ``lam`` times the source P tr^2, with P = (1+eps^2 u_x^2)^(5/2)/(1+u)^2,
+    formed as (1+eps^2 u_x^2)^(3/2) times the source of ``g_eps``.  The
+    field carries its factored system for ``linearize``.
     """
-    field = solve_potential(u, eps, grid2d)
-    return d2_central(u.u, u.grid)[1:-1] - lam * _source(u, eps, field), field
+    g, field = g_eps(u, eps, grid2d)
+    dv = d1_central(u.u, u.grid)
+    source = (1.0 + eps * eps * dv * dv) ** 1.5 * g
+    return d2_central(u.u, u.grid)[1:-1] - lam * source[1:-1], field
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,23 +20,28 @@ def test_writes_every_key(tmp_path):
     )
     table = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert set(table) == {
-        "label", "machine", "commit", "method", "kernels", "steady_kernels", "branch_to_fold",
-        "flat_fold_solve",
+        "label", "machine", "commit", "method", "kernels", "eta_sweep", "steady_kernels",
+        "branch_to_fold", "flat_fold_solve",
     }
     assert set(table["machine"]) == {"cpu_model", "cores", "python", "numpy", "scipy"}
     assert set(table["commit"]) == {"hash", "dirty", "trees"}
     assert set(table["commit"]["trees"]) == {"src", "tools"}
-    assert {"pinned_core", "blas_threads", "samples", "statistic", "workloads"} <= set(
-        table["method"]
-    )
+    assert {
+        "pinned_core", "blas_threads", "samples", "statistic", "workloads", "unfolded", "eta_sweep",
+    } <= set(table["method"])
     timing = {"median_s", "q1_s", "q3_s", "calls_per_sample"}
     assert set(table["kernels"]) == {"16"}
     kernels = table["kernels"]["16"]
     assert set(kernels) == {
-        "coefficient_assembly", "stencil_weights", "sparse_assembly", "lu_factor",
-        "triangular_solve", "trace_extraction", "evolution_step",
+        "coefficient_assembly", "stencil_weights", "sparse_assembly", "sparse_assembly_unfolded",
+        "lu_factor", "lu_factor_unfolded", "triangular_solve", "trace_extraction",
+        "evolution_step",
     }
     assert all(set(entry) == timing for entry in kernels.values())
+    assert set(table["eta_sweep"]) == {"8", "16"}
+    for sweep in table["eta_sweep"].values():
+        assert set(sweep) == {"lu_factor", "evolution_step"}
+        assert all(set(entry) == timing for entry in sweep.values())
     assert set(table["steady_kernels"]) == {"0.1", "1.0"}
     for by_size in table["steady_kernels"].values():
         assert set(by_size) == {"16"}

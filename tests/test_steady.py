@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mems_fbp import elliptic, numerics, small_aspect, steady
+from mems_fbp import elliptic, evolution, numerics, small_aspect, steady
 from mems_fbp.errors import (
     DegenerateGeometryError,
     NoSteadyStateError,
@@ -60,6 +60,39 @@ class TestResidual:
         assert traj.outcome == "converged"
         r = steady_residual(traj.final, 0.2, 0.1, grid2d)[0]
         assert np.max(np.abs(r)) <= 1e-6
+
+
+@pytest.mark.parametrize("n_eta", [32, 16])
+@pytest.mark.parametrize("lam, eps", [(0.2, 0.1), (0.3, 0.1), (0.2, 1.0), (0.1, 2.0)])
+def test_steady_states_are_fixed_points_of_the_flow(n_eta, lam, eps):
+    # A step solves M u_new = u - dt lam g with M = I - dt K D2, K the
+    # diagonal of kappa = (1 + eps^2 u_x^2)^(-3/2) in (0, 1] and D2 the
+    # clamped second difference, so u_new - u = dt M^-1 K r with r = D2 u -
+    # lam g / kappa, the steady residual.  M has nonpositive off-diagonals
+    # and row sums >= 1, so M^-1 is nonnegative with row sums <= 1, and
+    # max|u_new - u| / dt <= max|r|.  In floating point, with unit
+    # roundoff e, U = max|u|, G = max g / kappa and h the x-spacing, the
+    # computed sides differ from these by at most e ((2/dt + 8/h^2) U +
+    # 3 lam G):
+    # - 2 e U / dt from rounding the right side u - dt lam g and the
+    #   difference u_new - u;
+    # - 4 e U / h^2 from the solve's backward error, e |M| |u_new| with
+    #   |M| |u_new| <= (1 + 4 dt kappa / h^2) U row by row, mapped through
+    #   M^-1 and divided by dt;
+    # - 4 e U / h^2 from the second difference in r, whose terms are
+    #   4 U / h^2 in size;
+    # - 3 e lam G from forming the source in the step, the curvature factor
+    #   that r multiplies it by, and their product.
+    grid2d = Grid2D.uniform(32, n_eta)
+    u = solve_steady(lam, eps, MembraneState.zero(grid2d.gx), grid2d).state
+    r = float(np.max(np.abs(steady_residual(u, lam, eps, grid2d)[0])))
+    dv = numerics.d1_central(u.u, u.grid)
+    source = np.max((1.0 + eps * eps * dv * dv) ** 1.5 * elliptic.g_eps(u, eps, grid2d)[0])
+    e, big_u, h = np.finfo(float).eps, np.max(np.abs(u.u)), u.grid.h
+    for dt in (1e-3, 0.1, 1.0):
+        moved = evolution.step(u, ModelParams(eps=eps, lam=lam, dt=dt), grid2d)[0]
+        allowance = e * ((2.0 / dt + 8.0 / (h * h)) * big_u + 3.0 * lam * source)
+        assert np.max(np.abs(moved.u - u.u)) / dt <= r + allowance, dt
 
 
 def central_difference_jacobian(u, lam, eps, grid2d, step=1e-6):

@@ -9,7 +9,11 @@ thread.  Each kernel is timed on one state, the parabola
 u = -d (1 - x^2) with d the deepest ``evolve`` parabola, at the largest
 ``evolve`` voltage, on an n x n grid for each n of ``--sizes``: the
 ``continuation`` grid, 64, the ``evolve`` grid and 256 by default.  The
-state is even, so every potential is the folded one.  The potential
+state is even, so every potential is the folded one; sparse assembly and
+the LU factor are also timed unfolded, on the whole rectangle, as a
+membrane that is not even takes them.  An n_eta sweep times the LU factor
+and one evolution step at the ``evolve`` n_x for n_eta from 8 to 128,
+up to the largest n.  The potential
 kernels and the evolution step are timed at the ``evolve`` aspect ratio;
 the residual, the linearization and the GMRES Newton step at each
 ``continuation`` aspect ratio, and at n <= 128 only.  So is one
@@ -53,6 +57,7 @@ EPS = tasks.EVOLVE_EPS
 LAM = max(tasks.EVOLVE_LAMBDA)
 DEPTH = max(tasks.EVOLVE_DEPTH)
 SIZES = sorted({tasks.CONTINUATION_N, 64, tasks.EVOLVE_N, 256})
+ETA_SIZES = (8, 16, 32, 64, 128)
 # a sample repeats a kernel, as often as its warm-up call says, to last
 # about this long, so that timer resolution and call overhead stay small
 MIN_SAMPLE_S = 0.02
@@ -119,22 +124,30 @@ def _time(fn, samples: int) -> dict:
     return {"median_s": median, "q1_s": q1, "q3_s": q3, "calls_per_sample": calls}
 
 
-def _state(n: int) -> tuple[numerics.Grid2D, transform.MembraneState]:
-    grid2d = numerics.Grid2D.uniform(n, n)
+def _state(n_x: int, n_eta: int) -> tuple[numerics.Grid2D, transform.MembraneState]:
+    grid2d = numerics.Grid2D.uniform(n_x, n_eta)
     x = grid2d.gx.nodes
     return grid2d, transform.MembraneState(grid2d.gx, -DEPTH * (1.0 - x * x))
+
+
+def _factor(weights: np.ndarray, folded: bool):
+    """A call that factorizes the ``folded`` or full system of ``weights``
+    and solves it once."""
+    matrix = elliptic.assemble_system(weights, folded=folded)
+    rhs = np.ones(matrix.shape[0])
+    return lambda: numerics.solve_sparse(matrix, rhs)
 
 
 def kernels(n: int, samples: int) -> dict:
     """The per-call seconds of each potential kernel and of one evolution
     step on the n x n grid."""
-    grid2d, u = _state(n)
+    grid2d, u = _state(n, n)
     p = evolution.ModelParams(eps=EPS, lam=LAM)
     coeffs = transform.assemble_coefficients(u, EPS, grid2d)
     weights = elliptic._stencil_weights(coeffs)
-    matrix = elliptic.assemble_system(weights, folded=True)
-    rhs = np.ones(matrix.shape[0])
-    _, lu = numerics.solve_sparse(matrix, rhs)
+    factor = _factor(weights, folded=True)
+    _, lu = factor()
+    rhs = np.ones(lu.shape[0])
     field = elliptic.solve_potential(u, EPS, grid2d)
 
     def timed(fn):
@@ -144,17 +157,31 @@ def kernels(n: int, samples: int) -> dict:
         "coefficient_assembly": timed(lambda: transform.assemble_coefficients(u, EPS, grid2d)),
         "stencil_weights": timed(lambda: elliptic._stencil_weights(coeffs)),
         "sparse_assembly": timed(lambda: elliptic.assemble_system(weights, folded=True)),
-        "lu_factor": timed(lambda: numerics.solve_sparse(matrix, rhs)),
+        "sparse_assembly_unfolded": timed(lambda: elliptic.assemble_system(weights)),
+        "lu_factor": timed(factor),
+        "lu_factor_unfolded": timed(_factor(weights, folded=False)),
         "triangular_solve": timed(lambda: lu.solve(rhs)),
         "trace_extraction": timed(lambda: elliptic.trace_top(field)),
         "evolution_step": timed(lambda: evolution.step(u, p, grid2d)),
     }
 
 
+def eta_sweep(n_eta: int, samples: int) -> dict:
+    """The per-call seconds of the folded LU factor and of one evolution
+    step at the ``evolve`` n_x and ``n_eta`` vertical cells."""
+    grid2d, u = _state(tasks.EVOLVE_N, n_eta)
+    p = evolution.ModelParams(eps=EPS, lam=LAM)
+    weights = elliptic._stencil_weights(transform.assemble_coefficients(u, EPS, grid2d))
+    return {
+        "lu_factor": _time(_factor(weights, folded=True), samples),
+        "evolution_step": _time(lambda: evolution.step(u, p, grid2d), samples),
+    }
+
+
 def steady_kernels(eps: float, n: int, samples: int) -> dict:
     """The per-call seconds of the residual, the linearization and one
     Newton step of the full model on the n x n grid at ``eps``."""
-    grid2d, u = _state(n)
+    grid2d, u = _state(n, n)
     r, field = steady.steady_residual(u, LAM, eps, grid2d)
 
     def newton_step(counts):
@@ -193,6 +220,7 @@ def measure(label: str, sizes, samples: int) -> dict:
     core = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {core})
     newton_sizes = [n for n in sizes if n <= MAX_NEWTON_N]
+    eta_sizes = [n for n in ETA_SIZES if n <= max(sizes)]
     return {
         "label": label,
         "machine": _machine(),
@@ -206,6 +234,10 @@ def measure(label: str, sizes, samples: int) -> dict:
             "state": f"u = -{DEPTH} (1 - x^2), lambda {LAM}, n_x = n_eta = n, folded; "
             f"kernels at eps {EPS}, steady_kernels at each eps they list",
             "lu_factor": "numerics.solve_sparse: the factorization and one triangular solve",
+            "unfolded": "sparse_assembly_unfolded and lu_factor_unfolded: the system on the "
+            "whole rectangle, as for a membrane that is not even",
+            "eta_sweep": f"lu_factor and evolution_step at n_x = {tasks.EVOLVE_N}, "
+            "n_eta as keyed, folded",
             "gmres_newton_step": "steady._newton_step on the residual: steady.linearize and "
             "numerics.gmres on its even part, to the tolerance of a Newton step",
             "workloads": {
@@ -216,6 +248,7 @@ def measure(label: str, sizes, samples: int) -> dict:
             },
         },
         "kernels": {str(n): kernels(n, samples) for n in sizes},
+        "eta_sweep": {str(n_eta): eta_sweep(n_eta, samples) for n_eta in eta_sizes},
         "steady_kernels": {
             repr(eps): {str(n): steady_kernels(eps, n, samples) for n in newton_sizes}
             for eps in tasks.CONTINUATION_EPS
