@@ -381,12 +381,12 @@ def _run_limit_study(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
         touchdown_floor=cfg.params.touchdown_floor,
     )
     header = ["eps", "sup_error"] + [f"potential_error@t={_fmt(t)}" for t in comp.sample_times]
-    rows = zip(comp.eps_values, comp.sup_errors, comp.potential_errors)
+    rows = zip(cfg.eps_list, comp.sup_errors, comp.potential_errors)
     _write_csv(out / "limit_study.csv", header, ([eps, sup, *errors] for eps, sup, errors in rows))
     log.info("limit-study: tau_used=%g sup_errors=%s", comp.tau, comp.sup_errors)
     record = {
         "lambda": cfg.params.lam,
-        "eps_list": comp.eps_values,
+        "eps_list": cfg.eps_list,
         "tau_requested": cfg.tau,
         "tau_used": comp.tau,
         "horizon_shortened": comp.horizon_shortened,

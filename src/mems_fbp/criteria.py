@@ -40,11 +40,11 @@ SIGN_TOL = 1e-12
 DEGENERATION_TOL = 1e-12
 
 
-def mms_order(eps_values, n_values) -> tuple[bool, str]:
+def mms_order(eps_list, n_values) -> tuple[bool, str]:
     """C1: the manufactured-solution field order at each aspect ratio
     lies in [1.9, 2.1] over the grids ``n_values``."""
     lo, hi = MMS_ORDER
-    orders = {eps: mms_convergence(eps, n_values).field_order for eps in eps_values}
+    orders = {eps: mms_convergence(eps, n_values).field_order for eps in eps_list}
     ok = all(lo <= order <= hi for order in orders.values())
     shown = ", ".join(f"eps={eps:g}: {order:.3f}" for eps, order in orders.items())
     return ok, f"field orders {shown} in [{lo}, {hi}] over n={tuple(n_values)}"

@@ -34,7 +34,6 @@ from .transform import MembraneState, _check_on_grid
 __all__ = [
     "LimitComparison",
     "psi0",
-    "step0",
     "run0",
     "steady0",
     "pullin0_detail",
@@ -43,10 +42,8 @@ __all__ = [
     "limit_study",
 ]
 
-# Newton iterations allowed per ``steady0`` solve, and its least stop
-# tolerance (see ``steady0``).
+# Newton iterations allowed per ``steady0`` solve.
 _STEADY0_MAX_ITER = 50
-_STEADY0_TOL = 1e-10
 
 # Centre depth of the continuum flat-limit fold, the maximizer of
 # ``_clamp_voltage(1 - d)``: the root of its closed-form slope, to 1e-10.
@@ -91,16 +88,16 @@ _SAMPLE_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 class LimitComparison:
     """Per-aspect-ratio deviation of the full model from the flat limit.
 
-    ``potential_errors[i]`` holds the L2 potential errors of
-    ``eps_values[i]`` at the ``sample_times`` that every run reached;
+    ``potential_errors[i]`` holds the L2 potential errors of the i-th
+    aspect ratio of ``limit_study``'s ``eps_list`` at the
+    ``sample_times`` that every run reached;
     ``sup_errors[i]`` is the max deflection gap over
     the common horizon ``tau``, and ``horizon_shortened`` says that a
     touchdown cut it short of the requested whole steps.
     ``diagnostics[i]`` is the ``Trajectory.diagnostics`` of the run at
-    ``eps_values[i]``.
+    that aspect ratio.
     """
 
-    eps_values: list[float]
     sup_errors: list[float]
     sample_times: list[float]
     potential_errors: list[list[float]]
@@ -131,17 +128,12 @@ def psi0(u0: MembraneState, grid: Grid2D) -> np.ma.MaskedArray:
     return np.ma.MaskedArray(values, mask=outside)
 
 
-def step0(u: MembraneState, p: ModelParams) -> MembraneState:
-    """One step of the flat-limit model (no potential solve needed): the
-    full model's ``imex_step`` with unit diffusion."""
-    forcing = -p.lam / (1.0 + u.u) ** 2
-    return imex_step(u, p.dt, np.ones(u.grid.n_cells - 1), forcing)
-
-
 def run0(u0: MembraneState, p: ModelParams) -> Trajectory:
     """Run the flat-limit model until equilibrium, touchdown or the
-    horizon, every state stored."""
-    return _run_loop(u0, p, lambda s: step0(s, p), 1)
+    horizon, every state stored.  Its step needs no potential solve: it
+    is the full model's ``imex_step`` with unit diffusion."""
+    ones = np.ones(u0.grid.n_cells - 1)
+    return _run_loop(u0, p, lambda s: imex_step(s, p.dt, ones, -p.lam / (1.0 + s.u) ** 2), 1)
 
 
 def steady0(
@@ -156,11 +148,10 @@ def steady0(
 
     The residual is F = D2 u - lam s, s = 1/w^2 with w = 1 + u, and its
     Jacobian J = D2 + diag(2 lam / w^3) is symmetric and tridiagonal, so
-    each iteration is one tridiagonal solve.  It stops at a max-norm
-    residual of ``_STEADY0_TOL``, raised to eps/h^2, the roundoff of the
-    second difference of a deflection below 1 in size: near the fold
-    Newton stalls at up to half of it, which is above 1e-10 from
-    n_x = 2048 on.
+    each iteration is one tridiagonal solve.  It stops at the stop
+    tolerance of ``damped_newton``, which rises above 1e-10 on fine grids
+    because Newton near the fold stalls at the roundoff of the second
+    difference.
 
     Without ``fold`` the voltage is ``lam``.  With ``fold`` the voltage
     becomes an unknown, seeded by ``lam``, and the point solved for is the
@@ -190,8 +181,6 @@ def steady0(
     arithmetic is that of the plain expressions, operation by operation,
     so every iterate is the same to the last bit.
     """
-    if not lam >= 0.0:
-        raise ValueError("lambda must be nonnegative")
     grid = guess.grid
     n_int = grid.n_nodes - 2
     centre = n_int // 2
@@ -246,16 +235,8 @@ def steady0(
 
         return rows, step
 
-    return damped_newton(
-        residual,
-        guess,
-        lam,
-        max(_STEADY0_TOL, np.finfo(float).eps / h2),
-        _STEADY0_MAX_ITER,
-        floor,
-        "flat-limit Newton",
-        "the fold" if fold else None,
-    )
+    held = "the fold" if fold else None
+    return damped_newton(residual, guess, lam, _STEADY0_MAX_ITER, floor, "flat-limit Newton", held)
 
 
 @dataclass(frozen=True)
@@ -485,6 +466,6 @@ def limit_study(
         for states in runs
     ]
     return LimitComparison(
-        eps_list, sup_errors, [k * dt for k in kept], potential_errors,
+        sup_errors, [k * dt for k in kept], potential_errors,
         common_alive * dt, common_alive < n_steps, diagnostics,
     )

@@ -118,7 +118,8 @@ _FOLD_MAX_SOLVES = 30
 # What a depth or fixed-voltage solve raises when it finds no branch point.
 _DEPTH_SOLVE_ERRORS = (DegenerateGeometryError, NonConvergenceError)
 
-# Max-norm residual at which Newton accepts a steady state or branch point.
+# Max-norm residual at which Newton accepts a steady state or branch point,
+# on grids up to n_x = 1342 (see ``damped_newton``).
 _NEWTON_TOL = 1e-10
 
 # Stop rule of the GMRES solve of a Newton step: a 2-norm linear residual
@@ -264,11 +265,10 @@ class Linearization:
         boundary values (phi = eta there for every membrane), so dtr v
         is the ``trace_response`` of -G_u v.
         """
-        h = self.field.grid.gx.h
+        gx = self.field.grid.gx
         padded = np.zeros(v.size + 2)
         padded[1:-1] = v
-        d1 = (padded[2:] - padded[:-2]) / (2.0 * h)
-        d2 = (padded[2:] - 2.0 * v + padded[:-2]) / (h * h)
+        d1, d2 = d1_central(padded, gx)[1:-1], d2_central(padded, gx)[1:-1]
         g_w, g_x, g_xx = self.dg
         rhs = -(g_w * v[:, None] + g_x * d1[:, None] + g_xx * d2[:, None])
         return trace_response(self.field, rhs)[1:-1]
@@ -305,18 +305,13 @@ class Linearization:
 
 
 def linearize(
-    u: MembraneState,
-    lam: float,
-    eps: float,
-    grid2d: Grid2D,
-    field: PotentialField,
-    bordered: bool = False,
+    u: MembraneState, lam: float, eps: float, field: PotentialField, bordered: bool = False
 ) -> Linearization:
     """The ``Linearization`` of ``steady_residual`` at ``u`` and ``lam``.
 
     ``field`` is the potential at ``u`` as ``steady_residual`` returns
-    it, whose LU factor serves every product.  ``bordered`` adds the
-    border of a depth solve.
+    it, on its grid, whose LU factor serves every product.  ``bordered``
+    adds the border of a depth solve.
 
     The operator weights are linear in a_xeta, a_etaeta and b_eta, which
     depend on the deflection only through w = 1 + u_i, u_x and u_xx at
@@ -343,11 +338,11 @@ def linearize(
     # with s = u_x/w and q = u_xx/w: a_xeta = -2 e2 eta s,
     # a_etaeta = (1 + e2 eta^2 u_x^2)/w^2, b_eta = e2 eta (2 s^2 - q), and G
     # is minus their sum against d_xe, d_ee, d_e plus a fixed eps^2 d_xx term
-    eta = grid2d.eta_nodes[None, 1:-1]
+    eta = field.grid.eta_nodes[None, 1:-1]
     s = (dv / w)[:, None]
     q = (d2_central(u.u, grid)[1:-1] / w)[:, None]
     a_ee = (1.0 + e2 * eta * eta * (dv * dv)[:, None]) / (w * w)[:, None]
-    d_xe, d_ee, d_e = stencil_derivatives(field.phi, grid2d)
+    d_xe, d_ee, d_e = stencil_derivatives(field.phi, field.grid)
     dg = np.empty((3,) + d_e.shape)
     dg[0] = 2.0 * a_ee * d_ee - e2 * eta * (2.0 * s * d_xe + (q - 4.0 * s * s) * d_e)
     dg[1] = 2.0 * e2 * eta * (d_xe - eta * s * d_ee - 2.0 * s * d_e)
@@ -363,7 +358,6 @@ def damped_newton(
     residual,
     guess: MembraneState,
     lam: float,
-    tol: float,
     max_iter: int,
     floor: float,
     model: str,
@@ -385,24 +379,35 @@ def damped_newton(
     all rows by (u, lam), ``step`` returns (du, dlam), and ``step(None)``
     returns the branch ``tangent`` at the point.  The voltage rides along
     in the vector whose entries Newton keeps at 1 + entry > ``floor``,
-    which holds for any nonnegative voltage.
+    which holds for any nonnegative voltage, so ``lam`` must be one.
 
     Each step is halved up to eight times until the trial point keeps
     every 1 + entry above ``floor`` and lowers the max-norm residual; a
     rejected trial's step is dropped before the next trial is evaluated.
-    Returns at the first iterate with max-norm residual <= ``tol``: its
-    voltage, its state at the time of ``guess``, the steps taken and that
-    residual, and with ``held`` that iterate's ``step(None)``, which is
-    not one of the ``newton_iters``.
+    Returns at the first iterate whose max-norm residual is at most the
+    stop tolerance: its voltage, its state at the time of ``guess``, the
+    steps taken and that residual, and with ``held`` that iterate's
+    ``step(None)``, which is not one of the ``newton_iters``.
 
-    Raises DegenerateGeometryError when the guess, or every trial point
-    of a line search, lies at or below the floor, and NoSteadyStateError
-    when a line search stalls or ``max_iter`` steps do not reach ``tol``.
+    The stop tolerance is ``_NEWTON_TOL``, raised to eps/h^2 on the
+    guess's grid: that is the roundoff of the second difference of a
+    deflection below 1 in size, and near the flat limit's fold Newton
+    stalls at up to half of it, which is above 1e-10 from n_x = 2048 on.
+    The tolerance is ``_NEWTON_TOL`` itself up to n_x = 1342.
+
+    Raises ValueError when ``lam`` is not nonnegative,
+    DegenerateGeometryError when the guess, or every trial point of a
+    line search, lies at or below the floor, and NoSteadyStateError when
+    a line search stalls or ``max_iter`` steps do not reach the stop
+    tolerance.
     Every error message opens with ``model`` and the voltage or what is
     held ("Newton at lambda=0.1", "Newton at depth=0.3"), and so does
     that of a NoSteadyStateError raised by ``step``.
     """
+    if not lam >= 0.0:
+        raise ValueError("lambda must be nonnegative")
     grid = guess.grid
+    tol = max(_NEWTON_TOL, np.finfo(float).eps / (grid.h * grid.h))
     n = grid.n_nodes - 2
     if held is None:
         label = f"{model} at lambda={lam:g}"
@@ -461,7 +466,6 @@ def _newton_step(
     state: MembraneState,
     lam: float,
     eps: float,
-    grid2d: Grid2D,
     field: PotentialField,
     rhs: np.ndarray,
     counts: Counter,
@@ -477,7 +481,7 @@ def _newton_step(
     counts["jacobians"] += 1
     bound = max(_KRYLOV_RTOL * float(np.linalg.norm(rhs)), _KRYLOV_ATOL)
     try:
-        lin = linearize(state, lam, eps, grid2d, field, bordered=bordered)
+        lin = linearize(state, lam, eps, field, bordered=bordered)
         b = -rhs
         if field.folded:
             # solve for the even part of rhs alone: even steps cannot
@@ -554,12 +558,12 @@ def _newton(
                 # is the bordered system against the unit border row
                 rhs = np.zeros(n + 1)
                 rhs[n] = 1.0
-            return _newton_step(state, lam, eps, grid2d, field, rhs, counts, depth is not None)
+            return _newton_step(state, lam, eps, field, rhs, counts, depth is not None)
 
         return r, step
 
     held = None if depth is None else f"depth={depth:g}"
-    return damped_newton(residual, guess, lam, _NEWTON_TOL, max_iter, floor, "Newton", held)
+    return damped_newton(residual, guess, lam, max_iter, floor, "Newton", held)
 
 
 def solve_steady(
@@ -571,7 +575,7 @@ def solve_steady(
     counts: Counter | None = None,
 ) -> BranchPoint:
     """Steady deflection at the given voltage parameter, seeded from ``guess``,
-    to a max-norm residual of ``_NEWTON_TOL`` in at most ``_STEADY_MAX_ITER``
+    to the stop tolerance of ``damped_newton`` in at most ``_STEADY_MAX_ITER``
     Newton iterations; returns the ``BranchPoint`` reached, whose
     ``residual`` is the max-norm residual of its state.
 
@@ -582,8 +586,6 @@ def solve_steady(
     the linearizations, one per Newton step, their GMRES iterations and
     the potential solves of the residual evaluations.
     """
-    if not lam >= 0.0:
-        raise ValueError("lambda must be nonnegative")
     counts = Counter() if counts is None else counts
     counts.update(newton_iters=0)
     point = _newton(lam, eps, guess, grid2d, _STEADY_MAX_ITER, floor, counts)

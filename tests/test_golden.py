@@ -13,14 +13,20 @@ test warns that it did so.
 
 A change that is meant to change the artifacts rewrites them with::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+which reruns the named cases, or every case when none is named, and
+updates their manifest entries.  A rewritten JSON record keeps the
+committed value of each timing key, so a case whose numbers did not move
+rewrites to the same bytes.
 """
 
+import contextlib
 import json
 import math
-import os
 import re
 import shutil
+import sys
 import warnings
 from fnmatch import fnmatch
 from pathlib import Path
@@ -29,7 +35,7 @@ import numpy as np
 import pytest
 import scipy
 
-from mems_fbp.cli import main
+from mems_fbp.cli import _write_json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = sorted(p.name for p in GOLDEN.iterdir() if p.is_dir())
@@ -136,18 +142,65 @@ def test_readme_names_exactly_the_golden_artifacts(case):
     assert [name for name in required if not any(fnmatch(f, name) for f in written)] == []
 
 
-def rewrite() -> None:
-    """Rerun every case into its ``artifacts/`` and record the exit
-    statuses and versions in the manifest."""
-    exit_codes = {}
-    for case in CASES:
-        out = GOLDEN / case / "artifacts"
+def keep_timings(fresh, committed):
+    """``fresh`` with each timing key that ``committed`` has at the same
+    place, in nested objects too, set to its committed value."""
+    if isinstance(fresh, dict) and isinstance(committed, dict):
+        return {
+            k: committed[k]
+            if k in TIMING_KEYS and k in committed
+            else keep_timings(v, committed.get(k))
+            for k, v in fresh.items()
+        }
+    return fresh
+
+
+def rewrite(golden: Path, cases) -> None:
+    """Rerun each of ``cases`` into its ``artifacts/`` under ``golden``,
+    keeping the committed timing values of its JSON records, and record
+    its exit status and the versions in the manifest.  Under versions
+    other than the manifest's, only a rewrite of every case is allowed:
+    the manifest names one pair of versions for all files."""
+    manifest = json.loads((golden / "manifest.json").read_text())
+    if manifest["versions"] != VERSIONS and set(cases) != set(manifest["exit_codes"]):
+        raise SystemExit(
+            f"artifacts of {manifest['versions']}: rewrite every case under {VERSIONS}"
+        )
+    for case in cases:
+        out = golden / case / "artifacts"
+        committed = {
+            name: json.loads((out / name).read_text())
+            for name in files_under(out)
+            if name.suffix == ".json"
+        }
         shutil.rmtree(out, ignore_errors=True)
-        os.chdir(GOLDEN / case)
-        exit_codes[case] = run_case(out)
-    manifest = {"exit_codes": exit_codes, "versions": VERSIONS}
-    (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        with contextlib.chdir(golden / case):
+            manifest["exit_codes"][case] = run_case(out)
+        for name, record in committed.items():
+            if (out / name).is_file():
+                _write_json(out / name, keep_timings(json.loads((out / name).read_text()), record))
+    manifest["versions"] = VERSIONS
+    (golden / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def test_rewrite_keeps_every_file(tmp_path):
+    # a rewrite of cases whose numbers did not move changes no byte, timing
+    # keys included, so that a rewrite shows only what a change moved
+    manifest = json.loads((GOLDEN / "manifest.json").read_text())
+    if manifest["versions"] != VERSIONS:
+        pytest.skip(f"golden artifacts of {manifest['versions']}, running under {VERSIONS}")
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy)
+    rewrite(copy, CASES)
+    assert files_under(copy) == files_under(GOLDEN)
+    changed = [
+        f for f in files_under(GOLDEN) if (copy / f).read_bytes() != (GOLDEN / f).read_bytes()
+    ]
+    assert changed == []
 
 
 if __name__ == "__main__":
-    rewrite()
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        raise SystemExit(f"no golden case {unknown}; the cases are {CASES}")
+    rewrite(GOLDEN, sys.argv[1:] or CASES)

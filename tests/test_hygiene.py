@@ -316,3 +316,26 @@ def test_only_run_experiment_times_a_run_and_writes_its_record():
         if isinstance(node, ast.Call) and ast.unparse(node.func) in recorded
     }
     assert callers == {("run_experiment", "_write_json"), ("run_experiment", "time.perf_counter")}
+
+
+def annotated_names(arg):
+    """The names in the annotation of parameter ``arg``."""
+    if arg.annotation is None:
+        return set()
+    return {node.id for node in ast.walk(arg.annotation) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_grid_beside_a_potential(name):
+    """No function takes a ``Grid2D`` beside a ``PotentialField``: the
+    field carries the grid it was solved on, and a second grid could only
+    disagree with it."""
+    both = []
+    for node in ast.walk(parse(name)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            names = set().union(*map(annotated_names, params))
+            if {"Grid2D", "PotentialField"} <= names:
+                both.append(f"{node.name} (line {node.lineno})")
+    assert both == []

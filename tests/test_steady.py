@@ -55,7 +55,7 @@ class TestResidual:
         assert np.max(np.abs(r + 1.0)) <= 1e-10
 
     def test_evolution_endpoint_nearly_steady(self, grid, grid2d):
-        p = ModelParams(eps=0.1, lam=0.2, dt=2e-3, equilibrium_tol=1e-8, max_time=30.0)
+        p = ModelParams(eps=0.1, lam=0.2, dt=0.1, equilibrium_tol=1e-8, max_time=30.0)
         traj = run(MembraneState.zero(grid), p, grid2d, thin_every=500)
         assert traj.outcome == "converged"
         r = steady_residual(traj.final, 0.2, 0.1, grid2d)[0]
@@ -112,7 +112,7 @@ def linearize_at(u, lam, eps, grid2d, bordered=False):
     """``linearize`` about ``u`` with the potential that ``steady_residual``
     returns there, as the Newton step takes it."""
     field = steady_residual(u, lam, eps, grid2d)[1]
-    return linearize(u, lam, eps, grid2d, field, bordered=bordered)
+    return linearize(u, lam, eps, field, bordered=bordered)
 
 
 def dense_jacobian(u, lam, eps, grid2d):
@@ -389,7 +389,7 @@ class TestSolveSteady:
         assert np.max(np.abs(r)) <= 1e-10
 
     def test_matches_long_time_evolution(self, grid, grid2d, steady_01):
-        p = ModelParams(eps=0.1, lam=0.1, dt=2e-3, equilibrium_tol=1e-8, max_time=30.0)
+        p = ModelParams(eps=0.1, lam=0.1, dt=0.1, equilibrium_tol=1e-8, max_time=30.0)
         traj = run(MembraneState.zero(grid), p, grid2d, thin_every=500)
         assert np.max(np.abs(traj.final.u - steady_01.u)) <= 1e-6
 
@@ -403,7 +403,7 @@ class TestSolveSteady:
         # perturbed start relaxes back (local exponential stability)
         pert = 1e-2 * np.sin(np.pi * (grid.nodes + 1.0) / 2.0)
         u0 = MembraneState(grid, steady_01.u - pert)
-        p = ModelParams(eps=0.1, lam=0.1, dt=2e-3, equilibrium_tol=1e-8, max_time=30.0)
+        p = ModelParams(eps=0.1, lam=0.1, dt=0.1, equilibrium_tol=1e-8, max_time=30.0)
         traj = run(u0, p, grid2d, thin_every=500)
         assert traj.outcome == "converged"
         assert np.max(np.abs(traj.final.u - steady_01.u)) <= 1e-6

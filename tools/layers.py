@@ -185,12 +185,12 @@ def steady_kernels(eps: float, n: int, samples: int) -> dict:
     r, field = steady.steady_residual(u, LAM, eps, grid2d)
 
     def newton_step(counts):
-        steady._newton_step(u, LAM, eps, grid2d, field, r, counts, bordered=False)
+        steady._newton_step(u, LAM, eps, field, r, counts, bordered=False)
         return counts
 
     out = {
         "steady_residual": _time(lambda: steady.steady_residual(u, LAM, eps, grid2d), samples),
-        "linearize": _time(lambda: steady.linearize(u, LAM, eps, grid2d, field), samples),
+        "linearize": _time(lambda: steady.linearize(u, LAM, eps, field), samples),
         "gmres_newton_step": _time(lambda: newton_step(Counter()), samples),
     }
     out["gmres_newton_step"]["iterations"] = newton_step(Counter())["krylov_iters"]
