@@ -22,7 +22,7 @@ import numpy as np
 from . import criteria, evolution, small_aspect, steady
 from .errors import ConfigError, SolverError
 from .evolution import ModelParams
-from .numerics import Grid1D, Grid2D, d1_central
+from .numerics import Grid1D, Grid2D
 from .transform import MembraneState
 
 __all__ = ["ExperimentConfig", "parse_config", "run_experiment", "main"]
@@ -243,12 +243,12 @@ def _mkdir(path: Path, what: str) -> None:
 def _stop_record(state: MembraneState, eps: float) -> dict:
     """Where a run's last state stands: the x of its smallest gap (the
     leftmost of equal ones), its centre gap 1 + u(0) (linear between the
-    middle nodes when n_x is odd) and eps max|u_x|, u_x by ``d1_central``,
-    one-sided at the clamped ends."""
+    middle nodes when n_x is odd) and eps max|u_x|, u_x the state's
+    ``slope``, one-sided at the clamped ends."""
     return {
         "min_gap_x": float(state.grid.nodes[np.argmin(state.u)]),
         "centre_gap": 1.0 + float(state.interp(0.0)),
-        "eps_max_slope": eps * float(np.max(np.abs(d1_central(state.u, state.grid)))),
+        "eps_max_slope": eps * float(np.max(np.abs(state.slope))),
     }
 
 

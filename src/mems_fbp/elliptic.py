@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .numerics import Grid1D, Grid2D, check_residual, d1_central, solve_sparse
+from .numerics import Grid1D, Grid2D, check_residual, solve_sparse
 from .transform import MembraneState, OperatorCoefficients, assemble_coefficients
 
 __all__ = [
@@ -427,7 +427,7 @@ def g_eps(v: MembraneState, eps: float, grid: Grid2D) -> tuple[np.ndarray, Poten
     """
     field = solve_potential(v, eps, grid)
     tr = trace_top(field)
-    dv = d1_central(v.u, v.grid)
+    dv = v.slope
     pre = (1.0 + eps * eps * dv * dv) / (1.0 + v.u) ** 2
     return pre * tr * tr, field
 

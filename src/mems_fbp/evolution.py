@@ -15,7 +15,7 @@ import numpy as np
 
 from .elliptic import PotentialField, g_eps, solve_potential
 from .errors import context
-from .numerics import Grid2D, d1_central, solve_tridiagonal, trapezoid_2d
+from .numerics import Grid2D, solve_tridiagonal, trapezoid_2d
 from .transform import MembraneState
 
 __all__ = [
@@ -108,7 +108,7 @@ def step(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> tuple[MembraneStat
     """
     source, field = g_eps(u, p.eps, grid2d)
     # the curvature factor (1 + eps^2 u_x^2)^(-3/2), frozen over the step
-    dv = d1_central(u.u, u.grid)[1:-1]
+    dv = u.slope[1:-1]
     return imex_step(u, p.dt, (1.0 + p.eps * p.eps * dv * dv) ** -1.5, -p.lam * source), field
 
 
@@ -198,9 +198,10 @@ def run(
 
 def total_energy(u: MembraneState, p: ModelParams, field: PotentialField) -> float:
     """The flow's Lyapunov functional E = eps^-2 int(sqrt(1 + eps^2 u_x^2) - 1)
-    - lam F, with F = int(eps^2 psi_x^2 + psi_z^2) the field integral over
-    the gap.  ``run`` is its L2 gradient flow (the source g_eps is the
-    shape derivative -dF/du), so E falls along a run.
+    - lam F, with u_x the state's ``slope`` and F = int(eps^2 psi_x^2 +
+    psi_z^2) the field integral over the gap.  ``run`` is its L2 gradient
+    flow (the source g_eps is the shape derivative -dF/du), so E falls
+    along a run.
 
     ``field`` is the potential of ``u`` at ``p.eps``, as ``step`` or
     ``solve_potential`` returns it; nothing is solved here.  The field
@@ -210,7 +211,7 @@ def total_energy(u: MembraneState, p: ModelParams, field: PotentialField) -> flo
     transformed one.
     """
     x = u.grid.nodes
-    dv = d1_central(u.u, u.grid)
+    dv = u.slope
     e2 = p.eps * p.eps
     elastic = float(np.trapezoid(np.sqrt(1.0 + e2 * dv * dv) - 1.0, x))
     w = 1.0 + u.u

@@ -1,5 +1,6 @@
-"""Grids, finite-difference kernels and linear solvers used by all
-modules; the Newton loop of the steady problem is ``steady.damped_newton``.
+"""Grids, linear solvers, a rate fit and a 2-D quadrature used by all
+modules; the differences of a membrane are its state's (``transform``),
+and the Newton loop of the steady problem is ``steady.damped_newton``.
 
 Everything here is pure and operates on plain numpy arrays; grid objects
 are immutable after construction.  The sparse direct solve
@@ -30,8 +31,6 @@ __all__ = [
     "check_residual",
     "solve_sparse",
     "gmres",
-    "d1_central",
-    "d2_central",
     "fit_exponential_rate",
     "trapezoid_2d",
 ]
@@ -218,42 +217,6 @@ def gmres(matvec, b, precondition, atol, max_iter):
         return np.zeros_like(b, dtype=float), 0, residual
     y = np.linalg.solve(hess[:m, :m], g[:m])
     return precondition(basis[:m].T @ y), m, residual
-
-
-def _check_length(f: np.ndarray, grid: Grid1D) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.size != grid.n_nodes:
-        raise ValueError(f"array length {f.size} != node count {grid.n_nodes}")
-    return f
-
-
-def d1_central(f, grid: Grid1D) -> np.ndarray:
-    """First derivative: 2nd-order central inside, 3-point one-sided at the ends."""
-    f = _check_length(f, grid)
-    h = grid.h
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    # difference form of (-3 f0 + 4 f1 - f2): exact zero on constants
-    out[0] = (4.0 * (f[1] - f[0]) - (f[2] - f[0])) / (2.0 * h)
-    out[-1] = -(4.0 * (f[-2] - f[-1]) - (f[-3] - f[-1])) / (2.0 * h)
-    return out
-
-
-def d2_central(f, grid: Grid1D) -> np.ndarray:
-    """Second derivative: 2nd-order central inside, 4-point one-sided at the ends.
-
-    The endpoint stencil (2, -5, 4, -1)/h^2 keeps second order and is
-    exact on quadratics, like the interior formula.
-    """
-    f = _check_length(f, grid)
-    h2 = grid.h * grid.h
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
-    # (2, -5, 4, -1) written as twice the first second-difference minus
-    # the next one: exact zero on constants
-    out[0] = (2.0 * (f[0] - 2.0 * f[1] + f[2]) - (f[1] - 2.0 * f[2] + f[3])) / h2
-    out[-1] = (2.0 * (f[-1] - 2.0 * f[-2] + f[-3]) - (f[-2] - 2.0 * f[-3] + f[-4])) / h2
-    return out
 
 
 def fit_exponential_rate(times, values) -> tuple[float, float]:

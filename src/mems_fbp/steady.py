@@ -65,15 +65,8 @@ from .errors import (
     SingularSystemError,
     context,
 )
-from .numerics import (
-    Grid1D,
-    Grid2D,
-    d1_central,
-    d2_central,
-    gmres,
-    solve_tridiagonal,
-)
-from .transform import MembraneState
+from .numerics import Grid1D, Grid2D, gmres, solve_tridiagonal
+from .transform import MembraneState, _d1, _d2
 
 __all__ = [
     "BranchPoint",
@@ -230,9 +223,9 @@ def steady_residual(
     field carries its factored system for ``linearize``.
     """
     g, field = g_eps(u, eps, grid2d)
-    dv = d1_central(u.u, u.grid)
+    dv = u.slope
     source = (1.0 + eps * eps * dv * dv) ** 1.5 * g
-    return d2_central(u.u, u.grid)[1:-1] - lam * source[1:-1], field
+    return u.bend[1:-1] - lam * source[1:-1], field
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,10 +258,10 @@ class Linearization:
         boundary values (phi = eta there for every membrane), so dtr v
         is the ``trace_response`` of -G_u v.
         """
-        gx = self.field.grid.gx
+        h = self.field.grid.gx.h
         padded = np.zeros(v.size + 2)
         padded[1:-1] = v
-        d1, d2 = d1_central(padded, gx)[1:-1], d2_central(padded, gx)[1:-1]
+        d1, d2 = _d1(padded, h)[1:-1], _d2(padded, h)[1:-1]
         g_w, g_x, g_xx = self.dg
         rhs = -(g_w * v[:, None] + g_x * d1[:, None] + g_xx * d2[:, None])
         return trace_response(self.field, rhs)[1:-1]
@@ -319,12 +312,11 @@ def linearize(
     node by node, each F being the chain-rule factors of the three
     coefficients times ``stencil_derivatives`` of the potential.
     """
-    grid = u.grid
-    h = grid.h
+    h = u.grid.h
     tr = trace_top(field)[1:-1]
     e2 = eps * eps
     w = 1.0 + u.u[1:-1]
-    dv = d1_central(u.u, grid)[1:-1]
+    dv = u.slope[1:-1]
     stretch = 1.0 + e2 * dv * dv
     p = stretch**2.5 / (w * w)
     dp_du = -2.0 * p / w  # by u_i
@@ -340,7 +332,7 @@ def linearize(
     # is minus their sum against d_xe, d_ee, d_e plus a fixed eps^2 d_xx term
     eta = field.grid.eta_nodes[None, 1:-1]
     s = (dv / w)[:, None]
-    q = (d2_central(u.u, grid)[1:-1] / w)[:, None]
+    q = (u.bend[1:-1] / w)[:, None]
     a_ee = (1.0 + e2 * eta * eta * (dv * dv)[:, None]) / (w * w)[:, None]
     d_xe, d_ee, d_e = stencil_derivatives(field.phi, field.grid)
     dg = np.empty((3,) + d_e.shape)

@@ -9,13 +9,13 @@ coefficient fields.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGeometryError
-from .numerics import Grid1D, Grid2D, d1_central, d2_central
+from .numerics import Grid1D, Grid2D
 
 __all__ = [
     "MembraneState",
@@ -31,16 +31,46 @@ _RANDOM_AMPLITUDE = 0.3
 _RANDOM_MIN_GAP = 0.3
 
 
+def _d1(f: np.ndarray, h: float) -> np.ndarray:
+    """First derivative: 2nd-order central inside, 3-point one-sided at the ends."""
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    # difference form of (-3 f0 + 4 f1 - f2): exact zero on constants
+    out[0] = (4.0 * (f[1] - f[0]) - (f[2] - f[0])) / (2.0 * h)
+    out[-1] = -(4.0 * (f[-2] - f[-1]) - (f[-3] - f[-1])) / (2.0 * h)
+    return out
+
+
+def _d2(f: np.ndarray, h: float) -> np.ndarray:
+    """Second derivative: 2nd-order central inside, 4-point one-sided at the ends.
+
+    The endpoint stencil (2, -5, 4, -1)/h^2 keeps second order and is
+    exact on quadratics, like the interior formula.
+    """
+    h2 = h * h
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
+    # (2, -5, 4, -1) written as twice the first second-difference minus
+    # the next one: exact zero on constants
+    out[0] = (2.0 * (f[0] - 2.0 * f[1] + f[2]) - (f[1] - 2.0 * f[2] + f[3])) / h2
+    out[-1] = (2.0 * (f[-1] - 2.0 * f[-2] + f[-3]) - (f[-2] - 2.0 * f[-3] + f[-4])) / h2
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class MembraneState:
-    """Deflection profile on a 1-D grid at a given time.
+    """Deflection profile on a 1-D grid at a given time, with its slope
+    and bending.
 
     Clamped at both ends: construction rejects a deflection that is not a
     vector of the grid's node count, whose end values exceed 1e-12 in size,
     or that holds a NaN or an infinity, with ValueError in that order of
-    checks.  End values that pass (roundoff such as sin(k*pi), or -0.0)
-    are snapped to +0.0 in a copy, so u[0] = u[-1] = +0.0 always; the
-    interior values are kept as given.
+    checks.  The state keeps its own read-only copy ``u`` of the
+    deflection, with the end values that pass (roundoff such as
+    sin(k*pi), or -0.0) snapped to +0.0, so u[0] = u[-1] = +0.0 always;
+    the interior values are kept as given.  ``slope`` (u_x) and ``bend``
+    (u_xx), the only differences of the deflection that the package
+    takes, are read-only and computed at most once per state.
     """
 
     grid: Grid1D
@@ -48,7 +78,7 @@ class MembraneState:
     time: float = 0.0
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
+        u = np.array(self.u, dtype=float)
         if u.shape != (self.grid.n_nodes,):
             raise ValueError(f"deflection shape {u.shape} != node count ({self.grid.n_nodes},)")
         first, last = float(u[0]), float(u[-1])
@@ -56,10 +86,24 @@ class MembraneState:
             raise ValueError("membrane must be clamped: u(-1) = u(1) = 0")
         if not np.isfinite(u).all():
             raise ValueError("deflection contains non-finite values")
-        if first or last or math.copysign(1.0, first) < 0.0 or math.copysign(1.0, last) < 0.0:
-            u = u.copy()  # snap roundoff-level end values (e.g. sin(k*pi)) and -0.0
-            u[0] = u[-1] = 0.0
+        u[0] = u[-1] = 0.0  # snap roundoff-level end values (e.g. sin(k*pi)) and -0.0
+        u.flags.writeable = False
         object.__setattr__(self, "u", u)
+
+    @functools.cached_property
+    def slope(self) -> np.ndarray:
+        """u_x: central inside, 3-point one-sided at the clamped ends."""
+        out = _d1(self.u, self.grid.h)
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def bend(self) -> np.ndarray:
+        """u_xx: central inside, 4-point one-sided at the clamped ends, so
+        exact on quadratics at every node."""
+        out = _d2(self.u, self.grid.h)
+        out.flags.writeable = False
+        return out
 
     @property
     def min_gap(self) -> float:
@@ -111,9 +155,9 @@ def assemble_coefficients(v: MembraneState, eps: float, grid: Grid2D) -> Operato
 
     eta = grid.eta_nodes
     w = 1.0 + v.u
-    dv = d1_central(v.u, v.grid)
+    dv = v.slope
     s = dv / w
-    q = d2_central(v.u, v.grid) / w
+    q = v.bend / w
     e2 = eps * eps
 
     a_xeta = -2.0 * e2 * np.outer(s, eta)

@@ -10,7 +10,7 @@ from scipy.sparse.linalg import splu
 
 from mems_fbp import elliptic, transform
 from mems_fbp.errors import NonConvergenceError
-from mems_fbp.numerics import Grid2D, d1_central, solve_sparse
+from mems_fbp.numerics import Grid2D, solve_sparse
 from mems_fbp.transform import (
     MembraneState,
     assemble_coefficients,
@@ -367,7 +367,7 @@ def test_folded_system_is_the_half_rows_of_the_full_system_on_mirrored_values(sh
 def full_path_g(v, eps, grid):
     """``g_eps`` computed from the potential of the full operator."""
     tr = elliptic._top_derivative(full_potential(v, eps, grid), grid.h_eta)
-    dv = d1_central(v.u, v.grid)
+    dv = v.slope
     return (1.0 + eps * eps * dv * dv) / (1.0 + v.u) ** 2 * tr * tr
 
 

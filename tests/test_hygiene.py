@@ -339,3 +339,65 @@ def test_no_grid_beside_a_potential(name):
             if {"Grid2D", "PotentialField"} <= names:
                 both.append(f"{node.name} (line {node.lineno})")
     assert both == []
+
+
+def owner_of(node, attr):
+    """The source of X when ``node`` is the attribute ``X.attr``, else None."""
+    if isinstance(node, ast.Attribute) and node.attr == attr:
+        return ast.unparse(node.value)
+    return None
+
+
+def state_differencing_calls(tree):
+    """Lines of the calls in ``tree`` that pass a state's deflection
+    ``X.u`` beside its grid: ``X.grid`` itself or a local name that the
+    enclosing function binds to ``X.grid``."""
+    lines = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        grids = {
+            target.id: owner_of(node.value, "grid")
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and owner_of(node.value, "grid")
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            args = node.args + [k.value for k in node.keywords]
+            deflections = {owner_of(a, "u") for a in args} - {None}
+            with_grid = {owner_of(a, "grid") for a in args}
+            with_grid |= {grids.get(a.id) for a in args if isinstance(a, ast.Name)}
+            if deflections & with_grid:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_differencing_rule_sees_every_shape():
+    source = """
+def direct(s):
+    return f(s.u, s.grid)
+
+def by_keyword(pt):
+    return f(pt.state.u, grid=pt.state.grid)
+
+def by_local(s):
+    grid = s.grid
+    return f(s.u, grid)
+
+def allowed(s, t):
+    grid = t.grid
+    return f(s.u, t.grid), f(s.u, grid), f(s.u, s.grid.h), f(s.slope, s.grid)
+"""
+    assert state_differencing_calls(ast.parse(source)) == [3, 6, 10]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_differences_a_state_itself(name):
+    """No call passes a state's deflection beside its grid, the shape of a
+    call that differences the state: ``MembraneState.slope`` and ``bend``
+    are the package's only differences of a deflection, each taken once
+    per state."""
+    assert state_differencing_calls(parse(name)) == []

@@ -7,8 +7,6 @@ from mems_fbp.numerics import (
     Grid1D,
     Grid2D,
     check_residual,
-    d1_central,
-    d2_central,
     fit_exponential_rate,
     gmres,
     solve_sparse,
@@ -182,38 +180,6 @@ class TestGmres:
         x, iters, residual = gmres(np.zeros_like, b, lambda v: v, 1e-10, b.size)
         assert iters == 0 and not np.any(x)
         assert residual == np.linalg.norm(b)
-
-
-class TestDerivatives:
-    def test_constant(self, grid32):
-        f = np.full(grid32.n_nodes, 3.7)
-        assert np.max(np.abs(d1_central(f, grid32))) == 0.0
-        assert np.max(np.abs(d2_central(f, grid32))) == 0.0
-
-    def test_quadratic_exactness(self, grid32):
-        f = grid32.nodes**2
-        np.testing.assert_allclose(d2_central(f, grid32), 2.0, rtol=1e-12)
-        np.testing.assert_allclose(d1_central(f, grid32), 2.0 * grid32.nodes, atol=1e-13)
-
-    @pytest.mark.parametrize("op,exact", [
-        (d1_central, lambda x: np.pi * np.cos(np.pi * x)),
-        (d2_central, lambda x: -np.pi**2 * np.sin(np.pi * x)),
-    ])
-    def test_refinement_order(self, op, exact):
-        errors, hs = [], []
-        for n in (32, 64, 128):
-            g = Grid1D.uniform(n)
-            err = op(np.sin(np.pi * g.nodes), g) - exact(g.nodes)
-            errors.append(np.max(np.abs(err[1:-1])))
-            hs.append(g.h)
-        order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
-        assert 1.9 <= order <= 2.1
-
-    def test_length_mismatch(self, grid32):
-        with pytest.raises(ValueError):
-            d1_central(np.zeros(7), grid32)
-        with pytest.raises(ValueError):
-            d2_central(np.zeros(7), grid32)
 
 
 class TestFitExponentialRate:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mems_fbp import elliptic
+from mems_fbp import elliptic, evolution, steady, transform
 from mems_fbp.errors import DegenerateGeometryError
+from mems_fbp.evolution import ModelParams
 from mems_fbp.numerics import Grid1D, Grid2D
 from mems_fbp.transform import (
     MembraneState,
@@ -80,6 +81,75 @@ class TestMembraneState:
 
     def test_min_gap(self, parabola32):
         assert abs(parabola32.min_gap - 0.75) <= 1e-15
+
+    def test_state_owns_a_read_only_deflection(self, grid32):
+        x = grid32.nodes
+        given_u = -0.2 * (1.0 - x * x)
+        v = MembraneState(grid32, given_u)
+        u, slope = v.u.copy(), v.slope.copy()
+        given_u[5] = 0.7
+        assert np.array_equal(v.u, u) and np.array_equal(v.slope, slope)
+        for derived in (v.u, v.slope, v.bend):
+            with pytest.raises(ValueError, match="read-only"):
+                derived[3] = 1.0
+
+
+class TestDerivatives:
+    """The state's ``slope`` and ``bend``, and the stencils behind them."""
+
+    def test_constant(self, grid32):
+        # a clamped state cannot be a nonzero constant, so the stencils
+        # are taken on one directly
+        f = np.full(grid32.n_nodes, 3.7)
+        assert np.max(np.abs(transform._d1(f, grid32.h))) == 0.0
+        assert np.max(np.abs(transform._d2(f, grid32.h))) == 0.0
+        flat = MembraneState.zero(grid32)
+        assert not np.any(flat.slope) and not np.any(flat.bend)
+
+    def test_quadratic_exactness(self, grid32):
+        x = grid32.nodes
+        v = MembraneState(grid32, -0.3 * (1.0 - x * x))
+        np.testing.assert_allclose(v.bend, 0.6, rtol=1e-12)
+        np.testing.assert_allclose(v.slope, 0.6 * x, atol=1e-13)
+
+    @pytest.mark.parametrize("name,exact", [
+        ("slope", lambda x: 0.5 * np.pi * np.cos(np.pi * x)),
+        ("bend", lambda x: -0.5 * np.pi**2 * np.sin(np.pi * x)),
+    ])
+    def test_refinement_order(self, name, exact):
+        errors, hs = [], []
+        for n in (32, 64, 128):
+            g = Grid1D.uniform(n)
+            err = getattr(MembraneState(g, 0.5 * np.sin(np.pi * g.nodes)), name) - exact(g.nodes)
+            errors.append(np.max(np.abs(err[1:-1])))
+            hs.append(g.h)
+        order = np.polyfit(np.log(hs), np.log(errors), 1)[0]
+        assert 1.9 <= order <= 2.1
+
+    def test_each_state_is_differenced_once(self, monkeypatch, grid2d_32, parabola32):
+        """One Newton iteration, a residual and a linearization at one
+        state, takes its slope and bending once each; one evolution step
+        takes its slope once."""
+        calls = {"_d1": 0, "_d2": 0}
+
+        def counted(name, stencil):
+            def wrapper(f, h):
+                calls[name] += 1
+                return stencil(f, h)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(transform, name, counted(name, getattr(transform, name)))
+        lam, eps = 0.2, 0.5
+        v = MembraneState(grid2d_32.gx, parabola32.u)
+        _, field = steady.steady_residual(v, lam, eps, grid2d_32)
+        steady.linearize(v, lam, eps, field)
+        assert calls == {"_d1": 1, "_d2": 1}
+        calls.update(_d1=0, _d2=0)
+        fresh = MembraneState(grid2d_32.gx, parabola32.u)
+        evolution.step(fresh, ModelParams(eps=eps, lam=lam), grid2d_32)
+        assert calls["_d1"] == 1
 
 
 class TestCoefficients:
