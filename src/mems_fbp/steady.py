@@ -24,11 +24,13 @@ curvature factor of the source) plus the source's dependence on the
 membrane trace.  The trace change follows from linearizing the potential
 solve, dphi = -A(u)^{-1} G_u v with G(u, phi) = A(u) phi - b(u): G_u is
 exact, built once per step from three stencil differences of the
-potential, and each product is one solve against the LU of A(u) that the
-residual evaluation returning the step made at the same iterate, so each
-Newton iteration factorizes once.  T, solved in closed form,
-preconditions GMRES, which then needs a few such solves per step instead
-of one per unknown.
+potential, with the central differences of the deflection folded in, as
+three column fields, its weights of v_{i-1}, v_i and v_{i+1}; one 3-point
+rule applies them and T's bands.  Each product is one solve against the
+LU of A(u) that the residual evaluation returning the step made at the
+same iterate, so each Newton iteration factorizes once.  T, solved in
+closed form, preconditions GMRES, which then needs a few such solves per
+step instead of one per unknown.
 
 The branch from the flat membrane, and any solve from a guess that
 ``is_even``, stays exactly even: Newton starts from the guess's exact even
@@ -66,7 +68,7 @@ from .errors import (
     context,
 )
 from .numerics import Grid1D, Grid2D, gmres, solve_tridiagonal
-from .transform import MembraneState, _d1, _d2
+from .transform import MembraneState
 
 __all__ = [
     "BranchPoint",
@@ -228,6 +230,17 @@ def steady_residual(
     return u.bend[1:-1] - lam * source[1:-1], field
 
 
+def _three_point(prev: np.ndarray, mid: np.ndarray, nxt: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row i of the result is prev[i-1] v[i-1] + mid[i] v[i] + nxt[i] v[i+1],
+    the tridiagonal product with bands (``prev``, ``mid``, ``nxt``), one
+    row shorter off the diagonal; with column fields for bands, and
+    v[:, None], it applies the same stencil at every column."""
+    out = mid * v
+    out[1:] += prev * v[:-1]
+    out[:-1] += nxt * v[1:]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Linearization:
     """The derivative of ``steady_residual`` at one state, as products.
@@ -235,7 +248,11 @@ class Linearization:
     J = T + diag(``coupling``) dtr: T is tridiagonal (``lower``, ``diag``,
     ``upper``), the second difference and the derivative of the curvature
     factor P = (1+eps^2 u_x^2)^(5/2)/(1+u)^2 of the source; ``coupling``
-    is -2 lam P tr and dtr the derivative of the membrane trace tr.  With
+    is -2 lam P tr and dtr the derivative of the membrane trace tr, which
+    ``trace_change`` takes through G_u.  ``g_u`` holds G_u as three
+    column fields, its weights of v_{i-1}, v_i and v_{i+1} at each
+    interior node (i, j), the differences of the deflection folded in, so
+    T and G_u both apply as 3-point rules (``_three_point``).  With
     ``border``, the operator is the bordered [J, -h; e_c^T, 0] of a depth
     solve, acting on (deflection change, voltage change), where h is the
     ``source`` and e_c picks the centre node; ``border`` holds T^{-1} h.
@@ -247,8 +264,7 @@ class Linearization:
     upper: np.ndarray
     coupling: np.ndarray
     source: np.ndarray
-    # G_u v = dg[0] v + dg[1] D1 v + dg[2] D2 v at interior node (i, j)
-    dg: np.ndarray
+    g_u: tuple[np.ndarray, np.ndarray, np.ndarray]
     border: np.ndarray | None = None
 
     def trace_change(self, v: np.ndarray) -> np.ndarray:
@@ -258,21 +274,14 @@ class Linearization:
         boundary values (phi = eta there for every membrane), so dtr v
         is the ``trace_response`` of -G_u v.
         """
-        h = self.field.grid.gx.h
-        padded = np.zeros(v.size + 2)
-        padded[1:-1] = v
-        d1, d2 = _d1(padded, h)[1:-1], _d2(padded, h)[1:-1]
-        g_w, g_x, g_xx = self.dg
-        rhs = -(g_w * v[:, None] + g_x * d1[:, None] + g_xx * d2[:, None])
-        return trace_response(self.field, rhs)[1:-1]
+        return trace_response(self.field, -_three_point(*self.g_u, v[:, None]))[1:-1]
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
         """The linearization applied to ``z``."""
         n = self.diag.size
         v = z[:n]
-        out = self.diag * v + self.coupling * self.trace_change(v)
-        out[1:] += self.lower * v[:-1]
-        out[:-1] += self.upper * v[1:]
+        out = _three_point(self.lower, self.diag, self.upper, v)
+        out += self.coupling * self.trace_change(v)
         if self.border is None:
             return out
         return np.concatenate((out - self.source * z[n], [v[n // 2]]))
@@ -310,7 +319,10 @@ def linearize(
     depend on the deflection only through w = 1 + u_i, u_x and u_xx at
     the grid column of node i.  So G_u v = F_w v + F_x D1 v + F_xx D2 v
     node by node, each F being the chain-rule factors of the three
-    coefficients times ``stencil_derivatives`` of the potential.
+    coefficients times ``stencil_derivatives`` of the potential; with the
+    central differences D1 and D2 folded in, these are three column
+    fields, the weights of v_{i-1}, v_i and v_{i+1}, which
+    ``_three_point`` applies like T's bands.
     """
     h = u.grid.h
     tr = trace_top(field)[1:-1]
@@ -335,15 +347,16 @@ def linearize(
     q = (u.bend[1:-1] / w)[:, None]
     a_ee = (1.0 + e2 * eta * eta * (dv * dv)[:, None]) / (w * w)[:, None]
     d_xe, d_ee, d_e = stencil_derivatives(field.phi, field.grid)
-    dg = np.empty((3,) + d_e.shape)
-    dg[0] = 2.0 * a_ee * d_ee - e2 * eta * (2.0 * s * d_xe + (q - 4.0 * s * s) * d_e)
-    dg[1] = 2.0 * e2 * eta * (d_xe - eta * s * d_ee - 2.0 * s * d_e)
-    dg[2] = e2 * eta * d_e
-    dg /= w[:, None]
+    w_col = w[:, None]
+    f_w = (2.0 * a_ee * d_ee - e2 * eta * (2.0 * s * d_xe + (q - 4.0 * s * s) * d_e)) / w_col
+    # F_x / 2h and F_xx / h^2: D1 and D2 weigh the neighbours by -/+ 1/2h and 1/h^2
+    f_x = e2 * eta * (d_xe - eta * s * d_ee - 2.0 * s * d_e) / (h * w_col)
+    f_xx = e2 * eta * d_e / (h * h * w_col)
+    g_u = ((f_xx - f_x)[1:], f_w - 2.0 * f_xx, (f_xx + f_x)[:-1])
 
     source = p * tr * tr
     border = solve_tridiagonal(lower, diag, upper, source) if bordered else None
-    return Linearization(field, lower, diag, upper, -2.0 * lam * p * tr, source, dg, border)
+    return Linearization(field, lower, diag, upper, -2.0 * lam * p * tr, source, g_u, border)
 
 
 def damped_newton(

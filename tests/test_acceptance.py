@@ -38,12 +38,16 @@ def run_even_sign():
 
 @pytest.fixture(scope="module")
 def steady_and_evolution():
-    """Newton steady state and long-time evolution at (0.2, 0.1)."""
+    """Newton steady state and long-time evolution at (0.2, 0.1).
+
+    The IMEX step's fixed points are the discrete steady states at any dt
+    (``test_steady_states_are_fixed_points_of_the_flow``), so the
+    evolution steps at dt 0.1 to the same limit."""
     grid = Grid1D.uniform(64)
     grid2d = Grid2D.uniform(64, 32)
     t0 = time.perf_counter()
     u_star = steady.solve_steady(0.2, 0.1, MembraneState.zero(grid), grid2d=grid2d).state
-    p = ModelParams(eps=0.1, lam=0.2, dt=2e-3, equilibrium_tol=1e-8, max_time=30.0)
+    p = ModelParams(eps=0.1, lam=0.2, dt=0.1, equilibrium_tol=1e-8, max_time=30.0)
     traj = run(MembraneState.zero(grid), p, grid2d, thin_every=1000)
     elapsed = time.perf_counter() - t0
     return grid2d, u_star, traj, elapsed

@@ -401,3 +401,28 @@ def test_no_module_differences_a_state_itself(name):
     are the package's only differences of a deflection, each taken once
     per state."""
     assert state_differencing_calls(parse(name)) == []
+
+
+STENCILS = {"_d1", "_d2"}
+
+
+def stencil_references(tree):
+    """Lines that name the private stencils ``_d1`` or ``_d2``, as a name,
+    an attribute or an imported name."""
+    lines = []
+    for node in ast.walk(tree):
+        named = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+        if named & STENCILS:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_transform_references_the_stencils():
+    """Only ``transform`` references its stencils ``_d1`` and ``_d2``: the
+    other modules read a state's ``slope`` and ``bend``, and ``steady``
+    applies G_u by the column fields that fold the differences in."""
+    found = {name: stencil_references(parse(name)) for name in MODULES}
+    assert found.pop("mems_fbp.transform")  # the rule sees its own module's calls
+    assert {name: lines for name, lines in found.items() if lines} == {}

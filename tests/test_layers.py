@@ -46,7 +46,9 @@ def test_writes_every_key(tmp_path):
     for by_size in table["steady_kernels"].values():
         assert set(by_size) == {"16"}
         steady = by_size["16"]
-        assert set(steady) == {"steady_residual", "linearize", "gmres_newton_step"}
+        assert set(steady) == {
+            "steady_residual", "linearize", "krylov_product", "gmres_newton_step",
+        }
         assert all(timing <= set(entry) for entry in steady.values())
         assert "iterations" in steady["gmres_newton_step"]
     assert set(table["branch_to_fold"]) == {"0.1", "1.0"}

@@ -225,6 +225,27 @@ class TestLinearization:
         source = directional_difference(u, 0.0, eps, grid2d, v, mu) - oracle
         assert relative_error(product(0.0) - product(lam), source) <= 1e-6
 
+    @pytest.mark.parametrize("columns", [None, 4])
+    def test_three_point_is_the_tridiagonal_product(self, columns):
+        # 1-D bands on v, or column fields on v[:, None], end rows included
+        rng = np.random.default_rng(6)
+        n = 7
+        shape = () if columns is None else (columns,)
+        prev, nxt = rng.normal(size=(2, n - 1) + shape)
+        mid = rng.normal(size=(n,) + shape)
+        v = rng.normal(size=n)
+
+        def dense(j=...):
+            return np.diag(prev[:, j], -1) + np.diag(mid[:, j]) + np.diag(nxt[:, j], 1)
+
+        if columns is None:
+            product, expected = steady._three_point(prev, mid, nxt, v), dense() @ v
+        else:
+            product = steady._three_point(prev, mid, nxt, v[:, None])
+            expected = np.stack([dense(j) @ v for j in range(columns)], axis=1)
+        assert product.shape == expected.shape
+        assert np.max(np.abs(product - expected)) <= 1e-14 * np.max(np.abs(expected))
+
     def test_preconditioner_inverts_the_tridiagonal_part(self, grid, grid2d):
         u = random_admissible_state(grid, np.random.default_rng(3))
         for bordered in (False, True):

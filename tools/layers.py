@@ -13,10 +13,10 @@ state is even, so every potential is the folded one; sparse assembly and
 the LU factor are also timed unfolded, on the whole rectangle, as a
 membrane that is not even takes them.  An n_eta sweep times the LU factor
 and one evolution step at the ``evolve`` n_x for n_eta from 8 to 128,
-up to the largest n.  The potential
-kernels and the evolution step are timed at the ``evolve`` aspect ratio;
-the residual, the linearization and the GMRES Newton step at each
-``continuation`` aspect ratio, and at n <= 128 only.  So is one
+up to the largest n.  The potential kernels and the evolution step are
+timed at the ``evolve`` aspect ratio; the residual, the linearization,
+one Krylov product and the GMRES Newton step at each ``continuation``
+aspect ratio, and at n <= 128 only.  So is one
 continuation to the fold, ``steady.continue_branch`` at the
 ``continuation`` task's lambda_max and voltage step, with the
 factorizations, GMRES iterations, tangent solves and points of one run.
@@ -62,9 +62,9 @@ ETA_SIZES = (8, 16, 32, 64, 128)
 # about this long, so that timer resolution and call overhead stay small
 MIN_SAMPLE_S = 0.02
 FLAT_SIZES = (tasks.PULLIN_N, 2048)
-# the steady kernels (residual, linearization, GMRES step) run in the
-# benchmark at the continuation grid; they are timed up to this n, which
-# shows how they grow
+# the steady kernels (residual, linearization, Krylov product, GMRES
+# step) run in the benchmark at the continuation grid; they are timed up
+# to this n, which shows how they grow
 MAX_NEWTON_N = 128
 # lambda_max and (the midpoint of) dlambda0 of a ``continuation`` task
 BRANCH_LAMBDA_MAX = 2.0
@@ -179,10 +179,12 @@ def eta_sweep(n_eta: int, samples: int) -> dict:
 
 
 def steady_kernels(eps: float, n: int, samples: int) -> dict:
-    """The per-call seconds of the residual, the linearization and one
-    Newton step of the full model on the n x n grid at ``eps``."""
+    """The per-call seconds of the residual, the linearization, one Krylov
+    product and one Newton step of the full model on the n x n grid at
+    ``eps``."""
     grid2d, u = _state(n, n)
     r, field = steady.steady_residual(u, LAM, eps, grid2d)
+    lin = steady.linearize(u, LAM, eps, field)
 
     def newton_step(counts):
         steady._newton_step(u, LAM, eps, field, r, counts, bordered=False)
@@ -191,6 +193,7 @@ def steady_kernels(eps: float, n: int, samples: int) -> dict:
     out = {
         "steady_residual": _time(lambda: steady.steady_residual(u, LAM, eps, grid2d), samples),
         "linearize": _time(lambda: steady.linearize(u, LAM, eps, field), samples),
+        "krylov_product": _time(lambda: lin.matvec(r), samples),
         "gmres_newton_step": _time(lambda: newton_step(Counter()), samples),
     }
     out["gmres_newton_step"]["iterations"] = newton_step(Counter())["krylov_iters"]
@@ -238,6 +241,8 @@ def measure(label: str, sizes, samples: int) -> dict:
             "whole rectangle, as for a membrane that is not even",
             "eta_sweep": f"lu_factor and evolution_step at n_x = {tasks.EVOLVE_N}, "
             "n_eta as keyed, folded",
+            "krylov_product": "steady.Linearization.matvec of the residual, one GMRES "
+            "product: the tridiagonal part and one trace_change",
             "gmres_newton_step": "steady._newton_step on the residual: steady.linearize and "
             "numerics.gmres on its even part, to the tolerance of a Newton step",
             "workloads": {
