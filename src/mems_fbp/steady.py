@@ -159,10 +159,12 @@ class BranchPoint:
     ``residual`` it stopped at (the held row of a depth or fold solve
     included).
 
-    A depth solve, and the flat limit's fold solve, also give the branch
-    ``tangent`` there, the derivative by the centre depth d of (the
-    interior deflections, the voltage): its entry at the centre node is -1
-    and its last entry is dlambda/dd, the ``slope``.  At a fold the slope
+    Its ``depth`` is the centre depth d = -u at node ``n_nodes // 2``,
+    the node whose deflection a depth solve holds (right of x = 0 when
+    n_x is odd).  A depth solve, and the flat limit's fold solve, also
+    give the branch ``tangent`` there, the derivative by d of (the
+    interior deflections, the voltage): its entry at that node is -1 and
+    its last entry is dlambda/dd, the ``slope``.  At a fold the slope
     vanishes and the deflection part spans the null space of the
     Jacobian.  A point solved at a fixed voltage has no tangent.
     """
@@ -177,6 +179,11 @@ class BranchPoint:
     def slope(self) -> float:
         """dlambda/dd, the last entry of the ``tangent``."""
         return float(self.tangent[-1])
+
+    @property
+    def depth(self) -> float:
+        """The centre depth d, -u at node ``n_nodes // 2``."""
+        return -float(self.state.u[self.state.grid.n_nodes // 2])
 
 
 @dataclass
@@ -607,47 +614,44 @@ def _hermite_weights(da: float, db: float, d: float) -> tuple[float, float, floa
     return (1.0 + 2.0 * t) * s * s, h * t * s * s, t * t * (3.0 - 2.0 * t), -h * t * t * s
 
 
-def _voltage_at(d: float, a, b) -> float:
+def _voltage_at(d: float, a: BranchPoint, b: BranchPoint) -> float:
     """The cubic Hermite interpolant at depth d of the voltages of the
-    (depth, point) samples a and b."""
-    (da, pa), (db, pb) = a, b
-    w = _hermite_weights(da, db, d)
-    return w[0] * pa.lam + w[1] * pa.slope + w[2] * pb.lam + w[3] * pb.slope
+    depth-solved points a and b, each at its own ``depth``."""
+    w = _hermite_weights(a.depth, b.depth, d)
+    return w[0] * a.lam + w[1] * a.slope + w[2] * b.lam + w[3] * b.slope
 
 
-def _seed(d: float, a, b=None) -> tuple[float, MembraneState]:
+def _seed(d: float, a: BranchPoint, b: BranchPoint | None = None) -> tuple[float, MembraneState]:
     """Voltage and state at depth d of the cubic Hermite interpolant of the
-    (depth, point) samples a and b, or of the Euler step from a alone."""
-    da, pa = a
+    depth-solved points a and b, or of the Euler step from a alone."""
     if b is None:
-        terms = [(pa, 1.0, d - da)]
+        terms = [(a, 1.0, d - a.depth)]
     else:
-        w = _hermite_weights(da, b[0], d)
-        terms = [(pa, w[0], w[1]), (b[1], w[2], w[3])]
-    u = np.zeros_like(pa.state.u)
+        w = _hermite_weights(a.depth, b.depth, d)
+        terms = [(a, w[0], w[1]), (b, w[2], w[3])]
+    u = np.zeros_like(a.state.u)
     lam = 0.0
     for pt, value, slope in terms:
         u += value * pt.state.u
         u[1:-1] += slope * pt.tangent[:-1]
         lam += value * pt.lam + slope * pt.slope
-    return lam, MembraneState(pa.state.grid, u)
+    return lam, MembraneState(a.state.grid, u)
 
 
-def _fold_depth(a, b) -> float:
+def _fold_depth(a: BranchPoint, b: BranchPoint) -> float:
     """Depth of the maximum of the cubic Hermite interpolant of the voltages
-    of the (depth, point) samples a and b, where the voltage rises or is
+    of the depth-solved points a and b, where the voltage rises or is
     level at a and falls at b."""
-    (da, pa), (db, pb) = a, b
-    h = db - da
-    # by t = (d - da) / h the cubic's slope is q(t) = qa t^2 + qb t + c with
-    # q(0) = c >= 0 > q(1); the root where q falls through zero, in [0, 1),
-    # in the form free of cancellation (qb > 0 makes qa < 0)
-    c, rise = h * pa.slope, pb.lam - pa.lam
-    qa = 3.0 * (c + h * pb.slope) - 6.0 * rise
-    qb = 6.0 * rise - 4.0 * c - 2.0 * h * pb.slope
+    h = b.depth - a.depth
+    # by t = (d - a.depth) / h the cubic's slope is q(t) = qa t^2 + qb t + c
+    # with q(0) = c >= 0 > q(1); the root where q falls through zero, in
+    # [0, 1), in the form free of cancellation (qb > 0 makes qa < 0)
+    c, rise = h * a.slope, b.lam - a.lam
+    qa = 3.0 * (c + h * b.slope) - 6.0 * rise
+    qb = 6.0 * rise - 4.0 * c - 2.0 * h * b.slope
     disc = math.sqrt(max(qb * qb - 4.0 * qa * c, 0.0))
     t = (-qb - disc) / (2.0 * qa) if qb > 0.0 else 2.0 * c / (disc - qb)
-    return da + t * h
+    return a.depth + t * h
 
 
 def march_to_fold(
@@ -657,16 +661,17 @@ def march_to_fold(
     floor: float,
     label: str,
     counts: Counter,
-) -> tuple[list[tuple[float, BranchPoint]], tuple[float, BranchPoint] | None]:
+) -> tuple[list[BranchPoint], BranchPoint | None]:
     """March a steady branch in the centre depth d = -u(0) up to its fold.
 
     ``solve(d, lam, guess)`` returns the branch point at depth d, tangent
-    included, seeded by the voltage ``lam`` and the state ``guess``, and
-    raises NoSteadyStateError, DegenerateGeometryError or
-    NonConvergenceError when it finds none.  The march starts from the
-    flat membrane on ``grid`` at depth 0 and voltage 0, whose solve takes
-    no Newton step and is the first sample; a failure there re-raises its
-    error naming the start.  The voltage rises there (at the flat membrane
+    included, whose centre node (see ``BranchPoint.depth``) holds d,
+    seeded by the voltage ``lam`` and the state ``guess``, and raises
+    NoSteadyStateError, DegenerateGeometryError or NonConvergenceError
+    when it finds none.  The march starts from the flat membrane on
+    ``grid`` at depth 0 and voltage 0, whose solve takes no Newton step
+    and is the first sample; a failure there re-raises its error naming
+    the start.  The voltage rises there (at the flat membrane
     the Jacobian is the second difference and the source at rest is
     positive, so dlambda/dd > 0).  d steps by ``_DEPTH_STEP``, the first
     depth seeded by the Euler step along the start's tangent and each later
@@ -695,39 +700,39 @@ def march_to_fold(
     solves to ``counts["tangent_solves"]``; all three keys are set, at 0
     when there were none.
 
-    Returns (samples, fold): the (depth, point) samples in increasing
-    voltage, from the start and ending with the fold when one was
-    located, and the fold or None.
+    Returns (samples, fold): the sampled points in increasing voltage,
+    each at its own ``depth``, from the start and ending with the fold
+    when one was located, and the fold or None.
     """
 
-    def solve_at(d: float, lam: float, guess: MembraneState) -> tuple[float, BranchPoint]:
+    def solve_at(d: float, lam: float, guess: MembraneState) -> BranchPoint:
         pt = solve(d, lam, guess)
         counts["tangent_solves"] += 1
         log.debug(
             "%s: depth %.8g at lambda=%.12g, dlambda/dd=%.6g, %d Newton iterations",
             label, d, pt.lam, pt.slope, pt.newton_iters,
         )
-        return d, pt
+        return pt
 
-    def locate_fold(rise, fall) -> tuple[tuple[float, BranchPoint], int]:
+    def locate_fold(rise: BranchPoint, fall: BranchPoint) -> tuple[BranchPoint, int]:
         d = _fold_depth(rise, fall)
         for solves in range(1, _FOLD_MAX_SOLVES + 1):
             lam, guess = _seed(d, rise, fall)
             with context(f"{label}: fold search failed at depth={d:.8g}", _DEPTH_SOLVE_ERRORS):
                 new = solve_at(d, lam, guess)
-            if new[1].slope >= 0.0:
+            if new.slope >= 0.0:
                 rise = new
             else:
                 fall = new
             d = _fold_depth(rise, fall)
-            if abs(d - new[0]) < _FOLD_XATOL:
+            if abs(d - new.depth) < _FOLD_XATOL:
                 return new, solves
-        best = max(rise, fall, key=lambda sample: sample[1].lam)
+        best = max(rise, fall, key=lambda pt: pt.lam)
         raise NonConvergenceError(
             f"{label}: fold search unsettled after {solves} solves in depth "
-            f"[{rise[0]:.8g}, {fall[0]:.8g}], best lambda={best[1].lam:.12g} "
-            f"at depth={best[0]:.8g}",
-            residual=abs(d - new[0]),
+            f"[{rise.depth:.8g}, {fall.depth:.8g}], best lambda={best.lam:.12g} "
+            f"at depth={best.depth:.8g}",
+            residual=abs(d - new.depth),
         )
 
     counts.update(rejected_steps=0, fold_solves=0, tangent_solves=0)
@@ -736,7 +741,7 @@ def march_to_fold(
     fold = None
     step = _DEPTH_STEP
     while True:
-        d = samples[-1][0] + step
+        d = samples[-1].depth + step
         if 1.0 - d <= floor or step < _DEPTH_STEP / 2**10:
             break
         lam, guess = _seed(d, *samples[-2:])
@@ -750,14 +755,14 @@ def march_to_fold(
             counts["rejected_steps"] += 1
             step *= 0.5
             continue
-        if sample[1].slope < 0.0:
+        if sample.slope < 0.0:
             fold, solves = locate_fold(samples[-1], sample)
             counts["fold_solves"] += solves
-            samples = [s for s in samples if s[0] < fold[0]] + [fold]
+            samples = [s for s in samples if s.depth < fold.depth] + [fold]
             break
         samples.append(sample)
         # past lambda_max, and on the rising side, since the voltage still grows
-        if samples[-2][1].lam >= lambda_max:
+        if samples[-2].lam >= lambda_max:
             break
     return samples, fold
 
@@ -801,7 +806,7 @@ def continue_branch(
 
     def point_at(lam: float, segment: int) -> BranchPoint:
         a, b = samples[segment], samples[segment + 1]
-        lo, hi = a[0], b[0]
+        lo, hi = a.depth, b.depth
         for _ in range(_SEED_BISECTIONS):
             mid = 0.5 * (lo + hi)
             if _voltage_at(mid, a, b) < lam:
@@ -814,17 +819,17 @@ def continue_branch(
         ):
             return _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts)
 
-    points = [samples[0][1]]
+    points = [samples[0]]
     k = 1
     reached = False  # lambda_max
-    for segment, (_, hi) in enumerate(samples[1:]):
+    for segment, hi in enumerate(samples[1:]):
         while not reached and (lam := min(k * dlambda0, lambda_max)) <= hi.lam:
             points.append(point_at(lam, segment))
             reached = lam == lambda_max
             k += 1
-    if not reached and samples[-1][1].lam > points[-1].lam:
-        points.append(samples[-1][1])
-    fold_estimate = None if reached or fold is None else fold[1].lam
+    if not reached and samples[-1].lam > points[-1].lam:
+        points.append(samples[-1])
+    fold_estimate = None if reached or fold is None else fold.lam
     counts["newton_iters"] = sum(pt.newton_iters for pt in points)
     return SteadyBranch(points, counts, fold_estimate)
 

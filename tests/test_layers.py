@@ -57,7 +57,14 @@ def test_writes_every_key(tmp_path):
         branch = by_size["16"]
         assert set(branch) == timing | {
             "factorizations", "krylov_iters", "tangent_solves", "points",
+            "factorizations_march", "factorizations_points", "krylov_tangents", "krylov_newton",
         }
         assert branch["factorizations"] > 0 and branch["points"] > 1
+        assert branch["factorizations_march"] > 0 and branch["factorizations_points"] > 0
+        assert (
+            branch["factorizations_march"] + branch["factorizations_points"]
+            == branch["factorizations"]
+        )
+        assert branch["krylov_tangents"] + branch["krylov_newton"] == branch["krylov_iters"]
     assert set(table["flat_fold_solve"]) == {"512", "2048"}
     assert all(set(entry) == timing for entry in table["flat_fold_solve"].values())

@@ -651,6 +651,27 @@ def test_depth_step_guard(n):
         assert 0 < len(iters) and max(iters) <= (1 if eps == 0.1 else 2), eps
 
 
+@pytest.mark.parametrize("n_x", [16, 17])
+@pytest.mark.parametrize("eps", [0.1, 1.0])
+def test_each_depth_solve_holds_its_depth(n_x, eps, monkeypatch):
+    # the march reads a sample's depth from its state: -u at node
+    # n_nodes // 2, the held node (right of x = 0 at odd n_x), is the depth
+    # the solve was asked for, to the last bits
+    newton = steady._newton
+    held = []
+
+    def spy(*args, depth=None, **kwargs):
+        pt = newton(*args, depth=depth, **kwargs)
+        if depth is not None:
+            held.append((depth, pt.depth))
+        return pt
+
+    monkeypatch.setattr(steady, "_newton", spy)
+    branch = continue_branch(eps, 2.0, 0.05, n_x=n_x, n_eta=16)
+    assert branch.fold_estimate is not None and len(held) > 5
+    assert max(abs(d - got) for d, got in held) <= 1e-15
+
+
 def depth_solve(n, eps):
     """The full model's depth solve on the n x n grid, from the flat
     membrane or a given guess, as ``continue_branch`` makes it."""
@@ -739,7 +760,7 @@ def clamp_slope(d):
 
 class TestFoldSearch:
     def test_closed_form_flat_limit_branch(self):
-        (_, fold), solves = march_voltage(clamp_voltage, clamp_slope)
+        fold, solves = march_voltage(clamp_voltage, clamp_slope)
         assert fold.lam == pytest.approx(0.350004119343, abs=1e-12)
         assert solves <= 6
 
@@ -762,8 +783,8 @@ class TestFoldSearch:
             e = d - peak
             return -curvature * e + 3.0 * skew * curvature * e * e
 
-        (depth, fold), solves = march_voltage(lambda d: q(d) - q(0.0), dq)
-        assert abs(depth - peak) <= 1e-5
+        fold, solves = march_voltage(lambda d: q(d) - q(0.0), dq)
+        assert abs(fold.depth - peak) <= 1e-5
         assert abs(fold.lam + q(0.0)) <= 1e-10
         assert solves <= 8
 
@@ -771,11 +792,11 @@ class TestFoldSearch:
         # a plateau at 0.3 over depths 0.25-0.45: the march stops at 0.5,
         # the first falling sample; the Hermite maximum on [0.4, 0.5] is the
         # level end 0.4, and one solve there ends the search
-        (depth, fold), solves = march_voltage(
+        fold, solves = march_voltage(
             lambda d: min(0.3, 1.2 * d, 0.3 - (d - 0.45)),
             lambda d: 1.2 if d < 0.25 else 0.0 if d < 0.45 else -1.0,
         )
-        assert fold.lam == 0.3 and 0.4 <= depth <= 0.45
+        assert fold.lam == 0.3 and 0.4 <= fold.depth <= 0.45
         assert solves == 1
 
     def test_step_cap_raises(self, monkeypatch):

@@ -19,7 +19,10 @@ one Krylov product and the GMRES Newton step at each ``continuation``
 aspect ratio, and at n <= 128 only.  So is one
 continuation to the fold, ``steady.continue_branch`` at the
 ``continuation`` task's lambda_max and voltage step, with the
-factorizations, GMRES iterations, tangent solves and points of one run.
+factorizations, GMRES iterations, tangent solves and points of one run;
+its factorizations are also split between the depth march and the
+fixed-voltage points, and its GMRES iterations between the tangents and
+the Newton steps.
 One flat-limit pull-in (a fold solve) is timed at the ``flat-pullin`` n_x
 and at 2048.
 A sample times enough back-to-back calls to last about ``MIN_SAMPLE_S``;
@@ -208,15 +211,55 @@ def branch_to_fold(eps: float, n: int, samples: int) -> dict:
         return steady.continue_branch(eps, BRANCH_LAMBDA_MAX, BRANCH_DLAMBDA0, n_x=n, n_eta=n)
 
     out = _time(branch, samples)
-    run = branch()
+    run, split = _split_counts(branch)
     counts = run.diagnostics
     out.update(
         factorizations=counts["folded_solves"] + counts["full_solves"],
         krylov_iters=counts["krylov_iters"],
         tangent_solves=counts["tangent_solves"],
         points=len(run.points),
+        **split,
     )
     return out
+
+
+def _split_counts(branch):
+    """``branch()`` run with spies on ``steady``'s solves, and its counts
+    split by what they served: the factorizations (one per residual
+    evaluation) of the depth march, fold search included, and of the
+    fixed-voltage points; the GMRES iterations of the tangents and of the
+    Newton steps."""
+    names = ("_newton", "_newton_step", "steady_residual")
+    newton, newton_step, residual = saved = [getattr(steady, name) for name in names]
+    split = dict.fromkeys(
+        ("factorizations_march", "factorizations_points", "krylov_tangents", "krylov_newton"), 0
+    )
+    solving = None
+
+    def spy_newton(*args, depth=None, **kwargs):
+        nonlocal solving
+        solving = "march" if depth is not None else "points"
+        return newton(*args, depth=depth, **kwargs)
+
+    def spy_step(state, lam, eps, field, rhs, counts, bordered):
+        # a tangent solves against the unit border row (see ``steady._newton``)
+        tangent = bordered and rhs[-1] == 1.0 and not rhs[:-1].any()
+        before = counts["krylov_iters"]
+        dz = newton_step(state, lam, eps, field, rhs, counts, bordered)
+        split["krylov_tangents" if tangent else "krylov_newton"] += counts["krylov_iters"] - before
+        return dz
+
+    def spy_residual(*args):
+        split[f"factorizations_{solving}"] += 1
+        return residual(*args)
+
+    for name, spy in zip(names, (spy_newton, spy_step, spy_residual)):
+        setattr(steady, name, spy)
+    try:
+        return branch(), split
+    finally:
+        for name, fn in zip(names, saved):
+            setattr(steady, name, fn)
 
 
 def measure(label: str, sizes, samples: int) -> dict:
@@ -245,6 +288,9 @@ def measure(label: str, sizes, samples: int) -> dict:
             "product: the tridiagonal part and one trace_change",
             "gmres_newton_step": "steady._newton_step on the residual: steady.linearize and "
             "numerics.gmres on its even part, to the tolerance of a Newton step",
+            "branch_to_fold": "factorizations_march (depth solves, fold search included) plus "
+            "factorizations_points (fixed-voltage points) is factorizations; krylov_tangents "
+            "plus krylov_newton (Newton steps) is krylov_iters; counted by spies on one run",
             "workloads": {
                 "evolve": f"kernels at n = {tasks.EVOLVE_N}",
                 "continuation": f"kernels, steady_kernels and branch_to_fold at "
