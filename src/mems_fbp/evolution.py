@@ -96,9 +96,7 @@ def imex_step(u: MembraneState, dt: float, diffusion_int: np.ndarray, forcing: n
     r = dt * diffusion_int / (h * h)
     rhs_int = u.u[1:-1] + dt * forcing[1:-1]
     sol = solve_tridiagonal(-r[1:], 1.0 + 2.0 * r, -r[:-1], rhs_int)
-    u_new = np.zeros_like(u.u)
-    u_new[1:-1] = sol
-    return MembraneState(u.grid, u_new, u.time + dt)
+    return MembraneState.clamped(u.grid, sol, u.time + dt)
 
 
 def step(u: MembraneState, p: ModelParams, grid2d: Grid2D) -> tuple[MembraneState, PotentialField]:

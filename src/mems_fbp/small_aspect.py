@@ -42,9 +42,6 @@ __all__ = [
     "limit_study",
 ]
 
-# Newton iterations allowed per ``steady0`` solve.
-_STEADY0_MAX_ITER = 50
-
 # Centre depth of the continuum flat-limit fold, the maximizer of
 # ``_clamp_voltage(1 - d)``: the root of its closed-form slope, to 1e-10.
 _CONTINUUM_FOLD_DEPTH = 0.3883467189
@@ -143,12 +140,14 @@ def steady0(
     fold: bool = False,
 ) -> BranchPoint:
     """Newton solve of the flat-limit steady problem by ``steady.damped_newton``,
-    in at most ``_STEADY0_MAX_ITER`` iterations, seeded by ``guess`` on
+    in at most its ``_NEWTON_MAX_ITER`` iterations, seeded by ``guess`` on
     its grid; returns the ``BranchPoint`` it reached.
 
-    The residual is F = D2 u - lam s, s = 1/w^2 with w = 1 + u, and its
-    Jacobian J = D2 + diag(2 lam / w^3) is symmetric and tridiagonal, so
-    each iteration is one tridiagonal solve.  It stops at the stop
+    The residual at the state that ``damped_newton`` hands it is
+    F = D2 u - lam s, with D2 u the state's ``bend``, s = 1/w^2 and
+    w = 1 + u at the interior nodes.  Its Jacobian J = D2 + diag(2 lam /
+    w^3) is symmetric and tridiagonal, so each iteration is one
+    tridiagonal solve.  It stops at the stop
     tolerance of ``damped_newton``, which rises above 1e-10 on fine grids
     because Newton near the fold stalls at the roundoff of the second
     difference.
@@ -186,7 +185,6 @@ def steady0(
     centre = n_int // 2
     h2 = grid.h * grid.h
     scale = 0.25 * h2  # of the fold row
-    full = np.zeros(grid.n_nodes)  # deflection with its clamped ends
     off = np.full(n_int - 1, 1.0 / h2)
     # the off-diagonals of M, which has no entry off the diagonal in its
     # centre column (below it none when the centre is the last node)
@@ -194,14 +192,10 @@ def steady0(
     lower[centre : centre + 1] = 0.0
     upper[centre - 1] = 0.0
 
-    def residual(u, lam):
-        full[1:-1] = u
-        w = 1.0 + u
+    def residual(state, lam):
+        w = 1.0 + state.u[1:-1]
         w2 = w * w
-        r = full[2:] - 2.0 * u
-        r += full[:-2]
-        r /= h2
-        r -= lam / w2
+        r = state.bend[1:-1] - lam / w2
         if not fold:
             return r, lambda rhs: solve_tridiagonal(off, -2.0 / h2 + 2.0 * lam / w**3, off, -rhs)
 
@@ -236,7 +230,7 @@ def steady0(
         return rows, step
 
     held = "the fold" if fold else None
-    return damped_newton(residual, guess, lam, _STEADY0_MAX_ITER, floor, "flat-limit Newton", held)
+    return damped_newton(residual, guess, lam, floor, "flat-limit Newton", held)
 
 
 @dataclass(frozen=True)

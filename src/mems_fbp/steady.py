@@ -130,11 +130,10 @@ _NEWTON_TOL = 1e-10
 _KRYLOV_RTOL = 1e-12
 _KRYLOV_ATOL = 0.1 * _NEWTON_TOL
 
-# Newton iterations allowed per branch point, depth sample or fold-search solve.
-_BRANCH_MAX_ITER = 15
-
-# Newton iterations allowed per ``solve_steady`` solve.
-_STEADY_MAX_ITER = 50
+# Newton iterations allowed per steady solve of either model.  No solve
+# that converges comes near it: a depth sample takes at most 5 steps (see
+# ``_DEPTH_STEP``), a fixed-voltage point 1-2, the flat limit's fold 1-4.
+_NEWTON_MAX_ITER = 50
 
 # Halvings of the depth segment in which ``continue_branch`` locates the
 # seed of a fixed-voltage point: a width of 0.1 / 2^40 = 9e-14.
@@ -370,7 +369,6 @@ def damped_newton(
     residual,
     guess: MembraneState,
     lam: float,
-    max_iter: int,
     floor: float,
     model: str,
     held: str | None = None,
@@ -378,15 +376,18 @@ def damped_newton(
     """Damped Newton iteration for a steady state of either model; returns
     the ``BranchPoint`` it reached.
 
-    The model supplies ``residual(u, lam)``, which returns (r, step): its
-    residual r at the interior deflections u and the voltage lam, and the
-    Newton step at that point, ``step(rhs)`` solving J x = -rhs with J the
-    Jacobian there, so an iteration's step is ``step(r)``.  Without
-    ``held`` the unknowns are u, seeded by the interior of ``guess``, and
-    the voltage is fixed at ``lam``.  With ``held`` the voltage becomes
-    the last unknown, seeded by ``lam``, and the model's residual has one
-    more row, the equation that ``held`` names: the full model holds its
-    centre depth ("depth=0.3", the row u_c + depth) and the flat limit
+    The loop owns the unknowns: the interior deflections, seeded by the
+    interior of ``guess``, and with ``held`` the voltage as the last
+    unknown, seeded by ``lam``; without ``held`` the voltage is fixed at
+    ``lam``.  It builds the state of each point it evaluates once, with
+    the clamped ends and the time of ``guess`` (the guess itself at the
+    start), and hands it to the model's ``residual(state, lam)``, which
+    returns (r, step): its residual r at that state and voltage, and the
+    Newton step there, ``step(rhs)`` solving J x = -rhs with J the
+    Jacobian there, so an iteration's step is ``step(r)``.  With ``held``
+    the model's residual has one more row, the equation that ``held``
+    names: the full model holds its centre depth ("depth=0.3", the row
+    u_c + depth at the node of ``BranchPoint.depth``) and the flat limit
     its fold ("the fold", a singularity test).  J is then the Jacobian of
     all rows by (u, lam), ``step`` returns (du, dlam), and ``step(None)``
     returns the branch ``tangent`` at the point.  The voltage rides along
@@ -397,7 +398,7 @@ def damped_newton(
     every 1 + entry above ``floor`` and lowers the max-norm residual; a
     rejected trial's step is dropped before the next trial is evaluated.
     Returns at the first iterate whose max-norm residual is at most the
-    stop tolerance: its voltage, its state at the time of ``guess``, the
+    stop tolerance: its voltage, the state that was evaluated there, the
     steps taken and that residual, and with ``held`` that iterate's
     ``step(None)``, which is not one of the ``newton_iters``.
 
@@ -410,8 +411,8 @@ def damped_newton(
     Raises ValueError when ``lam`` is not nonnegative,
     DegenerateGeometryError when the guess, or every trial point of a
     line search, lies at or below the floor, and NoSteadyStateError when
-    a line search stalls or ``max_iter`` steps do not reach the stop
-    tolerance.
+    a line search stalls or ``_NEWTON_MAX_ITER`` steps do not reach the
+    stop tolerance.
     Every error message opens with ``model`` and the voltage or what is
     held ("Newton at lambda=0.1", "Newton at depth=0.3"), and so does
     that of a NoSteadyStateError raised by ``step``.
@@ -421,34 +422,27 @@ def damped_newton(
     grid = guess.grid
     tol = max(_NEWTON_TOL, np.finfo(float).eps / (grid.h * grid.h))
     n = grid.n_nodes - 2
-    if held is None:
-        label = f"{model} at lambda={lam:g}"
-        z = guess.u[1:-1].copy()
-    else:
-        label = f"{model} at {held}"
-        z = np.empty(n + 1)
-        z[:n] = guess.u[1:-1]
-        z[n] = lam
+    z = guess.u[1:-1] if held is None else np.concatenate((guess.u[1:-1], [lam]))
+    label = f"{model} at lambda={lam:g}" if held is None else f"{model} at {held}"
 
-    def full_residual(z):
-        return residual(z, lam) if held is None else residual(z[:n], z[n])
+    def evaluate(z):
+        state = MembraneState.clamped(grid, z[:n], guess.time)
+        return (state, *residual(state, lam if held is None else z[n]))
 
     # 1 + min(z) is min(1 + z) exactly, since rounding is monotone
     if 1.0 + float(z.min()) <= floor:
         raise DegenerateGeometryError(f"{label}: initial guess already below the touchdown floor")
-    r, step = full_residual(z)
+    state = guess
+    r, step = residual(state, lam)
     rnorm = float(np.abs(r).max())
-    for it in range(max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER + 1):
         if rnorm <= tol:
             tangent = None
             if held is not None:
                 with context(label, NoSteadyStateError):
                     tangent = step(None)
-            full = np.zeros(n + 2)
-            full[1:-1] = z[:n]
-            state = MembraneState(grid, full, guess.time)
             return BranchPoint(float(lam if held is None else z[n]), state, it, rnorm, tangent)
-        if it == max_iter:
+        if it == _NEWTON_MAX_ITER:
             break
         with context(label, NoSteadyStateError):
             dz = step(r)
@@ -458,10 +452,10 @@ def damped_newton(
             z_try = z + 0.5**k * dz
             if 1.0 + float(z_try.min()) > floor:
                 any_admissible = True
-                trial = full_residual(z_try)
-                rnorm_try = float(np.abs(trial[0]).max())
+                trial = evaluate(z_try)
+                rnorm_try = float(np.abs(trial[1]).max())
                 if rnorm_try < rnorm:
-                    z, (r, step), rnorm = z_try, trial, rnorm_try
+                    z, (state, r, step), rnorm = z_try, trial, rnorm_try
                     break
                 trial = None  # free what its step holds before the next evaluation
         else:
@@ -469,7 +463,7 @@ def damped_newton(
                 raise DegenerateGeometryError(f"{label}: iterates touch down")
             raise NoSteadyStateError(f"{label}: stalled (residual {rnorm:.3e})", residual=rnorm)
     raise NoSteadyStateError(
-        f"{label}: no steady state after {max_iter} iterations (residual {rnorm:.3e})",
+        f"{label}: no steady state after {_NEWTON_MAX_ITER} iterations (residual {rnorm:.3e})",
         residual=rnorm,
     )
 
@@ -519,17 +513,17 @@ def _newton(
     eps: float,
     guess: MembraneState,
     grid2d: Grid2D,
-    max_iter: int,
     floor: float,
     counts: Counter,
     depth: float | None = None,
 ) -> BranchPoint:
     """``damped_newton`` on the full model, at the fixed voltage ``lam`` or,
     with ``depth``, at that centre depth; returns the point it reached.
-    A depth solve appends the border row u_c + depth to each residual.
+    A depth solve appends the border row u_c + depth to each residual, u_c
+    the deflection at the node of ``BranchPoint.depth``.
 
-    Each residual evaluation builds the iterate's state once and solves its
-    potential, adding one to ``counts["folded_solves"]`` or
+    Each residual evaluation solves the potential of the state that
+    ``damped_newton`` built, adding one to ``counts["folded_solves"]`` or
     ``counts["full_solves"]`` as that was done on the half rectangle or
     not; its step, ``_newton_step``, linearizes there (``linearize``,
     counted in ``counts["jacobians"]``) against that potential's LU factor and solves
@@ -555,14 +549,11 @@ def _newton(
 
     n = grid.n_nodes - 2
 
-    def residual(u: np.ndarray, lam: float):
-        full = np.zeros(grid.n_nodes)
-        full[1:-1] = u
-        state = MembraneState(grid, full, guess.time)
+    def residual(state: MembraneState, lam: float):
         r, field = steady_residual(state, lam, eps, grid2d)
         counts["folded_solves" if field.folded else "full_solves"] += 1
         if depth is not None:
-            r = np.concatenate((r, [u[n // 2] + depth]))
+            r = np.concatenate((r, [state.u[grid.n_nodes // 2] + depth]))
 
         def step(rhs: np.ndarray | None) -> np.ndarray:
             if rhs is None:
@@ -575,7 +566,7 @@ def _newton(
         return r, step
 
     held = None if depth is None else f"depth={depth:g}"
-    return damped_newton(residual, guess, lam, max_iter, floor, "Newton", held)
+    return damped_newton(residual, guess, lam, floor, "Newton", held)
 
 
 def solve_steady(
@@ -587,7 +578,7 @@ def solve_steady(
     counts: Counter | None = None,
 ) -> BranchPoint:
     """Steady deflection at the given voltage parameter, seeded from ``guess``,
-    to the stop tolerance of ``damped_newton`` in at most ``_STEADY_MAX_ITER``
+    to the stop tolerance of ``damped_newton`` in at most ``_NEWTON_MAX_ITER``
     Newton iterations; returns the ``BranchPoint`` reached, whose
     ``residual`` is the max-norm residual of its state.
 
@@ -600,7 +591,7 @@ def solve_steady(
     """
     counts = Counter() if counts is None else counts
     counts.update(newton_iters=0)
-    point = _newton(lam, eps, guess, grid2d, _STEADY_MAX_ITER, floor, counts)
+    point = _newton(lam, eps, guess, grid2d, floor, counts)
     counts["newton_iters"] += point.newton_iters
     return point
 
@@ -629,13 +620,14 @@ def _seed(d: float, a: BranchPoint, b: BranchPoint | None = None) -> tuple[float
     else:
         w = _hermite_weights(a.depth, b.depth, d)
         terms = [(a, w[0], w[1]), (b, w[2], w[3])]
-    u = np.zeros_like(a.state.u)
+    grid = a.state.grid
+    u = np.zeros(grid.n_nodes - 2)
     lam = 0.0
     for pt, value, slope in terms:
-        u += value * pt.state.u
-        u[1:-1] += slope * pt.tangent[:-1]
+        u += value * pt.state.u[1:-1]
+        u += slope * pt.tangent[:-1]
         lam += value * pt.lam + slope * pt.slope
-    return lam, MembraneState(a.state.grid, u)
+    return lam, MembraneState.clamped(grid, u)
 
 
 def _fold_depth(a: BranchPoint, b: BranchPoint) -> float:
@@ -800,7 +792,7 @@ def continue_branch(
     counts = Counter()
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
-        return _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts, depth=d)
+        return _newton(lam, eps, guess, grid2d, floor, counts, depth=d)
 
     samples, fold = march_to_fold(at_depth, grid, lambda_max, floor, f"eps={eps:g}", counts)
 
@@ -817,7 +809,7 @@ def continue_branch(
         with context(
             f"eps={eps:g}: branch point at lambda={lam:.12g} failed", _DEPTH_SOLVE_ERRORS
         ):
-            return _newton(lam, eps, guess, grid2d, _BRANCH_MAX_ITER, floor, counts)
+            return _newton(lam, eps, guess, grid2d, floor, counts)
 
     points = [samples[0]]
     k = 1

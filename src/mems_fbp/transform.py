@@ -118,6 +118,12 @@ class MembraneState:
     def zero(cls, grid: Grid1D) -> "MembraneState":
         return cls(grid, np.zeros(grid.n_nodes))
 
+    @classmethod
+    def clamped(cls, grid: Grid1D, interior: np.ndarray, time: float = 0.0) -> "MembraneState":
+        """The state whose deflection is ``interior`` at the interior nodes
+        of ``grid``, between the clamped ends' zeros."""
+        return cls(grid, np.concatenate(([0.0], interior, [0.0])), time)
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorCoefficients:

@@ -1012,10 +1012,10 @@ class TestOtherKinds:
         assert 0 < diagnostics["newton_iters"] <= 2
 
     def test_failed_fold_search_exit_code(self, tmp_path, monkeypatch, capsys):
-        from mems_fbp import small_aspect
+        from mems_fbp import steady
 
         # one Newton step is too few for the fold solve on 64 cells
-        monkeypatch.setattr(small_aspect, "_STEADY0_MAX_ITER", 1)
+        monkeypatch.setattr(steady, "_NEWTON_MAX_ITER", 1)
         path = write_config(tmp_path, kind="pullin", n_x=64, out_dir=str(tmp_path / "out"))
         assert main([str(path), "--quiet"]) == EXIT_SOLVER
         assert not (tmp_path / "out" / "pullin.json").exists()

@@ -169,7 +169,8 @@ class TestFlatSteady:
             v_g = np.linalg.solve(bordered, np.eye(n + 1)[n])
             return np.concatenate((f, [0.25 * h2 * v_g[n]])), v_g[:n]
 
-        def residual(u, lam):
+        def residual(state, lam):
+            u = state.u[1:-1]
             r, v = rows(u, lam)
 
             def step(rhs):
@@ -195,20 +196,21 @@ class TestFlatSteady:
         got = steady0(lam0, guess, fold=depth is not None)
 
         x = grid.nodes[1:-1]
-        u, lam = -0.4 * (1.0 - x * x) * (1.0 + 0.3 * x), 0.31
-        r, step = model["residual"](u, lam)
-        want_r, want_step = residual(u, lam)
+        point = MembraneState.clamped(grid, -0.4 * (1.0 - x * x) * (1.0 + 0.3 * x))
+        lam = 0.31
+        r, step = model["residual"](point, lam)
+        want_r, want_step = residual(point, lam)
         if depth is None:
             assert np.array_equal(r, want_r)
             assert np.array_equal(step(r), want_step(r))
-            want = damped_newton(residual, guess, 0.3, 50, 0.05, "reference")
+            want = damped_newton(residual, guess, 0.3, 0.05, "reference")
             assert np.array_equal(got.state.u, want.state.u)
             return
         assert np.array_equal(r[:n], want_r[:n])
         assert r[n] == pytest.approx(want_r[n], rel=1e-9)
         want_dz = want_step(r)
         assert np.max(np.abs(step(r) - want_dz)) <= 1e-6 * np.max(np.abs(want_dz))
-        want = damped_newton(residual, guess, lam0, 50, 0.05, "reference", "the fold")
+        want = damped_newton(residual, guess, lam0, 0.05, "reference", "the fold")
         assert abs(got.lam - want.lam) <= 1e-12
         assert np.max(np.abs(got.state.u - want.state.u)) <= 1e-9
 
@@ -227,9 +229,9 @@ class TestFlatSteady:
         x = grid.nodes[1:-1]
         first, later = -0.3 * (1.0 - x * x), -0.2 * (1.0 - x**4)
         rhs = np.ones(n if depth is None else n + 1)
-        _, step = model["residual"](first, 0.31)
+        _, step = model["residual"](MembraneState.clamped(grid, first), 0.31)
         right_after = step(rhs)
-        _, later_step = model["residual"](later, 0.25)
+        _, later_step = model["residual"](MembraneState.clamped(grid, later), 0.25)
         assert np.array_equal(step(rhs), right_after)
         assert not np.array_equal(later_step(rhs), right_after)
 
@@ -380,7 +382,7 @@ class TestPullin:
         assert 0.34 <= detail.lambda_star <= 0.36
 
     def test_failed_fold_solve_names_the_pullin(self, monkeypatch):
-        monkeypatch.setattr(small_aspect, "_STEADY0_MAX_ITER", 0)
+        monkeypatch.setattr(steady, "_NEWTON_MAX_ITER", 0)
         with pytest.raises(NoSteadyStateError) as info:
             pullin0_detail(1e-3, n_x=32)
         assert str(info.value).startswith(

@@ -292,29 +292,27 @@ class TestLinearization:
         monkeypatch.setattr(steady, "damped_newton", spy)
         grid, grid2d = Grid1D.uniform(16), Grid2D.uniform(16, 16)
         n = grid.n_nodes - 2
-        steady._newton(0.2, 1.0, MembraneState.zero(grid), grid2d, 15, 0.05, Counter(), depth)
+        steady._newton(0.2, 1.0, MembraneState.zero(grid), grid2d, 0.05, Counter(), depth)
         x = grid.nodes[1:-1]
         first, later = -0.3 * (1.0 - x * x) * (1.0 + 0.2 * x), -0.2 * (1.0 - x**4)
         rhs = np.ones(n if depth is None else n + 1)
-        _, step = model["residual"](first, 0.31)
+        _, step = model["residual"](MembraneState.clamped(grid, first), 0.31)
         right_after = step(rhs)
-        _, later_step = model["residual"](later, 0.25)
+        _, later_step = model["residual"](MembraneState.clamped(grid, later), 0.25)
         assert np.array_equal(step(rhs), right_after)
         assert not np.array_equal(later_step(rhs), right_after)
 
 
-def flat_newton(lam, guess, floor, max_iter, depth, monkeypatch):
+def flat_newton(lam, guess, floor, depth):
     # the flat limit's voltage-free mode holds the fold, not a depth
-    monkeypatch.setattr(small_aspect, "_STEADY0_MAX_ITER", max_iter)
     return small_aspect.steady0(lam, guess=guess, floor=floor, fold=depth is not None)
 
 
-def full_newton(lam, guess, floor, max_iter, depth, monkeypatch):
-    monkeypatch.setattr(steady, "_STEADY_MAX_ITER", max_iter)
+def full_newton(lam, guess, floor, depth):
     grid2d = Grid2D.uniform(guess.grid.n_cells, guess.grid.n_cells)
     if depth is None:
         return solve_steady(lam, 1.0, guess, grid2d, floor)
-    return steady._newton(lam, 1.0, guess, grid2d, max_iter, floor, Counter(), depth=depth)
+    return steady._newton(lam, 1.0, guess, grid2d, floor, Counter(), depth=depth)
 
 
 @pytest.mark.parametrize(
@@ -334,26 +332,26 @@ class TestNewtonExits:
         return f"{model} at the fold" if model.startswith("flat") else f"{model} at depth={depth:g}"
 
     @pytest.mark.parametrize("depth", [None, 0.3])
-    def test_guess_below_the_floor(self, model, solve, depth, monkeypatch):
+    def test_guess_below_the_floor(self, model, solve, depth):
         x = self.grid.nodes
         guess = MembraneState(self.grid, -0.96 * (1.0 - x * x))  # gap 0.04 <= 0.05
         with pytest.raises(DegenerateGeometryError) as info:
-            solve(0.2, guess, 0.05, 50, depth, monkeypatch)
+            solve(0.2, guess, 0.05, depth)
         message = f"{self.label(model, depth)}: initial guess already below the touchdown floor"
         assert str(info.value) == message
 
     @pytest.mark.parametrize("depth", [None, 0.3])
-    def test_every_trial_point_at_the_floor(self, model, solve, depth, monkeypatch):
+    def test_every_trial_point_at_the_floor(self, model, solve, depth):
         # the first step deflects the flat membrane, so even its 1/256 lies
         # below a floor a hair under the flat gap of 1
         with pytest.raises(DegenerateGeometryError) as info:
-            solve(0.2, MembraneState.zero(self.grid), 1.0 - 1e-12, 50, depth, monkeypatch)
+            solve(0.2, MembraneState.zero(self.grid), 1.0 - 1e-12, depth)
         assert str(info.value) == f"{self.label(model, depth)}: iterates touch down"
 
-    def test_stalled_line_search(self, model, solve, monkeypatch):
+    def test_stalled_line_search(self, model, solve):
         # far above pull-in no step lowers the residual
         with pytest.raises(NoSteadyStateError) as info:
-            solve(2.0, MembraneState.zero(self.grid), 0.05, 50, None, monkeypatch)
+            solve(2.0, MembraneState.zero(self.grid), 0.05, None)
         residual = info.value.residual
         message = f"{self.label(model, None, 2.0)}: stalled (residual {residual:.3e})"
         assert str(info.value) == message
@@ -361,8 +359,10 @@ class TestNewtonExits:
 
     @pytest.mark.parametrize("depth", [None, 0.3])
     def test_iteration_cap(self, model, solve, depth, monkeypatch):
+        # the one cap of steady.damped_newton stops all four solve shapes
+        monkeypatch.setattr(steady, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(NoSteadyStateError) as info:
-            solve(0.2, MembraneState.zero(self.grid), 0.05, 1, depth, monkeypatch)
+            solve(0.2, MembraneState.zero(self.grid), 0.05, depth)
         residual = info.value.residual
         message = (
             f"{self.label(model, depth)}: no steady state after 1 iterations "
@@ -415,7 +415,7 @@ class TestSolveSteady:
         assert np.max(np.abs(traj.final.u - steady_01.u)) <= 1e-6
 
     def test_beyond_pullin_fails(self, grid, grid2d, monkeypatch):
-        monkeypatch.setattr(steady, "_STEADY_MAX_ITER", 12)
+        monkeypatch.setattr(steady, "_NEWTON_MAX_ITER", 12)
         with pytest.raises(NoSteadyStateError) as exc_info:
             solve_steady(1.5, 0.1, MembraneState.zero(grid), grid2d=grid2d)
         assert exc_info.value.residual is not None
@@ -511,7 +511,7 @@ class TestContinuation:
         assert branch.fold_estimate <= nonexistence_bound(1.0)
         # beyond the bracket the solve fails from the last branch point
         last = branch.points[-1]
-        monkeypatch.setattr(steady, "_STEADY_MAX_ITER", 10)
+        monkeypatch.setattr(steady, "_NEWTON_MAX_ITER", 10)
         with pytest.raises(NoSteadyStateError):
             solve_steady(hi + 0.05, 1.0, last.state, grid2d=Grid2D.uniform(24, 24))
 
@@ -679,7 +679,7 @@ def depth_solve(n, eps):
 
     def solve(d, guess=None):
         guess = MembraneState.zero(grid2d.gx) if guess is None else guess
-        return steady._newton(0.2, eps, guess, grid2d, 15, 0.05, Counter(), depth=d)
+        return steady._newton(0.2, eps, guess, grid2d, 0.05, Counter(), depth=d)
 
     return solve
 
