@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import criteria, evolution, small_aspect, steady
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, context
 from .evolution import ModelParams
 from .numerics import Grid1D, Grid2D
 from .transform import MembraneState
@@ -281,22 +281,29 @@ def _run_evolve(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
 
 
 def _run_steady(cfg: ExperimentConfig, out: Path) -> tuple[dict, int]:
+    lam, eps = cfg.params.lam, cfg.params.eps
     grid2d = Grid2D.uniform(cfg.n_x, cfg.n_eta)
     counts = Counter()
-    point = steady.solve_steady(
-        cfg.params.lam,
-        cfg.params.eps,
-        cfg.initial_condition,
-        grid2d=grid2d,
-        floor=cfg.params.touchdown_floor,
-        counts=counts,
-    )
+    # a failed solve says which side of the paper's threshold it was on
+    bound = steady.nonexistence_bound(eps)
+    where = f"steady: lambda={lam:g} at eps={eps:g} lies"
+    if lam > bound:
+        where += f" above the non-existence bound {bound:.4g}, where no steady state exists"
+    else:
+        where += (
+            f" below the non-existence bound {bound:.4g}, which does not decide;"
+            " the continuation kind locates the fold"
+        )
+    with context(where):
+        point = steady.solve_steady(
+            lam, eps, cfg.initial_condition, grid2d, cfg.params.touchdown_floor, counts
+        )
     state = point.state
     _write_csv(out / "profile.csv", ["x", "u"], zip(state.grid.nodes, state.u))
     log.info("steady: min_gap=%g", state.min_gap)
     return {
-        "lambda": cfg.params.lam,
-        "eps": cfg.params.eps,
+        "lambda": lam,
+        "eps": eps,
         "n_x": cfg.n_x,
         "n_eta": cfg.n_eta,
         "residual_inf": point.residual,

@@ -5,9 +5,11 @@ fold, and the closed-form non-existence threshold.
 full model here and the flat limit in ``small_aspect``.  It owns the
 unknowns (the interior deflections, and the voltage when a model holds
 something else: the full model its centre depth, the flat limit its
-fold), the labels and the failure exits; a model supplies only its
-residual, the held row included, each evaluation of which also returns
-the Newton step at its point.
+fold), the one iteration cap ``_NEWTON_MAX_ITER``, the labels and the
+failure exits.  It builds the clamped state of each trial point once and
+hands it to the model; a model supplies only its residual of that state,
+the held row included, each evaluation of which also returns the Newton
+step at its point.
 ``march_to_fold`` traces the full model's branch to its fold, from the
 flat membrane.  A converged depth solve makes one more step with its
 last Jacobian, whose solution is the branch tangent (du/dd, dlambda/dd)
@@ -582,8 +584,9 @@ def solve_steady(
     Newton iterations; returns the ``BranchPoint`` reached, whose
     ``residual`` is the max-norm residual of its state.
 
-    The model's residual evaluation returns the Newton step at its point
-    (see ``_newton``).  When ``counts`` is given, the Newton iterations of
+    ``damped_newton`` hands the model's residual the state of each point
+    it evaluates, and the evaluation returns the Newton step at that
+    state (see ``_newton``).  When ``counts`` is given, the Newton iterations of
     a converged solve are added to ``counts["newton_iters"]``, set at 0
     for a guess that already converges, next to what ``_newton`` counts:
     the linearizations, one per Newton step, their GMRES iterations and

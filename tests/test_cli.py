@@ -718,7 +718,10 @@ class TestOtherKinds:
         )
         assert main([str(path), "--quiet"]) == EXIT_SOLVER
         err = capsys.readouterr().err
-        assert err.startswith("mems-fbp: ERROR[solver] NoSteadyStateError: Newton at lambda=0.1: ")
+        assert err.startswith(
+            "mems-fbp: ERROR[solver] NoSteadyStateError: steady: lambda=0.1 at eps=0.1 lies below "
+        )
+        assert ": Newton at lambda=0.1: GMRES linear residual " in err
         assert "after 7 iterations" in err
 
     def test_steady_failure_exit_code(self, tmp_path, capsys):
@@ -735,6 +738,28 @@ class TestOtherKinds:
         err = capsys.readouterr().err
         assert err.startswith("mems-fbp: ERROR[solver]")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "lam, side",
+        [
+            (0.9, "above the non-existence bound 0.6667, where no steady state exists"),
+            # above the 16x16 fold, 0.2424, so Newton fails here too
+            (0.5, "below the non-existence bound 0.6667, which does not decide; "
+             "the continuation kind locates the fold"),
+        ],
+    )
+    def test_steady_failure_names_the_nonexistence_bound(self, tmp_path, capsys, lam, side):
+        path = write_config(
+            tmp_path, kind="steady", **{"lambda": lam}, eps=1.0, n_x=16, n_eta=16,
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([str(path), "--quiet"]) == EXIT_SOLVER
+        assert list((tmp_path / "out").iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"mems-fbp: ERROR[solver] NoSteadyStateError: steady: lambda={lam:g} at eps=1 lies "
+            f"{side}: Newton at lambda={lam:g}: stalled (residual "
+        )
 
     def test_continuation_artifacts(self, tmp_path, monkeypatch):
         from mems_fbp import steady

@@ -102,6 +102,26 @@ class TestStep:
         expected = np.linalg.solve(A, u.u[1:-1])
         assert np.max(np.abs(u1.u[1:-1] - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    @pytest.mark.parametrize("shape", ["even", "uneven"])
+    def test_is_imex_step_of_the_source(self, grid, grid2d, eps, shape):
+        # a step is imex_step with the curvature factor at the state and
+        # -lam times g_eps's source, to the bit, so a test may force the
+        # composition itself without a hook in the package
+        x = grid.nodes
+        u = -0.3 * (1.0 - x * x)
+        if shape == "uneven":
+            u = u * (1.0 + 0.4 * x) - 0.05 * np.sin(np.pi * (x + 1.0))
+        state = MembraneState(grid, u, 0.25)
+        p = ModelParams(eps=eps, lam=0.3, dt=1e-2)
+        dv = state.slope[1:-1]
+        factor = (1.0 + eps * eps * dv * dv) ** -1.5
+        source, field = elliptic.g_eps(state, eps, grid2d)
+        assert field.folded == (shape == "even")
+        want = evolution.imex_step(state, p.dt, factor, -p.lam * source)
+        got = step(state, p, grid2d)[0]
+        assert np.array_equal(got.u, want.u) and got.time == want.time
+
 
 class TestRun:
     def test_one_factorization_per_step(self, monkeypatch):

@@ -426,3 +426,58 @@ def test_only_transform_references_the_stencils():
     found = {name: stencil_references(parse(name)) for name in MODULES}
     assert found.pop("mems_fbp.transform")  # the rule sees its own module's calls
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def is_interior_slice(node):
+    """Whether ``node`` is the slice 1:-1, stepless."""
+    if not (isinstance(node, ast.Slice) and node.step is None):
+        return False
+    lower, upper = node.lower, node.upper
+    minus_one = (
+        isinstance(upper, ast.UnaryOp)
+        and isinstance(upper.op, ast.USub)
+        and isinstance(upper.operand, ast.Constant)
+        and upper.operand.value == 1
+    ) or (isinstance(upper, ast.Constant) and upper.value == -1)
+    return isinstance(lower, ast.Constant) and lower.value == 1 and minus_one
+
+
+def interior_fills(tree):
+    """Lines that assign into the interior slice ``[1:-1]`` of a 1-D
+    vector, by ``=``, an augmented assignment or an annotated one; the
+    2-D slice ``[1:-1, 1:-1]`` is not one."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Subscript) and is_interior_slice(sub.slice):
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_the_interior_rule_sees_every_shape():
+    source = """
+full[1:-1] = z
+u[1:-1] += slope * t
+a, b[1:-1] = 1, 2
+w[1:-1, 1:-1] = 0.0
+x = u[1:-1]
+u[1:] = 0.0
+v[1:-1:2] = 0.0
+"""
+    assert interior_fills(ast.parse(source)) == [2, 3, 4]
+
+
+def test_only_transform_fills_an_interior():
+    """No module but ``transform`` assigns into the interior ``[1:-1]`` of
+    a node vector: a deflection is its interior values between two clamped
+    zeros, and ``MembraneState.clamped`` is the one place that says so."""
+    found = {name: interior_fills(parse(name)) for name in MODULES}
+    assert found.pop("mems_fbp.transform")  # the rule sees the stencils' own fills
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -21,13 +21,14 @@ def test_writes_every_key(tmp_path):
     table = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert set(table) == {
         "label", "machine", "commit", "method", "kernels", "eta_sweep", "steady_kernels",
-        "branch_to_fold", "flat_fold_solve",
+        "branch_to_fold", "flat_fold_solve", "kinds",
     }
     assert set(table["machine"]) == {"cpu_model", "cores", "python", "numpy", "scipy"}
     assert set(table["commit"]) == {"hash", "dirty", "trees"}
     assert set(table["commit"]["trees"]) == {"src", "tools"}
     assert {
         "pinned_core", "blas_threads", "samples", "statistic", "workloads", "unfolded", "eta_sweep",
+        "kinds",
     } <= set(table["method"])
     timing = {"median_s", "q1_s", "q3_s", "calls_per_sample"}
     assert set(table["kernels"]) == {"16"}
@@ -68,3 +69,12 @@ def test_writes_every_key(tmp_path):
         assert branch["krylov_tangents"] + branch["krylov_newton"] == branch["krylov_iters"]
     assert set(table["flat_fold_solve"]) == {"512", "2048"}
     assert all(set(entry) == timing for entry in table["flat_fold_solve"].values())
+    # every golden case's config, run through the CLI to its recorded status
+    golden = Path(__file__).parent / "golden"
+    manifest = json.loads((golden / "manifest.json").read_text())
+    assert set(table["kinds"]) == set(manifest["exit_codes"])
+    for case, entry in table["kinds"].items():
+        assert set(entry) == {"kind", "exit_status", "runs", "median_s", "q1_s", "q3_s"}
+        assert entry["kind"] == json.loads((golden / case / "config.json").read_text())["kind"]
+        assert entry["exit_status"] == manifest["exit_codes"][case]
+        assert entry["runs"] == 1 and 0.0 < entry["q1_s"] <= entry["median_s"] <= entry["q3_s"]

@@ -372,6 +372,37 @@ class TestNewtonExits:
         assert residual > steady._NEWTON_TOL
 
 
+@pytest.mark.parametrize("solve", [flat_newton, full_newton])
+@pytest.mark.parametrize("depth", [None, 0.3])
+def test_each_residual_receives_the_state_of_its_point(solve, depth, monkeypatch):
+    # damped_newton builds each evaluated point's state once and hands it
+    # to the model: read-only, clamped at +0.0, at the guess's time; the
+    # state it returns is that of the last evaluation, the converged one
+    evaluated, returned = [], []
+
+    def spy(residual, *args):
+        def recording(state, lam):
+            evaluated.append(state)
+            return residual(state, lam)
+
+        point = damped_newton(recording, *args)
+        returned.append(point)
+        return point
+
+    monkeypatch.setattr(steady, "damped_newton", spy)
+    monkeypatch.setattr(small_aspect, "damped_newton", spy)
+    lam, start = small_aspect._continuum_start(Grid1D.uniform(16), 0.3)
+    solve(0.2 if depth is None else lam, replace(start, time=0.7), 0.05, depth)
+    assert len(returned) == 1 and len(evaluated) > 1
+    assert len({id(state) for state in evaluated}) == len(evaluated)
+    for state in evaluated:
+        assert isinstance(state, MembraneState) and state.time == 0.7
+        assert not state.u.flags.writeable
+        ends = state.u[[0, -1]]
+        assert np.all(ends == 0.0) and not np.signbit(ends).any()
+    assert returned[0].state is evaluated[-1]
+
+
 class TestSolveSteady:
     @pytest.mark.parametrize("lam", [-0.1, float("nan")])
     def test_negative_voltage_rejected(self, grid, grid2d, lam):

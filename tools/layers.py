@@ -24,7 +24,10 @@ its factorizations are also split between the depth march and the
 fixed-voltage points, and its GMRES iterations between the tangents and
 the Newton steps.
 One flat-limit pull-in (a fold solve) is timed at the ``flat-pullin`` n_x
-and at 2048.
+and at 2048.  The ``kinds`` section times each golden case's config
+(``tests/golden/<case>/config.json``) end to end: ``cli.run_experiment``,
+quiet, writing into a temporary directory, once untimed and then
+``--samples`` times, with the case's kind and exit status.
 A sample times enough back-to-back calls to last about ``MIN_SAMPLE_S``;
 the file gives the median and quartiles of the per-call seconds over
 ``--samples`` samples, after one warm-up call.  It is written to
@@ -34,6 +37,8 @@ the file gives the median and quartiles of the per-call seconds over
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -54,7 +59,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 import tasks  # noqa: E402
 
-from mems_fbp import elliptic, evolution, numerics, small_aspect, steady, transform  # noqa: E402
+from mems_fbp import cli, elliptic, evolution, numerics, small_aspect, steady, transform  # noqa: E402
 
 EPS = tasks.EVOLVE_EPS
 LAM = max(tasks.EVOLVE_LAMBDA)
@@ -72,6 +77,8 @@ MAX_NEWTON_N = 128
 # lambda_max and (the midpoint of) dlambda0 of a ``continuation`` task
 BRANCH_LAMBDA_MAX = 2.0
 BRANCH_DLAMBDA0 = 0.05
+# one case per directory, its config.json the fixed config of a CLI run
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def _machine() -> dict:
@@ -262,6 +269,30 @@ def _split_counts(branch):
             setattr(steady, name, fn)
 
 
+def kinds(samples: int) -> dict:
+    """The wall seconds of ``samples`` runs of ``cli.run_experiment`` on
+    each golden case's config, after one untimed run, with the case's
+    kind and exit status."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()):
+            with contextlib.chdir(GOLDEN / case):  # a start csv is named from here
+                cfg = cli.parse_config("config.json")
+            seconds = []
+            for k in range(samples + 1):
+                cfg.out_dir = str(Path(tmp) / case / str(k))
+                t0 = time.perf_counter()
+                with contextlib.redirect_stderr(io.StringIO()):  # a failed run's report
+                    status = cli.run_experiment(cfg, quiet=True)
+                seconds.append(time.perf_counter() - t0)
+            q1, median, q3 = np.percentile(seconds[1:], [25, 50, 75])
+            out[case] = {
+                "kind": cfg.kind, "exit_status": status, "runs": samples,
+                "median_s": median, "q1_s": q1, "q3_s": q3,
+            }
+    return out
+
+
 def measure(label: str, sizes, samples: int) -> dict:
     core = min(os.sched_getaffinity(0))
     os.sched_setaffinity(0, {core})
@@ -288,6 +319,9 @@ def measure(label: str, sizes, samples: int) -> dict:
             "product: the tridiagonal part and one trace_change",
             "gmres_newton_step": "steady._newton_step on the residual: steady.linearize and "
             "numerics.gmres on its even part, to the tolerance of a Newton step",
+            "kinds": "cli.run_experiment of each tests/golden case's config, parsed in its "
+            "directory, quiet, into a temporary directory: median and quartiles of the wall "
+            "seconds of the timed runs after one untimed run",
             "branch_to_fold": "factorizations_march (depth solves, fold search included) plus "
             "factorizations_points (fixed-voltage points) is factorizations; krylov_tangents "
             "plus krylov_newton (Newton steps) is krylov_iters; counted by spies on one run",
@@ -312,6 +346,7 @@ def measure(label: str, sizes, samples: int) -> dict:
             str(n): _time(lambda: small_aspect.pullin0_detail(1e-6, n), samples)
             for n in FLAT_SIZES
         },
+        "kinds": kinds(samples),
     }
 
 
