@@ -134,7 +134,8 @@ _KRYLOV_ATOL = 0.1 * _NEWTON_TOL
 
 # Newton iterations allowed per steady solve of either model.  No solve
 # that converges comes near it: a depth sample takes at most 5 steps (see
-# ``_DEPTH_STEP``), a fixed-voltage point 1-2, the flat limit's fold 1-4.
+# ``_DEPTH_STEP``), a branch point at a fixed voltage 1-2, the flat limit's
+# fold 1-4, and the golden ``steady`` case from the flat membrane 4.
 _NEWTON_MAX_ITER = 50
 
 # Halvings of the depth segment in which ``continue_branch`` locates the
@@ -586,11 +587,11 @@ def solve_steady(
 
     ``damped_newton`` hands the model's residual the state of each point
     it evaluates, and the evaluation returns the Newton step at that
-    state (see ``_newton``).  When ``counts`` is given, the Newton iterations of
-    a converged solve are added to ``counts["newton_iters"]``, set at 0
-    for a guess that already converges, next to what ``_newton`` counts:
-    the linearizations, one per Newton step, their GMRES iterations and
-    the potential solves of the residual evaluations.
+    state (see ``_newton``).  When ``counts`` is given, the Newton
+    iterations of a converged solve are added to ``counts["newton_iters"]``,
+    set at 0 for a guess that already converges, next to what ``_newton``
+    counts: the linearizations, one per Newton step, their GMRES
+    iterations and the potential solves of the residual evaluations.
     """
     counts = Counter() if counts is None else counts
     counts.update(newton_iters=0)

@@ -444,13 +444,13 @@ def is_interior_slice(node):
 
 def interior_fills(tree):
     """Lines that assign into the interior slice ``[1:-1]`` of a 1-D
-    vector, by ``=``, an augmented assignment or an annotated one; the
-    2-D slice ``[1:-1, 1:-1]`` is not one."""
+    vector, by ``=`` or an augmented assignment; the 2-D slice
+    ``[1:-1, 1:-1]`` is not one."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
             targets = node.targets
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        elif isinstance(node, ast.AugAssign):
             targets = [node.target]
         else:
             continue
