@@ -90,7 +90,7 @@ _MMS_TOL = 1e-12
 # even state keeps the asymmetry at rounding level (at most 1.3e-15 in
 # runs up to touchdown).  A steady Newton from a guess inside this
 # tolerance starts from its exact even part and keeps its iterates exactly
-# even (see ``steady._newton``).
+# even (see ``steady.solve_steady``).
 _EVEN_TOL = 1e-14
 
 

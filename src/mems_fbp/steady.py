@@ -9,7 +9,10 @@ fold), the one iteration cap ``_NEWTON_MAX_ITER``, the labels and the
 failure exits.  It builds the clamped state of each trial point once and
 hands it to the model; a model supplies only its residual of that state,
 the held row included, each evaluation of which also returns the Newton
-step at its point.
+step at its point.  Each model makes its whole steady solve in one
+function that hands ``damped_newton`` its residual: the full model's is
+``solve_steady``, at a fixed voltage or a held centre depth, the flat
+limit's ``small_aspect.steady0``.
 ``march_to_fold`` traces the full model's branch to its fold, from the
 flat membrane.  A converged depth solve makes one more step with its
 last Jacobian, whose solution is the branch tangent (du/dd, dlambda/dd)
@@ -20,7 +23,8 @@ Hermite cubic of the voltage.
 
 The full model's steady equation balances the linearized curvature term
 against the electrostatic source.  Its Newton step solves by GMRES on the
-exact linearization (``linearize``) without forming it.  A product J v is
+exact linearization without forming it (``Linearization.solve`` on the
+products of ``linearize``).  A product J v is
 the closed-form tridiagonal part T v (the second difference and the
 curvature factor of the source) plus the source's dependence on the
 membrane trace.  The trace change follows from linearizing the potential
@@ -265,6 +269,8 @@ class Linearization:
     ``border``, the operator is the bordered [J, -h; e_c^T, 0] of a depth
     solve, acting on (deflection change, voltage change), where h is the
     ``source`` and e_c picks the centre node; ``border`` holds T^{-1} h.
+    ``solve`` makes the Newton step with it: GMRES on ``matvec``,
+    preconditioned by ``precondition``.
     """
 
     field: PotentialField
@@ -313,6 +319,32 @@ class Linearization:
         if self.field.folded:
             x = 0.5 * (x + x[::-1])
         return x if self.border is None else np.concatenate((x, [dlam]))
+
+    def solve(self, rhs: np.ndarray, counts: Counter) -> np.ndarray:
+        """The Newton step dz solving J dz = -rhs, J this operator: ``gmres``
+        on ``matvec``, preconditioned by ``precondition``, to a 2-norm
+        linear residual at most the looser of ``_KRYLOV_RTOL`` times that
+        of rhs and ``_KRYLOV_ATOL``.  About a ``folded`` field it solves
+        for the even part of rhs alone.  Adds the GMRES iterations to
+        ``counts["krylov_iters"]``, also those of a solve that misses the
+        rule within as many iterations as unknowns, which then raises
+        NoSteadyStateError carrying its linear residual.
+        """
+        bound = max(_KRYLOV_RTOL * float(np.linalg.norm(rhs)), _KRYLOV_ATOL)
+        b = -rhs
+        if self.field.folded:
+            # even steps cannot reduce the odd part left by an iterate not
+            # exactly even
+            half = b[: self.diag.size]  # a view: the deflection rows
+            half[:] = 0.5 * (half + half[::-1])
+        dz, iters, linear = gmres(self.matvec, b, self.precondition, bound, rhs.size)
+        counts["krylov_iters"] += iters
+        if not linear <= bound:
+            raise NoSteadyStateError(
+                f"GMRES linear residual {linear:.3e} above {bound:.3e} after {iters} iterations",
+                residual=linear,
+            )
+        return dz
 
 
 def linearize(
@@ -471,85 +503,47 @@ def damped_newton(
     )
 
 
-def _newton_step(
-    state: MembraneState,
-    lam: float,
-    eps: float,
-    field: PotentialField,
-    rhs: np.ndarray,
-    counts: Counter,
-    bordered: bool,
-) -> np.ndarray:
-    """The step dz of ``_newton`` at ``state``, whose potential is ``field``:
-    J dz = -rhs solved by ``gmres`` on ``linearize``'s products (bordered
-    as ``bordered`` says), to the stop rule of ``_KRYLOV_RTOL`` and
-    ``_KRYLOV_ATOL``.  Adds one to ``counts["jacobians"]`` and the GMRES
-    iterations to ``counts["krylov_iters"]``; raises NoSteadyStateError
-    when the linearization is singular or GMRES misses the rule.
-    """
-    counts["jacobians"] += 1
-    bound = max(_KRYLOV_RTOL * float(np.linalg.norm(rhs)), _KRYLOV_ATOL)
-    try:
-        lin = linearize(state, lam, eps, field, bordered=bordered)
-        b = -rhs
-        if field.folded:
-            # solve for the even part of rhs alone: even steps cannot
-            # reduce the odd part left by an iterate not exactly even
-            half = b[: lin.diag.size]  # a view: the deflection rows
-            half[:] = 0.5 * (half + half[::-1])
-        dz, iters, linear = gmres(lin.matvec, b, lin.precondition, bound, rhs.size)
-    except SingularSystemError as exc:
-        raise NoSteadyStateError(
-            f"singular linearization: {exc}", residual=float(np.max(np.abs(rhs)))
-        ) from exc
-    counts["krylov_iters"] += iters
-    if not linear <= bound:
-        raise NoSteadyStateError(
-            f"GMRES linear residual {linear:.3e} above {bound:.3e} after {iters} iterations",
-            residual=linear,
-        )
-    return dz
-
-
-def _newton(
+def solve_steady(
     lam: float,
     eps: float,
     guess: MembraneState,
     grid2d: Grid2D,
-    floor: float,
-    counts: Counter,
+    floor: float = 0.05,
+    counts: Counter | None = None,
     depth: float | None = None,
 ) -> BranchPoint:
     """``damped_newton`` on the full model, at the fixed voltage ``lam`` or,
-    with ``depth``, at that centre depth; returns the point it reached.
-    A depth solve appends the border row u_c + depth to each residual, u_c
-    the deflection at the node of ``BranchPoint.depth``.
+    with ``depth``, at that centre depth, seeded from ``guess``; returns
+    the ``BranchPoint`` reached, whose ``residual`` is the max-norm
+    residual of its state.  A depth solve appends the border row
+    u_c + depth to each residual, u_c the deflection at the node of
+    ``BranchPoint.depth``, and seeds its voltage by ``lam``.
 
     Each residual evaluation solves the potential of the state that
     ``damped_newton`` built, adding one to ``counts["folded_solves"]`` or
     ``counts["full_solves"]`` as that was done on the half rectangle or
-    not; its step, ``_newton_step``, linearizes there (``linearize``,
-    counted in ``counts["jacobians"]``) against that potential's LU factor and solves
-    by ``gmres`` on the products, preconditioned by the tridiagonal part,
-    to the stop rule of ``_KRYLOV_RTOL`` and ``_KRYLOV_ATOL``; its
-    iterations add to ``counts["krylov_iters"]``.  All four keys are set,
-    at 0 when nothing was counted.  The tangent of a depth solve is one
-    more such step, so it factorizes nothing and counts as a
-    linearization and its GMRES iterations alike.  A GMRES solve that
-    misses the rule within as many iterations as unknowns raises
-    NoSteadyStateError carrying its linear residual.  A guess that
-    ``is_even`` is replaced by its exact even part, so its iterates stay
-    exactly even, and on a folded field GMRES solves for the even part of
-    the residual (see the module docstring).  Every potential belongs to
-    one call, so concurrent calls share nothing.
+    not.  Its step linearizes there (``linearize``, counted in
+    ``counts["jacobians"]``) against that potential's LU factor and
+    solves by ``Linearization.solve``, whose GMRES iterations add to
+    ``counts["krylov_iters"]``; a singular linearization raises
+    NoSteadyStateError carrying the max-norm of the right-hand side.  The
+    tangent of a depth solve is one more such step, so it factorizes
+    nothing and counts as a linearization and its GMRES iterations alike.
+    The Newton iterations of a converged solve add to
+    ``counts["newton_iters"]``.  All five keys are set, at 0 when nothing
+    was counted; without ``counts`` they go to a Counter of the call's own.
+
+    A guess that ``is_even`` is replaced by its exact even part, so its
+    iterates stay exactly even (see the module docstring).  Every
+    potential belongs to one call, so concurrent calls share nothing.
     """
     grid = guess.grid
     if is_even(guess):
         # start from its exact even part, at most _EVEN_TOL / 2 away, so every
         # iterate is exactly even: the preconditioner returns even steps
         guess = MembraneState(grid, 0.5 * (guess.u + guess.u[::-1]), guess.time)
-    counts.update(jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
-
+    counts = Counter() if counts is None else counts
+    counts.update(newton_iters=0, jacobians=0, krylov_iters=0, folded_solves=0, full_solves=0)
     n = grid.n_nodes - 2
 
     def residual(state: MembraneState, lam: float):
@@ -564,38 +558,18 @@ def _newton(
                 # is the bordered system against the unit border row
                 rhs = np.zeros(n + 1)
                 rhs[n] = 1.0
-            return _newton_step(state, lam, eps, field, rhs, counts, depth is not None)
+            counts["jacobians"] += 1
+            try:
+                return linearize(state, lam, eps, field, depth is not None).solve(rhs, counts)
+            except SingularSystemError as exc:
+                raise NoSteadyStateError(
+                    f"singular linearization: {exc}", residual=float(np.max(np.abs(rhs)))
+                ) from exc
 
         return r, step
 
     held = None if depth is None else f"depth={depth:g}"
-    return damped_newton(residual, guess, lam, floor, "Newton", held)
-
-
-def solve_steady(
-    lam: float,
-    eps: float,
-    guess: MembraneState,
-    grid2d: Grid2D,
-    floor: float = 0.05,
-    counts: Counter | None = None,
-) -> BranchPoint:
-    """Steady deflection at the given voltage parameter, seeded from ``guess``,
-    to the stop tolerance of ``damped_newton`` in at most ``_NEWTON_MAX_ITER``
-    Newton iterations; returns the ``BranchPoint`` reached, whose
-    ``residual`` is the max-norm residual of its state.
-
-    ``damped_newton`` hands the model's residual the state of each point
-    it evaluates, and the evaluation returns the Newton step at that
-    state (see ``_newton``).  When ``counts`` is given, the Newton
-    iterations of a converged solve are added to ``counts["newton_iters"]``,
-    set at 0 for a guess that already converges, next to what ``_newton``
-    counts: the linearizations, one per Newton step, their GMRES
-    iterations and the potential solves of the residual evaluations.
-    """
-    counts = Counter() if counts is None else counts
-    counts.update(newton_iters=0)
-    point = _newton(lam, eps, guess, grid2d, floor, counts)
+    point = damped_newton(residual, guess, lam, floor, "Newton", held)
     counts["newton_iters"] += point.newton_iters
     return point
 
@@ -774,8 +748,8 @@ def continue_branch(
     """The minimal steady branch from zero voltage, traced in the centre depth.
 
     The centre deflection d = -u(0) is the continuation parameter and the
-    voltage an unknown (``_newton`` with a depth, which also gives the
-    branch tangent), marched from the flat membrane to the fold, past
+    voltage an unknown (``solve_steady`` with a depth, which also gives
+    the branch tangent), marched from the flat membrane to the fold, past
     ``lambda_max`` or to ``floor`` by ``march_to_fold``.
 
     The points are the voltages k * dlambda0 below the end of the march,
@@ -796,7 +770,7 @@ def continue_branch(
     counts = Counter()
 
     def at_depth(d: float, lam: float, guess: MembraneState) -> BranchPoint:
-        return _newton(lam, eps, guess, grid2d, floor, counts, depth=d)
+        return solve_steady(lam, eps, guess, grid2d, floor, counts, depth=d)
 
     samples, fold = march_to_fold(at_depth, grid, lambda_max, floor, f"eps={eps:g}", counts)
 
@@ -813,7 +787,7 @@ def continue_branch(
         with context(
             f"eps={eps:g}: branch point at lambda={lam:.12g} failed", _DEPTH_SOLVE_ERRORS
         ):
-            return _newton(lam, eps, guess, grid2d, floor, counts)
+            return solve_steady(lam, eps, guess, grid2d, floor, counts)
 
     points = [samples[0]]
     k = 1

@@ -801,14 +801,14 @@ class TestOtherKinds:
     def test_failed_branch_point_exit_code(self, tmp_path, monkeypatch, capsys):
         from mems_fbp import steady
 
-        newton = steady._newton
+        newton = steady.solve_steady
 
         def failing_points(*args, depth=None, **kwargs):
             if depth is None:
                 raise NoSteadyStateError("injected failure", residual=1.0)
             return newton(*args, depth=depth, **kwargs)
 
-        monkeypatch.setattr(steady, "_newton", failing_points)
+        monkeypatch.setattr(steady, "solve_steady", failing_points)
         path = write_config(
             tmp_path, kind="continuation", eps_list=[0.5], n_x=8, n_eta=8, lambda_max=0.04,
             dlambda0=0.04, out_dir=str(tmp_path / "out"),

@@ -292,7 +292,7 @@ class TestLinearization:
         monkeypatch.setattr(steady, "damped_newton", spy)
         grid, grid2d = Grid1D.uniform(16), Grid2D.uniform(16, 16)
         n = grid.n_nodes - 2
-        steady._newton(0.2, 1.0, MembraneState.zero(grid), grid2d, 0.05, Counter(), depth)
+        solve_steady(0.2, 1.0, MembraneState.zero(grid), grid2d, 0.05, depth=depth)
         x = grid.nodes[1:-1]
         first, later = -0.3 * (1.0 - x * x) * (1.0 + 0.2 * x), -0.2 * (1.0 - x**4)
         rhs = np.ones(n if depth is None else n + 1)
@@ -310,9 +310,7 @@ def flat_newton(lam, guess, floor, depth):
 
 def full_newton(lam, guess, floor, depth):
     grid2d = Grid2D.uniform(guess.grid.n_cells, guess.grid.n_cells)
-    if depth is None:
-        return solve_steady(lam, 1.0, guess, grid2d, floor)
-    return steady._newton(lam, 1.0, guess, grid2d, floor, Counter(), depth=depth)
+    return solve_steady(lam, 1.0, guess, grid2d, floor, depth=depth)
 
 
 @pytest.mark.parametrize(
@@ -547,7 +545,7 @@ class TestContinuation:
             solve_steady(hi + 0.05, 1.0, last.state, grid2d=Grid2D.uniform(24, 24))
 
     def test_failed_depth_solve_halves_the_step(self, monkeypatch, caplog):
-        newton = steady._newton
+        newton = steady.solve_steady
         depths = []
 
         def failing_once(*args, depth=None, **kwargs):
@@ -557,7 +555,7 @@ class TestContinuation:
                     raise NoSteadyStateError("injected", residual=1.0)
             return newton(*args, depth=depth, **kwargs)
 
-        monkeypatch.setattr(steady, "_newton", failing_once)
+        monkeypatch.setattr(steady, "solve_steady", failing_once)
         with caplog.at_level(logging.DEBUG, logger="mems_fbp.steady"):
             branch = continue_branch(1.0, lambda_max=2.0, dlambda0=0.1, n_x=8)
         rejected = [r for r in caplog.records if "rejected depth" in r.getMessage()]
@@ -589,14 +587,14 @@ class TestContinuation:
             assert (folds[1] - folds[0]) / (folds[2] - folds[1]) == pytest.approx(4.0, abs=0.1)
 
     def test_failed_branch_point_names_eps_and_voltage(self, monkeypatch):
-        newton = steady._newton
+        newton = steady.solve_steady
 
         def failing_points(*args, depth=None, **kwargs):
             if depth is None:
                 raise NoSteadyStateError("Newton stalled", residual=0.25)
             return newton(*args, depth=depth, **kwargs)
 
-        monkeypatch.setattr(steady, "_newton", failing_points)
+        monkeypatch.setattr(steady, "solve_steady", failing_points)
         with pytest.raises(NoSteadyStateError) as info:
             continue_branch(1.0, lambda_max=2.0, dlambda0=0.1, n_x=8)
         assert str(info.value) == "eps=1: branch point at lambda=0.1 failed: Newton stalled"
@@ -688,7 +686,7 @@ def test_each_depth_solve_holds_its_depth(n_x, eps, monkeypatch):
     # the march reads a sample's depth from its state: -u at node
     # n_nodes // 2, the held node (right of x = 0 at odd n_x), is the depth
     # the solve was asked for, to the last bits
-    newton = steady._newton
+    newton = steady.solve_steady
     held = []
 
     def spy(*args, depth=None, **kwargs):
@@ -697,7 +695,7 @@ def test_each_depth_solve_holds_its_depth(n_x, eps, monkeypatch):
             held.append((depth, pt.depth))
         return pt
 
-    monkeypatch.setattr(steady, "_newton", spy)
+    monkeypatch.setattr(steady, "solve_steady", spy)
     branch = continue_branch(eps, 2.0, 0.05, n_x=n_x, n_eta=16)
     assert branch.fold_estimate is not None and len(held) > 5
     assert max(abs(d - got) for d, got in held) <= 1e-15
@@ -710,7 +708,7 @@ def depth_solve(n, eps):
 
     def solve(d, guess=None):
         guess = MembraneState.zero(grid2d.gx) if guess is None else guess
-        return steady._newton(0.2, eps, guess, grid2d, 0.05, Counter(), depth=d)
+        return solve_steady(0.2, eps, guess, grid2d, 0.05, depth=d)
 
     return solve
 

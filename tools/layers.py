@@ -30,14 +30,19 @@ quiet, writing into a temporary directory, once untimed and then
 ``--samples`` times, with the case's kind and exit status.
 A sample times enough back-to-back calls to last about ``MIN_SAMPLE_S``;
 the file gives the median and quartiles of the per-call seconds over
-``--samples`` samples, after one warm-up call.  It is written to
-``--out-dir``, the checkout by default.
+``--samples`` samples, after one warm-up call.  The rows of a section
+(the kernels at one n, the n_eta sweep at one n_eta, the steady kernels
+at one eps and n, the branches, the fold solves, the kinds) take their
+samples in rounds, one of each row per round, so that a slow spell of
+the machine falls on all of them alike instead of on one whole row.  It
+is written to ``--out-dir``, the checkout by default.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -119,19 +124,26 @@ def _commit() -> dict:
     }
 
 
-def _time(fn, samples: int) -> dict:
-    """Median and quartiles of the per-call seconds of ``fn()``."""
-    t0 = time.perf_counter()
-    fn()  # warm-up: caches, first-touch allocation
-    calls = max(1, round(MIN_SAMPLE_S / (time.perf_counter() - t0)))
-    per_call = []
-    for _ in range(samples):
+def _time(rows: dict, samples: int) -> dict:
+    """Median and quartiles of the per-call seconds of each row's call,
+    ``rows`` mapping each row's key to its call, sampled in rounds."""
+    calls = {}
+    for key, fn in rows.items():
         t0 = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        per_call.append((time.perf_counter() - t0) / calls)
-    q1, median, q3 = np.percentile(per_call, [25, 50, 75])
-    return {"median_s": median, "q1_s": q1, "q3_s": q3, "calls_per_sample": calls}
+        fn()  # warm-up: caches, first-touch allocation
+        calls[key] = max(1, round(MIN_SAMPLE_S / (time.perf_counter() - t0)))
+    per_call = {key: [] for key in rows}
+    for _ in range(samples):
+        for key, fn in rows.items():
+            t0 = time.perf_counter()
+            for _ in range(calls[key]):
+                fn()
+            per_call[key].append((time.perf_counter() - t0) / calls[key])
+    out = {}
+    for key, seconds in per_call.items():
+        q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+        out[key] = {"median_s": median, "q1_s": q1, "q3_s": q3, "calls_per_sample": calls[key]}
+    return out
 
 
 def _state(n_x: int, n_eta: int) -> tuple[numerics.Grid2D, transform.MembraneState]:
@@ -159,21 +171,17 @@ def kernels(n: int, samples: int) -> dict:
     _, lu = factor()
     rhs = np.ones(lu.shape[0])
     field = elliptic.solve_potential(u, EPS, grid2d)
-
-    def timed(fn):
-        return _time(fn, samples)
-
-    return {
-        "coefficient_assembly": timed(lambda: transform.assemble_coefficients(u, EPS, grid2d)),
-        "stencil_weights": timed(lambda: elliptic._stencil_weights(coeffs)),
-        "sparse_assembly": timed(lambda: elliptic.assemble_system(weights, folded=True)),
-        "sparse_assembly_unfolded": timed(lambda: elliptic.assemble_system(weights)),
-        "lu_factor": timed(factor),
-        "lu_factor_unfolded": timed(_factor(weights, folded=False)),
-        "triangular_solve": timed(lambda: lu.solve(rhs)),
-        "trace_extraction": timed(lambda: elliptic.trace_top(field)),
-        "evolution_step": timed(lambda: evolution.step(u, p, grid2d)),
-    }
+    return _time({
+        "coefficient_assembly": lambda: transform.assemble_coefficients(u, EPS, grid2d),
+        "stencil_weights": lambda: elliptic._stencil_weights(coeffs),
+        "sparse_assembly": lambda: elliptic.assemble_system(weights, folded=True),
+        "sparse_assembly_unfolded": lambda: elliptic.assemble_system(weights),
+        "lu_factor": factor,
+        "lu_factor_unfolded": _factor(weights, folded=False),
+        "triangular_solve": lambda: lu.solve(rhs),
+        "trace_extraction": lambda: elliptic.trace_top(field),
+        "evolution_step": lambda: evolution.step(u, p, grid2d),
+    }, samples)
 
 
 def eta_sweep(n_eta: int, samples: int) -> dict:
@@ -182,10 +190,10 @@ def eta_sweep(n_eta: int, samples: int) -> dict:
     grid2d, u = _state(tasks.EVOLVE_N, n_eta)
     p = evolution.ModelParams(eps=EPS, lam=LAM)
     weights = elliptic._stencil_weights(transform.assemble_coefficients(u, EPS, grid2d))
-    return {
-        "lu_factor": _time(_factor(weights, folded=True), samples),
-        "evolution_step": _time(lambda: evolution.step(u, p, grid2d), samples),
-    }
+    return _time({
+        "lu_factor": _factor(weights, folded=True),
+        "evolution_step": lambda: evolution.step(u, p, grid2d),
+    }, samples)
 
 
 def steady_kernels(eps: float, n: int, samples: int) -> dict:
@@ -197,36 +205,43 @@ def steady_kernels(eps: float, n: int, samples: int) -> dict:
     lin = steady.linearize(u, LAM, eps, field)
 
     def newton_step(counts):
-        steady._newton_step(u, LAM, eps, field, r, counts, bordered=False)
+        steady.linearize(u, LAM, eps, field).solve(r, counts)
         return counts
 
-    out = {
-        "steady_residual": _time(lambda: steady.steady_residual(u, LAM, eps, grid2d), samples),
-        "linearize": _time(lambda: steady.linearize(u, LAM, eps, field), samples),
-        "krylov_product": _time(lambda: lin.matvec(r), samples),
-        "gmres_newton_step": _time(lambda: newton_step(Counter()), samples),
-    }
+    out = _time({
+        "steady_residual": lambda: steady.steady_residual(u, LAM, eps, grid2d),
+        "linearize": lambda: steady.linearize(u, LAM, eps, field),
+        "krylov_product": lambda: lin.matvec(r),
+        "gmres_newton_step": lambda: newton_step(Counter()),
+    }, samples)
     out["gmres_newton_step"]["iterations"] = newton_step(Counter())["krylov_iters"]
     return out
 
 
-def branch_to_fold(eps: float, n: int, samples: int) -> dict:
+def branch_to_fold(sizes, samples: int) -> dict:
     """The seconds of one continuation to the fold on the n x n grid at
-    ``eps``, and the solver counts of one such run."""
-
-    def branch():
-        return steady.continue_branch(eps, BRANCH_LAMBDA_MAX, BRANCH_DLAMBDA0, n_x=n, n_eta=n)
-
-    out = _time(branch, samples)
-    run, split = _split_counts(branch)
-    counts = run.diagnostics
-    out.update(
-        factorizations=counts["folded_solves"] + counts["full_solves"],
-        krylov_iters=counts["krylov_iters"],
-        tangent_solves=counts["tangent_solves"],
-        points=len(run.points),
-        **split,
-    )
+    each ``continuation`` eps and each n of ``sizes``, one section, and the
+    solver counts of one such run."""
+    branches = {
+        (eps, n): functools.partial(
+            steady.continue_branch, eps, BRANCH_LAMBDA_MAX, BRANCH_DLAMBDA0, n_x=n, n_eta=n
+        )
+        for eps in tasks.CONTINUATION_EPS
+        for n in sizes
+    }
+    timed = _time(branches, samples)
+    out = {}
+    for (eps, n), branch in branches.items():
+        run, split = _split_counts(branch)
+        counts = run.diagnostics
+        out.setdefault(repr(eps), {})[str(n)] = dict(
+            timed[eps, n],
+            factorizations=counts["folded_solves"] + counts["full_solves"],
+            krylov_iters=counts["krylov_iters"],
+            tangent_solves=counts["tangent_solves"],
+            points=len(run.points),
+            **split,
+        )
     return out
 
 
@@ -236,60 +251,73 @@ def _split_counts(branch):
     evaluation) of the depth march, fold search included, and of the
     fixed-voltage points; the GMRES iterations of the tangents and of the
     Newton steps."""
-    names = ("_newton", "_newton_step", "steady_residual")
-    newton, newton_step, residual = saved = [getattr(steady, name) for name in names]
+    solve_steady, solve, residual = (
+        steady.solve_steady, steady.Linearization.solve, steady.steady_residual
+    )
     split = dict.fromkeys(
         ("factorizations_march", "factorizations_points", "krylov_tangents", "krylov_newton"), 0
     )
     solving = None
 
-    def spy_newton(*args, depth=None, **kwargs):
+    def spy_steady(*args, depth=None, **kwargs):
         nonlocal solving
         solving = "march" if depth is not None else "points"
-        return newton(*args, depth=depth, **kwargs)
+        return solve_steady(*args, depth=depth, **kwargs)
 
-    def spy_step(state, lam, eps, field, rhs, counts, bordered):
-        # a tangent solves against the unit border row (see ``steady._newton``)
-        tangent = bordered and rhs[-1] == 1.0 and not rhs[:-1].any()
+    def spy_solve(lin, rhs, counts):
+        # a tangent solves against the unit border row (see ``steady.solve_steady``)
+        tangent = lin.border is not None and rhs[-1] == 1.0 and not rhs[:-1].any()
         before = counts["krylov_iters"]
-        dz = newton_step(state, lam, eps, field, rhs, counts, bordered)
-        split["krylov_tangents" if tangent else "krylov_newton"] += counts["krylov_iters"] - before
-        return dz
+        try:
+            return solve(lin, rhs, counts)
+        finally:
+            split["krylov_tangents" if tangent else "krylov_newton"] += (
+                counts["krylov_iters"] - before
+            )
 
     def spy_residual(*args):
         split[f"factorizations_{solving}"] += 1
         return residual(*args)
 
-    for name, spy in zip(names, (spy_newton, spy_step, spy_residual)):
-        setattr(steady, name, spy)
+    patches = [
+        (steady, "solve_steady", spy_steady, solve_steady),
+        (steady.Linearization, "solve", spy_solve, solve),
+        (steady, "steady_residual", spy_residual, residual),
+    ]
+    for owner, name, spy, _ in patches:
+        setattr(owner, name, spy)
     try:
         return branch(), split
     finally:
-        for name, fn in zip(names, saved):
-            setattr(steady, name, fn)
+        for owner, name, _, fn in patches:
+            setattr(owner, name, fn)
 
 
 def kinds(samples: int) -> dict:
     """The wall seconds of ``samples`` runs of ``cli.run_experiment`` on
-    each golden case's config, after one untimed run, with the case's
-    kind and exit status."""
-    out = {}
+    each golden case's config, in rounds after one untimed round, with
+    the case's kind and exit status."""
+    configs = {}
+    for case in sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()):
+        with contextlib.chdir(GOLDEN / case):  # a start csv is named from here
+            configs[case] = cli.parse_config("config.json")
+    seconds = {case: [] for case in configs}
+    status = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()):
-            with contextlib.chdir(GOLDEN / case):  # a start csv is named from here
-                cfg = cli.parse_config("config.json")
-            seconds = []
-            for k in range(samples + 1):
+        for k in range(samples + 1):
+            for case, cfg in configs.items():
                 cfg.out_dir = str(Path(tmp) / case / str(k))
                 t0 = time.perf_counter()
                 with contextlib.redirect_stderr(io.StringIO()):  # a failed run's report
-                    status = cli.run_experiment(cfg, quiet=True)
-                seconds.append(time.perf_counter() - t0)
-            q1, median, q3 = np.percentile(seconds[1:], [25, 50, 75])
-            out[case] = {
-                "kind": cfg.kind, "exit_status": status, "runs": samples,
-                "median_s": median, "q1_s": q1, "q3_s": q3,
-            }
+                    status[case] = cli.run_experiment(cfg, quiet=True)
+                seconds[case].append(time.perf_counter() - t0)
+    out = {}
+    for case, cfg in configs.items():
+        q1, median, q3 = np.percentile(seconds[case][1:], [25, 50, 75])
+        out[case] = {
+            "kind": cfg.kind, "exit_status": status[case], "runs": samples,
+            "median_s": median, "q1_s": q1, "q3_s": q3,
+        }
     return out
 
 
@@ -307,7 +335,8 @@ def measure(label: str, sizes, samples: int) -> dict:
             "blas_threads": 1,
             "samples": samples,
             "min_sample_s": MIN_SAMPLE_S,
-            "statistic": "median and quartiles of the per-call seconds over the samples",
+            "statistic": "median and quartiles of the per-call seconds over the samples, "
+            "taken in rounds over the rows of each section",
             "state": f"u = -{DEPTH} (1 - x^2), lambda {LAM}, n_x = n_eta = n, folded; "
             f"kernels at eps {EPS}, steady_kernels at each eps they list",
             "lu_factor": "numerics.solve_sparse: the factorization and one triangular solve",
@@ -317,8 +346,8 @@ def measure(label: str, sizes, samples: int) -> dict:
             "n_eta as keyed, folded",
             "krylov_product": "steady.Linearization.matvec of the residual, one GMRES "
             "product: the tridiagonal part and one trace_change",
-            "gmres_newton_step": "steady._newton_step on the residual: steady.linearize and "
-            "numerics.gmres on its even part, to the tolerance of a Newton step",
+            "gmres_newton_step": "steady.linearize and steady.Linearization.solve on the "
+            "residual: numerics.gmres on its even part, to the tolerance of a Newton step",
             "kinds": "cli.run_experiment of each tests/golden case's config, parsed in its "
             "directory, quiet, into a temporary directory: median and quartiles of the wall "
             "seconds of the timed runs after one untimed run",
@@ -338,14 +367,11 @@ def measure(label: str, sizes, samples: int) -> dict:
             repr(eps): {str(n): steady_kernels(eps, n, samples) for n in newton_sizes}
             for eps in tasks.CONTINUATION_EPS
         },
-        "branch_to_fold": {
-            repr(eps): {str(n): branch_to_fold(eps, n, samples) for n in newton_sizes}
-            for eps in tasks.CONTINUATION_EPS
-        },
-        "flat_fold_solve": {
-            str(n): _time(lambda: small_aspect.pullin0_detail(1e-6, n), samples)
-            for n in FLAT_SIZES
-        },
+        "branch_to_fold": branch_to_fold(newton_sizes, samples),
+        "flat_fold_solve": _time(
+            {str(n): functools.partial(small_aspect.pullin0_detail, 1e-6, n) for n in FLAT_SIZES},
+            samples,
+        ),
         "kinds": kinds(samples),
     }
 
