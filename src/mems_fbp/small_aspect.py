@@ -192,16 +192,9 @@ def steady0(
     upper[centre - 1] = 0.0
 
     def residual(state, lam):
-        # D2 u in place: the state's ``bend`` gives the same bits, but at
-        # n_x = 512 it made the pull-in fold solve 6 % slower (one pinned core)
-        full = state.u
-        u = full[1:-1]
-        w = 1.0 + u
+        w = 1.0 + state.u[1:-1]
         w2 = w * w
-        r = full[2:] - 2.0 * u
-        r += full[:-2]
-        r /= h2
-        r -= lam / w2
+        r = state.bend[1:-1] - lam / w2
         if not fold:
             return r, lambda rhs: solve_tridiagonal(off, -2.0 / h2 + 2.0 * lam / w**3, off, -rhs)
 

@@ -24,19 +24,19 @@ Hermite cubic of the voltage.
 The full model's steady equation balances the linearized curvature term
 against the electrostatic source.  Its Newton step solves by GMRES on the
 exact linearization without forming it (``Linearization.solve`` on the
-products of ``linearize``).  A product J v is
-the closed-form tridiagonal part T v (the second difference and the
-curvature factor of the source) plus the source's dependence on the
-membrane trace.  The trace change follows from linearizing the potential
-solve, dphi = -A(u)^{-1} G_u v with G(u, phi) = A(u) phi - b(u): G_u is
-exact, built once per step from three stencil differences of the
-potential, with the central differences of the deflection folded in, as
-three column fields, its weights of v_{i-1}, v_i and v_{i+1}; one 3-point
-rule applies them and T's bands.  Each product is one solve against the
-LU of A(u) that the residual evaluation returning the step made at the
-same iterate, so each Newton iteration factorizes once.  T, solved in
-closed form, preconditions GMRES, which then needs a few such solves per
-step instead of one per unknown.
+products of ``linearize``).  A product J v is the closed-form tridiagonal
+part T v (the second difference and the curvature factor of the source)
+plus the source's dependence on the membrane trace.  The trace change
+follows from linearizing the potential solve, dphi = -A(u)^{-1} G_u v
+with G(u, phi) = A(u) phi - b(u): G_u is exact, built once per step from
+three stencil differences of the potential, with the central differences
+of the deflection folded in, as three column fields, its weights of
+v_{i-1}, v_i and v_{i+1}; one 3-point rule applies them and T's
+bands.  Each product is one solve against the LU of A(u) that the
+residual evaluation returning the step made at the same iterate, so each
+Newton iteration factorizes once.  T, solved in closed form,
+preconditions GMRES, which then needs a few such solves per step instead
+of one per unknown.
 
 The branch from the flat membrane, and any solve from a guess that
 ``is_even``, stays exactly even: Newton starts from the guess's exact even
@@ -513,9 +513,10 @@ def solve_steady(
     depth: float | None = None,
 ) -> BranchPoint:
     """``damped_newton`` on the full model, at the fixed voltage ``lam`` or,
-    with ``depth``, at that centre depth, seeded from ``guess``; returns
-    the ``BranchPoint`` reached, whose ``residual`` is the max-norm
-    residual of its state.  A depth solve appends the border row
+    with ``depth``, at that centre depth, seeded from ``guess``, to its
+    stop tolerance in at most ``_NEWTON_MAX_ITER`` iterations; returns the
+    ``BranchPoint`` reached, whose ``residual`` is the max-norm residual
+    of its state.  A depth solve appends the border row
     u_c + depth to each residual, u_c the deflection at the node of
     ``BranchPoint.depth``, and seeds its voltage by ``lam``.
 

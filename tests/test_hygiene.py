@@ -481,3 +481,65 @@ def test_only_transform_fills_an_interior():
     found = {name: interior_fills(parse(name)) for name in MODULES}
     assert found.pop("mems_fbp.transform")  # the rule sees the stencils' own fills
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def callers(tree, callee):
+    """Where ``tree`` calls ``callee``, by name or as an attribute: per
+    call, the qualified name (``f`` or ``Class.f``) of the module-level
+    function or method whose body, nested functions included, holds it,
+    or ``<module>`` outside every function."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+                continue
+            where = "<module>"
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{prefix}{node.name}"
+            for call in ast.walk(node):
+                func = getattr(call, "func", None)
+                if isinstance(call, ast.Call) and callee in (
+                    getattr(func, "id", None), getattr(func, "attr", None)
+                ):
+                    found.append(where)
+
+    visit(tree.body, "")
+    return found
+
+
+def test_the_caller_rule_sees_every_shape():
+    source = """
+def outer():
+    def inner():
+        return solve(r)
+    return inner
+
+class Lin:
+    def step(self):
+        return numerics.solve(r)
+
+def passed_on():
+    return solve
+
+solve(r)
+"""
+    assert callers(ast.parse(source), "solve") == ["outer", "Lin.step", "<module>"]
+
+
+def test_one_steady_solve_per_model():
+    """Each model's whole steady solve is one function that hands
+    ``damped_newton`` its residual, ``steady.solve_steady`` and
+    ``small_aspect.steady0``, and the Newton step's GMRES solve is the one
+    method ``Linearization.solve``."""
+    found = {
+        callee: {name: where for name in MODULES if (where := callers(parse(name), callee))}
+        for callee in ("damped_newton", "gmres")
+    }
+    assert found == {
+        "damped_newton": {
+            "mems_fbp.small_aspect": ["steady0"], "mems_fbp.steady": ["solve_steady"]
+        },
+        "gmres": {"mems_fbp.steady": ["Linearization.solve"]},
+    }
