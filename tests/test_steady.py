@@ -271,14 +271,19 @@ class TestLinearization:
     def test_missed_stop_rule_names_newton_and_iterations(self, monkeypatch, grid, grid2d):
         monkeypatch.setattr(steady, "_KRYLOV_RTOL", 0.0)
         monkeypatch.setattr(steady, "_KRYLOV_ATOL", 0.0)
+        counts = Counter()
         with pytest.raises(NoSteadyStateError) as info:
-            solve_steady(0.1, 0.1, MembraneState.zero(grid), grid2d=grid2d)
+            solve_steady(0.1, 0.1, MembraneState.zero(grid), grid2d, counts=counts)
         message = str(info.value)
         n_int = grid.n_nodes - 2
         assert message.startswith("Newton at lambda=0.1: GMRES linear residual")
         assert message.endswith(f"after {n_int} iterations")
         # the linear residual, at roundoff of the right-hand side
         assert 0.0 < info.value.residual < 1e-10
+        # the failed step's linearization and GMRES iterations stay counted
+        assert dict(counts) == dict(
+            newton_iters=0, jacobians=1, krylov_iters=n_int, folded_solves=1, full_solves=0
+        )
 
     @pytest.mark.parametrize("depth", [None, 0.3])
     def test_a_step_keeps_its_own_point(self, monkeypatch, depth):
@@ -415,12 +420,17 @@ class TestSolveSteady:
 
         monkeypatch.setattr(steady, "solve_tridiagonal", singular)
         guess, grid2d = MembraneState.zero(Grid1D.uniform(8)), Grid2D.uniform(8, 8)
+        counts = Counter()
         with pytest.raises(NoSteadyStateError) as info:
-            solve_steady(0.2, 1.0, guess, grid2d)
+            solve_steady(0.2, 1.0, guess, grid2d, counts=counts)
         message = "Newton at lambda=0.2: singular linearization: zero pivot at row 2"
         assert str(info.value) == message
         r, _ = steady_residual(guess, 0.2, 1.0, grid2d)
         assert info.value.residual == float(np.max(np.abs(r))) > 0.0
+        # the linearization is counted before it raises
+        assert dict(counts) == dict(
+            newton_iters=0, jacobians=1, krylov_iters=0, folded_solves=1, full_solves=0
+        )
 
     def test_zero_voltage_returns_flat(self, grid, grid2d, rng):
         from mems_fbp.transform import random_admissible_state
@@ -495,68 +505,6 @@ class TestSolveSteady:
         assert np.max(np.abs(u.u - ref.u)) <= 1e-12
 
 
-class TestFailedStepCounts:
-    """A Newton step that fails keeps what it did in the counts: the
-    linearization, the GMRES iterations it ran and the potential solve of
-    its residual evaluation, in a lone solve and inside a branch."""
-
-    grid, grid2d = Grid1D.uniform(8), Grid2D.uniform(8, 8)
-
-    def test_a_missed_gmres_rule_keeps_its_iterations(self, monkeypatch):
-        monkeypatch.setattr(steady, "_KRYLOV_RTOL", 0.0)
-        monkeypatch.setattr(steady, "_KRYLOV_ATOL", 0.0)
-        counts = Counter()
-        with pytest.raises(NoSteadyStateError, match="after 7 iterations$"):
-            solve_steady(0.1, 0.1, MembraneState.zero(self.grid), self.grid2d, counts=counts)
-        assert dict(counts) == dict(
-            newton_iters=0, jacobians=1, krylov_iters=7, folded_solves=1, full_solves=0
-        )
-
-    def test_a_singular_linearization_keeps_its_jacobian(self, monkeypatch):
-        def singular(*args):
-            raise SingularSystemError("zero pivot at row 2")
-
-        monkeypatch.setattr(steady, "solve_tridiagonal", singular)
-        counts = Counter()
-        with pytest.raises(NoSteadyStateError, match="singular linearization"):
-            solve_steady(0.2, 1.0, MembraneState.zero(self.grid), self.grid2d, counts=counts)
-        assert dict(counts) == dict(
-            newton_iters=0, jacobians=1, krylov_iters=0, folded_solves=1, full_solves=0
-        )
-
-    def test_a_rejected_depth_step_stays_in_the_branch_counts(self, monkeypatch):
-        # the second GMRES solve, the first Newton step at depth 0.1 after the
-        # start's tangent, runs to its end and then misses its stop rule
-        gmres, linearize, residual = steady.gmres, steady.linearize, steady.steady_residual
-        seen = Counter()
-
-        def spy_gmres(*args):
-            dz, iters, linear = gmres(*args)
-            seen["gmres"] += 1
-            seen["krylov_iters"] += iters
-            if seen["gmres"] == 2:
-                seen["failed_iters"] = iters
-                return dz, iters, math.inf
-            return dz, iters, linear
-
-        def spy_linearize(*args, **kwargs):
-            seen["jacobians"] += 1
-            return linearize(*args, **kwargs)
-
-        def spy_residual(*args):
-            seen["residuals"] += 1
-            return residual(*args)
-
-        monkeypatch.setattr(steady, "gmres", spy_gmres)
-        monkeypatch.setattr(steady, "linearize", spy_linearize)
-        monkeypatch.setattr(steady, "steady_residual", spy_residual)
-        diagnostics = continue_branch(1.0, 2.0, 0.1, n_x=8).diagnostics
-        assert diagnostics["rejected_steps"] == 1 and seen["failed_iters"] > 0
-        assert diagnostics["folded_solves"] + diagnostics["full_solves"] == seen["residuals"]
-        assert diagnostics["jacobians"] == seen["jacobians"]
-        assert diagnostics["krylov_iters"] == seen["krylov_iters"]
-
-
 class TestContinuation:
     def test_branch_below_fold(self, grid2d):
         for lambda_max, dlambda0 in ((0.3, 0.1), (0.32, 0.08)):
@@ -627,6 +575,38 @@ class TestContinuation:
         step = steady._DEPTH_STEP
         assert depths[:4] == pytest.approx([0.0, step, 2 * step, 1.5 * step], abs=1e-15)
         assert branch.fold_estimate is not None
+
+    def test_a_rejected_depth_step_stays_in_the_branch_counts(self, monkeypatch):
+        # the second GMRES solve, the first Newton step at depth 0.1 after the
+        # start's tangent, runs to its end and then misses its stop rule
+        gmres, linearize, residual = steady.gmres, steady.linearize, steady.steady_residual
+        seen = Counter()
+
+        def spy_gmres(*args):
+            dz, iters, linear = gmres(*args)
+            seen["gmres"] += 1
+            seen["krylov_iters"] += iters
+            if seen["gmres"] == 2:
+                seen["failed_iters"] = iters
+                return dz, iters, math.inf
+            return dz, iters, linear
+
+        def spy_linearize(*args, **kwargs):
+            seen["jacobians"] += 1
+            return linearize(*args, **kwargs)
+
+        def spy_residual(*args):
+            seen["residuals"] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(steady, "gmres", spy_gmres)
+        monkeypatch.setattr(steady, "linearize", spy_linearize)
+        monkeypatch.setattr(steady, "steady_residual", spy_residual)
+        diagnostics = continue_branch(1.0, 2.0, 0.1, n_x=8).diagnostics
+        assert diagnostics["rejected_steps"] == 1 and seen["failed_iters"] > 0
+        assert diagnostics["folded_solves"] + diagnostics["full_solves"] == seen["residuals"]
+        assert diagnostics["jacobians"] == seen["jacobians"]
+        assert diagnostics["krylov_iters"] == seen["krylov_iters"]
 
     def test_fold_converges_under_refinement(self):
         folds = [
